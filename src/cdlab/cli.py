@@ -51,14 +51,7 @@ def _cmd_run(args) -> int:
     result = run_scenario(_resolve_scenario(args.scenario), only_check=args.only)
     print(result.summary())
     if args.report:
-        Path(args.report).write_text(result.to_json() + "\n", encoding="utf-8")
-    return EXIT_PASS if result.overall else EXIT_VERIFICATION_FAILURE
-
-
-def _cmd_verify(args) -> int:
-    result = run_scenario(_resolve_scenario(args.scenario), only_check=args.checkname)
-    print(result.summary())
-    if args.report:
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
         Path(args.report).write_text(result.to_json() + "\n", encoding="utf-8")
     return EXIT_PASS if result.overall else EXIT_VERIFICATION_FAILURE
 
@@ -116,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run one kind of check from a scenario")
-    p_verify.add_argument("checkname")
+    p_verify.add_argument("only", metavar="checkname")
     p_verify.add_argument("scenario")
     p_verify.add_argument("--report", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list registered checks")
     p_list.set_defaults(func=_cmd_list)

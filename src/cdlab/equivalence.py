@@ -22,15 +22,15 @@ from .errors import (DegenerateInputError, DomainError, InvalidArgumentError,
                      NumericError, PreconditionError)
 from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, section_vector
-from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
-                        frobenius, shift_from_kernel, sylvester_kernel)
+from .operators import (U10_COND_CAP, UNITARITY_TOL, ModelOperator,
+                        UpperTriangularModel, assemble_model, frobenius,
+                        shift_from_kernel, sylvester_kernel,
+                        unitarity_residual)
 from .reporting import ConditionReport
 
-UNITARITY_TOL = 1e-10
 NORMALITY_TOL = 1e-10
 ROOT_CONSISTENCY_TOL = 1e-10
 MAINLEMMA_GATE_TOL = 1e-8
-U10_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class BlockUnitary:
     u11: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u = self.matrix
-        eye = np.eye(u.shape[0])
-        err = max(frobenius(u @ u.conj().T - eye), frobenius(u.conj().T @ u - eye))
+        err = unitarity_residual(self.matrix)
         if err > UNITARITY_TOL:
             raise NumericError(f"block matrix is not unitary: residual {err:.3e}")
 
@@ -319,9 +317,8 @@ def main3_verifier(k0: DiagonalKernel, k1: DiagonalKernel, ks: DiagonalKernel,
     eye = np.eye(n)
     report.add("x-isometry", frobenius(x.conj().T @ x - eye), 1e-10)
 
-    worst_section = 0.0
-    worst_norm = 0.0
-    worst_point = None
+    worst_section = worst_norm = 0.0
+    section_point = norm_point = None
     for w in grid.points:
         t0w = section_vector(k0, w).coordinates
         t1w = section_vector(k1, w).coordinates
@@ -329,14 +326,14 @@ def main3_verifier(k0: DiagonalKernel, k1: DiagonalKernel, ks: DiagonalKernel,
         r2 = abs(float(np.vdot(t0w, t0w).real)
                  - 2.0 * float(np.vdot(y @ t1w, y @ t1w).real
                                + np.vdot(t1w, t1w).real))
-        if max(r1, r2) > max(worst_section, worst_norm):
-            worst_point = complex(w)
-        worst_section = max(worst_section, r1)
-        worst_norm = max(worst_norm, r2)
+        if section_point is None or r1 > worst_section:
+            worst_section, section_point = r1, complex(w)
+        if norm_point is None or r2 > worst_norm:
+            worst_norm, norm_point = r2, complex(w)
     report.add("section-identity", worst_section, tol,
-               detail=f"worst point {worst_point}")
+               detail=f"worst point {section_point}")
     report.add("norm-identity", worst_norm, tol,
-               detail=f"worst point {worst_point}")
+               detail=f"worst point {norm_point}")
 
     t0_op = shift_from_kernel(k0)
     t1_op = shift_from_kernel(k1)

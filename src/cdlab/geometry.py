@@ -32,7 +32,10 @@ from .operators import UpperTriangularModel, frobenius, shift_from_kernel
 
 DEFAULT_FD_STEP = 1e-3
 MAX_COVARIANT_ORDER = 2
-EIG_DEGENERACY_GAP = 1e-8
+# Singular values below this fraction of a point's tuple norm are null: well
+# above the ~1e-15 rounding of computed curvature tuples, well below any
+# residual tolerance in use.
+NULL_SPACE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +535,7 @@ def covariant_derivative(curv: CurvatureField, metric: MetricField,
 
 
 # ---------------------------------------------------------------------------
-# pointwise curvature-isometry search
+# curvature-isometry certificate
 
 
 @dataclass(frozen=True)
@@ -549,78 +552,35 @@ def _tuple_residual(v: np.ndarray, mats_a, mats_b) -> float:
     return max(frobenius(v @ a - b @ v) for a, b in zip(mats_a, mats_b))
 
 
-def _best_phase(w_mat: np.ndarray, ma_list, mb_list) -> complex:
-    """Optimal unit rho for V = Vb (W diag(rho, 1)) Va^H by linear least squares."""
-    p1 = w_mat @ np.diag([1.0, 0.0])
-    p0 = w_mat @ np.diag([0.0, 1.0])
-    acc = 0.0 + 0.0j
-    for ma, mb in zip(ma_list, mb_list):
-        u = p1 @ ma - mb @ p1
-        v = p0 @ ma - mb @ p0
-        acc += np.vdot(u, v)
-    if abs(acc) == 0.0:
-        return 1.0 + 0.0j
-    return -acc / abs(acc)
-
-
-def _rotation(alpha: float, beta: float) -> np.ndarray:
-    c, s = math.cos(alpha), math.sin(alpha)
-    return np.array([[c, -s * np.exp(1j * beta)],
-                     [s * np.exp(-1j * beta), c]], dtype=complex)
-
-
-def _search_point(mats_a, mats_b, va, vb, degenerate: bool
-                  ) -> tuple[np.ndarray, float]:
-    ma_list = [va.conj().T @ m @ va for m in mats_a]
-    mb_list = [vb.conj().T @ m @ vb for m in mats_b]
-
-    def candidate(alpha: float, beta: float) -> tuple[np.ndarray, float]:
-        w_mat = _rotation(alpha, beta)
-        rho = _best_phase(w_mat, ma_list, mb_list)
-        v = vb @ (w_mat @ np.diag([rho, 1.0])) @ va.conj().T
-        return v, _tuple_residual(v, mats_a, mats_b)
-
-    if not degenerate:
-        return candidate(0.0, 0.0)
-
-    # Dense 64 x 64 sweep over the rotation parameters, then deterministic
-    # window shrinking; the diagonal phase is always solved analytically.
-    best = (None, math.inf, 0.0, 0.0)
-    alphas = np.linspace(0.0, 0.5 * math.pi, 64)
-    betas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    for alpha in alphas:
-        for beta in betas:
-            v, res = candidate(alpha, beta)
-            if res < best[1]:
-                best = (v, res, alpha, beta)
-    wa, wb_span = 0.5 * math.pi / 63, 2.0 * math.pi / 64
-    for _ in range(16):
-        _, _, a0, b0 = best
-        for alpha in np.linspace(a0 - wa, a0 + wa, 9):
-            for beta in np.linspace(b0 - wb_span, b0 + wb_span, 9):
-                v, res = candidate(alpha, beta)
-                if res < best[1]:
-                    best = (v, res, alpha, beta)
-        wa /= 4.0
-        wb_span /= 4.0
-    return best[0], best[1]
+def _intertwiner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(I, A^T) - kron(B, I) per point and tuple entry: V A - B V on the
+    row-major vec(V), shaped (points, entries, r, r, r, r)."""
+    eye = np.eye(a.shape[-1])
+    return (np.einsum("il,pkmj->pkijlm", eye, a)
+            - np.einsum("pkil,jm->pkijlm", b, eye))
 
 
 def curvature_isometry_check(field_a: CurvatureField, field_b: CurvatureField,
                              tol: float, include_second: bool = False
                              ) -> list[IsometryPointResult]:
-    """Search, per grid point, for a 2x2 unitary V with V K_A = K_B V jointly
-    over the tuple (K, K_w, K_wbar), optionally including K_{w wbar}.
+    """Certify, per grid point, a unitary V with V K_A = K_B V jointly over
+    the tuple (K, K_w, K_wbar), optionally including K_{w wbar}, at any rank r.
+
+    V A = B V and V A^H = B^H V over the tuple are linear in V, so all points
+    are solved by one batched SVD of r^2-column systems.  A fixed combination
+    of the right singular vectors at roundoff level (always including the
+    smallest) is a generic intertwiner; its polar factor is unitary and, by
+    the Specht/Pearcy criterion, intertwines exactly when the tuples are
+    unitarily similar.  The reported residual is max over the tuple of
+    ||V A - B V||.
 
     A point where the sorted eigenvalues of the Hermitian parts of K differ by
     more than `tol` is certified unreachable (no unitary can intertwine), and
     reported as not found.
     """
-    if field_a.rank != 2 or field_b.rank != 2:
-        raise InvalidArgumentError("isometry check is defined for rank-2 fields")
-    if len(field_a.grid) != len(field_b.grid) or \
-            not np.allclose(field_a.grid.points, field_b.grid.points):
-        raise InvalidArgumentError("fields must share one grid")
+    if field_a.rank != field_b.rank or len(field_a.grid) != len(field_b.grid) \
+            or not np.allclose(field_a.grid.points, field_b.grid.points):
+        raise InvalidArgumentError("fields must share one rank and one grid")
     keys = [(0, 0), (1, 0), (0, 1)]
     if include_second:
         keys.append((1, 1))
@@ -629,26 +589,31 @@ def curvature_isometry_check(field_a: CurvatureField, field_b: CurvatureField,
             raise InvalidArgumentError(
                 f"both fields need covariant derivative {key}; compute it first")
 
+    a, b = (np.stack([fld.values] + [fld.derivatives[k] for k in keys[1:]], axis=1)
+            for fld in (field_a, field_b))
+    r = field_a.rank
+    a_h, b_h = a.conj().swapaxes(-1, -2), b.conj().swapaxes(-1, -2)
+    system = np.concatenate([_intertwiner_rows(a, b), _intertwiner_rows(a_h, b_h)],
+                            axis=1).reshape(len(a), -1, r * r)
+    _, sing, vh = np.linalg.svd(system, full_matrices=False)
+    scale = np.linalg.norm(np.concatenate([a, b], axis=1).reshape(len(a), -1), axis=1)
+    null = sing <= NULL_SPACE_RTOL * scale[:, None]
+    null[:, -1] = True
+    # distinct weights keep the sum invertible even when the null basis is a
+    # set of matrix units (the weights then form a Cauchy matrix)
+    generic = np.einsum("pk,pkj->pj", null / np.arange(1.0, r * r + 1), vh.conj())
+    u, _, wh = np.linalg.svd(generic.reshape(-1, r, r))
+    unitaries = u @ wh
+
+    herm_a = np.linalg.eigvalsh(0.5 * (a[:, 0] + a_h[:, 0]))
+    herm_b = np.linalg.eigvalsh(0.5 * (b[:, 0] + b_h[:, 0]))
+    gaps = np.max(np.abs(herm_a - herm_b), axis=1)
     results = []
-    for idx, w in enumerate(field_a.grid.points):
-        mats_a = field_a.tuple_at(idx, keys)
-        mats_b = field_b.tuple_at(idx, keys)
-        ha = 0.5 * (mats_a[0] + mats_a[0].conj().T)
-        hb = 0.5 * (mats_b[0] + mats_b[0].conj().T)
-        evals_a, va = np.linalg.eigh(ha)
-        evals_b, vb = np.linalg.eigh(hb)
-        gap = float(np.max(np.abs(evals_a - evals_b)))
-        if gap > tol:
-            v, res = _search_point(mats_a, mats_b, va, vb, degenerate=False)
-            results.append(IsometryPointResult(
-                point=complex(w), found=False, unitary=None, residual=res,
-                eig_gap=gap, certified_mismatch=True))
-            continue
-        degenerate = (evals_a[1] - evals_a[0] < EIG_DEGENERACY_GAP
-                      or evals_b[1] - evals_b[0] < EIG_DEGENERACY_GAP)
-        v, res = _search_point(mats_a, mats_b, va, vb, degenerate=degenerate)
-        found = res <= tol
+    for w, v, mats_a, mats_b, gap in zip(field_a.grid.points, unitaries, a, b, gaps):
+        res = _tuple_residual(v, mats_a, mats_b)
+        certified = bool(gap > tol)
+        found = res <= tol and not certified
         results.append(IsometryPointResult(
             point=complex(w), found=found, unitary=v if found else None,
-            residual=res, eig_gap=gap, certified_mismatch=False))
+            residual=res, eig_gap=float(gap), certified_mismatch=certified))
     return results

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
-from .operators import (UpperTriangularModel, apply_mobius, assemble_model,
-                        frobenius)
+from .operators import (U10_COND_CAP, UNITARITY_TOL, UpperTriangularModel,
+                        apply_mobius, assemble_model, frobenius,
+                        unitarity_residual)
 from .reporting import ConditionReport
-
-WITNESS_UNITARITY_TOL = 1e-10
-U10_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -93,10 +91,8 @@ class WitnessEntry:
 
     def __post_init__(self):
         for name, u in (("U0", self.u0), ("U1", self.u1)):
-            eye = np.eye(u.shape[0])
-            err = max(frobenius(u @ u.conj().T - eye),
-                      frobenius(u.conj().T @ u - eye))
-            if err > WITNESS_UNITARITY_TOL:
+            err = unitarity_residual(u)
+            if err > UNITARITY_TOL:
                 raise NumericError(f"witness {name} is not unitary ({err:.3e})")
 
 

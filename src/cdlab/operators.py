@@ -21,10 +21,19 @@ from .kernels import DiagonalKernel
 
 SYLVESTER_TOL = 1e-10
 RESOLVENT_COND_CAP = 1e12
+UNITARITY_TOL = 1e-10
+# Block-unitary checks skip conditions that need U10^{-1} beyond this condition number.
+U10_COND_CAP = 1e12
 
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
+
+
+def unitarity_residual(u: np.ndarray) -> float:
+    """max(||U U* - I||, ||U* U - I||) in the Frobenius norm."""
+    eye = np.eye(u.shape[0])
+    return max(frobenius(u @ u.conj().T - eye), frobenius(u.conj().T @ u - eye))
 
 
 def ensure_finite(a: np.ndarray, context: str = "matrix") -> np.ndarray:

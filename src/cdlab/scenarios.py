@@ -34,10 +34,10 @@ from .homogeneity import (MobiusMap, WitnessEntry,
                           thm45_condition_check)
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                       kernel_from_spec, required_truncation, separator_kernel)
-from .operators import (ModelOperator, apply_mobius, assemble_model,
-                        fb2_membership, frobenius, random_operator,
-                        random_unitary, shift_from_kernel, similarity_split,
-                        sylvester_kernel)
+from .operators import (ModelOperator, UpperTriangularModel, apply_mobius,
+                        assemble_model, fb2_membership, frobenius,
+                        random_operator, random_unitary, shift_from_kernel,
+                        similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
 from .serialize import (load_matrix, matrix_from_json, write_curvature_csv,
                         write_ratio_csv)
@@ -102,8 +102,14 @@ class Scenario:
             if kind not in REGISTRY:
                 raise SchemaError(
                     f"{where}: unknown check {kind!r}; see `cdlab list`")
-            if "tol" in check and float(check["tol"]) < 0:
-                raise SchemaError(f"{where}: tol must be nonnegative")
+            if "tol" in check:
+                try:
+                    tol = float(check["tol"])
+                except (TypeError, ValueError):
+                    raise SchemaError(
+                        f"{where}: tol must be a number, got {check['tol']!r}") from None
+                if tol < 0:
+                    raise SchemaError(f"{where}: tol must be nonnegative")
         for name, spec in self.operator_specs.items():
             if not isinstance(spec, dict):
                 raise SchemaError(f"{origin}: operators[{name}] must be an object")
@@ -491,6 +497,13 @@ def _check_mainlemma(ctx: ScenarioContext, params: dict, tol: float
     return verify_mainlemma(unitary, model, partner, tol)
 
 
+def _random_model(size: int, base: int, norm: float) -> UpperTriangularModel:
+    """Dense random T0, T1 and X from seeds base, base + 1 and base + 2."""
+    return assemble_model(ModelOperator(random_operator(size, base, norm=norm)),
+                          ModelOperator(random_operator(size, base + 1, norm=norm)),
+                          random_operator(size, base + 2, norm=norm))
+
+
 def _check_mobius_block(ctx: ScenarioContext, params: dict, tol: float
                         ) -> ConditionReport:
     report = ConditionReport(name="mobius-block")
@@ -505,11 +518,7 @@ def _check_mobius_block(ctx: ScenarioContext, params: dict, tol: float
         if "model" in params:
             model = ctx.model(params["model"])
         else:
-            base = seed + 3 * trial
-            model = assemble_model(
-                ModelOperator(random_operator(size, base, norm=block_norm)),
-                ModelOperator(random_operator(size, base + 1, norm=block_norm)),
-                random_operator(size, base + 2, norm=block_norm))
+            model = _random_model(size, seed + 3 * trial, block_norm)
         t_norm = frobenius(model.t)
         for mob in maps:
             result = mobius_block_identity_check(model, mob)
@@ -567,11 +576,7 @@ def _check_similarity_split(ctx: ScenarioContext, params: dict, tol: float
         if "model" in params:
             model = ctx.model(params["model"])
         else:
-            base = seed + 3 * trial
-            model = assemble_model(
-                ModelOperator(random_operator(size, base, norm=1.0)),
-                ModelOperator(random_operator(size, base + 1, norm=1.0)),
-                random_operator(size, base + 2, norm=1.0))
+            model = _random_model(size, seed + 3 * trial, 1.0)
         split = similarity_split(model)
         worst = max(worst, split.residual / frobenius(model.t))
     report.add("split-residual", worst, tol,

@@ -12,7 +12,7 @@ from cdlab.equivalence import (AntidiagonalTransform, BlockUnitary,
                                verify_mainlemma)
 from cdlab.errors import (DegenerateInputError, DomainError, NumericError,
                           PreconditionError)
-from cdlab.geometry import eigenframe, polar_grid
+from cdlab.geometry import DiskGrid, eigenframe, polar_grid
 from cdlab.kernels import DiagonalKernel, bergman_kernel, separator_kernel
 from cdlab.operators import (assemble_model, frobenius, random_operator,
                              shift_from_kernel, sylvester_kernel)
@@ -325,6 +325,22 @@ class TestMain3:
         report = main3_verifier(k0, k1, ks, x, y, grid, tol=1e-8)
         assert report.condition("norm-identity").passed
         assert not report.condition("section-identity").passed
+
+    def test_worst_point_tracked_per_identity(self):
+        # Y = I + eps E_01 with X = I and k0 = 4 k1: the section residual is
+        # 2 eps |w| and the norm residual 2 |2 eps Re w + eps^2 |w|^2|, so the
+        # first peaks at 0.5j and the second at 0.3
+        k1 = bergman_kernel(1, 16)
+        k0 = DiagonalKernel(4.0 * k1.coefficients, label="quadruple")
+        y = np.eye(16, dtype=complex)
+        y[0, 1] = 1e-3
+        grid = DiskGrid(points=np.array([0.5j, 0.3]))
+        report = main3_verifier(k0, k1, separator_kernel(k0, k1),
+                                np.eye(16, dtype=complex), y, grid, tol=1e-8)
+        assert report.condition("section-identity").detail == \
+            f"worst point {complex(0.5j)}"
+        assert report.condition("norm-identity").detail == \
+            f"worst point {complex(0.3)}"
 
     def test_generic_pair_fails_hypotheses(self):
         k0, k1, ks, _, _ = _engineered_main3()

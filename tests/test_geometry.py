@@ -3,7 +3,7 @@ import pytest
 
 from cdlab.errors import (DegenerateFrameError, DomainError,
                           InvalidArgumentError, PrecisionError)
-from cdlab.geometry import (DiskGrid, FrameField, MetricField,
+from cdlab.geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                             covariant_derivative, curvature,
                             curvature_isometry_check, eigenframe, gram_metric,
                             kernel_frame, polar_grid, radial_grid)
@@ -28,6 +28,25 @@ def _curvature_with_derivatives(frame, grid, keys=((1, 0), (0, 1))):
     for key in keys:
         covariant_derivative(fld, metric, *key)
     return fld, metric
+
+
+def _tuple_field(grid, k, k_w, k_wbar):
+    """Curvature field holding given (points, r, r) tuples (K, K_w, K_wbar)."""
+    return CurvatureField(grid=grid, rank=k.shape[-1], method="series",
+                          values=k, derivatives={(1, 0): k_w, (0, 1): k_wbar})
+
+
+def _conjugated(fld, g):
+    """The field g^H F g, entry by entry."""
+    return _tuple_field(fld.grid, *(g.conj().T @ m @ g for m in
+                                    (fld.values, fld.derivatives[(1, 0)],
+                                     fld.derivatives[(0, 1)])))
+
+
+def _random_tuple(rng, points, r):
+    """Hermitian K with generic K_w, K_wbar = K_w^H."""
+    z = rng.standard_normal((2, points, r, r)) + 1j * rng.standard_normal((2, points, r, r))
+    return z[0] + z[0].conj().swapaxes(-1, -2), z[1], z[1].conj().swapaxes(-1, -2)
 
 
 class TestGrids:
@@ -353,10 +372,60 @@ class TestIsometryCheck:
                                            include_second=True)
         assert all(r.found for r in results)
 
+    def test_rank_one_fields(self):
+        grid = polar_grid(radii=[0.3, 0.5], n_angles=4)
+        fld_a, _ = _curvature_with_derivatives(
+            kernel_frame(bergman_kernel(1, 24), grid), grid)
+        fld_b, _ = _curvature_with_derivatives(
+            kernel_frame(bergman_kernel(2, 24), grid), grid)
+        same = curvature_isometry_check(fld_a, fld_a, tol=1e-10)
+        assert all(r.found and r.residual <= 1e-12 for r in same)
+        other = curvature_isometry_check(fld_a, fld_b, tol=1e-8)
+        assert all(r.certified_mismatch and not r.found for r in other)
+
+    def test_rank_three_unitary_conjugate_found(self):
+        rng = np.random.default_rng(8)
+        grid = DiskGrid(points=np.array([0.2, 0.4j, -0.3 + 0.1j]))
+        fld_a = _tuple_field(grid, *_random_tuple(rng, 3, 3))
+        g = random_unitary(3, rng)
+        results = curvature_isometry_check(fld_a, _conjugated(fld_a, g), tol=1e-10)
+        for res in results:
+            assert res.found and res.residual <= 1e-10
+            # a generic tuple is irreducible, so V is g^H up to a phase
+            assert abs(np.trace(res.unitary @ g)) == pytest.approx(3.0, abs=1e-10)
+
+    def test_rank_three_same_spectrum_different_derivatives(self):
+        rng = np.random.default_rng(9)
+        grid = DiskGrid(points=np.array([0.2, 0.4j]))
+        k, k_w, k_wbar = _random_tuple(rng, 2, 3)
+        _, m_w, m_wbar = _random_tuple(rng, 2, 3)
+        g = random_unitary(3, rng)
+        fld_b = _conjugated(_tuple_field(grid, k, m_w, m_wbar), g)
+        results = curvature_isometry_check(_tuple_field(grid, k, k_w, k_wbar),
+                                           fld_b, tol=1e-8)
+        for res in results:
+            assert not res.certified_mismatch and res.eig_gap <= 1e-12
+            assert not res.found and res.residual > 1e-3
+
+    def test_reducible_degenerate_tuple_needs_polar_factor(self):
+        # diag(A, A) commutes with kron(C, I) for every 2x2 C, so the null
+        # space is four-dimensional and holds singular elements; only a
+        # generic element's polar factor intertwines
+        rng = np.random.default_rng(10)
+        grid = DiskGrid(points=np.array([0.1, 0.3j]))
+        block = [np.kron(np.eye(2), m) for m in _random_tuple(rng, 2, 2)]
+        fld_a = _tuple_field(grid, *block)
+        g = random_unitary(4, rng)
+        results = curvature_isometry_check(fld_a, _conjugated(fld_a, g), tol=1e-10)
+        for res in results:
+            assert res.found and res.residual <= 1e-10
+            np.testing.assert_allclose(res.unitary @ res.unitary.conj().T,
+                                       np.eye(4), atol=1e-12)
+
     def test_degenerate_eigenvalues_take_dense_search(self):
         # equal kernels with zero coupling give scalar curvature matrices,
         # so the Hermitian-part eigenvalues coincide at every point and the
-        # sampled-rotation fallback must still find a unitary
+        # intertwiner null space is all of M_2; a unitary must still be found
         size = 16
         t = shift_from_kernel(bergman_kernel(1, size))
         model = assemble_model(t, t, np.zeros((size, size)))

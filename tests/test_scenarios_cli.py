@@ -211,9 +211,18 @@ class TestCli:
         path.write_text("{not json")
         assert main(["run", str(path)]) == 2
 
+    def test_non_numeric_tol_is_usage_error(self, tmp_path):
+        raw = _tiny_scenario()
+        raw["checks"][0]["tol"] = "abc"
+        with pytest.raises(SchemaError, match="tol must be a number"):
+            Scenario.from_dict(raw)
+        path = tmp_path / "bad-tol.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+
     def test_run_writes_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        report = tmp_path / "out.json"
+        report = tmp_path / "reports" / "out.json"
         assert main(["run", "corollary-theta", "--report", str(report)]) == 0
         assert json.loads(report.read_text())["overall"] is True
 
