@@ -5,16 +5,20 @@ curvature is K(w) = -d/dwbar (h^{-1} dh/dw).  Covariant derivatives follow the
 two inductive rules: a wbar-step applies d/dwbar, a w-step applies d/dw plus a
 commutator with h^{-1} dh/dw.  All w-steps are applied before the wbar-steps.
 
-Two evaluation routes are supported:
+Every routine works on all grid points at once: frames are (points, rank, dim)
+arrays, and metrics, jets and curvatures carry a leading point axis.  Two
+evaluation routes are supported:
 
 * "series": when the frame comes from diagonal kernels plus constant blocks,
   every metric entry is a finite polynomial in (w, wbar) with explicit
   coefficients.  Those polynomials are differentiated termwise and combined
   through truncated bivariate Taylor jets, so everything is exact up to the
   kernel truncation and roundoff.
-* "fd": nested Wirtinger finite differences (4-point central stencils per
-  axis, d = (dx - i dy)/2 and dbar = (dx + i dy)/2) on a pointwise metric
-  evaluator.
+* "fd": Wirtinger finite differences (4-point central stencils per axis,
+  d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The pointwise metric
+  evaluator is called once per point of the lattice patch w + h(a + ib) that
+  the stencils of K_{w^i wbar^j} reach, and the stencils are then applied as
+  array slices.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
 from .kernels import DiagonalKernel, section_vector
-from .operators import UpperTriangularModel, frobenius, shift_from_kernel
+from .operators import UpperTriangularModel, shift_from_kernel
 
 DEFAULT_FD_STEP = 1e-3
 MAX_COVARIANT_ORDER = 2
@@ -47,8 +51,9 @@ class DiskGrid:
     """Sample points strictly inside the disk plus the finite-difference step.
 
     Construction rejects points whose +-h stencil neighbourhood (both axes
-    jointly) would leave the open disk; the deeper extents needed by nested
-    stencils are checked by the routines that use them.
+    jointly) would leave the open disk.  The fd route needs the wider lattice
+    patch |w| + 2 sqrt(2) h (2 + i + j) < 1 for K_{w^i wbar^j} and checks it
+    when it runs.
     """
 
     points: np.ndarray
@@ -95,7 +100,7 @@ class PolynomialMetric:
     """Metric whose entries are finite polynomials in (w, wbar).
 
     coeff has shape (r, r, N, N): h_{pq}(w) = sum_{k,l} coeff[p,q,k,l]
-    wbar^k w^l.  Supports exact Taylor-jet extraction at any point and
+    wbar^k w^l.  Supports exact Taylor-jet extraction at any points and
     congruence by a constant frame change.
     """
 
@@ -113,113 +118,95 @@ class PolynomialMetric:
     def congruence(self, g: np.ndarray) -> "PolynomialMetric":
         """Frame change gamma -> gamma g turns h into g^H h g."""
         g = np.asarray(g, dtype=complex)
-        new = np.einsum("ap,abkl,bq->pqkl", g.conj(), self.coeff, g)
-        return PolynomialMetric(new)
+        return PolynomialMetric(np.einsum("ap,abkl,bq->pqkl", g.conj(), self.coeff, g))
 
-    def value(self, w: complex) -> np.ndarray:
-        return self.jet(w, 0, 0)[0, 0]
+    def jet(self, points: np.ndarray, order_w: int, order_wb: int) -> np.ndarray:
+        """Taylor coefficients H[P, i, j] with h(w_P + d) = sum H[P,i,j] d^i dbar^j + ...
 
-    def jet(self, w: complex, order_w: int, order_wb: int) -> np.ndarray:
-        """Taylor coefficients H[i, j] with h(w+d) = sum H[i,j] d^i dbar^j + ...
-
-        Exact up to roundoff: H[i,j][p,q] = sum_{k,l} coeff[p,q,k,l]
-        C(l,i) w^{l-i} C(k,j) wbar^{k-j}.
+        Exact up to roundoff: H[P,i,j][p,q] = sum_{k,l} coeff[p,q,k,l]
+        C(l,i) w^{l-i} C(k,j) wbar^{k-j} at w = points[P].
         """
+        pts = np.asarray(points, dtype=complex)
         n = self.coeff.shape[2]
-        u = _shift_weights(complex(w), n, order_w)
-        v = _shift_weights(complex(w).conjugate(), n, order_wb)
-        return np.einsum("pqkl,kj,li->ijpq", self.coeff, v, u)
+        return np.einsum("pqkl,Pkj,Pli->Pijpq", self.coeff,
+                         _shift_weights(pts.conj(), n, order_wb),
+                         _shift_weights(pts, n, order_w), optimize=True)
 
 
-def _shift_weights(base: complex, n: int, order: int) -> np.ndarray:
-    """Column i holds C(l, i) base^(l-i) for l = 0..n-1 (zero when l < i)."""
-    out = np.zeros((n, order + 1), dtype=complex)
-    powers = np.ones(n, dtype=complex)
-    for l in range(1, n):
-        powers[l] = powers[l - 1] * base
-    for i in range(order + 1):
-        for l in range(i, n):
-            out[l, i] = math.comb(l, i) * powers[l - i]
-    return out
+def _shift_weights(base: np.ndarray, n: int, order: int) -> np.ndarray:
+    """[P, l, i] holds C(l, i) base[P]^(l-i) for l = 0..n-1 (zero when l < i)."""
+    powers = np.ones((base.size, n), dtype=complex)
+    powers[:, 1:] = np.cumprod(np.broadcast_to(base[:, None], (base.size, n - 1)),
+                               axis=1)
+    binom = np.array([[math.comb(l, i) for i in range(order + 1)]
+                      for l in range(n)], dtype=float)
+    lag = np.maximum(np.arange(n)[:, None] - np.arange(order + 1), 0)
+    return binom * powers[:, lag]
 
 
 class MatrixJet:
-    """Truncated bivariate Taylor jet of a matrix field, F = sum F[i,j] d^i dbar^j."""
+    """Truncated bivariate Taylor jets of a matrix field at many points,
+    F = sum F[:, i, j] d^i dbar^j, stored as (points, ow + 1, ob + 1, r, r)."""
 
     def __init__(self, coeffs: np.ndarray):
         self.c = np.asarray(coeffs, dtype=complex)
 
     @property
     def order(self) -> tuple[int, int]:
-        return self.c.shape[0] - 1, self.c.shape[1] - 1
+        return self.c.shape[1] - 1, self.c.shape[2] - 1
 
     @property
     def value(self) -> np.ndarray:
-        return self.c[0, 0]
+        return self.c[:, 0, 0]
 
-    def _truncated(self, ow: int, ob: int) -> np.ndarray:
-        return self.c[:ow + 1, :ob + 1]
+    def _aligned(self, other: "MatrixJet") -> tuple[np.ndarray, np.ndarray]:
+        ow = min(self.order[0], other.order[0])
+        ob = min(self.order[1], other.order[1])
+        return self.c[:, :ow + 1, :ob + 1], other.c[:, :ow + 1, :ob + 1]
 
     def __add__(self, other: "MatrixJet") -> "MatrixJet":
-        ow = min(self.order[0], other.order[0])
-        ob = min(self.order[1], other.order[1])
-        return MatrixJet(self._truncated(ow, ob) + other._truncated(ow, ob))
+        a, b = self._aligned(other)
+        return MatrixJet(a + b)
 
     def __sub__(self, other: "MatrixJet") -> "MatrixJet":
-        ow = min(self.order[0], other.order[0])
-        ob = min(self.order[1], other.order[1])
-        return MatrixJet(self._truncated(ow, ob) - other._truncated(ow, ob))
+        a, b = self._aligned(other)
+        return MatrixJet(a - b)
 
     def __neg__(self) -> "MatrixJet":
         return MatrixJet(-self.c)
 
     def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
-        ow = min(self.order[0], other.order[0])
-        ob = min(self.order[1], other.order[1])
-        r = self.c.shape[2]
-        out = np.zeros((ow + 1, ob + 1, r, r), dtype=complex)
-        for i in range(ow + 1):
-            for j in range(ob + 1):
-                acc = out[i, j]
+        a, b = self._aligned(other)
+        out = np.zeros_like(a)
+        for i in range(a.shape[1]):
+            for j in range(a.shape[2]):
                 for p in range(i + 1):
                     for q in range(j + 1):
-                        acc += self.c[p, q] @ other.c[i - p, j - q]
+                        out[:, i, j] += a[:, p, q] @ b[:, i - p, j - q]
         return MatrixJet(out)
 
     def d_w(self) -> "MatrixJet":
-        ow, ob = self.order
-        if ow < 1:
+        if self.order[0] < 1:
             raise PrecisionError("jet order too low for a w-derivative")
-        scale = np.arange(1, ow + 1).reshape(-1, 1, 1, 1)
-        return MatrixJet(self.c[1:, :] * scale)
+        return MatrixJet(self.c[:, 1:] * np.arange(1, self.c.shape[1])[:, None, None, None])
 
     def d_wbar(self) -> "MatrixJet":
-        ow, ob = self.order
-        if ob < 1:
+        if self.order[1] < 1:
             raise PrecisionError("jet order too low for a wbar-derivative")
-        scale = np.arange(1, ob + 1).reshape(1, -1, 1, 1)
-        return MatrixJet(self.c[:, 1:] * scale)
+        return MatrixJet(self.c[:, :, 1:] * np.arange(1, self.c.shape[2])[:, None, None])
 
     def inverse(self) -> "MatrixJet":
         ow, ob = self.order
-        r = self.c.shape[2]
-        head_inv = np.linalg.inv(self.c[0, 0])
+        head_inv = np.linalg.inv(self.c[:, 0, 0])
         out = np.zeros_like(self.c)
-        for total in range(ow + ob + 1):
-            for i in range(min(total, ow) + 1):
-                j = total - i
-                if j > ob:
-                    continue
-                if i == 0 and j == 0:
-                    out[0, 0] = head_inv
-                    continue
-                acc = np.zeros((r, r), dtype=complex)
-                for p in range(i + 1):
-                    for q in range(j + 1):
-                        if p == 0 and q == 0:
-                            continue
-                        acc += self.c[p, q] @ out[i - p, j - q]
-                out[i, j] = -head_inv @ acc
+        out[:, 0, 0] = head_inv
+        # lexicographic order: every out[:, i - p, j - q] used is already set
+        for i in range(ow + 1):
+            for j in range(ob + 1):
+                if i or j:
+                    acc = sum(self.c[:, p, q] @ out[:, i - p, j - q]
+                              for p in range(i + 1) for q in range(j + 1) if p or q)
+                    out[:, i, j] = -head_inv @ acc
         return MatrixJet(out)
 
 
@@ -231,30 +218,45 @@ class MatrixJet:
 class FrameField:
     """Holomorphic frame sampled on a grid.
 
-    `vectors[p]` is a (rank, dim) array whose rows are the frame vectors at
-    grid point p.  `evaluate` reproduces the frame at arbitrary disk points,
-    which the finite-difference route and kernel-transform checks rely on.
-    `polynomial` carries the exact metric coefficients when available.
+    `vectors` is a (points, rank, dim) array: the rows of `vectors[p]` are
+    the frame vectors at grid point p.  `evaluate` reproduces the frame at
+    arbitrary disk points, which the finite-difference route and
+    kernel-transform checks rely on.  `polynomial` carries the exact metric
+    coefficients when available.
     """
 
     grid: DiskGrid
     rank: int
-    vectors: list[np.ndarray] = field(repr=False)
+    vectors: np.ndarray = field(repr=False)
     evaluate: Callable[[complex], np.ndarray] | None = field(default=None, repr=False)
     eigen_residuals: np.ndarray | None = field(default=None, repr=False)
     polynomial: PolynomialMetric | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.vectors = np.asarray(self.vectors, dtype=complex)
 
     def with_constant_change(self, g: np.ndarray) -> "FrameField":
         """Replace gamma by gamma g for a constant invertible g."""
         g = np.asarray(g, dtype=complex)
         if g.shape != (self.rank, self.rank):
             raise InvalidArgumentError("frame change must be rank x rank")
-        vectors = [g.T @ v for v in self.vectors]
         base_eval = self.evaluate
         evaluate = None if base_eval is None else (lambda w: g.T @ base_eval(w))
         poly = None if self.polynomial is None else self.polynomial.congruence(g)
-        return FrameField(grid=self.grid, rank=self.rank, vectors=vectors,
+        return FrameField(grid=self.grid, rank=self.rank, vectors=g.T @ self.vectors,
                           evaluate=evaluate, eigen_residuals=None, polynomial=poly)
+
+
+def _sections(kernel: DiagonalKernel, points: np.ndarray) -> np.ndarray:
+    """Row p is the section t(points[p]), by the formula of `section_vector`."""
+    return np.sqrt(kernel.coefficients) * np.power(points[:, None],
+                                                   np.arange(kernel.truncation))
+
+
+def _eigen_residuals(t: np.ndarray, vectors: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """||(T - w) gamma_i(w)|| for every point and frame vector."""
+    return np.linalg.norm(vectors @ t.T - points[:, None, None] * vectors, axis=-1)
 
 
 def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
@@ -276,9 +278,8 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
     if k0.truncation != n or k1.truncation != n:
         raise InvalidArgumentError("kernel truncations must match the model size")
     x = model.x
-    x_norm = np.linalg.norm(x, 2)
     if tail_tol is not None:
-        tail_amp = (1.0 + x_norm) * math.sqrt(
+        tail_amp = (1.0 + np.linalg.norm(x, 2)) * math.sqrt(
             max(k0.coefficients[-1], k1.coefficients[-1]))
         radii = np.abs(grid.points)
         bounds = tail_amp * radii ** n
@@ -296,20 +297,16 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
     def frame_at(w: complex) -> np.ndarray:
         t0 = section_vector(k0, w).coordinates
         t1 = section_vector(k1, w).coordinates
-        g0 = np.concatenate([t0, np.zeros(n, dtype=complex)])
-        g1 = np.concatenate([x @ t1, t1])
-        return np.vstack([g0, g1])
+        return np.vstack([np.concatenate([t0, np.zeros(n, dtype=complex)]),
+                          np.concatenate([x @ t1, t1])])
 
-    vectors, residuals = [], []
-    for w in grid.points:
-        v = frame_at(w)
-        vectors.append(v)
-        shifted = model.t - w * np.eye(2 * n)
-        residuals.append([float(np.linalg.norm(shifted @ v[i])) for i in range(2)])
-
+    t0, t1 = _sections(k0, grid.points), _sections(k1, grid.points)
+    vectors = np.stack([np.concatenate([t0, np.zeros_like(t0)], axis=1),
+                        np.concatenate([t1 @ x.T, t1], axis=1)], axis=1)
     poly = _rank2_polynomial_metric(k0, k1, x)
     return FrameField(grid=grid, rank=2, vectors=vectors, evaluate=frame_at,
-                      eigen_residuals=np.asarray(residuals), polynomial=poly)
+                      eigen_residuals=_eigen_residuals(model.t, vectors, grid.points),
+                      polynomial=poly)
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
@@ -319,18 +316,15 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     def frame_at(w: complex) -> np.ndarray:
         return section_vector(kernel, w).coordinates[None, :]
 
-    shift = shift_from_kernel(kernel).matrix if n >= 2 else None
-    vectors, residuals = [], []
-    for w in grid.points:
-        v = frame_at(w)
-        vectors.append(v)
-        if shift is not None:
-            residuals.append([float(np.linalg.norm((shift - w * np.eye(n)) @ v[0]))])
+    vectors = _sections(kernel, grid.points)[:, None, :]
+    residuals = None
+    if n >= 2:
+        residuals = _eigen_residuals(shift_from_kernel(kernel).matrix, vectors,
+                                     grid.points)
     coeff = np.zeros((1, 1, n, n), dtype=complex)
     coeff[0, 0] = np.diag(kernel.coefficients.astype(complex))
     return FrameField(grid=grid, rank=1, vectors=vectors, evaluate=frame_at,
-                      eigen_residuals=np.asarray(residuals) if residuals else None,
-                      polynomial=PolynomialMetric(coeff))
+                      eigen_residuals=residuals, polynomial=PolynomialMetric(coeff))
 
 
 def _rank2_polynomial_metric(k0: DiagonalKernel, k1: DiagonalKernel,
@@ -362,45 +356,35 @@ class MetricField:
 
 
 def _gram(vectors: np.ndarray) -> np.ndarray:
-    h = vectors.conj() @ vectors.T
-    return 0.5 * (h + h.conj().T)
+    h = vectors.conj() @ vectors.swapaxes(-1, -2)
+    return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
 
 def gram_metric(frame: FrameField) -> MetricField:
     """h_{ij}(w) = <gamma_j(w), gamma_i(w)>; rejects degenerate frames."""
-    values = []
-    for w, v in zip(frame.grid.points, frame.vectors):
-        h = _gram(np.asarray(v))
-        eigs = np.linalg.eigvalsh(h)
-        if eigs[0] <= 0.0:
-            raise DegenerateFrameError(
-                f"Gram matrix not positive definite at {w} (min eig {eigs[0]:.3e})")
-        values.append(h)
+    values = _gram(frame.vectors)
+    min_eigs = np.linalg.eigvalsh(values)[:, 0]
+    bad = np.flatnonzero(min_eigs <= 0.0)
+    if bad.size:
+        raise DegenerateFrameError(
+            f"Gram matrix not positive definite at {frame.grid.points[bad[0]]} "
+            f"(min eig {min_eigs[bad[0]]:.3e})")
     base_eval = frame.evaluate
     evaluate = None if base_eval is None else (lambda w: _gram(base_eval(w)))
-    return MetricField(grid=frame.grid, rank=frame.rank,
-                       values=np.asarray(values), evaluate=evaluate,
-                       polynomial=frame.polynomial)
+    return MetricField(grid=frame.grid, rank=frame.rank, values=values,
+                       evaluate=evaluate, polynomial=frame.polynomial)
 
 
 # ---------------------------------------------------------------------------
 # curvature: series route
 
 
-def _series_curvature_jet(poly: PolynomialMetric, w: complex,
-                          order_w: int, order_wb: int) -> tuple[MatrixJet, MatrixJet]:
-    """Curvature jet of order (order_w, order_wb) plus the connection jet."""
-    h = MatrixJet(poly.jet(w, order_w + 1, order_wb + 1))
-    h_inv = h.inverse()
-    theta = h_inv @ h.d_w()
-    curv = -(theta.d_wbar())
-    return curv, theta
-
-
-def _series_covariant_value(poly: PolynomialMetric, w: complex,
-                            i: int, j: int) -> np.ndarray:
-    curv, theta = _series_curvature_jet(poly, w, i, j)
-    f = curv
+def _series_covariant(poly: PolynomialMetric, points: np.ndarray,
+                      i: int, j: int) -> np.ndarray:
+    """K_{w^i wbar^j} at every point from jets of order (i + 1, j + 1)."""
+    h = MatrixJet(poly.jet(points, i + 1, j + 1))
+    theta = h.inverse() @ h.d_w()
+    f = -(theta.d_wbar())
     for _ in range(i):
         f = f.d_w() + (theta @ f - f @ theta)
     for _ in range(j):
@@ -411,55 +395,71 @@ def _series_covariant_value(poly: PolynomialMetric, w: complex,
 # ---------------------------------------------------------------------------
 # curvature: finite-difference route
 
-_STENCIL_OFFSETS = (2.0, 1.0, -1.0, -2.0)
-_STENCIL_WEIGHTS = (-1.0, 8.0, -8.0, 1.0)  # divided by 12 h
+# 4-point central stencil as (offset, weight); the weights are divided by 12 h
+_STENCIL = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
 
 
-def _fd_partial(f: Callable[[complex], np.ndarray], w: complex, h: float,
-                conjugate: bool) -> np.ndarray:
-    """Wirtinger derivative by 4-point central stencils along each axis."""
-    dx = sum(wt * f(w + off * h) for off, wt in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS))
-    dy = sum(wt * f(w + 1j * off * h) for off, wt in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS))
+def _check_patch_reach(points: np.ndarray, h: float, levels: int):
+    # conservative: as if the patch reached 2 h levels along both axes at once
+    radii = np.abs(points)
+    worst = int(np.argmax(radii))
+    if radii[worst] + math.sqrt(2.0) * 2.0 * h * levels >= 1.0:
+        fit = (1.0 - radii[worst]) / (math.sqrt(2.0) * 2.0 * levels)
+        unit = 10.0 ** (math.floor(math.log10(fit)) - 1)
+        step = (math.ceil(fit / unit) - 1) * unit
+        raise DomainError(
+            f"fd stencil of depth {levels} around {points[worst]} leaves the "
+            f"unit disk; fd_step {step:.2g} fits")
+
+
+def _crop(f: np.ndarray, k: int) -> np.ndarray:
+    return f[:, k:f.shape[1] - k, k:f.shape[2] - k]
+
+
+def _wirtinger(f: np.ndarray, h: float, conjugate: bool) -> np.ndarray:
+    """Wirtinger derivative of a lattice field (points, S, S, ...) by 4-point
+    central stencils along each axis, on the inner (S - 4)-square."""
+    n = f.shape[1] - 4
+    dx = sum(wt * f[:, 2 + off:2 + off + n, 2:2 + n] for off, wt in _STENCIL)
+    dy = sum(wt * f[:, 2:2 + n, 2 + off:2 + off + n] for off, wt in _STENCIL)
     dx /= 12.0 * h
     dy /= 12.0 * h
     return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
 
 
-def _check_fd_reach(w: complex, h: float, levels: int):
-    # Each nested stencil level widens the axis-aligned reach by 2h.
-    reach = abs(w) + math.sqrt(2.0) * 2.0 * h * levels
-    if reach >= 1.0:
-        raise DomainError(
-            f"fd stencil of depth {levels} around {w} leaves the unit disk")
+def _fd_covariant(metric_eval: Callable[[complex], np.ndarray], grid: DiskGrid,
+                  i: int, j: int) -> np.ndarray:
+    """K_{w^i wbar^j} at every grid point by finite differences.
 
-
-def _fd_connection(metric_eval, w: complex, h: float) -> np.ndarray:
-    dh = _fd_partial(metric_eval, w, h, conjugate=False)
-    return np.linalg.solve(metric_eval(w), dh)
-
-
-def _fd_curvature_value(metric_eval, w: complex, h: float) -> np.ndarray:
-    _check_fd_reach(w, h, levels=2)
-    return -_fd_partial(lambda u: _fd_connection(metric_eval, u, h), w, h,
-                        conjugate=True)
-
-
-def _fd_covariant_value(metric_eval, w: complex, h: float, i: int, j: int) -> np.ndarray:
-    _check_fd_reach(w, h, levels=2 + i + j)
-
-    def curv(u: complex) -> np.ndarray:
-        return _fd_curvature_value(metric_eval, u, h)
-
-    fld = curv
+    The nested stencils reach the lattice points w + h(a + ib) of the 9-point
+    cross stencil dilated `levels` times: ceil(|a|/2) + ceil(|b|/2) <= levels,
+    33, 73 and 129 points for levels 2, 3 and 4.  The metric is evaluated once
+    at each of them; lattice sites off the patch hold the identity, which
+    keeps every solve regular and never reaches the patch centre.  Each
+    stencil level shrinks the lattice by two sites per side, down to the
+    centre.
+    """
+    levels = 2 + i + j
+    h = grid.fd_step
+    _check_patch_reach(grid.points, h, levels)
+    offsets = np.arange(-2 * levels, 2 * levels + 1)
+    steps = (np.abs(offsets) + 1) // 2
+    mask = steps[:, None] + steps[None, :] <= levels
+    patch = (offsets[:, None] + 1j * offsets[None, :])[mask]
+    evals = np.array([metric_eval(u) for u in
+                      (grid.points[:, None] + h * patch).ravel()])
+    r = evals.shape[-1]
+    metric = np.broadcast_to(np.eye(r, dtype=complex),
+                             (len(grid),) + mask.shape + (r, r)).copy()
+    metric[:, mask] = evals.reshape(len(grid), -1, r, r)
+    theta = np.linalg.solve(_crop(metric, 2), _wirtinger(metric, h, conjugate=False))
+    f = -_wirtinger(theta, h, conjugate=True)
     for _ in range(i):
-        def fld(u, inner=fld):
-            theta = _fd_connection(metric_eval, u, h)
-            val = inner(u)
-            return _fd_partial(inner, u, h, conjugate=False) + theta @ val - val @ theta
+        conn, val = _crop(theta, (theta.shape[1] - f.shape[1]) // 2 + 2), _crop(f, 2)
+        f = _wirtinger(f, h, conjugate=False) + conn @ val - val @ conn
     for _ in range(j):
-        def fld(u, inner=fld):
-            return _fd_partial(inner, u, h, conjugate=True)
-    return fld(w)
+        f = _wirtinger(f, h, conjugate=True)
+    return f[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +477,22 @@ class CurvatureField:
     derivatives: dict = field(default_factory=dict, repr=False)
 
     def tuple_at(self, index: int, keys) -> list[np.ndarray]:
-        out = []
-        for key in keys:
-            out.append(self.values[index] if key == (0, 0)
-                       else self.derivatives[key][index])
-        return out
+        return [self.values[index] if key == (0, 0) else self.derivatives[key][index]
+                for key in keys]
+
+
+def _covariant(metric: MetricField, grid: DiskGrid, method: str,
+               i: int, j: int) -> np.ndarray:
+    if method == "series":
+        if metric.polynomial is None:
+            raise InvalidArgumentError(
+                "series curvature needs a polynomial metric representation")
+        return _series_covariant(metric.polynomial, grid.points, i, j)
+    if method == "fd":
+        if metric.evaluate is None:
+            raise InvalidArgumentError("fd curvature needs a metric evaluator")
+        return _fd_covariant(metric.evaluate, grid, i, j)
+    raise InvalidArgumentError(f"unknown curvature method {method!r}")
 
 
 def curvature(metric: MetricField, grid: DiskGrid | None = None,
@@ -489,21 +500,8 @@ def curvature(metric: MetricField, grid: DiskGrid | None = None,
     """K(w) = -dbar(h^{-1} dh) on the grid, by the chosen route."""
     if grid is None:
         grid = metric.grid
-    if method == "series":
-        if metric.polynomial is None:
-            raise InvalidArgumentError(
-                "series curvature needs a polynomial metric representation")
-        values = [_series_covariant_value(metric.polynomial, w, 0, 0)
-                  for w in grid.points]
-    elif method == "fd":
-        if metric.evaluate is None:
-            raise InvalidArgumentError("fd curvature needs a metric evaluator")
-        values = [_fd_curvature_value(metric.evaluate, w, grid.fd_step)
-                  for w in grid.points]
-    else:
-        raise InvalidArgumentError(f"unknown curvature method {method!r}")
     return CurvatureField(grid=grid, rank=metric.rank, method=method,
-                          values=np.asarray(values))
+                          values=_covariant(metric, grid, method, 0, 0))
 
 
 def covariant_derivative(curv: CurvatureField, metric: MetricField,
@@ -522,15 +520,8 @@ def covariant_derivative(curv: CurvatureField, metric: MetricField,
         raise PrecisionError(
             f"covariant order {i}+{j} exceeds the configured maximum {max_order}")
     key = (i, j)
-    if key in curv.derivatives:
-        return curv.derivatives[key]
-    if curv.method == "series":
-        vals = [_series_covariant_value(metric.polynomial, w, i, j)
-                for w in curv.grid.points]
-    else:
-        vals = [_fd_covariant_value(metric.evaluate, w, curv.grid.fd_step, i, j)
-                for w in curv.grid.points]
-    curv.derivatives[key] = np.asarray(vals)
+    if key not in curv.derivatives:
+        curv.derivatives[key] = _covariant(metric, curv.grid, curv.method, i, j)
     return curv.derivatives[key]
 
 
@@ -546,10 +537,6 @@ class IsometryPointResult:
     residual: float
     eig_gap: float
     certified_mismatch: bool
-
-
-def _tuple_residual(v: np.ndarray, mats_a, mats_b) -> float:
-    return max(frobenius(v @ a - b @ v) for a, b in zip(mats_a, mats_b))
 
 
 def _intertwiner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -608,12 +595,12 @@ def curvature_isometry_check(field_a: CurvatureField, field_b: CurvatureField,
     herm_a = np.linalg.eigvalsh(0.5 * (a[:, 0] + a_h[:, 0]))
     herm_b = np.linalg.eigvalsh(0.5 * (b[:, 0] + b_h[:, 0]))
     gaps = np.max(np.abs(herm_a - herm_b), axis=1)
-    results = []
-    for w, v, mats_a, mats_b, gap in zip(field_a.grid.points, unitaries, a, b, gaps):
-        res = _tuple_residual(v, mats_a, mats_b)
-        certified = bool(gap > tol)
-        found = res <= tol and not certified
-        results.append(IsometryPointResult(
-            point=complex(w), found=found, unitary=v if found else None,
-            residual=res, eig_gap=float(gap), certified_mismatch=certified))
-    return results
+    v = unitaries[:, None]
+    residuals = np.linalg.norm(v @ a - b @ v, axis=(-2, -1)).max(axis=1)
+    certified = gaps > tol
+    found = (residuals <= tol) & ~certified
+    return [IsometryPointResult(point=complex(w), found=bool(ok), unitary=u if ok else None,
+                                residual=float(res), eig_gap=float(gap),
+                                certified_mismatch=bool(cert))
+            for w, u, res, gap, ok, cert in zip(field_a.grid.points, unitaries,
+                                                residuals, gaps, found, certified)]

@@ -2,8 +2,8 @@
 
 A scenario is a JSON document naming kernels, operators, a grid, and a list
 of checks with tolerances.  Checks run in listed order (optionally on a
-thread pool capped by CDLAB_THREADS); a numeric failure inside one check
-marks it failed and the campaign continues.  Identical scenario + seed gives
+thread pool capped by CDLAB_THREADS); any exception inside one check marks
+it failed and the campaign continues.  Identical scenario + seed gives
 identical report bodies, timing aside.
 """
 
@@ -46,6 +46,17 @@ from .serialize import (load_matrix, matrix_from_json, write_curvature_csv,
 # ---------------------------------------------------------------------------
 # scenario context
 
+SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
+                           "checks", "outputs"})
+CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
+
+
+def _reject_unknown_keys(raw: dict, allowed: frozenset, where: str):
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise SchemaError(f"{where}: unknown key {unknown[0]!r}; allowed keys are "
+                          f"{', '.join(sorted(allowed))}")
+
 
 @dataclass
 class Scenario:
@@ -57,6 +68,7 @@ class Scenario:
     checks: list[dict]
     outputs: dict
     base_dir: Path
+    grid: DiskGrid | None = field(default=None, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -73,6 +85,7 @@ class Scenario:
                   origin: str = "<dict>") -> "Scenario":
         if not isinstance(raw, dict):
             raise SchemaError(f"{origin}: scenario must be a JSON object")
+        _reject_unknown_keys(raw, SCENARIO_KEYS, origin)
         name = raw.get("name")
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{origin}: 'name' must be a nonempty string")
@@ -85,7 +98,7 @@ class Scenario:
             seed=None if seed is None else int(seed),
             kernel_specs=dict(raw.get("kernels", {})),
             operator_specs=dict(raw.get("operators", {})),
-            grid_spec=dict(raw.get("grid", {})),
+            grid_spec=raw.get("grid", {}),
             checks=checks,
             outputs=dict(raw.get("outputs", {})),
             base_dir=base_dir,
@@ -98,6 +111,7 @@ class Scenario:
             where = f"{origin}: checks[{idx}]"
             if not isinstance(check, dict):
                 raise SchemaError(f"{where} must be an object")
+            _reject_unknown_keys(check, CHECK_KEYS, where)
             kind = check.get("check")
             if kind not in REGISTRY:
                 raise SchemaError(
@@ -110,6 +124,11 @@ class Scenario:
                         f"{where}: tol must be a number, got {check['tol']!r}") from None
                 if tol < 0:
                     raise SchemaError(f"{where}: tol must be nonnegative")
+        try:
+            self.grid = _grid_from_spec(self.grid_spec)
+        except (CdlabError, TypeError, ValueError, AttributeError) as exc:
+            raise SchemaError(
+                f"{origin}: grid: {type(exc).__name__}: {exc}") from None
         for name, spec in self.operator_specs.items():
             if not isinstance(spec, dict):
                 raise SchemaError(f"{origin}: operators[{name}] must be an object")
@@ -129,7 +148,6 @@ class ScenarioContext:
         self._kernels: dict[str, DiagonalKernel] = {}
         self._operators: dict[str, np.ndarray] = {}
         self._shifts: dict[str, ModelOperator] = {}
-        self._grid: DiskGrid | None = None
 
     def kernel(self, name: str) -> DiagonalKernel:
         if name not in self._kernels:
@@ -148,16 +166,11 @@ class ScenarioContext:
             self._shifts[kernel_name] = shift_from_kernel(self.kernel(kernel_name))
         return self._shifts[kernel_name]
 
-    def grid(self) -> DiskGrid:
-        if self._grid is None:
-            self._grid = _grid_from_spec(self.scenario.grid_spec)
-        return self._grid
-
     def grid_for(self, params: dict) -> DiskGrid:
         """Per-check grid override, falling back to the scenario grid."""
         if "grid" in params:
             return _grid_from_spec(params["grid"])
-        return self.grid()
+        return self.scenario.grid
 
     def operator(self, name: str) -> np.ndarray:
         if name not in self._operators:
@@ -806,9 +819,7 @@ def _run_one(ctx: ScenarioContext, index: int, check: dict) -> CheckOutcome:
     try:
         report = definition.runner(ctx, params, tol)
         error = None
-    except CdlabError as exc:
-        report, error = None, f"{type(exc).__name__}: {exc}"
-    except (np.linalg.LinAlgError, FloatingPointError, ValueError, KeyError) as exc:
+    except Exception as exc:  # one failing check never aborts the campaign
         report, error = None, f"{type(exc).__name__}: {exc}"
     return CheckOutcome(label=label, check=kind, report=report, error=error,
                         elapsed=time.perf_counter() - start)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ def _curvature_with_derivatives(frame, grid, keys=((1, 0), (0, 1))):
     for key in keys:
         covariant_derivative(fld, metric, *key)
     return fld, metric
+
+
+def _nested_wirtinger(f, w, h, conjugate):
+    """Pointwise 4-point Wirtinger stencil: the reference the lattice route
+    must reproduce."""
+    stencil = ((2.0, -1.0), (1.0, 8.0), (-1.0, -8.0), (-2.0, 1.0))
+    dx = sum(wt * f(w + off * h) for off, wt in stencil) / (12.0 * h)
+    dy = sum(wt * f(w + 1j * off * h) for off, wt in stencil) / (12.0 * h)
+    return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
 
 
 def _tuple_field(grid, k, k_w, k_wbar):
@@ -226,8 +237,26 @@ class TestCurvature:
     def test_fd_stencil_leaving_disk(self):
         grid = DiskGrid(points=np.array([0.995 + 0j]), fd_step=1e-3)
         metric = gram_metric(kernel_frame(bergman_kernel(1, 400), grid))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as err:
             curvature(metric, grid, method="fd")
+        message = str(err.value)
+        assert "(0.995+0j)" in message
+        # the named step is the largest two-digit step inside the disk:
+        # (1 - 0.995) / (2 sqrt(2) * 2) = 8.84e-4
+        step = float(re.search(r"fd_step (\S+) fits", message).group(1))
+        assert step == pytest.approx(8.8e-4)
+        fitting = DiskGrid(points=grid.points, fd_step=step)
+        fld = curvature(gram_metric(kernel_frame(bergman_kernel(1, 400), fitting)),
+                        fitting, method="fd")
+        assert np.all(np.isfinite(fld.values))
+
+    def test_fd_reach_grows_with_order(self):
+        # |w| + 2 sqrt(2) h levels: 0.9957 for K, 1.0013 for K_{w wbar}
+        grid = DiskGrid(points=np.array([0.99 + 0j]), fd_step=1e-3)
+        metric = gram_metric(kernel_frame(bergman_kernel(1, 400), grid))
+        fld = curvature(metric, grid, method="fd")
+        with pytest.raises(DomainError, match="depth 4"):
+            covariant_derivative(fld, metric, 1, 1)
 
     def test_series_needs_polynomial(self):
         grid = polar_grid(radii=[0.3], n_angles=2)
@@ -272,10 +301,63 @@ class TestCovariantDerivatives:
         metric = gram_metric(eigenframe(model, grid))
         f_series = curvature(metric, grid, "series")
         f_fd = curvature(metric, grid, "fd")
-        for key in ((1, 0), (0, 1)):
+        for key in ((1, 0), (0, 1), (1, 1)):
             a = covariant_derivative(f_series, metric, *key)[0]
             b = covariant_derivative(f_fd, metric, *key)[0]
             assert frobenius(a - b) / frobenius(a) < 1e-3
+
+    def test_fd_route_matches_oracle(self):
+        grid = polar_grid(radii=[0.3, 0.5], n_angles=2)
+        metric = gram_metric(kernel_frame(bergman_kernel(2, 80), grid))
+        fld = curvature(metric, grid, "fd")
+        for key in ((1, 0), (0, 1), (1, 1)):
+            values = covariant_derivative(fld, metric, *key)
+            for w, mat in zip(grid.points, values):
+                oracle = bergman_curvature_derivative(2, *key, complex(w))
+                assert abs(mat[0, 0] - oracle) <= 1e-4 * abs(oracle)
+
+    def test_fd_route_matches_nested_stencils(self):
+        model = _model(size=16)
+        grid = DiskGrid(points=np.array([0.25 + 0.1j, -0.3 + 0.2j]), fd_step=1e-3)
+        metric = gram_metric(eigenframe(model, grid))
+        h, h_at = grid.fd_step, metric.evaluate
+
+        def theta(u):
+            return np.linalg.solve(h_at(u), _nested_wirtinger(h_at, u, h, False))
+
+        def curv(u):
+            return -_nested_wirtinger(theta, u, h, True)
+
+        def curv_w(u):
+            k, t = curv(u), theta(u)
+            return _nested_wirtinger(curv, u, h, False) + t @ k - k @ t
+
+        fld = curvature(metric, grid, "fd")
+        k_w = covariant_derivative(fld, metric, 1, 0)
+        for p, w in enumerate(grid.points):
+            # the lattice evaluates each patch point once, where the nested
+            # sums reach some of them along rounding-different paths
+            assert frobenius(fld.values[p] - curv(w)) <= 1e-12 * frobenius(curv(w))
+            assert frobenius(k_w[p] - curv_w(w)) <= 1e-9 * frobenius(curv_w(w))
+
+    def test_fd_metric_evaluations_per_point(self):
+        # the patch is the cross stencil dilated 2 + i + j times
+        grid = polar_grid(radii=[0.3], n_angles=3)
+        metric = gram_metric(eigenframe(_model(size=12), grid))
+        base, calls = metric.evaluate, []
+
+        def counting(w):
+            calls.append(w)
+            return base(w)
+
+        metric.evaluate = counting
+        fld = curvature(metric, grid, "fd")
+        counts = [len(calls)]
+        for key in ((1, 0), (1, 1)):
+            calls.clear()
+            covariant_derivative(fld, metric, *key)
+            counts.append(len(calls))
+        assert counts == [33 * len(grid), 73 * len(grid), 129 * len(grid)]
 
     def test_order_cap(self):
         grid = DiskGrid(points=np.array([0.1 + 0j]))
@@ -285,6 +367,28 @@ class TestCovariantDerivatives:
             covariant_derivative(fld, metric, 2, 1)
         # raising the cap makes the same request legal
         covariant_derivative(fld, metric, 2, 1, max_order=3)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("method", ["series", "fd"])
+    def test_grid_matches_single_point_grids(self, method):
+        model = _model(size=16)
+        grid = polar_grid(radii=[0.25, 0.5], n_angles=3)
+        keys = ((1, 0), (0, 1), (1, 1))
+
+        def fields(g):
+            frame = eigenframe(model, g)
+            metric = gram_metric(frame)
+            fld = curvature(metric, g, method)
+            return [frame.eigen_residuals, fld.values] + [
+                covariant_derivative(fld, metric, *key) for key in keys]
+
+        batched = fields(grid)
+        singles = [fields(DiskGrid(points=grid.points[p:p + 1], fd_step=grid.fd_step))
+                   for p in range(len(grid))]
+        for index, whole in enumerate(batched):
+            parts = np.concatenate([single[index] for single in singles])
+            assert np.max(np.abs(whole - parts)) <= 1e-13 * np.max(np.abs(whole))
 
 
 class TestFrameChangeInvariance:

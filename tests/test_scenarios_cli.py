@@ -140,6 +140,27 @@ class TestScenarioSchema:
         assert result.outcomes[0].error is not None
         assert result.outcomes[1].passed
 
+    def test_bad_check_grid_fails_only_that_check(self):
+        raw = _tiny_scenario()
+        raw["checks"] = [
+            {"check": "frame", "params": {"t0_kernel": "b1", "t1_kernel": "b2",
+                                          "grid": {"n_radii": None}}},
+            {"check": "similarity-split", "tol": 1e-12,
+             "params": {"trials": 1, "seed": 1, "size": 4}},
+        ]
+        result = run_scenario(Scenario.from_dict(raw))
+        assert not result.outcomes[0].passed
+        assert result.outcomes[0].error.startswith("TypeError: ")
+        assert result.outcomes[1].passed
+
+    def test_unknown_keys_rejected(self):
+        raw = _tiny_scenario()
+        raw["checks"][0]["parms"] = raw["checks"][0].pop("params")
+        with pytest.raises(SchemaError, match=r"checks\[0\]: unknown key 'parms'"):
+            Scenario.from_dict(raw)
+        with pytest.raises(SchemaError, match="unknown key 'grids'"):
+            Scenario.from_dict(_tiny_scenario(grids={}))
+
     def test_only_check_filter(self):
         raw = _tiny_scenario()
         raw["checks"].append({"check": "similarity-split", "tol": 1e-12,
@@ -217,6 +238,17 @@ class TestCli:
         with pytest.raises(SchemaError, match="tol must be a number"):
             Scenario.from_dict(raw)
         path = tmp_path / "bad-tol.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda raw: raw.update(grid={"n_radii": None}),
+        lambda raw: raw["checks"][0].update(parms=raw["checks"][0].pop("params")),
+    ], ids=["null-n_radii", "parms"])
+    def test_malformed_scenario_is_usage_error(self, tmp_path, mutate):
+        raw = _tiny_scenario()
+        mutate(raw)
+        path = tmp_path / "malformed.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2
 
