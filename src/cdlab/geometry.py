@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
-from .kernels import DiagonalKernel, section_vector
+from .kernels import DiagonalKernel, section_table, section_vector
 from .operators import UpperTriangularModel, shift_from_kernel
 
 DEFAULT_FD_STEP = 1e-3
@@ -247,12 +247,6 @@ class FrameField:
                           evaluate=evaluate, eigen_residuals=None, polynomial=poly)
 
 
-def _sections(kernel: DiagonalKernel, points: np.ndarray) -> np.ndarray:
-    """Row p is the section t(points[p]), by the formula of `section_vector`."""
-    return np.sqrt(kernel.coefficients) * np.power(points[:, None],
-                                                   np.arange(kernel.truncation))
-
-
 def _eigen_residuals(t: np.ndarray, vectors: np.ndarray,
                      points: np.ndarray) -> np.ndarray:
     """||(T - w) gamma_i(w)|| for every point and frame vector."""
@@ -300,7 +294,7 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
         return np.vstack([np.concatenate([t0, np.zeros(n, dtype=complex)]),
                           np.concatenate([x @ t1, t1])])
 
-    t0, t1 = _sections(k0, grid.points), _sections(k1, grid.points)
+    t0, t1 = section_table(k0, grid.points), section_table(k1, grid.points)
     vectors = np.stack([np.concatenate([t0, np.zeros_like(t0)], axis=1),
                         np.concatenate([t1 @ x.T, t1], axis=1)], axis=1)
     poly = _rank2_polynomial_metric(k0, k1, x)
@@ -316,7 +310,7 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     def frame_at(w: complex) -> np.ndarray:
         return section_vector(kernel, w).coordinates[None, :]
 
-    vectors = _sections(kernel, grid.points)[:, None, :]
+    vectors = section_table(kernel, grid.points)[:, None, :]
     residuals = None
     if n >= 2:
         residuals = _eigen_residuals(shift_from_kernel(kernel).matrix, vectors,

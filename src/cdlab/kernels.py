@@ -103,6 +103,15 @@ def section_vector(kernel: DiagonalKernel, w: complex) -> SectionVector:
     return SectionVector(point=w, coordinates=np.sqrt(kernel.coefficients) * powers)
 
 
+def section_table(kernel: DiagonalKernel, points: np.ndarray) -> np.ndarray:
+    """Row p is the section t(points[p]), by the formula of `section_vector`.
+
+    The points are not checked against the disk; grid points already are.
+    """
+    return np.sqrt(kernel.coefficients) * np.power(points[:, None],
+                                                   np.arange(kernel.truncation))
+
+
 def required_truncation(radius: float, eps: float = TAIL_EPS) -> int:
     """Smallest N with radius^(2N) < eps (geometric tail criterion)."""
     if not 0.0 <= radius < 1.0:

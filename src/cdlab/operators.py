@@ -7,6 +7,12 @@ the 2N x 2N upper-triangular block matrix
 
     T = [[T0, X T1 - T0 X], [0, T1]].
 
+Intertwiner spaces {X : A X = X B} come from the vec operator
+I (x) A - B^T (x) I without forming it: its equations and unknowns split into
+independent blocks, each block takes one small SVD, and singular values at most
+SYLVESTER_TOL times the largest over all blocks count as zero.  A block whose
+dense form would exceed SYLVESTER_MAX_BLOCK_BYTES is refused before any SVD.
+
 Residuals are Frobenius norms throughout.
 """
 
@@ -20,6 +26,9 @@ from .errors import InvalidArgumentError, NumericError, SingularResolventError
 from .kernels import DiagonalKernel
 
 SYLVESTER_TOL = 1e-10
+# Cap on the dense bytes (16 rows cols) of the largest independent Sylvester
+# block, checked before any block is built: about one dense 63 x 63 pair.
+SYLVESTER_MAX_BLOCK_BYTES = 256 * 10**6
 RESOLVENT_COND_CAP = 1e12
 UNITARITY_TOL = 1e-10
 # Block-unitary checks skip conditions that need U10^{-1} beyond this condition number.
@@ -147,24 +156,129 @@ def fb2_membership(t0: ModelOperator, t1: ModelOperator, x: np.ndarray,
     return residual <= tol * scale, residual
 
 
+def _components(heads: np.ndarray, tails: np.ndarray, size: int) -> np.ndarray:
+    """Smallest node index in the connected component of each of `size` nodes.
+
+    Min-label hooking plus pointer jumping over the edge list (heads, tails):
+    each round hooks every root that an edge joins to a smaller root, then
+    jumps pointers until every node points at a root again.
+    """
+    label = np.arange(size)
+    while heads.size:
+        lo = np.minimum(label[heads], label[tails])
+        hi = np.maximum(label[heads], label[tails])
+        live = lo != hi
+        heads, tails, lo, hi = heads[live], tails[live], lo[live], hi[live]
+        np.minimum.at(label, hi, lo)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return label
+
+
+def _block_positions(label: np.ndarray, count: np.ndarray):
+    """Group nodes by label, ascending within a group.
+
+    Returns (order, start, pos): `order` lists the nodes group by group,
+    group L starts at order[start[L]], and node v sits at position pos[v]
+    of its group.
+    """
+    order = np.argsort(label, kind="stable")
+    start = np.cumsum(count) - count
+    pos = np.empty(label.size, dtype=np.intp)
+    pos[order] = np.arange(label.size) - start[label[order]]
+    return order, start, pos
+
+
 def sylvester_kernel(a: np.ndarray, b: np.ndarray,
                      tol: float = SYLVESTER_TOL) -> IntertwinerSpace:
-    """Numerical null space of X -> A X - X B by SVD thresholding.
+    """Numerical null space of X -> A X - X B, one SVD per independent block.
 
-    Singular values <= tol * sigma_max count as zero.  The returned basis is
-    orthonormal in the Frobenius inner product; an empty basis means the only
-    intertwiner is zero.
+    In column-major vec form the map is I (x) A - B^T (x) I, but that
+    Kronecker matrix is never formed.  Equation (i, j) reads
+    sum_k A[i,k] X[k,j] - sum_l X[i,l] B[l,j], so it touches unknown (k, j)
+    where A[i,k] != 0 and unknown (i, l) where B[l,j] != 0.  The connected
+    components of this equation/unknown graph are independent blocks: dense
+    inputs form one block, two weighted shifts one chain per diagonal.  The
+    blocks are taken through SVDs stacked by shape, and singular values
+    <= tol * sigma_max, with sigma_max the largest over all blocks, count as
+    zero.  A block with more unknowns than equations contributes its extra
+    right singular vectors, and one with no equations its unit vector.
+
+    A block whose dense form would exceed SYLVESTER_MAX_BLOCK_BYTES raises
+    InvalidArgumentError before any block is built.  The returned basis is
+    orthonormal in the Frobenius inner product; an empty basis means the
+    only intertwiner is zero.
     """
     a = _as_square(a, "A")
     b = _as_square(b, "B")
     m, n = a.shape[0], b.shape[0]
-    # Column-major vec: vec(AX - XB) = (I (x) A - B^T (x) I) vec(X).
-    big = np.kron(np.eye(n), a) - np.kron(b.T, np.eye(m))
-    _, svals, vh = np.linalg.svd(big)
-    cutoff = tol * svals[0] if svals.size and svals[0] > 0 else 0.0
-    # Rows of vh are conjugated right singular vectors; undo the conjugation.
-    null_rows = vh[svals <= cutoff].conj() if svals.size else vh.conj()
-    basis = [row.reshape((m, n), order="F").copy() for row in null_rows]
+    size = m * n
+    # Row i + m j of the vec operator is equation (i, j); column k + m l is
+    # unknown X[k, l], stored as graph node size + k + m l.
+    ai, ak = np.nonzero(a)
+    bl, bj = np.nonzero(b)
+    col_shift = m * np.arange(n)
+    row_index = np.arange(m)[:, None]
+    a_eq, a_unk = (ai[:, None] + col_shift).ravel(), (ak[:, None] + col_shift).ravel()
+    b_eq, b_unk = (row_index + m * bj).ravel(), (row_index + m * bl).ravel()
+    label = _components(np.concatenate([a_eq, b_eq]),
+                        size + np.concatenate([a_unk, b_unk]), 2 * size)
+    eq_label, unk_label = label[:size], label[size:]
+    n_eq = np.bincount(eq_label, minlength=2 * size)
+    n_unk = np.bincount(unk_label, minlength=2 * size)
+
+    # Blocks holding unknowns, sorted by shape so equal shapes stack.
+    blocks = np.flatnonzero(n_unk)
+    blocks = blocks[np.lexsort((n_unk[blocks], n_eq[blocks]))]
+    rows, cols = n_eq[blocks], n_unk[blocks]
+    cells = rows * cols
+    if cells.size and 16 * cells.max() > SYLVESTER_MAX_BLOCK_BYTES:
+        worst = int(np.argmax(cells))
+        raise InvalidArgumentError(
+            f"Sylvester block of {rows[worst]} x {cols[worst]} needs "
+            f"{16 * cells[worst] / 1e6:.0f} MB dense, above the "
+            f"{SYLVESTER_MAX_BLOCK_BYTES / 1e6:.0f} MB cap")
+
+    _, _, eq_pos = _block_positions(eq_label, n_eq)
+    unk_order, unk_start, unk_pos = _block_positions(unk_label, n_unk)
+    slot = np.empty(2 * size, dtype=np.intp)
+    slot[blocks] = np.arange(blocks.size)
+    offset = np.cumsum(cells) - cells
+
+    def cell(eq, unk):
+        s = slot[eq_label[eq]]
+        return offset[s] + eq_pos[eq] * cols[s] + unk_pos[unk]
+
+    # Entries as the Kronecker form has them: A[i,k], then minus B[l,j].
+    buf = np.zeros(int(cells.sum()), dtype=complex)
+    buf[cell(a_eq, a_unk)] = np.repeat(a[ai, ak], n)
+    buf[cell(b_eq, b_unk)] -= np.tile(b[bl, bj], m)
+
+    groups = []
+    starts = np.flatnonzero((np.diff(rows, prepend=-1) != 0)
+                            | (np.diff(cols, prepend=-1) != 0))
+    for lo, hi in zip(starts, np.r_[starts[1:], blocks.size]):
+        r, c = rows[lo], cols[lo]
+        stack = buf[offset[lo]:offset[lo] + (hi - lo) * r * c].reshape(hi - lo, r, c)
+        _, svals, vh = np.linalg.svd(stack)
+        unk = unk_order[unk_start[blocks[lo:hi], None] + np.arange(c)]
+        # Unknown k + m l is entry k n + l of a row-major (m, n) matrix.
+        groups.append((svals, vh, (unk % m) * n + unk // m))
+    cutoff = tol * max((svals.max(initial=0.0) for svals, _, _ in groups), default=0.0)
+
+    basis = []
+    for svals, vh, entries in groups:
+        null = np.ones(vh.shape[:2], dtype=bool)
+        null[:, :svals.shape[1]] = svals <= cutoff
+        which, row = np.nonzero(null)
+        mats = np.zeros((which.size, m, n), dtype=complex)
+        # Rows of vh are conjugated right singular vectors; undo the conjugation.
+        mats.reshape(which.size, size)[np.arange(which.size)[:, None],
+                                       entries[which]] = vh[which, row].conj()
+        basis.extend(mats)
     residual = max((frobenius(a @ mat - mat @ b) for mat in basis), default=0.0)
     return IntertwinerSpace(basis=basis, residual=residual)
 

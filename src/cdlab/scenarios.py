@@ -96,22 +96,29 @@ class Scenario:
         scenario = cls(
             name=name,
             seed=None if seed is None else int(seed),
-            kernel_specs=dict(raw.get("kernels", {})),
-            operator_specs=dict(raw.get("operators", {})),
+            kernel_specs=raw.get("kernels", {}),
+            operator_specs=raw.get("operators", {}),
             grid_spec=raw.get("grid", {}),
             checks=checks,
-            outputs=dict(raw.get("outputs", {})),
+            outputs=raw.get("outputs", {}),
             base_dir=base_dir,
         )
         scenario._validate(origin)
         return scenario
 
     def _validate(self, origin: str):
+        for key, value in (("kernels", self.kernel_specs),
+                           ("operators", self.operator_specs),
+                           ("outputs", self.outputs)):
+            if not isinstance(value, dict):
+                raise SchemaError(f"{origin}: '{key}' must be an object")
         for idx, check in enumerate(self.checks):
             where = f"{origin}: checks[{idx}]"
             if not isinstance(check, dict):
                 raise SchemaError(f"{where} must be an object")
             _reject_unknown_keys(check, CHECK_KEYS, where)
+            if not isinstance(check.get("params", {}), dict):
+                raise SchemaError(f"{where}: 'params' must be an object")
             kind = check.get("check")
             if kind not in REGISTRY:
                 raise SchemaError(
@@ -813,11 +820,10 @@ def _run_one(ctx: ScenarioContext, index: int, check: dict) -> CheckOutcome:
     kind = check["check"]
     label = check.get("id", f"{kind}#{index}")
     definition = REGISTRY[kind]
-    tol = float(check.get("tol", definition.default_tol))
-    params = dict(check.get("params", {}))
     start = time.perf_counter()
     try:
-        report = definition.runner(ctx, params, tol)
+        tol = float(check.get("tol", definition.default_tol))
+        report = definition.runner(ctx, dict(check.get("params", {})), tol)
         error = None
     except Exception as exc:  # one failing check never aborts the campaign
         report, error = None, f"{type(exc).__name__}: {exc}"

@@ -342,6 +342,18 @@ class TestMain3:
         assert report.condition("norm-identity").detail == \
             f"worst point {complex(0.3)}"
 
+    def test_ties_name_first_grid_point(self):
+        # k0 = 4 k1 with X = Y = I: both residuals are exactly 0 everywhere
+        k1 = bergman_kernel(1, 16)
+        k0 = DiagonalKernel(4.0 * k1.coefficients, label="quadruple")
+        eye = np.eye(16, dtype=complex)
+        grid = DiskGrid(points=np.array([0.3, 0.5j, -0.2]))
+        report = main3_verifier(k0, k1, separator_kernel(k0, k1), eye, eye,
+                                grid, tol=1e-8)
+        for name in ("section-identity", "norm-identity"):
+            assert report.condition(name).residual == 0.0
+            assert report.condition(name).detail == f"worst point {complex(0.3)}"
+
     def test_generic_pair_fails_hypotheses(self):
         k0, k1, ks, _, _ = _engineered_main3()
         x = np.eye(24, dtype=complex)

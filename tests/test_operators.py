@@ -1,12 +1,15 @@
+import time
+
 import numpy as np
 import pytest
 
 from cdlab.errors import InvalidArgumentError, SingularResolventError
 from cdlab.kernels import bergman_kernel, section_vector
-from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
-                             fb2_membership, frobenius, random_operator,
-                             random_unitary, shift_from_kernel,
-                             similarity_split, sylvester_kernel)
+from cdlab.operators import (SYLVESTER_MAX_BLOCK_BYTES, ModelOperator,
+                             apply_mobius, assemble_model, fb2_membership,
+                             frobenius, random_operator, random_unitary,
+                             shift_from_kernel, similarity_split,
+                             sylvester_kernel)
 
 from oracles import sylvester_nullity_exact
 
@@ -151,6 +154,108 @@ class TestSylvesterKernel:
         q = random_unitary(3, rng)
         conj = sylvester_kernel(q @ a @ q.conj().T, q @ b @ q.conj().T).dimension
         assert conj == base
+
+
+def _dense_sylvester_basis(a, b, tol=1e-10):
+    """SVD of the whole Kronecker operator I (x) A - B^T (x) I: the reference
+    the block split must reproduce."""
+    m, n = a.shape[0], b.shape[0]
+    big = np.kron(np.eye(n), a) - np.kron(b.T, np.eye(m))
+    _, svals, vh = np.linalg.svd(big)
+    cutoff = tol * svals[0] if svals[0] > 0 else 0.0
+    return [row.reshape((m, n), order="F") for row in vh[svals <= cutoff].conj()]
+
+
+def _projector(basis):
+    vecs = np.array([mat.ravel() for mat in basis])
+    return vecs.T @ vecs.conj()
+
+
+def _shift(n, size):
+    return shift_from_kernel(bergman_kernel(n, size)).matrix
+
+
+class TestSylvesterBlockSplit:
+    @pytest.mark.parametrize("size", [2, 5, 8])
+    @pytest.mark.parametrize("n_a,n_b", [(1, 2), (2, 1), (3, 3)])
+    def test_square_shift_pairs_match_oracle(self, size, n_a, n_b):
+        a, b = _shift(n_a, size), _shift(n_b, size)
+        assert sylvester_kernel(a, b).dimension == sylvester_nullity_exact(a, b)
+
+    @pytest.mark.parametrize("m,n", [(5, 7), (7, 5), (2, 6)])
+    def test_rectangular_shift_pairs_match_oracle(self, m, n):
+        a, b = _shift(1, m), _shift(2, n)
+        space = sylvester_kernel(a, b)
+        assert space.dimension == sylvester_nullity_exact(a, b)
+        assert all(mat.shape == (m, n) for mat in space.basis)
+
+    @pytest.mark.parametrize("a,b", [
+        (np.zeros((3, 3)), np.zeros((4, 4))),
+        (np.zeros((4, 4)), np.zeros((2, 2))),
+    ])
+    def test_zero_pair_every_unknown_free(self, a, b):
+        space = sylvester_kernel(a, b)
+        assert space.dimension == a.shape[0] * b.shape[0]
+        assert space.residual == 0.0
+
+    @pytest.mark.parametrize("a,b", [
+        (np.zeros((3, 3)), _jordan(4)),
+        (_jordan(3), np.zeros((2, 2))),
+        (np.diag([1.0, 2.0, 0.0]), np.zeros((2, 2))),
+    ])
+    def test_one_zero_side_matches_oracle(self, a, b):
+        assert sylvester_kernel(a, b).dimension == sylvester_nullity_exact(a, b)
+
+    @pytest.mark.parametrize("size", [4, 9, 16])
+    def test_shift_pairs_match_dense_reference(self, size):
+        a, b = _shift(1, size), _shift(2, size)
+        for lhs, rhs in ((a, b), (b, a)):
+            space = sylvester_kernel(lhs, rhs)
+            reference = _dense_sylvester_basis(lhs, rhs)
+            assert space.dimension == len(reference) == size
+            distance = np.abs(_projector(space.basis) - _projector(reference)).max()
+            assert distance <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_pairs_bit_identical_to_reference(self, seed):
+        # B similar to A: distinct shared eigenvalues give a 5-dimensional space
+        a = random_operator(5, seed)
+        s = _rand(5, seed + 10)
+        b = np.linalg.solve(s, a @ s)
+        space = sylvester_kernel(a, b)
+        reference = _dense_sylvester_basis(a, b)
+        assert space.dimension == len(reference) == 5
+        assert all(np.array_equal(x, y) for x, y in zip(space.basis, reference))
+
+    def test_cutoff_relative_to_largest_block(self):
+        # a 2 x 2 block of norm about 1 and a 1 x 1 block 1e-12, which lies
+        # below tol * sigma_max although it is that block's own largest value
+        a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-12]])
+        b = np.zeros((1, 1))
+        assert sylvester_kernel(a, b).dimension == len(_dense_sylvester_basis(a, b)) == 1
+
+    def test_multi_block_basis_orthonormal(self):
+        space = sylvester_kernel(_shift(1, 12), _shift(3, 9))
+        gram = np.array([[np.vdot(p, q) for q in space.basis]
+                         for p in space.basis])
+        assert space.dimension == 9
+        np.testing.assert_allclose(gram, np.eye(9), atol=1e-12)
+
+    def test_large_shift_pair_without_dense_operator(self):
+        # the dense route would need a 4096 x 4096 operator (268 MB), over the cap
+        assert 16 * 4096 ** 2 > SYLVESTER_MAX_BLOCK_BYTES
+        space = sylvester_kernel(_shift(1, 64), _shift(2, 64))
+        assert space.dimension == 64
+        assert space.residual <= 1e-12
+
+    def test_block_over_memory_cap_refused_before_svd(self):
+        # a dense pair couples every unknown: one 4900 x 4900 block, 384 MB
+        a, b = _rand(70, 1), _rand(70, 2)
+        start = time.perf_counter()
+        with pytest.raises(InvalidArgumentError,
+                           match=r"4900 x 4900 needs 384 MB dense, above the 256 MB cap"):
+            sylvester_kernel(a, b)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSimilaritySplit:

@@ -244,7 +244,9 @@ class TestCli:
     @pytest.mark.parametrize("mutate", [
         lambda raw: raw.update(grid={"n_radii": None}),
         lambda raw: raw["checks"][0].update(parms=raw["checks"][0].pop("params")),
-    ], ids=["null-n_radii", "parms"])
+        lambda raw: raw["checks"][0].update(params=[1, 2]),
+        lambda raw: raw.update(kernels=5),
+    ], ids=["null-n_radii", "parms", "list-params", "number-kernels"])
     def test_malformed_scenario_is_usage_error(self, tmp_path, mutate):
         raw = _tiny_scenario()
         mutate(raw)
