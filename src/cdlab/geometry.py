@@ -15,10 +15,10 @@ evaluation routes are supported:
   through truncated bivariate Taylor jets, so everything is exact up to the
   kernel truncation and roundoff.
 * "fd": Wirtinger finite differences (4-point central stencils per axis,
-  d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The pointwise metric
-  evaluator is called once per point of the lattice patch w + h(a + ib) that
-  the stencils of K_{w^i wbar^j} reach, and the stencils are then applied as
-  array slices.
+  d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The metric evaluator takes
+  an array of points; it is called once per offset h(a + ib) of the lattice
+  patch that the stencils of K_{w^i wbar^j} reach, on all grid points at
+  once, and the stencils are then applied as array slices.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
-from .kernels import DiagonalKernel, section_table, section_vector
+from .kernels import DiagonalKernel, section_table
 from .operators import UpperTriangularModel, shift_from_kernel
 
 DEFAULT_FD_STEP = 1e-3
@@ -219,16 +219,16 @@ class FrameField:
     """Holomorphic frame sampled on a grid.
 
     `vectors` is a (points, rank, dim) array: the rows of `vectors[p]` are
-    the frame vectors at grid point p.  `evaluate` reproduces the frame at
-    arbitrary disk points, which the finite-difference route and
-    kernel-transform checks rely on.  `polynomial` carries the exact metric
-    coefficients when available.
+    the frame vectors at grid point p.  `evaluate` maps disk points of any
+    shape (0-d included) to the points.shape + (rank, dim) frames there, and
+    `vectors` is its value on the grid.  `polynomial` carries the exact
+    metric coefficients when available.
     """
 
     grid: DiskGrid
     rank: int
     vectors: np.ndarray = field(repr=False)
-    evaluate: Callable[[complex], np.ndarray] | None = field(default=None, repr=False)
+    evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     eigen_residuals: np.ndarray | None = field(default=None, repr=False)
     polynomial: PolynomialMetric | None = field(default=None, repr=False)
 
@@ -288,15 +288,14 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
                 f"point {grid.points[worst]}; truncation about {need} suffices",
                 required_truncation=need, point=complex(grid.points[worst]))
 
-    def frame_at(w: complex) -> np.ndarray:
-        t0 = section_vector(k0, w).coordinates
-        t1 = section_vector(k1, w).coordinates
-        return np.vstack([np.concatenate([t0, np.zeros(n, dtype=complex)]),
-                          np.concatenate([x @ t1, t1])])
+    def frame_at(points) -> np.ndarray:
+        t0, t1 = section_table(k0, points), section_table(k1, points)
+        # x @ t1 per point, not t1 @ x.T, so a batch rounds like single-point calls
+        xt1 = (x @ t1[..., None])[..., 0]
+        return np.stack([np.concatenate([t0, np.zeros_like(t0)], axis=-1),
+                         np.concatenate([xt1, t1], axis=-1)], axis=-2)
 
-    t0, t1 = section_table(k0, grid.points), section_table(k1, grid.points)
-    vectors = np.stack([np.concatenate([t0, np.zeros_like(t0)], axis=1),
-                        np.concatenate([t1 @ x.T, t1], axis=1)], axis=1)
+    vectors = frame_at(grid.points)
     poly = _rank2_polynomial_metric(k0, k1, x)
     return FrameField(grid=grid, rank=2, vectors=vectors, evaluate=frame_at,
                       eigen_residuals=_eigen_residuals(model.t, vectors, grid.points),
@@ -307,10 +306,10 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator."""
     n = kernel.truncation
 
-    def frame_at(w: complex) -> np.ndarray:
-        return section_vector(kernel, w).coordinates[None, :]
+    def frame_at(points) -> np.ndarray:
+        return section_table(kernel, points)[..., None, :]
 
-    vectors = section_table(kernel, grid.points)[:, None, :]
+    vectors = frame_at(grid.points)
     residuals = None
     if n >= 2:
         residuals = _eigen_residuals(shift_from_kernel(kernel).matrix, vectors,
@@ -340,12 +339,13 @@ def _rank2_polynomial_metric(k0: DiagonalKernel, k1: DiagonalKernel,
 
 @dataclass
 class MetricField:
-    """Gram metric h(w) sampled on the grid, with optional exact/pointwise forms."""
+    """Gram metric h(w) sampled on the grid, with optional exact/evaluator forms
+    (`evaluate` maps points of any shape to points.shape + (rank, rank))."""
 
     grid: DiskGrid
     rank: int
     values: np.ndarray = field(repr=False)
-    evaluate: Callable[[complex], np.ndarray] | None = field(default=None, repr=False)
+    evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     polynomial: PolynomialMetric | None = field(default=None, repr=False)
 
 
@@ -421,17 +421,18 @@ def _wirtinger(f: np.ndarray, h: float, conjugate: bool) -> np.ndarray:
     return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
 
 
-def _fd_covariant(metric_eval: Callable[[complex], np.ndarray], grid: DiskGrid,
+def _fd_covariant(metric_eval: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
                   i: int, j: int) -> np.ndarray:
     """K_{w^i wbar^j} at every grid point by finite differences.
 
     The nested stencils reach the lattice points w + h(a + ib) of the 9-point
     cross stencil dilated `levels` times: ceil(|a|/2) + ceil(|b|/2) <= levels,
-    33, 73 and 129 points for levels 2, 3 and 4.  The metric is evaluated once
-    at each of them; lattice sites off the patch hold the identity, which
-    keeps every solve regular and never reaches the patch centre.  Each
-    stencil level shrinks the lattice by two sites per side, down to the
-    centre.
+    33, 73 and 129 points for levels 2, 3 and 4.  The metric evaluator runs
+    once per patch offset over all grid points (one call for the whole patch
+    would hold every patch frame at once); lattice sites off the patch hold
+    the identity, which keeps every solve regular and never reaches the patch
+    centre.  Each stencil level shrinks the lattice by two sites per side,
+    down to the centre.
     """
     levels = 2 + i + j
     h = grid.fd_step
@@ -440,12 +441,11 @@ def _fd_covariant(metric_eval: Callable[[complex], np.ndarray], grid: DiskGrid,
     steps = (np.abs(offsets) + 1) // 2
     mask = steps[:, None] + steps[None, :] <= levels
     patch = (offsets[:, None] + 1j * offsets[None, :])[mask]
-    evals = np.array([metric_eval(u) for u in
-                      (grid.points[:, None] + h * patch).ravel()])
+    evals = np.stack([metric_eval(grid.points + step) for step in h * patch], axis=1)
     r = evals.shape[-1]
     metric = np.broadcast_to(np.eye(r, dtype=complex),
                              (len(grid),) + mask.shape + (r, r)).copy()
-    metric[:, mask] = evals.reshape(len(grid), -1, r, r)
+    metric[:, mask] = evals
     theta = np.linalg.solve(_crop(metric, 2), _wirtinger(metric, h, conjugate=False))
     f = -_wirtinger(theta, h, conjugate=True)
     for _ in range(i):

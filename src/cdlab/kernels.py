@@ -98,17 +98,17 @@ def evaluate_kernel(kernel: DiagonalKernel, z: complex, w: complex) -> complex:
 
 def section_vector(kernel: DiagonalKernel, w: complex) -> SectionVector:
     """Section t(w) in the orthonormal basis; ||t(w)||^2 = K(w, w)."""
-    w = _check_disk(w, "w")
-    powers = np.power(w, np.arange(kernel.truncation))
-    return SectionVector(point=w, coordinates=np.sqrt(kernel.coefficients) * powers)
+    return SectionVector(point=complex(w), coordinates=section_table(kernel, w))
 
 
-def section_table(kernel: DiagonalKernel, points: np.ndarray) -> np.ndarray:
-    """Row p is the section t(points[p]), by the formula of `section_vector`.
-
-    The points are not checked against the disk; grid points already are.
-    """
-    return np.sqrt(kernel.coefficients) * np.power(points[:, None],
+def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
+    """Sections t(w) = (sqrt(a_k) w^k)_k at points of any shape (0-d included),
+    as a points.shape + (N,) array; a point with |w| >= 1 raises a DomainError."""
+    points = np.asarray(points, dtype=complex)
+    outside = points[np.abs(points) >= 1.0]
+    if outside.size:
+        _check_disk(outside[0], "w")
+    return np.sqrt(kernel.coefficients) * np.power(points[..., None],
                                                    np.arange(kernel.truncation))
 
 

@@ -177,6 +177,50 @@ class TestGramMetric:
             gram_metric(frame)
 
 
+def _frames(grid):
+    """One frame of each kind, bare and after a constant frame change."""
+    rank_one = kernel_frame(bergman_kernel(2, 30), grid)
+    rank_two = eigenframe(_model(size=20), grid)
+    g = random_operator(2, 11) + 2.0 * np.eye(2)
+    return {"kernel_frame": rank_one, "eigenframe": rank_two,
+            "kernel_frame*g": rank_one.with_constant_change(np.array([[2.0 - 1.0j]])),
+            "eigenframe*g": rank_two.with_constant_change(g)}
+
+
+class TestArrayEvaluators:
+    points = np.array([[0.1 + 0.2j, -0.4j, 0.5], [0.0, -0.3 + 0.3j, 0.7 - 0.1j]])
+
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
+                                      "kernel_frame*g", "eigenframe*g"])
+    def test_frame_evaluate_contract(self, kind):
+        grid = polar_grid(radii=[0.2, 0.5], n_angles=3)
+        frame = _frames(grid)[kind]
+        dim = frame.vectors.shape[-1]
+        stacked = np.array([[frame.evaluate(w) for w in row] for row in self.points])
+        assert frame.evaluate(self.points).shape == (2, 3, frame.rank, dim)
+        assert np.array_equal(frame.evaluate(self.points), stacked)
+        assert np.array_equal(frame.evaluate(grid.points), frame.vectors)
+        assert frame.evaluate(np.complex128(0.3j)).shape == (frame.rank, dim)
+
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
+                                      "kernel_frame*g", "eigenframe*g"])
+    def test_metric_evaluate_contract(self, kind):
+        grid = polar_grid(radii=[0.2, 0.5], n_angles=3)
+        metric = gram_metric(_frames(grid)[kind])
+        r = metric.rank
+        stacked = np.array([[metric.evaluate(w) for w in row] for row in self.points])
+        assert metric.evaluate(self.points).shape == (2, 3, r, r)
+        assert np.array_equal(metric.evaluate(self.points), stacked)
+        assert np.array_equal(metric.evaluate(grid.points), metric.values)
+        assert metric.evaluate(0.3j).shape == (r, r)
+
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe"])
+    def test_frame_evaluate_names_point_outside_disk(self, kind):
+        frame = _frames(polar_grid(radii=[0.2], n_angles=2))[kind]
+        with pytest.raises(DomainError, match=re.escape("w=(0.6+0.8j)")):
+            frame.evaluate(np.array([0.1, 0.6 + 0.8j, 0.2j]))
+
+
 class TestCurvature:
     def test_flat_kernel_origin_value(self):
         grid = DiskGrid(points=np.array([0.0 + 0j]))
@@ -207,7 +251,8 @@ class TestCurvature:
         h0 = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
         metric = MetricField(grid=grid, rank=2,
                              values=np.array([h0] * len(grid)),
-                             evaluate=lambda w: h0)
+                             evaluate=lambda w: np.broadcast_to(
+                                 h0, np.shape(w) + h0.shape))
         fld = curvature(metric, grid, method="fd")
         assert frobenius(np.asarray(fld.values)) < 1e-10
 
@@ -262,7 +307,8 @@ class TestCurvature:
         grid = polar_grid(radii=[0.3], n_angles=2)
         metric = MetricField(grid=grid, rank=1,
                              values=np.ones((len(grid), 1, 1)),
-                             evaluate=lambda w: np.eye(1))
+                             evaluate=lambda w: np.broadcast_to(
+                                 np.eye(1), np.shape(w) + (1, 1)))
         with pytest.raises(InvalidArgumentError):
             curvature(metric, grid, method="series")
 
@@ -344,20 +390,26 @@ class TestCovariantDerivatives:
         # the patch is the cross stencil dilated 2 + i + j times
         grid = polar_grid(radii=[0.3], n_angles=3)
         metric = gram_metric(eigenframe(_model(size=12), grid))
-        base, calls = metric.evaluate, []
+        base, calls, evaluator_calls = metric.evaluate, [], []
 
         def counting(w):
-            calls.append(w)
+            calls.extend(np.ravel(w))
+            evaluator_calls.append(w)
             return base(w)
 
         metric.evaluate = counting
         fld = curvature(metric, grid, "fd")
-        counts = [len(calls)]
+        counts, call_counts = [len(calls)], [len(evaluator_calls)]
         for key in ((1, 0), (1, 1)):
             calls.clear()
+            evaluator_calls.clear()
             covariant_derivative(fld, metric, *key)
             counts.append(len(calls))
+            call_counts.append(len(evaluator_calls))
         assert counts == [33 * len(grid), 73 * len(grid), 129 * len(grid)]
+        # one call per patch offset over all grid points: neither a loop over
+        # points nor the whole patch in one call
+        assert call_counts == [33, 73, 129]
 
     def test_order_cap(self):
         grid = DiskGrid(points=np.array([0.1 + 0j]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from cdlab.errors import DomainError, InvalidArgumentError, PrecisionError
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                            evaluate_kernel, kernel_from_spec,
-                           required_truncation, section_vector,
-                           separator_kernel)
+                           required_truncation, section_table,
+                           section_vector, separator_kernel)
 
 from oracles import binomial_series_coefficients
 
@@ -106,6 +108,26 @@ class TestSectionVector:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             section_vector(bergman_kernel(1, 4), 1.0 + 0j)
+
+
+class TestSectionTable:
+    def test_array_of_points_matches_section_vectors(self):
+        k = bergman_kernel(2, 12)
+        points = np.array([[0.1 + 0.2j, -0.4j], [0.0, 0.7 - 0.1j]])
+        stacked = np.array([[section_vector(k, w).coordinates for w in row]
+                            for row in points])
+        assert section_table(k, points).shape == (2, 2, 12)
+        assert np.array_equal(section_table(k, points), stacked)
+
+    def test_zero_dimensional_point(self):
+        k = bergman_kernel(1, 5)
+        assert section_table(k, 0.5j).shape == (5,)
+        np.testing.assert_array_equal(section_table(k, np.complex128(0.0)),
+                                      [1, 0, 0, 0, 0])
+
+    def test_domain_error_names_point(self):
+        with pytest.raises(DomainError, match=re.escape("w=(-1+0j)")):
+            section_table(bergman_kernel(1, 4), np.array([0.2, -1.0, 0.3j]))
 
 
 class TestDiagonalRatio:
