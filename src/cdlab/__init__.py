@@ -11,9 +11,9 @@ from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         fb2_membership, random_operator, random_unitary,
                         shift_from_kernel, similarity_split, sylvester_kernel)
 from .geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
-                       PolynomialMetric, covariant_derivative, curvature,
-                       curvature_isometry_check, eigenframe, gram_metric,
-                       kernel_frame, polar_grid, radial_grid)
+                       covariant_derivative, curvature, curvature_isometry_check,
+                       eigenframe, gram_metric, kernel_frame, polar_grid,
+                       radial_grid)
 from .equivalence import (AntidiagonalTransform, BlockUnitary, Fb2Pair,
                           build_unitary_from_x, construct_fb2_pair,
                           frame_kernel_matrix, kernel_transform_check,

@@ -60,13 +60,14 @@ class BlockUnitary:
         return cls(u00=u[:n, :n], u01=u[:n, n:], u10=u[n:, :n], u11=u[n:, n:])
 
 
-def _hermitian_root(mat: np.ndarray, power: float) -> np.ndarray:
-    """mat^power for Hermitian positive definite mat, via eigendecomposition."""
+def _hermitian_powers(mat: np.ndarray, *powers: float) -> list[np.ndarray]:
+    """mat^p for each p, for Hermitian positive definite mat, from one
+    eigendecomposition."""
     sym = 0.5 * (mat + mat.conj().T)
     evals, vecs = np.linalg.eigh(sym)
     if evals[0] <= 0:
         raise NumericError(f"matrix not positive definite (min eig {evals[0]:.3e})")
-    return (vecs * evals ** power) @ vecs.conj().T
+    return [(vecs * evals ** power) @ vecs.conj().T for power in powers]
 
 
 def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
@@ -93,9 +94,8 @@ def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
             failed_condition="normal-coupling")
     gram_right = np.eye(n) + x.conj().T @ x
     gram_left = np.eye(n) + x @ x.conj().T
-    root = _hermitian_root(gram_right, 0.5)
-    root_inv = _hermitian_root(gram_right, -0.5)
-    root_left_inv = _hermitian_root(gram_left, -0.5)
+    root, root_inv = _hermitian_powers(gram_right, 0.5, -0.5)
+    (root_left_inv,) = _hermitian_powers(gram_left, -0.5)
     # For normal X the two Gram operators agree; treat a gap as a bug.
     drift = frobenius(root_inv - root_left_inv)
     if drift > ROOT_CONSISTENCY_TOL:
@@ -271,8 +271,8 @@ def frame_kernel_matrix(frame: FrameField, z: complex, w: complex) -> np.ndarray
     Frames are evaluated at the conjugated points, matching the convention in
     which the model acts as the adjoint multiplication operator.
     """
-    if frame.evaluate is None:
-        raise InvalidArgumentError("frame has no evaluator")
+    if frame.jet is None:
+        raise InvalidArgumentError("frame has no jet to evaluate")
     vz = frame.evaluate(np.conj(z))
     vw = frame.evaluate(np.conj(w))
     return vz.conj() @ vw.T

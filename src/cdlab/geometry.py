@@ -10,10 +10,12 @@ arrays, and metrics, jets and curvatures carry a leading point axis.  Two
 evaluation routes are supported:
 
 * "series": when the frame comes from diagonal kernels plus constant blocks,
-  every metric entry is a finite polynomial in (w, wbar) with explicit
-  coefficients.  Those polynomials are differentiated termwise and combined
-  through truncated bivariate Taylor jets, so everything is exact up to the
-  kernel truncation and roundoff.
+  its Taylor jets G_a = (1/a!) d^a gamma/dw^a are known in closed form.
+  Since gamma is holomorphic, h(w + d) = sum_{a,b} G_b^H G_a d^a dbar^b
+  (frame vectors as columns): the metric jet is the Gram matrix of the
+  frame jets.  Curvature and its covariant derivatives are combined from
+  that jet through truncated bivariate Taylor arithmetic, so everything is
+  exact up to the kernel truncation and roundoff.
 * "fd": Wirtinger finite differences (4-point central stencils per axis,
   d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The metric evaluator takes
   an array of points; it is called once per offset h(a + ib) of the lattice
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
-from .kernels import DiagonalKernel, section_table
+from .kernels import DiagonalKernel, section_jet
 from .operators import UpperTriangularModel, shift_from_kernel
 
 DEFAULT_FD_STEP = 1e-3
@@ -93,55 +95,7 @@ def radial_grid(radii, fd_step: float = DEFAULT_FD_STEP) -> DiskGrid:
 
 
 # ---------------------------------------------------------------------------
-# polynomial metrics and jets
-
-
-class PolynomialMetric:
-    """Metric whose entries are finite polynomials in (w, wbar).
-
-    coeff has shape (r, r, N, N): h_{pq}(w) = sum_{k,l} coeff[p,q,k,l]
-    wbar^k w^l.  Supports exact Taylor-jet extraction at any points and
-    congruence by a constant frame change.
-    """
-
-    def __init__(self, coeff: np.ndarray):
-        coeff = np.asarray(coeff, dtype=complex)
-        if coeff.ndim != 4 or coeff.shape[0] != coeff.shape[1] \
-                or coeff.shape[2] != coeff.shape[3]:
-            raise InvalidArgumentError("metric coefficients must be (r, r, N, N)")
-        self.coeff = coeff
-
-    @property
-    def rank(self) -> int:
-        return self.coeff.shape[0]
-
-    def congruence(self, g: np.ndarray) -> "PolynomialMetric":
-        """Frame change gamma -> gamma g turns h into g^H h g."""
-        g = np.asarray(g, dtype=complex)
-        return PolynomialMetric(np.einsum("ap,abkl,bq->pqkl", g.conj(), self.coeff, g))
-
-    def jet(self, points: np.ndarray, order_w: int, order_wb: int) -> np.ndarray:
-        """Taylor coefficients H[P, i, j] with h(w_P + d) = sum H[P,i,j] d^i dbar^j + ...
-
-        Exact up to roundoff: H[P,i,j][p,q] = sum_{k,l} coeff[p,q,k,l]
-        C(l,i) w^{l-i} C(k,j) wbar^{k-j} at w = points[P].
-        """
-        pts = np.asarray(points, dtype=complex)
-        n = self.coeff.shape[2]
-        return np.einsum("pqkl,Pkj,Pli->Pijpq", self.coeff,
-                         _shift_weights(pts.conj(), n, order_wb),
-                         _shift_weights(pts, n, order_w), optimize=True)
-
-
-def _shift_weights(base: np.ndarray, n: int, order: int) -> np.ndarray:
-    """[P, l, i] holds C(l, i) base[P]^(l-i) for l = 0..n-1 (zero when l < i)."""
-    powers = np.ones((base.size, n), dtype=complex)
-    powers[:, 1:] = np.cumprod(np.broadcast_to(base[:, None], (base.size, n - 1)),
-                               axis=1)
-    binom = np.array([[math.comb(l, i) for i in range(order + 1)]
-                      for l in range(n)], dtype=float)
-    lag = np.maximum(np.arange(n)[:, None] - np.arange(order + 1), 0)
-    return binom * powers[:, lag]
+# jets
 
 
 class MatrixJet:
@@ -213,38 +167,43 @@ class MatrixJet:
 # ---------------------------------------------------------------------------
 # frame fields
 
+FrameJet = Callable[[np.ndarray, int], np.ndarray]
+
 
 @dataclass
 class FrameField:
     """Holomorphic frame sampled on a grid.
 
     `vectors` is a (points, rank, dim) array: the rows of `vectors[p]` are
-    the frame vectors at grid point p.  `evaluate` maps disk points of any
-    shape (0-d included) to the points.shape + (rank, dim) frames there, and
-    `vectors` is its value on the grid.  `polynomial` carries the exact
-    metric coefficients when available.
+    the frame vectors at grid point p.  `jet`, when known, gives the frame's
+    Taylor jets at disk points of any shape (0-d included): `jet(points, o)`
+    is the points.shape + (o + 1, rank, dim) array of (1/i!) d^i gamma/dw^i,
+    i = 0..o.  Its order-0 slice is `evaluate`, and `vectors` is that on the
+    grid.
     """
 
     grid: DiskGrid
     rank: int
     vectors: np.ndarray = field(repr=False)
-    evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    jet: FrameJet | None = field(default=None, repr=False)
     eigen_residuals: np.ndarray | None = field(default=None, repr=False)
-    polynomial: PolynomialMetric | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=complex)
+
+    def evaluate(self, points) -> np.ndarray:
+        """The points.shape + (rank, dim) frames at disk points of any shape."""
+        return self.jet(points, 0)[..., 0, :, :]
 
     def with_constant_change(self, g: np.ndarray) -> "FrameField":
         """Replace gamma by gamma g for a constant invertible g."""
         g = np.asarray(g, dtype=complex)
         if g.shape != (self.rank, self.rank):
             raise InvalidArgumentError("frame change must be rank x rank")
-        base_eval = self.evaluate
-        evaluate = None if base_eval is None else (lambda w: g.T @ base_eval(w))
-        poly = None if self.polynomial is None else self.polynomial.congruence(g)
+        base_jet = self.jet
+        jet = None if base_jet is None else (lambda w, order: g.T @ base_jet(w, order))
         return FrameField(grid=self.grid, rank=self.rank, vectors=g.T @ self.vectors,
-                          evaluate=evaluate, eigen_residuals=None, polynomial=poly)
+                          jet=jet, eigen_residuals=None)
 
 
 def _eigen_residuals(t: np.ndarray, vectors: np.ndarray,
@@ -258,11 +217,11 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
     """Rank-2 eigenframe gamma_0 = (t0, 0), gamma_1 = (X t1, t1) of the model.
 
     Both diagonal blocks must have been built from diagonal kernels, so the
-    sections t_i(w) are available.  The per-point eigen-residual
-    ||(T - w) gamma_i(w)|| is recorded.  When `tail_tol` is given, the
-    a-priori truncation tail bound (1 + ||X||) sqrt(a_{N-1}) |w|^N is checked
-    first and a PrecisionError names the worst point and a sufficient
-    truncation.
+    sections t_i(w) and their jets are available.  The per-point
+    eigen-residual ||(T - w) gamma_i(w)|| is recorded.  When `tail_tol` is
+    given, the a-priori truncation tail bound (1 + ||X||) sqrt(a_{N-1}) |w|^N
+    is checked first and a PrecisionError names the worst point and a
+    sufficient truncation.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -288,49 +247,31 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
                 f"point {grid.points[worst]}; truncation about {need} suffices",
                 required_truncation=need, point=complex(grid.points[worst]))
 
-    def frame_at(points) -> np.ndarray:
-        t0, t1 = section_table(k0, points), section_table(k1, points)
+    def jet_at(points, order) -> np.ndarray:
+        t0, t1 = section_jet(k0, points, order), section_jet(k1, points, order)
         # x @ t1 per point, not t1 @ x.T, so a batch rounds like single-point calls
         xt1 = (x @ t1[..., None])[..., 0]
         return np.stack([np.concatenate([t0, np.zeros_like(t0)], axis=-1),
                          np.concatenate([xt1, t1], axis=-1)], axis=-2)
 
-    vectors = frame_at(grid.points)
-    poly = _rank2_polynomial_metric(k0, k1, x)
-    return FrameField(grid=grid, rank=2, vectors=vectors, evaluate=frame_at,
-                      eigen_residuals=_eigen_residuals(model.t, vectors, grid.points),
-                      polynomial=poly)
+    vectors = jet_at(grid.points, 0)[:, 0]
+    return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,
+                      eigen_residuals=_eigen_residuals(model.t, vectors, grid.points))
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator."""
-    n = kernel.truncation
 
-    def frame_at(points) -> np.ndarray:
-        return section_table(kernel, points)[..., None, :]
+    def jet_at(points, order) -> np.ndarray:
+        return section_jet(kernel, points, order)[..., None, :]
 
-    vectors = frame_at(grid.points)
+    vectors = jet_at(grid.points, 0)[:, 0]
     residuals = None
-    if n >= 2:
+    if kernel.truncation >= 2:
         residuals = _eigen_residuals(shift_from_kernel(kernel).matrix, vectors,
                                      grid.points)
-    coeff = np.zeros((1, 1, n, n), dtype=complex)
-    coeff[0, 0] = np.diag(kernel.coefficients.astype(complex))
-    return FrameField(grid=grid, rank=1, vectors=vectors, evaluate=frame_at,
-                      eigen_residuals=residuals, polynomial=PolynomialMetric(coeff))
-
-
-def _rank2_polynomial_metric(k0: DiagonalKernel, k1: DiagonalKernel,
-                             x: np.ndarray) -> PolynomialMetric:
-    n = k0.truncation
-    d0 = np.diag(np.sqrt(k0.coefficients).astype(complex))
-    d1 = np.diag(np.sqrt(k1.coefficients).astype(complex))
-    coeff = np.zeros((2, 2, n, n), dtype=complex)
-    coeff[0, 0] = d0 @ d0
-    coeff[0, 1] = d0 @ x @ d1
-    coeff[1, 0] = coeff[0, 1].conj().T
-    coeff[1, 1] = d1 @ (x.conj().T @ x + np.eye(n)) @ d1
-    return PolynomialMetric(coeff)
+    return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at,
+                      eigen_residuals=residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +280,15 @@ def _rank2_polynomial_metric(k0: DiagonalKernel, k1: DiagonalKernel,
 
 @dataclass
 class MetricField:
-    """Gram metric h(w) sampled on the grid, with optional exact/evaluator forms
-    (`evaluate` maps points of any shape to points.shape + (rank, rank))."""
+    """Gram metric h(w) sampled on the grid.  `evaluate` maps points of any
+    shape to points.shape + (rank, rank) (the fd route); `frame_jet` is the
+    jet of the frame the metric comes from (the series route)."""
 
     grid: DiskGrid
     rank: int
     values: np.ndarray = field(repr=False)
     evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    polynomial: PolynomialMetric | None = field(default=None, repr=False)
+    frame_jet: FrameJet | None = field(default=None, repr=False)
 
 
 def _gram(vectors: np.ndarray) -> np.ndarray:
@@ -363,20 +305,32 @@ def gram_metric(frame: FrameField) -> MetricField:
         raise DegenerateFrameError(
             f"Gram matrix not positive definite at {frame.grid.points[bad[0]]} "
             f"(min eig {min_eigs[bad[0]]:.3e})")
-    base_eval = frame.evaluate
-    evaluate = None if base_eval is None else (lambda w: _gram(base_eval(w)))
+    evaluate = None if frame.jet is None else (lambda w: _gram(frame.evaluate(w)))
     return MetricField(grid=frame.grid, rank=frame.rank, values=values,
-                       evaluate=evaluate, polynomial=frame.polynomial)
+                       evaluate=evaluate, frame_jet=frame.jet)
 
 
 # ---------------------------------------------------------------------------
 # curvature: series route
 
 
-def _series_covariant(poly: PolynomialMetric, points: np.ndarray,
+def _series_covariant(frame_jet: FrameJet, points: np.ndarray,
                       i: int, j: int) -> np.ndarray:
-    """K_{w^i wbar^j} at every point from jets of order (i + 1, j + 1)."""
-    h = MatrixJet(poly.jet(points, i + 1, j + 1))
+    """K_{w^i wbar^j} at every point from metric jets of order (i + 1, j + 1).
+
+    With G_a the frame jets (frame vectors as columns), h(w + d) =
+    sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
+    the stacked frame jets: one batched product, not an einsum, which is
+    several times slower here.
+    """
+    order = max(i, j) + 1
+    g = frame_jet(points, order)
+    count, r = g.shape[0], g.shape[-2]
+    stacked = g.reshape(count, (order + 1) * r, -1)
+    gram = (stacked.conj() @ stacked.swapaxes(-1, -2)).reshape(
+        count, order + 1, r, order + 1, r)
+    # gram[P, b, p, a, q] = G_b[p]^H G_a[q] -> jet[P, a, b][p, q]
+    h = MatrixJet(gram.transpose(0, 3, 1, 2, 4)[:, :i + 2, :j + 2])
     theta = h.inverse() @ h.d_w()
     f = -(theta.d_wbar())
     for _ in range(i):
@@ -478,10 +432,9 @@ class CurvatureField:
 def _covariant(metric: MetricField, grid: DiskGrid, method: str,
                i: int, j: int) -> np.ndarray:
     if method == "series":
-        if metric.polynomial is None:
-            raise InvalidArgumentError(
-                "series curvature needs a polynomial metric representation")
-        return _series_covariant(metric.polynomial, grid.points, i, j)
+        if metric.frame_jet is None:
+            raise InvalidArgumentError("series curvature needs a frame jet")
+        return _series_covariant(metric.frame_jet, grid.points, i, j)
     if method == "fd":
         if metric.evaluate is None:
             raise InvalidArgumentError("fd curvature needs a metric evaluator")

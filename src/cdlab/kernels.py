@@ -112,6 +112,24 @@ def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.nd
                                                    np.arange(kernel.truncation))
 
 
+def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
+                order: int) -> np.ndarray:
+    """Taylor jets (1/i!) d^i t/dw^i, i = 0..order, of the section at points of
+    any shape, as a points.shape + (order + 1, N) array.
+
+    Coordinate k of jet i is sqrt(a_k) C(k, i) w^(k-i) = C(k, i) sqrt(a_k /
+    a_{k-i}) t_{k-i}(w), a shift of one section table; the weight of jet 0 is
+    exactly 1, so jet 0 equals `section_table` bit for bit.
+    """
+    table = section_table(kernel, points)
+    a, n = kernel.coefficients, kernel.truncation
+    jets = np.zeros(table.shape[:-1] + (order + 1, n), dtype=complex)
+    for i in range(min(order, n - 1) + 1):
+        binom = np.array([math.comb(k, i) for k in range(i, n)], dtype=float)
+        jets[..., i, i:] = binom * np.sqrt(a[i:] / a[:n - i]) * table[..., :n - i]
+    return jets
+
+
 def required_truncation(radius: float, eps: float = TAIL_EPS) -> int:
     """Smallest N with radius^(2N) < eps (geometric tail criterion)."""
     if not 0.0 <= radius < 1.0:

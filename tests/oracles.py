@@ -122,3 +122,30 @@ def sylvester_nullity_exact(a: np.ndarray, b: np.ndarray) -> int:
     rows = [[columns[c][r] for c in range(len(columns))]
             for r in range(m * n)]
     return m * n - _exact_rank(rows)
+
+
+def bergman_frame_jets(weights, size: int, x, at: complex, order: int,
+                       change=None) -> np.ndarray:
+    """Taylor jets (1/i!) d^i gamma/dw^i, i = 0..order, by sympy
+    differentiation, as an (order + 1, rank, dim) array.
+
+    The sections are t_n(w) = (sqrt(binomial(n+k-1, k)) w^k)_{k < size}.  One
+    weight gives the frame gamma_0 = t_n; two give gamma_0 = (t0, 0),
+    gamma_1 = (X t1, t1), with X a list of rows of exact numbers.  `change`
+    (rows of exact numbers) replaces gamma by gamma g.
+    """
+    sections = [sp.Matrix([sp.sqrt(sp.binomial(n + k - 1, k)) * _W ** k
+                           for k in range(size)]) for n in weights]
+    if len(sections) == 1:
+        frame = sections
+    else:
+        t0, t1 = sections
+        frame = [t0.col_join(sp.zeros(size, 1)), (sp.Matrix(x) * t1).col_join(t1)]
+    if change is not None:
+        frame = [sum((change[p][q] * vec for p, vec in enumerate(frame)),
+                     sp.zeros(len(frame[0]), 1)) for q in range(len(frame))]
+    point = sp.nsimplify(at.real) + sp.I * sp.nsimplify(at.imag)
+    return np.array([[[complex(sp.N(sp.diff(entry, _W, i).subs(_W, point)
+                                    / sp.factorial(i), 30))
+                       for entry in vec] for vec in frame]
+                     for i in range(order + 1)])

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from cdlab.errors import (DegenerateFrameError, DomainError,
                           InvalidArgumentError, PrecisionError)
@@ -14,7 +15,8 @@ from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              random_operator, random_unitary,
                              shift_from_kernel)
 
-from oracles import bergman_curvature, bergman_curvature_derivative
+from oracles import (bergman_curvature, bergman_curvature_derivative,
+                     bergman_frame_jets)
 
 
 def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
@@ -219,6 +221,48 @@ class TestArrayEvaluators:
         frame = _frames(polar_grid(radii=[0.2], n_angles=2))[kind]
         with pytest.raises(DomainError, match=re.escape("w=(0.6+0.8j)")):
             frame.evaluate(np.array([0.1, 0.6 + 0.8j, 0.2j]))
+
+
+# exact dyadic entries, so the float matrices equal the sympy ones
+_X6 = [[sp.Rational(p - 2 * q, 8) + sp.I * sp.Rational((p + q) % 3, 4)
+        for q in range(6)] for p in range(6)]
+_CHANGES = {1: [[2 - sp.I / 2]], 2: [[1, sp.I / 2], [-sp.Rational(1, 4), 2]]}
+
+
+def _as_array(rows):
+    return np.array([[complex(v) for v in row] for row in rows])
+
+
+class TestFrameJets:
+    points = np.array([0.3 + 0.4j, -0.5 + 0.125j, 0.0])
+
+    @pytest.mark.parametrize("weights", [(2,), (1, 3)])
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_jets_match_symbolic_derivatives(self, weights, changed):
+        grid = DiskGrid(points=self.points)
+        if len(weights) == 1:
+            frame = kernel_frame(bergman_kernel(weights[0], 6), grid)
+        else:
+            frame = eigenframe(assemble_model(
+                shift_from_kernel(bergman_kernel(weights[0], 6)),
+                shift_from_kernel(bergman_kernel(weights[1], 6)),
+                _as_array(_X6)), grid)
+        change = _CHANGES[len(weights)] if changed else None
+        if changed:
+            frame = frame.with_constant_change(_as_array(change))
+        jets = frame.jet(self.points, 3)
+        assert jets.shape == (3, 4, len(weights), 6 * len(weights))
+        for w, got in zip(self.points, jets):
+            want = bergman_frame_jets(weights, 6, _X6, w, 3, change)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(frame.evaluate(self.points), jets[:, 0])
+        assert np.array_equal(frame.evaluate(self.points[1]),
+                              frame.jet(self.points[1], 0)[0])
+
+    def test_jets_beyond_the_truncation_vanish(self):
+        frame = kernel_frame(bergman_kernel(1, 3), DiskGrid(points=self.points))
+        jets = frame.jet(self.points, 4)
+        assert np.all(jets[:, 3:] == 0) and np.all(jets[:, 2, 0, 2] == 1)
 
 
 class TestCurvature:

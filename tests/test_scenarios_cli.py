@@ -54,6 +54,25 @@ def test_bundled_scenarios_pass(path, tmp_path, monkeypatch):
         assert header.startswith("re_w,im_w,K_00_re")
 
 
+def test_frame_check_against_closed_form_tail():
+    # bergman(3) at N = 120 has sqrt(a_{N-1}) ~ 85: the raw residuals of a
+    # correct model reach 2e-10, yet deviate from their closed form by roundoff
+    raw = {"name": "frame-weight-three", "seed": 31,
+           "kernels": {"f1": {"preset": "bergman", "n": 1, "N": 120},
+                       "f3": {"preset": "bergman", "n": 3, "N": 120}},
+           "checks": [{"check": "frame",
+                       "params": {"t0_kernel": "f1", "t1_kernel": "f3",
+                                  "trials": 20, "seed": 41, "x_norm": 0.5,
+                                  "grid": {"rmax": 0.8, "n_radii": 4,
+                                           "n_angles": 8}}}]}
+    result = run_scenario(Scenario.from_dict(raw))
+    assert result.overall, result.summary()
+    report = result.outcomes[0].report
+    (condition,) = report.conditions
+    assert condition.tolerance == 1e-12 and condition.residual <= 1e-14
+    assert report.info["worst_residual"] > 1e-10
+
+
 class TestDeterminism:
     def test_identical_runs_identical_bodies(self):
         path = bundled_scenario_dir() / "mainlemma-normal-x.json"
