@@ -24,7 +24,7 @@ from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, section_table
 from .operators import (U10_COND_CAP, UNITARITY_TOL, ModelOperator,
                         UpperTriangularModel, assemble_model, frobenius,
-                        shift_from_kernel, sylvester_kernel,
+                        guarded_inverse, shift_from_kernel, sylvester_kernel,
                         unitarity_residual)
 from .reporting import ConditionReport
 
@@ -118,8 +118,9 @@ def verify_mainlemma(unitary: BlockUnitary, model: UpperTriangularModel,
     Conditions reported: (1) U10 T0 = Tt1 U10 and T1 U01* = U01* Tt0;
     (2) (1+XX*)^{-1} = U10* U10 and (1+X*X)^{-1} = U01* U01;
     (3) Y - U01 X* U10^{-1} lies in the intertwiner space of (Tt0, Tt1);
-    plus U00 = U01 X* and U11 = -U10 X.  When U10 is numerically singular,
-    condition (3) is reported indeterminate with the condition estimate.
+    plus U00 = U01 X* and U11 = -U10 X.  U10^{-1} and its guard come from
+    one `guarded_inverse`; when n kappa_1(U10) exceeds U10_COND_CAP,
+    condition (3) is reported indeterminate with the 1-norm figure.
     """
     t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
     tt0, tt1, y = partner.t0.matrix, partner.t1.matrix, partner.x
@@ -140,17 +141,18 @@ def verify_mainlemma(unitary: BlockUnitary, model: UpperTriangularModel,
     report.add("block-u00", frobenius(u00 - u01 @ x.conj().T), tol)
     report.add("block-u11", frobenius(u11 + u10 @ x), tol)
 
-    cond_u10 = np.linalg.cond(u10)
-    if not np.isfinite(cond_u10) or cond_u10 > U10_COND_CAP:
+    u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
+    if u10_inv is None:
         report.add_indeterminate(
             "defect-intertwines-partner", tol,
-            detail=f"U10 condition estimate {cond_u10:.3e}; defect skipped")
+            detail=f"U10 1-norm condition number {kappa:.3e}; n * kappa_1 "
+                   f"above the cap {U10_COND_CAP:.1e}; defect skipped")
     else:
-        defect = y - u01 @ x.conj().T @ np.linalg.inv(u10)
+        defect = y - u01 @ x.conj().T @ u10_inv
         report.add("defect-intertwines-partner",
                    frobenius(tt0 @ defect - defect @ tt1), tol)
         report.info["defect_norm"] = frobenius(defect)
-    report.info["u10_condition"] = float(cond_u10)
+    report.info["u10_condition_1norm"] = kappa
     report.add("end-to-end",
                frobenius(unitary.matrix @ model.t - partner.t @ unitary.matrix), tol)
     return report

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 from .operators import (U10_COND_CAP, UNITARITY_TOL, UpperTriangularModel,
                         apply_mobius, assemble_model, frobenius,
-                        unitarity_residual)
+                        guarded_inverse, unitarity_residual)
 from .reporting import ConditionReport
 
 
@@ -71,14 +71,18 @@ def mobius_block_identity_check(model: UpperTriangularModel,
     phi_t1 = mobius.of(model.t1.matrix)
     assembled = assemble_model(phi_t0, phi_t1, model.x)
     residual = frobenius(phi_t - assembled.t)
+    powers = [_powers_235(m) for m in (model.t, model.t0.matrix, model.t1.matrix)]
     power_residuals = {}
-    for n in (2, 3, 5):
-        direct = np.linalg.matrix_power(model.t, n)
-        blocks = assemble_model(np.linalg.matrix_power(model.t0.matrix, n),
-                                np.linalg.matrix_power(model.t1.matrix, n),
-                                model.x)
-        power_residuals[n] = frobenius(direct - blocks.t)
+    for n, direct, p0, p1 in zip((2, 3, 5), *powers):
+        power_residuals[n] = frobenius(direct - assemble_model(p0, p1, model.x).t)
     return MobiusBlockResult(residual=residual, power_residuals=power_residuals)
+
+
+def _powers_235(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m^2, m^3, m^5) in four products, each equal to np.linalg.matrix_power's
+    binary-decomposition product."""
+    m2 = m @ m
+    return m2, m2 @ m, m @ (m2 @ m2)
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,8 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     T1 U01* = U01* phi(T0); (2) the block relations U00 = X U10 = U01 X* and
     -U11 = X* U01 = U10 X; (3) the Gram relations (1+XX*)^{-1} =
     (1+X*X)^{-1} = U10* U10 = U01* U01; plus the end-to-end residual.
-    Condition (1) is reported indeterminate when U10 is numerically singular.
+    Condition (1) is reported indeterminate when U10 is numerically singular
+    (n kappa_1(U10) above U10_COND_CAP, see `guarded_inverse`).
     """
     report = ConditionReport(name="thm45")
     t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
@@ -145,12 +150,13 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     n = t0.shape[0]
     eye = np.eye(n)
 
-    cond_u10 = np.linalg.cond(u10)
-    report.info["u10_condition"] = float(cond_u10)
-    if not np.isfinite(cond_u10) or cond_u10 > U10_COND_CAP:
+    u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
+    report.info["u10_condition_1norm"] = kappa
+    if u10_inv is None:
         report.add_indeterminate(
             "corner-intertwine-u10", tol,
-            detail=f"U10 condition estimate {cond_u10:.3e}")
+            detail=f"U10 1-norm condition number {kappa:.3e}; "
+                   f"n * kappa_1 above the cap {U10_COND_CAP:.1e}")
     else:
         report.add("corner-intertwine-u10",
                    frobenius(u10 @ t0 - phi_t1 @ u10), tol)

@@ -88,12 +88,14 @@ def evaluate_kernel(kernel: DiagonalKernel, z: complex, w: complex) -> complex:
     """Truncated series value sum_k a_k z^k conj(w)^k, |z| < 1 and |w| < 1."""
     z = _check_disk(z, "z")
     w = _check_disk(w, "w")
-    x = z * np.conj(w)
-    # Horner evaluation of the ascending-coefficient polynomial in x.
-    acc = 0.0 + 0.0j
-    for a in kernel.coefficients[::-1]:
-        acc = acc * x + a
-    return complex(acc)
+    # Power table x^k, x = z conj(w), by repeated multiplication with x itself:
+    # rounding errors add up as in Horner's rule instead of compounding as
+    # they would through a rounded x^m or a rounded angle k arg(x).
+    powers = np.full(kernel.truncation, z * np.conj(w))
+    powers[0] = 1.0
+    # A pairwise sum rather than a BLAS dot: the same rounding at any BLAS
+    # thread count, and no threaded-dot stalls at this length.
+    return complex(np.sum(kernel.coefficients * np.cumprod(powers)))
 
 
 def section_vector(kernel: DiagonalKernel, w: complex) -> SectionVector:

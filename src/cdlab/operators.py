@@ -13,11 +13,18 @@ independent blocks, each block takes one small SVD, and singular values at most
 SYLVESTER_TOL times the largest over all blocks count as zero.  A block whose
 dense form would exceed SYLVESTER_MAX_BLOCK_BYTES is refused before any SVD.
 
+Inverses that must be trusted (the Mobius resolvent I - conj(a) A, the corner
+block U10) come from `guarded_inverse`: one LU gives M^{-1} and the 1-norm
+condition number kappa_1 = ||M||_1 ||M^{-1}||_1, and M is refused when
+n kappa_1 exceeds the cap.  Since kappa_2 <= n kappa_1, every matrix whose
+2-norm condition number exceeds the cap is refused, without an SVD.
+
 Residuals are Frobenius norms throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +38,8 @@ SYLVESTER_TOL = 1e-10
 SYLVESTER_MAX_BLOCK_BYTES = 256 * 10**6
 RESOLVENT_COND_CAP = 1e12
 UNITARITY_TOL = 1e-10
-# Block-unitary checks skip conditions that need U10^{-1} beyond this condition number.
+# Block-unitary checks skip conditions that need U10^{-1} when n kappa_1(U10)
+# exceeds this cap (see guarded_inverse).
 U10_COND_CAP = 1e12
 
 
@@ -56,6 +64,25 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
+
+
+def guarded_inverse(mat: np.ndarray, cap: float) -> tuple[np.ndarray | None, float]:
+    """(M^{-1}, kappa_1) from one LU, with kappa_1 = ||M||_1 ||M^{-1}||_1.
+
+    The inverse is None when M is singular (LinAlgError or a non-finite
+    value; kappa_1 is then inf) or when n kappa_1 > cap.  As
+    kappa_2 <= n kappa_1, no M with kappa_2 > cap gets through.
+    """
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    kappa = float(np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1))
+    if not math.isfinite(kappa):
+        return None, math.inf
+    if mat.shape[0] * kappa > cap:
+        return None, kappa
+    return inv, kappa
 
 
 @dataclass(frozen=True)
@@ -309,10 +336,14 @@ def apply_mobius(a_mat: np.ndarray, a: complex, phase: float = 0.0,
                  cond_cap: float = RESOLVENT_COND_CAP) -> np.ndarray:
     """Disk automorphism in functional-calculus form:
 
-        phi(A) = e^{i phase} (a I - A)(I - conj(a) A)^{-1},   |a| < 1.
+        phi(A) = e^{i phase} (a I - A) D^{-1},   D = I - conj(a) A,   |a| < 1.
 
-    Fails loudly when the resolvent condition number exceeds `cond_cap`
-    instead of returning an untrustworthy matrix.
+    D^{-1} and kappa_1(D) come from one LU (`guarded_inverse`).  Fails loudly
+    with a SingularResolventError, carrying n kappa_1 (inf when D is
+    singular) as its condition estimate, when n kappa_1 exceeds `cond_cap`
+    instead of returning an untrustworthy matrix.  Because kappa_2 <=
+    n kappa_1, every resolvent with a 2-norm condition number above the cap
+    is refused.
     """
     a_mat = _as_square(a_mat, "A")
     a = complex(a)
@@ -320,15 +351,13 @@ def apply_mobius(a_mat: np.ndarray, a: complex, phase: float = 0.0,
         raise InvalidArgumentError("mobius parameter must satisfy |a| < 1")
     n = a_mat.shape[0]
     eye = np.eye(n, dtype=complex)
-    denom = eye - np.conj(a) * a_mat
-    cond = np.linalg.cond(denom)
-    if not np.isfinite(cond) or cond > cond_cap:
+    denom_inv, kappa = guarded_inverse(eye - np.conj(a) * a_mat, cond_cap)
+    if denom_inv is None:
         raise SingularResolventError(
-            f"resolvent I - conj(a) A has condition estimate {cond:.3e}",
-            condition_estimate=float(cond))
-    numer = a * eye - a_mat
-    # Right division numer @ denom^{-1} without forming the inverse.
-    result = np.linalg.solve(denom.T, numer.T).T
+            f"resolvent I - conj(a) A has 1-norm condition number {kappa:.3e}; "
+            f"n * kappa_1 = {n * kappa:.3e} exceeds the cap {cond_cap:.1e}",
+            condition_estimate=n * kappa)
+    result = (a * eye - a_mat) @ denom_inv
     result *= np.exp(1j * float(phase))
     return ensure_finite(result, "mobius image")
 

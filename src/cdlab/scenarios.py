@@ -13,6 +13,7 @@ import concurrent.futures
 import json
 import math
 import os
+import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -809,11 +810,24 @@ class CampaignResult:
         return "\n".join(lines)
 
 
+THREAD_VARS = ("CDLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+               "MKL_NUM_THREADS")
+
+
 def _environment_stamp() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        blas = {}
     return {
         "cdlab_version": __version__,
         "numpy_version": np.__version__,
         "float64_eps": np.finfo(float).eps,
+        "cpu_count": os.cpu_count(),
+        "python_version": platform.python_version(),
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
     }
 
 

@@ -59,30 +59,42 @@ def test_criterion_01_bergman_curvature_closed_form():
              f"fd rel {worst_fd:.2e} (tol 1e-4), {elapsed:.1f}s (cap 10s)")
 
 
-def _frame_worst_residual(size: int, trials: int, grid) -> tuple[float, float]:
-    t0 = shift_from_kernel(bergman_kernel(1, size))
-    t1 = shift_from_kernel(bergman_kernel(2, size))
-    worst = 0.0
-    norm_bound = 0.0
+def _frame_residuals(size: int, trials: int, grid) -> tuple[float, float]:
+    """Worst raw eigen-residual, and worst deviation from the closed-form tail
+    relative to ||gamma||.
+
+    (T - w) gamma_0 = -sqrt(a0_{N-1}) w^N e_{N-1} and (T - w) gamma_1 =
+    -sqrt(a1_{N-1}) w^N (X e_{N-1}, e_{N-1}), so the residual norms are
+    |w|^N sqrt(a0_{N-1}) and |w|^N sqrt(a1_{N-1}) sqrt(1 + ||X e_{N-1}||^2).
+    """
+    k0, k1 = bergman_kernel(1, size), bergman_kernel(2, size)
+    t0, t1 = shift_from_kernel(k0), shift_from_kernel(k1)
+    tail = np.abs(grid.points)[:, None] ** size
+    worst = deviation = 0.0
     for trial in range(trials):
         x = random_operator(size, 7000 + trial, norm=0.5)
-        model = assemble_model(t0, t1, x)
-        frame = eigenframe(model, grid)
+        frame = eigenframe(assemble_model(t0, t1, x), grid)
+        x_last_sq = float(np.vdot(x[:, -1], x[:, -1]).real)
+        closed = tail * np.sqrt([k0.coefficients[-1],
+                                 k1.coefficients[-1] * (1.0 + x_last_sq)])
+        norms = np.linalg.norm(frame.vectors, axis=-1)
+        deviation = max(deviation, float(np.max(
+            np.abs(frame.eigen_residuals - closed) / norms)))
         worst = max(worst, float(np.max(frame.eigen_residuals)))
-        norm_bound = max(norm_bound, float(np.linalg.norm(x, 2)))
-    return worst, norm_bound
+    return worst, deviation
 
 
 def test_criterion_02_eigenframe_residuals():
     grid = polar_grid(radii=[0.2, 0.4, 0.6, 0.8], n_angles=8)
-    worst_120, x_norm = _frame_worst_residual(120, 20, grid)
-    bound = (1.0 + x_norm) * 0.8 ** 119 * 10.0
-    worst_240, _ = _frame_worst_residual(240, 20, grid)
+    worst_120, deviation = _frame_residuals(120, 20, grid)
+    worst_240, _ = _frame_residuals(240, 20, grid)
     ratio = worst_120 / worst_240
-    ok = worst_120 <= bound and ratio >= 100.0
+    ok = deviation <= 1e-12 and ratio >= 100.0
     _verdict(2, "eigenframe-residuals", ok,
-             f"max residual {worst_120:.2e} vs bound {bound:.2e}; "
-             f"doubling N shrinks by {ratio:.1e} (need >= 100)")
+             f"max deviation from the closed-form tail {deviation:.2e} "
+             f"relative to ||gamma|| (tol 1e-12); max residual "
+             f"{worst_120:.2e}; doubling N shrinks by {ratio:.1e} "
+             f"(need >= 100)")
 
 
 def _example_trials():

@@ -134,6 +134,35 @@ class TestVerifyMainlemma:
         assert cond.status == "indeterminate"
         assert not report.overall
 
+    def test_near_singular_u10_marked_indeterminate(self):
+        # U = [[C, -S], [S, C]] is unitary with U10 = S of condition 9e12
+        t0, t1 = _shift_pair(4)
+        sines = np.array([1e-13, 0.5, 0.7, 0.9])
+        s_mat = np.diag(sines).astype(complex)
+        c_mat = np.diag(np.sqrt(1.0 - sines ** 2)).astype(complex)
+        rotation = BlockUnitary(u00=c_mat, u01=-s_mat, u10=s_mat, u11=c_mat)
+        z = np.zeros((4, 4))
+        model = assemble_model(t0, t1, z)
+        _, partner = build_unitary_from_x(t0, t1, z)
+        report = verify_mainlemma(rotation, model, partner, 1e-9)
+        cond = report.condition("defect-intertwines-partner")
+        assert cond.status == "indeterminate"
+        assert "1-norm condition number" in cond.detail
+        assert report.info["u10_condition_1norm"] == pytest.approx(9e12)
+        assert "defect_norm" not in report.info
+
+    def test_defect_uses_the_guarded_inverse(self):
+        t0, t1 = _shift_pair(12)
+        x = random_operator(12, 5, norm=1.0, kind="normal")
+        unitary, partner = build_unitary_from_x(t0, t1, x)
+        report = verify_mainlemma(unitary, assemble_model(t0, t1, x), partner,
+                                  1e-9)
+        u10_inv = np.linalg.inv(unitary.u10)
+        defect = partner.x - unitary.u01 @ x.conj().T @ u10_inv
+        assert report.info["defect_norm"] == frobenius(defect)
+        assert report.info["u10_condition_1norm"] == (
+            np.linalg.norm(unitary.u10, 1) * np.linalg.norm(u10_inv, 1))
+
 
 class TestFb2Pair:
     def test_zero_coupling_case(self):

@@ -77,6 +77,19 @@ class TestBlockIdentity:
         assert result.residual <= 1e-10 * frobenius(model.t)
         assert max(result.power_residuals.values()) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [0, 30])
+    def test_power_residuals_equal_matrix_power_reference(self, seed):
+        model = _random_model(size=7, seed=seed)
+        result = mobius_block_identity_check(model, MobiusMap(a=0.5j))
+        power = np.linalg.matrix_power
+        reference = {
+            n: frobenius(power(model.t, n)
+                         - assemble_model(power(model.t0.matrix, n),
+                                          power(model.t1.matrix, n),
+                                          model.x).t)
+            for n in (2, 3, 5)}
+        assert result.power_residuals == reference
+
     def test_involution_on_assembled_matrix(self):
         model = _random_model(seed=21)
         for mob in mobius_sample_set():
@@ -174,3 +187,27 @@ class TestThm45:
         report = thm45_condition_check(unitary, model, mob, tol=1e-10)
         assert report.condition("corner-intertwine-u10").status == "indeterminate"
         assert not report.overall
+
+    def test_near_singular_u10_indeterminate(self):
+        # U = [[C, -S], [S, C]] is unitary with U10 = S of condition 9e12:
+        # invertible, but above the cap
+        size = 4
+        sines = np.array([1e-13, 0.5, 0.7, 0.9])
+        s_mat = np.diag(sines).astype(complex)
+        c_mat = np.diag(np.sqrt(1.0 - sines ** 2)).astype(complex)
+        unitary = BlockUnitary(u00=c_mat, u01=-s_mat, u10=s_mat, u11=c_mat)
+        mob = MobiusMap(a=0.2)
+        t1 = shift_from_kernel(bergman_kernel(1, size))
+        model = assemble_model(ModelOperator(mob.of(t1.matrix)), t1,
+                               np.eye(size, dtype=complex))
+        report = thm45_condition_check(unitary, model, mob, tol=1e-10)
+        cond = report.condition("corner-intertwine-u10")
+        assert cond.status == "indeterminate"
+        assert "1-norm condition number" in cond.detail
+        assert report.info["u10_condition_1norm"] == pytest.approx(9e12)
+        assert "u10_condition" not in report.info
+
+    def test_reports_one_norm_condition_of_u10(self):
+        mob, model, unitary = self._engineered()
+        report = thm45_condition_check(unitary, model, mob, tol=1e-10)
+        assert report.info["u10_condition_1norm"] == pytest.approx(1.0)

@@ -67,6 +67,19 @@ class TestEvaluate:
         right = np.conj(evaluate_kernel(k, w, z))
         assert left == right
 
+    @pytest.mark.parametrize("r", [0.9, 0.99, 0.999])
+    def test_truncated_closed_forms_near_boundary(self, r):
+        # N as the separator check sizes it for r = 0.999: 13,809 terms
+        n = required_truncation(0.999)
+        x = r * r
+        geometric = (1.0 - x ** n) / (1.0 - x)
+        weight_two = ((1.0 - (n + 1) * x ** n + n * x ** (n + 1))
+                      / (1.0 - x) ** 2)
+        for weight, closed in ((1, geometric), (2, weight_two)):
+            value = evaluate_kernel(bergman_kernel(weight, n), r, r)
+            assert value.imag == 0.0
+            assert abs(value.real - closed) <= 1e-12 * closed
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_truncation_tail_bound(self, n):
         # |closed form - truncated| <= a_N x^N (1-x)^(-n) with x = |z wbar|,

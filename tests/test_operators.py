@@ -5,9 +5,10 @@ import pytest
 
 from cdlab.errors import InvalidArgumentError, SingularResolventError
 from cdlab.kernels import bergman_kernel, section_vector
-from cdlab.operators import (SYLVESTER_MAX_BLOCK_BYTES, ModelOperator,
-                             apply_mobius, assemble_model, fb2_membership,
-                             frobenius, random_operator, random_unitary,
+from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
+                             ModelOperator, apply_mobius, assemble_model,
+                             fb2_membership, frobenius, guarded_inverse,
+                             random_operator, random_unitary,
                              shift_from_kernel, similarity_split,
                              sylvester_kernel)
 
@@ -307,6 +308,91 @@ class TestMobius:
     def test_result_always_finite(self):
         out = apply_mobius(_rand(6, 9, norm=0.9), 0.69)
         assert np.all(np.isfinite(out.real))
+
+
+def _mobius_by_solve(a_mat, a, phase=0.0):
+    """phi(A) by right division with one linear solve, no inverse formed."""
+    eye = np.eye(a_mat.shape[0], dtype=complex)
+    denom = eye - np.conj(a) * a_mat
+    return np.linalg.solve(denom.T, (a * eye - a_mat).T).T * np.exp(1j * phase)
+
+
+def _resolvent_operand(size, kappa, a, rng):
+    """A whose resolvent I - conj(a) A has 2-norm condition number about kappa."""
+    u, v = random_unitary(size, rng), random_unitary(size, rng)
+    denom = (u * np.geomspace(1.0, 1.0 / kappa, size)) @ v.conj().T
+    return (np.eye(size) - denom) / np.conj(a)
+
+
+class TestMobiusResolventGuard:
+    @pytest.mark.parametrize("a_mat,a", [
+        (random_operator(5, 1, norm=0.9), 0.7j),
+        (random_operator(40, 2, norm=0.8), 0.5 - 0.3j),
+        (random_operator(240, 3, norm=0.6), 0.69),
+        (shift_from_kernel(bergman_kernel(2, 240)).matrix, 0.7 * np.exp(0.5j)),
+    ], ids=["dense5", "dense40", "dense240", "shift240"])
+    @pytest.mark.parametrize("phase", [0.0, 1.3])
+    def test_matches_solve_reference(self, a_mat, a, phase):
+        reference = _mobius_by_solve(a_mat, a, phase)
+        out = apply_mobius(a_mat, a, phase)
+        assert frobenius(out - reference) <= 1e-14 * frobenius(reference)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 20])
+    def test_no_resolvent_above_the_cap_passes(self, size):
+        # kappa_2 <= n kappa_1, so the 1-norm guard is at least as strict as
+        # refusing every resolvent whose 2-norm condition number tops the cap
+        rng = np.random.default_rng(size)
+        a = 0.5
+        refused_above = 0
+        for kappa in (0.5e12, 0.9e12, 0.99e12, 1.01e12, 1.1e12, 2e12):
+            for _ in range(3):
+                a_mat = _resolvent_operand(size, kappa, a, rng)
+                denom = np.eye(size) - np.conj(a) * a_mat
+                if np.linalg.cond(denom) <= RESOLVENT_COND_CAP:
+                    continue
+                with pytest.raises(SingularResolventError) as err:
+                    apply_mobius(a_mat, a)
+                assert err.value.condition_estimate > RESOLVENT_COND_CAP
+                refused_above += 1
+        assert refused_above >= 6
+
+    def test_well_conditioned_resolvent_passes(self):
+        rng = np.random.default_rng(7)
+        a_mat = _resolvent_operand(20, 1e6, 0.5, rng)
+        assert np.all(np.isfinite(apply_mobius(a_mat, 0.5)))
+
+    def test_refusal_names_one_norm_figure_and_cap(self):
+        rng = np.random.default_rng(3)
+        a_mat = _resolvent_operand(5, 1e13, 0.5, rng)
+        denom = np.eye(5) - 0.5 * a_mat
+        kappa_1 = (np.linalg.norm(denom, 1)
+                   * np.linalg.norm(np.linalg.inv(denom), 1))
+        with pytest.raises(SingularResolventError) as err:
+            apply_mobius(a_mat, 0.5)
+        message = str(err.value)
+        assert "1-norm condition number" in message
+        assert f"{RESOLVENT_COND_CAP:.1e}" in message
+        assert err.value.condition_estimate == pytest.approx(5 * kappa_1,
+                                                             rel=1e-3)
+
+
+class TestGuardedInverse:
+    def test_inverse_and_one_norm_condition(self):
+        mat = _rand(6, 11) + 3.0 * np.eye(6)
+        inv, kappa = guarded_inverse(mat, 1e12)
+        np.testing.assert_array_equal(inv, np.linalg.inv(mat))
+        assert kappa == np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1)
+
+    def test_refuses_when_size_times_kappa_exceeds_cap(self):
+        mat = np.diag([1.0, 1.0, 1e-3])  # kappa_1 = kappa_2 = 1e3
+        assert guarded_inverse(mat, 3.1e3)[0] is not None
+        inv, kappa = guarded_inverse(mat, 2.9e3)
+        assert inv is None and kappa == pytest.approx(1e3)
+
+    @pytest.mark.parametrize("mat", [np.zeros((3, 3)),
+                                     np.array([[1.0, np.nan], [0.0, 1.0]])])
+    def test_singular_or_nonfinite(self, mat):
+        assert guarded_inverse(mat, 1e12) == (None, np.inf)
 
 
 class TestRandomOperators:

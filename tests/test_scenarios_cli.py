@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from cdlab.serialize import (load_matrix, matrix_from_json, matrix_to_json,
 BUNDLED = sorted(bundled_scenario_dir().glob("*.json"))
 
 
-def _strip_timing(report: dict) -> dict:
+def _body(report: dict) -> dict:
+    """The report without its `timing` and `environment` blocks."""
     report = copy.deepcopy(report)
     report.pop("timing", None)
+    report.pop("environment", None)
     return report
 
 
@@ -76,17 +80,38 @@ def test_frame_check_against_closed_form_tail():
 class TestDeterminism:
     def test_identical_runs_identical_bodies(self):
         path = bundled_scenario_dir() / "mainlemma-normal-x.json"
-        first = _strip_timing(run_scenario(path).to_dict())
-        second = _strip_timing(run_scenario(path).to_dict())
+        first = _body(run_scenario(path).to_dict())
+        second = _body(run_scenario(path).to_dict())
         assert json.dumps(first, sort_keys=True) == json.dumps(second,
                                                                sort_keys=True)
 
     def test_threaded_run_matches_serial(self, monkeypatch):
         path = bundled_scenario_dir() / "corollary-theta.json"
-        serial = _strip_timing(run_scenario(path, threads=1).to_dict())
+        serial = _body(run_scenario(path, threads=1).to_dict())
         monkeypatch.setenv("CDLAB_THREADS", "4")
-        threaded = _strip_timing(run_scenario(path).to_dict())
+        threaded = _body(run_scenario(path).to_dict())
         assert serial == threaded
+
+    def test_environment_stamp_outside_the_body(self, monkeypatch):
+        path = bundled_scenario_dir() / "corollary-theta.json"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        first = run_scenario(path, threads=1).to_dict()
+        monkeypatch.setenv("CDLAB_THREADS", "3")
+        second = run_scenario(path, threads=1).to_dict()
+        env = first["environment"]
+        assert {"cdlab_version", "numpy_version", "float64_eps", "cpu_count",
+                "python_version", "blas_name", "blas_version",
+                "thread_env"} <= set(env)
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["python_version"] == platform.python_version()
+        assert set(env["thread_env"]) == {"CDLAB_THREADS",
+                                          "OPENBLAS_NUM_THREADS",
+                                          "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["thread_env"]["MKL_NUM_THREADS"] is None
+        assert second["environment"]["thread_env"]["CDLAB_THREADS"] == "3"
+        assert _body(first) == _body(second)
 
 
 def _tiny_scenario(**overrides):
