@@ -8,8 +8,9 @@ from .kernels import (DiagonalKernel, SectionVector, bergman_kernel,
                       required_truncation, section_vector, separator_kernel)
 from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         UpperTriangularModel, apply_mobius, assemble_model,
-                        fb2_membership, random_operator, random_unitary,
-                        shift_from_kernel, similarity_split, sylvester_kernel)
+                        block_matrix, fb2_membership, random_operator,
+                        random_unitary, shift_from_kernel, similarity_split,
+                        sylvester_kernel, triangular_matrix)
 from .geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                        covariant_derivative, curvature, curvature_isometry_check,
                        eigenframe, gram_metric, kernel_frame, polar_grid,
@@ -19,7 +20,8 @@ from .equivalence import (AntidiagonalTransform, BlockUnitary, Fb2Pair,
                           frame_kernel_matrix, kernel_transform_check,
                           main3_verifier, theta_intertwiner_check,
                           verify_mainlemma)
-from .homogeneity import (MobiusMap, WitnessEntry, homogeneity_condition_check,
+from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
+                          homogeneity_condition_check,
                           mobius_block_identity_check, mobius_sample_set,
                           thm45_condition_check)
 from .reporting import Condition, ConditionReport

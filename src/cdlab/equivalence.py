@@ -23,9 +23,9 @@ from .errors import (DegenerateInputError, DomainError, InvalidArgumentError,
 from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, section_table
 from .operators import (U10_COND_CAP, UNITARITY_TOL, ModelOperator,
-                        UpperTriangularModel, assemble_model, frobenius,
-                        guarded_inverse, shift_from_kernel, sylvester_kernel,
-                        unitarity_residual)
+                        UpperTriangularModel, assemble_model, block_matrix,
+                        frobenius, guarded_inverse, shift_from_kernel,
+                        sylvester_kernel, unitarity_residual)
 from .reporting import ConditionReport
 
 NORMALITY_TOL = 1e-10
@@ -49,7 +49,7 @@ class BlockUnitary:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.u00, self.u01], [self.u10, self.u11]])
+        return block_matrix(self.u00, self.u01, self.u10, self.u11)
 
     @classmethod
     def from_matrix(cls, u: np.ndarray) -> "BlockUnitary":
@@ -193,11 +193,9 @@ def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
     u01, u10 = unitary.u01, unitary.u10
     s0 = y @ u10 - u01 @ x.conj().T
     s1 = u01.conj().T @ y - x.conj().T @ u10.conj().T
-    n = t0.shape[0]
-    zero = np.zeros((n, n), dtype=complex)
-    f = np.block([[tt0, s0], [zero, t0]])
-    ft = np.block([[t1, s1], [zero, tt1]])
-    z = np.block([[u01.conj().T, zero], [zero, u10]])
+    f = block_matrix(tt0, s0, None, t0)
+    ft = block_matrix(t1, s1, None, tt1)
+    z = block_matrix(u01.conj().T, None, None, u10)
     residuals = {
         "f-membership": frobenius(tt0 @ s0 - s0 @ t0),
         "ft-membership": frobenius(t1 @ s1 - s1 @ tt1),

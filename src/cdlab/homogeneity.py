@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericError
 from .operators import (U10_COND_CAP, UNITARITY_TOL, UpperTriangularModel,
-                        apply_mobius, assemble_model, frobenius,
-                        guarded_inverse, unitarity_residual)
+                        apply_mobius, block_matrix, frobenius,
+                        guarded_inverse, triangular_matrix, unitarity_residual)
 from .reporting import ConditionReport
 
 
@@ -52,35 +52,60 @@ def mobius_sample_set() -> list[MobiusMap]:
     return maps
 
 
+def apply_maps(maps, mat: np.ndarray) -> np.ndarray:
+    """phi(mat) for every map in one stacked apply_mobius call.
+
+    `mat` is one matrix, mapped by every map, or a stack with one matrix per
+    map.  The result is the (len(maps), n, n) stack of images, each equal to
+    `phi.of` of its matrix.
+    """
+    return apply_mobius(mat, [m.a for m in maps], [m.phase for m in maps])
+
+
 @dataclass(frozen=True)
 class MobiusBlockResult:
+    """Worst block residual over the maps, the per-map residuals, the power
+    residuals of the model (they do not depend on the map) and the stack of
+    images phi(T), one per map."""
+
     residual: float
     power_residuals: dict
+    residuals: list
+    images: np.ndarray = field(repr=False)
 
 
 def mobius_block_identity_check(model: UpperTriangularModel,
-                                mobius: MobiusMap) -> MobiusBlockResult:
+                                maps) -> MobiusBlockResult:
     """Residual of phi(T) against the blockwise assembly, plus power spot checks.
 
-    phi(T) is computed directly on the assembled 2N x 2N matrix so the block
-    identity is a genuine cross-check, not a tautology.  The same structural
-    identity for plain powers T^n is spot-checked at n = 2, 3, 5.
+    `maps` is one MobiusMap or a sequence of them; phi(T), phi(T0) and
+    phi(T1) are formed for all of them in three stacked calls.  phi(T) is
+    computed directly on the assembled 2N x 2N matrix so the block identity
+    is a genuine cross-check, not a tautology.  The same structural identity
+    for plain powers T^n is spot-checked at n = 2, 3, 5, once per model.
     """
-    phi_t = mobius.of(model.t)
-    phi_t0 = mobius.of(model.t0.matrix)
-    phi_t1 = mobius.of(model.t1.matrix)
-    assembled = assemble_model(phi_t0, phi_t1, model.x)
-    residual = frobenius(phi_t - assembled.t)
-    powers = [_powers_235(m) for m in (model.t, model.t0.matrix, model.t1.matrix)]
-    power_residuals = {}
-    for n, direct, p0, p1 in zip((2, 3, 5), *powers):
-        power_residuals[n] = frobenius(direct - assemble_model(p0, p1, model.x).t)
-    return MobiusBlockResult(residual=residual, power_residuals=power_residuals)
+    maps = [maps] if isinstance(maps, MobiusMap) else list(maps)
+    if not maps:
+        raise InvalidArgumentError("mobius block check needs at least one map")
+    x = model.x
+    images = apply_maps(maps, model.t)
+    assembled = triangular_matrix(apply_maps(maps, model.t0.matrix),
+                                  apply_maps(maps, model.t1.matrix), x)
+    residuals = [frobenius(d) for d in images - assembled]
+    # powers[k, i] is the k-th power of block i
+    powers = np.stack(_powers_235(np.stack([model.t0.matrix, model.t1.matrix])))
+    power_residuals = {
+        n: frobenius(d - a) for n, d, a in zip(
+            (2, 3, 5), _powers_235(model.t),
+            triangular_matrix(powers[:, 0], powers[:, 1], x))}
+    return MobiusBlockResult(residual=max(residuals),
+                             power_residuals=power_residuals,
+                             residuals=residuals, images=images)
 
 
 def _powers_235(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(m^2, m^3, m^5) in four products, each equal to np.linalg.matrix_power's
-    binary-decomposition product."""
+    binary-decomposition product; `m` may be a stack."""
     m2 = m @ m
     return m2, m2 @ m, m @ (m2 @ m2)
 
@@ -109,25 +134,25 @@ def homogeneity_condition_check(model: UpperTriangularModel,
     The verdict only quantifies over the sampled maps, never the full group;
     the report records the sample size.
     """
+    if not witness:
+        raise InvalidArgumentError("homogeneity check needs at least one witness map")
     report = ConditionReport(name="homogeneity")
     report.info["sampled_maps"] = len(witness)
-    x = model.x
-    n = model.size
-    zero = np.zeros((n, n), dtype=complex)
-    for idx, entry in enumerate(witness):
-        phi = entry.mobius
+    t0, t1, t, x = model.t0.matrix, model.t1.matrix, model.t, model.x
+    maps = [entry.mobius for entry in witness]
+    phi_t0s, phi_t1s, phi_ts = (apply_maps(maps, m) for m in (t0, t1, t))
+    for idx, (entry, phi_t0, phi_t1, phi_t) in enumerate(
+            zip(witness, phi_t0s, phi_t1s, phi_ts)):
+        u0, u1 = entry.u0, entry.u1
         tag = f"map{idx}"
         report.add(f"{tag}-conjugate-t0",
-                   frobenius(entry.u0 @ model.t0.matrix @ entry.u0.conj().T
-                             - phi.of(model.t0.matrix)), tol)
+                   frobenius(u0 @ t0 @ u0.conj().T - phi_t0), tol)
         report.add(f"{tag}-conjugate-t1",
-                   frobenius(entry.u1 @ model.t1.matrix @ entry.u1.conj().T
-                             - phi.of(model.t1.matrix)), tol)
-        report.add(f"{tag}-commutation",
-                   frobenius(entry.u0 @ x - x @ entry.u1), tol)
-        u_full = np.block([[entry.u0, zero], [zero, entry.u1]])
+                   frobenius(u1 @ t1 @ u1.conj().T - phi_t1), tol)
+        report.add(f"{tag}-commutation", frobenius(u0 @ x - x @ u1), tol)
+        u_full = block_matrix(u0, None, None, u1)
         report.add(f"{tag}-assembled",
-                   frobenius(u_full @ model.t - phi.of(model.t) @ u_full), tol)
+                   frobenius(u_full @ t - phi_t @ u_full), tol)
     return report
 
 

@@ -66,23 +66,37 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def guarded_inverse(mat: np.ndarray, cap: float) -> tuple[np.ndarray | None, float]:
+def _one_norms(mat: np.ndarray) -> np.ndarray:
+    """Matrix 1-norms (largest column sum) over the last two axes, the same
+    reduction np.linalg.norm(m, 1) makes for one matrix."""
+    return np.add.reduce(np.abs(mat), axis=-2).max(axis=-1)
+
+
+def guarded_inverse(mat: np.ndarray, cap: float
+                    ) -> tuple[np.ndarray | None, float | np.ndarray]:
     """(M^{-1}, kappa_1) from one LU, with kappa_1 = ||M||_1 ||M^{-1}||_1.
 
-    The inverse is None when M is singular (LinAlgError or a non-finite
-    value; kappa_1 is then inf) or when n kappa_1 > cap.  As
+    For one matrix the inverse is None when M is singular (LinAlgError or a
+    non-finite value; kappa_1 is then inf) or when n kappa_1 > cap.  As
     kappa_2 <= n kappa_1, no M with kappa_2 > cap gets through.
+
+    An (m, n, n) stack is inverted by one batched call and gets an (m,)
+    array of kappa_1; its inverse is None when any matrix is refused, and
+    the refused ones are those with n kappa_1 > cap or kappa_1 = inf.
     """
     try:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
-        return None, math.inf
-    kappa = float(np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1))
-    if not math.isfinite(kappa):
-        return None, math.inf
-    if mat.shape[0] * kappa > cap:
-        return None, kappa
-    return inv, kappa
+        if mat.ndim == 2:
+            return None, math.inf
+        # the batched call does not say which matrix is singular
+        return None, np.array([guarded_inverse(m, math.inf)[1] for m in mat])
+    kappa = _one_norms(mat) * _one_norms(inv)
+    kappa = np.where(np.isfinite(kappa), kappa, math.inf)
+    refused = mat.shape[-1] * kappa > cap
+    if mat.ndim == 2:
+        return (None if refused else inv), float(kappa)
+    return (None if refused.any() else inv), kappa
 
 
 @dataclass(frozen=True)
@@ -149,6 +163,34 @@ def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
     return ModelOperator(mat, source=kernel.label, kernel=kernel)
 
 
+def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """[[A, B], [C, D]] from equal-size square blocks, or stacks of them.
+
+    None stands for a zero block.  Leading (stack) axes broadcast, and the
+    result has the common dtype of the given blocks.
+    """
+    blocks = [np.asarray(b) if b is not None else None
+              for b in (top_left, top_right, bottom_left, bottom_right)]
+    given = [b for b in blocks if b is not None]
+    n = given[0].shape[-1]
+    if any(b.ndim < 2 or b.shape[-2:] != (n, n) for b in given):
+        raise InvalidArgumentError(
+            f"blocks must be square and of one size, got shapes "
+            f"{[b.shape for b in given]}")
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in given))
+    out = np.zeros(lead + (2 * n, 2 * n), dtype=np.result_type(*given))
+    for k, b in enumerate(blocks):
+        if b is not None:
+            row, col = divmod(k, 2)
+            out[..., row * n:(row + 1) * n, col * n:(col + 1) * n] = b
+    return out
+
+
+def triangular_matrix(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T = [[A, X B - A X], [0, B]], for matrices or stacks of them."""
+    return block_matrix(a, x @ b - a @ x, None, b)
+
+
 def assemble_model(t0: ModelOperator | np.ndarray, t1: ModelOperator | np.ndarray,
                    x: np.ndarray) -> UpperTriangularModel:
     """Assemble T = [[T0, X T1 - T0 X], [0, T1]] from equal-size square blocks."""
@@ -160,9 +202,7 @@ def assemble_model(t0: ModelOperator | np.ndarray, t1: ModelOperator | np.ndarra
     if not (t0.size == t1.size == x.shape[0]):
         raise InvalidArgumentError(
             f"block sizes differ: {t0.size}, {t1.size}, {x.shape[0]}")
-    a, b = t0.matrix, t1.matrix
-    top_right = x @ b - a @ x
-    t = np.block([[a, top_right], [np.zeros_like(a), b]])
+    t = triangular_matrix(t0.matrix, t1.matrix, x)
     return UpperTriangularModel(t0=t0, t1=t1, x=x, t=t)
 
 
@@ -322,43 +362,66 @@ class SimilaritySplit:
 
 def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
     """Split T off its coupling: W T W^{-1} = T0 (+) T1, algebraically exact."""
-    n = model.size
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
-    w = np.block([[eye, -model.x], [zero, eye]])
-    w_inv = np.block([[eye, model.x], [zero, eye]])
-    diag = np.block([[model.t0.matrix, zero], [zero, model.t1.matrix]])
+    eye = np.eye(model.size, dtype=complex)
+    w = block_matrix(eye, -model.x, None, eye)
+    w_inv = block_matrix(eye, model.x, None, eye)
+    diag = block_matrix(model.t0.matrix, None, None, model.t1.matrix)
     residual = frobenius(w @ model.t - diag @ w)
     return SimilaritySplit(w=w, w_inv=w_inv, diagonal=diag, residual=residual)
 
 
-def apply_mobius(a_mat: np.ndarray, a: complex, phase: float = 0.0,
+def apply_mobius(a_mat: np.ndarray, a, phase=0.0,
                  cond_cap: float = RESOLVENT_COND_CAP) -> np.ndarray:
     """Disk automorphism in functional-calculus form:
 
         phi(A) = e^{i phase} (a I - A) D^{-1},   D = I - conj(a) A,   |a| < 1.
 
+    `a_mat` is one matrix or an (m, n, n) stack, and `a` and `phase` are
+    scalars or (m,) arrays; they broadcast, so one matrix under m maps, or
+    m matrices under one map each, go through one batched call.  Each image
+    equals the one a single call makes.
+
     D^{-1} and kappa_1(D) come from one LU (`guarded_inverse`).  Fails loudly
-    with a SingularResolventError, carrying n kappa_1 (inf when D is
-    singular) as its condition estimate, when n kappa_1 exceeds `cond_cap`
-    instead of returning an untrustworthy matrix.  Because kappa_2 <=
-    n kappa_1, every resolvent with a 2-norm condition number above the cap
-    is refused.
+    with a SingularResolventError, naming the first refused map's index and
+    carrying n kappa_1 (inf when D is singular) as its condition estimate,
+    when n kappa_1 exceeds `cond_cap` instead of returning an untrustworthy
+    matrix.  Because kappa_2 <= n kappa_1, every resolvent with a 2-norm
+    condition number above the cap is refused.
     """
-    a_mat = _as_square(a_mat, "A")
-    a = complex(a)
-    if abs(a) >= 1.0:
+    a_mat = np.asarray(a_mat, dtype=complex)
+    a = np.asarray(a, dtype=complex)
+    phase = np.asarray(phase, dtype=float)
+    if a_mat.ndim not in (2, 3) or a_mat.shape[-1] != a_mat.shape[-2]:
+        raise InvalidArgumentError(
+            f"A must be a square matrix or a stack of them, got shape {a_mat.shape}")
+    if a.ndim > 1 or phase.ndim > 1:
+        raise InvalidArgumentError("mobius a and phase must be scalars or 1-d arrays")
+    try:
+        lead = np.broadcast_shapes(a_mat.shape[:-2], a.shape, phase.shape)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{a_mat.shape[:-2]} matrices, {a.shape} parameters and "
+            f"{phase.shape} phases do not broadcast") from None
+    if np.any(np.abs(a) >= 1.0):
         raise InvalidArgumentError("mobius parameter must satisfy |a| < 1")
-    n = a_mat.shape[0]
+    n = a_mat.shape[-1]
+    a_col = a[..., None, None]
     eye = np.eye(n, dtype=complex)
-    denom_inv, kappa = guarded_inverse(eye - np.conj(a) * a_mat, cond_cap)
+    denom_inv, kappa = guarded_inverse(eye - np.conj(a_col) * a_mat, cond_cap)
     if denom_inv is None:
+        # kappa has the stack's shape `lead`; name the first refused map
+        kappa = np.asarray(kappa)
+        index = int(np.argmax(n * kappa > cond_cap))
+        kappa = float(kappa.flat[index])
+        value = complex(np.broadcast_to(a, lead).flat[index])
+        which = f" of map {index}" if lead else ""
         raise SingularResolventError(
-            f"resolvent I - conj(a) A has 1-norm condition number {kappa:.3e}; "
-            f"n * kappa_1 = {n * kappa:.3e} exceeds the cap {cond_cap:.1e}",
+            f"resolvent I - conj(a) A{which} (a = {value:.6g}) has 1-norm "
+            f"condition number {kappa:.3e}; n * kappa_1 = {n * kappa:.3e} "
+            f"exceeds the cap {cond_cap:.1e}",
             condition_estimate=n * kappa)
-    result = (a * eye - a_mat) @ denom_inv
-    result *= np.exp(1j * float(phase))
+    result = (a_col * eye - a_mat) @ denom_inv
+    result *= np.exp(1j * phase)[..., None, None]
     return ensure_finite(result, "mobius image")
 
 

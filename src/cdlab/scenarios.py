@@ -29,14 +29,14 @@ from .errors import CdlabError, SchemaError
 from .geometry import (DiskGrid, covariant_derivative, curvature,
                        curvature_isometry_check, eigenframe, gram_metric,
                        kernel_frame, polar_grid)
-from .homogeneity import (MobiusMap, WitnessEntry,
+from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                           homogeneity_condition_check,
                           mobius_block_identity_check, mobius_sample_set,
                           thm45_condition_check)
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                       kernel_from_spec, required_truncation, separator_kernel)
-from .operators import (ModelOperator, UpperTriangularModel, apply_mobius,
-                        assemble_model, fb2_membership, frobenius,
+from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
+                        block_matrix, fb2_membership, frobenius,
                         random_operator, random_unitary, shift_from_kernel,
                         similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
@@ -50,6 +50,10 @@ from .serialize import (load_matrix, matrix_from_json, write_curvature_csv,
 SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
                            "checks", "outputs"})
 CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
+# Parameters that, left empty, would let a check pass without testing
+# anything: a trial count must be positive and a map list nonempty.
+COUNT_PARAMS = {"frame": ("trials",), "mobius-block": ("trials", "maps"),
+                "similarity-split": ("trials",), "homogeneity": ("maps",)}
 
 
 def _reject_unknown_keys(raw: dict, allowed: frozenset, where: str):
@@ -57,6 +61,26 @@ def _reject_unknown_keys(raw: dict, allowed: frozenset, where: str):
     if unknown:
         raise SchemaError(f"{where}: unknown key {unknown[0]!r}; allowed keys are "
                           f"{', '.join(sorted(allowed))}")
+
+
+def _reject_empty_counts(check: dict, where: str):
+    params = check.get("params", {})
+    for key in COUNT_PARAMS.get(check["check"], ()):
+        if key not in params:
+            continue
+        value = params[key]
+        if key == "trials":
+            try:
+                empty = int(value) < 1
+            except (TypeError, ValueError, OverflowError):
+                raise SchemaError(f"{where}: 'trials' must be an integer, "
+                                  f"got {value!r}") from None
+            if empty:
+                raise SchemaError(f"{where}: 'trials' must be at least 1, "
+                                  f"got {value!r}")
+        elif value != "default12" and (not isinstance(value, list) or not value):
+            raise SchemaError(f"{where}: 'maps' must be \"default12\" or a "
+                              f"nonempty list, got {value!r}")
 
 
 @dataclass
@@ -124,6 +148,7 @@ class Scenario:
             if kind not in REGISTRY:
                 raise SchemaError(
                     f"{where}: unknown check {kind!r}; see `cdlab list`")
+            _reject_empty_counts(check, f"{where} ({kind})")
             if "tol" in check:
                 try:
                     tol = float(check["tol"])
@@ -394,10 +419,8 @@ def _check_corollary_theta(ctx: ScenarioContext, params: dict, tol: float
         err = abs((theta - theta0 + math.pi) % (2.0 * math.pi) - math.pi)
         report.add("theta-recovery", err, tol)
     model = assemble_model(t0, t1, np.eye(t0.size, dtype=complex))
-    partner_coupling = y @ t0.matrix - t1.matrix @ y
-    n = t0.size
-    partner_t = np.block([[t1.matrix, partner_coupling],
-                          [np.zeros((n, n), dtype=complex), t0.matrix]])
+    partner_t = block_matrix(t1.matrix, y @ t0.matrix - t1.matrix @ y,
+                             None, t0.matrix)
     report.add("unitary-intertwine",
                frobenius(unitary.matrix @ model.t - partner_t @ unitary.matrix),
                tol)
@@ -550,14 +573,12 @@ def _check_mobius_block(ctx: ScenarioContext, params: dict, tol: float
         else:
             model = _random_model(size, seed + 3 * trial, block_norm)
         t_norm = frobenius(model.t)
-        for mob in maps:
-            result = mobius_block_identity_check(model, mob)
-            worst_block = max(worst_block, result.residual / t_norm)
-            worst_power = max(worst_power, max(result.power_residuals.values()))
-            twice = apply_mobius(apply_mobius(model.t, mob.a, mob.phase),
-                                 mob.a, mob.phase)
-            worst_involution = max(worst_involution,
-                                   frobenius(twice - model.t) / t_norm)
+        result = mobius_block_identity_check(model, maps)
+        worst_block = max(worst_block, result.residual / t_norm)
+        worst_power = max(worst_power, max(result.power_residuals.values()))
+        twice = apply_maps(maps, result.images)
+        worst_involution = max(worst_involution, max(
+            frobenius(m - model.t) for m in twice) / t_norm)
     report.add("block-identity", worst_block, tol,
                detail=f"{trials} trials x {len(maps)} maps, relative to ||T||")
     report.add("involution", worst_involution, involution_tol)

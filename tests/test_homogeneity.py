@@ -5,7 +5,7 @@ import pytest
 
 from cdlab.equivalence import BlockUnitary
 from cdlab.errors import InvalidArgumentError, NumericError
-from cdlab.homogeneity import (MobiusMap, WitnessEntry,
+from cdlab.homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                                homogeneity_condition_check,
                                mobius_block_identity_check, mobius_sample_set,
                                thm45_condition_check)
@@ -90,12 +90,67 @@ class TestBlockIdentity:
             for n in (2, 3, 5)}
         assert result.power_residuals == reference
 
+    def test_single_map_result_is_a_stack_of_one(self):
+        model = _random_model(seed=5)
+        mob = MobiusMap(a=0.3 + 0.2j, phase=0.4)
+        result = mobius_block_identity_check(model, mob)
+        assert result.residuals == [result.residual]
+        assert result.images.shape == (1, 12, 12)
+        np.testing.assert_array_equal(result.images[0], mob.of(model.t))
+        listed = mobius_block_identity_check(model, [mob])
+        assert listed.residuals == result.residuals
+        assert listed.power_residuals == result.power_residuals
+
+    def test_no_maps_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            mobius_block_identity_check(_random_model(), [])
+
     def test_involution_on_assembled_matrix(self):
         model = _random_model(seed=21)
         for mob in mobius_sample_set():
             twice = apply_mobius(apply_mobius(model.t, mob.a, mob.phase),
                                  mob.a, mob.phase)
             assert frobenius(twice - model.t) <= 1e-9
+
+
+class TestStackedSweep:
+    """The sweep over many maps against a per-map reference built from
+    np.linalg.matrix_power and single apply_mobius calls."""
+
+    MAPS = mobius_sample_set() + [MobiusMap(a=0.3 - 0.2j, phase=1.3),
+                                  MobiusMap(a=-0.6j, phase=5.9)]
+
+    @pytest.mark.parametrize("size,seed", [(6, 0), (6, 40), (9, 7), (120, 3)])
+    def test_sweep_matches_per_map_reference(self, size, seed):
+        model = _random_model(size=size, seed=seed)
+        t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
+        result = mobius_block_identity_check(model, self.MAPS)
+
+        images = [apply_mobius(model.t, m.a, m.phase) for m in self.MAPS]
+        residuals = [frobenius(image - assemble_model(
+            apply_mobius(t0, m.a, m.phase), apply_mobius(t1, m.a, m.phase), x).t)
+            for image, m in zip(images, self.MAPS)]
+        power = np.linalg.matrix_power
+        power_residuals = {
+            n: frobenius(power(model.t, n)
+                         - assemble_model(power(t0, n), power(t1, n), x).t)
+            for n in (2, 3, 5)}
+
+        np.testing.assert_array_equal(result.images, np.stack(images))
+        assert result.residuals == residuals
+        assert result.residual == max(residuals)
+        assert result.power_residuals == power_residuals
+
+    def test_involution_of_the_image_stack(self):
+        model = _random_model(seed=21)
+        result = mobius_block_identity_check(model, self.MAPS)
+        twice = apply_maps(self.MAPS, result.images)
+        for back, mob in zip(twice, self.MAPS):
+            np.testing.assert_array_equal(
+                back, apply_mobius(apply_mobius(model.t, mob.a, mob.phase),
+                                   mob.a, mob.phase))
+            if mob.phase == 0.0:  # only then is phi its own inverse
+                assert frobenius(back - model.t) <= 1e-9
 
 
 class TestHomogeneityWitness:
@@ -131,6 +186,27 @@ class TestHomogeneityWitness:
         witness = [WitnessEntry(mobius=other, u0=perm, u1=perm)]
         report = homogeneity_condition_check(model, witness, tol=1e-10)
         assert not report.condition("map0-conjugate-t0").passed
+
+    def test_many_witness_maps_match_a_per_map_reference(self):
+        mob, model, perm = self._setup()
+        maps = [mob, MobiusMap(a=0.5), MobiusMap(a=0.4, phase=0.7)]
+        witness = [WitnessEntry(mobius=m, u0=perm, u1=perm) for m in maps]
+        report = homogeneity_condition_check(model, witness, tol=1e-10)
+        zero = np.zeros((6, 6))
+        u_full = np.block([[perm, zero], [zero, perm]])
+        for idx, m in enumerate(maps):
+            t0 = model.t0.matrix
+            assert report.condition(f"map{idx}-conjugate-t0").residual == \
+                frobenius(perm @ t0 @ perm.conj().T - m.of(t0))
+            assert report.condition(f"map{idx}-assembled").residual == \
+                frobenius(u_full @ model.t - m.of(model.t) @ u_full)
+        assert report.condition("map0-assembled").passed
+        assert not report.condition("map1-assembled").passed
+
+    def test_no_witness_rejected(self):
+        _, model, _ = self._setup()
+        with pytest.raises(InvalidArgumentError):
+            homogeneity_condition_check(model, [], tol=1e-10)
 
     def test_non_unitary_witness_rejected(self):
         mob, _, perm = self._setup()

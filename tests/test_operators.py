@@ -7,10 +7,10 @@ from cdlab.errors import InvalidArgumentError, SingularResolventError
 from cdlab.kernels import bergman_kernel, section_vector
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              ModelOperator, apply_mobius, assemble_model,
-                             fb2_membership, frobenius, guarded_inverse,
-                             random_operator, random_unitary,
+                             block_matrix, fb2_membership, frobenius,
+                             guarded_inverse, random_operator, random_unitary,
                              shift_from_kernel, similarity_split,
-                             sylvester_kernel)
+                             sylvester_kernel, triangular_matrix)
 
 from oracles import sylvester_nullity_exact
 
@@ -75,6 +75,42 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble_model(ModelOperator(np.eye(3)), ModelOperator(np.eye(4)),
                            np.eye(3))
+
+
+class TestBlockMatrix:
+    def test_equals_np_block(self):
+        a, b, c, d = (_rand(3, seed) for seed in range(4))
+        np.testing.assert_array_equal(block_matrix(a, b, c, d),
+                                      np.block([[a, b], [c, d]]))
+
+    def test_none_is_a_zero_block_of_the_common_dtype(self):
+        a, d = np.eye(2), 2.0 * np.eye(2)
+        out = block_matrix(a, None, None, d)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
+        assert block_matrix(a, None, None, 1j * d).dtype == complex
+
+    def test_stacks_broadcast_against_single_blocks(self):
+        stack = np.stack([_rand(3, seed) for seed in range(4)])
+        x = _rand(3, 9)
+        out = block_matrix(stack, x, None, stack)
+        assert out.shape == (4, 6, 6)
+        for k in range(4):
+            np.testing.assert_array_equal(
+                out[k], np.block([[stack[k], x], [np.zeros((3, 3)), stack[k]]]))
+
+    def test_triangular_matrix_of_a_stack_equals_assemble_model(self):
+        t0s = np.stack([_rand(4, seed) for seed in range(3)])
+        t1s = np.stack([_rand(4, seed) for seed in range(3, 6)])
+        x = _rand(4, 7)
+        stacked = triangular_matrix(t0s, t1s, x)
+        for k in range(3):
+            np.testing.assert_array_equal(
+                stacked[k], assemble_model(t0s[k], t1s[k], x).t)
+
+    def test_unequal_blocks_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            block_matrix(np.eye(2), np.ones((2, 3)), None, np.eye(2))
 
 
 class TestFb2Membership:
@@ -310,6 +346,62 @@ class TestMobius:
         assert np.all(np.isfinite(out.real))
 
 
+class TestStackedMobius:
+    PARAMS = [(0.2, 0.0), (0.5j, 0.0), (-0.7, 0.0), (0.3 - 0.45j, 1.3),
+              (0.6 * np.exp(2.0j), 5.9)]
+
+    @pytest.mark.parametrize("size", [6, 120])
+    def test_one_matrix_many_maps_equals_a_loop(self, size):
+        a_mat = _rand(size, size, norm=0.5)
+        a, phase = (np.array(v) for v in zip(*self.PARAMS))
+        stacked = apply_mobius(a_mat, a, phase)
+        assert stacked.shape == (len(self.PARAMS), size, size)
+        for image, (ak, pk) in zip(stacked, self.PARAMS):
+            np.testing.assert_array_equal(image, apply_mobius(a_mat, ak, pk))
+
+    @pytest.mark.parametrize("size", [6, 120])
+    def test_stack_of_matrices_equals_a_loop(self, size):
+        # phi(phi(A)) with one image per map, as the involution check takes it
+        a_mat = _rand(size, size + 1, norm=0.5)
+        a, phase = (np.array(v) for v in zip(*self.PARAMS))
+        twice = apply_mobius(apply_mobius(a_mat, a, phase), a, phase)
+        for image, (ak, pk) in zip(twice, self.PARAMS):
+            once = apply_mobius(a_mat, ak, pk)
+            np.testing.assert_array_equal(image, apply_mobius(once, ak, pk))
+
+    def test_scalar_parameter_maps_every_matrix_of_a_stack(self):
+        stack = np.stack([_rand(5, seed, norm=0.5) for seed in range(3)])
+        out = apply_mobius(stack, 0.4j, 0.3)
+        for image, mat in zip(out, stack):
+            np.testing.assert_array_equal(image, apply_mobius(mat, 0.4j, 0.3))
+
+    def test_singular_map_in_a_stack_is_named(self):
+        mat = np.diag([2.0, 0.1])  # 1 - 0.5*2 = 0 exactly
+        with pytest.raises(SingularResolventError,
+                           match=r"of map 2 \(a = 0\.5\+0j\)") as err:
+            apply_mobius(mat, [0.1, 0.2j, 0.5, 0.3])
+        assert err.value.condition_estimate == np.inf
+        message = str(err.value)
+        assert "1-norm condition number inf" in message
+        assert f"the cap {RESOLVENT_COND_CAP:.1e}" in message
+
+    def test_ill_conditioned_map_in_a_stack_is_named(self):
+        rng = np.random.default_rng(3)
+        a_mat = _resolvent_operand(5, 1e13, 0.5, rng)
+        with pytest.raises(SingularResolventError, match="of map 1 ") as err:
+            apply_mobius(a_mat, [0.01, 0.5])
+        with pytest.raises(SingularResolventError) as one:
+            apply_mobius(a_mat, 0.5)
+        assert err.value.condition_estimate == one.value.condition_estimate
+        assert "of map" not in str(one.value)
+
+    def test_mismatched_stack_lengths_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="do not broadcast"):
+            apply_mobius(np.zeros((3, 2, 2)), [0.1, 0.2])
+        with pytest.raises(InvalidArgumentError):
+            apply_mobius(np.zeros((2, 2)), [0.1, 1.0])
+
+
 def _mobius_by_solve(a_mat, a, phase=0.0):
     """phi(A) by right division with one linear solve, no inverse formed."""
     eye = np.eye(a_mat.shape[0], dtype=complex)
@@ -393,6 +485,27 @@ class TestGuardedInverse:
                                      np.array([[1.0, np.nan], [0.0, 1.0]])])
     def test_singular_or_nonfinite(self, mat):
         assert guarded_inverse(mat, 1e12) == (None, np.inf)
+
+
+class TestStackedGuardedInverse:
+    def test_stack_equals_one_matrix_at_a_time(self):
+        stack = np.stack([_rand(6, seed) + 3.0 * np.eye(6) for seed in range(4)])
+        inv, kappa = guarded_inverse(stack, 1e12)
+        assert kappa.shape == (4,)
+        for k, mat in enumerate(stack):
+            one_inv, one_kappa = guarded_inverse(mat, 1e12)
+            np.testing.assert_array_equal(inv[k], one_inv)
+            assert kappa[k] == one_kappa
+
+    def test_one_refused_matrix_refuses_the_stack(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-3]), np.zeros((3, 3))])
+        inv, kappa = guarded_inverse(stack, 1e12)
+        assert inv is None
+        assert kappa[0] == 1.0 and kappa[1] == pytest.approx(1e3)
+        assert kappa[2] == np.inf
+        inv, kappa = guarded_inverse(stack[:2], 2.9e3)
+        assert inv is None and kappa[1] == pytest.approx(1e3)
+        assert guarded_inverse(stack[:2], 3.1e3)[0] is not None
 
 
 class TestRandomOperators:

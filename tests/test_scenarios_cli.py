@@ -85,12 +85,16 @@ class TestDeterminism:
         assert json.dumps(first, sort_keys=True) == json.dumps(second,
                                                                sort_keys=True)
 
-    def test_threaded_run_matches_serial(self, monkeypatch):
-        path = bundled_scenario_dir() / "corollary-theta.json"
-        serial = _body(run_scenario(path, threads=1).to_dict())
-        monkeypatch.setenv("CDLAB_THREADS", "4")
-        threaded = _body(run_scenario(path).to_dict())
-        assert serial == threaded
+    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
+        # bergman-curvature writes its field CSV into the working directory
+        monkeypatch.chdir(tmp_path)
+        assert len(BUNDLED) == 6
+        for path in BUNDLED:
+            monkeypatch.delenv("CDLAB_THREADS", raising=False)
+            serial = _body(run_scenario(path, threads=1).to_dict())
+            monkeypatch.setenv("CDLAB_THREADS", "4")
+            threaded = _body(run_scenario(path).to_dict())
+            assert serial == threaded, path.stem
 
     def test_environment_stamp_outside_the_body(self, monkeypatch):
         path = bundled_scenario_dir() / "corollary-theta.json"
@@ -183,6 +187,47 @@ class TestScenarioSchema:
         assert not result.outcomes[0].passed
         assert result.outcomes[0].error is not None
         assert result.outcomes[1].passed
+
+    @pytest.mark.parametrize("check,params,key", [
+        ("frame", {"t0_kernel": "b1", "t1_kernel": "b2", "trials": 0}, "trials"),
+        ("mobius-block", {"trials": 0}, "trials"),
+        ("mobius-block", {"trials": -2}, "trials"),
+        ("mobius-block", {"maps": []}, "maps"),
+        ("similarity-split", {"trials": 0, "size": 4}, "trials"),
+        ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Xn", "x": "Xn"},
+                         "maps": [], "witness": []}, "maps"),
+    ], ids=["frame-trials", "mobius-trials", "mobius-negative-trials",
+            "mobius-maps", "split-trials", "homogeneity-maps"])
+    def test_empty_counts_rejected(self, check, params, key):
+        # these would otherwise pass with residual 0 without testing anything
+        raw = _tiny_scenario(seed=3)
+        raw["checks"].append({"check": check, "params": params})
+        with pytest.raises(SchemaError,
+                           match=rf"checks\[1\] \({check}\): '{key}' must"):
+            run_scenario(Scenario.from_dict(raw))
+
+    def test_singular_resolvent_fails_only_that_check(self):
+        raw = _tiny_scenario(operators={
+            "two": {"scalar": {"size": 3, "value": 2.0}},
+            "x": {"identity": {"size": 3}}})
+        model = {"t0_op": "two", "t1_op": "x", "x": "x"}
+        raw["checks"] = [
+            {"check": "similarity-split", "tol": 1e-12,
+             "params": {"model": model}},
+            # 1 - conj(a) 2 vanishes at a = 0.5: the third map is singular
+            {"check": "mobius-block", "id": "singular",
+             "params": {"model": model,
+                        "maps": [{"a": 0.1}, {"a": [0.0, 0.3]}, {"a": 0.5}]}},
+            {"check": "fb2-membership",
+             "params": {**model, "expect": "nonmember"}},
+        ]
+        result = run_scenario(Scenario.from_dict(raw))
+        first, singular, last = result.outcomes
+        assert singular.report is None
+        assert singular.error.startswith("SingularResolventError: ")
+        assert "of map 2 (a = 0.5+0j)" in singular.error
+        assert first.passed and last.passed
+        assert not result.overall
 
     def test_bad_check_grid_fails_only_that_check(self):
         raw = _tiny_scenario()
