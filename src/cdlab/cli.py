@@ -2,7 +2,7 @@
 
     cdlab run <scenario.json>          run a whole verification campaign
     cdlab verify <check> <scenario>    run only one kind of check
-    cdlab list                         registered checks
+    cdlab list                         registered checks and their parameters
     cdlab curvature --kernel bergman:2 --rmax 0.6 --out field.csv
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or schema
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CdlabError, SchemaError
 from .geometry import covariant_derivative, curvature, gram_metric, kernel_frame, polar_grid
 from .kernels import bergman_kernel
-from .scenarios import list_checks, run_scenario
+from .scenarios import list_checks, parameter_docs, run_scenario
 from .serialize import curvature_field_to_json, write_curvature_csv
 
 EXIT_PASS = 0
@@ -60,6 +60,8 @@ def _cmd_list(_args) -> int:
     for check in list_checks():
         print(f"{check.name:20s} {check.description}")
         print(f"{'':20s}   [{check.anchor}]")
+        for name, doc in parameter_docs(check.runner):
+            print(f"{'':20s}   {name:22s} {doc}")
     return EXIT_PASS
 
 

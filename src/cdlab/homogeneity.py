@@ -41,6 +41,10 @@ class MobiusMap:
     def of(self, mat: np.ndarray) -> np.ndarray:
         return apply_mobius(mat, self.a, self.phase)
 
+    def inverse(self) -> "MobiusMap":
+        """phi^{-1}: parameter a e^{i phase} and phase -phase."""
+        return MobiusMap(a=self.a * np.exp(1j * self.phase), phase=-self.phase)
+
 
 def mobius_sample_set() -> list[MobiusMap]:
     """Deterministic 12-map sample: |a| in {0.2, 0.5, 0.7} x 4 angles, phase 0."""

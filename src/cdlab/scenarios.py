@@ -5,18 +5,26 @@ of checks with tolerances.  Checks run in listed order (optionally on a
 thread pool capped by CDLAB_THREADS); any exception inside one check marks
 it failed and the campaign continues.  Identical scenario + seed gives
 identical report bodies, timing aside.
+
+A check's runner declares the check's parameters, once, as its keyword-only
+arguments (see `Ref`).  `_read_params` reads a check's params against them at
+load, where a bad key, value or name is a SchemaError, and again inside the
+check, where it builds what they name.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import inspect
 import json
 import math
 import os
 import platform
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,42 +53,112 @@ from .serialize import (load_matrix, matrix_from_json, write_curvature_csv,
 
 
 # ---------------------------------------------------------------------------
-# scenario context
+# parameter schemas
 
 SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
                            "checks", "outputs"})
 CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
-# Parameters that, left empty, would let a check pass without testing
-# anything: a trial count must be positive and a map list nonempty.
-COUNT_PARAMS = {"frame": ("trials",), "mobius-block": ("trials", "maps"),
-                "similarity-split": ("trials",), "homogeneity": ("maps",)}
+REQUIRED = inspect.Parameter.empty
+KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number"}
 
 
-def _reject_unknown_keys(raw: dict, allowed: frozenset, where: str):
-    unknown = sorted(set(raw) - allowed)
+class Ref(NamedTuple):
+    """A parameter's kind and its value when absent (a plain default gives
+    both).  The kind is a type to cast to, a `ScenarioContext` method, a dict
+    of choices to the parameters each needs, `[kind]` for a nonempty list, or
+    a function whose keyword-only parameters are an object's keys."""
+
+    kind: object
+    default: object = REQUIRED
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"[{_kind_name(kind[0])}]"
+    if isinstance(kind, dict):
+        return " | ".join(kind)
+    return kind if isinstance(kind, str) else kind.__name__.strip("_")
+
+
+def _reject_unknown_keys(raw: dict, allowed, where: str):
+    unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise SchemaError(f"{where}: unknown key {unknown[0]!r}; allowed keys are "
                           f"{', '.join(sorted(allowed))}")
 
 
-def _reject_empty_counts(check: dict, where: str):
-    params = check.get("params", {})
-    for key in COUNT_PARAMS.get(check["check"], ()):
-        if key not in params:
-            continue
-        value = params[key]
-        if key == "trials":
-            try:
-                empty = int(value) < 1
-            except (TypeError, ValueError, OverflowError):
-                raise SchemaError(f"{where}: 'trials' must be an integer, "
-                                  f"got {value!r}") from None
-            if empty:
-                raise SchemaError(f"{where}: 'trials' must be at least 1, "
-                                  f"got {value!r}")
-        elif value != "default12" and (not isinstance(value, list) or not value):
-            raise SchemaError(f"{where}: 'maps' must be \"default12\" or a "
-                              f"nonempty list, got {value!r}")
+def _cast(kind: type, value, where: str):
+    try:
+        return _as_complex(value) if kind is complex else kind(value)
+    except (TypeError, ValueError, OverflowError, IndexError):
+        raise SchemaError(f"{where} must be {KIND_NAMES.get(kind, kind.__name__)}, "
+                          f"got {value!r}") from None
+
+
+def _schema(runner) -> dict[str, Ref]:
+    """`runner`'s keyword-only parameters; `**blocks` stands for `_model`'s."""
+    schema = {}
+    for name, p in inspect.signature(runner).parameters.items():
+        if p.kind is p.VAR_KEYWORD:
+            schema.update(_schema(_model))
+        elif p.kind is p.KEYWORD_ONLY:
+            schema[name] = p.default if isinstance(p.default, Ref) \
+                else Ref(type(p.default), p.default)
+    return schema
+
+
+def _read_params(ctx: "ScenarioContext", runner, raw, where: str) -> dict:
+    """The keyword arguments `runner` declares, read from raw params."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{where} must be an object, got {raw!r}")
+    schema = _schema(runner)
+    _reject_unknown_keys(raw, schema, where)
+    kwargs = {}
+    for name, ref in schema.items():
+        value = raw.get(name, ref.default)
+        if value is REQUIRED or (value is None and ref.default is not None):
+            raise SchemaError(f"{where}: missing or null parameter '{name}'")
+        kwargs[name] = None if value is None and not isinstance(ref.kind, str) \
+            else ctx.read(ref.kind, value, f"{where}: '{name}'")
+        for needed in ref.kind[value] if isinstance(ref.kind, dict) else ():
+            if kwargs[needed] is None:  # declared before the choice
+                raise SchemaError(f"{where}: '{name}' {value!r} needs '{needed}'")
+    return kwargs
+
+
+def parameter_docs(runner) -> list[tuple[str, str]]:
+    """(name, "kind = default") of each parameter `runner` declares."""
+    return [(name, _kind_name(ref.kind) + (
+        "" if ref.default is REQUIRED else
+        ", optional" if ref.default is None else f" = {ref.default!r}"))
+        for name, ref in _schema(runner).items()]
+
+
+def _model(*, t0_kernel=Ref("shift", None), t1_kernel=Ref("shift", None),
+           t0_op=Ref("operator", None), t1_op=Ref("operator", None),
+           x=Ref("operator", None)) -> UpperTriangularModel:
+    """The coupled model of T0 and T1, each a kernel's shift or an operator,
+    and X (zero when absent)."""
+    t0, t1 = t0_kernel, t1_kernel
+    if t0 is None and t0_op is not None and t1_op is not None:
+        t0, t1 = ModelOperator(t0_op), ModelOperator(t1_op)
+    if t0 is None or t1 is None:
+        raise SchemaError("a model needs t0_kernel and t1_kernel, or t0_op and t1_op")
+    return assemble_model(t0, t1, np.zeros((t0.size, t0.size), dtype=complex)
+                          if x is None else x)
+
+
+def _mobius(*, a=Ref(complex), phase=0.0) -> MobiusMap:
+    return MobiusMap(a=a, phase=phase)
+
+
+def _sylvester_case(*, a=Ref("operator"), b=Ref("operator"),
+                    expected_dim=Ref(int)) -> tuple:
+    return a, b, expected_dim
+
+
+# ---------------------------------------------------------------------------
+# scenario context
 
 
 @dataclass
@@ -120,7 +198,7 @@ class Scenario:
         seed = raw.get("seed")
         scenario = cls(
             name=name,
-            seed=None if seed is None else int(seed),
+            seed=None if seed is None else _cast(int, seed, f"{origin}: 'seed'"),
             kernel_specs=raw.get("kernels", {}),
             operator_specs=raw.get("operators", {}),
             grid_spec=raw.get("grid", {}),
@@ -137,6 +215,7 @@ class Scenario:
                            ("outputs", self.outputs)):
             if not isinstance(value, dict):
                 raise SchemaError(f"{origin}: '{key}' must be an object")
+        names = ScenarioContext(self, build=False)
         for idx, check in enumerate(self.checks):
             where = f"{origin}: checks[{idx}]"
             if not isinstance(check, dict):
@@ -148,20 +227,11 @@ class Scenario:
             if kind not in REGISTRY:
                 raise SchemaError(
                     f"{where}: unknown check {kind!r}; see `cdlab list`")
-            _reject_empty_counts(check, f"{where} ({kind})")
-            if "tol" in check:
-                try:
-                    tol = float(check["tol"])
-                except (TypeError, ValueError):
-                    raise SchemaError(
-                        f"{where}: tol must be a number, got {check['tol']!r}") from None
-                if tol < 0:
-                    raise SchemaError(f"{where}: tol must be nonnegative")
-        try:
-            self.grid = _grid_from_spec(self.grid_spec)
-        except (CdlabError, TypeError, ValueError, AttributeError) as exc:
-            raise SchemaError(
-                f"{origin}: grid: {type(exc).__name__}: {exc}") from None
+            _read_params(names, REGISTRY[kind].runner, check.get("params", {}),
+                         f"{where} ({kind})")
+            if _cast(float, check.get("tol", 0.0), f"{where}: tol") < 0:
+                raise SchemaError(f"{where}: tol must be nonnegative")
+        self.grid = _grid_from_spec(self.grid_spec, f"{origin}: grid")
         for name, spec in self.operator_specs.items():
             if not isinstance(spec, dict):
                 raise SchemaError(f"{origin}: operators[{name}] must be an object")
@@ -174,53 +244,79 @@ class Scenario:
 
 
 class ScenarioContext:
-    """Resolves named kernels, operators and the grid, with caching."""
+    """Each string kind of `Ref` is a method of (raw value or None, where).
+    Without `build` (at load) names and values are only checked; with it
+    what they name is built too, afresh for every check."""
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, build: bool = True):
         self.scenario = scenario
-        self._kernels: dict[str, DiagonalKernel] = {}
-        self._operators: dict[str, np.ndarray] = {}
-        self._shifts: dict[str, ModelOperator] = {}
+        self.build = build
 
-    def kernel(self, name: str) -> DiagonalKernel:
-        if name not in self._kernels:
-            try:
-                spec = self.scenario.kernel_specs[name]
-            except KeyError:
-                raise SchemaError(f"kernel {name!r} is not defined") from None
-            self._kernels[name] = kernel_from_spec(spec)
-        return self._kernels[name]
+    def read(self, kind, value, where: str):
+        """`value` read as a `Ref` of `kind`."""
+        if isinstance(kind, str):
+            return getattr(self, kind)(value, where)
+        if isinstance(kind, list):
+            if not isinstance(value, list) or not value:
+                raise SchemaError(f"{where} must be a nonempty list, got {value!r}")
+            return [self.read(kind[0], item, f"{where}[{i}]")
+                    for i, item in enumerate(value)]
+        if isinstance(kind, dict):
+            if not isinstance(value, str) or value not in kind:
+                raise SchemaError(f"{where} must be one of {', '.join(kind)}, "
+                                  f"got {value!r}")
+            return value
+        if isinstance(kind, type):
+            return _cast(kind, value, where)
+        params = _read_params(self, kind, value, where)
+        return kind(**params) if self.build else params
 
-    def kernel_spec(self, name: str) -> dict:
-        return self.scenario.kernel_specs.get(name, {})
+    def _builds(self, specs: dict, kind: str, name, where: str) -> bool:
+        if name is not None and (not isinstance(name, str) or name not in specs):
+            raise SchemaError(f"{where}: {kind} {name!r} is not defined")
+        return self.build and name is not None
 
-    def shift(self, kernel_name: str) -> ModelOperator:
-        if kernel_name not in self._shifts:
-            self._shifts[kernel_name] = shift_from_kernel(self.kernel(kernel_name))
-        return self._shifts[kernel_name]
+    def kernel(self, name, where: str) -> DiagonalKernel | None:
+        specs = self.scenario.kernel_specs
+        return kernel_from_spec(specs[name]) \
+            if self._builds(specs, "kernel", name, where) else name
 
-    def grid_for(self, params: dict) -> DiskGrid:
-        """Per-check grid override, falling back to the scenario grid."""
-        if "grid" in params:
-            return _grid_from_spec(params["grid"])
-        return self.scenario.grid
+    def kernels(self, names, where: str) -> list:
+        return list(zip(names, self.read(["kernel"], names, where)))
 
-    def operator(self, name: str) -> np.ndarray:
-        if name not in self._operators:
-            try:
-                spec = self.scenario.operator_specs[name]
-            except KeyError:
-                raise SchemaError(f"operator {name!r} is not defined") from None
-            self._operators[name] = self._synthesize(name, spec)
-        return self._operators[name]
+    def shift(self, name, where: str) -> ModelOperator | None:
+        kern = self.kernel(name, where)
+        return shift_from_kernel(kern) if self.build and kern is not None else kern
+
+    def operator(self, name, where: str) -> np.ndarray | None:
+        specs = self.scenario.operator_specs
+        return self._synthesize(name, specs[name]) \
+            if self._builds(specs, "operator", name, where) else name
+
+    def grid(self, spec, where: str) -> DiskGrid:
+        return self.scenario.grid if spec is None else _grid_from_spec(spec, where)
+
+    def seed(self, value, where: str) -> int:
+        return self.scenario.seed or 0 if value is None else _cast(int, value, where)
+
+    def count(self, value, where: str) -> int:
+        count = _cast(int, value, where)
+        if count < 1:
+            raise SchemaError(f"{where} must be at least 1, got {value!r}")
+        return count
+
+    def maps(self, spec, where: str) -> list[MobiusMap]:
+        return mobius_sample_set() if spec == "default12" else \
+            self.read([_mobius], spec, where)
 
     def _synthesize(self, name: str, spec: dict) -> np.ndarray:
+        where = f"operators[{name}]"
         if "file" in spec:
             return load_matrix(self.scenario.base_dir / spec["file"])
         if "matrix" in spec:
             return matrix_from_json(spec["matrix"])
         if "shift_from" in spec:
-            return self.shift(spec["shift_from"]).matrix
+            return self.shift(spec["shift_from"], where).matrix
         if "random" in spec:
             rand = dict(spec["random"])
             seed = rand.get("seed", self.scenario.seed)
@@ -237,9 +333,9 @@ class ScenarioContext:
             values = [_as_complex(v) for v in spec["diagonal"]["values"]]
             return np.diag(np.asarray(values, dtype=complex))
         if "adjoint_of" in spec:
-            return self.operator(spec["adjoint_of"]["source"]).conj().T
+            return self.operator(spec["adjoint_of"]["source"], where).conj().T
         if "poly_of" in spec:
-            base = self.operator(spec["poly_of"]["source"])
+            base = self.operator(spec["poly_of"]["source"], where)
             coeffs = [_as_complex(c) for c in spec["poly_of"]["coeffs"]]
             acc = np.zeros_like(base)
             power = np.eye(base.shape[0], dtype=complex)
@@ -250,7 +346,7 @@ class ScenarioContext:
         if "swap_pairs" in spec:
             size = int(spec["swap_pairs"]["size"])
             if size % 2:
-                raise SchemaError(f"operators[{name}]: swap_pairs needs even size")
+                raise SchemaError(f"{where}: swap_pairs needs even size")
             perm = np.zeros((size, size), dtype=complex)
             for k in range(0, size, 2):
                 perm[k, k + 1] = 1.0
@@ -265,35 +361,22 @@ class ScenarioContext:
                 z = _as_complex(z)
                 entries.extend([z, mob.scalar(z)])
             return np.diag(np.asarray(entries, dtype=complex))
-        raise SchemaError(f"operators[{name}]: unrecognized source {sorted(spec)}")
+        raise SchemaError(f"{where}: unrecognized source {sorted(spec)}")
 
-    def model(self, conf: dict):
-        """Build an UpperTriangularModel from a check-level model description."""
-        if "t0_kernel" in conf:
-            t0 = self.shift(conf["t0_kernel"])
-            t1 = self.shift(conf["t1_kernel"])
+
+def _grid_from_spec(spec: dict, where: str) -> DiskGrid:
+    try:
+        fd_step = float(spec.get("fd_step", 1e-3))
+        if "radii" in spec:
+            radii = np.asarray(spec["radii"], dtype=float)
         else:
-            t0 = ModelOperator(self.operator(conf["t0_op"]), source=conf["t0_op"])
-            t1 = ModelOperator(self.operator(conf["t1_op"]), source=conf["t1_op"])
-        x = self.operator(conf["x"]) if isinstance(conf.get("x"), str) \
-            else np.eye(t0.size, dtype=complex) * _as_complex(conf.get("x_scalar", 0.0))
-        return assemble_model(t0, t1, x)
-
-    def output_path(self, key: str) -> Path | None:
-        path = self.scenario.outputs.get(key)
-        return None if path is None else Path(path)
-
-
-def _grid_from_spec(spec: dict) -> DiskGrid:
-    fd_step = float(spec.get("fd_step", 1e-3))
-    if "radii" in spec:
-        radii = np.asarray(spec["radii"], dtype=float)
-    else:
-        rmax = float(spec.get("rmax", 0.6))
-        n_radii = int(spec.get("n_radii", 6))
-        radii = rmax * np.arange(1, n_radii + 1) / n_radii
-    n_angles = int(spec.get("n_angles", 16))
-    return polar_grid(radii=radii, n_angles=n_angles, fd_step=fd_step)
+            rmax = float(spec.get("rmax", 0.6))
+            n_radii = int(spec.get("n_radii", 6))
+            radii = rmax * np.arange(1, n_radii + 1) / n_radii
+        n_angles = int(spec.get("n_angles", 16))
+        return polar_grid(radii=radii, n_angles=n_angles, fd_step=fd_step)
+    except (CdlabError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"{where}: {type(exc).__name__}: {exc}") from None
 
 
 def _as_complex(value) -> complex:
@@ -302,113 +385,113 @@ def _as_complex(value) -> complex:
     return complex(value)
 
 
-def _maps_from_params(params: dict) -> list[MobiusMap]:
-    spec = params.get("maps", "default12")
-    if spec == "default12":
-        return mobius_sample_set()
-    return [MobiusMap(a=_as_complex(m["a"]), phase=float(m.get("phase", 0.0)))
-            for m in spec]
-
-
 # ---------------------------------------------------------------------------
 # check implementations
 
 
-def _bergman_weight(ctx: ScenarioContext, kernel_name: str) -> int | None:
-    spec = ctx.kernel_spec(kernel_name)
-    if spec.get("preset") == "bergman":
-        return int(spec["n"])
-    return None
+@dataclass(frozen=True)
+class CheckDef:
+    name: str
+    description: str
+    anchor: str
+    runner: object
+    default_tol: float
 
 
-def _check_curvature(ctx: ScenarioContext, params: dict, tol: float
-                     ) -> ConditionReport:
+REGISTRY: dict[str, CheckDef] = {}
+
+
+def _check(name: str, default_tol: float, anchor: str, description: str):
+    """Register the decorated runner as check `name`."""
+    def register(runner):
+        REGISTRY[name] = CheckDef(name, description, anchor, runner, default_tol)
+        return runner
+    return register
+
+
+def _bergman_weight(kern: DiagonalKernel) -> int | None:
+    """n for a kernel the bergman preset built, which labels it bergman(n)."""
+    match = re.fullmatch(r"bergman\((\d+)\)", kern.label)
+    return None if match is None else int(match[1])
+
+
+@_check("curvature", 1e-6, "K(w) = -d/dwbar (h^{-1} dh/dw)",
+        "series curvature against the closed form and the finite-difference "
+        "route for diagonal kernels")
+def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
+                     grid=Ref("grid", None), csv_out="") -> ConditionReport:
     report = ConditionReport(name="curvature")
-    fd_tol = float(params.get("fd_tol", 1e-4))
-    grid = ctx.grid_for(params)
-    export_field = None
-    for name in params.get("kernels", [params.get("kernel")]):
-        kern = ctx.kernel(name)
+    for name, kern in kernels:
         frame = kernel_frame(kern, grid)
         metric = gram_metric(frame)
         series = curvature(metric, grid, method="series")
         fd = curvature(metric, grid, method="fd")
         k_series = np.asarray([m[0, 0] for m in series.values])
         k_fd = np.asarray([m[0, 0] for m in fd.values])
-        weight = _bergman_weight(ctx, name)
+        weight = _bergman_weight(kern)
         if weight is not None:
             closed = -weight / (1.0 - np.abs(grid.points) ** 2) ** 2
             rel = float(np.max(np.abs(k_series - closed) / np.abs(k_series)))
             report.add(f"{name}-series-vs-closed", rel, tol)
         rel_fd = float(np.max(np.abs(k_series - k_fd) / np.abs(k_series)))
         report.add(f"{name}-series-vs-fd", rel_fd, fd_tol)
-        export_field = series
-    csv_out = params.get("csv_out")
-    if csv_out and export_field is not None:
-        write_curvature_csv(csv_out, export_field)
-        report.info["csv_out"] = str(csv_out)
+    if csv_out:
+        write_curvature_csv(csv_out, series)
+        report.info["csv_out"] = csv_out
     return report
 
 
-def _rank2_fields(ctx, conf, derivative_keys, grid):
-    model = ctx.model(conf)
-    frame = eigenframe(model, grid)
-    if "frame_change" in conf:
-        frame = frame.with_constant_change(
-            np.asarray([[_as_complex(v) for v in row]
-                        for row in conf["frame_change"]]))
-    metric = gram_metric(frame)
-    fld = curvature(metric, grid, method="series")
-    for key in derivative_keys:
-        covariant_derivative(fld, metric, *key)
-    return fld
-
-
-def _check_curvature_isometry(ctx: ScenarioContext, params: dict, tol: float
-                              ) -> ConditionReport:
+@_check("curvature-isometry", 1e-8,
+        "V K_{w^i wbar^j} = K'_{w^i wbar^j} V, i = 0, 1",
+        "pointwise 2x2 unitary intertwining the curvature tuple of two rank-2 "
+        "fields")
+def _check_curvature_isometry(
+        tol: float, *, model=Ref(_model), model_b=Ref(_model, None),
+        mode=Ref({"unitary-change": (), "independent": ("model_b",)},
+                 "unitary-change"),
+        change_seed=Ref("seed", None), min_notfound_fraction=0.9,
+        grid=Ref("grid", None)) -> ConditionReport:
     report = ConditionReport(name="curvature-isometry")
-    keys = [(1, 0), (0, 1)]
-    grid = ctx.grid_for(params)
-    field_a = _rank2_fields(ctx, params["model"], keys, grid)
-    mode = params.get("mode", "unitary-change")
+    frame = eigenframe(model, grid)
     if mode == "unitary-change":
-        seed = int(params.get("change_seed", ctx.scenario.seed or 0))
-        g = random_unitary(2, np.random.default_rng(seed))
-        conf_b = dict(params["model"])
-        conf_b["frame_change"] = [[[v.real, v.imag] for v in row] for row in g]
-        field_b = _rank2_fields(ctx, conf_b, keys, grid)
-        results = curvature_isometry_check(field_a, field_b, tol)
+        g = random_unitary(2, np.random.default_rng(change_seed))
+        frame_b = frame.with_constant_change(g)
+    else:
+        frame_b = eigenframe(model_b, grid)
+    fields = []  # series curvature with its first covariant derivatives
+    for fr in (frame, frame_b):
+        metric = gram_metric(fr)
+        fields.append(curvature(metric, grid, method="series"))
+        for i, j in ((1, 0), (0, 1)):
+            covariant_derivative(fields[-1], metric, i, j)
+    results = curvature_isometry_check(*fields, tol)
+    found = sum(1 for r in results if r.found)
+    if mode == "unitary-change":
         worst = max(r.residual for r in results)
-        found = sum(1 for r in results if r.found)
         report.add("all-points-found", worst, tol,
                    detail=f"{found}/{len(results)} points matched")
         report.info["found_points"] = found
-    elif mode == "independent":
-        field_b = _rank2_fields(ctx, params["model_b"], keys, grid)
-        results = curvature_isometry_check(field_a, field_b, tol)
-        found = sum(1 for r in results if r.found)
+    else:
         certified = sum(1 for r in results if r.certified_mismatch)
         frac_found = found / len(results)
-        max_frac = 1.0 - float(params.get("min_notfound_fraction", 0.9))
-        report.add("found-fraction", frac_found, max_frac,
+        report.add("found-fraction", frac_found, 1.0 - min_notfound_fraction,
                    detail=f"{certified}/{len(results)} certified mismatches")
         report.info["certified_mismatches"] = certified
-    else:
-        raise SchemaError(f"curvature-isometry: unknown mode {mode!r}")
     return report
 
 
-def _check_corollary_theta(ctx: ScenarioContext, params: dict, tol: float
-                           ) -> ConditionReport:
+@_check("corollary-theta", 1e-10, "Y T0 - T1 Y = e^{i theta} (T0 - T1)",
+        "recover the scalar phase relating two couplings and verify the "
+        "rotation-block unitary")
+def _check_corollary_theta(tol: float, *, t0_kernel=Ref("shift"),
+                           t1_kernel=Ref("shift"), theta0=Ref(float, None),
+                           y=Ref("operator", None)) -> ConditionReport:
     report = ConditionReport(name="corollary-theta")
-    t0 = ctx.shift(params["t0_kernel"])
-    t1 = ctx.shift(params["t1_kernel"])
-    if "theta0" in params:
-        theta0 = float(params["theta0"])
+    t0, t1 = t0_kernel, t1_kernel
+    if theta0 is not None:
         y = np.exp(1j * theta0) * np.eye(t0.size, dtype=complex)
-    else:
-        theta0 = None
-        y = ctx.operator(params["y"])
+    elif y is None:
+        raise SchemaError("corollary-theta needs 'theta0' or 'y'")
     outcome = theta_intertwiner_check(t0, t1, y, tol)
     if outcome is None:
         report.add("relation-accepted", math.inf, tol,
@@ -428,13 +511,15 @@ def _check_corollary_theta(ctx: ScenarioContext, params: dict, tol: float
     return report
 
 
-def _check_fb2_membership(ctx: ScenarioContext, params: dict, tol: float
-                          ) -> ConditionReport:
+@_check("fb2-membership", 1e-10, "X T1^2 - 2 T0 X T1 + T0^2 X = 0",
+        "vanishing test for the second-order coupling expression")
+def _check_fb2_membership(tol: float, *,
+                          expect=Ref({"member": (), "nonmember": ()}, "member"),
+                          **blocks) -> ConditionReport:
     report = ConditionReport(name="fb2-membership")
-    model = ctx.model(params)
+    model = _model(**blocks)
     member, residual = fb2_membership(model.t0, model.t1, model.x, tol)
-    expect = params.get("expect", "member")
-    ok = (member and expect == "member") or (not member and expect == "nonmember")
+    ok = member == (expect == "member")
     report.add("verdict-matches", 0.0 if ok else 1.0, 0.5,
                detail=f"residual {residual:.3e}, expected {expect}")
     report.info["residual"] = residual
@@ -442,16 +527,15 @@ def _check_fb2_membership(ctx: ScenarioContext, params: dict, tol: float
     return report
 
 
-def _check_frame(ctx: ScenarioContext, params: dict, tol: float
-                 ) -> ConditionReport:
+@_check("frame", 1e-12, "gamma_0 = (t0, 0), gamma_1 = (X t1, t1)",
+        "eigenframe residuals of the coupled model against their closed-form "
+        "truncation tail")
+def _check_frame(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
+                 trials=Ref("count", 1), seed=Ref("seed", None), x_norm=0.5,
+                 grid=Ref("grid", None)) -> ConditionReport:
     report = ConditionReport(name="frame")
-    trials = int(params.get("trials", 1))
-    seed = int(params.get("seed", ctx.scenario.seed or 0))
-    x_norm = float(params.get("x_norm", 0.5))
-    t0 = ctx.shift(params["t0_kernel"])
-    t1 = ctx.shift(params["t1_kernel"])
+    t0, t1 = t0_kernel, t1_kernel
     n = t0.size
-    grid = ctx.grid_for(params)
     r_max = float(np.max(np.abs(grid.points)))
     # (T - w) gamma_0 = -sqrt(a0_{N-1}) w^N e_{N-1} and (T - w) gamma_1 =
     # -sqrt(a1_{N-1}) w^N (X e_{N-1}, e_{N-1}): the residual norms are exact
@@ -474,29 +558,25 @@ def _check_frame(ctx: ScenarioContext, params: dict, tol: float
     return report
 
 
-def _check_homogeneity(ctx: ScenarioContext, params: dict, tol: float
-                       ) -> ConditionReport:
-    model = ctx.model(params["model"])
-    maps = _maps_from_params(params)
-    witness_names = params["witness"]
-    if len(witness_names) != len(maps):
+@_check("homogeneity", 1e-10, "U0 X = X U1",
+        "diagonal witness unitaries conjugating each block to its Mobius "
+        "image, plus the coupling commutation")
+def _check_homogeneity(tol: float, *, model=Ref(_model),
+                       maps=Ref("maps", "default12"),
+                       witness=Ref([["operator"]])) -> ConditionReport:
+    if len(witness) != len(maps):
         raise SchemaError("homogeneity: need one witness pair per sampled map")
-    witness = [WitnessEntry(mobius=mob,
-                            u0=ctx.operator(pair[0]),
-                            u1=ctx.operator(pair[1]))
-               for mob, pair in zip(maps, witness_names)]
-    return homogeneity_condition_check(model, witness, tol)
+    entries = [WitnessEntry(mobius=mob, u0=u0, u1=u1)
+               for mob, (u0, u1) in zip(maps, witness)]
+    return homogeneity_condition_check(model, entries, tol)
 
 
-def _check_kernel_transform(ctx: ScenarioContext, params: dict, tol: float
-                            ) -> ConditionReport:
+@_check("kernel-transform", 1e-10, "Phi(z) K(z,w) Phi(w)^* = K'(z,w)",
+        "antidiagonal matrix-kernel transformation between two frame fields")
+def _check_kernel_transform(tol: float, *, model=Ref(_model),
+                            grid=Ref("grid", None)) -> ConditionReport:
     report = ConditionReport(name="kernel-transform")
-    model = ctx.model(params["model"])
-    grid = ctx.grid_for(params)
     frame_a = eigenframe(model, grid)
-    mode = params.get("mode", "swap")
-    if mode != "swap":
-        raise SchemaError(f"kernel-transform: unknown mode {mode!r}")
     swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     frame_b = frame_a.with_constant_change(swap)
     transform = AntidiagonalTransform.constant(1.0, 1.0)
@@ -509,44 +589,50 @@ def _check_kernel_transform(ctx: ScenarioContext, params: dict, tol: float
     return report
 
 
-def _check_main1(ctx: ScenarioContext, params: dict, tol: float
-                 ) -> ConditionReport:
+@_check("main1", 1e-9, "S0 = Y U10 - U01 X*; Z F = Ft Z",
+        "split an intertwined pair of triangular operators off a verified "
+        "block unitary")
+def _check_main1(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
+                 x=Ref("operator")) -> ConditionReport:
     report = ConditionReport(name="main1")
-    t0 = ctx.shift(params["t0_kernel"])
-    t1 = ctx.shift(params["t1_kernel"])
-    x = ctx.operator(params["x"])
-    unitary, partner = build_unitary_from_x(t0, t1, x)
-    model = assemble_model(t0, t1, x)
+    unitary, partner = build_unitary_from_x(t0_kernel, t1_kernel, x)
+    model = assemble_model(t0_kernel, t1_kernel, x)
     pair = construct_fb2_pair(unitary, model, partner)
     for name, value in pair.residuals.items():
         report.add(name, value, tol)
     return report
 
 
-def _check_main3(ctx: ScenarioContext, params: dict, tol: float
-                 ) -> ConditionReport:
-    if "engineered_from" in params:
-        k1 = ctx.kernel(params["engineered_from"])
-        rng = np.random.default_rng(int(params.get("phase_seed",
-                                                   ctx.scenario.seed or 0)))
+@_check("main3", 1e-8,
+        "X* t0(w) = 2 Y t1(w); ||t0||^2 = 2(||Y t1||^2 + ||t1||^2)",
+        "section identities forcing similarity of the diagonal operators "
+        "through a slow third kernel")
+def _check_main3(tol: float, *, engineered_from=Ref("kernel", None),
+                 phase_seed=Ref("seed", None), k0=Ref("kernel", None),
+                 k1=Ref("kernel", None), ks=Ref("kernel", None),
+                 x=Ref("operator", None), y=Ref("operator", None),
+                 grid=Ref("grid", None)) -> ConditionReport:
+    if engineered_from is not None:
+        k1 = engineered_from
+        rng = np.random.default_rng(phase_seed)
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k1.truncation))
         k0 = DiagonalKernel(4.0 * k1.coefficients, label="engineered")
         x = np.diag(phases.conj())
         y = np.diag(phases)
         ks = separator_kernel(k0, k1)
-    else:
-        k0, k1, ks = (ctx.kernel(params[k]) for k in ("k0", "k1", "ks"))
-        x, y = ctx.operator(params["x"]), ctx.operator(params["y"])
-    return main3_verifier(k0, k1, ks, x, y, ctx.grid_for(params), tol)
+    elif any(value is None for value in (k0, k1, ks, x, y)):
+        raise SchemaError("main3 needs engineered_from, or k0, k1, ks, x and y")
+    return main3_verifier(k0, k1, ks, x, y, grid, tol)
 
 
-def _check_mainlemma(ctx: ScenarioContext, params: dict, tol: float
+@_check("mainlemma", 1e-9, "(1+XX*)^{-1} = U10* U10",
+        "the three block-unitary intertwining conditions for the coupled "
+        "models")
+def _check_mainlemma(tol: float, *, t0_kernel=Ref("shift"),
+                     t1_kernel=Ref("shift"), x=Ref("operator")
                      ) -> ConditionReport:
-    t0 = ctx.shift(params["t0_kernel"])
-    t1 = ctx.shift(params["t1_kernel"])
-    x = ctx.operator(params["x"])
-    unitary, partner = build_unitary_from_x(t0, t1, x)
-    model = assemble_model(t0, t1, x)
+    unitary, partner = build_unitary_from_x(t0_kernel, t1_kernel, x)
+    model = assemble_model(t0_kernel, t1_kernel, x)
     return verify_mainlemma(unitary, model, partner, tol)
 
 
@@ -557,28 +643,25 @@ def _random_model(size: int, base: int, norm: float) -> UpperTriangularModel:
                           random_operator(size, base + 2, norm=norm))
 
 
-def _check_mobius_block(ctx: ScenarioContext, params: dict, tol: float
-                        ) -> ConditionReport:
+@_check("mobius-block", 1e-10,
+        "phi(T) = [[phi(T0), X phi(T1) - phi(T0) X],[0, phi(T1)]]",
+        "Mobius functional calculus preserves the coupled block structure")
+def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
+                        involution_tol=1e-9, trials=Ref("count", 1),
+                        seed=Ref("seed", None), size=6, block_norm=0.5,
+                        model=Ref(_model, None)) -> ConditionReport:
     report = ConditionReport(name="mobius-block")
-    maps = _maps_from_params(params)
-    involution_tol = float(params.get("involution_tol", 1e-9))
-    trials = int(params.get("trials", 1))
-    seed = int(params.get("seed", ctx.scenario.seed or 0))
-    size = int(params.get("size", 6))
-    block_norm = float(params.get("block_norm", 0.5))
+    inverses = [mob.inverse() for mob in maps]
     worst_block = worst_involution = worst_power = 0.0
     for trial in range(trials):
-        if "model" in params:
-            model = ctx.model(params["model"])
-        else:
-            model = _random_model(size, seed + 3 * trial, block_norm)
-        t_norm = frobenius(model.t)
-        result = mobius_block_identity_check(model, maps)
+        sample = model or _random_model(size, seed + 3 * trial, block_norm)
+        t_norm = frobenius(sample.t)
+        result = mobius_block_identity_check(sample, maps)
         worst_block = max(worst_block, result.residual / t_norm)
         worst_power = max(worst_power, max(result.power_residuals.values()))
-        twice = apply_maps(maps, result.images)
+        back = apply_maps(inverses, result.images)
         worst_involution = max(worst_involution, max(
-            frobenius(m - model.t) for m in twice) / t_norm)
+            frobenius(m - sample.t) for m in back) / t_norm)
     report.add("block-identity", worst_block, tol,
                detail=f"{trials} trials x {len(maps)} maps, relative to ||T||")
     report.add("involution", worst_involution, involution_tol)
@@ -586,63 +669,60 @@ def _check_mobius_block(ctx: ScenarioContext, params: dict, tol: float
     return report
 
 
-def _check_separator(ctx: ScenarioContext, params: dict, tol: float
-                     ) -> ConditionReport:
+@_check("separator", 0.0, "s_n = min(a_n, b_n)/(n+1); K_s/K_i -> 0",
+        "harmonically damped minimum kernel separates both inputs at the "
+        "boundary")
+def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
+                     radii=Ref([float], [0.9, 0.99, 0.999]), max_final_ratio=0.05,
+                     csv_out_k0="", csv_out_k1="") -> ConditionReport:
     report = ConditionReport(name="separator")
-    radii = [float(r) for r in params.get("radii", (0.9, 0.99, 0.999))]
     needed = required_truncation(max(radii))
 
-    def sized(name: str) -> DiagonalKernel:
-        spec = ctx.kernel_spec(name)
-        if spec.get("preset") == "bergman" and int(spec["N"]) < needed:
-            return bergman_kernel(int(spec["n"]), needed)
-        return ctx.kernel(name)
+    def sized(kern: DiagonalKernel) -> DiagonalKernel:
+        weight = _bergman_weight(kern)
+        if weight is not None and kern.truncation < needed:
+            return bergman_kernel(weight, needed)
+        return kern
 
-    k0, k1 = sized(params["k0"]), sized(params["k1"])
+    k0, k1 = sized(k0), sized(k1)
     ks = separator_kernel(k0, k1)
-    max_final = float(params.get("max_final_ratio", 0.05))
-    for name, kern in (("k0", k0), ("k1", k1)):
+    for name, kern, csv_out in (("k0", k0, csv_out_k0), ("k1", k1, csv_out_k1)):
         samples = diagonal_ratio(ks, kern, radii)
         ratios = [s.ratio for s in samples]
         monotone = max(b - a for a, b in zip(ratios, ratios[1:]))
         report.add(f"monotone-{name}", monotone, 0.0,
                    detail="consecutive ratio differences must be negative")
-        report.add(f"final-ratio-{name}", ratios[-1], max_final)
+        report.add(f"final-ratio-{name}", ratios[-1], max_final_ratio)
         report.info[f"ratios_{name}"] = ratios
-        csv_out = params.get(f"csv_out_{name}")
         if csv_out:
             write_ratio_csv(csv_out, samples)
     report.info["truncation"] = needed
     return report
 
 
-def _check_similarity_split(ctx: ScenarioContext, params: dict, tol: float
-                            ) -> ConditionReport:
+@_check("similarity-split", 1e-12, "W T W^{-1} = T0 (+) T1, W = [[I, -X],[0, I]]",
+        "unipotent similarity between the coupled model and its diagonal")
+def _check_similarity_split(tol: float, *, trials=Ref("count", 1),
+                            seed=Ref("seed", None), size=6,
+                            model=Ref(_model, None)) -> ConditionReport:
     report = ConditionReport(name="similarity-split")
-    trials = int(params.get("trials", 1))
-    seed = int(params.get("seed", ctx.scenario.seed or 0))
-    size = int(params.get("size", 6))
     worst = 0.0
     for trial in range(trials):
-        if "model" in params:
-            model = ctx.model(params["model"])
-        else:
-            model = _random_model(size, seed + 3 * trial, 1.0)
-        split = similarity_split(model)
-        worst = max(worst, split.residual / frobenius(model.t))
+        sample = model or _random_model(size, seed + 3 * trial, 1.0)
+        split = similarity_split(sample)
+        worst = max(worst, split.residual / frobenius(sample.t))
     report.add("split-residual", worst, tol,
                detail=f"{trials} trials, relative to ||T||")
     return report
 
 
-def _check_sylvester(ctx: ScenarioContext, params: dict, tol: float
-                     ) -> ConditionReport:
+@_check("sylvester", 0.0, "Ker(X -> A X - X B) by SVD thresholding",
+        "intertwiner-space dimensions against expected values on catalogued "
+        "pairs")
+def _check_sylvester(tol: float, *, cases=Ref([_sylvester_case])) -> ConditionReport:
     report = ConditionReport(name="sylvester")
-    for idx, case in enumerate(params["cases"]):
-        a = ctx.operator(case["a"])
-        b = ctx.operator(case["b"])
+    for idx, (a, b, expected) in enumerate(cases):
         space = sylvester_kernel(a, b)
-        expected = int(case["expected_dim"])
         report.add(f"case{idx}-dimension",
                    abs(space.dimension - expected), 0.0,
                    detail=f"computed {space.dimension}, expected {expected}")
@@ -650,11 +730,13 @@ def _check_sylvester(ctx: ScenarioContext, params: dict, tol: float
     return report
 
 
-def _check_thm45(ctx: ScenarioContext, params: dict, tol: float
-                 ) -> ConditionReport:
-    t1 = ctx.shift(params["t1_kernel"])
-    mob = MobiusMap(a=_as_complex(params["a"]),
-                    phase=float(params.get("phase", 0.0)))
+@_check("thm45", 1e-10, "U00 = X U10 = U01 X*; (1+XX*)^{-1} = U10* U10",
+        "full block-unitary conditions for a Mobius self-intertwining of the "
+        "coupled model")
+def _check_thm45(tol: float, *, t1_kernel=Ref("shift"), a=Ref(complex),
+                 phase=0.0) -> ConditionReport:
+    t1 = t1_kernel
+    mob = MobiusMap(a=a, phase=phase)
     t0 = ModelOperator(mob.of(t1.matrix), source=f"mobius:{t1.source}")
     n = t0.size
     eye = np.eye(n, dtype=complex)
@@ -667,96 +749,6 @@ def _check_thm45(ctx: ScenarioContext, params: dict, tol: float
 
 # ---------------------------------------------------------------------------
 # registry
-
-
-@dataclass(frozen=True)
-class CheckDef:
-    name: str
-    description: str
-    anchor: str
-    runner: object
-    default_tol: float
-
-
-REGISTRY: dict[str, CheckDef] = {}
-
-
-def _register(name, description, anchor, runner, default_tol):
-    REGISTRY[name] = CheckDef(name=name, description=description, anchor=anchor,
-                              runner=runner, default_tol=default_tol)
-
-
-_register("corollary-theta",
-          "recover the scalar phase relating two couplings and verify the "
-          "rotation-block unitary",
-          "Y T0 - T1 Y = e^{i theta} (T0 - T1)",
-          _check_corollary_theta, 1e-10)
-_register("curvature",
-          "series curvature against the closed form and the finite-difference "
-          "route for diagonal kernels",
-          "K(w) = -d/dwbar (h^{-1} dh/dw)",
-          _check_curvature, 1e-6)
-_register("curvature-isometry",
-          "pointwise 2x2 unitary intertwining the curvature tuple of two "
-          "rank-2 fields",
-          "V K_{w^i wbar^j} = K'_{w^i wbar^j} V, i = 0, 1",
-          _check_curvature_isometry, 1e-8)
-_register("fb2-membership",
-          "vanishing test for the second-order coupling expression",
-          "X T1^2 - 2 T0 X T1 + T0^2 X = 0",
-          _check_fb2_membership, 1e-10)
-_register("frame",
-          "eigenframe residuals of the coupled model against their closed-form "
-          "truncation tail",
-          "gamma_0 = (t0, 0), gamma_1 = (X t1, t1)",
-          _check_frame, 1e-12)
-_register("homogeneity",
-          "diagonal witness unitaries conjugating each block to its Mobius "
-          "image, plus the coupling commutation",
-          "U0 X = X U1",
-          _check_homogeneity, 1e-10)
-_register("kernel-transform",
-          "antidiagonal matrix-kernel transformation between two frame fields",
-          "Phi(z) K(z,w) Phi(w)^* = K'(z,w)",
-          _check_kernel_transform, 1e-10)
-_register("main1",
-          "split an intertwined pair of triangular operators off a verified "
-          "block unitary",
-          "S0 = Y U10 - U01 X*; Z F = Ft Z",
-          _check_main1, 1e-9)
-_register("main3",
-          "section identities forcing similarity of the diagonal operators "
-          "through a slow third kernel",
-          "X* t0(w) = 2 Y t1(w); ||t0||^2 = 2(||Y t1||^2 + ||t1||^2)",
-          _check_main3, 1e-8)
-_register("mainlemma",
-          "the three block-unitary intertwining conditions for the coupled "
-          "models",
-          "(1+XX*)^{-1} = U10* U10",
-          _check_mainlemma, 1e-9)
-_register("mobius-block",
-          "Mobius functional calculus preserves the coupled block structure",
-          "phi(T) = [[phi(T0), X phi(T1) - phi(T0) X],[0, phi(T1)]]",
-          _check_mobius_block, 1e-10)
-_register("separator",
-          "harmonically damped minimum kernel separates both inputs at the "
-          "boundary",
-          "s_n = min(a_n, b_n)/(n+1); K_s/K_i -> 0",
-          _check_separator, 0.0)
-_register("similarity-split",
-          "unipotent similarity between the coupled model and its diagonal",
-          "W T W^{-1} = T0 (+) T1, W = [[I, -X],[0, I]]",
-          _check_similarity_split, 1e-12)
-_register("sylvester",
-          "intertwiner-space dimensions against expected values on catalogued "
-          "pairs",
-          "Ker(X -> A X - X B) by SVD thresholding",
-          _check_sylvester, 0.0)
-_register("thm45",
-          "full block-unitary conditions for a Mobius self-intertwining of "
-          "the coupled model",
-          "U00 = X U10 = U01 X*; (1+XX*)^{-1} = U10* U10",
-          _check_thm45, 1e-10)
 
 
 def list_checks() -> list[CheckDef]:
@@ -867,7 +859,9 @@ def _run_one(ctx: ScenarioContext, index: int, check: dict) -> CheckOutcome:
     start = time.perf_counter()
     try:
         tol = float(check.get("tol", definition.default_tol))
-        report = definition.runner(ctx, dict(check.get("params", {})), tol)
+        kwargs = _read_params(ctx, definition.runner, check.get("params", {}),
+                              f"checks[{index}] ({kind})")
+        report = definition.runner(tol, **kwargs)
         error = None
     except Exception as exc:  # one failing check never aborts the campaign
         report, error = None, f"{type(exc).__name__}: {exc}"

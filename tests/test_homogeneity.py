@@ -52,6 +52,21 @@ class TestMobiusMap:
         z = 0.25 - 0.1j
         assert abs(mob.scalar(mob.scalar(z)) - z) < 1e-14
 
+    def test_inverse_undoes_a_phase(self):
+        mob = MobiusMap(a=0.3 - 0.2j, phase=1.3)
+        inv = mob.inverse()
+        assert inv.a == (0.3 - 0.2j) * np.exp(1.3j)
+        assert math.isclose(inv.phase, 2.0 * math.pi - 1.3)
+        for z in (0.25 - 0.1j, -0.6j, 0.0):
+            assert abs(inv.scalar(mob.scalar(z)) - z) < 1e-14
+            assert abs(mob.scalar(inv.scalar(z)) - z) < 1e-14
+        # phi(phi(z)) != z once the phase is nonzero
+        assert abs(mob.scalar(mob.scalar(0.25 - 0.1j)) - (0.25 - 0.1j)) > 0.1
+
+    def test_inverse_of_phase_free_map_is_the_map(self):
+        for mob in mobius_sample_set():
+            assert mob.inverse() == mob
+
 
 class TestBlockIdentity:
     def test_negation_map_exact(self):

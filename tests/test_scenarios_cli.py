@@ -146,13 +146,13 @@ class TestScenarioSchema:
 
     def test_random_operator_requires_seed(self):
         bad = _tiny_scenario(
-            operators={"X": {"random": {"size": 4, "norm": 0.5}}})
-        with pytest.raises(SchemaError):
+            operators={"Xn": {"random": {"size": 12, "norm": 0.5}}})
+        with pytest.raises(SchemaError, match="is random but neither"):
             Scenario.from_dict(bad)
 
     def test_scenario_seed_covers_random_sources(self):
         ok = _tiny_scenario(
-            seed=7, operators={"X": {"random": {"size": 4, "norm": 0.5}}})
+            seed=7, operators={"Xn": {"random": {"size": 12, "norm": 0.5}}})
         Scenario.from_dict(ok)
 
     def test_name_and_checks_required(self):
@@ -177,15 +177,17 @@ class TestScenarioSchema:
 
     def test_campaign_continues_past_failures(self):
         raw = _tiny_scenario()
+        raw["operators"]["Xd"] = {"random": {"size": 12, "seed": 4, "norm": 0.8}}
         raw["checks"] = [
+            # a dense X is not normal: the main lemma's precondition fails
             {"check": "mainlemma", "tol": 1e-9,
-             "params": {"t0_kernel": "b1", "t1_kernel": "missing", "x": "Xn"}},
+             "params": {"t0_kernel": "b1", "t1_kernel": "b2", "x": "Xd"}},
             {"check": "similarity-split", "tol": 1e-12,
              "params": {"trials": 2, "seed": 1, "size": 4}},
         ]
         result = run_scenario(Scenario.from_dict(raw))
         assert not result.outcomes[0].passed
-        assert result.outcomes[0].error is not None
+        assert result.outcomes[0].error.startswith("PreconditionError: ")
         assert result.outcomes[1].passed
 
     @pytest.mark.parametrize("check,params,key", [
@@ -229,18 +231,60 @@ class TestScenarioSchema:
         assert first.passed and last.passed
         assert not result.overall
 
-    def test_bad_check_grid_fails_only_that_check(self):
+    @pytest.mark.parametrize("check,params,match", [
+        ("similarity-split", {"trails": 0}, "unknown key 'trails'"),
+        ("fb2-membership", {"t0_kernel": "b1", "t1_kernel": "b2", "x": "Xn",
+                            "expect": "non-member"},
+         "'expect' must be one of member, nonmember, got 'non-member'"),
+        ("curvature-isometry", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
+                                "mode": "sideways"}, "'mode' must be one of"),
+        ("curvature-isometry", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
+                                "mode": "independent"},
+         "'mode' 'independent' needs 'model_b'"),
+        ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b2"},
+         "missing or null parameter 'x'"),
+        ("mobius-block", {"trials": None}, "missing or null parameter 'trials'"),
+        ("separator", {"k0": "b1", "k1": "b2", "radii": [0.9, None]},
+         r"'radii'\[1\] must be a number, got None"),
+        ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b3", "x": "Xn"},
+         "'t1_kernel': kernel 'b3' is not defined"),
+        ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b2", "x": "X"},
+         "'x': operator 'X' is not defined"),
+        ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Y"},
+                         "witness": [["Xn", "Xn"]]},
+         "'model': 't1_op': operator 'Y' is not defined"),
+        ("frame", {"t0_kernel": "b1", "t1_kernel": "b2", "seed": "abc"},
+         "'seed' must be an integer, got 'abc'"),
+        ("curvature", {"kernel": "b1"}, "unknown key 'kernel'"),
+        ("kernel-transform", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
+                              "mode": "swap"}, "unknown key 'mode'"),
+        ("fb2-membership", {"t0_kernel": "b1", "t1_kernel": "b2",
+                            "x_scalar": 0.5}, "unknown key 'x_scalar'"),
+    ], ids=["unknown-key", "expect", "mode", "independent-without-model_b",
+            "missing", "null", "null-item", "undefined-kernel",
+            "undefined-operator", "undefined-nested-operator", "seed",
+            "kernel-alias", "transform-mode", "x_scalar"])
+    def test_params_checked_at_load(self, check, params, match, tmp_path):
         raw = _tiny_scenario()
-        raw["checks"] = [
-            {"check": "frame", "params": {"t0_kernel": "b1", "t1_kernel": "b2",
-                                          "grid": {"n_radii": None}}},
-            {"check": "similarity-split", "tol": 1e-12,
-             "params": {"trials": 1, "seed": 1, "size": 4}},
-        ]
+        raw["checks"].append({"check": check, "params": params})
+        with pytest.raises(SchemaError, match=rf"checks\[1\] \({check}\): "
+                                              rf".*{match}"):
+            Scenario.from_dict(raw)
+        path = tmp_path / "bad-params.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+
+    def test_mobius_block_involution_with_phase(self):
+        # phi is its own inverse only for phase 0; the check maps back
+        # through the inverse map
+        raw = {"name": "phase", "seed": 21,
+               "checks": [{"check": "mobius-block", "params": {
+                   "maps": [{"a": [0.3, -0.2], "phase": 1.3}]}}]}
         result = run_scenario(Scenario.from_dict(raw))
-        assert not result.outcomes[0].passed
-        assert result.outcomes[0].error.startswith("TypeError: ")
-        assert result.outcomes[1].passed
+        assert result.overall, result.summary()
+        residuals = {c.name: c.residual
+                     for c in result.outcomes[0].report.conditions}
+        assert residuals["involution"] < 1e-14
 
     def test_unknown_keys_rejected(self):
         raw = _tiny_scenario()
@@ -291,6 +335,13 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "mainlemma" in out and "separator" in out
+        lines = [line.split() for line in out.splitlines()]
+        for line in (["trials", "count", "=", "1"], ["x", "operator"],
+                     ["mode", "unitary-change", "|", "independent", "=",
+                      "'unitary-change'"], ["seed", "seed,", "optional"],
+                     ["cases", "[sylvester_case]"], ["t0_op", "operator,",
+                                                     "optional"]):
+            assert line in lines, line
 
     def test_run_bundled_by_name(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -335,7 +386,11 @@ class TestCli:
         lambda raw: raw["checks"][0].update(parms=raw["checks"][0].pop("params")),
         lambda raw: raw["checks"][0].update(params=[1, 2]),
         lambda raw: raw.update(kernels=5),
-    ], ids=["null-n_radii", "parms", "list-params", "number-kernels"])
+        lambda raw: raw.update(checks=[{"check": "frame", "params": {
+            "t0_kernel": "b1", "t1_kernel": "b2", "grid": {"n_radii": None}}}]),
+        lambda raw: raw.update(seed="abc"),
+    ], ids=["null-n_radii", "parms", "list-params", "number-kernels",
+            "check-grid", "string-seed"])
     def test_malformed_scenario_is_usage_error(self, tmp_path, mutate):
         raw = _tiny_scenario()
         mutate(raw)
