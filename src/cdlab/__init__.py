@@ -4,8 +4,8 @@ on the unit disk, and a batch verifier for their structural identities."""
 __version__ = "0.1.0"
 
 from .kernels import (DiagonalKernel, SectionVector, bergman_kernel,
-                      diagonal_ratio, evaluate_kernel, kernel_from_spec,
-                      required_truncation, section_vector, separator_kernel)
+                      diagonal_ratio, evaluate_kernel, required_truncation,
+                      section_vector, separator_kernel)
 from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         UpperTriangularModel, apply_mobius, assemble_model,
                         block_matrix, fb2_membership, random_operator,

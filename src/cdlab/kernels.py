@@ -193,18 +193,3 @@ def separator_kernel(k0: DiagonalKernel, k1: DiagonalKernel) -> DiagonalKernel:
     coeffs = np.minimum(k0.coefficients, k1.coefficients) / (n + 1)
     return DiagonalKernel(coeffs, label=f"separator[{k0.label},{k1.label}]")
 
-
-def kernel_from_spec(spec: dict) -> DiagonalKernel:
-    """Build a kernel from its JSON form.
-
-    Accepted shapes: {"preset": "bergman", "n": 2, "N": 200} or
-    {"coeffs": [1.0, 2.0, ...]}, optionally with a "label".
-    """
-    if "preset" in spec:
-        if spec["preset"] != "bergman":
-            raise InvalidArgumentError(f"unknown kernel preset {spec['preset']!r}")
-        return bergman_kernel(int(spec["n"]), int(spec["N"]))
-    if "coeffs" in spec:
-        return DiagonalKernel(np.asarray(spec["coeffs"], dtype=float),
-                              label=str(spec.get("label", "custom")))
-    raise InvalidArgumentError("kernel spec needs either 'preset' or 'coeffs'")

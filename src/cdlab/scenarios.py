@@ -6,15 +6,17 @@ thread pool capped by CDLAB_THREADS); any exception inside one check marks
 it failed and the campaign continues.  Identical scenario + seed gives
 identical report bodies, timing aside.
 
-A check's runner declares the check's parameters, once, as its keyword-only
-arguments (see `Ref`).  `_read_params` reads a check's params against them at
-load, where a bad key, value or name is a SchemaError, and again inside the
-check, where it builds what they name.
+Each section is declared once, as a function's keyword-only arguments (see
+`Ref`): check params by the runner, kernels and operators by their forms and
+SOURCES, the grid and outputs by `_grid` and `_outputs`.  `_read_params` reads
+them at load, where a bad key, value or name is a SchemaError, and again
+inside each check, where it builds what they name.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import inspect
 import json
 import math
@@ -33,7 +35,7 @@ from .equivalence import (AntidiagonalTransform, BlockUnitary,
                           build_unitary_from_x, construct_fb2_pair,
                           kernel_transform_check, main3_verifier,
                           theta_intertwiner_check, verify_mainlemma)
-from .errors import CdlabError, SchemaError
+from .errors import InvalidArgumentError, SchemaError
 from .geometry import (DiskGrid, covariant_derivative, curvature,
                        curvature_isometry_check, eigenframe, gram_metric,
                        kernel_frame, polar_grid)
@@ -42,7 +44,7 @@ from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                           mobius_block_identity_check, mobius_sample_set,
                           thm45_condition_check)
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
-                      kernel_from_spec, required_truncation, separator_kernel)
+                      required_truncation, separator_kernel)
 from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
                         block_matrix, fb2_membership, frobenius,
                         random_operator, random_unitary, shift_from_kernel,
@@ -59,7 +61,8 @@ SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
                            "checks", "outputs"})
 CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
 REQUIRED = inspect.Parameter.empty
-KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number"}
+KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number",
+              str: "a string"}
 
 
 class Ref(NamedTuple):
@@ -89,12 +92,15 @@ def _reject_unknown_keys(raw: dict, allowed, where: str):
 
 def _cast(kind: type, value, where: str):
     try:
+        if kind is str and not isinstance(value, str):
+            raise TypeError  # str() takes anything
         return _as_complex(value) if kind is complex else kind(value)
     except (TypeError, ValueError, OverflowError, IndexError):
         raise SchemaError(f"{where} must be {KIND_NAMES.get(kind, kind.__name__)}, "
                           f"got {value!r}") from None
 
 
+@functools.cache
 def _schema(runner) -> dict[str, Ref]:
     """`runner`'s keyword-only parameters; `**blocks` stands for `_model`'s."""
     schema = {}
@@ -157,6 +163,65 @@ def _sylvester_case(*, a=Ref("operator"), b=Ref("operator"),
     return a, b, expected_dim
 
 
+def _bergman(*, preset=Ref({"bergman": ()}), n=Ref("count"),
+             N=Ref("count")) -> DiagonalKernel:
+    """The weighted Bergman kernel (1 - z conj(w))^(-n), truncated at N."""
+    return bergman_kernel(n, N)
+
+
+def _coeffs(*, coeffs=Ref([float]), label="custom") -> DiagonalKernel:
+    return DiagonalKernel(np.asarray(coeffs, dtype=float), label=label)
+
+
+def _random(*, size=Ref("count"), seed=Ref("random_seed", None), norm=0.5,
+            kind=Ref({"dense": (), "normal": ()}, "dense")) -> np.ndarray:
+    return random_operator(size, seed, norm=norm, kind=kind)
+
+
+def _poly_of(*, source=Ref("operator"), coeffs=Ref([complex])) -> np.ndarray:
+    """sum_k coeffs[k] source^k."""
+    acc, power = np.zeros_like(source), np.eye(source.shape[0], dtype=complex)
+    for c in coeffs:
+        acc, power = acc + c * power, power @ source
+    return acc
+
+
+def _swap_pairs(*, size=Ref("count")) -> np.ndarray:
+    """The permutation that swaps basis vectors 2k and 2k + 1."""
+    if size % 2:
+        raise SchemaError("swap_pairs needs an even size")
+    return np.kron(np.eye(size // 2, dtype=complex), [[0, 1], [1, 0]])
+
+
+# An operator's spec is {source: value}, its value read as the source's kind
+SOURCES = {
+    "file": "file", "matrix": "matrix", "shift_from": "shift_from",
+    "random": _random,
+    "identity": lambda *, size=Ref("count"): np.eye(size, dtype=complex),
+    "scalar": lambda *, size=Ref("count"), value=Ref(complex):
+        value * np.eye(size, dtype=complex),
+    "diagonal": lambda *, values=Ref([complex]):
+        np.diag(np.asarray(values, dtype=complex)),
+    "adjoint_of": lambda *, source=Ref("operator"): source.conj().T,
+    "poly_of": _poly_of, "swap_pairs": _swap_pairs,
+    # diag(z, phi(z)) over the seeds z, phi the Mobius map of a and phase
+    "mobius_pair_diagonal": lambda *, a=Ref(complex), phase=0.0, seeds=Ref([complex]):
+        np.diag([w for z in seeds for w in (z, _mobius(a=a, phase=phase).scalar(z))]),
+}
+
+
+def _grid(*, radii=Ref([float], None), rmax=0.6, n_radii=Ref("count", 6),
+          n_angles=Ref("count", 16), fd_step=1e-3) -> DiskGrid:
+    """A polar grid on `radii`, or on n_radii radii spaced evenly up to rmax."""
+    if radii is None:
+        radii = rmax * np.arange(1, n_radii + 1) / n_radii
+    return polar_grid(radii=radii, n_angles=n_angles, fd_step=fd_step)
+
+
+def _outputs(*, report=Ref(str, None)):
+    """The files a run writes: `report` is the JSON report."""
+
+
 # ---------------------------------------------------------------------------
 # scenario context
 
@@ -212,10 +277,17 @@ class Scenario:
     def _validate(self, origin: str):
         for key, value in (("kernels", self.kernel_specs),
                            ("operators", self.operator_specs),
-                           ("outputs", self.outputs)):
+                           ("grid", self.grid_spec)):
             if not isinstance(value, dict):
                 raise SchemaError(f"{origin}: '{key}' must be an object")
         names = ScenarioContext(self, build=False)
+        self.grid = names.grid(self.grid_spec, f"{origin}: grid")
+        self.outputs = _read_params(names, _outputs, self.outputs,
+                                    f"{origin}: outputs")
+        for name in self.kernel_specs:
+            names.kernel(name, origin)
+        for name in self.operator_specs:
+            names.operator(name, origin)
         for idx, check in enumerate(self.checks):
             where = f"{origin}: checks[{idx}]"
             if not isinstance(check, dict):
@@ -231,26 +303,17 @@ class Scenario:
                          f"{where} ({kind})")
             if _cast(float, check.get("tol", 0.0), f"{where}: tol") < 0:
                 raise SchemaError(f"{where}: tol must be nonnegative")
-        self.grid = _grid_from_spec(self.grid_spec, f"{origin}: grid")
-        for name, spec in self.operator_specs.items():
-            if not isinstance(spec, dict):
-                raise SchemaError(f"{origin}: operators[{name}] must be an object")
-            if "random" in spec:
-                rand = spec["random"]
-                if "seed" not in rand and self.seed is None:
-                    raise SchemaError(
-                        f"{origin}: operators[{name}] is random but neither it "
-                        f"nor the scenario carries a seed")
 
 
 class ScenarioContext:
     """Each string kind of `Ref` is a method of (raw value or None, where).
-    Without `build` (at load) names and values are only checked; with it
-    what they name is built too, afresh for every check."""
+    Without `build` (at load) names, values and the specs they name are only
+    checked; with it what they name is built too, afresh for every check."""
 
-    def __init__(self, scenario: Scenario, build: bool = True):
+    def __init__(self, scenario: Scenario, build: bool = True, chain: tuple = ()):
         self.scenario = scenario
         self.build = build
+        self.chain = chain
 
     def read(self, kind, value, where: str):
         """`value` read as a `Ref` of `kind`."""
@@ -271,15 +334,18 @@ class ScenarioContext:
         params = _read_params(self, kind, value, where)
         return kind(**params) if self.build else params
 
-    def _builds(self, specs: dict, kind: str, name, where: str) -> bool:
+    def _named(self, specs: dict, kind: str, name, where: str) -> bool:
         if name is not None and (not isinstance(name, str) or name not in specs):
             raise SchemaError(f"{where}: {kind} {name!r} is not defined")
-        return self.build and name is not None
+        return name is not None
 
     def kernel(self, name, where: str) -> DiagonalKernel | None:
-        specs = self.scenario.kernel_specs
-        return kernel_from_spec(specs[name]) \
-            if self._builds(specs, "kernel", name, where) else name
+        """Kernel `name` read as the form its spec's keys select."""
+        if not self._named(self.scenario.kernel_specs, "kernel", name, where):
+            return None
+        spec = self.scenario.kernel_specs[name]
+        form = _bergman if isinstance(spec, dict) and "preset" in spec else _coeffs
+        return self.read(form, spec, f"{where}: kernels[{name}]")
 
     def kernels(self, names, where: str) -> list:
         return list(zip(names, self.read(["kernel"], names, where)))
@@ -288,16 +354,49 @@ class ScenarioContext:
         kern = self.kernel(name, where)
         return shift_from_kernel(kern) if self.build and kern is not None else kern
 
+    def shift_from(self, name, where: str) -> np.ndarray:
+        shift = self.shift(_cast(str, name, where), where)
+        return shift.matrix if self.build else shift
+
     def operator(self, name, where: str) -> np.ndarray | None:
-        specs = self.scenario.operator_specs
-        return self._synthesize(name, specs[name]) \
-            if self._builds(specs, "operator", name, where) else name
+        """Operator `name` read from its spec; `chain` holds the operators
+        whose specs led here."""
+        if not self._named(self.scenario.operator_specs, "operator", name, where):
+            return None
+        if name in self.chain:
+            raise SchemaError(f"{where}: operators form a cycle "
+                              f"{' -> '.join(self.chain + (name,))}")
+        spec, where = self.scenario.operator_specs[name], f"{where}: operators[{name}]"
+        if not isinstance(spec, dict) or len(spec) != 1 or set(spec) - set(SOURCES):
+            raise SchemaError(f"{where} must be an object with one key of "
+                              f"{', '.join(SOURCES)}, got {spec!r}")
+        (key, value), = spec.items()
+        return ScenarioContext(self.scenario, self.build, self.chain + (name,)) \
+            .read(SOURCES[key], value, f"{where}: '{key}'")
+
+    def file(self, path, where: str) -> np.ndarray:
+        path = self.scenario.base_dir / _cast(str, path, where)
+        return load_matrix(path) if self.build else path
+
+    def matrix(self, obj, where: str) -> np.ndarray:
+        return matrix_from_json(obj, where)
 
     def grid(self, spec, where: str) -> DiskGrid:
-        return self.scenario.grid if spec is None else _grid_from_spec(spec, where)
+        """Built at load too, so a grid that cannot be built is a SchemaError."""
+        try:
+            return self.scenario.grid if spec is None else \
+                _grid(**_read_params(self, _grid, spec, where))
+        except InvalidArgumentError as exc:
+            raise SchemaError(f"{where}: {type(exc).__name__}: {exc}") from None
 
     def seed(self, value, where: str) -> int:
         return self.scenario.seed or 0 if value is None else _cast(int, value, where)
+
+    def random_seed(self, value, where: str) -> int:
+        if value is None and self.scenario.seed is None:
+            raise SchemaError(f"{where}: the operator is random but neither it "
+                              f"nor the scenario carries a seed")
+        return self.seed(value, where)
 
     def count(self, value, where: str) -> int:
         count = _cast(int, value, where)
@@ -308,75 +407,6 @@ class ScenarioContext:
     def maps(self, spec, where: str) -> list[MobiusMap]:
         return mobius_sample_set() if spec == "default12" else \
             self.read([_mobius], spec, where)
-
-    def _synthesize(self, name: str, spec: dict) -> np.ndarray:
-        where = f"operators[{name}]"
-        if "file" in spec:
-            return load_matrix(self.scenario.base_dir / spec["file"])
-        if "matrix" in spec:
-            return matrix_from_json(spec["matrix"])
-        if "shift_from" in spec:
-            return self.shift(spec["shift_from"], where).matrix
-        if "random" in spec:
-            rand = dict(spec["random"])
-            seed = rand.get("seed", self.scenario.seed)
-            return random_operator(int(rand["size"]), int(seed),
-                                   norm=float(rand.get("norm", 0.5)),
-                                   kind=str(rand.get("kind", "dense")))
-        if "identity" in spec:
-            return np.eye(int(spec["identity"]["size"]), dtype=complex)
-        if "scalar" in spec:
-            size = int(spec["scalar"]["size"])
-            value = _as_complex(spec["scalar"]["value"])
-            return value * np.eye(size, dtype=complex)
-        if "diagonal" in spec:
-            values = [_as_complex(v) for v in spec["diagonal"]["values"]]
-            return np.diag(np.asarray(values, dtype=complex))
-        if "adjoint_of" in spec:
-            return self.operator(spec["adjoint_of"]["source"], where).conj().T
-        if "poly_of" in spec:
-            base = self.operator(spec["poly_of"]["source"], where)
-            coeffs = [_as_complex(c) for c in spec["poly_of"]["coeffs"]]
-            acc = np.zeros_like(base)
-            power = np.eye(base.shape[0], dtype=complex)
-            for c in coeffs:
-                acc = acc + c * power
-                power = power @ base
-            return acc
-        if "swap_pairs" in spec:
-            size = int(spec["swap_pairs"]["size"])
-            if size % 2:
-                raise SchemaError(f"{where}: swap_pairs needs even size")
-            perm = np.zeros((size, size), dtype=complex)
-            for k in range(0, size, 2):
-                perm[k, k + 1] = 1.0
-                perm[k + 1, k] = 1.0
-            return perm
-        if "mobius_pair_diagonal" in spec:
-            conf = spec["mobius_pair_diagonal"]
-            mob = MobiusMap(a=_as_complex(conf["a"]),
-                            phase=float(conf.get("phase", 0.0)))
-            entries = []
-            for z in conf["seeds"]:
-                z = _as_complex(z)
-                entries.extend([z, mob.scalar(z)])
-            return np.diag(np.asarray(entries, dtype=complex))
-        raise SchemaError(f"{where}: unrecognized source {sorted(spec)}")
-
-
-def _grid_from_spec(spec: dict, where: str) -> DiskGrid:
-    try:
-        fd_step = float(spec.get("fd_step", 1e-3))
-        if "radii" in spec:
-            radii = np.asarray(spec["radii"], dtype=float)
-        else:
-            rmax = float(spec.get("rmax", 0.6))
-            n_radii = int(spec.get("n_radii", 6))
-            radii = rmax * np.arange(1, n_radii + 1) / n_radii
-        n_angles = int(spec.get("n_angles", 16))
-        return polar_grid(radii=radii, n_angles=n_angles, fd_step=fd_step)
-    except (CdlabError, TypeError, ValueError, AttributeError) as exc:
-        raise SchemaError(f"{where}: {type(exc).__name__}: {exc}") from None
 
 
 def _as_complex(value) -> complex:
@@ -901,7 +931,7 @@ def run_scenario(path_or_scenario, threads: int | None = None,
     result = CampaignResult(scenario=scenario.name, outcomes=outcomes,
                             environment=_environment_stamp(),
                             elapsed=time.perf_counter() - start)
-    report_path = scenario.outputs.get("report")
+    report_path = scenario.outputs["report"]
     if report_path:
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         Path(report_path).write_text(result.to_json() + "\n", encoding="utf-8")

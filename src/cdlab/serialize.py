@@ -28,22 +28,22 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> np.ndarray:
+def matrix_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad matrix object: {exc}") from exc
+        raise SchemaError(f"{where}: bad matrix object: {exc}") from exc
     if re.size != rows * cols or im.size != rows * cols:
-        raise SchemaError(
-            f"matrix data length {re.size}/{im.size} does not match {rows}x{cols}")
+        raise SchemaError(f"{where}: data length {re.size}/{im.size} does not "
+                          f"match {rows}x{cols}")
     return (re + 1j * im).reshape(rows, cols)
 
 
 def load_matrix(path: str | Path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        return matrix_from_json(json.load(fh), str(path))
 
 
 def save_matrix(path: str | Path, mat: np.ndarray):

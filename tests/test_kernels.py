@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from cdlab.errors import DomainError, InvalidArgumentError, PrecisionError
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
-                           evaluate_kernel, kernel_from_spec,
-                           required_truncation, section_table,
+                           evaluate_kernel, required_truncation, section_table,
                            section_vector, separator_kernel)
 
 from oracles import binomial_series_coefficients
@@ -204,23 +203,6 @@ class TestSeparator:
     def test_mismatched_truncations(self):
         with pytest.raises(InvalidArgumentError):
             separator_kernel(bergman_kernel(1, 5), bergman_kernel(1, 6))
-
-
-class TestSpecParsing:
-    def test_preset(self):
-        k = kernel_from_spec({"preset": "bergman", "n": 2, "N": 6})
-        np.testing.assert_allclose(k.coefficients,
-                                   bergman_kernel(2, 6).coefficients)
-
-    def test_explicit_coefficients(self):
-        k = kernel_from_spec({"coeffs": [1.0, 2.5], "label": "custom2"})
-        assert k.label == "custom2" and k.truncation == 2
-
-    def test_bad_specs(self):
-        with pytest.raises(InvalidArgumentError):
-            kernel_from_spec({"preset": "szego"})
-        with pytest.raises(InvalidArgumentError):
-            kernel_from_spec({})
 
 
 def test_required_truncation_tail_criterion():

@@ -2,17 +2,22 @@ import copy
 import json
 import os
 import platform
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
-from cdlab.scenarios import REGISTRY, Scenario, list_checks, run_scenario
+from cdlab.scenarios import (REGISTRY, SOURCES, Scenario, _bergman, _coeffs,
+                             _grid, _outputs, list_checks, parameter_docs,
+                             run_scenario)
 from cdlab.serialize import (load_matrix, matrix_from_json, matrix_to_json,
                              save_matrix)
 
 BUNDLED = sorted(bundled_scenario_dir().glob("*.json"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _body(report: dict) -> dict:
@@ -136,6 +141,65 @@ def _tiny_scenario(**overrides):
     }
     base.update(overrides)
     return base
+
+
+def _random_spec(raw: dict) -> dict:
+    return raw["operators"]["Xn"]["random"]
+
+
+def _use_x(raw: dict, name: str):
+    raw["checks"][0]["params"]["x"] = name
+
+
+# (id, mutation of _tiny_scenario, the message of the SchemaError it raises
+# at load)
+MALFORMED = [
+    ("null-n_radii", lambda raw: raw.update(grid={"n_radii": None}),
+     r"grid: missing or null parameter 'n_radii'"),
+    ("parms", lambda raw: raw["checks"][0].update(
+        parms=raw["checks"][0].pop("params")),
+     r"checks\[0\]: unknown key 'parms'"),
+    ("list-params", lambda raw: raw["checks"][0].update(params=[1, 2]),
+     r"checks\[0\]: 'params' must be an object"),
+    ("number-kernels", lambda raw: raw.update(kernels=5),
+     r"'kernels' must be an object"),
+    ("check-grid", lambda raw: raw.update(checks=[{"check": "frame", "params": {
+        "t0_kernel": "b1", "t1_kernel": "b2", "grid": {"n_radii": None}}}]),
+     r"checks\[0\] \(frame\): 'grid': missing or null parameter 'n_radii'"),
+    ("string-seed", lambda raw: raw.update(seed="abc"),
+     r"'seed' must be an integer, got 'abc'"),
+    ("random-sede", lambda raw: (raw.update(seed=3), _random_spec(raw).update(
+        sede=_random_spec(raw).pop("seed"))),
+     r"operators\[Xn\]: 'random': unknown key 'sede'"),
+    ("random-no-size", lambda raw: _random_spec(raw).pop("size"),
+     r"operators\[Xn\]: 'random': missing or null parameter 'size'"),
+    ("two-sources",
+     lambda raw: raw["operators"]["Xn"].update(identity={"size": 12}),
+     r"operators\[Xn\] must be an object with one key of file, matrix, "),
+    ("kernel-lable", lambda raw: raw["kernels"]["b1"].update(lable="flat"),
+     r"kernels\[b1\]: unknown key 'lable'"),
+    ("grid-n_radi", lambda raw: raw.update(grid={"n_radi": 2}),
+     r"grid: unknown key 'n_radi'"),
+    ("number-report", lambda raw: raw.update(outputs={"report": 5}),
+     r"outputs: 'report' must be a string, got 5"),
+    ("kernel-preset", lambda raw: raw["kernels"].update(
+        b1={"preset": "szego", "n": 1, "N": 12}),
+     r"kernels\[b1\]: 'preset' must be one of bergman, got 'szego'"),
+    ("kernel-neither-form", lambda raw: raw["kernels"].update(b1={}),
+     r"kernels\[b1\]: missing or null parameter 'coeffs'"),
+    ("kernel-both-forms",
+     lambda raw: raw["kernels"]["b1"].update(coeffs=[1.0] * 12),
+     r"kernels\[b1\]: unknown key 'coeffs'"),
+    ("adjoint-cycle", lambda raw: (raw["operators"].update(
+        A={"adjoint_of": {"source": "A"}}), _use_x(raw, "A")),
+     r"operators\[A\]: 'adjoint_of': 'source': operators form a cycle "
+     r"A -> A"),
+    ("two-operator-cycle", lambda raw: (raw["operators"].update(
+        A={"adjoint_of": {"source": "B"}},
+        B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
+     r"operators\[A\]: 'adjoint_of': 'source': operators\[B\]: 'poly_of': "
+     r"'source': operators form a cycle A -> B -> A"),
+]
 
 
 class TestScenarioSchema:
@@ -313,6 +377,64 @@ class TestScenarioSchema:
         assert body["overall"] is True
         assert "timing" in body and "environment" in body
 
+    def test_every_source_builds_as_its_direct_construction(self, tmp_path):
+        from cdlab.homogeneity import MobiusMap
+        from cdlab.kernels import DiagonalKernel, bergman_kernel
+        from cdlab.operators import random_operator, shift_from_kernel
+        from cdlab.scenarios import ScenarioContext
+
+        x = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
+        save_matrix(tmp_path / "x.json", x)
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        mob = MobiusMap(a=0.4 + 0.1j, phase=0.3)
+        custom = DiagonalKernel(np.array([1.0, 2.5]), label="custom2")
+        cases = {
+            "file": ({"file": "x.json"}, x),
+            "matrix": ({"matrix": matrix_to_json(x)}, x),
+            "shift-preset": ({"shift_from": "b2"},
+                             shift_from_kernel(bergman_kernel(2, 6)).matrix),
+            "shift-coeffs": ({"shift_from": "c"},
+                             shift_from_kernel(custom).matrix),
+            "random": ({"random": {"size": 5, "seed": 3, "norm": 0.8,
+                                   "kind": "normal"}},
+                       random_operator(5, 3, norm=0.8, kind="normal")),
+            "random-scenario-seed": ({"random": {"size": 4}},
+                                     random_operator(4, 11)),
+            "identity": ({"identity": {"size": 3}}, np.eye(3, dtype=complex)),
+            "scalar": ({"scalar": {"size": 3, "value": [0.5, -2.0]}},
+                       (0.5 - 2j) * np.eye(3, dtype=complex)),
+            "diagonal": ({"diagonal": {"values": [[1, 0], 2.5, [0, -1]]}},
+                         np.diag(np.array([1, 2.5, -1j]))),
+            "adjoint": ({"adjoint_of": {"source": "matrix"}}, x.conj().T),
+            "poly": ({"poly_of": {"source": "file", "coeffs": [1, 0.5, [0, 2]]}},
+                     np.eye(2) + 0.5 * x + 2j * (x @ x)),
+            "swap": ({"swap_pairs": {"size": 4}},
+                     np.kron(np.eye(2, dtype=complex), swap)),
+            "mobius": ({"mobius_pair_diagonal": {
+                "a": [0.4, 0.1], "phase": 0.3, "seeds": [[0.2, 0.0], [0.0, -0.3]]}},
+                np.diag([0.2, mob.scalar(0.2), -0.3j, mob.scalar(-0.3j)])),
+        }
+        raw = {"name": "every-source", "seed": 11,
+               "kernels": {"b2": {"preset": "bergman", "n": 2, "N": 6},
+                           "c": {"coeffs": [1.0, 2.5], "label": "custom2"},
+                           "d": {"coeffs": [1.0, 0.5, 0.25]}},
+               "operators": {name: spec for name, (spec, _) in cases.items()},
+               "checks": [{"check": "similarity-split"}]}
+        path = tmp_path / "every-source.json"
+        path.write_text(json.dumps(raw))
+        ctx = ScenarioContext(Scenario.load(path))
+        for name, (_, expected) in cases.items():
+            built = ctx.operator(name, name)
+            assert built.dtype == complex, name
+            np.testing.assert_array_equal(built, expected, err_msg=name)
+        for name, expected in (("b2", bergman_kernel(2, 6)), ("c", custom),
+                               ("d", DiagonalKernel(np.array([1.0, 0.5, 0.25]),
+                                                    label="custom"))):
+            kern = ctx.kernel(name, name)
+            assert kern.label == expected.label
+            np.testing.assert_array_equal(kern.coefficients,
+                                          expected.coefficients)
+
     def test_matrix_file_operator_source(self, tmp_path):
         mat = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         save_matrix(tmp_path / "x.json", mat)
@@ -381,22 +503,17 @@ class TestCli:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2
 
-    @pytest.mark.parametrize("mutate", [
-        lambda raw: raw.update(grid={"n_radii": None}),
-        lambda raw: raw["checks"][0].update(parms=raw["checks"][0].pop("params")),
-        lambda raw: raw["checks"][0].update(params=[1, 2]),
-        lambda raw: raw.update(kernels=5),
-        lambda raw: raw.update(checks=[{"check": "frame", "params": {
-            "t0_kernel": "b1", "t1_kernel": "b2", "grid": {"n_radii": None}}}]),
-        lambda raw: raw.update(seed="abc"),
-    ], ids=["null-n_radii", "parms", "list-params", "number-kernels",
-            "check-grid", "string-seed"])
-    def test_malformed_scenario_is_usage_error(self, tmp_path, mutate):
+    @pytest.mark.parametrize("mutate,match", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_malformed_scenario_is_usage_error(self, tmp_path, capsys, mutate,
+                                               match):
         raw = _tiny_scenario()
         mutate(raw)
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.match(rf"error: {re.escape(str(path))}: {match}", err), err
 
     def test_run_writes_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -418,6 +535,30 @@ class TestCli:
 
     def test_curvature_bad_kernel_spec(self):
         assert main(["curvature", "--kernel", "szego-2"]) == 2
+
+
+class TestReadme:
+    def _section(self) -> str:
+        text = README.read_text(encoding="utf-8")
+        return text[text.index("## Scenario files"):text.index("## Scripts")]
+
+    def test_example_scenario_runs(self, tmp_path, monkeypatch):
+        example = re.search(r"```json\n(.*?)```", self._section(), re.S)[1]
+        monkeypatch.chdir(tmp_path)
+        result = run_scenario(Scenario.from_dict(json.loads(example)))
+        assert result.overall, result.summary()
+        assert json.loads((tmp_path / "report.json").read_text())["overall"]
+
+    def test_every_declared_key_and_default_is_listed(self):
+        section = self._section()
+        for source, kind in SOURCES.items():
+            assert f"| `{source}` |" in section, source
+        forms = [kind for kind in SOURCES.values() if not isinstance(kind, str)]
+        for form in forms + [_bergman, _coeffs, _grid, _outputs]:
+            for name, doc in parameter_docs(form):
+                assert f"`{name}`" in section, name
+                default = doc.partition(" = ")[2].strip("'")
+                assert default in section, (name, default)
 
 
 class TestMatrixSerialization:
