@@ -205,6 +205,25 @@ class TestSeparator:
             separator_kernel(bergman_kernel(1, 5), bergman_kernel(1, 6))
 
 
+def _kernel_from_scenario(spec: dict) -> DiagonalKernel:
+    """Kernel `spec` read the way a scenario's `kernels` section is read."""
+    from cdlab.scenarios import Scenario, ScenarioContext
+    raw = {"name": "one-kernel", "kernels": {"k": spec},
+           "checks": [{"check": "similarity-split"}]}
+    return ScenarioContext(Scenario.from_dict(raw)).kernel("k", "test")
+
+
+class TestSpecParsing:
+    def test_preset(self):
+        k = _kernel_from_scenario({"preset": "bergman", "n": 2, "N": 6})
+        np.testing.assert_allclose(k.coefficients,
+                                   bergman_kernel(2, 6).coefficients)
+
+    def test_explicit_coefficients(self):
+        k = _kernel_from_scenario({"coeffs": [1.0, 2.5], "label": "custom2"})
+        assert k.label == "custom2" and k.truncation == 2
+
+
 def test_required_truncation_tail_criterion():
     for r in (0.5, 0.9, 0.999):
         n = required_truncation(r)
