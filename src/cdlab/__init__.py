@@ -15,10 +15,10 @@ from .geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                        covariant_derivative, curvature, curvature_isometry_check,
                        eigenframe, gram_metric, kernel_frame, polar_grid,
                        radial_grid)
-from .equivalence import (AntidiagonalTransform, BlockUnitary, Fb2Pair,
-                          build_unitary_from_x, construct_fb2_pair,
-                          frame_kernel_matrix, kernel_transform_check,
-                          main3_verifier, theta_intertwiner_check,
+from .equivalence import (SWAP, BlockUnitary, Fb2Pair, build_unitary_from_x,
+                          construct_fb2_pair, frame_kernel_matrix,
+                          kernel_transform_check, main3_verifier,
+                          sample_points, theta_intertwiner_check,
                           verify_mainlemma)
 from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                           homogeneity_condition_check,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
-from .operators import (U10_COND_CAP, UNITARITY_TOL, UpperTriangularModel,
-                        apply_mobius, block_matrix, frobenius,
-                        guarded_inverse, triangular_matrix, unitarity_residual)
+from .errors import InvalidArgumentError
+from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
+                        block_matrix, frobenius, guarded_inverse,
+                        require_unitary, triangular_matrix)
 from .reporting import ConditionReport
 
 
@@ -124,9 +124,7 @@ class WitnessEntry:
 
     def __post_init__(self):
         for name, u in (("U0", self.u0), ("U1", self.u1)):
-            err = unitarity_residual(u)
-            if err > UNITARITY_TOL:
-                raise NumericError(f"witness {name} is not unitary ({err:.3e})")
+            require_unitary(u, f"witness {name}")
 
 
 def homogeneity_condition_check(model: UpperTriangularModel,

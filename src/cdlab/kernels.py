@@ -41,12 +41,6 @@ class DiagonalKernel:
     def truncation(self) -> int:
         return self.coefficients.size
 
-    def with_truncation(self, n: int) -> "DiagonalKernel":
-        """Shrink to the first n coefficients (extension is not defined here)."""
-        if n < 1 or n > self.truncation:
-            raise InvalidArgumentError(f"cannot truncate to {n} from {self.truncation}")
-        return DiagonalKernel(self.coefficients[:n], self.label)
-
 
 @dataclass(frozen=True)
 class SectionVector:

@@ -47,10 +47,14 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    """max(||U U* - I||, ||U* U - I||) in the Frobenius norm."""
+def require_unitary(u: np.ndarray, what: str):
+    """Raise a NumericError naming `what` when its unitarity residual
+    max(||U U* - I||, ||U* U - I||), in the Frobenius norm, exceeds
+    UNITARITY_TOL."""
     eye = np.eye(u.shape[0])
-    return max(frobenius(u @ u.conj().T - eye), frobenius(u.conj().T @ u - eye))
+    err = max(frobenius(u @ u.conj().T - eye), frobenius(u.conj().T @ u - eye))
+    if err > UNITARITY_TOL:
+        raise NumericError(f"{what} is not unitary: residual {err:.3e}")
 
 
 def ensure_finite(a: np.ndarray, context: str = "matrix") -> np.ndarray:

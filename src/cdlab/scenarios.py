@@ -31,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .equivalence import (AntidiagonalTransform, BlockUnitary,
-                          build_unitary_from_x, construct_fb2_pair,
-                          kernel_transform_check, main3_verifier,
+from .equivalence import (SWAP, BlockUnitary, build_unitary_from_x,
+                          construct_fb2_pair, kernel_transform_check,
+                          main3_verifier, sample_points,
                           theta_intertwiner_check, verify_mainlemma)
 from .errors import InvalidArgumentError, SchemaError
 from .geometry import (DiskGrid, covariant_derivative, curvature,
@@ -186,10 +186,8 @@ def _poly_of(*, source=Ref("operator"), coeffs=Ref([complex])) -> np.ndarray:
     return acc
 
 
-def _swap_pairs(*, size=Ref("count")) -> np.ndarray:
+def _swap_pairs(*, size=Ref("even_count")) -> np.ndarray:
     """The permutation that swaps basis vectors 2k and 2k + 1."""
-    if size % 2:
-        raise SchemaError("swap_pairs needs an even size")
     return np.kron(np.eye(size // 2, dtype=complex), [[0, 1], [1, 0]])
 
 
@@ -382,10 +380,16 @@ class ScenarioContext:
         return matrix_from_json(obj, where)
 
     def grid(self, spec, where: str) -> DiskGrid:
-        """Built at load too, so a grid that cannot be built is a SchemaError."""
+        """Built at load too, so a grid that cannot be built is a SchemaError.
+        `radii` excludes `rmax` and `n_radii`, which only space radii evenly."""
+        if spec is None:
+            return self.scenario.grid
+        params = _read_params(self, _grid, spec, where)
+        clash = sorted({"rmax", "n_radii"} & set(spec)) if "radii" in spec else []
+        if clash:
+            raise SchemaError(f"{where}: 'radii' cannot be given with '{clash[0]}'")
         try:
-            return self.scenario.grid if spec is None else \
-                _grid(**_read_params(self, _grid, spec, where))
+            return _grid(**params)
         except InvalidArgumentError as exc:
             raise SchemaError(f"{where}: {type(exc).__name__}: {exc}") from None
 
@@ -402,6 +406,12 @@ class ScenarioContext:
         count = _cast(int, value, where)
         if count < 1:
             raise SchemaError(f"{where} must be at least 1, got {value!r}")
+        return count
+
+    def even_count(self, value, where: str) -> int:
+        count = self.count(value, where)
+        if count % 2:
+            raise SchemaError(f"{where} must be even, got {value!r}")
         return count
 
     def maps(self, spec, where: str) -> list[MobiusMap]:
@@ -456,8 +466,8 @@ def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
         metric = gram_metric(frame)
         series = curvature(metric, grid, method="series")
         fd = curvature(metric, grid, method="fd")
-        k_series = np.asarray([m[0, 0] for m in series.values])
-        k_fd = np.asarray([m[0, 0] for m in fd.values])
+        k_series = series.values[:, 0, 0]
+        k_fd = fd.values[:, 0, 0]
         weight = _bergman_weight(kern)
         if weight is not None:
             closed = -weight / (1.0 - np.abs(grid.points) ** 2) ** 2
@@ -602,20 +612,15 @@ def _check_homogeneity(tol: float, *, model=Ref(_model),
 
 
 @_check("kernel-transform", 1e-10, "Phi(z) K(z,w) Phi(w)^* = K'(z,w)",
-        "antidiagonal matrix-kernel transformation between two frame fields")
+        "constant swap matrix-kernel transformation between two frame fields")
 def _check_kernel_transform(tol: float, *, model=Ref(_model),
                             grid=Ref("grid", None)) -> ConditionReport:
     report = ConditionReport(name="kernel-transform")
     frame_a = eigenframe(model, grid)
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    frame_b = frame_a.with_constant_change(swap)
-    transform = AntidiagonalTransform.constant(1.0, 1.0)
-    pts = grid.points
-    step = max(1, len(pts) // 4)
-    chosen = pts[::step][:4]
-    samples = [(z, w) for z in chosen for w in chosen]
+    frame_b = frame_a.with_constant_change(SWAP)
     report.add("transform-residual",
-               kernel_transform_check(frame_a, frame_b, transform, samples), tol)
+               kernel_transform_check(frame_a, frame_b, SWAP,
+                                      sample_points(grid, 4)), tol)
     return report
 
 

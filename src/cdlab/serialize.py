@@ -60,10 +60,16 @@ def write_ratio_csv(path: str | Path, samples):
             writer.writerow([repr(s.radius), repr(s.k0), repr(s.k1), repr(s.ratio)])
 
 
-def _field_columns(rank: int, keys) -> list[str]:
+def _field_labels(field) -> dict:
+    """{key: label} in export order: K at (0, 0), then K_w{i}wb{j} for each
+    covariant derivative (i, j)."""
+    return {key: "K" if key == (0, 0) else f"K_w{key[0]}wb{key[1]}"
+            for key in [(0, 0)] + sorted(field.derivatives)}
+
+
+def _field_columns(rank: int, labels) -> list[str]:
     cols = ["re_w", "im_w"]
-    for key in keys:
-        label = "K" if key == (0, 0) else f"K_w{key[0]}wb{key[1]}"
+    for label in labels:
         for p in range(rank):
             for q in range(rank):
                 cols.append(f"{label}_{p}{q}_re")
@@ -73,13 +79,13 @@ def _field_columns(rank: int, keys) -> list[str]:
 
 def write_curvature_csv(path: str | Path, field) -> None:
     """CurvatureField -> CSV: re(w), im(w), then row-major re/im per matrix."""
-    keys = [(0, 0)] + sorted(field.derivatives.keys())
+    labels = _field_labels(field)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_field_columns(field.rank, keys))
+        writer.writerow(_field_columns(field.rank, labels.values()))
         for idx, w in enumerate(field.grid.points):
             row = [repr(float(w.real)), repr(float(w.imag))]
-            for mat in field.tuple_at(idx, keys):
+            for mat in field.tuple_at(idx, labels):
                 for value in np.asarray(mat).ravel():
                     row.append(repr(float(value.real)))
                     row.append(repr(float(value.imag)))
@@ -87,12 +93,11 @@ def write_curvature_csv(path: str | Path, field) -> None:
 
 
 def curvature_field_to_json(field) -> dict:
-    keys = [(0, 0)] + sorted(field.derivatives.keys())
+    labels = _field_labels(field)
     points = []
     for idx, w in enumerate(field.grid.points):
         entry = {"re_w": float(w.real), "im_w": float(w.imag)}
-        for key, mat in zip(keys, field.tuple_at(idx, keys)):
-            label = "K" if key == (0, 0) else f"K_w{key[0]}wb{key[1]}"
+        for label, mat in zip(labels.values(), field.tuple_at(idx, labels)):
             mat = np.asarray(mat)
             entry[label] = {
                 "re": [float(v) for v in mat.real.ravel()],

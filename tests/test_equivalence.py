@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlab.equivalence import (AntidiagonalTransform, BlockUnitary,
-                               build_unitary_from_x, construct_fb2_pair,
-                               frame_kernel_matrix, kernel_transform_check,
-                               main3_verifier, theta_intertwiner_check,
-                               verify_mainlemma)
+from cdlab.equivalence import (SWAP, BlockUnitary, build_unitary_from_x,
+                               construct_fb2_pair, frame_kernel_matrix,
+                               kernel_transform_check, main3_verifier,
+                               theta_intertwiner_check, verify_mainlemma)
 from cdlab.errors import (DegenerateInputError, DomainError, NumericError,
                           PreconditionError)
-from cdlab.geometry import DiskGrid, eigenframe, polar_grid
+from cdlab.geometry import DiskGrid, eigenframe, kernel_frame, polar_grid
 from cdlab.kernels import DiagonalKernel, bergman_kernel, separator_kernel
 from cdlab.operators import (assemble_model, frobenius, random_operator,
                              shift_from_kernel, sylvester_kernel)
@@ -269,11 +268,8 @@ class TestKernelTransform:
         model = assemble_model(*_shift_pair(16), random_operator(16, 4))
         grid = polar_grid(radii=[0.3, 0.5], n_angles=4)
         frame = eigenframe(model, grid)
-        swapped = frame.with_constant_change(
-            np.array([[0, 1], [1, 0]], dtype=complex))
-        samples = [(z, w) for z in grid.points[:4] for w in grid.points[:4]]
-        residual = kernel_transform_check(
-            frame, swapped, AntidiagonalTransform.constant(), samples)
+        swapped = frame.with_constant_change(SWAP)
+        residual = kernel_transform_check(frame, swapped, SWAP, grid.points[:4])
         assert residual <= 1e-13
 
     def test_unrelated_frames_mismatch(self):
@@ -284,9 +280,8 @@ class TestKernelTransform:
         t1 = shift_from_kernel(bergman_kernel(3, 16))
         frame_b = eigenframe(
             assemble_model(t0, t1, random_operator(16, 5)), grid)
-        samples = [(z, w) for z in grid.points[:3] for w in grid.points[:3]]
-        residual = kernel_transform_check(
-            frame_a, frame_b, AntidiagonalTransform.constant(), samples)
+        residual = kernel_transform_check(frame_a, frame_b, SWAP,
+                                          grid.points[:3])
         assert residual > 1e-2
 
     def test_sample_outside_disk_rejected(self):
@@ -294,9 +289,7 @@ class TestKernelTransform:
         grid = polar_grid(radii=[0.3], n_angles=4)
         frame = eigenframe(model, grid)
         with pytest.raises(DomainError):
-            kernel_transform_check(frame, frame,
-                                   AntidiagonalTransform.constant(),
-                                   [(1.5, 0.2)])
+            kernel_transform_check(frame, frame, SWAP, np.array([1.5, 0.2]))
 
     def test_residual_invariant_under_sample_relabeling(self):
         model = assemble_model(*_shift_pair(12), random_operator(12, 8))
@@ -304,10 +297,9 @@ class TestKernelTransform:
         frame = eigenframe(model, grid)
         other = eigenframe(
             assemble_model(*_shift_pair(12), random_operator(12, 9)), grid)
-        samples = [(z, w) for z in grid.points[:3] for w in grid.points[:3]]
-        transform = AntidiagonalTransform.constant()
-        forward = kernel_transform_check(frame, other, transform, samples)
-        reversed_order = kernel_transform_check(frame, other, transform,
+        samples = grid.points[:3]
+        forward = kernel_transform_check(frame, other, SWAP, samples)
+        reversed_order = kernel_transform_check(frame, other, SWAP,
                                                 samples[::-1])
         assert forward == reversed_order
 
@@ -315,8 +307,28 @@ class TestKernelTransform:
         model = assemble_model(*_shift_pair(12), random_operator(12, 6))
         grid = polar_grid(radii=[0.4], n_angles=4)
         frame = eigenframe(model, grid)
-        k = frame_kernel_matrix(frame, 0.3 + 0.1j, 0.3 + 0.1j)
+        k = frame_kernel_matrix(frame, np.array([0.3 + 0.1j]))[0, 0]
         np.testing.assert_allclose(k, k.conj().T, atol=1e-13)
+
+    def test_kernel_matrix_matches_pairwise_definition(self):
+        grid = polar_grid(radii=[0.3, 0.5], n_angles=3)
+        frames = (kernel_frame(bergman_kernel(2, 16), grid),
+                  eigenframe(assemble_model(*_shift_pair(16),
+                                            random_operator(16, 4)), grid))
+        points = np.array([0.2 - 0.1j, -0.45j, 0.3 + 0.35j])
+        for frame in frames:
+            table = frame_kernel_matrix(frame, points)
+            rank = frame.rank
+            assert table.shape == (3, 3, rank, rank)
+            for a, z in enumerate(points):
+                for b, w in enumerate(points):
+                    # K(z, w)[i, j] = <gamma_j(conj w), gamma_i(conj z)>
+                    gz = frame.evaluate(np.conj(z))
+                    gw = frame.evaluate(np.conj(w))
+                    pairwise = [[np.vdot(gz[i], gw[j]) for j in range(rank)]
+                                for i in range(rank)]
+                    np.testing.assert_allclose(table[a, b], pairwise,
+                                               rtol=1e-14)
 
 
 def _engineered_main3(size=24, seed=17):

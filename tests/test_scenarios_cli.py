@@ -194,6 +194,17 @@ MALFORMED = [
         A={"adjoint_of": {"source": "A"}}), _use_x(raw, "A")),
      r"operators\[A\]: 'adjoint_of': 'source': operators form a cycle "
      r"A -> A"),
+    ("odd-swap_pairs", lambda raw: raw["operators"].update(
+        P={"swap_pairs": {"size": 3}}),
+     r"operators\[P\]: 'swap_pairs': 'size' must be even, got 3"),
+    ("radii-with-rmax", lambda raw: raw.update(
+        grid={"radii": [0.3], "rmax": 0.5, "n_angles": 4}),
+     r"grid: 'radii' cannot be given with 'rmax'"),
+    ("check-radii-with-n_radii", lambda raw: raw.update(checks=[{
+        "check": "frame", "params": {"t0_kernel": "b1", "t1_kernel": "b2",
+                                     "grid": {"radii": [0.3], "n_radii": 2}}}]),
+     r"checks\[0\] \(frame\): 'grid': 'radii' cannot be given with "
+     r"'n_radii'"),
     ("two-operator-cycle", lambda raw: (raw["operators"].update(
         A={"adjoint_of": {"source": "B"}},
         B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
