@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DegenerateInputError, InvalidArgumentError,
                      NumericError, PreconditionError)
 from .geometry import DiskGrid, FrameField, eigenframe
-from .kernels import DiagonalKernel, section_table
+from .kernels import DiagonalKernel, disk_points, section_table
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
                         assemble_model, block_matrix, frobenius,
                         guarded_inverse, require_unitary, shift_from_kernel,
@@ -250,11 +250,12 @@ def frame_kernel_matrix(frame: FrameField, points) -> np.ndarray:
     gamma_i(conj z_a)> over the 1-d `points`.
 
     Frames are evaluated at the conjugated points, matching the convention in
-    which the model acts as the adjoint multiplication operator.
+    which the model acts as the adjoint multiplication operator; a point with
+    |z| >= 1 raises a DomainError that names it as given.
     """
     if frame.jet is None:
         raise InvalidArgumentError("frame has no jet to evaluate")
-    vecs = frame.evaluate(np.conj(np.asarray(points, dtype=complex)))
+    vecs = frame.evaluate(np.conj(disk_points(points)))
     return vecs.conj()[:, None] @ np.swapaxes(vecs, -1, -2)[None, :]
 
 

@@ -209,7 +209,10 @@ class FrameField:
 def _eigen_residuals(t: np.ndarray, vectors: np.ndarray,
                      points: np.ndarray) -> np.ndarray:
     """||(T - w) gamma_i(w)|| for every point and frame vector."""
-    return np.linalg.norm(vectors @ t.T - points[:, None, None] * vectors, axis=-1)
+    dim = vectors.shape[-1]
+    # one (points * rank, dim) product: a stacked one re-reads T per point
+    tv = (vectors.reshape(-1, dim) @ t.T).reshape(vectors.shape)
+    return np.linalg.norm(tv - points[:, None, None] * vectors, axis=-1)
 
 
 def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
@@ -249,10 +252,16 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
 
     def jet_at(points, order) -> np.ndarray:
         t0, t1 = section_jet(k0, points, order), section_jet(k1, points, order)
-        # x @ t1 per point, not t1 @ x.T, so a batch rounds like single-point calls
-        xt1 = (x @ t1[..., None])[..., 0]
-        return np.stack([np.concatenate([t0, np.zeros_like(t0)], axis=-1),
-                         np.concatenate([xt1, t1], axis=-1)], axis=-2)
+        jets = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
+        jets[..., 0, :n] = t0
+        jets[..., 1, n:] = t1
+        # order 0: x @ t1 per point, so a batch rounds like single-point calls;
+        # orders >= 1: one (points * order, n) @ x.T product
+        jets[..., 0, 1, :n] = (x @ t1[..., 0, :, None])[..., 0]
+        if order:
+            t1_jets = t1[..., 1:, :]
+            jets[..., 1:, 1, :n] = (t1_jets.reshape(-1, n) @ x.T).reshape(t1_jets.shape)
+        return jets
 
     vectors = jet_at(grid.points, 0)[:, 0]
     return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -97,15 +98,36 @@ def section_vector(kernel: DiagonalKernel, w: complex) -> SectionVector:
     return SectionVector(point=complex(w), coordinates=section_table(kernel, w))
 
 
-def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
-    """Sections t(w) = (sqrt(a_k) w^k)_k at points of any shape (0-d included),
-    as a points.shape + (N,) array; a point with |w| >= 1 raises a DomainError."""
+def disk_points(points: np.ndarray | complex) -> np.ndarray:
+    """`points` as a complex array; the first one with |w| >= 1 raises a
+    DomainError that names it."""
     points = np.asarray(points, dtype=complex)
     outside = points[np.abs(points) >= 1.0]
     if outside.size:
         _check_disk(outside[0], "w")
-    return np.sqrt(kernel.coefficients) * np.power(points[..., None],
-                                                   np.arange(kernel.truncation))
+    return points
+
+
+def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
+    """Sections t(w) = (sqrt(a_k) w^k)_k at points of any shape (0-d included),
+    as a points.shape + (N,) array; a point with |w| >= 1 raises a DomainError.
+
+    The powers w^k are one cumulative product along the coefficient axis, the
+    rule of `evaluate_kernel`: rounding errors add up linearly in k instead of
+    going through the exp/log of a complex power.
+    """
+    points = disk_points(points)
+    powers = np.repeat(points[..., None], kernel.truncation, axis=-1)
+    powers[..., 0] = 1.0
+    return np.sqrt(kernel.coefficients) * np.cumprod(powers, axis=-1)
+
+
+@cache
+def _binomial_weights(n: int, i: int) -> np.ndarray:
+    """The weights C(k, i), k = i..n-1, as one read-only array per (n, i)."""
+    weights = np.array([math.comb(k, i) for k in range(i, n)], dtype=float)
+    weights.flags.writeable = False
+    return weights
 
 
 def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
@@ -121,8 +143,8 @@ def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
     a, n = kernel.coefficients, kernel.truncation
     jets = np.zeros(table.shape[:-1] + (order + 1, n), dtype=complex)
     for i in range(min(order, n - 1) + 1):
-        binom = np.array([math.comb(k, i) for k in range(i, n)], dtype=float)
-        jets[..., i, i:] = binom * np.sqrt(a[i:] / a[:n - i]) * table[..., :n - i]
+        jets[..., i, i:] = (_binomial_weights(n, i) * np.sqrt(a[i:] / a[:n - i])
+                            * table[..., :n - i])
     return jets
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,6 +291,13 @@ class TestKernelTransform:
         frame = eigenframe(model, grid)
         with pytest.raises(DomainError):
             kernel_transform_check(frame, frame, SWAP, np.array([1.5, 0.2]))
+
+    def test_sample_outside_disk_named_as_given(self):
+        # frames are evaluated at conj(z), but the error names z itself
+        model = assemble_model(*_shift_pair(8), np.zeros((8, 8)))
+        frame = eigenframe(model, polar_grid(radii=[0.3], n_angles=4))
+        with pytest.raises(DomainError, match=re.escape("w=(0.3+1.5j)")):
+            kernel_transform_check(frame, frame, SWAP, [0.2, 0.3 + 1.5j])
 
     def test_residual_invariant_under_sample_relabeling(self):
         model = assemble_model(*_shift_pair(12), random_operator(12, 8))

@@ -10,7 +10,7 @@ from cdlab.geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                             covariant_derivative, curvature,
                             curvature_isometry_check, eigenframe, gram_metric,
                             kernel_frame, polar_grid, radial_grid)
-from cdlab.kernels import bergman_kernel
+from cdlab.kernels import bergman_kernel, section_jet
 from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              random_operator, random_unitary,
                              shift_from_kernel)
@@ -145,6 +145,37 @@ class TestEigenframe:
             worst[size] = float(np.max(eigenframe(model, grid).eigen_residuals))
         # geometric decay, up to the slowly growing weight-two coefficient
         assert worst[80] <= worst[40] * 0.8 ** 40 * 4.0
+
+    @pytest.mark.parametrize("size", [24, 240])
+    def test_coupling_jets_match_per_point_products(self, size):
+        model = _model(size=size)
+        points = polar_grid(radii=[0.2, 0.5], n_angles=5).points
+        jets = eigenframe(model, DiskGrid(points=points)).jet(points, 3)
+        t1_jets = section_jet(model.t1.kernel, points, 3)
+        for p in range(len(points)):
+            for order in (1, 2, 3):
+                want = model.x @ t1_jets[p, order]
+                np.testing.assert_allclose(jets[p, order, 1, :size], want,
+                                           rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(jets[..., 1, size:], t1_jets)
+        np.testing.assert_array_equal(jets[..., 0, :size],
+                                      section_jet(model.t0.kernel, points, 3))
+        assert not np.any(jets[..., 0, size:])
+
+    @pytest.mark.parametrize("kind,size", [("eigenframe", 24), ("eigenframe", 120),
+                                           ("kernel_frame", 60)])
+    def test_residuals_match_stacked_per_point_products(self, kind, size):
+        # radii where the truncation tail, not roundoff, sets each residual
+        grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
+        if kind == "eigenframe":
+            model = _model(size=size)
+            frame, t = eigenframe(model, grid), model.t
+        else:
+            kernel = bergman_kernel(2, size)
+            frame, t = kernel_frame(kernel, grid), shift_from_kernel(kernel).matrix
+        v = frame.vectors
+        want = np.linalg.norm(v @ t.T - grid.points[:, None, None] * v, axis=-1)
+        np.testing.assert_allclose(frame.eigen_residuals, want, rtol=1e-14, atol=0)
 
 
 class TestGramMetric:

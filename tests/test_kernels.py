@@ -1,4 +1,6 @@
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from cdlab.errors import DomainError, InvalidArgumentError, PrecisionError
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
-                           evaluate_kernel, required_truncation, section_table,
-                           section_vector, separator_kernel)
+                           evaluate_kernel, required_truncation, section_jet,
+                           section_table, section_vector, separator_kernel)
 
 from oracles import binomial_series_coefficients
 
@@ -140,6 +142,39 @@ class TestSectionTable:
     def test_domain_error_names_point(self):
         with pytest.raises(DomainError, match=re.escape("w=(-1+0j)")):
             section_table(bergman_kernel(1, 4), np.array([0.2, -1.0, 0.3j]))
+
+    @pytest.mark.parametrize("w", [0.5 + 0.25j, -0.375 + 0.5625j, 0.6875 - 0.125j,
+                                   -0.4375 - 0.40625j, 0.09375j])
+    def test_within_k_eps_of_exact_powers(self, w):
+        """Coordinate k against exact rational w^k times the float sqrt(a_k):
+        |t_k - sqrt(a_k) w^k| <= k eps |sqrt(a_k) w^k|, compared in rationals."""
+        k = bergman_kernel(3, 240)
+        table = section_table(k, w)
+        re_w, im_w = Fraction(w.real), Fraction(w.imag)
+        eps = Fraction(np.finfo(float).eps)
+        power = (Fraction(1), Fraction(0))
+        for idx, (got, root) in enumerate(zip(table, np.sqrt(k.coefficients))):
+            exact = (Fraction(root) * power[0], Fraction(root) * power[1])
+            err = ((Fraction(got.real) - exact[0]) ** 2
+                   + (Fraction(got.imag) - exact[1]) ** 2)
+            within = err <= (idx * eps) ** 2 * (exact[0] ** 2 + exact[1] ** 2)
+            assert within, f"coordinate {idx} of t({w})"
+            power = (power[0] * re_w - power[1] * im_w,
+                     power[0] * im_w + power[1] * re_w)
+
+
+class TestSectionJet:
+    def test_cached_weights_match_comb_reference(self):
+        k = bergman_kernel(2, 80)
+        points = np.array([0.3 - 0.2j, -0.55j, 0.0, 0.6 + 0.1j])
+        table = section_table(k, points)
+        a, n = k.coefficients, k.truncation
+        want = np.zeros(points.shape + (4, n), dtype=complex)
+        for i in range(4):
+            binom = np.array([math.comb(j, i) for j in range(i, n)], dtype=float)
+            want[:, i, i:] = binom * np.sqrt(a[i:] / a[:n - i]) * table[:, :n - i]
+        for _ in range(2):  # the second call reads the cached weights
+            assert np.array_equal(section_jet(k, points, 3), want)
 
 
 class TestDiagonalRatio:
