@@ -7,10 +7,11 @@ it failed and the campaign continues.  Identical scenario + seed gives
 identical report bodies, timing aside.
 
 Each section is declared once, as a function's keyword-only arguments (see
-`Ref`): check params by the runner, kernels and operators by their forms and
-SOURCES, the grid and outputs by `_grid` and `_outputs`.  `_read_params` reads
-them at load, where a bad key, value or name is a SchemaError, and again
-inside each check, where it builds what they name.
+`Ref`): check params by the runner, kernels and models by their forms
+(KERNEL, MODEL), operators by SOURCES, the grid and outputs by `_grid` and
+`_outputs`.  `_read_params` reads them at load, where a bad key, value or
+name is a SchemaError, and again inside each check, where it builds what
+they name.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number",
 
 class Ref(NamedTuple):
     """A parameter's kind and its value when absent (a plain default gives
-    both).  The kind is a type to cast to, a `ScenarioContext` method, a dict
-    of choices to the parameters each needs, `[kind]` for a nonempty list, or
-    a function whose keyword-only parameters are an object's keys."""
+    both).  The kind is a type to cast to, a `ScenarioContext` method, a set
+    of choices, `[kind]` for a nonempty list, a function whose keyword-only
+    parameters are an object's keys, or a tuple of such functions, the forms
+    the object may take."""
 
     kind: object
     default: object = REQUIRED
@@ -78,8 +80,10 @@ class Ref(NamedTuple):
 def _kind_name(kind) -> str:
     if isinstance(kind, list):
         return f"[{_kind_name(kind[0])}]"
-    if isinstance(kind, dict):
-        return " | ".join(kind)
+    if isinstance(kind, tuple):
+        return " | ".join(map(_kind_name, kind))
+    if isinstance(kind, set):
+        return " | ".join(sorted(kind))
     return kind if isinstance(kind, str) else kind.__name__.strip("_")
 
 
@@ -102,15 +106,11 @@ def _cast(kind: type, value, where: str):
 
 @functools.cache
 def _schema(runner) -> dict[str, Ref]:
-    """`runner`'s keyword-only parameters; `**blocks` stands for `_model`'s."""
-    schema = {}
-    for name, p in inspect.signature(runner).parameters.items():
-        if p.kind is p.VAR_KEYWORD:
-            schema.update(_schema(_model))
-        elif p.kind is p.KEYWORD_ONLY:
-            schema[name] = p.default if isinstance(p.default, Ref) \
-                else Ref(type(p.default), p.default)
-    return schema
+    """`runner`'s keyword-only parameters."""
+    return {name: p.default if isinstance(p.default, Ref)
+            else Ref(type(p.default), p.default)
+            for name, p in inspect.signature(runner).parameters.items()
+            if p.kind is p.KEYWORD_ONLY}
 
 
 def _read_params(ctx: "ScenarioContext", runner, raw, where: str) -> dict:
@@ -126,10 +126,18 @@ def _read_params(ctx: "ScenarioContext", runner, raw, where: str) -> dict:
             raise SchemaError(f"{where}: missing or null parameter '{name}'")
         kwargs[name] = None if value is None and not isinstance(ref.kind, str) \
             else ctx.read(ref.kind, value, f"{where}: '{name}'")
-        for needed in ref.kind[value] if isinstance(ref.kind, dict) else ():
-            if kwargs[needed] is None:  # declared before the choice
-                raise SchemaError(f"{where}: '{name}' {value!r} needs '{needed}'")
     return kwargs
+
+
+def _form(forms: tuple, raw):
+    """The first of `forms` whose required keys `raw` all gives, else the
+    first sharing a key with it, else the first; the unknown-key rule of the
+    form read then names any key of another form."""
+    keys = set(raw) if isinstance(raw, dict) else set()
+    given = [form for form in forms if keys >= {
+        name for name, ref in _schema(form).items() if ref.default is REQUIRED}]
+    return (given or [form for form in forms if keys & set(_schema(form))]
+            or forms)[0]
 
 
 def parameter_docs(runner) -> list[tuple[str, str]]:
@@ -140,22 +148,29 @@ def parameter_docs(runner) -> list[tuple[str, str]]:
         for name, ref in _schema(runner).items()]
 
 
-def _model(*, t0_kernel=Ref("shift", None), t1_kernel=Ref("shift", None),
-           t0_op=Ref("operator", None), t1_op=Ref("operator", None),
-           x=Ref("operator", None)) -> UpperTriangularModel:
-    """The coupled model of T0 and T1, each a kernel's shift or an operator,
-    and X (zero when absent)."""
-    t0, t1 = t0_kernel, t1_kernel
-    if t0 is None and t0_op is not None and t1_op is not None:
-        t0, t1 = ModelOperator(t0_op), ModelOperator(t1_op)
-    if t0 is None or t1 is None:
-        raise SchemaError("a model needs t0_kernel and t1_kernel, or t0_op and t1_op")
-    return assemble_model(t0, t1, np.zeros((t0.size, t0.size), dtype=complex)
-                          if x is None else x)
+def _kernel_model(*, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
+                  x=Ref("operator", None)) -> UpperTriangularModel:
+    """The coupled model of two kernels' shifts and X (zero when absent)."""
+    if x is None:
+        x = np.zeros((t0_kernel.size, t0_kernel.size), dtype=complex)
+    return assemble_model(t0_kernel, t1_kernel, x)
+
+
+def _operator_model(*, t0_op=Ref("operator"), t1_op=Ref("operator"),
+                    x=Ref("operator", None)) -> UpperTriangularModel:
+    """The coupled model of two operators and X (zero when absent)."""
+    return _kernel_model(t0_kernel=ModelOperator(t0_op),
+                         t1_kernel=ModelOperator(t1_op), x=x)
 
 
 def _mobius(*, a=Ref(complex), phase=0.0) -> MobiusMap:
     return MobiusMap(a=a, phase=phase)
+
+
+def _witness(*, a=Ref(complex), phase=0.0, u0=Ref("operator"),
+             u1=Ref("operator")) -> WitnessEntry:
+    """A sampled Mobius map with its diagonal witness unitaries U0, U1."""
+    return WitnessEntry(mobius=_mobius(a=a, phase=phase), u0=u0, u1=u1)
 
 
 def _sylvester_case(*, a=Ref("operator"), b=Ref("operator"),
@@ -163,7 +178,7 @@ def _sylvester_case(*, a=Ref("operator"), b=Ref("operator"),
     return a, b, expected_dim
 
 
-def _bergman(*, preset=Ref({"bergman": ()}), n=Ref("count"),
+def _bergman(*, preset=Ref({"bergman"}), n=Ref("count"),
              N=Ref("count")) -> DiagonalKernel:
     """The weighted Bergman kernel (1 - z conj(w))^(-n), truncated at N."""
     return bergman_kernel(n, N)
@@ -173,8 +188,13 @@ def _coeffs(*, coeffs=Ref([float]), label="custom") -> DiagonalKernel:
     return DiagonalKernel(np.asarray(coeffs, dtype=float), label=label)
 
 
+# the forms of a kernel spec and of a model, in the order they are tried
+KERNEL = (_bergman, _coeffs)
+MODEL = (_kernel_model, _operator_model)
+
+
 def _random(*, size=Ref("count"), seed=Ref("random_seed", None), norm=0.5,
-            kind=Ref({"dense": (), "normal": ()}, "dense")) -> np.ndarray:
+            kind=Ref({"dense", "normal"}, "dense")) -> np.ndarray:
     return random_operator(size, seed, norm=norm, kind=kind)
 
 
@@ -208,12 +228,11 @@ SOURCES = {
 }
 
 
-def _grid(*, radii=Ref([float], None), rmax=0.6, n_radii=Ref("count", 6),
-          n_angles=Ref("count", 16), fd_step=1e-3) -> DiskGrid:
-    """A polar grid on `radii`, or on n_radii radii spaced evenly up to rmax."""
-    if radii is None:
-        radii = rmax * np.arange(1, n_radii + 1) / n_radii
-    return polar_grid(radii=radii, n_angles=n_angles, fd_step=fd_step)
+def _grid(*, rmax=0.6, n_radii=Ref("count", 6), n_angles=Ref("count", 16),
+          fd_step=1e-3) -> DiskGrid:
+    """A polar grid on n_radii radii spaced evenly up to rmax."""
+    return polar_grid(radii=rmax * np.arange(1, n_radii + 1) / n_radii,
+                      n_angles=n_angles, fd_step=fd_step)
 
 
 def _outputs(*, report=Ref(str, None)):
@@ -322,13 +341,15 @@ class ScenarioContext:
                 raise SchemaError(f"{where} must be a nonempty list, got {value!r}")
             return [self.read(kind[0], item, f"{where}[{i}]")
                     for i, item in enumerate(value)]
-        if isinstance(kind, dict):
+        if isinstance(kind, set):
             if not isinstance(value, str) or value not in kind:
-                raise SchemaError(f"{where} must be one of {', '.join(kind)}, "
-                                  f"got {value!r}")
+                raise SchemaError(f"{where} must be one of "
+                                  f"{', '.join(sorted(kind))}, got {value!r}")
             return value
         if isinstance(kind, type):
             return _cast(kind, value, where)
+        if isinstance(kind, tuple):
+            kind = _form(kind, value)
         params = _read_params(self, kind, value, where)
         return kind(**params) if self.build else params
 
@@ -338,12 +359,11 @@ class ScenarioContext:
         return name is not None
 
     def kernel(self, name, where: str) -> DiagonalKernel | None:
-        """Kernel `name` read as the form its spec's keys select."""
+        """Kernel `name` read as the KERNEL form its spec's keys select."""
         if not self._named(self.scenario.kernel_specs, "kernel", name, where):
             return None
-        spec = self.scenario.kernel_specs[name]
-        form = _bergman if isinstance(spec, dict) and "preset" in spec else _coeffs
-        return self.read(form, spec, f"{where}: kernels[{name}]")
+        return self.read(KERNEL, self.scenario.kernel_specs[name],
+                         f"{where}: kernels[{name}]")
 
     def kernels(self, names, where: str) -> list:
         return list(zip(names, self.read(["kernel"], names, where)))
@@ -380,14 +400,10 @@ class ScenarioContext:
         return matrix_from_json(obj, where)
 
     def grid(self, spec, where: str) -> DiskGrid:
-        """Built at load too, so a grid that cannot be built is a SchemaError.
-        `radii` excludes `rmax` and `n_radii`, which only space radii evenly."""
+        """Built at load too, so a grid that cannot be built is a SchemaError."""
         if spec is None:
             return self.scenario.grid
         params = _read_params(self, _grid, spec, where)
-        clash = sorted({"rmax", "n_radii"} & set(spec)) if "radii" in spec else []
-        if clash:
-            raise SchemaError(f"{where}: 'radii' cannot be given with '{clash[0]}'")
         try:
             return _grid(**params)
         except InvalidArgumentError as exc:
@@ -486,14 +502,14 @@ def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
         "pointwise 2x2 unitary intertwining the curvature tuple of two rank-2 "
         "fields")
 def _check_curvature_isometry(
-        tol: float, *, model=Ref(_model), model_b=Ref(_model, None),
-        mode=Ref({"unitary-change": (), "independent": ("model_b",)},
-                 "unitary-change"),
+        tol: float, *, model=Ref(MODEL), model_b=Ref(MODEL, None),
         change_seed=Ref("seed", None), min_notfound_fraction=0.9,
         grid=Ref("grid", None)) -> ConditionReport:
+    """Model A against a constant unitary change of its own frame, or against
+    `model_b`'s independently built frame when that is given."""
     report = ConditionReport(name="curvature-isometry")
     frame = eigenframe(model, grid)
-    if mode == "unitary-change":
+    if model_b is None:
         g = random_unitary(2, np.random.default_rng(change_seed))
         frame_b = frame.with_constant_change(g)
     else:
@@ -506,7 +522,7 @@ def _check_curvature_isometry(
             covariant_derivative(fields[-1], metric, i, j)
     results = curvature_isometry_check(*fields, tol)
     found = sum(1 for r in results if r.found)
-    if mode == "unitary-change":
+    if model_b is None:
         worst = max(r.residual for r in results)
         report.add("all-points-found", worst, tol,
                    detail=f"{found}/{len(results)} points matched")
@@ -524,23 +540,19 @@ def _check_curvature_isometry(
         "recover the scalar phase relating two couplings and verify the "
         "rotation-block unitary")
 def _check_corollary_theta(tol: float, *, t0_kernel=Ref("shift"),
-                           t1_kernel=Ref("shift"), theta0=Ref(float, None),
-                           y=Ref("operator", None)) -> ConditionReport:
+                           t1_kernel=Ref("shift"), theta0=Ref(float)
+                           ) -> ConditionReport:
     report = ConditionReport(name="corollary-theta")
     t0, t1 = t0_kernel, t1_kernel
-    if theta0 is not None:
-        y = np.exp(1j * theta0) * np.eye(t0.size, dtype=complex)
-    elif y is None:
-        raise SchemaError("corollary-theta needs 'theta0' or 'y'")
+    y = np.exp(1j * theta0) * np.eye(t0.size, dtype=complex)
     outcome = theta_intertwiner_check(t0, t1, y, tol)
     if outcome is None:
         report.add("relation-accepted", math.inf, tol,
                    detail="least-squares phase does not satisfy the relation")
         return report
     theta, unitary = outcome
-    if theta0 is not None:
-        err = abs((theta - theta0 + math.pi) % (2.0 * math.pi) - math.pi)
-        report.add("theta-recovery", err, tol)
+    err = abs((theta - theta0 + math.pi) % (2.0 * math.pi) - math.pi)
+    report.add("theta-recovery", err, tol)
     model = assemble_model(t0, t1, np.eye(t0.size, dtype=complex))
     partner_t = block_matrix(t1.matrix, y @ t0.matrix - t1.matrix @ y,
                              None, t0.matrix)
@@ -553,11 +565,10 @@ def _check_corollary_theta(tol: float, *, t0_kernel=Ref("shift"),
 
 @_check("fb2-membership", 1e-10, "X T1^2 - 2 T0 X T1 + T0^2 X = 0",
         "vanishing test for the second-order coupling expression")
-def _check_fb2_membership(tol: float, *,
-                          expect=Ref({"member": (), "nonmember": ()}, "member"),
-                          **blocks) -> ConditionReport:
+def _check_fb2_membership(tol: float, *, model=Ref(MODEL),
+                          expect=Ref({"member", "nonmember"}, "member")
+                          ) -> ConditionReport:
     report = ConditionReport(name="fb2-membership")
-    model = _model(**blocks)
     member, residual = fb2_membership(model.t0, model.t1, model.x, tol)
     ok = member == (expect == "member")
     report.add("verdict-matches", 0.0 if ok else 1.0, 0.5,
@@ -601,19 +612,14 @@ def _check_frame(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
 @_check("homogeneity", 1e-10, "U0 X = X U1",
         "diagonal witness unitaries conjugating each block to its Mobius "
         "image, plus the coupling commutation")
-def _check_homogeneity(tol: float, *, model=Ref(_model),
-                       maps=Ref("maps", "default12"),
-                       witness=Ref([["operator"]])) -> ConditionReport:
-    if len(witness) != len(maps):
-        raise SchemaError("homogeneity: need one witness pair per sampled map")
-    entries = [WitnessEntry(mobius=mob, u0=u0, u1=u1)
-               for mob, (u0, u1) in zip(maps, witness)]
-    return homogeneity_condition_check(model, entries, tol)
+def _check_homogeneity(tol: float, *, model=Ref(MODEL),
+                       witness=Ref([_witness])) -> ConditionReport:
+    return homogeneity_condition_check(model, witness, tol)
 
 
 @_check("kernel-transform", 1e-10, "Phi(z) K(z,w) Phi(w)^* = K'(z,w)",
         "constant swap matrix-kernel transformation between two frame fields")
-def _check_kernel_transform(tol: float, *, model=Ref(_model),
+def _check_kernel_transform(tol: float, *, model=Ref(MODEL),
                             grid=Ref("grid", None)) -> ConditionReport:
     report = ConditionReport(name="kernel-transform")
     frame_a = eigenframe(model, grid)
@@ -642,22 +648,15 @@ def _check_main1(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
         "X* t0(w) = 2 Y t1(w); ||t0||^2 = 2(||Y t1||^2 + ||t1||^2)",
         "section identities forcing similarity of the diagonal operators "
         "through a slow third kernel")
-def _check_main3(tol: float, *, engineered_from=Ref("kernel", None),
-                 phase_seed=Ref("seed", None), k0=Ref("kernel", None),
-                 k1=Ref("kernel", None), ks=Ref("kernel", None),
-                 x=Ref("operator", None), y=Ref("operator", None),
-                 grid=Ref("grid", None)) -> ConditionReport:
-    if engineered_from is not None:
-        k1 = engineered_from
-        rng = np.random.default_rng(phase_seed)
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k1.truncation))
-        k0 = DiagonalKernel(4.0 * k1.coefficients, label="engineered")
-        x = np.diag(phases.conj())
-        y = np.diag(phases)
-        ks = separator_kernel(k0, k1)
-    elif any(value is None for value in (k0, k1, ks, x, y)):
-        raise SchemaError("main3 needs engineered_from, or k0, k1, ks, x and y")
-    return main3_verifier(k0, k1, ks, x, y, grid, tol)
+def _check_main3(tol: float, *, engineered_from=Ref("kernel"),
+                 phase_seed=Ref("seed", None), grid=Ref("grid", None)
+                 ) -> ConditionReport:
+    k1 = engineered_from
+    rng = np.random.default_rng(phase_seed)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k1.truncation))
+    k0 = DiagonalKernel(4.0 * k1.coefficients, label="engineered")
+    return main3_verifier(k0, k1, separator_kernel(k0, k1),
+                          np.diag(phases.conj()), np.diag(phases), grid, tol)
 
 
 @_check("mainlemma", 1e-9, "(1+XX*)^{-1} = U10* U10",
@@ -684,7 +683,7 @@ def _random_model(size: int, base: int, norm: float) -> UpperTriangularModel:
 def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
                         involution_tol=1e-9, trials=Ref("count", 1),
                         seed=Ref("seed", None), size=6, block_norm=0.5,
-                        model=Ref(_model, None)) -> ConditionReport:
+                        model=Ref(MODEL, None)) -> ConditionReport:
     report = ConditionReport(name="mobius-block")
     inverses = [mob.inverse() for mob in maps]
     worst_block = worst_involution = worst_power = 0.0
@@ -725,7 +724,7 @@ def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
         samples = diagonal_ratio(ks, kern, radii)
         ratios = [s.ratio for s in samples]
         monotone = max(b - a for a, b in zip(ratios, ratios[1:]))
-        report.add(f"monotone-{name}", monotone, 0.0,
+        report.add(f"monotone-{name}", monotone, tol,
                    detail="consecutive ratio differences must be negative")
         report.add(f"final-ratio-{name}", ratios[-1], max_final_ratio)
         report.info[f"ratios_{name}"] = ratios
@@ -739,7 +738,7 @@ def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
         "unipotent similarity between the coupled model and its diagonal")
 def _check_similarity_split(tol: float, *, trials=Ref("count", 1),
                             seed=Ref("seed", None), size=6,
-                            model=Ref(_model, None)) -> ConditionReport:
+                            model=Ref(MODEL, None)) -> ConditionReport:
     report = ConditionReport(name="similarity-split")
     worst = 0.0
     for trial in range(trials):
@@ -759,7 +758,7 @@ def _check_sylvester(tol: float, *, cases=Ref([_sylvester_case])) -> ConditionRe
     for idx, (a, b, expected) in enumerate(cases):
         space = sylvester_kernel(a, b)
         report.add(f"case{idx}-dimension",
-                   abs(space.dimension - expected), 0.0,
+                   abs(space.dimension - expected), tol,
                    detail=f"computed {space.dimension}, expected {expected}")
         report.info[f"case{idx}_residual"] = space.residual
     return report

@@ -10,7 +10,7 @@ import pytest
 
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
-from cdlab.scenarios import (REGISTRY, SOURCES, Scenario, _bergman, _coeffs,
+from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
                              _grid, _outputs, list_checks, parameter_docs,
                              run_scenario)
 from cdlab.serialize import (load_matrix, matrix_from_json, matrix_to_json,
@@ -61,6 +61,23 @@ def test_bundled_scenarios_pass(path, tmp_path, monkeypatch):
         assert field.exists()
         header = field.read_text().splitlines()[0]
         assert header.startswith("re_w,im_w,K_00_re")
+
+
+def test_sylvester_and_separator_compare_against_tol():
+    raw = {"name": "given-tol",
+           "kernels": {"b1": {"preset": "bergman", "n": 1, "N": 64},
+                       "b2": {"preset": "bergman", "n": 2, "N": 64}},
+           "operators": {"D": {"diagonal": {"values": [1, 2]}}},
+           "checks": [{"check": "sylvester", "tol": 0.5, "params": {
+                           "cases": [{"a": "D", "b": "D", "expected_dim": 2}]}},
+                      {"check": "separator", "tol": 1e-3,
+                       "params": {"k0": "b1", "k1": "b2"}}]}
+    result = run_scenario(Scenario.from_dict(raw))
+    assert result.overall, result.summary()
+    sylvester, separator = (o.report.conditions for o in result.outcomes)
+    assert [c.tolerance for c in sylvester] == [0.5]
+    assert [c.tolerance for c in separator if c.name.startswith("monotone")] \
+        == [1e-3, 1e-3]
 
 
 def test_frame_check_against_closed_form_tail():
@@ -186,7 +203,7 @@ MALFORMED = [
         b1={"preset": "szego", "n": 1, "N": 12}),
      r"kernels\[b1\]: 'preset' must be one of bergman, got 'szego'"),
     ("kernel-neither-form", lambda raw: raw["kernels"].update(b1={}),
-     r"kernels\[b1\]: missing or null parameter 'coeffs'"),
+     r"kernels\[b1\]: missing or null parameter 'preset'"),
     ("kernel-both-forms",
      lambda raw: raw["kernels"]["b1"].update(coeffs=[1.0] * 12),
      r"kernels\[b1\]: unknown key 'coeffs'"),
@@ -199,12 +216,11 @@ MALFORMED = [
      r"operators\[P\]: 'swap_pairs': 'size' must be even, got 3"),
     ("radii-with-rmax", lambda raw: raw.update(
         grid={"radii": [0.3], "rmax": 0.5, "n_angles": 4}),
-     r"grid: 'radii' cannot be given with 'rmax'"),
+     r"grid: unknown key 'radii'"),
     ("check-radii-with-n_radii", lambda raw: raw.update(checks=[{
         "check": "frame", "params": {"t0_kernel": "b1", "t1_kernel": "b2",
                                      "grid": {"radii": [0.3], "n_radii": 2}}}]),
-     r"checks\[0\] \(frame\): 'grid': 'radii' cannot be given with "
-     r"'n_radii'"),
+     r"checks\[0\] \(frame\): 'grid': unknown key 'radii'"),
     ("two-operator-cycle", lambda raw: (raw["operators"].update(
         A={"adjoint_of": {"source": "B"}},
         B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
@@ -272,7 +288,7 @@ class TestScenarioSchema:
         ("mobius-block", {"maps": []}, "maps"),
         ("similarity-split", {"trials": 0, "size": 4}, "trials"),
         ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Xn", "x": "Xn"},
-                         "maps": [], "witness": []}, "maps"),
+                         "witness": []}, "witness"),
     ], ids=["frame-trials", "mobius-trials", "mobius-negative-trials",
             "mobius-maps", "split-trials", "homogeneity-maps"])
     def test_empty_counts_rejected(self, check, params, key):
@@ -296,7 +312,7 @@ class TestScenarioSchema:
              "params": {"model": model,
                         "maps": [{"a": 0.1}, {"a": [0.0, 0.3]}, {"a": 0.5}]}},
             {"check": "fb2-membership",
-             "params": {**model, "expect": "nonmember"}},
+             "params": {"model": model, "expect": "nonmember"}},
         ]
         result = run_scenario(Scenario.from_dict(raw))
         first, singular, last = result.outcomes
@@ -308,14 +324,11 @@ class TestScenarioSchema:
 
     @pytest.mark.parametrize("check,params,match", [
         ("similarity-split", {"trails": 0}, "unknown key 'trails'"),
-        ("fb2-membership", {"t0_kernel": "b1", "t1_kernel": "b2", "x": "Xn",
-                            "expect": "non-member"},
+        ("fb2-membership", {"model": {"t0_kernel": "b1", "t1_kernel": "b2",
+                                      "x": "Xn"}, "expect": "non-member"},
          "'expect' must be one of member, nonmember, got 'non-member'"),
         ("curvature-isometry", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
-                                "mode": "sideways"}, "'mode' must be one of"),
-        ("curvature-isometry", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
-                                "mode": "independent"},
-         "'mode' 'independent' needs 'model_b'"),
+                                "mode": "independent"}, "unknown key 'mode'"),
         ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b2"},
          "missing or null parameter 'x'"),
         ("mobius-block", {"trials": None}, "missing or null parameter 'trials'"),
@@ -326,19 +339,32 @@ class TestScenarioSchema:
         ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b2", "x": "X"},
          "'x': operator 'X' is not defined"),
         ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Y"},
-                         "witness": [["Xn", "Xn"]]},
+                         "witness": [{"a": 0.4, "u0": "Xn", "u1": "Xn"}]},
          "'model': 't1_op': operator 'Y' is not defined"),
         ("frame", {"t0_kernel": "b1", "t1_kernel": "b2", "seed": "abc"},
          "'seed' must be an integer, got 'abc'"),
         ("curvature", {"kernel": "b1"}, "unknown key 'kernel'"),
         ("kernel-transform", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
                               "mode": "swap"}, "unknown key 'mode'"),
-        ("fb2-membership", {"t0_kernel": "b1", "t1_kernel": "b2",
-                            "x_scalar": 0.5}, "unknown key 'x_scalar'"),
-    ], ids=["unknown-key", "expect", "mode", "independent-without-model_b",
-            "missing", "null", "null-item", "undefined-kernel",
-            "undefined-operator", "undefined-nested-operator", "seed",
-            "kernel-alias", "transform-mode", "x_scalar"])
+        ("fb2-membership", {"model": {"t0_kernel": "b1", "t1_kernel": "b2",
+                                      "x_scalar": 0.5}},
+         "'model': unknown key 'x_scalar'"),
+        ("corollary-theta", {"t0_kernel": "b1", "t1_kernel": "b2"},
+         "missing or null parameter 'theta0'"),
+        ("main3", {"k0": "b1"}, "unknown key 'k0'"),
+        ("kernel-transform", {"model": {"t0_kernel": "b1"}},
+         "'model': missing or null parameter 't1_kernel'"),
+        ("kernel-transform", {"model": {"t0_kernel": "b1", "t1_kernel": "b2",
+                                        "t0_op": "Xn"}},
+         "'model': unknown key 't0_op'"),
+        ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Xn"},
+                         "witness": [{"a": 0.4, "u0": "Xn"}]},
+         r"'witness'\[0\]: missing or null parameter 'u1'"),
+    ], ids=["unknown-key", "expect", "mode", "missing", "null", "null-item",
+            "undefined-kernel", "undefined-operator",
+            "undefined-nested-operator", "seed", "kernel-alias",
+            "transform-mode", "x_scalar", "theta-without-theta0", "main3-k0",
+            "one-block-model", "mixed-model", "witness-without-u1"])
     def test_params_checked_at_load(self, check, params, match, tmp_path):
         raw = _tiny_scenario()
         raw["checks"].append({"check": check, "params": params})
@@ -470,10 +496,12 @@ class TestCli:
         assert "mainlemma" in out and "separator" in out
         lines = [line.split() for line in out.splitlines()]
         for line in (["trials", "count", "=", "1"], ["x", "operator"],
-                     ["mode", "unitary-change", "|", "independent", "=",
-                      "'unitary-change'"], ["seed", "seed,", "optional"],
-                     ["cases", "[sylvester_case]"], ["t0_op", "operator,",
-                                                     "optional"]):
+                     ["expect", "member", "|", "nonmember", "=", "'member'"],
+                     ["seed", "seed,", "optional"],
+                     ["cases", "[sylvester_case]"],
+                     ["model", "kernel_model", "|", "operator_model"],
+                     ["model_b", "kernel_model", "|", "operator_model,",
+                      "optional"], ["engineered_from", "kernel"]):
             assert line in lines, line
 
     def test_run_bundled_by_name(self, tmp_path, monkeypatch, capsys):
@@ -565,7 +593,7 @@ class TestReadme:
         for source, kind in SOURCES.items():
             assert f"| `{source}` |" in section, source
         forms = [kind for kind in SOURCES.values() if not isinstance(kind, str)]
-        for form in forms + [_bergman, _coeffs, _grid, _outputs]:
+        for form in forms + [*KERNEL, *MODEL, _grid, _outputs]:
             for name, doc in parameter_docs(form):
                 assert f"`{name}`" in section, name
                 default = doc.partition(" = ")[2].strip("'")
