@@ -85,7 +85,7 @@ def _cmd_curvature(args) -> int:
         i, j = (int(part) for part in key.split(","))
         covariant_derivative(field, metric, i, j)
     if args.out:
-        write_curvature_csv(args.out, field)
+        write_curvature_csv(args.out, {kernel.label: field})
         print(f"wrote {args.out}")
     if args.json_out:
         Path(args.json_out).write_text(

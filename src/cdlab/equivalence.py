@@ -23,9 +23,9 @@ from .errors import (DegenerateInputError, InvalidArgumentError,
 from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, disk_points, section_table
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
-                        assemble_model, block_matrix, frobenius,
-                        guarded_inverse, require_unitary, shift_from_kernel,
-                        sylvester_kernel)
+                        assemble_model, block_matrix, block_product,
+                        block_residual, frobenius, guarded_inverse,
+                        require_unitary, shift_from_kernel, sylvester_kernel)
 from .reporting import ConditionReport
 
 NORMALITY_TOL = 1e-10
@@ -46,8 +46,13 @@ class BlockUnitary:
         require_unitary(self.matrix, "block matrix")
 
     @property
+    def blocks(self) -> tuple:
+        """(U00, U01, U10, U11), for `block_product`."""
+        return self.u00, self.u01, self.u10, self.u11
+
+    @property
     def matrix(self) -> np.ndarray:
-        return block_matrix(self.u00, self.u01, self.u10, self.u11)
+        return block_matrix(*self.blocks)
 
     @classmethod
     def from_matrix(cls, u: np.ndarray) -> "BlockUnitary":
@@ -101,8 +106,8 @@ def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
             f"(1+XX*)^(-1/2) and (1+X*X)^(-1/2) disagree by {drift:.3e}")
     unitary = BlockUnitary(u00=x.conj().T @ root_inv, u01=root_inv,
                            u10=root_inv, u11=-root_inv @ x)
-    tt0 = root @ t1.matrix @ root_inv
-    tt1 = root_left_inv @ t0.matrix @ root
+    tt0 = t1.right(root) @ root_inv
+    tt1 = t0.right(root_left_inv) @ root
     partner = assemble_model(ModelOperator(tt0, source="conjugated:" + t1.source),
                              ModelOperator(tt1, source="conjugated:" + t0.source),
                              x.conj().T)
@@ -118,25 +123,29 @@ def verify_mainlemma(unitary: BlockUnitary, model: UpperTriangularModel,
     (3) Y - U01 X* U10^{-1} lies in the intertwiner space of (Tt0, Tt1);
     plus U00 = U01 X* and U11 = -U10 X.  U10^{-1} and its guard come from
     one `guarded_inverse`; when n kappa_1(U10) exceeds U10_COND_CAP,
-    condition (3) is reported indeterminate with the 1-norm figure.
+    condition (3) is reported indeterminate with the 1-norm figure.  The
+    end-to-end residual ||U T - Tt U|| is taken block by block; its (1,0)
+    block is the U10 corner condition.
     """
-    t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
-    tt0, tt1, y = partner.t0.matrix, partner.t1.matrix, partner.x
-    u00, u01, u10, u11 = unitary.u00, unitary.u01, unitary.u10, unitary.u11
-    n = t0.shape[0]
-    eye = np.eye(n)
+    t0, t1, x = model.t0, model.t1, model.x
+    tt0, tt1, y = partner.t0, partner.t1, partner.x
+    u00, u01, u10, u11 = unitary.blocks
+    eye = np.eye(model.size)
+    ut = block_product(unitary.blocks, model.blocks)
+    tu = block_product(partner.blocks, unitary.blocks)
+    u01_xstar = u01 @ x.conj().T
 
     report = ConditionReport(name="mainlemma")
-    report.add("corner-intertwine-u10", frobenius(u10 @ t0 - tt1 @ u10), tol)
+    report.add("corner-intertwine-u10", frobenius(ut[2] - tu[2]), tol)
     report.add("corner-intertwine-u01",
-               frobenius(t1 @ u01.conj().T - u01.conj().T @ tt0), tol)
+               frobenius(t1.left(u01.conj().T) - tt0.right(u01.conj().T)), tol)
     report.add("gram-u10",
                frobenius(np.linalg.inv(eye + x @ x.conj().T)
                          - u10.conj().T @ u10), tol)
     report.add("gram-u01",
                frobenius(np.linalg.inv(eye + x.conj().T @ x)
                          - u01.conj().T @ u01), tol)
-    report.add("block-u00", frobenius(u00 - u01 @ x.conj().T), tol)
+    report.add("block-u00", frobenius(u00 - u01_xstar), tol)
     report.add("block-u11", frobenius(u11 + u10 @ x), tol)
 
     u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
@@ -146,13 +155,12 @@ def verify_mainlemma(unitary: BlockUnitary, model: UpperTriangularModel,
             detail=f"U10 1-norm condition number {kappa:.3e}; n * kappa_1 "
                    f"above the cap {U10_COND_CAP:.1e}; defect skipped")
     else:
-        defect = y - u01 @ x.conj().T @ u10_inv
+        defect = y - u01_xstar @ u10_inv
         report.add("defect-intertwines-partner",
-                   frobenius(tt0 @ defect - defect @ tt1), tol)
+                   frobenius(tt0.left(defect) - tt1.right(defect)), tol)
         report.info["defect_norm"] = frobenius(defect)
     report.info["u10_condition_1norm"] = kappa
-    report.add("end-to-end",
-               frobenius(unitary.matrix @ model.t - partner.t @ unitary.matrix), tol)
+    report.add("end-to-end", block_residual(ut, tu), tol)
     return report
 
 
@@ -162,15 +170,40 @@ class Fb2Pair:
 
     F = [[Tt0, S0], [0, T0]] and Ft = [[T1, S1], [0, Tt1]] with
     S0 = Y U10 - U01 X*, S1 = U01* Y - X* U10*, and Z = U01* (+) U10
-    satisfying Z F = Ft Z.
+    satisfying Z F = Ft Z.  `f_blocks`, `ft_blocks` and `z_blocks` are the
+    row-major blocks (None for zero); the 2N x 2N matrices are built from
+    them when read.
     """
 
-    f: np.ndarray = field(repr=False)
-    ft: np.ndarray = field(repr=False)
-    s0: np.ndarray = field(repr=False)
-    s1: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
+    f_blocks: tuple = field(repr=False)
+    ft_blocks: tuple = field(repr=False)
+    z_blocks: tuple = field(repr=False)
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def s0(self) -> np.ndarray:
+        return self.f_blocks[1]
+
+    @property
+    def s1(self) -> np.ndarray:
+        return self.ft_blocks[1]
+
+    @property
+    def f(self) -> np.ndarray:
+        return _assembled(self.f_blocks)
+
+    @property
+    def ft(self) -> np.ndarray:
+        return _assembled(self.ft_blocks)
+
+    @property
+    def z(self) -> np.ndarray:
+        return _assembled(self.z_blocks)
+
+
+def _assembled(blocks) -> np.ndarray:
+    return block_matrix(*(b.matrix if isinstance(b, ModelOperator) else b
+                          for b in blocks))
 
 
 def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
@@ -185,22 +218,22 @@ def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
         raise PreconditionError(
             f"mainlemma conditions failed: {', '.join(failing)}",
             failed_condition=failing[0])
-    t0, t1 = model.t0.matrix, model.t1.matrix
-    tt0, tt1, y = partner.t0.matrix, partner.t1.matrix, partner.x
-    x = model.x
+    t0, t1, x = model.t0, model.t1, model.x
+    tt0, tt1, y = partner.t0, partner.t1, partner.x
     u01, u10 = unitary.u01, unitary.u10
     s0 = y @ u10 - u01 @ x.conj().T
     s1 = u01.conj().T @ y - x.conj().T @ u10.conj().T
-    f = block_matrix(tt0, s0, None, t0)
-    ft = block_matrix(t1, s1, None, tt1)
-    z = block_matrix(u01.conj().T, None, None, u10)
+    f, ft = (tt0, s0, None, t0), (t1, s1, None, tt1)
+    z = (u01.conj().T, None, None, u10)
+    # the (0,1) block of Z F - Ft Z is U01* S0 - S1 U10, the corner link
+    zf, ftz = block_product(z, f), block_product(ft, z)
     residuals = {
-        "f-membership": frobenius(tt0 @ s0 - s0 @ t0),
-        "ft-membership": frobenius(t1 @ s1 - s1 @ tt1),
-        "corner-link": frobenius(u01.conj().T @ s0 - s1 @ u10),
-        "z-intertwine": frobenius(z @ f - ft @ z),
+        "f-membership": frobenius(tt0.left(s0) - t0.right(s0)),
+        "ft-membership": frobenius(t1.left(s1) - tt1.right(s1)),
+        "corner-link": frobenius(zf[1] - ftz[1]),
+        "z-intertwine": block_residual(zf, ftz),
     }
-    return Fb2Pair(f=f, ft=ft, s0=s0, s1=s1, z=z, residuals=residuals)
+    return Fb2Pair(f_blocks=f, ft_blocks=ft, z_blocks=z, residuals=residuals)
 
 
 def theta_intertwiner_check(t0: ModelOperator, t1: ModelOperator,
@@ -214,19 +247,17 @@ def theta_intertwiner_check(t0: ModelOperator, t1: ModelOperator,
     theta_2 = theta), which intertwines [[T0, T1-T0],[0,T1]] with
     [[T1, Y T0 - T1 Y],[0,T0]].  Returns None when the relation fails.
     """
-    a, b = t0.matrix, t1.matrix
-    diff = a - b
+    diff = t0.matrix - t1.matrix
     scale = frobenius(diff)
     if scale == 0.0:
         raise DegenerateInputError("T0 == T1: the phase is undefined")
-    lhs = y @ a - b @ y
+    lhs = t0.right(y) - t1.left(y)
     pairing = np.vdot(diff, lhs)  # tr((T0-T1)^H (Y T0 - T1 Y))
     theta = float(np.angle(pairing)) if pairing != 0 else 0.0
     residual = frobenius(lhs - np.exp(1j * theta) * diff)
     if residual > tol:
         return None
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
+    eye = np.eye(t0.size, dtype=complex)
     half = math.sqrt(2.0) / 2.0
     unitary = BlockUnitary(u00=half * np.exp(1j * theta) * eye,
                            u01=half * np.exp(1j * theta) * eye,

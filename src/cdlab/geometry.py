@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
 from .kernels import DiagonalKernel, section_jet
-from .operators import UpperTriangularModel, shift_from_kernel
+from .operators import ModelOperator, UpperTriangularModel, shift_from_kernel
 
 DEFAULT_FD_STEP = 1e-3
 MAX_COVARIANT_ORDER = 2
@@ -206,12 +206,15 @@ class FrameField:
                           jet=jet, eigen_residuals=None)
 
 
-def _eigen_residuals(t: np.ndarray, vectors: np.ndarray,
+def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
+    """T v for each row v of `rows`, as rows (a shift takes a slice)."""
+    return op.left(np.swapaxes(rows, -1, -2)).swapaxes(-1, -2)
+
+
+def _eigen_residuals(tv: np.ndarray, vectors: np.ndarray,
                      points: np.ndarray) -> np.ndarray:
-    """||(T - w) gamma_i(w)|| for every point and frame vector."""
-    dim = vectors.shape[-1]
-    # one (points * rank, dim) product: a stacked one re-reads T per point
-    tv = (vectors.reshape(-1, dim) @ t.T).reshape(vectors.shape)
+    """||(T - w) gamma_i(w)|| for every point and frame vector, from the
+    rows T gamma_i(w) in `tv`."""
     return np.linalg.norm(tv - points[:, None, None] * vectors, axis=-1)
 
 
@@ -221,10 +224,11 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
 
     Both diagonal blocks must have been built from diagonal kernels, so the
     sections t_i(w) and their jets are available.  The per-point
-    eigen-residual ||(T - w) gamma_i(w)|| is recorded.  When `tail_tol` is
-    given, the a-priori truncation tail bound (1 + ||X||) sqrt(a_{N-1}) |w|^N
-    is checked first and a PrecisionError names the worst point and a
-    sufficient truncation.
+    eigen-residual ||(T - w) gamma_i(w)|| is recorded; T gamma is taken
+    block by block, (T0 top + C bottom, T1 bottom) with C = X T1 - T0 X,
+    so T itself is never assembled.  When `tail_tol` is given, the a-priori
+    truncation tail bound (1 + ||X||) sqrt(a_{N-1}) |w|^N is checked first
+    and a PrecisionError names the worst point and a sufficient truncation.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -264,8 +268,13 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
         return jets
 
     vectors = jet_at(grid.points, 0)[:, 0]
+    top, bottom = vectors[..., :n], vectors[..., n:]
+    # one (points * rank, n) product: a stacked one re-reads C per point
+    coupled = (bottom.reshape(-1, n) @ model.coupling_block.T).reshape(top.shape)
+    tv = np.concatenate([_times_rows(model.t0, top) + coupled,
+                         _times_rows(model.t1, bottom)], axis=-1)
     return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,
-                      eigen_residuals=_eigen_residuals(model.t, vectors, grid.points))
+                      eigen_residuals=_eigen_residuals(tv, vectors, grid.points))
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
@@ -277,8 +286,8 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     vectors = jet_at(grid.points, 0)[:, 0]
     residuals = None
     if kernel.truncation >= 2:
-        residuals = _eigen_residuals(shift_from_kernel(kernel).matrix, vectors,
-                                     grid.points)
+        residuals = _eigen_residuals(
+            _times_rows(shift_from_kernel(kernel), vectors), vectors, grid.points)
     return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at,
                       eigen_residuals=residuals)
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        block_matrix, frobenius, guarded_inverse,
-                        require_unitary, triangular_matrix)
+                        block_matrix, block_product, frobenius,
+                        guarded_inverse, require_unitary, triangular_matrix)
 from .reporting import ConditionReport
 
 
@@ -167,15 +167,18 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     -U11 = X* U01 = U10 X; (3) the Gram relations (1+XX*)^{-1} =
     (1+X*X)^{-1} = U10* U10 = U01* U01; plus the end-to-end residual.
     Condition (1) is reported indeterminate when U10 is numerically singular
-    (n kappa_1(U10) above U10_COND_CAP, see `guarded_inverse`).
+    (n kappa_1(U10) above U10_COND_CAP, see `guarded_inverse`).  U T is
+    formed block by block, and its (1,0) block is the U10 T0 of condition
+    (1); phi(T) is mapped from the assembled T, as in
+    `mobius_block_identity_check`.
     """
     report = ConditionReport(name="thm45")
-    t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
+    t0, t1, x = model.t0, model.t1, model.x
     u00, u01, u10, u11 = unitary.u00, unitary.u01, unitary.u10, unitary.u11
-    phi_t0 = mobius.of(t0)
-    phi_t1 = mobius.of(t1)
-    n = t0.shape[0]
-    eye = np.eye(n)
+    phi_t0 = mobius.of(t0.matrix)
+    phi_t1 = mobius.of(t1.matrix)
+    eye = np.eye(model.size)
+    ut = block_product(unitary.blocks, model.blocks)
 
     u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
     report.info["u10_condition_1norm"] = kappa
@@ -186,9 +189,9 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
                    f"n * kappa_1 above the cap {U10_COND_CAP:.1e}")
     else:
         report.add("corner-intertwine-u10",
-                   frobenius(u10 @ t0 - phi_t1 @ u10), tol)
+                   frobenius(ut[2] - phi_t1 @ u10), tol)
     report.add("corner-intertwine-u01",
-               frobenius(t1 @ u01.conj().T - u01.conj().T @ phi_t0), tol)
+               frobenius(t1.left(u01.conj().T) - u01.conj().T @ phi_t0), tol)
 
     report.add("block-u00-xu10", frobenius(u00 - x @ u10), tol)
     report.add("block-u00-u01xstar", frobenius(u00 - u01 @ x.conj().T), tol)
@@ -201,7 +204,6 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report.add("gram-u10", frobenius(inv_left - u10.conj().T @ u10), tol)
     report.add("gram-u01", frobenius(inv_right - u01.conj().T @ u01), tol)
 
-    report.add("end-to-end",
-               frobenius(unitary.matrix @ model.t - mobius.of(model.t)
-                         @ unitary.matrix), tol)
+    phi_t_u = mobius.of(model.t) @ unitary.matrix
+    report.add("end-to-end", frobenius(block_matrix(*ut) - phi_t_u), tol)
     return report

@@ -19,6 +19,14 @@ condition number kappa_1 = ||M||_1 ||M^{-1}||_1, and M is refused when
 n kappa_1 exceeds the cap.  Since kappa_2 <= n kappa_1, every matrix whose
 2-norm condition number exceeds the cap is refused, without an SVD.
 
+Two structures are used instead of dense 2N x 2N products where no
+assembled matrix is needed.  A shift from `shift_from_kernel` carries its
+superdiagonal weights, and `ModelOperator.left` / `right` multiply it as one
+scaled slice, which equals the dense product exactly (the dense sums only
+add exact zeros).  A 2 x 2 block product (`block_product`) skips its zero
+blocks, so a coupled model T is multiplied through T0, X T1 - T0 X and T1;
+`UpperTriangularModel.t` is assembled only when read.
+
 Residuals are Frobenius norms throughout.
 """
 
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +56,20 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def unitarity_residual(u: np.ndarray) -> float:
+    """||U* U - I|| (Frobenius) of a square U.
+
+    One product suffices: U* U - I = V (S^2 - I) V* and U U* - I =
+    W (S^2 - I) W* for the SVD U = W S V*, so both residuals equal
+    sqrt(sum_i (s_i^2 - 1)^2) over the singular values s_i of U.
+    """
+    return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
+
+
 def require_unitary(u: np.ndarray, what: str):
-    """Raise a NumericError naming `what` when its unitarity residual
-    max(||U U* - I||, ||U* U - I||), in the Frobenius norm, exceeds
-    UNITARITY_TOL."""
-    eye = np.eye(u.shape[0])
-    err = max(frobenius(u @ u.conj().T - eye), frobenius(u.conj().T @ u - eye))
+    """Raise a NumericError naming `what` when its `unitarity_residual`
+    exceeds UNITARITY_TOL."""
+    err = unitarity_residual(u)
     if err > UNITARITY_TOL:
         raise NumericError(f"{what} is not unitary: residual {err:.3e}")
 
@@ -109,39 +126,75 @@ class ModelOperator:
 
     `kernel` is set when the operator was built from a diagonal kernel, which
     is what makes eigenframes and series metrics available downstream;
-    `source` keeps a printable label either way.
+    `source` keeps a printable label either way.  `weights` is the
+    superdiagonal of a weighted backward shift (entry (k, k+1) of `matrix`)
+    and None for any other operator; `left` and `right` use it.
     """
 
     matrix: np.ndarray = field(repr=False)
     source: str = ""
     kernel: DiagonalKernel | None = field(default=None, repr=False)
+    weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_square(self.matrix, "model operator"))
+        if self.weights is not None and np.shape(self.weights) != (self.size - 1,):
+            raise InvalidArgumentError(
+                f"shift weights need shape ({self.size - 1},), "
+                f"got {np.shape(self.weights)}")
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
+    def left(self, x: np.ndarray) -> np.ndarray:
+        """T x for a matrix or an (m, N, k) stack x.
+
+        A shift takes one scaled slice, (T x)[k] = w_k x[k + 1], equal to
+        the dense product because the dense sums only add exact zeros; any
+        other operator takes `matrix @ x`.
+        """
+        if self.weights is None:
+            return self.matrix @ x
+        x = np.asarray(x)
+        out = np.zeros(x.shape, dtype=np.result_type(self.matrix, x))
+        out[..., :-1, :] = self.weights[:, None] * x[..., 1:, :]
+        return out
+
+    def right(self, x: np.ndarray) -> np.ndarray:
+        """x T for a matrix or an (m, k, N) stack x; see `left`."""
+        if self.weights is None:
+            return x @ self.matrix
+        x = np.asarray(x)
+        out = np.zeros(x.shape, dtype=np.result_type(self.matrix, x))
+        out[..., 1:] = x[..., :-1] * self.weights
+        return out
+
 
 @dataclass(frozen=True)
 class UpperTriangularModel:
-    """Blocks (T0, T1, X) together with the assembled 2N x 2N matrix T."""
+    """Blocks T0, T1, X and the coupling block X T1 - T0 X of
+    T = [[T0, X T1 - T0 X], [0, T1]]; the 2N x 2N matrix `t` is assembled
+    on first access and kept."""
 
     t0: ModelOperator
     t1: ModelOperator
     x: np.ndarray = field(repr=False)
-    t: np.ndarray = field(repr=False)
+    coupling_block: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return self.t0.size
 
     @property
-    def coupling_block(self) -> np.ndarray:
-        """The (0,1) block X T1 - T0 X."""
-        n = self.size
-        return self.t[:n, n:]
+    def blocks(self) -> tuple:
+        """(T0, X T1 - T0 X, None, T1) row-major, for `block_product`."""
+        return self.t0, self.coupling_block, None, self.t1
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return block_matrix(self.t0.matrix, self.coupling_block, None,
+                            self.t1.matrix)
 
 
 @dataclass(frozen=True)
@@ -162,9 +215,10 @@ def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
     if n < 2:
         raise InvalidArgumentError("shift needs truncation >= 2")
     a = kernel.coefficients
+    weights = np.sqrt(a[:-1] / a[1:])
     mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(n - 1), np.arange(1, n)] = np.sqrt(a[:-1] / a[1:])
-    return ModelOperator(mat, source=kernel.label, kernel=kernel)
+    mat[np.arange(n - 1), np.arange(1, n)] = weights
+    return ModelOperator(mat, source=kernel.label, kernel=kernel, weights=weights)
 
 
 def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
@@ -190,6 +244,57 @@ def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     return out
 
 
+def _block_times(p, q):
+    """One block product p q; a ModelOperator factor goes through `left` or
+    `right`, and None (a zero block) gives None."""
+    if p is None or q is None:
+        return None
+    if isinstance(p, ModelOperator):
+        return p.left(q.matrix if isinstance(q, ModelOperator) else q)
+    if isinstance(q, ModelOperator):
+        return q.right(p)
+    return p @ q
+
+
+def block_product(lhs, rhs) -> list:
+    """Blocks of [[A, B], [C, D]] [[E, F], [G, H]] from the row-major block
+    sequences (A, B, C, D) and (E, F, G, H).
+
+    A block is an array, a ModelOperator (a shift is multiplied as a slice)
+    or None for zero.  Products with a zero factor are skipped, and a result
+    block with no product left is None.
+    """
+    out = []
+    for row in (0, 1):
+        for col in (0, 1):
+            terms = [t for t in (_block_times(lhs[2 * row], rhs[col]),
+                                 _block_times(lhs[2 * row + 1], rhs[2 + col]))
+                     if t is not None]
+            out.append(terms[0] + terms[1] if len(terms) == 2
+                       else terms[0] if terms else None)
+    return out
+
+
+def block_residual(lhs, rhs) -> float:
+    """||L - R|| for block sequences L and R as `block_product` returns them.
+
+    The difference is written block by block into one 2N x 2N array (zero
+    where both blocks are None), so its norm is reduced the way the norm of
+    a dense difference is.
+    """
+    given = [b for b in (*lhs, *rhs) if b is not None]
+    n = given[0].shape[-1]
+    out = np.zeros((2 * n, 2 * n), dtype=np.result_type(*given))
+    for k, (b, c) in enumerate(zip(lhs, rhs)):
+        row, col = divmod(k, 2)
+        block = out[row * n:(row + 1) * n, col * n:(col + 1) * n]
+        if b is not None:
+            block[...] = b
+        if c is not None:
+            block -= c
+    return frobenius(out)
+
+
 def triangular_matrix(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """T = [[A, X B - A X], [0, B]], for matrices or stacks of them."""
     return block_matrix(a, x @ b - a @ x, None, b)
@@ -206,8 +311,8 @@ def assemble_model(t0: ModelOperator | np.ndarray, t1: ModelOperator | np.ndarra
     if not (t0.size == t1.size == x.shape[0]):
         raise InvalidArgumentError(
             f"block sizes differ: {t0.size}, {t1.size}, {x.shape[0]}")
-    t = triangular_matrix(t0.matrix, t1.matrix, x)
-    return UpperTriangularModel(t0=t0, t1=t1, x=x, t=t)
+    return UpperTriangularModel(t0=t0, t1=t1, x=x,
+                                coupling_block=t1.right(x) - t0.left(x))
 
 
 def fb2_membership(t0: ModelOperator, t1: ModelOperator, x: np.ndarray,
@@ -221,7 +326,8 @@ def fb2_membership(t0: ModelOperator, t1: ModelOperator, x: np.ndarray,
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
     a, b = t0.matrix, t1.matrix
-    expr = x @ b @ b - 2.0 * (a @ x @ b) + a @ a @ x
+    expr = (t1.right(t1.right(x)) - 2.0 * t1.right(t0.left(x))
+            + t0.left(a) @ x)
     residual = frobenius(expr)
     scale = 1.0 + frobenius(x) * frobenius(b) ** 2 + frobenius(a) ** 2 * frobenius(x)
     return residual <= tol * scale, residual
@@ -356,22 +462,40 @@ def sylvester_kernel(a: np.ndarray, b: np.ndarray,
 
 @dataclass(frozen=True)
 class SimilaritySplit:
-    """W T = (T0 (+) T1) W with the unipotent W = [[I, -X], [0, I]]."""
+    """W T = (T0 (+) T1) W with the unipotent W = [[I, -X], [0, I]]; the
+    2N x 2N matrices are built from the model when read."""
 
-    w: np.ndarray = field(repr=False)
-    w_inv: np.ndarray = field(repr=False)
-    diagonal: np.ndarray = field(repr=False)
+    model: UpperTriangularModel = field(repr=False)
     residual: float = 0.0
+
+    def _unipotent(self, corner: np.ndarray) -> np.ndarray:
+        eye = np.eye(self.model.size, dtype=complex)
+        return block_matrix(eye, corner, None, eye)
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._unipotent(-self.model.x)
+
+    @property
+    def w_inv(self) -> np.ndarray:
+        return self._unipotent(self.model.x)
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return block_matrix(self.model.t0.matrix, None, None,
+                            self.model.t1.matrix)
 
 
 def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
-    """Split T off its coupling: W T W^{-1} = T0 (+) T1, algebraically exact."""
-    eye = np.eye(model.size, dtype=complex)
-    w = block_matrix(eye, -model.x, None, eye)
-    w_inv = block_matrix(eye, model.x, None, eye)
-    diag = block_matrix(model.t0.matrix, None, None, model.t1.matrix)
-    residual = frobenius(w @ model.t - diag @ w)
-    return SimilaritySplit(w=w, w_inv=w_inv, diagonal=diag, residual=residual)
+    """Split T off its coupling: W T W^{-1} = T0 (+) T1, algebraically exact.
+
+    W T - (T0 (+) T1) W has one nonzero block, C - X T1 + T0 X with C the
+    coupling block, so the residual takes two N x N products.
+    """
+    t0, t1, x = model.t0, model.t1, model.x
+    corner = model.coupling_block - t1.right(x) + t0.left(x)
+    residual = frobenius(block_matrix(None, corner, None, None))
+    return SimilaritySplit(model=model, residual=residual)
 
 
 def apply_mobius(a_mat: np.ndarray, a, phase=0.0,

@@ -47,9 +47,9 @@ from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                       required_truncation, separator_kernel)
 from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
-                        block_matrix, fb2_membership, frobenius,
-                        random_operator, random_unitary, shift_from_kernel,
-                        similarity_split, sylvester_kernel)
+                        block_product, block_residual, fb2_membership,
+                        frobenius, random_operator, random_unitary,
+                        shift_from_kernel, similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
 from .serialize import (load_matrix, matrix_from_json, write_curvature_csv,
                         write_ratio_csv)
@@ -477,10 +477,11 @@ def _bergman_weight(kern: DiagonalKernel) -> int | None:
 def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
                      grid=Ref("grid", None), csv_out="") -> ConditionReport:
     report = ConditionReport(name="curvature")
+    fields = {}
     for name, kern in kernels:
         frame = kernel_frame(kern, grid)
         metric = gram_metric(frame)
-        series = curvature(metric, grid, method="series")
+        series = fields[name] = curvature(metric, grid, method="series")
         fd = curvature(metric, grid, method="fd")
         k_series = series.values[:, 0, 0]
         k_fd = fd.values[:, 0, 0]
@@ -492,7 +493,7 @@ def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
         rel_fd = float(np.max(np.abs(k_series - k_fd) / np.abs(k_series)))
         report.add(f"{name}-series-vs-fd", rel_fd, fd_tol)
     if csv_out:
-        write_curvature_csv(csv_out, series)
+        write_curvature_csv(csv_out, fields)
         report.info["csv_out"] = csv_out
     return report
 
@@ -554,10 +555,10 @@ def _check_corollary_theta(tol: float, *, t0_kernel=Ref("shift"),
     err = abs((theta - theta0 + math.pi) % (2.0 * math.pi) - math.pi)
     report.add("theta-recovery", err, tol)
     model = assemble_model(t0, t1, np.eye(t0.size, dtype=complex))
-    partner_t = block_matrix(t1.matrix, y @ t0.matrix - t1.matrix @ y,
-                             None, t0.matrix)
+    partner = assemble_model(t1, t0, y)
     report.add("unitary-intertwine",
-               frobenius(unitary.matrix @ model.t - partner_t @ unitary.matrix),
+               block_residual(block_product(unitary.blocks, model.blocks),
+                              block_product(partner.blocks, unitary.blocks)),
                tol)
     report.info["theta"] = float(theta)
     return report

@@ -77,19 +77,31 @@ def _field_columns(rank: int, labels) -> list[str]:
     return cols
 
 
-def write_curvature_csv(path: str | Path, field) -> None:
-    """CurvatureField -> CSV: re(w), im(w), then row-major re/im per matrix."""
-    labels = _field_labels(field)
+def write_curvature_csv(path: str | Path, fields: dict) -> None:
+    """{kernel label: CurvatureField} -> CSV, one block of rows per field.
+
+    Each row holds re(w), im(w), the row-major re/im entries of every
+    matrix, and the kernel label last.  The fields must share their rank
+    and their covariant derivatives, so one header fits them all.
+    """
+    layouts = {(fld.rank, tuple(_field_labels(fld).items()))
+               for fld in fields.values()}
+    if len(layouts) != 1:
+        raise SchemaError("curvature CSV fields need one rank and one set of "
+                          f"derivatives, got {sorted(layouts)}")
+    ((rank, items),) = layouts
+    labels = dict(items)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_field_columns(field.rank, labels.values()))
-        for idx, w in enumerate(field.grid.points):
-            row = [repr(float(w.real)), repr(float(w.imag))]
-            for mat in field.tuple_at(idx, labels):
-                for value in np.asarray(mat).ravel():
-                    row.append(repr(float(value.real)))
-                    row.append(repr(float(value.imag)))
-            writer.writerow(row)
+        writer.writerow(_field_columns(rank, labels.values()) + ["kernel"])
+        for kernel, fld in fields.items():
+            for idx, w in enumerate(fld.grid.points):
+                row = [repr(float(w.real)), repr(float(w.imag))]
+                for mat in fld.tuple_at(idx, labels):
+                    for value in np.asarray(mat).ravel():
+                        row.append(repr(float(value.real)))
+                        row.append(repr(float(value.imag)))
+                writer.writerow(row + [kernel])
 
 
 def curvature_field_to_json(field) -> dict:

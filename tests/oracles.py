@@ -149,3 +149,16 @@ def bergman_frame_jets(weights, size: int, x, at: complex, order: int,
                                     / sp.factorial(i), 30))
                        for entry in vec] for vec in frame]
                      for i in range(order + 1)])
+
+
+def product_gap_bound(n: int, *pairs) -> float:
+    """2 gamma_2N sum ||A|| ||B|| (Frobenius) over the (A, B) pairs, with
+    gamma_2N = 2N eps.
+
+    Each computed 2N x 2N product A B lies within gamma_2N ||A|| ||B|| of
+    the exact one, so two orderings of a residual of such products (dense,
+    or block by block) differ by at most this much.
+    """
+    eps = np.finfo(float).eps
+    return 2 * 2 * n * eps * sum(np.linalg.norm(a) * np.linalg.norm(b)
+                                 for a, b in pairs)

@@ -14,13 +14,23 @@ from cdlab.errors import (DegenerateInputError, DomainError, NumericError,
                           PreconditionError)
 from cdlab.geometry import DiskGrid, eigenframe, kernel_frame, polar_grid
 from cdlab.kernels import DiagonalKernel, bergman_kernel, separator_kernel
-from cdlab.operators import (assemble_model, frobenius, random_operator,
-                             shift_from_kernel, sylvester_kernel)
+from cdlab.operators import (assemble_model, block_matrix, frobenius,
+                             random_operator, shift_from_kernel,
+                             sylvester_kernel)
+
+from oracles import product_gap_bound
 
 
 def _shift_pair(size=20):
     return (shift_from_kernel(bergman_kernel(1, size)),
             shift_from_kernel(bergman_kernel(2, size)))
+
+
+def _normal_pipeline(size=16, seed=100):
+    t0, t1 = _shift_pair(size)
+    x = random_operator(size, seed, norm=1.0, kind="normal")
+    unitary, partner = build_unitary_from_x(t0, t1, x)
+    return unitary, assemble_model(t0, t1, x), partner
 
 
 class TestBlockUnitary:
@@ -162,6 +172,50 @@ class TestVerifyMainlemma:
         assert report.info["defect_norm"] == frobenius(defect)
         assert report.info["u10_condition_1norm"] == (
             np.linalg.norm(unitary.u10, 1) * np.linalg.norm(u10_inv, 1))
+
+
+class TestBlockwiseResiduals:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mainlemma_end_to_end_agrees_with_dense(self, seed):
+        unitary, model, partner = _normal_pipeline(seed=100 + seed)
+        report = verify_mainlemma(unitary, model, partner, 1e-9)
+        assert "t" not in vars(model) and "t" not in vars(partner)
+        u = unitary.matrix
+        dense = frobenius(u @ model.t - partner.t @ u)
+        bound = product_gap_bound(model.size, (u, model.t), (partner.t, u))
+        assert abs(report.condition("end-to-end").residual - dense) <= bound
+
+    def test_corner_u10_is_the_end_to_end_corner(self):
+        unitary, model, partner = _normal_pipeline()
+        report = verify_mainlemma(unitary, model, partner, 1e-9)
+        u10 = unitary.u10
+        want = frobenius(u10 @ model.t0.matrix - partner.t1.matrix @ u10)
+        assert report.condition("corner-intertwine-u10").residual == want
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_z_intertwine_agrees_with_dense(self, seed):
+        unitary, model, partner = _normal_pipeline(seed=100 + seed)
+        pair = construct_fb2_pair(unitary, model, partner)
+        assert "t" not in vars(model) and "t" not in vars(partner)
+        z, f, ft = pair.z, pair.f, pair.ft
+        dense = frobenius(z @ f - ft @ z)
+        bound = product_gap_bound(model.size, (z, f), (ft, z))
+        assert abs(pair.residuals["z-intertwine"] - dense) <= bound
+
+    def test_pair_matrices_equal_the_block_assembly(self):
+        unitary, model, partner = _normal_pipeline()
+        pair = construct_fb2_pair(unitary, model, partner)
+        u01, u10, x, y = unitary.u01, unitary.u10, model.x, partner.x
+        s0 = y @ u10 - u01 @ x.conj().T
+        s1 = u01.conj().T @ y - x.conj().T @ u10.conj().T
+        np.testing.assert_array_equal(pair.s0, s0)
+        np.testing.assert_array_equal(pair.s1, s1)
+        np.testing.assert_array_equal(
+            pair.f, block_matrix(partner.t0.matrix, s0, None, model.t0.matrix))
+        np.testing.assert_array_equal(
+            pair.ft, block_matrix(model.t1.matrix, s1, None, partner.t1.matrix))
+        np.testing.assert_array_equal(
+            pair.z, block_matrix(u01.conj().T, None, None, u10))
 
 
 class TestFb2Pair:

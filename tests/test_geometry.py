@@ -26,6 +26,19 @@ def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
     return assemble_model(t0, t1, x)
 
 
+def _block_form_residuals(model, vectors, points):
+    """||(T - w) gamma|| point by point from the dense blocks: T gamma is
+    (T0 top + C bottom, T1 bottom) with C = X T1 - T0 X."""
+    n = model.size
+    t0, c, t1 = model.t0.matrix, model.coupling_block, model.t1.matrix
+    out = []
+    for w, v in zip(points, vectors):
+        top, bottom = v[:, :n], v[:, n:]
+        tv = np.concatenate([top @ t0.T + bottom @ c.T, bottom @ t1.T], axis=-1)
+        out.append(np.linalg.norm(tv - w * v, axis=-1))
+    return np.array(out)
+
+
 def _curvature_with_derivatives(frame, grid, keys=((1, 0), (0, 1))):
     metric = gram_metric(frame)
     fld = curvature(metric, grid, method="series")
@@ -169,13 +182,32 @@ class TestEigenframe:
         grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
         if kind == "eigenframe":
             model = _model(size=size)
-            frame, t = eigenframe(model, grid), model.t
+            frame = eigenframe(model, grid)
+            want = _block_form_residuals(model, frame.vectors, grid.points)
         else:
             kernel = bergman_kernel(2, size)
             frame, t = kernel_frame(kernel, grid), shift_from_kernel(kernel).matrix
-        v = frame.vectors
-        want = np.linalg.norm(v @ t.T - grid.points[:, None, None] * v, axis=-1)
+            v = frame.vectors
+            want = np.linalg.norm(v @ t.T - grid.points[:, None, None] * v, axis=-1)
         np.testing.assert_allclose(frame.eigen_residuals, want, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("size", [24, 120])
+    def test_block_residuals_match_dense_product(self, size):
+        # the blockwise T gamma sums fewer terms than the dense row of T, so
+        # it may differ from it by rounding, bounded relative to ||gamma||
+        grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
+        model = _model(size=size)
+        frame = eigenframe(model, grid)
+        v, t = frame.vectors, model.t
+        dense = np.linalg.norm(v @ t.T - grid.points[:, None, None] * v, axis=-1)
+        bound = 16 * np.finfo(float).eps * np.linalg.norm(t, 2)
+        gap = np.abs(frame.eigen_residuals - dense) / np.linalg.norm(v, axis=-1)
+        assert gap.max() <= bound
+
+    def test_residuals_leave_t_unassembled(self):
+        model = _model()
+        eigenframe(model, polar_grid(radii=[0.3], n_angles=4))
+        assert "t" not in vars(model)
 
 
 class TestGramMetric:

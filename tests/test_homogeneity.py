@@ -13,6 +13,8 @@ from cdlab.kernels import bergman_kernel
 from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
                              frobenius, random_operator, shift_from_kernel)
 
+from oracles import product_gap_bound
+
 
 def _random_model(size=6, seed=0, norm=0.5):
     return assemble_model(
@@ -251,6 +253,16 @@ class TestThm45:
         assert report.overall
         assert report.condition("gram-u10").residual <= 1e-12
         assert report.condition("block-u00-xu10").residual <= 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 4])
+    def test_end_to_end_agrees_with_dense(self, theta):
+        # U T is taken block by block; phi(T) U stays dense
+        mob, model, unitary = self._engineered(theta=theta)
+        report = thm45_condition_check(unitary, model, mob, tol=1e-10)
+        u = unitary.matrix
+        dense = frobenius(u @ model.t - mob.of(model.t) @ u)
+        bound = product_gap_bound(model.size, (u, model.t))
+        assert abs(report.condition("end-to-end").residual - dense) <= bound
 
     def test_phase_mismatch_breaks_block_relations(self):
         mob, model, unitary = self._engineered(theta=math.pi / 4)

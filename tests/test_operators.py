@@ -1,18 +1,22 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
-from cdlab.errors import InvalidArgumentError, SingularResolventError
+from cdlab.errors import (InvalidArgumentError, NumericError,
+                          SingularResolventError)
 from cdlab.kernels import bergman_kernel, section_vector
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
-                             ModelOperator, apply_mobius, assemble_model,
-                             block_matrix, fb2_membership, frobenius,
+                             UNITARITY_TOL, ModelOperator, apply_mobius,
+                             assemble_model, block_matrix, block_product,
+                             block_residual, fb2_membership, frobenius,
                              guarded_inverse, random_operator, random_unitary,
-                             shift_from_kernel, similarity_split,
-                             sylvester_kernel, triangular_matrix)
+                             require_unitary, shift_from_kernel,
+                             similarity_split, sylvester_kernel,
+                             triangular_matrix, unitarity_residual)
 
-from oracles import sylvester_nullity_exact
+from oracles import product_gap_bound, sylvester_nullity_exact
 
 
 def _rand(size, seed, norm=1.0):
@@ -51,6 +55,80 @@ class TestShift:
             shift_from_kernel(bergman_kernel(1, 1))
 
 
+class TestShiftProducts:
+    @pytest.mark.parametrize("size", [24, 120, 240])
+    def test_slices_equal_dense_products(self, size):
+        # the dense sums only add exact zeros to the one weighted term
+        op = shift_from_kernel(bergman_kernel(2, size))
+        x = _rand(size, 3)
+        stack = np.stack([_rand(size, seed) for seed in (4, 5, 6)])
+        for operand in (x, stack, x.real):
+            np.testing.assert_array_equal(op.left(operand), op.matrix @ operand)
+            np.testing.assert_array_equal(op.right(operand), operand @ op.matrix)
+
+    def test_weights_recorded_for_shifts_only(self):
+        op = shift_from_kernel(bergman_kernel(2, 6))
+        np.testing.assert_array_equal(op.weights, np.diag(op.matrix, 1).real)
+        assert ModelOperator(op.matrix).weights is None
+
+    def test_dense_operator_takes_matmul(self):
+        a, x = ModelOperator(_rand(5, 1)), _rand(5, 2)
+        np.testing.assert_array_equal(a.left(x), a.matrix @ x)
+        np.testing.assert_array_equal(a.right(x), x @ a.matrix)
+
+    def test_weight_shape_checked(self):
+        with pytest.raises(InvalidArgumentError, match="shift weights"):
+            ModelOperator(np.eye(4), weights=np.ones(4))
+
+
+class TestBlockProduct:
+    def _model(self, size=6):
+        return assemble_model(shift_from_kernel(bergman_kernel(1, size)),
+                              shift_from_kernel(bergman_kernel(2, size)),
+                              _rand(size, 1))
+
+    def test_matches_the_dense_product(self):
+        model = self._model()
+        u = [_rand(6, seed) for seed in (2, 3, 4, 5)]
+        got = block_matrix(*block_product(u, model.blocks))
+        want = block_matrix(*u) @ model.t
+        bound = product_gap_bound(6, (block_matrix(*u), model.t))
+        assert frobenius(got - want) <= bound
+
+    def test_zero_blocks_skipped(self):
+        model = self._model()
+        diag = (model.t0, None, None, _rand(6, 7))
+        out = block_product(diag, diag)
+        assert out[1] is None and out[2] is None
+        np.testing.assert_array_equal(out[0], model.t0.matrix @ model.t0.matrix)
+
+    def test_residual_writes_the_dense_difference(self):
+        a, b, c = _rand(4, 1), _rand(4, 2), _rand(4, 3)
+        got = block_residual((a, None, None, b), (c, a, None, None))
+        assert got == frobenius(block_matrix(a - c, -a, None, b))
+
+
+class TestUnitarity:
+    def test_one_product_gives_the_larger_residual(self):
+        # U* U - I and U U* - I share the singular values s_i^2 - 1
+        rng = np.random.default_rng(3)
+        u = random_unitary(12, rng) @ np.diag(np.linspace(0.5, 1.5, 12))
+        u = u @ random_unitary(12, rng)
+        eye = np.eye(12)
+        old = max(frobenius(u @ u.conj().T - eye), frobenius(u.conj().T @ u - eye))
+        svals = np.linalg.svd(u, compute_uv=False)
+        assert unitarity_residual(u) == pytest.approx(old, rel=1e-13)
+        assert unitarity_residual(u) == pytest.approx(
+            math.sqrt(np.sum((svals ** 2 - 1) ** 2)), rel=1e-13)
+        with pytest.raises(NumericError, match="probe is not unitary"):
+            require_unitary(u, "probe")
+
+    def test_unitary_passes(self):
+        u = random_unitary(12, np.random.default_rng(4))
+        assert unitarity_residual(u) <= UNITARITY_TOL
+        require_unitary(u, "probe")
+
+
 class TestAssemble:
     def test_zero_coupling_is_block_diagonal(self):
         t0 = shift_from_kernel(bergman_kernel(1, 4))
@@ -62,6 +140,16 @@ class TestAssemble:
         a = _rand(4, 0)
         model = assemble_model(ModelOperator(a), ModelOperator(a), np.eye(4))
         np.testing.assert_allclose(model.coupling_block, 0, atol=1e-15)
+
+    def test_t_assembled_on_first_read(self):
+        t0 = shift_from_kernel(bergman_kernel(1, 6))
+        t1 = shift_from_kernel(bergman_kernel(2, 6))
+        x = _rand(6, 1)
+        model = assemble_model(t0, t1, x)
+        assert "t" not in vars(model)
+        np.testing.assert_array_equal(model.t,
+                                      triangular_matrix(t0.matrix, t1.matrix, x))
+        assert model.t is model.t
 
     def test_coupling_block_formula(self):
         t0, t1, x = _rand(3, 1), _rand(3, 2), _rand(3, 3)
@@ -314,6 +402,34 @@ class TestSimilaritySplit:
                                ModelOperator(_rand(5, 5)), _rand(5, 6))
         split = similarity_split(model)
         np.testing.assert_array_equal(split.w @ split.w_inv, np.eye(10))
+
+    @pytest.mark.parametrize("shifts", [False, True])
+    def test_residual_agrees_with_dense_product(self, shifts):
+        size = 8
+        if shifts:
+            t0 = shift_from_kernel(bergman_kernel(1, size))
+            t1 = shift_from_kernel(bergman_kernel(2, size))
+        else:
+            t0, t1 = ModelOperator(_rand(size, 1)), ModelOperator(_rand(size, 2))
+        model = assemble_model(t0, t1, _rand(size, 3))
+        split = similarity_split(model)
+        assert "t" not in vars(model)
+        w, diag = split.w, split.diagonal
+        dense = frobenius(w @ model.t - diag @ w)
+        bound = product_gap_bound(size, (w, model.t), (diag, w))
+        assert abs(split.residual - dense) <= bound
+
+    def test_matrices_equal_the_block_assembly(self):
+        model = assemble_model(ModelOperator(_rand(5, 4)),
+                               ModelOperator(_rand(5, 5)), _rand(5, 6))
+        split = similarity_split(model)
+        eye = np.eye(5, dtype=complex)
+        np.testing.assert_array_equal(split.w, block_matrix(eye, -model.x, None, eye))
+        np.testing.assert_array_equal(split.w_inv,
+                                      block_matrix(eye, model.x, None, eye))
+        np.testing.assert_array_equal(
+            split.diagonal,
+            block_matrix(model.t0.matrix, None, None, model.t1.matrix))
 
 
 class TestMobius:

@@ -16,6 +16,8 @@ from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
 from cdlab.serialize import (load_matrix, matrix_from_json, matrix_to_json,
                              save_matrix)
 
+from oracles import product_gap_bound
+
 BUNDLED = sorted(bundled_scenario_dir().glob("*.json"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,8 +61,10 @@ def test_bundled_scenarios_pass(path, tmp_path, monkeypatch):
     if path.stem == "bergman-curvature":
         field = tmp_path / "bergman-curvature-field.csv"
         assert field.exists()
-        header = field.read_text().splitlines()[0]
-        assert header.startswith("re_w,im_w,K_00_re")
+        lines = field.read_text().splitlines()
+        assert lines[0] == "re_w,im_w,K_00_re,K_00_im,kernel"
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] \
+            == ["b1"] * 96 + ["b2"] * 96 + ["b3"] * 96
 
 
 def test_sylvester_and_separator_compare_against_tol():
@@ -78,6 +82,58 @@ def test_sylvester_and_separator_compare_against_tol():
     assert [c.tolerance for c in sylvester] == [0.5]
     assert [c.tolerance for c in separator if c.name.startswith("monotone")] \
         == [1e-3, 1e-3]
+
+
+def test_curvature_csv_keeps_every_kernel(tmp_path):
+    from cdlab.geometry import curvature, gram_metric, kernel_frame, polar_grid
+    from cdlab.kernels import bergman_kernel
+
+    out = tmp_path / "two.csv"
+    grid = {"rmax": 0.4, "n_radii": 2, "n_angles": 4}
+    raw = {"name": "two-kernels",
+           "kernels": {"k1": {"preset": "bergman", "n": 1, "N": 40},
+                       "k2": {"preset": "bergman", "n": 2, "N": 40}},
+           "checks": [{"check": "curvature", "params": {
+               "kernels": ["k1", "k2"], "grid": grid, "csv_out": str(out)}}]}
+    assert run_scenario(Scenario.from_dict(raw)).overall
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "re_w,im_w,K_00_re,K_00_im,kernel"
+    rows = [line.split(",") for line in lines[1:]]
+    points = polar_grid(radii=[0.2, 0.4], n_angles=4)
+    for label, weight in (("k1", 1), ("k2", 2)):
+        mine = [row for row in rows if row[-1] == label]
+        fld = curvature(gram_metric(kernel_frame(bergman_kernel(weight, 40), points)),
+                        points, method="series")
+        assert len(mine) == len(points)
+        for row, w, k in zip(mine, points.points, fld.values[:, 0, 0]):
+            assert complex(float(row[0]), float(row[1])) == w
+            assert complex(float(row[2]), float(row[3])) == k
+
+
+def test_corollary_theta_intertwine_agrees_with_dense():
+    # U T and Tt U are taken block by block
+    from cdlab.equivalence import theta_intertwiner_check
+    from cdlab.kernels import bergman_kernel
+    from cdlab.operators import block_matrix, frobenius, shift_from_kernel
+
+    size, theta0 = 16, 2.25
+    raw = {"name": "theta",
+           "kernels": {"b1": {"preset": "bergman", "n": 1, "N": size},
+                       "b2": {"preset": "bergman", "n": 2, "N": size}},
+           "checks": [{"check": "corollary-theta", "params": {
+               "t0_kernel": "b1", "t1_kernel": "b2", "theta0": theta0}}]}
+    report = run_scenario(Scenario.from_dict(raw)).outcomes[0].report
+    t0, t1 = (shift_from_kernel(bergman_kernel(n, size)).matrix for n in (1, 2))
+    y = np.exp(1j * theta0) * np.eye(size)
+    _, unitary = theta_intertwiner_check(*(
+        shift_from_kernel(bergman_kernel(n, size)) for n in (1, 2)), y, 1e-10)
+    u = unitary.matrix
+    t = block_matrix(t0, t1 - t0, None, t1)
+    partner_t = block_matrix(t1, y @ t0 - t1 @ y, None, t0)
+    dense = frobenius(u @ t - partner_t @ u)
+    bound = product_gap_bound(size, (u, t), (partner_t, u))
+    residual = report.condition("unitary-intertwine").residual
+    assert abs(residual - dense) <= bound
 
 
 def test_frame_check_against_closed_form_tail():
@@ -108,7 +164,11 @@ class TestDeterminism:
                                                                sort_keys=True)
 
     def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        # bergman-curvature writes its field CSV into the working directory
+        # bodies are byte-identical at one BLAS thread setting, the one the
+        # environment stamp records: BLAS threads may change the rounding of
+        # a product (frame-isometry's frame residual moves with them), so
+        # only CDLAB_THREADS varies here.  bergman-curvature writes its field
+        # CSV into the working directory.
         monkeypatch.chdir(tmp_path)
         assert len(BUNDLED) == 6
         for path in BUNDLED:
@@ -653,11 +713,21 @@ class TestFieldExports:
         from cdlab.serialize import write_curvature_csv
 
         out = tmp_path / "f.csv"
-        write_curvature_csv(out, self._field())
+        write_curvature_csv(out, {"bergman(1)": self._field()})
         lines = out.read_text().strip().splitlines()
         assert lines[0] == ("re_w,im_w,K_00_re,K_00_im,"
-                            "K_w0wb1_00_re,K_w0wb1_00_im")
+                            "K_w0wb1_00_re,K_w0wb1_00_im,kernel")
         assert len(lines) == 5
+        assert all(line.endswith(",bergman(1)") for line in lines[1:])
+
+    def test_curvature_csv_refuses_mismatched_fields(self, tmp_path):
+        from cdlab.serialize import write_curvature_csv
+
+        bare = self._field()
+        bare.derivatives.clear()
+        with pytest.raises(SchemaError, match="one rank and one set"):
+            write_curvature_csv(tmp_path / "f.csv",
+                                {"a": self._field(), "b": bare})
 
     def test_ratio_csv_columns(self, tmp_path):
         from cdlab.kernels import bergman_kernel, diagonal_ratio
