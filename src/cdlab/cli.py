@@ -6,9 +6,8 @@
     cdlab curvature --kernel bergman:2 --rmax 0.6 --out field.csv
 
 Exit codes: 0 all verdicts pass, 1 verification failure, 2 usage or schema
-error.  CDLAB_THREADS caps in-campaign parallelism.  Scenario arguments may
-name a bundled scenario (see `scenarios/` inside the package) instead of a
-file path.
+error.  Scenario arguments may name a bundled scenario (see `scenarios/`
+inside the package) instead of a file path.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .errors import CdlabError, SchemaError
-from .geometry import covariant_derivative, curvature, gram_metric, kernel_frame, polar_grid
-from .kernels import bergman_kernel
-from .scenarios import list_checks, parameter_docs, run_scenario
+from .geometry import covariant_derivative, curvature, gram_metric, kernel_frame
+from .scenarios import (KERNEL, ScenarioContext, list_checks, parameter_docs,
+                        run_scenario)
 from .serialize import curvature_field_to_json, write_curvature_csv
 
 EXIT_PASS = 0
@@ -65,24 +62,29 @@ def _cmd_list(_args) -> int:
     return EXIT_PASS
 
 
-def _parse_kernel_arg(text: str):
-    if ":" not in text:
-        raise SchemaError("kernel must look like 'bergman:2'")
-    preset, weight = text.split(":", 1)
-    if preset != "bergman":
-        raise SchemaError(f"unknown kernel preset {preset!r}")
-    return int(weight)
+def _derivative(text: str) -> tuple[int, int]:
+    """A covariant derivative order "I,J"."""
+    try:
+        i, j = map(int, text.split(","))
+    except ValueError:
+        i = j = -1
+    if i < 0 or j < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected two nonnegative orders I,J, got {text!r}")
+    return i, j
 
 
 def _cmd_curvature(args) -> int:
-    weight = _parse_kernel_arg(args.kernel)
-    kernel = bergman_kernel(weight, args.truncation)
-    radii = args.rmax * np.arange(1, args.n_radii + 1) / args.n_radii
-    grid = polar_grid(radii=radii, n_angles=args.n_angles, fd_step=args.fd_step)
+    # read as a scenario's kernel and grid are, so bad values are SchemaErrors
+    preset, _, weight = args.kernel.partition(":")
+    ctx = ScenarioContext(scenario=None)
+    kernel = ctx.read(KERNEL, {"preset": preset, "n": weight, "N": args.truncation},
+                      "kernel")
+    grid = ctx.grid({"rmax": args.rmax, "n_radii": args.n_radii,
+                     "n_angles": args.n_angles, "fd_step": args.fd_step}, "grid")
     metric = gram_metric(kernel_frame(kernel, grid))
     field = curvature(metric, grid, method=args.method)
-    for key in args.derivative or []:
-        i, j = (int(part) for part in key.split(","))
+    for i, j in args.derivative or []:
         covariant_derivative(field, metric, i, j)
     if args.out:
         write_curvature_csv(args.out, {kernel.label: field})
@@ -124,10 +126,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curv.add_argument("--rmax", type=float, default=0.6)
     p_curv.add_argument("--n-radii", type=int, default=6)
     p_curv.add_argument("--n-angles", type=int, default=16)
-    p_curv.add_argument("--truncation", type=int, default=80)
+    p_curv.add_argument("--truncation", type=int, default=80,
+                        help="kernel truncation N")
     p_curv.add_argument("--fd-step", type=float, default=1e-3)
     p_curv.add_argument("--method", choices=("series", "fd"), default="series")
-    p_curv.add_argument("--derivative", action="append", metavar="I,J",
+    p_curv.add_argument("--derivative", action="append", type=_derivative,
+                        metavar="I,J",
                         help="covariant derivative order, repeatable")
     p_curv.add_argument("--out", default=None, help="CSV output path")
     p_curv.add_argument("--json-out", default=None)

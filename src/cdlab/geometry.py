@@ -65,10 +65,10 @@ class DiskGrid:
         pts = np.asarray(self.points, dtype=complex).ravel()
         if pts.size == 0:
             raise InvalidArgumentError("grid needs at least one point")
-        if self.fd_step <= 0:
+        if not self.fd_step > 0:  # NaN too
             raise InvalidArgumentError("fd_step must be positive")
         reach = np.abs(pts) + math.sqrt(2.0) * self.fd_step
-        if np.any(reach >= 1.0):
+        if not np.all(reach < 1.0):  # NaN points too
             worst = pts[int(np.argmax(reach))]
             raise InvalidArgumentError(
                 f"point {worst} leaves no room for the +-{self.fd_step} stencil")

@@ -498,8 +498,7 @@ def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
     return SimilaritySplit(model=model, residual=residual)
 
 
-def apply_mobius(a_mat: np.ndarray, a, phase=0.0,
-                 cond_cap: float = RESOLVENT_COND_CAP) -> np.ndarray:
+def apply_mobius(a_mat: np.ndarray, a, phase=0.0) -> np.ndarray:
     """Disk automorphism in functional-calculus form:
 
         phi(A) = e^{i phase} (a I - A) D^{-1},   D = I - conj(a) A,   |a| < 1.
@@ -512,9 +511,9 @@ def apply_mobius(a_mat: np.ndarray, a, phase=0.0,
     D^{-1} and kappa_1(D) come from one LU (`guarded_inverse`).  Fails loudly
     with a SingularResolventError, naming the first refused map's index and
     carrying n kappa_1 (inf when D is singular) as its condition estimate,
-    when n kappa_1 exceeds `cond_cap` instead of returning an untrustworthy
-    matrix.  Because kappa_2 <= n kappa_1, every resolvent with a 2-norm
-    condition number above the cap is refused.
+    when n kappa_1 exceeds RESOLVENT_COND_CAP instead of returning an
+    untrustworthy matrix.  Because kappa_2 <= n kappa_1, every resolvent with
+    a 2-norm condition number above the cap is refused.
     """
     a_mat = np.asarray(a_mat, dtype=complex)
     a = np.asarray(a, dtype=complex)
@@ -535,18 +534,19 @@ def apply_mobius(a_mat: np.ndarray, a, phase=0.0,
     n = a_mat.shape[-1]
     a_col = a[..., None, None]
     eye = np.eye(n, dtype=complex)
-    denom_inv, kappa = guarded_inverse(eye - np.conj(a_col) * a_mat, cond_cap)
+    denom_inv, kappa = guarded_inverse(eye - np.conj(a_col) * a_mat,
+                                        RESOLVENT_COND_CAP)
     if denom_inv is None:
         # kappa has the stack's shape `lead`; name the first refused map
         kappa = np.asarray(kappa)
-        index = int(np.argmax(n * kappa > cond_cap))
+        index = int(np.argmax(n * kappa > RESOLVENT_COND_CAP))
         kappa = float(kappa.flat[index])
         value = complex(np.broadcast_to(a, lead).flat[index])
         which = f" of map {index}" if lead else ""
         raise SingularResolventError(
             f"resolvent I - conj(a) A{which} (a = {value:.6g}) has 1-norm "
             f"condition number {kappa:.3e}; n * kappa_1 = {n * kappa:.3e} "
-            f"exceeds the cap {cond_cap:.1e}",
+            f"exceeds the cap {RESOLVENT_COND_CAP:.1e}",
             condition_estimate=n * kappa)
     result = (a_col * eye - a_mat) @ denom_inv
     result *= np.exp(1j * phase)[..., None, None]

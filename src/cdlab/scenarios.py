@@ -1,10 +1,10 @@
 """Scenario files, operator synthesis, the check registry, and the campaign runner.
 
 A scenario is a JSON document naming kernels, operators, a grid, and a list
-of checks with tolerances.  Checks run in listed order (optionally on a
-thread pool capped by CDLAB_THREADS); any exception inside one check marks
-it failed and the campaign continues.  Identical scenario + seed gives
-identical report bodies, timing aside.
+of checks with tolerances.  Checks run in listed order; any exception
+inside one check marks it failed and the campaign continues.  Identical
+scenario + seed gives identical report bodies, timing and environment aside,
+at one BLAS thread setting.
 
 Each section is declared once, as a function's keyword-only arguments (see
 `Ref`): check params by the runner, kernels and models by their forms
@@ -16,7 +16,6 @@ they name.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import inspect
 import json
@@ -325,9 +324,11 @@ class Scenario:
 class ScenarioContext:
     """Each string kind of `Ref` is a method of (raw value or None, where).
     Without `build` (at load) names, values and the specs they name are only
-    checked; with it what they name is built too, afresh for every check."""
+    checked; with it what they name is built too, afresh for every check.
+    Without a scenario only values that name nothing can be read."""
 
-    def __init__(self, scenario: Scenario, build: bool = True, chain: tuple = ()):
+    def __init__(self, scenario: Scenario | None, build: bool = True,
+                 chain: tuple = ()):
         self.scenario = scenario
         self.build = build
         self.chain = chain
@@ -858,8 +859,7 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-THREAD_VARS = ("CDLAB_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-               "MKL_NUM_THREADS")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _environment_stamp() -> dict:
@@ -879,14 +879,6 @@ def _environment_stamp() -> dict:
     }
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CDLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _run_one(ctx: ScenarioContext, index: int, check: dict) -> CheckOutcome:
     kind = check["check"]
     label = check.get("id", f"{kind}#{index}")
@@ -904,8 +896,7 @@ def _run_one(ctx: ScenarioContext, index: int, check: dict) -> CheckOutcome:
                         elapsed=time.perf_counter() - start)
 
 
-def run_scenario(path_or_scenario, threads: int | None = None,
-                 only_check: str | None = None) -> CampaignResult:
+def run_scenario(path_or_scenario, only_check: str | None = None) -> CampaignResult:
     """Execute a scenario and return the campaign result.
 
     `only_check` restricts the run to checks of one registered kind (the
@@ -925,14 +916,8 @@ def run_scenario(path_or_scenario, threads: int | None = None,
             raise SchemaError(
                 f"scenario {scenario.name!r} has no {only_check!r} check")
     ctx = ScenarioContext(scenario)
-    threads = _thread_cap() if threads is None else max(1, threads)
     start = time.perf_counter()
-    if threads == 1 or len(checks) == 1:
-        outcomes = [_run_one(ctx, i, c) for i, c in checks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_one, ctx, i, c) for i, c in checks]
-            outcomes = [f.result() for f in futures]
+    outcomes = [_run_one(ctx, i, c) for i, c in checks]
     result = CampaignResult(scenario=scenario.name, outcomes=outcomes,
                             environment=_environment_stamp(),
                             elapsed=time.perf_counter() - start)

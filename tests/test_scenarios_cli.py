@@ -3,6 +3,8 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -156,48 +158,50 @@ def test_frame_check_against_closed_form_tail():
 
 
 class TestDeterminism:
-    def test_identical_runs_identical_bodies(self):
-        path = bundled_scenario_dir() / "mainlemma-normal-x.json"
-        first = _body(run_scenario(path).to_dict())
-        second = _body(run_scenario(path).to_dict())
-        assert json.dumps(first, sort_keys=True) == json.dumps(second,
-                                                               sort_keys=True)
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        # bodies are byte-identical at one BLAS thread setting, the one the
-        # environment stamp records: BLAS threads may change the rounding of
-        # a product (frame-isometry's frame residual moves with them), so
-        # only CDLAB_THREADS varies here.  bergman-curvature writes its field
-        # CSV into the working directory.
+    def test_identical_runs_identical_bodies(self, tmp_path, monkeypatch):
+        # two runs in one process, so state the caches carry from one run to
+        # the next cannot change a body; bergman-curvature writes its field
+        # CSV into the working directory
         monkeypatch.chdir(tmp_path)
         assert len(BUNDLED) == 6
         for path in BUNDLED:
-            monkeypatch.delenv("CDLAB_THREADS", raising=False)
-            serial = _body(run_scenario(path, threads=1).to_dict())
-            monkeypatch.setenv("CDLAB_THREADS", "4")
-            threaded = _body(run_scenario(path).to_dict())
-            assert serial == threaded, path.stem
+            first = _body(run_scenario(path).to_dict())
+            second = _body(run_scenario(path).to_dict())
+            assert json.dumps(first, sort_keys=True) == json.dumps(
+                second, sort_keys=True), path.stem
 
     def test_environment_stamp_outside_the_body(self, monkeypatch):
+        # BLAS reads OMP_NUM_THREADS only when it loads, so setting it here
+        # changes the stamp and not the arithmetic
         path = bundled_scenario_dir() / "corollary-theta.json"
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        first = run_scenario(path, threads=1).to_dict()
-        monkeypatch.setenv("CDLAB_THREADS", "3")
-        second = run_scenario(path, threads=1).to_dict()
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        first = run_scenario(path).to_dict()
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        second = run_scenario(path).to_dict()
         env = first["environment"]
         assert {"cdlab_version", "numpy_version", "float64_eps", "cpu_count",
                 "python_version", "blas_name", "blas_version",
                 "thread_env"} <= set(env)
         assert env["cpu_count"] == os.cpu_count()
         assert env["python_version"] == platform.python_version()
-        assert set(env["thread_env"]) == {"CDLAB_THREADS",
-                                          "OPENBLAS_NUM_THREADS",
-                                          "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
-        assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
-        assert env["thread_env"]["MKL_NUM_THREADS"] is None
-        assert second["environment"]["thread_env"]["CDLAB_THREADS"] == "3"
+        assert env["thread_env"] == {"OPENBLAS_NUM_THREADS": "1",
+                                     "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": None}
+        assert second["environment"]["thread_env"]["OMP_NUM_THREADS"] == "3"
         assert _body(first) == _body(second)
+
+
+def test_import_loads_no_thread_pool_or_logging():
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; before = set(sys.modules); "
+         "import cdlab; print(sorted({'concurrent', 'logging'} "
+         "& (set(sys.modules) - before)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _tiny_scenario(**overrides):
@@ -632,8 +636,30 @@ class TestCli:
         assert "K_00_re" in header and "K_w1wb0_00_re" in header
         assert len(lines) == 1 + 2 * 4
 
-    def test_curvature_bad_kernel_spec(self):
-        assert main(["curvature", "--kernel", "szego-2"]) == 2
+    @pytest.mark.parametrize("args", [
+        ["--kernel", "szego-2"],
+        ["--kernel", "bergman:x"],
+        ["--kernel", "bergman:0"],
+        ["--kernel", "bergman:2", "--truncation", "0"],
+        ["--kernel", "bergman:2", "--derivative", "1"],
+        ["--kernel", "bergman:2", "--derivative=-1,0"],
+        ["--kernel", "bergman:2", "--rmax", "1.5"],
+        ["--kernel", "bergman:2", "--rmax", "nan"],
+        ["--kernel", "bergman:2", "--n-radii", "0"],
+        ["--kernel", "bergman:2", "--n-angles", "0"],
+        ["--kernel", "bergman:2", "--fd-step", "0"],
+        ["--kernel", "bergman:2", "--fd-step", "nan"],
+    ], ids=lambda args: "_".join(args[2:]).lstrip("-") or args[1])
+    def test_curvature_usage_error(self, args, tmp_path, capsys):
+        try:
+            code = main(["curvature", *args, "--out", str(tmp_path / "f.csv")])
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "error: " in err.splitlines()[-1]
+        assert not (tmp_path / "f.csv").exists()
 
 
 class TestReadme:
