@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        block_matrix, block_product, frobenius,
+                        block_matrix, block_product, block_residual, frobenius,
                         guarded_inverse, require_unitary, triangular_matrix)
 from .reporting import ConditionReport
 
@@ -86,32 +86,19 @@ def mobius_block_identity_check(model: UpperTriangularModel,
     phi(T1) are formed for all of them in three stacked calls.  phi(T) is
     computed directly on the assembled 2N x 2N matrix so the block identity
     is a genuine cross-check, not a tautology.  The same structural identity
-    for plain powers T^n is spot-checked at n = 2, 3, 5, once per model.
+    for plain powers T^n at n = 2, 3, 5 is the model's `power_residuals`,
+    formed on the first call for a model and reused by every later one.
     """
     maps = [maps] if isinstance(maps, MobiusMap) else list(maps)
     if not maps:
         raise InvalidArgumentError("mobius block check needs at least one map")
-    x = model.x
     images = apply_maps(maps, model.t)
     assembled = triangular_matrix(apply_maps(maps, model.t0.matrix),
-                                  apply_maps(maps, model.t1.matrix), x)
+                                  apply_maps(maps, model.t1.matrix), model.x)
     residuals = [frobenius(d) for d in images - assembled]
-    # powers[k, i] is the k-th power of block i
-    powers = np.stack(_powers_235(np.stack([model.t0.matrix, model.t1.matrix])))
-    power_residuals = {
-        n: frobenius(d - a) for n, d, a in zip(
-            (2, 3, 5), _powers_235(model.t),
-            triangular_matrix(powers[:, 0], powers[:, 1], x))}
     return MobiusBlockResult(residual=max(residuals),
-                             power_residuals=power_residuals,
+                             power_residuals=dict(model.power_residuals),
                              residuals=residuals, images=images)
-
-
-def _powers_235(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m^2, m^3, m^5) in four products, each equal to np.linalg.matrix_power's
-    binary-decomposition product; `m` may be a stack."""
-    m2 = m @ m
-    return m2, m2 @ m, m @ (m2 @ m2)
 
 
 @dataclass(frozen=True)
@@ -133,16 +120,18 @@ def homogeneity_condition_check(model: UpperTriangularModel,
     """Per sampled map: diagonal conjugations, the commutation U0 X = X U1,
     and the assembled check ||(U0 (+) U1) T - phi(T) (U0 (+) U1)||.
 
-    The verdict only quantifies over the sampled maps, never the full group;
-    the report records the sample size.
+    Both products of the assembled check are formed block by block
+    (`block_product`); phi(T) is mapped from the assembled T, as in
+    `mobius_block_identity_check`.  The verdict only quantifies over the
+    sampled maps, never the full group; the report records the sample size.
     """
     if not witness:
         raise InvalidArgumentError("homogeneity check needs at least one witness map")
     report = ConditionReport(name="homogeneity")
     report.info["sampled_maps"] = len(witness)
-    t0, t1, t, x = model.t0.matrix, model.t1.matrix, model.t, model.x
+    t0, t1, x, n = model.t0.matrix, model.t1.matrix, model.x, model.size
     maps = [entry.mobius for entry in witness]
-    phi_t0s, phi_t1s, phi_ts = (apply_maps(maps, m) for m in (t0, t1, t))
+    phi_t0s, phi_t1s, phi_ts = (apply_maps(maps, m) for m in (t0, t1, model.t))
     for idx, (entry, phi_t0, phi_t1, phi_t) in enumerate(
             zip(witness, phi_t0s, phi_t1s, phi_ts)):
         u0, u1 = entry.u0, entry.u1
@@ -152,9 +141,11 @@ def homogeneity_condition_check(model: UpperTriangularModel,
         report.add(f"{tag}-conjugate-t1",
                    frobenius(u1 @ t1 @ u1.conj().T - phi_t1), tol)
         report.add(f"{tag}-commutation", frobenius(u0 @ x - x @ u1), tol)
-        u_full = block_matrix(u0, None, None, u1)
+        u_blocks = (u0, None, None, u1)
+        phi_blocks = (phi_t[:n, :n], phi_t[:n, n:], phi_t[n:, :n], phi_t[n:, n:])
         report.add(f"{tag}-assembled",
-                   frobenius(u_full @ t - phi_t @ u_full), tol)
+                   block_residual(block_product(u_blocks, model.blocks),
+                                  block_product(phi_blocks, u_blocks)), tol)
     return report
 
 

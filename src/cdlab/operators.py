@@ -56,6 +56,13 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _powers_235(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m^2, m^3, m^5) in four products, each equal to np.linalg.matrix_power's
+    binary-decomposition product; `m` may be a stack."""
+    m2 = m @ m
+    return m2, m2 @ m, m @ (m2 @ m2)
+
+
 def unitarity_residual(u: np.ndarray) -> float:
     """||U* U - I|| (Frobenius) of a square U.
 
@@ -174,8 +181,11 @@ class ModelOperator:
 @dataclass(frozen=True)
 class UpperTriangularModel:
     """Blocks T0, T1, X and the coupling block X T1 - T0 X of
-    T = [[T0, X T1 - T0 X], [0, T1]]; the 2N x 2N matrix `t` is assembled
-    on first access and kept."""
+    T = [[T0, X T1 - T0 X], [0, T1]].
+
+    The 2N x 2N matrix `t` and the `power_residuals` are computed on first
+    access and kept, so the blocks must not be mutated after assembly.
+    """
 
     t0: ModelOperator
     t1: ModelOperator
@@ -195,6 +205,19 @@ class UpperTriangularModel:
     def t(self) -> np.ndarray:
         return block_matrix(self.t0.matrix, self.coupling_block, None,
                             self.t1.matrix)
+
+    @cached_property
+    def power_residuals(self) -> dict:
+        """{n: ||T^n - [[T0^n, X T1^n - T0^n X], [0, T1^n]]||} for n = 2, 3, 5.
+
+        The block identity of phi(T) spot-checked for plain powers; T^n is
+        taken on the assembled `t`, the block powers on the stacked (T0, T1).
+        """
+        # powers[k, i] is the k-th power of block i
+        powers = np.stack(_powers_235(np.stack([self.t0.matrix, self.t1.matrix])))
+        return {n: frobenius(d - a) for n, d, a in zip(
+            (2, 3, 5), _powers_235(self.t),
+            triangular_matrix(powers[:, 0], powers[:, 1], self.x))}
 
 
 @dataclass(frozen=True)
@@ -293,6 +316,13 @@ def block_residual(lhs, rhs) -> float:
         if c is not None:
             block -= c
     return frobenius(out)
+
+
+def block_norm(blocks) -> float:
+    """Frobenius norm of a 2 x 2 block matrix from its row-major blocks (as
+    `block_product` takes them), sqrt of the sum of the squared block norms."""
+    return math.hypot(*(frobenius(b.matrix if isinstance(b, ModelOperator) else b)
+                        for b in blocks if b is not None))
 
 
 def triangular_matrix(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

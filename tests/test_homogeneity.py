@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cdlab import operators
 from cdlab.equivalence import BlockUnitary
 from cdlab.errors import InvalidArgumentError, NumericError
 from cdlab.homogeneity import (MobiusMap, WitnessEntry, apply_maps,
@@ -106,6 +107,48 @@ class TestBlockIdentity:
                                           model.x).t)
             for n in (2, 3, 5)}
         assert result.power_residuals == reference
+
+    def test_powers_formed_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return real(m)
+
+        real = operators._powers_235
+        monkeypatch.setattr(operators, "_powers_235", counted)
+        model = _random_model(size=8, seed=4)
+        results = [mobius_block_identity_check(model, mob)
+                   for mob in mobius_sample_set()]
+        # one call on the stacked blocks and one on the assembled T
+        assert calls == [(2, 8, 8), (16, 16)]
+        assert all(r.power_residuals == results[0].power_residuals
+                   for r in results)
+
+        fresh = assemble_model(model.t0, model.t1, model.x)
+        again = mobius_block_identity_check(fresh, mobius_sample_set()[0])
+        assert len(calls) == 4
+        assert again.power_residuals == results[0].power_residuals
+
+    def test_per_map_calls_equal_one_call_for_all_maps(self):
+        maps = mobius_sample_set()
+        model = _random_model(size=7, seed=9)
+        # a second model with equal blocks, so neither call reuses the other's cache
+        together = mobius_block_identity_check(
+            _random_model(size=7, seed=9), maps)
+        apart = [mobius_block_identity_check(model, mob) for mob in maps]
+        assert [r.residual for r in apart] == together.residuals
+        np.testing.assert_array_equal(np.concatenate([r.images for r in apart]),
+                                      together.images)
+        power = np.linalg.matrix_power
+        reference = {
+            n: frobenius(power(model.t, n)
+                         - assemble_model(power(model.t0.matrix, n),
+                                          power(model.t1.matrix, n),
+                                          model.x).t)
+            for n in (2, 3, 5)}
+        assert together.power_residuals == reference
+        assert all(r.power_residuals == reference for r in apart)
 
     def test_single_map_result_is_a_stack_of_one(self):
         model = _random_model(seed=5)
@@ -215,8 +258,10 @@ class TestHomogeneityWitness:
             t0 = model.t0.matrix
             assert report.condition(f"map{idx}-conjugate-t0").residual == \
                 frobenius(perm @ t0 @ perm.conj().T - m.of(t0))
-            assert report.condition(f"map{idx}-assembled").residual == \
-                frobenius(u_full @ model.t - m.of(model.t) @ u_full)
+            # taken block by block, so equal to the dense product up to rounding
+            assert abs(report.condition(f"map{idx}-assembled").residual
+                       - frobenius(u_full @ model.t - m.of(model.t) @ u_full)) \
+                <= 1e-14 * frobenius(model.t)
         assert report.condition("map0-assembled").passed
         assert not report.condition("map1-assembled").passed
 

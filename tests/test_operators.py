@@ -9,10 +9,10 @@ from cdlab.errors import (InvalidArgumentError, NumericError,
 from cdlab.kernels import bergman_kernel, section_vector
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              UNITARITY_TOL, ModelOperator, apply_mobius,
-                             assemble_model, block_matrix, block_product,
-                             block_residual, fb2_membership, frobenius,
-                             guarded_inverse, random_operator, random_unitary,
-                             require_unitary, shift_from_kernel,
+                             assemble_model, block_matrix, block_norm,
+                             block_product, block_residual, fb2_membership,
+                             frobenius, guarded_inverse, random_operator,
+                             random_unitary, require_unitary, shift_from_kernel,
                              similarity_split, sylvester_kernel,
                              triangular_matrix, unitarity_residual)
 
@@ -101,6 +101,21 @@ class TestBlockProduct:
         out = block_product(diag, diag)
         assert out[1] is None and out[2] is None
         np.testing.assert_array_equal(out[0], model.t0.matrix @ model.t0.matrix)
+
+    @pytest.mark.parametrize("size", [6, 8, 24])
+    @pytest.mark.parametrize("shifts", [False, True])
+    def test_norm_matches_the_assembled_norm(self, size, shifts):
+        for seed in range(10):
+            if shifts:
+                t0 = shift_from_kernel(bergman_kernel(1 + seed % 3, size))
+                t1 = shift_from_kernel(bergman_kernel(2, size))
+            else:
+                t0 = ModelOperator(_rand(size, seed))
+                t1 = ModelOperator(_rand(size, seed + 1))
+            model = assemble_model(t0, t1, _rand(size, seed + 2))
+            got = block_norm(model.blocks)
+            assert "t" not in vars(model)
+            assert abs(got - frobenius(model.t)) <= 1e-15 * frobenius(model.t)
 
     def test_residual_writes_the_dense_difference(self):
         a, b, c = _rand(4, 1), _rand(4, 2), _rand(4, 3)
