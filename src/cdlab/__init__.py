@@ -13,8 +13,7 @@ from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         sylvester_kernel, triangular_matrix)
 from .geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                        covariant_derivative, curvature, curvature_isometry_check,
-                       eigenframe, gram_metric, kernel_frame, polar_grid,
-                       radial_grid)
+                       eigenframe, gram_metric, kernel_frame, polar_grid)
 from .equivalence import (SWAP, BlockUnitary, Fb2Pair, build_unitary_from_x,
                           construct_fb2_pair, frame_kernel_matrix,
                           kernel_transform_check, main3_verifier,

@@ -1,7 +1,8 @@
 """Command-line driver.
 
     cdlab run <scenario.json>          run a whole verification campaign
-    cdlab verify <check> <scenario>    run only one kind of check
+    cdlab run <scenario> --only <check> --report out.json
+                                       run one kind of check; write the report
     cdlab list                         registered checks and their parameters
     cdlab curvature --kernel bergman:2 --rmax 0.6 --out field.csv
 
@@ -111,12 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--only", default=None, help="restrict to one check kind")
     p_run.add_argument("--report", default=None, help="also write the JSON report here")
     p_run.set_defaults(func=_cmd_run)
-
-    p_verify = sub.add_parser("verify", help="run one kind of check from a scenario")
-    p_verify.add_argument("only", metavar="checkname")
-    p_verify.add_argument("scenario")
-    p_verify.add_argument("--report", default=None)
-    p_verify.set_defaults(func=_cmd_run)
 
     p_list = sub.add_parser("list", help="list registered checks")
     p_list.set_defaults(func=_cmd_list)

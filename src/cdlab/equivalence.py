@@ -108,9 +108,7 @@ def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
                            u10=root_inv, u11=-root_inv @ x)
     tt0 = t1.right(root) @ root_inv
     tt1 = t0.right(root_left_inv) @ root
-    partner = assemble_model(ModelOperator(tt0, source="conjugated:" + t1.source),
-                             ModelOperator(tt1, source="conjugated:" + t0.source),
-                             x.conj().T)
+    partner = assemble_model(ModelOperator(tt0), ModelOperator(tt1), x.conj().T)
     return unitary, partner
 
 

@@ -20,10 +20,9 @@ class DomainError(CdlabError, ValueError):
 class PrecisionError(CdlabError, RuntimeError):
     """Truncation or stencil support insufficient for the requested accuracy."""
 
-    def __init__(self, message, required_truncation=None, point=None):
+    def __init__(self, message, required_truncation=None):
         super().__init__(message)
         self.required_truncation = required_truncation
-        self.point = point
 
 
 class DegenerateFrameError(CdlabError, RuntimeError):

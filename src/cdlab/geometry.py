@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
 from .kernels import DiagonalKernel, section_jet
-from .operators import ModelOperator, UpperTriangularModel, shift_from_kernel
+from .operators import ModelOperator, UpperTriangularModel
 
 DEFAULT_FD_STEP = 1e-3
 MAX_COVARIANT_ORDER = 2
@@ -87,11 +87,6 @@ def polar_grid(radii=None, n_angles: int = 16,
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return DiskGrid(points=pts, fd_step=fd_step)
-
-
-def radial_grid(radii, fd_step: float = DEFAULT_FD_STEP) -> DiskGrid:
-    """Radial-only grid for boundary studies."""
-    return DiskGrid(points=np.asarray(radii, dtype=complex), fd_step=fd_step)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,8 @@ class FrameField:
     Taylor jets at disk points of any shape (0-d included): `jet(points, o)`
     is the points.shape + (o + 1, rank, dim) array of (1/i!) d^i gamma/dw^i,
     i = 0..o.  Its order-0 slice is `evaluate`, and `vectors` is that on the
-    grid.
+    grid.  `eigen_residuals` holds ||(T - w) gamma_i(w)|| per point and frame
+    vector for an `eigenframe`, and is None otherwise.
     """
 
     grid: DiskGrid
@@ -203,7 +199,7 @@ class FrameField:
         base_jet = self.jet
         jet = None if base_jet is None else (lambda w, order: g.T @ base_jet(w, order))
         return FrameField(grid=self.grid, rank=self.rank, vectors=g.T @ self.vectors,
-                          jet=jet, eigen_residuals=None)
+                          jet=jet)
 
 
 def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
@@ -211,24 +207,14 @@ def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
     return op.left(np.swapaxes(rows, -1, -2)).swapaxes(-1, -2)
 
 
-def _eigen_residuals(tv: np.ndarray, vectors: np.ndarray,
-                     points: np.ndarray) -> np.ndarray:
-    """||(T - w) gamma_i(w)|| for every point and frame vector, from the
-    rows T gamma_i(w) in `tv`."""
-    return np.linalg.norm(tv - points[:, None, None] * vectors, axis=-1)
-
-
-def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
-               tail_tol: float | None = None) -> FrameField:
+def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     """Rank-2 eigenframe gamma_0 = (t0, 0), gamma_1 = (X t1, t1) of the model.
 
     Both diagonal blocks must have been built from diagonal kernels, so the
     sections t_i(w) and their jets are available.  The per-point
     eigen-residual ||(T - w) gamma_i(w)|| is recorded; T gamma is taken
     block by block, (T0 top + C bottom, T1 bottom) with C = X T1 - T0 X,
-    so T itself is never assembled.  When `tail_tol` is given, the a-priori
-    truncation tail bound (1 + ||X||) sqrt(a_{N-1}) |w|^N is checked first
-    and a PrecisionError names the worst point and a sufficient truncation.
+    so T itself is never assembled.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -238,21 +224,6 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
     if k0.truncation != n or k1.truncation != n:
         raise InvalidArgumentError("kernel truncations must match the model size")
     x = model.x
-    if tail_tol is not None:
-        tail_amp = (1.0 + np.linalg.norm(x, 2)) * math.sqrt(
-            max(k0.coefficients[-1], k1.coefficients[-1]))
-        radii = np.abs(grid.points)
-        bounds = tail_amp * radii ** n
-        worst = int(np.argmax(bounds))
-        if bounds[worst] > tail_tol:
-            r = radii[worst]
-            need = n
-            while tail_amp * r ** need > tail_tol and need < 100_000:
-                need *= 2
-            raise PrecisionError(
-                f"tail bound {bounds[worst]:.3e} exceeds {tail_tol:.1e} at "
-                f"point {grid.points[worst]}; truncation about {need} suffices",
-                required_truncation=need, point=complex(grid.points[worst]))
 
     def jet_at(points, order) -> np.ndarray:
         t0, t1 = section_jet(k0, points, order), section_jet(k1, points, order)
@@ -273,8 +244,9 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid,
     coupled = (bottom.reshape(-1, n) @ model.coupling_block.T).reshape(top.shape)
     tv = np.concatenate([_times_rows(model.t0, top) + coupled,
                          _times_rows(model.t1, bottom)], axis=-1)
+    residuals = np.linalg.norm(tv - grid.points[:, None, None] * vectors, axis=-1)
     return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,
-                      eigen_residuals=_eigen_residuals(tv, vectors, grid.points))
+                      eigen_residuals=residuals)
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
@@ -283,13 +255,8 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     def jet_at(points, order) -> np.ndarray:
         return section_jet(kernel, points, order)[..., None, :]
 
-    vectors = jet_at(grid.points, 0)[:, 0]
-    residuals = None
-    if kernel.truncation >= 2:
-        residuals = _eigen_residuals(
-            _times_rows(shift_from_kernel(kernel), vectors), vectors, grid.points)
-    return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at,
-                      eigen_residuals=residuals)
+    return FrameField(grid=grid, rank=1, vectors=jet_at(grid.points, 0)[:, 0],
+                      jet=jet_at)
 
 
 # ---------------------------------------------------------------------------
@@ -460,30 +427,27 @@ def _covariant(metric: MetricField, grid: DiskGrid, method: str,
     raise InvalidArgumentError(f"unknown curvature method {method!r}")
 
 
-def curvature(metric: MetricField, grid: DiskGrid | None = None,
+def curvature(metric: MetricField, grid: DiskGrid,
               method: str = "series") -> CurvatureField:
     """K(w) = -dbar(h^{-1} dh) on the grid, by the chosen route."""
-    if grid is None:
-        grid = metric.grid
     return CurvatureField(grid=grid, rank=metric.rank, method=method,
                           values=_covariant(metric, grid, method, 0, 0))
 
 
 def covariant_derivative(curv: CurvatureField, metric: MetricField,
-                         i: int, j: int,
-                         max_order: int = MAX_COVARIANT_ORDER) -> np.ndarray:
+                         i: int, j: int) -> np.ndarray:
     """Covariant derivative K_{w^i wbar^j}; cached on the field.
 
     w-steps are applied before wbar-steps.  (0, 0) returns the curvature
-    itself.  Requests beyond `max_order` raise a PrecisionError.
+    itself.  Requests beyond MAX_COVARIANT_ORDER raise a PrecisionError.
     """
     if i < 0 or j < 0:
         raise InvalidArgumentError("derivative orders must be nonnegative")
     if i == 0 and j == 0:
         return curv.values
-    if i + j > max_order:
-        raise PrecisionError(
-            f"covariant order {i}+{j} exceeds the configured maximum {max_order}")
+    if i + j > MAX_COVARIANT_ORDER:
+        raise PrecisionError(f"covariant order {i}+{j} exceeds the configured "
+                             f"maximum {MAX_COVARIANT_ORDER}")
     key = (i, j)
     if key not in curv.derivatives:
         curv.derivatives[key] = _covariant(metric, curv.grid, curv.method, i, j)
@@ -513,10 +477,9 @@ def _intertwiner_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def curvature_isometry_check(field_a: CurvatureField, field_b: CurvatureField,
-                             tol: float, include_second: bool = False
-                             ) -> list[IsometryPointResult]:
+                             tol: float) -> list[IsometryPointResult]:
     """Certify, per grid point, a unitary V with V K_A = K_B V jointly over
-    the tuple (K, K_w, K_wbar), optionally including K_{w wbar}, at any rank r.
+    the tuple (K, K_w, K_wbar) at any rank r.
 
     V A = B V and V A^H = B^H V over the tuple are linear in V, so all points
     are solved by one batched SVD of r^2-column systems.  A fixed combination
@@ -534,8 +497,6 @@ def curvature_isometry_check(field_a: CurvatureField, field_b: CurvatureField,
             or not np.allclose(field_a.grid.points, field_b.grid.points):
         raise InvalidArgumentError("fields must share one rank and one grid")
     keys = [(0, 0), (1, 0), (0, 1)]
-    if include_second:
-        keys.append((1, 1))
     for key in keys[1:]:
         if key not in field_a.derivatives or key not in field_b.derivatives:
             raise InvalidArgumentError(

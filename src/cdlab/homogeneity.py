@@ -30,7 +30,7 @@ class MobiusMap:
     phase: float = 0.0
 
     def __post_init__(self):
-        if abs(self.a) >= 1.0:
+        if not abs(self.a) < 1.0:  # NaN too
             raise InvalidArgumentError("mobius parameter must satisfy |a| < 1")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "phase", float(self.phase) % (2.0 * math.pi))

@@ -148,13 +148,13 @@ def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
     return jets
 
 
-def required_truncation(radius: float, eps: float = TAIL_EPS) -> int:
-    """Smallest N with radius^(2N) < eps (geometric tail criterion)."""
+def required_truncation(radius: float) -> int:
+    """Smallest N with radius^(2N) < TAIL_EPS (geometric tail criterion)."""
     if not 0.0 <= radius < 1.0:
         raise InvalidArgumentError("radius must lie in [0, 1)")
     if radius == 0.0:
         return 1
-    return max(1, math.ceil(math.log(eps) / (2.0 * math.log(radius))))
+    return max(1, math.ceil(math.log(TAIL_EPS) / (2.0 * math.log(radius))))
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,13 @@ class ModelOperator:
     """N x N matrix model of a rank-one-kernel operator.
 
     `kernel` is set when the operator was built from a diagonal kernel, which
-    is what makes eigenframes and series metrics available downstream;
-    `source` keeps a printable label either way.  `weights` is the
-    superdiagonal of a weighted backward shift (entry (k, k+1) of `matrix`)
-    and None for any other operator; `left` and `right` use it.
+    is what makes eigenframes and series metrics available downstream.
+    `weights` is the superdiagonal of a weighted backward shift (entry
+    (k, k+1) of `matrix`) and None for any other operator; `left` and
+    `right` use it.
     """
 
     matrix: np.ndarray = field(repr=False)
-    source: str = ""
     kernel: DiagonalKernel | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
 
@@ -241,7 +240,7 @@ def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
     weights = np.sqrt(a[:-1] / a[1:])
     mat = np.zeros((n, n), dtype=complex)
     mat[np.arange(n - 1), np.arange(1, n)] = weights
-    return ModelOperator(mat, source=kernel.label, kernel=kernel, weights=weights)
+    return ModelOperator(mat, kernel=kernel, weights=weights)
 
 
 def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
@@ -399,8 +398,7 @@ def _block_positions(label: np.ndarray, count: np.ndarray):
     return order, start, pos
 
 
-def sylvester_kernel(a: np.ndarray, b: np.ndarray,
-                     tol: float = SYLVESTER_TOL) -> IntertwinerSpace:
+def sylvester_kernel(a: np.ndarray, b: np.ndarray) -> IntertwinerSpace:
     """Numerical null space of X -> A X - X B, one SVD per independent block.
 
     In column-major vec form the map is I (x) A - B^T (x) I, but that
@@ -410,8 +408,8 @@ def sylvester_kernel(a: np.ndarray, b: np.ndarray,
     components of this equation/unknown graph are independent blocks: dense
     inputs form one block, two weighted shifts one chain per diagonal.  The
     blocks are taken through SVDs stacked by shape, and singular values
-    <= tol * sigma_max, with sigma_max the largest over all blocks, count as
-    zero.  A block with more unknowns than equations contributes its extra
+    <= SYLVESTER_TOL * sigma_max, with sigma_max the largest over all blocks,
+    count as zero.  A block with more unknowns than equations contributes its extra
     right singular vectors, and one with no equations its unit vector.
 
     A block whose dense form would exceed SYLVESTER_MAX_BLOCK_BYTES raises
@@ -474,7 +472,8 @@ def sylvester_kernel(a: np.ndarray, b: np.ndarray,
         unk = unk_order[unk_start[blocks[lo:hi], None] + np.arange(c)]
         # Unknown k + m l is entry k n + l of a row-major (m, n) matrix.
         groups.append((svals, vh, (unk % m) * n + unk // m))
-    cutoff = tol * max((svals.max(initial=0.0) for svals, _, _ in groups), default=0.0)
+    cutoff = SYLVESTER_TOL * max((svals.max(initial=0.0) for svals, _, _ in groups),
+                                 default=0.0)
 
     basis = []
     for svals, vh, entries in groups:
@@ -559,7 +558,7 @@ def apply_mobius(a_mat: np.ndarray, a, phase=0.0) -> np.ndarray:
         raise InvalidArgumentError(
             f"{a_mat.shape[:-2]} matrices, {a.shape} parameters and "
             f"{phase.shape} phases do not broadcast") from None
-    if np.any(np.abs(a) >= 1.0):
+    if not np.all(np.abs(a) < 1.0):  # NaN too
         raise InvalidArgumentError("mobius parameter must satisfy |a| < 1")
     n = a_mat.shape[-1]
     a_col = a[..., None, None]

@@ -38,18 +38,6 @@ class Condition:
         return out
 
 
-def make_condition(name: str, residual: float, tolerance: float,
-                   detail: str = "") -> Condition:
-    status = "pass" if residual <= tolerance else "fail"
-    return Condition(name=name, residual=float(residual),
-                     tolerance=float(tolerance), status=status, detail=detail)
-
-
-def indeterminate_condition(name: str, tolerance: float, detail: str) -> Condition:
-    return Condition(name=name, residual=float("nan"), tolerance=float(tolerance),
-                     status="indeterminate", detail=detail)
-
-
 @dataclass
 class ConditionReport:
     """All conditions of one check, plus free-form diagnostic info."""
@@ -63,10 +51,15 @@ class ConditionReport:
         return all(c.passed for c in self.conditions)
 
     def add(self, name: str, residual: float, tolerance: float, detail: str = ""):
-        self.conditions.append(make_condition(name, residual, tolerance, detail))
+        status = "pass" if residual <= tolerance else "fail"
+        self.conditions.append(Condition(name=name, residual=float(residual),
+                                         tolerance=float(tolerance), status=status,
+                                         detail=detail))
 
     def add_indeterminate(self, name: str, tolerance: float, detail: str):
-        self.conditions.append(indeterminate_condition(name, tolerance, detail))
+        self.conditions.append(Condition(name=name, residual=float("nan"),
+                                         tolerance=float(tolerance),
+                                         status="indeterminate", detail=detail))
 
     def condition(self, name: str) -> Condition:
         for cond in self.conditions:

@@ -8,14 +8,14 @@ at one BLAS thread setting.
 
 Each section is declared once, as a function's keyword-only arguments (see
 `Ref`): check params by the runner, kernels and models by their forms
-(KERNEL, MODEL), operators by SOURCES, the grid and outputs by `_grid` and
-`_outputs`.  `_read_params` reads them at load, where a bad key, value or
-name is a SchemaError, and again inside each check, where it builds what
-they name.
+(KERNEL, MODEL), operators by SOURCES and the grid by `_grid`.
+`_read_params` reads them at load, where a bad key, value or name is a
+SchemaError, and again inside each check, where it builds what they name.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import inspect
 import json
@@ -44,21 +44,20 @@ from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                           mobius_block_identity_check, mobius_sample_set,
                           thm45_condition_check)
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
-                      required_truncation, separator_kernel)
+                      separator_kernel)
 from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
                         block_norm, block_product, block_residual, fb2_membership,
                         frobenius, random_operator, random_unitary,
                         shift_from_kernel, similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
-from .serialize import (load_matrix, matrix_from_json, write_curvature_csv,
-                        write_ratio_csv)
+from .serialize import load_matrix, matrix_from_json, write_curvature_csv
 
 
 # ---------------------------------------------------------------------------
 # parameter schemas
 
 SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
-                           "checks", "outputs"})
+                           "checks"})
 CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
 REQUIRED = inspect.Parameter.empty
 KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number",
@@ -97,10 +96,13 @@ def _cast(kind: type, value, where: str):
     try:
         if kind is str and not isinstance(value, str):
             raise TypeError  # str() takes anything
-        return _as_complex(value) if kind is complex else kind(value)
+        out = _as_complex(value) if kind is complex else kind(value)
     except (TypeError, ValueError, OverflowError, IndexError):
         raise SchemaError(f"{where} must be {KIND_NAMES.get(kind, kind.__name__)}, "
                           f"got {value!r}") from None
+    if kind in (float, complex) and not cmath.isfinite(out):  # json reads NaN, Infinity
+        raise SchemaError(f"{where} must be finite, got {value!r}")
+    return out
 
 
 @functools.cache
@@ -234,10 +236,6 @@ def _grid(*, rmax=0.6, n_radii=Ref("count", 6), n_angles=Ref("count", 16),
                       n_angles=n_angles, fd_step=fd_step)
 
 
-def _outputs(*, report=Ref(str, None)):
-    """The files a run writes: `report` is the JSON report."""
-
-
 # ---------------------------------------------------------------------------
 # scenario context
 
@@ -250,7 +248,6 @@ class Scenario:
     operator_specs: dict
     grid_spec: dict
     checks: list[dict]
-    outputs: dict
     base_dir: Path
     grid: DiskGrid | None = field(default=None, repr=False)
 
@@ -284,7 +281,6 @@ class Scenario:
             operator_specs=raw.get("operators", {}),
             grid_spec=raw.get("grid", {}),
             checks=checks,
-            outputs=raw.get("outputs", {}),
             base_dir=base_dir,
         )
         scenario._validate(origin)
@@ -298,8 +294,6 @@ class Scenario:
                 raise SchemaError(f"{origin}: '{key}' must be an object")
         names = ScenarioContext(self, build=False)
         self.grid = names.grid(self.grid_spec, f"{origin}: grid")
-        self.outputs = _read_params(names, _outputs, self.outputs,
-                                    f"{origin}: outputs")
         for name in self.kernel_specs:
             names.kernel(name, origin)
         for name in self.operator_specs:
@@ -709,30 +703,18 @@ def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
         "harmonically damped minimum kernel separates both inputs at the "
         "boundary")
 def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
-                     radii=Ref([float], [0.9, 0.99, 0.999]), max_final_ratio=0.05,
-                     csv_out_k0="", csv_out_k1="") -> ConditionReport:
+                     radii=Ref([float], [0.9, 0.99, 0.999]),
+                     max_final_ratio=0.05) -> ConditionReport:
     report = ConditionReport(name="separator")
-    needed = required_truncation(max(radii))
-
-    def sized(kern: DiagonalKernel) -> DiagonalKernel:
-        weight = _bergman_weight(kern)
-        if weight is not None and kern.truncation < needed:
-            return bergman_kernel(weight, needed)
-        return kern
-
-    k0, k1 = sized(k0), sized(k1)
     ks = separator_kernel(k0, k1)
-    for name, kern, csv_out in (("k0", k0, csv_out_k0), ("k1", k1, csv_out_k1)):
-        samples = diagonal_ratio(ks, kern, radii)
-        ratios = [s.ratio for s in samples]
+    for name, kern in (("k0", k0), ("k1", k1)):
+        ratios = [s.ratio for s in diagonal_ratio(ks, kern, radii)]
         monotone = max(b - a for a, b in zip(ratios, ratios[1:]))
         report.add(f"monotone-{name}", monotone, tol,
                    detail="consecutive ratio differences must be negative")
         report.add(f"final-ratio-{name}", ratios[-1], max_final_ratio)
         report.info[f"ratios_{name}"] = ratios
-        if csv_out:
-            write_ratio_csv(csv_out, samples)
-    report.info["truncation"] = needed
+    report.info["truncation"] = ks.truncation
     return report
 
 
@@ -773,7 +755,7 @@ def _check_thm45(tol: float, *, t1_kernel=Ref("shift"), a=Ref(complex),
                  phase=0.0) -> ConditionReport:
     t1 = t1_kernel
     mob = MobiusMap(a=a, phase=phase)
-    t0 = ModelOperator(mob.of(t1.matrix), source=f"mobius:{t1.source}")
+    t0 = ModelOperator(mob.of(t1.matrix))
     n = t0.size
     eye = np.eye(n, dtype=complex)
     model = assemble_model(t0, t1, eye)
@@ -900,8 +882,8 @@ def run_scenario(path_or_scenario, only_check: str | None = None) -> CampaignRes
     """Execute a scenario and return the campaign result.
 
     `only_check` restricts the run to checks of one registered kind (the
-    `verify <name>` CLI form).  Output files named in the scenario are
-    written; the JSON report itself goes wherever outputs.report points.
+    `run --only <name>` CLI form).  The only files written are those a
+    check's params name (`csv_out`); `cdlab run --report` writes the report.
     """
     if isinstance(path_or_scenario, Scenario):
         scenario = path_or_scenario
@@ -918,11 +900,6 @@ def run_scenario(path_or_scenario, only_check: str | None = None) -> CampaignRes
     ctx = ScenarioContext(scenario)
     start = time.perf_counter()
     outcomes = [_run_one(ctx, i, c) for i, c in checks]
-    result = CampaignResult(scenario=scenario.name, outcomes=outcomes,
-                            environment=_environment_stamp(),
-                            elapsed=time.perf_counter() - start)
-    report_path = scenario.outputs["report"]
-    if report_path:
-        Path(report_path).parent.mkdir(parents=True, exist_ok=True)
-        Path(report_path).write_text(result.to_json() + "\n", encoding="utf-8")
-    return result
+    return CampaignResult(scenario=scenario.name, outcomes=outcomes,
+                          environment=_environment_stamp(),
+                          elapsed=time.perf_counter() - start)

@@ -43,6 +43,13 @@ class TestMobiusMap:
         with pytest.raises(InvalidArgumentError):
             MobiusMap(a=1.0)
 
+    @pytest.mark.parametrize("a", [math.nan, complex(0.3, math.nan)],
+                             ids=["nan", "complex-nan"])
+    def test_nan_parameter_rejected(self, a):
+        # abs(nan) >= 1 is False, so the guard must be written as not < 1
+        with pytest.raises(InvalidArgumentError, match=r"\|a\| < 1"):
+            MobiusMap(a=a)
+
     def test_sample_set_is_the_documented_twelve(self):
         maps = mobius_sample_set()
         assert len(maps) == 12

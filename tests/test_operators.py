@@ -278,7 +278,7 @@ class TestSylvesterKernel:
 
     def test_residual_bound(self):
         a, b = _rand(4, 11), _rand(4, 11)  # same seed: equal, big kernel
-        space = sylvester_kernel(a, b, tol=1e-10)
+        space = sylvester_kernel(a, b)
         scale = np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
         assert space.residual <= 10 * 1e-10 * scale
         recomputed = max((frobenius(a @ m - m @ b) for m in space.basis),
@@ -465,6 +465,13 @@ class TestMobius:
     def test_parameter_outside_disk(self):
         with pytest.raises(InvalidArgumentError):
             apply_mobius(np.eye(2), 1.0)
+
+    @pytest.mark.parametrize("a", [np.nan, complex(0.3, np.nan), [0.1, np.nan]],
+                             ids=["nan", "complex-nan", "stack-nan"])
+    def test_nan_parameter_rejected(self, a):
+        # before the resolvent, whose condition number would read inf
+        with pytest.raises(InvalidArgumentError, match=r"\|a\| < 1"):
+            apply_mobius(np.eye(2), a)
 
     def test_singular_resolvent_reports_condition(self):
         mat = np.diag([2.0, 0.1])  # 1 - 0.5*2 = 0 exactly

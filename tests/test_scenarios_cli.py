@@ -13,7 +13,7 @@ import pytest
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
-                             _grid, _outputs, list_checks, parameter_docs,
+                             _grid, list_checks, parameter_docs,
                              run_scenario)
 from cdlab.serialize import (load_matrix, matrix_from_json, matrix_to_json,
                              save_matrix)
@@ -71,8 +71,8 @@ def test_bundled_scenarios_pass(path, tmp_path, monkeypatch):
 
 def test_sylvester_and_separator_compare_against_tol():
     raw = {"name": "given-tol",
-           "kernels": {"b1": {"preset": "bergman", "n": 1, "N": 64},
-                       "b2": {"preset": "bergman", "n": 2, "N": 64}},
+           "kernels": {"b1": {"preset": "bergman", "n": 1, "N": 13809},
+                       "b2": {"preset": "bergman", "n": 2, "N": 13809}},
            "operators": {"D": {"diagonal": {"values": [1, 2]}}},
            "checks": [{"check": "sylvester", "tol": 0.5, "params": {
                            "cases": [{"a": "D", "b": "D", "expected_dim": 2}]}},
@@ -84,6 +84,25 @@ def test_sylvester_and_separator_compare_against_tol():
     assert [c.tolerance for c in sylvester] == [0.5]
     assert [c.tolerance for c in separator if c.name.startswith("monotone")] \
         == [1e-3, 1e-3]
+
+
+def test_separator_uses_the_declared_truncation(tmp_path):
+    # N = 64 is too short for radius 0.999: the separator check fails with
+    # the truncation that would suffice, and the campaign goes on
+    raw = {"name": "short-separator",
+           "kernels": {"b1": {"preset": "bergman", "n": 1, "N": 64},
+                       "b2": {"preset": "bergman", "n": 2, "N": 64}},
+           "operators": {"D": {"diagonal": {"values": [1, 2]}}},
+           "checks": [{"check": "separator", "params": {"k0": "b1", "k1": "b2"}},
+                      {"check": "sylvester", "params": {
+                          "cases": [{"a": "D", "b": "D", "expected_dim": 2}]}}]}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path)]) == 1
+    separator, sylvester = run_scenario(path).outcomes
+    assert separator.error == ("PrecisionError: truncation 64 insufficient for "
+                               "radius 0.999; need N >= 13809")
+    assert sylvester.passed
 
 
 def test_curvature_csv_keeps_every_kernel(tmp_path):
@@ -262,7 +281,23 @@ MALFORMED = [
     ("grid-n_radi", lambda raw: raw.update(grid={"n_radi": 2}),
      r"grid: unknown key 'n_radi'"),
     ("number-report", lambda raw: raw.update(outputs={"report": 5}),
-     r"outputs: 'report' must be a string, got 5"),
+     r"unknown key 'outputs'"),
+    ("separator-csv_out_k0", lambda raw: raw.update(checks=[{
+        "check": "separator", "params": {"k0": "b1", "k1": "b2",
+                                         "csv_out_k0": "k0.csv"}}]),
+     r"checks\[0\] \(separator\): unknown key 'csv_out_k0'"),
+    ("nan-a", lambda raw: raw.update(checks=[{
+        "check": "thm45", "params": {"t1_kernel": "b1", "a": float("nan")}}]),
+     r"checks\[0\] \(thm45\): 'a' must be finite, got nan"),
+    ("nan-a-pair", lambda raw: raw.update(checks=[{
+        "check": "thm45", "params": {"t1_kernel": "b1", "a": [0.3, float("nan")]}}]),
+     r"checks\[0\] \(thm45\): 'a' must be finite, got \[0.3, nan\]"),
+    ("infinite-phase", lambda raw: raw.update(checks=[{
+        "check": "thm45", "params": {"t1_kernel": "b1", "a": 0.3,
+                                     "phase": float("inf")}}]),
+     r"checks\[0\] \(thm45\): 'phase' must be finite, got inf"),
+    ("nan-tol", lambda raw: raw["checks"][0].update(tol=float("nan")),
+     r"checks\[0\]: tol must be finite, got nan"),
     ("kernel-preset", lambda raw: raw["kernels"].update(
         b1={"preset": "szego", "n": 1, "N": 12}),
      r"kernels\[b1\]: 'preset' must be one of bergman, got 'szego'"),
@@ -469,15 +504,6 @@ class TestScenarioSchema:
         with pytest.raises(SchemaError):
             run_scenario(Scenario.from_dict(raw), only_check="curvature")
 
-    def test_report_output_written(self, tmp_path):
-        raw = _tiny_scenario(outputs={"report": str(tmp_path / "report.json")})
-        result = run_scenario(Scenario.from_dict(raw))
-        assert result.overall
-        body = json.loads((tmp_path / "report.json").read_text())
-        assert body["scenario"] == "tiny"
-        assert body["overall"] is True
-        assert "timing" in body and "environment" in body
-
     def test_every_source_builds_as_its_direct_construction(self, tmp_path):
         from cdlab.homogeneity import MobiusMap
         from cdlab.kernels import DiagonalKernel, bergman_kernel
@@ -575,7 +601,7 @@ class TestCli:
 
     def test_verify_filters_to_one_check(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["verify", "thm45", "corollary-theta"]) == 0
+        assert main(["run", "corollary-theta", "--only", "thm45"]) == 0
         out = capsys.readouterr().out
         assert "thm45" in out and "corollary-theta#0" not in out
 
@@ -583,7 +609,11 @@ class TestCli:
         assert main(["run", "definitely-not-a-scenario"]) == 2
 
     def test_verify_unknown_check_is_usage_error(self):
-        assert main(["verify", "no-such-check", "corollary-theta"]) == 2
+        assert main(["run", "corollary-theta", "--only", "no-such-check"]) == 2
+        # `verify` is no longer a subcommand: argparse's own usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm45", "corollary-theta"])
+        assert exc.value.code == 2
 
     def test_verification_failure_exit_code(self, tmp_path):
         raw = _tiny_scenario()
@@ -672,14 +702,13 @@ class TestReadme:
         monkeypatch.chdir(tmp_path)
         result = run_scenario(Scenario.from_dict(json.loads(example)))
         assert result.overall, result.summary()
-        assert json.loads((tmp_path / "report.json").read_text())["overall"]
 
     def test_every_declared_key_and_default_is_listed(self):
         section = self._section()
         for source, kind in SOURCES.items():
             assert f"| `{source}` |" in section, source
         forms = [kind for kind in SOURCES.values() if not isinstance(kind, str)]
-        for form in forms + [*KERNEL, *MODEL, _grid, _outputs]:
+        for form in forms + [*KERNEL, *MODEL, _grid]:
             for name, doc in parameter_docs(form):
                 assert f"`{name}`" in section, name
                 default = doc.partition(" = ")[2].strip("'")
