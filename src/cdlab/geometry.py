@@ -21,6 +21,11 @@ evaluation routes are supported:
   an array of points; it is called once per offset h(a + ib) of the lattice
   patch that the stencils of K_{w^i wbar^j} reach, on all grid points at
   once, and the stencils are then applied as array slices.
+
+A metric belongs to one grid, and both routes cache what they evaluate on
+it: the fd route each lattice offset's metric values, the series route each
+order's metric jet.  So K and then its covariant derivatives evaluate every
+offset, and build every jet order, once per metric.
 """
 
 from __future__ import annotations
@@ -267,13 +272,22 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
 class MetricField:
     """Gram metric h(w) sampled on the grid.  `evaluate` maps points of any
     shape to points.shape + (rank, rank) (the fd route); `frame_jet` is the
-    jet of the frame the metric comes from (the series route)."""
+    jet of the frame the metric comes from (the series route).
+
+    Curvature requests fill two caches on `grid`: `fd_values` maps a lattice
+    offset (a, b) to h(w + fd_step (a + ib)) at every grid point, and
+    `series_jets` maps an order o to the (points, o + 1, o + 1, rank, rank)
+    metric jet.  A cached entry is what a new evaluation would return, so
+    `evaluate` and `frame_jet` must not be replaced after the first request.
+    """
 
     grid: DiskGrid
     rank: int
     values: np.ndarray = field(repr=False)
     evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     frame_jet: FrameJet | None = field(default=None, repr=False)
+    fd_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    series_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _gram(vectors: np.ndarray) -> np.ndarray:
@@ -299,9 +313,9 @@ def gram_metric(frame: FrameField) -> MetricField:
 # curvature: series route
 
 
-def _series_covariant(frame_jet: FrameJet, points: np.ndarray,
-                      i: int, j: int) -> np.ndarray:
-    """K_{w^i wbar^j} at every point from metric jets of order (i + 1, j + 1).
+def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
+    """K_{w^i wbar^j} at every grid point from metric jets of order
+    (i + 1, j + 1), cut from the metric's jet of order max(i, j) + 1.
 
     With G_a the frame jets (frame vectors as columns), h(w + d) =
     sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
@@ -309,13 +323,16 @@ def _series_covariant(frame_jet: FrameJet, points: np.ndarray,
     several times slower here.
     """
     order = max(i, j) + 1
-    g = frame_jet(points, order)
-    count, r = g.shape[0], g.shape[-2]
-    stacked = g.reshape(count, (order + 1) * r, -1)
-    gram = (stacked.conj() @ stacked.swapaxes(-1, -2)).reshape(
-        count, order + 1, r, order + 1, r)
-    # gram[P, b, p, a, q] = G_b[p]^H G_a[q] -> jet[P, a, b][p, q]
-    h = MatrixJet(gram.transpose(0, 3, 1, 2, 4)[:, :i + 2, :j + 2])
+    jet = metric.series_jets.get(order)
+    if jet is None:
+        g = metric.frame_jet(metric.grid.points, order)
+        count, r = g.shape[0], g.shape[-2]
+        stacked = g.reshape(count, (order + 1) * r, -1)
+        gram = (stacked.conj() @ stacked.swapaxes(-1, -2)).reshape(
+            count, order + 1, r, order + 1, r)
+        # gram[P, b, p, a, q] = G_b[p]^H G_a[q] -> jet[P, a, b][p, q]
+        jet = metric.series_jets[order] = gram.transpose(0, 3, 1, 2, 4)
+    h = MatrixJet(jet[:, :i + 2, :j + 2])
     theta = h.inverse() @ h.d_w()
     f = -(theta.d_wbar())
     for _ in range(i):
@@ -360,19 +377,20 @@ def _wirtinger(f: np.ndarray, h: float, conjugate: bool) -> np.ndarray:
     return 0.5 * (dx + 1j * dy) if conjugate else 0.5 * (dx - 1j * dy)
 
 
-def _fd_covariant(metric_eval: Callable[[np.ndarray], np.ndarray], grid: DiskGrid,
-                  i: int, j: int) -> np.ndarray:
+def _fd_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
     """K_{w^i wbar^j} at every grid point by finite differences.
 
     The nested stencils reach the lattice points w + h(a + ib) of the 9-point
     cross stencil dilated `levels` times: ceil(|a|/2) + ceil(|b|/2) <= levels,
     33, 73 and 129 points for levels 2, 3 and 4.  The metric evaluator runs
     once per patch offset over all grid points (one call for the whole patch
-    would hold every patch frame at once); lattice sites off the patch hold
-    the identity, which keeps every solve regular and never reaches the patch
-    centre.  Each stencil level shrinks the lattice by two sites per side,
-    down to the centre.
+    would hold every patch frame at once), and only for offsets that no
+    earlier request on this metric evaluated: K and then K_w take 33 + 40
+    calls.  Lattice sites off the patch hold the identity, which keeps every
+    solve regular and never reaches the patch centre.  Each stencil level
+    shrinks the lattice by two sites per side, down to the centre.
     """
+    grid = metric.grid
     levels = 2 + i + j
     h = grid.fd_step
     _check_patch_reach(grid.points, h, levels)
@@ -380,12 +398,17 @@ def _fd_covariant(metric_eval: Callable[[np.ndarray], np.ndarray], grid: DiskGri
     steps = (np.abs(offsets) + 1) // 2
     mask = steps[:, None] + steps[None, :] <= levels
     patch = (offsets[:, None] + 1j * offsets[None, :])[mask]
-    evals = np.stack([metric_eval(grid.points + step) for step in h * patch], axis=1)
+    keys = [(int(a), int(b)) for a, b in offsets[np.argwhere(mask)]]
+    cache = metric.fd_values
+    for key, step in zip(keys, h * patch):
+        if key not in cache:
+            cache[key] = metric.evaluate(grid.points + step)
+    evals = np.stack([cache[key] for key in keys], axis=1)
     r = evals.shape[-1]
-    metric = np.broadcast_to(np.eye(r, dtype=complex),
-                             (len(grid),) + mask.shape + (r, r)).copy()
-    metric[:, mask] = evals
-    theta = np.linalg.solve(_crop(metric, 2), _wirtinger(metric, h, conjugate=False))
+    lattice = np.broadcast_to(np.eye(r, dtype=complex),
+                              (len(grid),) + mask.shape + (r, r)).copy()
+    lattice[:, mask] = evals
+    theta = np.linalg.solve(_crop(lattice, 2), _wirtinger(lattice, h, conjugate=False))
     f = -_wirtinger(theta, h, conjugate=True)
     for _ in range(i):
         conn, val = _crop(theta, (theta.shape[1] - f.shape[1]) // 2 + 2), _crop(f, 2)
@@ -414,24 +437,32 @@ class CurvatureField:
                 for key in keys]
 
 
-def _covariant(metric: MetricField, grid: DiskGrid, method: str,
-               i: int, j: int) -> np.ndarray:
+def _require_metric_grid(metric: MetricField, grid: DiskGrid):
+    # the metric's caches hold values on its own grid only
+    if grid is not metric.grid and (grid.fd_step != metric.grid.fd_step or
+                                    not np.array_equal(grid.points, metric.grid.points)):
+        raise InvalidArgumentError("curvature needs the grid of its metric")
+
+
+def _covariant(metric: MetricField, method: str, i: int, j: int) -> np.ndarray:
     if method == "series":
         if metric.frame_jet is None:
             raise InvalidArgumentError("series curvature needs a frame jet")
-        return _series_covariant(metric.frame_jet, grid.points, i, j)
+        return _series_covariant(metric, i, j)
     if method == "fd":
         if metric.evaluate is None:
             raise InvalidArgumentError("fd curvature needs a metric evaluator")
-        return _fd_covariant(metric.evaluate, grid, i, j)
+        return _fd_covariant(metric, i, j)
     raise InvalidArgumentError(f"unknown curvature method {method!r}")
 
 
 def curvature(metric: MetricField, grid: DiskGrid,
               method: str = "series") -> CurvatureField:
-    """K(w) = -dbar(h^{-1} dh) on the grid, by the chosen route."""
+    """K(w) = -dbar(h^{-1} dh) on the grid, by the chosen route.  `grid`
+    must be the metric's grid (its points and fd_step)."""
+    _require_metric_grid(metric, grid)
     return CurvatureField(grid=grid, rank=metric.rank, method=method,
-                          values=_covariant(metric, grid, method, 0, 0))
+                          values=_covariant(metric, method, 0, 0))
 
 
 def covariant_derivative(curv: CurvatureField, metric: MetricField,
@@ -441,6 +472,7 @@ def covariant_derivative(curv: CurvatureField, metric: MetricField,
     w-steps are applied before wbar-steps.  (0, 0) returns the curvature
     itself.  Requests beyond MAX_COVARIANT_ORDER raise a PrecisionError.
     """
+    _require_metric_grid(metric, curv.grid)
     if i < 0 or j < 0:
         raise InvalidArgumentError("derivative orders must be nonnegative")
     if i == 0 and j == 0:
@@ -450,7 +482,7 @@ def covariant_derivative(curv: CurvatureField, metric: MetricField,
                              f"maximum {MAX_COVARIANT_ORDER}")
     key = (i, j)
     if key not in curv.derivatives:
-        curv.derivatives[key] = _covariant(metric, curv.grid, curv.method, i, j)
+        curv.derivatives[key] = _covariant(metric, curv.method, i, j)
     return curv.derivatives[key]
 
 

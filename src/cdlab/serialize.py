@@ -38,6 +38,11 @@ def matrix_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
     if re.size != rows * cols or im.size != rows * cols:
         raise SchemaError(f"{where}: data length {re.size}/{im.size} does not "
                           f"match {rows}x{cols}")
+    for part, values in (("re", re), ("im", im)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise SchemaError(f"{where}: {part}[{bad[0]}] must be finite, "
+                              f"got {float(values[bad[0]])!r}")
     return (re + 1j * im).reshape(rows, cols)
 
 

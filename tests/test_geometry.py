@@ -458,7 +458,8 @@ class TestCovariantDerivatives:
             assert frobenius(k_w[p] - curv_w(w)) <= 1e-9 * frobenius(curv_w(w))
 
     def test_fd_metric_evaluations_per_point(self):
-        # the patch is the cross stencil dilated 2 + i + j times
+        # the patch is the cross stencil dilated 2 + i + j times, 33, 73 and
+        # 129 offsets; each request evaluates only the offsets it adds
         grid = polar_grid(radii=[0.3], n_angles=3)
         metric = gram_metric(eigenframe(_model(size=12), grid))
         base, calls, evaluator_calls = metric.evaluate, [], []
@@ -477,10 +478,10 @@ class TestCovariantDerivatives:
             covariant_derivative(fld, metric, *key)
             counts.append(len(calls))
             call_counts.append(len(evaluator_calls))
-        assert counts == [33 * len(grid), 73 * len(grid), 129 * len(grid)]
-        # one call per patch offset over all grid points: neither a loop over
-        # points nor the whole patch in one call
-        assert call_counts == [33, 73, 129]
+        assert counts == [33 * len(grid), 40 * len(grid), 56 * len(grid)]
+        # one call per new patch offset over all grid points: neither a loop
+        # over points nor the whole patch in one call
+        assert call_counts == [33, 40, 56]
 
     def test_order_cap(self):
         grid = DiskGrid(points=np.array([0.1 + 0j]))
@@ -510,6 +511,64 @@ class TestBatching:
         for index, whole in enumerate(batched):
             parts = np.concatenate([single[index] for single in singles])
             assert np.max(np.abs(whole - parts)) <= 1e-13 * np.max(np.abs(whole))
+
+
+class TestMetricCaches:
+    grid = polar_grid(radii=[0.3], n_angles=3)
+    kinds = {"kernel_frame": lambda g: kernel_frame(bergman_kernel(2, 30), g),
+             "eigenframe": lambda g: eigenframe(_model(size=12), g)}
+
+    @pytest.mark.parametrize("method", ["series", "fd"])
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe"])
+    def test_requests_on_one_metric_match_fresh_metrics(self, kind, method):
+        frame = self.kinds[kind](self.grid)
+
+        def fresh(key):
+            metric = gram_metric(frame)
+            return covariant_derivative(curvature(metric, self.grid, method),
+                                        metric, *key)
+
+        metric = gram_metric(frame)
+        fld = curvature(metric, self.grid, method)
+        # higher orders first, then lower ones, then K and K_w on a new field
+        for key in ((1, 1), (1, 0), (0, 1)):
+            np.testing.assert_array_equal(covariant_derivative(fld, metric, *key),
+                                          fresh(key), err_msg=str(key))
+        again = curvature(metric, self.grid, method)
+        np.testing.assert_array_equal(again.values, fresh((0, 0)))
+        np.testing.assert_array_equal(covariant_derivative(again, metric, 1, 0),
+                                      fresh((1, 0)))
+
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe"])
+    def test_frame_jet_built_once_per_order(self, kind):
+        metric = gram_metric(self.kinds[kind](self.grid))
+        base, orders = metric.frame_jet, []
+
+        def counting(points, order):
+            orders.append(order)
+            return base(points, order)
+
+        metric.frame_jet = counting
+        fld = curvature(metric, self.grid, "series")
+        for key in ((1, 0), (0, 1), (1, 1)):
+            covariant_derivative(fld, metric, *key)
+        curvature(metric, self.grid, "series")
+        assert orders == [1, 2]
+
+    @pytest.mark.parametrize("method", ["series", "fd"])
+    def test_grid_must_be_the_metrics(self, method):
+        metric = gram_metric(self.kinds["eigenframe"](self.grid))
+        same = DiskGrid(points=self.grid.points.copy(), fd_step=self.grid.fd_step)
+        fld = curvature(metric, same, method)
+        covariant_derivative(fld, metric, 1, 0)
+        other_points = polar_grid(radii=[0.25], n_angles=3)
+        other_step = DiskGrid(points=self.grid.points, fd_step=2e-3)
+        for grid in (other_points, other_step):
+            with pytest.raises(InvalidArgumentError, match="grid of its metric"):
+                curvature(metric, grid, method)
+            other = gram_metric(self.kinds["eigenframe"](grid))
+            with pytest.raises(InvalidArgumentError, match="grid of its metric"):
+                covariant_derivative(curvature(other, grid, method), metric, 1, 0)
 
 
 class TestFrameChangeInvariance:

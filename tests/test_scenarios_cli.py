@@ -320,6 +320,10 @@ MALFORMED = [
         "check": "frame", "params": {"t0_kernel": "b1", "t1_kernel": "b2",
                                      "grid": {"radii": [0.3], "n_radii": 2}}}]),
      r"checks\[0\] \(frame\): 'grid': unknown key 'radii'"),
+    ("matrix-nan", lambda raw: raw["operators"].update(M={"matrix": {
+        "rows": 2, "cols": 2, "re": [1.0, float("nan"), 0.0, 2.0],
+        "im": [0.0] * 4}}),
+     r"operators\[M\]: 'matrix': re\[1\] must be finite, got nan"),
     ("two-operator-cycle", lambda raw: (raw["operators"].update(
         A={"adjoint_of": {"source": "B"}},
         B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
@@ -730,6 +734,29 @@ class TestMatrixSerialization:
             matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
         with pytest.raises(SchemaError):
             matrix_from_json({"rows": 2})
+
+    def test_load_refuses_infinity(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": 1, "cols": 3, "re": [1, 2, 3], '
+                        '"im": [0, -Infinity, Infinity]}')
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: im[1] must be finite, got -inf")):
+            load_matrix(path)
+
+    def test_non_finite_file_fails_only_its_check(self, tmp_path):
+        (tmp_path / "x.json").write_text(
+            '{"rows": 2, "cols": 2, "re": [1, NaN, 0, 2], "im": [0, 0, 0, 0]}')
+        raw = {"name": "nan-file",
+               "operators": {"A": {"file": "x.json"}, "D": {"identity": {"size": 2}}},
+               "checks": [{"check": "sylvester", "params": {"cases": [
+                   {"a": name, "b": name, "expected_dim": dim}]}}
+                   for name, dim in (("A", 2), ("D", 4))]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        bad, good = run_scenario(path).outcomes
+        assert bad.error == (f"SchemaError: {tmp_path / 'x.json'}: re[1] must be "
+                             "finite, got nan")
+        assert good.passed
 
 
 def test_indeterminate_condition_serializes_as_null():
