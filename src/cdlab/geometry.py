@@ -424,13 +424,19 @@ def _fd_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
 
 @dataclass
 class CurvatureField:
-    """Curvature matrices per grid point, plus any covariant derivatives."""
+    """Curvature matrices per grid point, plus any covariant derivatives.
+
+    `metric` is the MetricField the curvature was computed from (None for a
+    field built from given matrices); `covariant_derivative` takes its
+    derivatives from that metric only.
+    """
 
     grid: DiskGrid
     rank: int
     method: str
     values: np.ndarray = field(repr=False)
     derivatives: dict = field(default_factory=dict, repr=False)
+    metric: MetricField | None = field(default=None, repr=False, compare=False)
 
     def tuple_at(self, index: int, keys) -> list[np.ndarray]:
         return [self.values[index] if key == (0, 0) else self.derivatives[key][index]
@@ -462,7 +468,7 @@ def curvature(metric: MetricField, grid: DiskGrid,
     must be the metric's grid (its points and fd_step)."""
     _require_metric_grid(metric, grid)
     return CurvatureField(grid=grid, rank=metric.rank, method=method,
-                          values=_covariant(metric, method, 0, 0))
+                          values=_covariant(metric, method, 0, 0), metric=metric)
 
 
 def covariant_derivative(curv: CurvatureField, metric: MetricField,
@@ -471,8 +477,12 @@ def covariant_derivative(curv: CurvatureField, metric: MetricField,
 
     w-steps are applied before wbar-steps.  (0, 0) returns the curvature
     itself.  Requests beyond MAX_COVARIANT_ORDER raise a PrecisionError.
+    `metric` must be the metric object the field was computed from.
     """
     _require_metric_grid(metric, curv.grid)
+    if metric is not curv.metric:
+        raise InvalidArgumentError(
+            "covariant derivatives need the metric the curvature came from")
     if i < 0 or j < 0:
         raise InvalidArgumentError("derivative orders must be nonnegative")
     if i == 0 and j == 0:

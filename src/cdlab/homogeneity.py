@@ -195,6 +195,9 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report.add("gram-u10", frobenius(inv_left - u10.conj().T @ u10), tol)
     report.add("gram-u01", frobenius(inv_right - u01.conj().T @ u01), tol)
 
+    # only U T is still needed: free the N x N images and inverses before
+    # the 2N x 2N image of T, which sets the peak memory of this check
+    del phi_t0, phi_t1, u10_inv, inv_left, inv_right
     phi_t_u = mobius.of(model.t) @ unitary.matrix
     report.add("end-to-end", frobenius(block_matrix(*ut) - phi_t_u), tol)
     return report

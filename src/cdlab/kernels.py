@@ -65,11 +65,19 @@ def bergman_kernel(n: int, truncation: int) -> DiagonalKernel:
         raise InvalidArgumentError("bergman weight n must be >= 1")
     if truncation < 1:
         raise InvalidArgumentError("truncation must be >= 1")
-    coeffs = np.empty(truncation)
-    coeffs[0] = 1.0
-    for k in range(truncation - 1):
-        coeffs[k + 1] = coeffs[k] * (n + k) / (k + 1)
+    coeffs = np.fromiter(_bergman_recurrence(n, truncation), dtype=float,
+                         count=truncation)
     return DiagonalKernel(coeffs, label=f"bergman({n})")
+
+
+def _bergman_recurrence(n: int, count: int):
+    """a_0, ..., a_{count-1} by a_{k+1} = a_k (n+k)/(k+1) on Python floats,
+    which round each step as float64 does; yielded one at a time, so no
+    list of float objects is ever held."""
+    value = 1.0
+    for k in range(count):
+        yield value
+        value = value * (n + k) / (k + 1)
 
 
 def _check_disk(point: complex, name: str) -> complex:

@@ -13,11 +13,14 @@ independent blocks, each block takes one small SVD, and singular values at most
 SYLVESTER_TOL times the largest over all blocks count as zero.  A block whose
 dense form would exceed SYLVESTER_MAX_BLOCK_BYTES is refused before any SVD.
 
-Inverses that must be trusted (the Mobius resolvent I - conj(a) A, the corner
-block U10) come from `guarded_inverse`: one LU gives M^{-1} and the 1-norm
-condition number kappa_1 = ||M||_1 ||M^{-1}||_1, and M is refused when
-n kappa_1 exceeds the cap.  Since kappa_2 <= n kappa_1, every matrix whose
-2-norm condition number exceeds the cap is refused, without an SVD.
+Inverses that must be trusted are guarded by the 1-norm condition number
+kappa_1 = ||M||_1 ||M^{-1}||_1: M is refused when n kappa_1 exceeds the cap.
+Since kappa_2 <= n kappa_1, every matrix whose 2-norm condition number
+exceeds the cap is refused, without an SVD.  The corner block U10 goes
+through `guarded_inverse`, one LU that gives M^{-1} and kappa_1.  The Mobius
+resolvent D = I - conj(a) A is never inverted: phi(A) = D^{-1} (a I - A) is
+one LU solve, and kappa_1(D) is read off (1 - |a|^2) D^{-1} = I - conj(a)
+phi(A) (see `apply_mobius`).
 
 Two structures are used instead of dense 2N x 2N products where no
 assembled matrix is needed.  A shift from `shift_from_kernel` carries its
@@ -527,22 +530,36 @@ def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
     return SimilaritySplit(model=model, residual=residual)
 
 
+def _add_to_diagonal(mat: np.ndarray, value) -> np.ndarray:
+    """mat + value I in place, for a matrix or a stack; `value` is a scalar
+    or has one entry per matrix of the stack.  No identity is formed."""
+    diagonal = np.einsum("...ii->...i", mat)
+    diagonal += np.asarray(value)[..., None]
+    return mat
+
+
 def apply_mobius(a_mat: np.ndarray, a, phase=0.0) -> np.ndarray:
     """Disk automorphism in functional-calculus form:
 
-        phi(A) = e^{i phase} (a I - A) D^{-1},   D = I - conj(a) A,   |a| < 1.
+        phi(A) = e^{i phase} D^{-1} (a I - A),   D = I - conj(a) A,   |a| < 1.
 
     `a_mat` is one matrix or an (m, n, n) stack, and `a` and `phase` are
     scalars or (m,) arrays; they broadcast, so one matrix under m maps, or
     m matrices under one map each, go through one batched call.  Each image
     equals the one a single call makes.
 
-    D^{-1} and kappa_1(D) come from one LU (`guarded_inverse`).  Fails loudly
-    with a SingularResolventError, naming the first refused map's index and
+    D and N = a I - A commute, so phi(A) = e^{i phase} X with X = D^{-1} N
+    = N D^{-1}, one LU solve of D X = N; D^{-1} is never formed.  The 1-norm
+    condition number kappa_1 = ||D||_1 ||D^{-1}||_1 needs no second
+    factorisation: (1 - |a|^2) D^{-1} = I - conj(a) X, and forming the
+    right side costs kappa_1 a relative error of about
+    eps ||N||_1 / (1 - |a|^2).  When the solve finds a D singular,
+    `guarded_inverse` tells which map it is.  Fails loudly with a
+    SingularResolventError, naming the first refused map's index and
     carrying n kappa_1 (inf when D is singular) as its condition estimate,
     when n kappa_1 exceeds RESOLVENT_COND_CAP instead of returning an
-    untrustworthy matrix.  Because kappa_2 <= n kappa_1, every resolvent with
-    a 2-norm condition number above the cap is refused.
+    untrustworthy matrix.  Because kappa_2 <= n kappa_1, every resolvent
+    with a 2-norm condition number above the cap is refused.
     """
     a_mat = np.asarray(a_mat, dtype=complex)
     a = np.asarray(a, dtype=complex)
@@ -561,14 +578,28 @@ def apply_mobius(a_mat: np.ndarray, a, phase=0.0) -> np.ndarray:
     if not np.all(np.abs(a) < 1.0):  # NaN too
         raise InvalidArgumentError("mobius parameter must satisfy |a| < 1")
     n = a_mat.shape[-1]
-    a_col = a[..., None, None]
-    eye = np.eye(n, dtype=complex)
-    denom_inv, kappa = guarded_inverse(eye - np.conj(a_col) * a_mat,
-                                        RESOLVENT_COND_CAP)
-    if denom_inv is None:
+    minus_conj_a = -np.conj(a)[..., None, None]
+    # D and N are scaled and then shifted on the diagonal in place, so no
+    # identity is formed; both take the broadcast shape lead + (n, n)
+    denom = _add_to_diagonal(minus_conj_a * a_mat, 1.0)
+    numer = _add_to_diagonal(
+        np.negative(a_mat, out=np.empty(denom.shape, dtype=complex)), a)
+    denom_norm = _one_norms(denom)
+    try:
+        image = np.linalg.solve(denom, numer)
+    except np.linalg.LinAlgError:
+        # the batched solve does not say which resolvent is singular
+        kappa = np.asarray(guarded_inverse(denom, math.inf)[1])
+    else:
+        del denom, numer
+        scaled_inverse = _add_to_diagonal(image * minus_conj_a, 1.0)
+        kappa = (denom_norm * _one_norms(scaled_inverse)
+                 / (1.0 - np.abs(a) ** 2))
+        kappa = np.where(np.isfinite(kappa), kappa, math.inf)
+    refused = n * kappa > RESOLVENT_COND_CAP
+    if refused.any():
         # kappa has the stack's shape `lead`; name the first refused map
-        kappa = np.asarray(kappa)
-        index = int(np.argmax(n * kappa > RESOLVENT_COND_CAP))
+        index = int(np.argmax(refused))
         kappa = float(kappa.flat[index])
         value = complex(np.broadcast_to(a, lead).flat[index])
         which = f" of map {index}" if lead else ""
@@ -577,9 +608,8 @@ def apply_mobius(a_mat: np.ndarray, a, phase=0.0) -> np.ndarray:
             f"condition number {kappa:.3e}; n * kappa_1 = {n * kappa:.3e} "
             f"exceeds the cap {RESOLVENT_COND_CAP:.1e}",
             condition_estimate=n * kappa)
-    result = (a_col * eye - a_mat) @ denom_inv
-    result *= np.exp(1j * phase)[..., None, None]
-    return ensure_finite(result, "mobius image")
+    image *= np.exp(1j * phase)[..., None, None]
+    return ensure_finite(image, "mobius image")
 
 
 def random_operator(size: int, seed: int, norm: float = 0.5,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlab import equivalence
 from cdlab.equivalence import (SWAP, BlockUnitary, build_unitary_from_x,
                                construct_fb2_pair, frame_kernel_matrix,
                                kernel_transform_check, main3_verifier,
@@ -273,6 +275,102 @@ class TestFb2Pair:
         wrong = assemble_model(t0, t1, x.conj().T)
         with pytest.raises(PreconditionError):
             construct_fb2_pair(unitary, model, wrong)
+
+
+def _counting_block_products(monkeypatch):
+    """Record every `block_product` call the equivalence module makes."""
+    calls = []
+    original = equivalence.block_product
+
+    def counting(lhs, rhs):
+        calls.append(1)
+        return original(lhs, rhs)
+
+    monkeypatch.setattr(equivalence, "block_product", counting)
+    return calls
+
+
+def _perturbed(model, eps=1e-6, seed=12):
+    """A new model whose coupling moves by eps in norm."""
+    bump = random_operator(model.size, seed, norm=eps)
+    return assemble_model(model.t0, model.t1, model.x + bump)
+
+
+class TestKeptMainlemmaResiduals:
+    def test_fb2_gate_reuses_the_callers_verification(self, monkeypatch):
+        unitary, model, partner = _normal_pipeline()
+        calls = _counting_block_products(monkeypatch)
+        report = verify_mainlemma(unitary, model, partner, 1e-9)
+        assert len(calls) == 2  # U T and Tt U
+        construct_fb2_pair(unitary, model, partner)
+        assert len(calls) == 4  # Z F and Ft Z only; the gate took none
+        again = verify_mainlemma(unitary, model, partner, 1e-9)
+        assert len(calls) == 4
+        assert again.to_dict() == report.to_dict()
+
+    def test_regrading_matches_a_fresh_verification(self):
+        unitary, model, partner = _normal_pipeline()
+        verify_mainlemma(unitary, model, partner, 1.0)
+        fresh_unitary, _ = build_unitary_from_x(model.t0, model.t1, model.x)
+        for tol in (1e-9, 1e-15, 1e-20):
+            kept = verify_mainlemma(unitary, model, partner, tol)
+            assert kept.to_dict() == verify_mainlemma(
+                fresh_unitary, model, partner, tol).to_dict()
+            assert all(c.tolerance == tol for c in kept.conditions)
+        assert not kept.overall
+
+    def test_loose_verification_does_not_loosen_the_gate(self, monkeypatch):
+        unitary, model, partner = _normal_pipeline()
+        perturbed = _perturbed(partner)
+        loose = verify_mainlemma(unitary, model, perturbed, 1.0)
+        assert loose.overall
+        calls = _counting_block_products(monkeypatch)
+        with pytest.raises(PreconditionError):
+            construct_fb2_pair(unitary, model, perturbed)
+        assert calls == []  # refused on the kept residuals
+
+    def test_equal_but_distinct_objects_recompute(self, monkeypatch):
+        unitary, model, partner = _normal_pipeline()
+        report = verify_mainlemma(unitary, model, partner, 1e-9)
+        calls = _counting_block_products(monkeypatch)
+        for other_model, other_partner in (
+                (dataclasses.replace(model), partner),
+                (model, dataclasses.replace(partner))):
+            again = verify_mainlemma(unitary, other_model, other_partner, 1e-9)
+            assert again.to_dict() == report.to_dict()
+        assert len(calls) == 4
+
+    def test_another_partner_replaces_the_kept_residuals(self):
+        unitary, model, partner = _normal_pipeline()
+        perturbed = _perturbed(partner)
+        good = verify_mainlemma(unitary, model, partner, 1e-9)
+        bad = verify_mainlemma(unitary, model, perturbed, 1e-9)
+        assert good.overall and not bad.overall
+        assert unitary.verification[1] is perturbed
+        assert verify_mainlemma(unitary, model, partner, 1e-9).to_dict() == \
+            good.to_dict()
+
+    def test_indeterminate_condition_stays_indeterminate(self):
+        t0, t1 = _shift_pair(4)
+        z = np.zeros((4, 4))
+        block_diag = BlockUnitary(u00=np.eye(4), u01=z, u10=z, u11=np.eye(4))
+        model = assemble_model(t0, t1, z)
+        _, partner = build_unitary_from_x(t0, t1, z)
+        first = verify_mainlemma(block_diag, model, partner, 1e-9)
+        cond = first.condition("defect-intertwines-partner")
+        again = verify_mainlemma(block_diag, model, partner, 1e3)
+        kept = again.condition("defect-intertwines-partner")
+        assert kept.status == "indeterminate" and math.isnan(kept.residual)
+        assert kept.detail == cond.detail and kept.tolerance == 1e3
+        assert again.info == first.info
+
+    def test_report_info_is_a_copy(self):
+        unitary, model, partner = _normal_pipeline()
+        report = verify_mainlemma(unitary, model, partner, 1e-9)
+        report.info["defect_norm"] = -1.0
+        report.conditions.clear()
+        again = verify_mainlemma(unitary, model, partner, 1e-9)
+        assert again.info["defect_norm"] >= 0.0 and again.conditions
 
 
 class TestThetaCorollary:

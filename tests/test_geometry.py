@@ -571,6 +571,26 @@ class TestMetricCaches:
                 covariant_derivative(curvature(other, grid, method), metric, 1, 0)
 
 
+    @pytest.mark.parametrize("method", ["series", "fd"])
+    def test_derivatives_need_the_fields_own_metric(self, method):
+        frames = [kernel_frame(bergman_kernel(n, 30), self.grid) for n in (1, 3)]
+        metric, other = (gram_metric(frame) for frame in frames)
+        fld = curvature(metric, self.grid, method)
+        assert fld.metric is metric
+        for key in ((1, 0), (0, 0)):
+            with pytest.raises(InvalidArgumentError,
+                               match="the metric the curvature came from"):
+                covariant_derivative(fld, other, *key)
+        # an equal metric object is another metric as well
+        with pytest.raises(InvalidArgumentError):
+            covariant_derivative(fld, gram_metric(frames[0]), 1, 0)
+        assert fld.derivatives == {}
+        fresh = gram_metric(frames[0])
+        np.testing.assert_array_equal(
+            covariant_derivative(fld, metric, 1, 0),
+            covariant_derivative(curvature(fresh, self.grid, method), fresh, 1, 0))
+
+
 class TestFrameChangeInvariance:
     def test_unitary_change_preserves_eigenvalues(self):
         model = _model(size=20)

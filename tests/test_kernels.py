@@ -27,6 +27,24 @@ class TestBergmanCoefficients:
         expected = binomial_series_coefficients(n, count)
         np.testing.assert_allclose(bergman_kernel(n, count).coefficients, expected)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_exact_integer_coefficients(self, n):
+        # a_k = binomial(n + k - 1, k): 1 for n = 1, k + 1 for n = 2
+        size = 13809
+        exact = [math.comb(n + k - 1, k) for k in range(size)]
+        np.testing.assert_array_equal(bergman_kernel(n, size).coefficients,
+                                      np.array(exact, dtype=float))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rounds_as_the_float64_array_recurrence(self, n):
+        size = 13809
+        reference = np.empty(size)
+        reference[0] = 1.0
+        for k in range(size - 1):
+            reference[k + 1] = reference[k] * (n + k) / (k + 1)
+        np.testing.assert_array_equal(bergman_kernel(n, size).coefficients,
+                                      reference)
+
     def test_label(self):
         assert bergman_kernel(2, 4).label == "bergman(2)"
 

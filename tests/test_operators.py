@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from cdlab import operators
 from cdlab.errors import (InvalidArgumentError, NumericError,
                           SingularResolventError)
 from cdlab.kernels import bergman_kernel, section_vector
@@ -590,6 +591,29 @@ class TestMobiusResolventGuard:
         rng = np.random.default_rng(7)
         a_mat = _resolvent_operand(20, 1e6, 0.5, rng)
         assert np.all(np.isfinite(apply_mobius(a_mat, 0.5)))
+
+    @pytest.mark.parametrize("radius", [0.2, 0.7, 0.999])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_condition_from_the_solve_matches_the_inverse(self, radius,
+                                                          stacked, monkeypatch):
+        # (1 - |a|^2) D^{-1} = I - conj(a) phi(A) gives kappa_1 without inv(D)
+        a_mat = random_operator(30, 4, norm=0.9)
+        a = radius * np.exp(0.8j)
+        denom = np.eye(30) - np.conj(a) * a_mat
+        kappa_1 = (np.linalg.norm(denom, 1)
+                   * np.linalg.norm(np.linalg.inv(denom), 1))
+        # a zero cap refuses every map, and the first refused one is a's
+        monkeypatch.setattr(operators, "RESOLVENT_COND_CAP", 0.0)
+        with pytest.raises(SingularResolventError) as err:
+            apply_mobius(a_mat, [a, 0.1] if stacked else a)
+        assert err.value.condition_estimate == pytest.approx(30 * kappa_1,
+                                                             rel=1e-10)
+
+    @pytest.mark.parametrize("phase", [0.0, 1.3])
+    def test_zero_parameter_is_exactly_minus_a(self, phase):
+        a_mat = random_operator(40, 6, norm=0.9)
+        np.testing.assert_array_equal(apply_mobius(a_mat, 0.0, phase),
+                                      -a_mat * np.exp(1j * phase))
 
     def test_refusal_names_one_norm_figure_and_cap(self):
         rng = np.random.default_rng(3)
