@@ -61,14 +61,6 @@ class BlockUnitary:
     def matrix(self) -> np.ndarray:
         return block_matrix(*self.blocks)
 
-    @classmethod
-    def from_matrix(cls, u: np.ndarray) -> "BlockUnitary":
-        u = np.asarray(u, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % 2:
-            raise InvalidArgumentError("expected a square matrix of even size")
-        n = u.shape[0] // 2
-        return cls(u00=u[:n, :n], u01=u[:n, n:], u10=u[n:, :n], u11=u[n:, n:])
-
 
 def _hermitian_powers(mat: np.ndarray, *powers: float) -> list[np.ndarray]:
     """mat^p for each p, for Hermitian positive definite mat, from one

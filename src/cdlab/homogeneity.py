@@ -166,6 +166,11 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report = ConditionReport(name="thm45")
     t0, t1, x = model.t0, model.t1, model.x
     u00, u01, u10, u11 = unitary.u00, unitary.u01, unitary.u10, unitary.u11
+    # the 2N x 2N image of T sets the peak memory of this check: form it,
+    # and phi(T) U, before any other block is alive.  Its resolvent holds
+    # those of T0 and T1 as diagonal blocks, so it is refused whenever
+    # theirs would be.
+    phi_t_u = mobius.of(model.t) @ unitary.matrix
     phi_t0 = mobius.of(t0.matrix)
     phi_t1 = mobius.of(t1.matrix)
     eye = np.eye(model.size)
@@ -195,9 +200,7 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report.add("gram-u10", frobenius(inv_left - u10.conj().T @ u10), tol)
     report.add("gram-u01", frobenius(inv_right - u01.conj().T @ u01), tol)
 
-    # only U T is still needed: free the N x N images and inverses before
-    # the 2N x 2N image of T, which sets the peak memory of this check
-    del phi_t0, phi_t1, u10_inv, inv_left, inv_right
-    phi_t_u = mobius.of(model.t) @ unitary.matrix
-    report.add("end-to-end", frobenius(block_matrix(*ut) - phi_t_u), tol)
+    end_to_end = block_matrix(*ut)
+    end_to_end -= phi_t_u
+    report.add("end-to-end", frobenius(end_to_end), tol)
     return report

@@ -8,10 +8,19 @@ the 2N x 2N upper-triangular block matrix
     T = [[T0, X T1 - T0 X], [0, T1]].
 
 Intertwiner spaces {X : A X = X B} come from the vec operator
-I (x) A - B^T (x) I without forming it: its equations and unknowns split into
-independent blocks, each block takes one small SVD, and singular values at most
-SYLVESTER_TOL times the largest over all blocks count as zero.  A block whose
-dense form would exceed SYLVESTER_MAX_BLOCK_BYTES is refused before any SVD.
+I (x) A - B^T (x) I without forming it, by one of two routes.  When A and B
+are both finite weighted shifts (nonzero entries only on the first
+superdiagonal, and filling it), every unknown diagonal of X is a chain of
+equations and unknowns with at most two entries per row and column, so
+sigma_max of the vec operator lies in [mu, 2 mu], mu the largest weight
+magnitude.  The chain route counts each chain's singular values by Sturm
+sequences, vectorised over all chains, and takes each null vector from a
+two-term recurrence: no SVD.  Every other input, and any shift pair with a
+chain singular value within a factor 10 of the cutoff or below it, takes
+the block-SVD route: equations and unknowns split into independent blocks,
+each block takes one small SVD, and singular values at most SYLVESTER_TOL
+times the largest over all blocks count as zero.  A block whose dense form would exceed
+SYLVESTER_MAX_BLOCK_BYTES is refused before any SVD.
 
 Inverses that must be trusted are guarded by the 1-norm condition number
 kappa_1 = ||M||_1 ||M^{-1}||_1: M is refused when n kappa_1 exceeds the cap.
@@ -46,8 +55,13 @@ from .kernels import DiagonalKernel
 
 SYLVESTER_TOL = 1e-10
 # Cap on the dense bytes (16 rows cols) of the largest independent Sylvester
-# block, checked before any block is built: about one dense 63 x 63 pair.
+# block of the block-SVD route, checked before any block is built: about one
+# dense 63 x 63 pair.  The chain route of two weighted shifts builds no block.
 SYLVESTER_MAX_BLOCK_BYTES = 256 * 10**6
+# The normal range of float64, which the chain route's pivots and null
+# vectors must stay inside.
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
 RESOLVENT_COND_CAP = 1e12
 UNITARITY_TOL = 1e-10
 # Block-unitary checks skip conditions that need U10^{-1} when n kappa_1(U10)
@@ -222,16 +236,36 @@ class UpperTriangularModel:
             triangular_matrix(powers[:, 0], powers[:, 1], self.x))}
 
 
+def _scatter(shape: tuple[int, int], dimension: int, vectors: np.ndarray,
+             entries: np.ndarray, values: np.ndarray) -> list[np.ndarray]:
+    """`dimension` matrices of `shape`; matrix vectors[i] holds values[i] at
+    the row-major flat position entries[i], and zeros elsewhere."""
+    mats = np.zeros((dimension, shape[0] * shape[1]), dtype=complex)
+    mats[vectors, entries] = values
+    return list(mats.reshape(dimension, *shape))
+
+
 @dataclass(frozen=True)
 class IntertwinerSpace:
-    """Orthonormal (Frobenius) basis of {X : A X = X B} and its worst residual."""
+    """Orthonormal (Frobenius) basis of {X : A X = X B} and its worst residual.
 
-    basis: list[np.ndarray]
+    The null vectors are kept compact: vector vectors[i] has values[i] at
+    the row-major flat position entries[i] of an m x n matrix.  `basis`, the
+    list of dense matrices, is built on first read and kept, as for two
+    weighted shifts of size N it takes N^3 entries against N (N + 1) / 2.
+    """
+
+    shape: tuple[int, int]
+    dimension: int
+    vectors: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     residual: float
 
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
+    @cached_property
+    def basis(self) -> list[np.ndarray]:
+        return _scatter(self.shape, self.dimension, self.vectors, self.entries,
+                        self.values)
 
 
 def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
@@ -402,26 +436,142 @@ def _block_positions(label: np.ndarray, count: np.ndarray):
 
 
 def sylvester_kernel(a: np.ndarray, b: np.ndarray) -> IntertwinerSpace:
-    """Numerical null space of X -> A X - X B, one SVD per independent block.
+    """Numerical null space of X -> A X - X B: singular values of the vec
+    operator at most SYLVESTER_TOL * sigma_max count as zero.
 
     In column-major vec form the map is I (x) A - B^T (x) I, but that
     Kronecker matrix is never formed.  Equation (i, j) reads
     sum_k A[i,k] X[k,j] - sum_l X[i,l] B[l,j], so it touches unknown (k, j)
-    where A[i,k] != 0 and unknown (i, l) where B[l,j] != 0.  The connected
-    components of this equation/unknown graph are independent blocks: dense
-    inputs form one block, two weighted shifts one chain per diagonal.  The
-    blocks are taken through SVDs stacked by shape, and singular values
-    <= SYLVESTER_TOL * sigma_max, with sigma_max the largest over all blocks,
-    count as zero.  A block with more unknowns than equations contributes its extra
-    right singular vectors, and one with no equations its unit vector.
+    where A[i,k] != 0 and unknown (i, l) where B[l,j] != 0.  Non-finite
+    entries raise NumericError naming A or B.
 
-    A block whose dense form would exceed SYLVESTER_MAX_BLOCK_BYTES raises
-    InvalidArgumentError before any block is built.  The returned basis is
-    orthonormal in the Frobenius inner product; an empty basis means the
-    only intertwiner is zero.
+    Chain route.  When A and B are both finite weighted shifts of size >= 2
+    (see `_shift_weights`), equation (i, j) touches only X[i+1, j] and
+    X[i, j-1], so each of the m + n - 1 unknown diagonals of X is a path of
+    equations and unknowns, and every row and column of the vec operator
+    holds at most two entries.  So sigma_max lies in [mu, 2 mu], mu the
+    largest weight magnitude, and the cutoff in [tol mu, 2 tol mu].  One
+    Sturm sweep over all chains (`_chain_singular_counts`) counts each
+    chain's singular values above tol mu / 10 and above 20 tol mu.  When
+    both counts leave every chain its structural nullity (1 when both ends
+    of the chain are unknowns, else 0), no chain singular value lies in the
+    band [cutoff / 10, 10 cutoff] or below it, so no rank decision is
+    close.  Each null vector then follows from the two-term recurrence
+    x_{k+1} = x_k beta_{k+d} / alpha_k, and the residual from the chain
+    entries.  No SVD is taken.
+
+    Block-SVD route, for every other input, and for shift pairs whose counts
+    differ or whose recurrence leaves the normal float range.  The connected
+    components of the equation/unknown graph are independent blocks: dense
+    inputs form one block.  The blocks are taken through SVDs stacked by
+    shape, and sigma_max is the largest singular value over all blocks.  A
+    block with more unknowns than equations contributes its extra right
+    singular vectors, and one with no equations its unit vector.  A block
+    whose dense form would exceed SYLVESTER_MAX_BLOCK_BYTES raises
+    InvalidArgumentError before any block is built.
+
+    The returned basis is orthonormal in the Frobenius inner product; an
+    empty basis means the only intertwiner is zero.
     """
-    a = _as_square(a, "A")
-    b = _as_square(b, "B")
+    a = ensure_finite(_as_square(a, "A"), "Sylvester operand A")
+    b = ensure_finite(_as_square(b, "B"), "Sylvester operand B")
+    alpha, beta = _shift_weights(a), _shift_weights(b)
+    if alpha is not None and beta is not None:
+        space = _chain_kernel(alpha, beta)
+        if space is not None:
+            return space
+    return _block_kernel(a, b)
+
+
+def _shift_weights(mat: np.ndarray) -> np.ndarray | None:
+    """Superdiagonal of a finite weighted shift, a matrix of size >= 2 whose
+    nonzero entries lie only on the first superdiagonal and fill it; None
+    for any other matrix."""
+    weights = np.diagonal(mat, 1)
+    if weights.size and np.all(weights) and np.count_nonzero(mat) == weights.size:
+        return weights
+    return None
+
+
+def _chain_singular_counts(alpha: np.ndarray, beta: np.ndarray,
+                           shifts: np.ndarray) -> np.ndarray:
+    """Number of singular values above each shift, (shifts.size, m + n - 1),
+    of the chain of every unknown diagonal d = 1 - m ... n - 1 (row
+    d + m - 1) for weighted shifts with superdiagonal magnitudes alpha (m - 1)
+    and beta (n - 1).
+
+    Along diagonal d, unknown X[k, k + d] is node 2k and equation
+    (k, k + d + 1) node 2k + 1.  In node order, the Golub-Kahan tridiagonal
+    [[0, C], [C^H, 0]] of the chain matrix C has a zero diagonal, and its
+    off-diagonals are the entry magnitudes |beta_{k+d}| (nodes 2k, 2k + 1)
+    and |alpha_k| (nodes 2k + 1, 2k + 2); nodes off the chain get zero edges,
+    which add eigenvalues 0 only.  Its eigenvalues are +-sigma_i and zeros,
+    so the negative pivots of T + s I, one sweep vectorised over all chains
+    and shifts, count the sigma_i > s.  A pivot of magnitude under the
+    smallest normal number is replaced by minus that number, as LAPACK's
+    bisection does, so no division overflows.
+    """
+    m, n = alpha.size + 1, beta.size + 1
+    # edges[p, d + m - 1] joins nodes p and p + 1 of chain d
+    index = np.arange(m)[:, None] + np.arange(1 - m, n)  # k + d
+    edges = np.zeros((2 * m - 1, m + n - 1))
+    edges[::2] = np.where((index >= 0) & (index <= n - 2),
+                          beta[np.clip(index, 0, n - 2)], 0.0)
+    edges[1::2] = np.where((index[:-1] >= -1) & (index[:-1] <= n - 2),
+                           alpha[:, None], 0.0)
+    shifts = shifts[:, None]
+    pivot = np.repeat(shifts, m + n - 1, axis=1)
+    above = np.zeros(pivot.shape, dtype=np.intp)
+    for squares in edges ** 2:
+        pivot = shifts - squares / pivot
+        pivot[np.abs(pivot) < _TINY] = -_TINY
+        above += pivot < 0
+    return above
+
+
+def _chain_kernel(alpha: np.ndarray, beta: np.ndarray) -> IntertwinerSpace | None:
+    """Chain route of `sylvester_kernel` for weighted shifts with
+    superdiagonals alpha and beta, or None when the block-SVD route must
+    decide."""
+    m, n = alpha.size + 1, beta.size + 1
+    mu = max(np.abs(alpha).max(), np.abs(beta).max())
+    diagonals = np.arange(1 - m, n)
+    unknowns = np.minimum(m - 1, n - 1 - diagonals) - np.maximum(0, -diagonals) + 1
+    # both ends of chain d are unknowns exactly for d >= max(0, n - m)
+    first = max(0, n - m)
+    structural = (diagonals >= first).astype(np.intp)
+    counts = _chain_singular_counts(np.abs(alpha) / mu, np.abs(beta) / mu,
+                                    SYLVESTER_TOL * np.array([0.1, 20.0]))
+    if not np.all(counts == unknowns - structural):
+        return None
+
+    # row r is chain d = first + r: unknowns X[k, k + d] for k <= n - 1 - d,
+    # joined by equation k to unknown k + 1 for k < n - 1 - d
+    size = min(m, n)
+    diag = np.arange(first, n)[:, None]
+    live = np.arange(size) <= n - 1 - diag
+    beta_k = np.where(live[:, 1:],
+                      beta[np.minimum(np.arange(size - 1) + diag, n - 2)], 0.0)
+    alpha_k = alpha[:size - 1]
+    vec = np.zeros(live.shape, dtype=complex)
+    vec[:, 0] = 1.0
+    with np.errstate(all="ignore"):
+        vec[:, 1:] = np.cumprod(beta_k / alpha_k, axis=1)
+        norm = np.linalg.norm(vec, axis=1)
+        magnitude = np.abs(vec[live])
+    if not (np.all((magnitude >= _TINY) & (magnitude <= _HUGE))
+            and np.all(norm <= _HUGE)):
+        return None
+    vec /= norm[:, None]
+    residual = np.linalg.norm(alpha_k * vec[:, 1:] - vec[:, :-1] * beta_k, axis=1).max()
+    rows, cols = np.nonzero(live)
+    return IntertwinerSpace(shape=(m, n), dimension=size, vectors=rows,
+                            entries=cols * (n + 1) + diag[rows, 0],
+                            values=vec[live], residual=float(residual))
+
+
+def _block_kernel(a: np.ndarray, b: np.ndarray) -> IntertwinerSpace:
+    """Block-SVD route of `sylvester_kernel`, for any finite square A, B."""
     m, n = a.shape[0], b.shape[0]
     size = m * n
     # Row i + m j of the vec operator is equation (i, j); column k + m l is
@@ -448,7 +598,8 @@ def sylvester_kernel(a: np.ndarray, b: np.ndarray) -> IntertwinerSpace:
         raise InvalidArgumentError(
             f"Sylvester block of {rows[worst]} x {cols[worst]} needs "
             f"{16 * cells[worst] / 1e6:.0f} MB dense, above the "
-            f"{SYLVESTER_MAX_BLOCK_BYTES / 1e6:.0f} MB cap")
+            f"{SYLVESTER_MAX_BLOCK_BYTES / 1e6:.0f} MB cap of the block-SVD "
+            f"route (only two weighted shifts take the chain route)")
 
     _, _, eq_pos = _block_positions(eq_label, n_eq)
     unk_order, unk_start, unk_pos = _block_positions(unk_label, n_unk)
@@ -478,18 +629,21 @@ def sylvester_kernel(a: np.ndarray, b: np.ndarray) -> IntertwinerSpace:
     cutoff = SYLVESTER_TOL * max((svals.max(initial=0.0) for svals, _, _ in groups),
                                  default=0.0)
 
-    basis = []
+    dimension = 0
+    parts = [(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, complex))]
     for svals, vh, entries in groups:
         null = np.ones(vh.shape[:2], dtype=bool)
         null[:, :svals.shape[1]] = svals <= cutoff
         which, row = np.nonzero(null)
-        mats = np.zeros((which.size, m, n), dtype=complex)
         # Rows of vh are conjugated right singular vectors; undo the conjugation.
-        mats.reshape(which.size, size)[np.arange(which.size)[:, None],
-                                       entries[which]] = vh[which, row].conj()
-        basis.extend(mats)
+        parts.append((np.repeat(dimension + np.arange(which.size), entries.shape[1]),
+                      entries[which].ravel(), vh[which, row].conj().ravel()))
+        dimension += which.size
+    vectors, entries, values = (np.concatenate(p) for p in zip(*parts))
+    basis = _scatter((m, n), dimension, vectors, entries, values)
     residual = max((frobenius(a @ mat - mat @ b) for mat in basis), default=0.0)
-    return IntertwinerSpace(basis=basis, residual=residual)
+    return IntertwinerSpace(shape=(m, n), dimension=dimension, vectors=vectors,
+                            entries=entries, values=values, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -500,17 +654,10 @@ class SimilaritySplit:
     model: UpperTriangularModel = field(repr=False)
     residual: float = 0.0
 
-    def _unipotent(self, corner: np.ndarray) -> np.ndarray:
-        eye = np.eye(self.model.size, dtype=complex)
-        return block_matrix(eye, corner, None, eye)
-
     @property
     def w(self) -> np.ndarray:
-        return self._unipotent(-self.model.x)
-
-    @property
-    def w_inv(self) -> np.ndarray:
-        return self._unipotent(self.model.x)
+        eye = np.eye(self.model.size, dtype=complex)
+        return block_matrix(eye, -self.model.x, None, eye)
 
     @property
     def diagonal(self) -> np.ndarray:

@@ -28,6 +28,13 @@ def _shift_pair(size=20):
             shift_from_kernel(bergman_kernel(2, size)))
 
 
+def _quarters(mat):
+    """(top left, top right, bottom left, bottom right) N x N blocks of a
+    2N x 2N matrix."""
+    n = mat.shape[0] // 2
+    return mat[:n, :n], mat[:n, n:], mat[n:, :n], mat[n:, n:]
+
+
 def _normal_pipeline(size=16, seed=100):
     t0, t1 = _shift_pair(size)
     x = random_operator(size, seed, norm=1.0, kind="normal")
@@ -48,11 +55,11 @@ class TestBlockUnitary:
             BlockUnitary(u00=np.eye(n), u01=np.eye(n),
                          u10=np.eye(n), u11=np.eye(n))
 
-    def test_from_matrix_round_trip(self):
+    def test_blocks_assemble_the_matrix(self):
         rng = np.random.default_rng(5)
         from cdlab.operators import random_unitary
         u = random_unitary(8, rng)
-        block = BlockUnitary.from_matrix(u)
+        block = BlockUnitary(*_quarters(u))
         np.testing.assert_array_equal(block.matrix, u)
 
 
@@ -130,7 +137,7 @@ class TestVerifyMainlemma:
         herm = herm + herm.conj().T
         evals, vecs = np.linalg.eigh(herm)
         rot = (vecs * np.exp(1j * eps * evals)) @ vecs.conj().T
-        perturbed = BlockUnitary.from_matrix(rot @ unitary.matrix)
+        perturbed = BlockUnitary(*_quarters(rot @ unitary.matrix))
         report = verify_mainlemma(perturbed, model, partner, 1e-9)
         end = report.condition("end-to-end").residual
         assert eps * 1e-3 < end < eps * 1e3

@@ -307,6 +307,27 @@ def _dense_sylvester_basis(a, b, tol=1e-10):
     return [row.reshape((m, n), order="F") for row in vh[svals <= cutoff].conj()]
 
 
+def _weighted_shift(weights):
+    size = len(weights) + 1
+    mat = np.zeros((size, size), dtype=complex)
+    mat[np.arange(size - 1), np.arange(1, size)] = weights
+    return mat
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the arrays passed to np.linalg.svd while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(mat, *args, **kwargs):
+        calls.append(np.shape(mat))
+        return svd(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
 def _projector(basis):
     vecs = np.array([mat.ravel() for mat in basis])
     return vecs.T @ vecs.conj()
@@ -348,11 +369,13 @@ class TestSylvesterBlockSplit:
         assert sylvester_kernel(a, b).dimension == sylvester_nullity_exact(a, b)
 
     @pytest.mark.parametrize("size", [4, 9, 16])
-    def test_shift_pairs_match_dense_reference(self, size):
+    def test_shift_pairs_match_dense_reference(self, size, svd_calls):
         a, b = _shift(1, size), _shift(2, size)
         for lhs, rhs in ((a, b), (b, a)):
             space = sylvester_kernel(lhs, rhs)
+            assert svd_calls == []  # the chain route
             reference = _dense_sylvester_basis(lhs, rhs)
+            svd_calls.clear()
             assert space.dimension == len(reference) == size
             distance = np.abs(_projector(space.basis) - _projector(reference)).max()
             assert distance <= 1e-12
@@ -399,6 +422,63 @@ class TestSylvesterBlockSplit:
         assert time.perf_counter() - start < 2.0
 
 
+class TestSylvesterChainRoute:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("m,n", [(7, 7), (4, 9), (9, 2)])
+    def test_shift_pairs_match_exact_oracle(self, scale, m, n, svd_calls):
+        rng = np.random.default_rng(m + 10 * n)
+        a, b = (_weighted_shift(scale * rng.uniform(0.5, 2.0, size - 1)
+                                * np.exp(1j * rng.uniform(0.0, 6.0, size - 1)))
+                for size in (m, n))
+        for lhs, rhs in ((a, b), (b, a)):
+            space = sylvester_kernel(lhs, rhs)
+            assert space.dimension == sylvester_nullity_exact(lhs, rhs)
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("sigma,expected", [(3e-11, 3), (3e-10, 2)])
+    def test_singular_value_near_cutoff_takes_block_route(self, sigma, expected,
+                                                          svd_calls):
+        # the square chain of diagonal 0 is [[-e, 1], [0, -e]], whose smallest
+        # singular value is about e^2, within a factor 10 of the cutoff 1e-10
+        eps = math.sqrt(sigma)
+        a, b = _weighted_shift([1.0]), _weighted_shift([eps, eps])
+        space = sylvester_kernel(a, b)
+        assert svd_calls
+        assert space.dimension == len(_dense_sylvester_basis(a, b)) == expected
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_recurrence_out_of_range_takes_block_route(self, order, svd_calls):
+        # every chain singular value is about 1e6, but the null vectors grow
+        # (or shrink) by 1e12 per entry and leave the float range at N = 30
+        a, b = _weighted_shift(np.full(29, 1e-6)), _weighted_shift(np.full(29, 1e6))
+        space = sylvester_kernel(*(a, b)[::order])
+        assert svd_calls
+        assert space.dimension == 30
+
+    def test_large_shift_pair_without_svd(self, svd_calls):
+        space = sylvester_kernel(_shift(1, 240), _shift(2, 240))
+        assert space.dimension == 240 and space.residual <= 1e-12
+        assert svd_calls == []
+        # the dense basis would take 240^3 complex entries (221 MB)
+        assert "basis" not in vars(space)
+
+    def test_basis_built_on_first_read(self):
+        space = sylvester_kernel(_shift(1, 6), _shift(2, 6))
+        assert "basis" not in vars(space)
+        basis = space.basis
+        assert vars(space)["basis"] is basis and len(basis) == 6
+
+    @pytest.mark.parametrize("operand", ["A", "B"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_operand_refused(self, operand, value, svd_calls):
+        mats = {"A": _jordan(3), "B": _jordan(3)}
+        mats[operand][0, 1] = value
+        with pytest.raises(NumericError,
+                           match=f"Sylvester operand {operand} contains NaN or Inf"):
+            sylvester_kernel(mats["A"], mats["B"])
+        assert svd_calls == []
+
+
 class TestSimilaritySplit:
     def test_zero_coupling_identity_transform(self):
         t0 = shift_from_kernel(bergman_kernel(1, 4))
@@ -417,7 +497,9 @@ class TestSimilaritySplit:
         model = assemble_model(ModelOperator(_rand(5, 4)),
                                ModelOperator(_rand(5, 5)), _rand(5, 6))
         split = similarity_split(model)
-        np.testing.assert_array_equal(split.w @ split.w_inv, np.eye(10))
+        eye = np.eye(5, dtype=complex)
+        w_inv = block_matrix(eye, model.x, None, eye)
+        np.testing.assert_array_equal(split.w @ w_inv, np.eye(10))
 
     @pytest.mark.parametrize("shifts", [False, True])
     def test_residual_agrees_with_dense_product(self, shifts):
@@ -441,8 +523,6 @@ class TestSimilaritySplit:
         split = similarity_split(model)
         eye = np.eye(5, dtype=complex)
         np.testing.assert_array_equal(split.w, block_matrix(eye, -model.x, None, eye))
-        np.testing.assert_array_equal(split.w_inv,
-                                      block_matrix(eye, model.x, None, eye))
         np.testing.assert_array_equal(
             split.diagonal,
             block_matrix(model.t0.matrix, None, None, model.t1.matrix))
