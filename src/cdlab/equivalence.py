@@ -23,9 +23,9 @@ from .errors import (DegenerateInputError, InvalidArgumentError,
 from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, disk_points, section_table
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
-                        assemble_model, block_matrix, block_product,
-                        block_residual, frobenius, guarded_inverse,
-                        require_unitary, shift_from_kernel, sylvester_kernel)
+                        assemble_model, block_product, block_residual,
+                        frobenius, guarded_inverse, require_unitary,
+                        shift_from_kernel, sylvester_kernel)
 from .reporting import ConditionReport
 
 NORMALITY_TOL = 1e-10
@@ -35,7 +35,9 @@ MAINLEMMA_GATE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BlockUnitary:
-    """2N x 2N unitary split into N x N blocks; unitarity checked on build.
+    """2N x 2N unitary kept as its N x N blocks; unitarity is checked on
+    build from the Gram blocks (`block_unitarity_residual`), and the 2N x 2N
+    matrix is never assembled.
 
     `verification` keeps the conditions and info of the last
     `verify_mainlemma` call, with the model and partner they were taken
@@ -50,16 +52,12 @@ class BlockUnitary:
                                compare=False)
 
     def __post_init__(self):
-        require_unitary(self.matrix, "block matrix")
+        require_unitary(self.blocks, "block matrix")
 
     @property
     def blocks(self) -> tuple:
         """(U00, U01, U10, U11), for `block_product`."""
         return self.u00, self.u01, self.u10, self.u11
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return block_matrix(*self.blocks)
 
 
 def _hermitian_powers(mat: np.ndarray, *powers: float) -> list[np.ndarray]:
@@ -151,13 +149,18 @@ def _mainlemma_residuals(unitary: BlockUnitary, model: UpperTriangularModel,
     t0, t1, x = model.t0, model.t1, model.x
     tt0, tt1, y = partner.t0, partner.t1, partner.x
     u00, u01, u10, u11 = unitary.blocks
-    eye = np.eye(model.size)
+    # U T and Tt U are eight N x N blocks: take the two residuals that need
+    # them and drop them before the Gram inverses
     ut = block_product(unitary.blocks, model.blocks)
     tu = block_product(partner.blocks, unitary.blocks)
+    corner_u10 = frobenius(ut[2] - tu[2])
+    end_to_end = block_residual(ut, tu)
+    del ut, tu
+    eye = np.eye(model.size)
     u01_xstar = u01 @ x.conj().T
 
     report = ConditionReport(name="mainlemma")
-    report.add("corner-intertwine-u10", frobenius(ut[2] - tu[2]), tol)
+    report.add("corner-intertwine-u10", corner_u10, tol)
     report.add("corner-intertwine-u01",
                frobenius(t1.left(u01.conj().T) - tt0.right(u01.conj().T)), tol)
     report.add("gram-u10",
@@ -181,7 +184,7 @@ def _mainlemma_residuals(unitary: BlockUnitary, model: UpperTriangularModel,
                    frobenius(tt0.left(defect) - tt1.right(defect)), tol)
         report.info["defect_norm"] = frobenius(defect)
     report.info["u10_condition_1norm"] = kappa
-    report.add("end-to-end", block_residual(ut, tu), tol)
+    report.add("end-to-end", end_to_end, tol)
     return report
 
 
@@ -192,8 +195,7 @@ class Fb2Pair:
     F = [[Tt0, S0], [0, T0]] and Ft = [[T1, S1], [0, Tt1]] with
     S0 = Y U10 - U01 X*, S1 = U01* Y - X* U10*, and Z = U01* (+) U10
     satisfying Z F = Ft Z.  `f_blocks`, `ft_blocks` and `z_blocks` are the
-    row-major blocks (None for zero); the 2N x 2N matrices are built from
-    them when read.
+    row-major blocks (None for zero), as `block_product` takes them.
     """
 
     f_blocks: tuple = field(repr=False)
@@ -208,23 +210,6 @@ class Fb2Pair:
     @property
     def s1(self) -> np.ndarray:
         return self.ft_blocks[1]
-
-    @property
-    def f(self) -> np.ndarray:
-        return _assembled(self.f_blocks)
-
-    @property
-    def ft(self) -> np.ndarray:
-        return _assembled(self.ft_blocks)
-
-    @property
-    def z(self) -> np.ndarray:
-        return _assembled(self.z_blocks)
-
-
-def _assembled(blocks) -> np.ndarray:
-    return block_matrix(*(b.matrix if isinstance(b, ModelOperator) else b
-                          for b in blocks))
 
 
 def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,

@@ -6,6 +6,12 @@ upper-triangular structure: phi(T) = [[phi(T0), X phi(T1) - phi(T0) X],
 commutation U0 X = X U1, and the full block-unitary conditions for
 U T = phi(T) U.  Full-group statements can only be sampled; every sweep uses
 the fixed deterministic sample set below and says so in its report.
+
+Every check works on N x N blocks.  phi(T) is mapped from the assembled
+2N x 2N T only in `mobius_block_identity_check` and
+`homogeneity_condition_check`, where comparing it with the block formula is
+the check; `thm45_condition_check` takes it by block back-substitution
+(`MobiusMap.of_model`).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        block_matrix, block_product, block_residual, frobenius,
+                        block_product, block_residual, frobenius,
                         guarded_inverse, require_unitary, triangular_matrix)
 from .reporting import ConditionReport
 
@@ -40,6 +46,26 @@ class MobiusMap:
 
     def of(self, mat: np.ndarray) -> np.ndarray:
         return apply_mobius(mat, self.a, self.phase)
+
+    def of_model(self, model: UpperTriangularModel) -> tuple:
+        """Row-major blocks (phi(T0), E, None, phi(T1)) of phi(T) for the
+        coupled model T = [[T0, C], [0, T1]], by block back-substitution.
+
+        phi(T) solves D phi(T) = e^{i phase} (a I - T) with the block upper
+        triangular D = [[D0, -conj(a) C], [0, D1]], Di = I - conj(a) Ti.  Its
+        diagonal blocks are phi(T0) and phi(T1) (`of`, which guards D0 and
+        D1), and its corner is E = D0^{-1} C (conj(a) phi(T1) - e^{i phase} I),
+        one N x N solve.  D is invertible exactly when D0 and D1 are, but
+        its condition number can exceed both of theirs through C, so the
+        guard is that of D0 and D1, not that of the 2N x 2N D.
+        """
+        t0, coupling = model.t0.matrix, model.coupling_block
+        phi_t0, phi_t1 = self.of(t0), self.of(model.t1.matrix)
+        conj_a = np.conj(self.a)
+        corner = np.linalg.solve(
+            np.eye(model.size) - conj_a * t0,
+            conj_a * (coupling @ phi_t1) - np.exp(1j * self.phase) * coupling)
+        return phi_t0, corner, None, phi_t1
 
     def inverse(self) -> "MobiusMap":
         """phi^{-1}: parameter a e^{i phase} and phase -phase."""
@@ -156,25 +182,34 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     Three groups: (1) the corner intertwinings U10 T0 = phi(T1) U10 and
     T1 U01* = U01* phi(T0); (2) the block relations U00 = X U10 = U01 X* and
     -U11 = X* U01 = U10 X; (3) the Gram relations (1+XX*)^{-1} =
-    (1+X*X)^{-1} = U10* U10 = U01* U01; plus the end-to-end residual.
-    Condition (1) is reported indeterminate when U10 is numerically singular
-    (n kappa_1(U10) above U10_COND_CAP, see `guarded_inverse`).  U T is
-    formed block by block, and its (1,0) block is the U10 T0 of condition
-    (1); phi(T) is mapped from the assembled T, as in
-    `mobius_block_identity_check`.
+    (1+X*X)^{-1} = U10* U10 = U01* U01; plus the end-to-end residual
+    ||U T - phi(T) U||.  Condition (1) is reported indeterminate when U10 is
+    numerically singular (n kappa_1(U10) above U10_COND_CAP, see
+    `guarded_inverse`).
+
+    Everything is taken on N x N blocks: phi(T) by block back-substitution
+    (`MobiusMap.of_model`), U T and phi(T) U by `block_product`, whose (1,0)
+    blocks are the two sides of the U10 corner condition, and the
+    end-to-end residual by `block_residual`.  Back-substitution solves the
+    same system D phi(T) = e^{i phase} (a I - T) exactly, so the end-to-end
+    residual still certifies U T = phi(T) U.  The resolvent guard is the
+    N x N one of D0 = I - conj(a) T0 and D1 = I - conj(a) T1; the 2N x 2N
+    D = I - conj(a) T is invertible exactly when they are, but a D whose
+    own condition number is just above the cap can now pass.
     """
     report = ConditionReport(name="thm45")
-    t0, t1, x = model.t0, model.t1, model.x
-    u00, u01, u10, u11 = unitary.u00, unitary.u01, unitary.u10, unitary.u11
-    # the 2N x 2N image of T sets the peak memory of this check: form it,
-    # and phi(T) U, before any other block is alive.  Its resolvent holds
-    # those of T0 and T1 as diagonal blocks, so it is refused whenever
-    # theirs would be.
-    phi_t_u = mobius.of(model.t) @ unitary.matrix
-    phi_t0 = mobius.of(t0.matrix)
-    phi_t1 = mobius.of(t1.matrix)
-    eye = np.eye(model.size)
+    x = model.x
+    u00, u01, u10, u11 = unitary.blocks
+    phi_blocks = mobius.of_model(model)
+    phi_t0, _, _, phi_t1 = phi_blocks
+    # U T and phi(T) U are eight N x N blocks: take the two residuals that
+    # need them and drop them before the Gram inverses
     ut = block_product(unitary.blocks, model.blocks)
+    phi_t_u = block_product(phi_blocks, unitary.blocks)
+    corner_u10 = frobenius(ut[2] - phi_t_u[2])
+    end_to_end = block_residual(ut, phi_t_u)
+    del ut, phi_t_u, phi_blocks
+    eye = np.eye(model.size)
 
     u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
     report.info["u10_condition_1norm"] = kappa
@@ -184,10 +219,10 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
             detail=f"U10 1-norm condition number {kappa:.3e}; "
                    f"n * kappa_1 above the cap {U10_COND_CAP:.1e}")
     else:
-        report.add("corner-intertwine-u10",
-                   frobenius(ut[2] - phi_t1 @ u10), tol)
+        report.add("corner-intertwine-u10", corner_u10, tol)
     report.add("corner-intertwine-u01",
-               frobenius(t1.left(u01.conj().T) - u01.conj().T @ phi_t0), tol)
+               frobenius(model.t1.left(u01.conj().T) - u01.conj().T @ phi_t0),
+               tol)
 
     report.add("block-u00-xu10", frobenius(u00 - x @ u10), tol)
     report.add("block-u00-u01xstar", frobenius(u00 - u01 @ x.conj().T), tol)
@@ -200,7 +235,5 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report.add("gram-u10", frobenius(inv_left - u10.conj().T @ u10), tol)
     report.add("gram-u01", frobenius(inv_right - u01.conj().T @ u01), tol)
 
-    end_to_end = block_matrix(*ut)
-    end_to_end -= phi_t_u
-    report.add("end-to-end", frobenius(end_to_end), tol)
+    report.add("end-to-end", end_to_end, tol)
     return report

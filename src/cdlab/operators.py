@@ -31,13 +31,18 @@ resolvent D = I - conj(a) A is never inverted: phi(A) = D^{-1} (a I - A) is
 one LU solve, and kappa_1(D) is read off (1 - |a|^2) D^{-1} = I - conj(a)
 phi(A) (see `apply_mobius`).
 
-Two structures are used instead of dense 2N x 2N products where no
-assembled matrix is needed.  A shift from `shift_from_kernel` carries its
-superdiagonal weights, and `ModelOperator.left` / `right` multiply it as one
-scaled slice, which equals the dense product exactly (the dense sums only
-add exact zeros).  A 2 x 2 block product (`block_product`) skips its zero
-blocks, so a coupled model T is multiplied through T0, X T1 - T0 X and T1;
-`UpperTriangularModel.t` is assembled only when read.
+Every certificate works on N x N blocks.  A shift from `shift_from_kernel`
+carries its superdiagonal weights, and `ModelOperator.left` / `right`
+multiply it as one scaled slice, which equals the dense product exactly
+(the dense sums only add exact zeros).  A 2 x 2 block product
+(`block_product`) skips its zero blocks, so a coupled model T is multiplied
+through T0, X T1 - T0 X and T1; `block_residual` and `block_norm` reduce
+norms from the blocks, and `block_unitarity_residual` certifies a block
+unitary from its Gram blocks.  The assembled 2N x 2N T
+(`UpperTriangularModel.t`, built only when read) is formed only where a
+check compares it with the block formula: the two Mobius cross-checks of
+`homogeneity` (`mobius_block_identity_check`, `homogeneity_condition_check`)
+and `power_residuals`.
 
 Residuals are Frobenius norms throughout.
 """
@@ -90,10 +95,33 @@ def unitarity_residual(u: np.ndarray) -> float:
     return frobenius(u.conj().T @ u - np.eye(u.shape[0]))
 
 
-def require_unitary(u: np.ndarray, what: str):
-    """Raise a NumericError naming `what` when its `unitarity_residual`
-    exceeds UNITARITY_TOL."""
-    err = unitarity_residual(u)
+def block_unitarity_residual(blocks) -> float:
+    """||U* U - I|| (Frobenius) of U = [[A, B], [C, D]] from its row-major
+    N x N blocks, without assembling U.
+
+    The Gram blocks of U* U - I are G00 = A* A + C* C - I,
+    G11 = B* B + D* D - I and G01 = A* B + C* D, with G10 = G01*, so the
+    residual is sqrt(||G00||^2 + ||G11||^2 + 2 ||G01||^2).  Blocks that
+    are not square and of one size are refused (InvalidArgumentError).
+    """
+    blocks = [np.asarray(m) for m in blocks]
+    a, b, c, d = blocks
+    shapes = [m.shape for m in blocks]
+    if len(set(shapes)) != 1 or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidArgumentError(
+            f"blocks must be square and of one size, got shapes {shapes}")
+    g00 = frobenius(_add_to_diagonal(a.conj().T @ a + c.conj().T @ c, -1.0))
+    g11 = frobenius(_add_to_diagonal(b.conj().T @ b + d.conj().T @ d, -1.0))
+    g01 = frobenius(a.conj().T @ b + c.conj().T @ d)
+    return math.hypot(g00, g11, g01, g01)
+
+
+def require_unitary(u, what: str):
+    """Raise a NumericError naming `what` when its unitarity residual
+    exceeds UNITARITY_TOL.  `u` is a square matrix (`unitarity_residual`)
+    or the row-major blocks of one (`block_unitarity_residual`)."""
+    err = (unitarity_residual(u) if isinstance(u, np.ndarray)
+           else block_unitarity_residual(u))
     if err > UNITARITY_TOL:
         raise NumericError(f"{what} is not unitary: residual {err:.3e}")
 
@@ -337,21 +365,13 @@ def block_product(lhs, rhs) -> list:
 def block_residual(lhs, rhs) -> float:
     """||L - R|| for block sequences L and R as `block_product` returns them.
 
-    The difference is written block by block into one 2N x 2N array (zero
-    where both blocks are None), so its norm is reduced the way the norm of
-    a dense difference is.
+    Each of the four N x N differences is formed on its own (a block that
+    is None on one side is the other side's block, and None on both sides
+    is skipped) and the norm is reduced from them by `block_norm`, so no
+    2N x 2N difference is formed.
     """
-    given = [b for b in (*lhs, *rhs) if b is not None]
-    n = given[0].shape[-1]
-    out = np.zeros((2 * n, 2 * n), dtype=np.result_type(*given))
-    for k, (b, c) in enumerate(zip(lhs, rhs)):
-        row, col = divmod(k, 2)
-        block = out[row * n:(row + 1) * n, col * n:(col + 1) * n]
-        if b is not None:
-            block[...] = b
-        if c is not None:
-            block -= c
-    return frobenius(out)
+    return block_norm(c if b is None else b if c is None else b - c
+                      for b, c in zip(lhs, rhs))
 
 
 def block_norm(blocks) -> float:
@@ -648,21 +668,11 @@ def _block_kernel(a: np.ndarray, b: np.ndarray) -> IntertwinerSpace:
 
 @dataclass(frozen=True)
 class SimilaritySplit:
-    """W T = (T0 (+) T1) W with the unipotent W = [[I, -X], [0, I]]; the
-    2N x 2N matrices are built from the model when read."""
+    """W T = (T0 (+) T1) W with the unipotent W = [[I, -X], [0, I]];
+    `residual` is ||W T - (T0 (+) T1) W||, taken on the blocks."""
 
     model: UpperTriangularModel = field(repr=False)
     residual: float = 0.0
-
-    @property
-    def w(self) -> np.ndarray:
-        eye = np.eye(self.model.size, dtype=complex)
-        return block_matrix(eye, -self.model.x, None, eye)
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return block_matrix(self.model.t0.matrix, None, None,
-                            self.model.t1.matrix)
 
 
 def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
@@ -673,8 +683,7 @@ def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
     """
     t0, t1, x = model.t0, model.t1, model.x
     corner = model.coupling_block - t1.right(x) + t0.left(x)
-    residual = frobenius(block_matrix(None, corner, None, None))
-    return SimilaritySplit(model=model, residual=residual)
+    return SimilaritySplit(model=model, residual=frobenius(corner))
 
 
 def _add_to_diagonal(mat: np.ndarray, value) -> np.ndarray:

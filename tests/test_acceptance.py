@@ -21,9 +21,9 @@ from cdlab.geometry import (covariant_derivative, curvature,
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                            required_truncation, separator_kernel)
 from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
-                             frobenius, random_operator, random_unitary,
-                             shift_from_kernel, similarity_split,
-                             sylvester_kernel)
+                             block_matrix, frobenius, random_operator,
+                             random_unitary, shift_from_kernel,
+                             similarity_split, sylvester_kernel)
 from cdlab.homogeneity import mobius_block_identity_check, mobius_sample_set
 
 from oracles import (bergman_curvature, log_ratio_boundary_value,
@@ -113,7 +113,7 @@ def test_criterion_03_normal_coupling_construction():
     worst_condition = 0.0
     eye = np.eye(40)
     for unitary, model, partner in _example_trials():
-        u = unitary.matrix
+        u = block_matrix(*unitary.blocks)
         worst_unitarity = max(worst_unitarity,
                               frobenius(u @ u.conj().T - eye),
                               frobenius(u.conj().T @ u - eye))
@@ -156,6 +156,7 @@ def test_criterion_05_phase_recovery():
         outcome = theta_intertwiner_check(t0, t1, y, 1e-10)
         assert outcome is not None
         theta, unitary = outcome
+        u = block_matrix(*unitary.blocks)
         err = abs((theta - theta0 + math.pi) % (2 * math.pi) - math.pi)
         worst_theta = max(worst_theta, err)
         coupling = y @ t0.matrix - t1.matrix @ y
@@ -163,7 +164,7 @@ def test_criterion_05_phase_recovery():
                             [np.zeros((n, n)), t0.matrix]])
         worst_intertwine = max(
             worst_intertwine,
-            frobenius(unitary.matrix @ model.t - partner @ unitary.matrix))
+            frobenius(u @ model.t - partner @ u))
     ok = worst_theta <= 1e-10 and worst_intertwine <= 1e-10
     _verdict(5, "phase-recovery", ok,
              f"16 phases: theta err {worst_theta:.2e}, "

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from cdlab.equivalence import (SWAP, BlockUnitary, build_unitary_from_x,
                                construct_fb2_pair, frame_kernel_matrix,
                                kernel_transform_check, main3_verifier,
                                theta_intertwiner_check, verify_mainlemma)
-from cdlab.errors import (DegenerateInputError, DomainError, NumericError,
-                          PreconditionError)
+from cdlab.errors import (DegenerateInputError, DomainError,
+                          InvalidArgumentError, NumericError, PreconditionError)
 from cdlab.geometry import DiskGrid, eigenframe, kernel_frame, polar_grid
 from cdlab.kernels import DiagonalKernel, bergman_kernel, separator_kernel
-from cdlab.operators import (assemble_model, block_matrix, frobenius,
-                             random_operator, shift_from_kernel,
-                             sylvester_kernel)
+from cdlab.operators import (ModelOperator, assemble_model, block_matrix,
+                             frobenius, random_operator, random_unitary,
+                             shift_from_kernel, sylvester_kernel)
 
 from oracles import product_gap_bound
 
@@ -35,6 +36,12 @@ def _quarters(mat):
     return mat[:n, :n], mat[:n, n:], mat[n:, :n], mat[n:, n:]
 
 
+def _dense(blocks):
+    """The 2N x 2N matrix of row-major blocks, as `block_product` takes them."""
+    return block_matrix(*(b.matrix if isinstance(b, ModelOperator) else b
+                          for b in blocks))
+
+
 def _normal_pipeline(size=16, seed=100):
     t0, t1 = _shift_pair(size)
     x = random_operator(size, seed, norm=1.0, kind="normal")
@@ -47,7 +54,7 @@ class TestBlockUnitary:
         n = 3
         z = np.zeros((n, n))
         u = BlockUnitary(u00=z, u01=np.eye(n), u10=np.eye(n), u11=z)
-        np.testing.assert_array_equal(u.matrix[:n, n:], np.eye(n))
+        np.testing.assert_array_equal(_dense(u.blocks)[:n, n:], np.eye(n))
 
     def test_non_unitary_rejected(self):
         n = 3
@@ -56,11 +63,37 @@ class TestBlockUnitary:
                          u10=np.eye(n), u11=np.eye(n))
 
     def test_blocks_assemble_the_matrix(self):
-        rng = np.random.default_rng(5)
-        from cdlab.operators import random_unitary
-        u = random_unitary(8, rng)
+        u = random_unitary(8, np.random.default_rng(5))
         block = BlockUnitary(*_quarters(u))
-        np.testing.assert_array_equal(block.matrix, u)
+        np.testing.assert_array_equal(_dense(block.blocks), u)
+
+    def test_blocks_of_two_sizes_are_refused(self):
+        # [[I2, 0], [0, I3]] is unitary, but its blocks are not N x N
+        with pytest.raises(InvalidArgumentError, match="square and of one size"):
+            BlockUnitary(np.eye(2), np.zeros((2, 3)), np.zeros((3, 2)), np.eye(3))
+
+    def test_one_perturbed_block_is_refused(self):
+        u = random_unitary(20, np.random.default_rng(8))
+        blocks = list(_quarters(u))
+        BlockUnitary(*blocks)
+        blocks[3] = blocks[3] + 1e-8
+        with pytest.raises(NumericError, match=r"^block matrix is not unitary: "
+                                               r"residual \d\.\d{3}e-\d\d$"):
+            BlockUnitary(*blocks)
+
+    def test_unitarity_is_certified_on_the_blocks(self):
+        # the assembled U and U* U - I would be two (2N)^2 complex arrays
+        n = 240
+        blocks = _quarters(random_unitary(2 * n, np.random.default_rng(9)))
+        blocks = tuple(np.ascontiguousarray(b) for b in blocks)
+        limit = 2 * 16 * (2 * n) ** 2
+        tracemalloc.start()
+        try:
+            BlockUnitary(*blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestBuildUnitary:
@@ -84,8 +117,8 @@ class TestBuildUnitary:
         np.testing.assert_allclose(unitary.u00, np.conj(c) * scale * np.eye(8),
                                    atol=1e-12)
         model = assemble_model(t0, t1, c * np.eye(8))
-        resid = frobenius(unitary.matrix @ model.t @ unitary.matrix.conj().T
-                          - partner.t)
+        u = _dense(unitary.blocks)
+        resid = frobenius(u @ model.t @ u.conj().T - partner.t)
         assert resid <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
@@ -93,7 +126,7 @@ class TestBuildUnitary:
         t0, t1 = _shift_pair(20)
         x = random_operator(20, seed, norm=1.0, kind="normal")
         unitary, partner = build_unitary_from_x(t0, t1, x)
-        u = unitary.matrix
+        u = _dense(unitary.blocks)
         assert frobenius(u @ u.conj().T - np.eye(40)) <= 1e-10
         model = assemble_model(t0, t1, x)
         assert frobenius(u @ model.t @ u.conj().T - partner.t) <= 1e-9
@@ -137,7 +170,7 @@ class TestVerifyMainlemma:
         herm = herm + herm.conj().T
         evals, vecs = np.linalg.eigh(herm)
         rot = (vecs * np.exp(1j * eps * evals)) @ vecs.conj().T
-        perturbed = BlockUnitary(*_quarters(rot @ unitary.matrix))
+        perturbed = BlockUnitary(*_quarters(rot @ _dense(unitary.blocks)))
         report = verify_mainlemma(perturbed, model, partner, 1e-9)
         end = report.condition("end-to-end").residual
         assert eps * 1e-3 < end < eps * 1e3
@@ -189,7 +222,7 @@ class TestBlockwiseResiduals:
         unitary, model, partner = _normal_pipeline(seed=100 + seed)
         report = verify_mainlemma(unitary, model, partner, 1e-9)
         assert "t" not in vars(model) and "t" not in vars(partner)
-        u = unitary.matrix
+        u = _dense(unitary.blocks)
         dense = frobenius(u @ model.t - partner.t @ u)
         bound = product_gap_bound(model.size, (u, model.t), (partner.t, u))
         assert abs(report.condition("end-to-end").residual - dense) <= bound
@@ -206,7 +239,8 @@ class TestBlockwiseResiduals:
         unitary, model, partner = _normal_pipeline(seed=100 + seed)
         pair = construct_fb2_pair(unitary, model, partner)
         assert "t" not in vars(model) and "t" not in vars(partner)
-        z, f, ft = pair.z, pair.f, pair.ft
+        z, f, ft = (_dense(b) for b in (pair.z_blocks, pair.f_blocks,
+                                         pair.ft_blocks))
         dense = frobenius(z @ f - ft @ z)
         bound = product_gap_bound(model.size, (z, f), (ft, z))
         assert abs(pair.residuals["z-intertwine"] - dense) <= bound
@@ -220,11 +254,13 @@ class TestBlockwiseResiduals:
         np.testing.assert_array_equal(pair.s0, s0)
         np.testing.assert_array_equal(pair.s1, s1)
         np.testing.assert_array_equal(
-            pair.f, block_matrix(partner.t0.matrix, s0, None, model.t0.matrix))
+            _dense(pair.f_blocks),
+            block_matrix(partner.t0.matrix, s0, None, model.t0.matrix))
         np.testing.assert_array_equal(
-            pair.ft, block_matrix(model.t1.matrix, s1, None, partner.t1.matrix))
+            _dense(pair.ft_blocks),
+            block_matrix(model.t1.matrix, s1, None, partner.t1.matrix))
         np.testing.assert_array_equal(
-            pair.z, block_matrix(u01.conj().T, None, None, u10))
+            _dense(pair.z_blocks), block_matrix(u01.conj().T, None, None, u10))
 
 
 class TestFb2Pair:
@@ -246,16 +282,18 @@ class TestFb2Pair:
         pair = construct_fb2_pair(unitary, model, partner)
         assert max(pair.residuals.values()) <= 1e-9
         n = 16
-        np.testing.assert_allclose(pair.f[n:, n:], t0.matrix, atol=1e-14)
-        np.testing.assert_allclose(pair.ft[:n, :n], t1.matrix, atol=1e-14)
+        np.testing.assert_allclose(_dense(pair.f_blocks)[n:, n:], t0.matrix,
+                                   atol=1e-14)
+        np.testing.assert_allclose(_dense(pair.ft_blocks)[:n, :n], t1.matrix,
+                                   atol=1e-14)
 
     def test_z_is_invertible(self):
         t0, t1 = _shift_pair(10)
         x = random_operator(10, 7, kind="normal")
         unitary, partner = build_unitary_from_x(t0, t1, x)
         pair = construct_fb2_pair(unitary, assemble_model(t0, t1, x), partner)
-        z_inv = np.linalg.inv(pair.z)
-        assert frobenius(pair.z @ z_inv - np.eye(20)) <= 1e-10
+        z = _dense(pair.z_blocks)
+        assert frobenius(z @ np.linalg.inv(z) - np.eye(20)) <= 1e-10
 
     def test_nonminimal_coupling_choice(self):
         # Y is only determined modulo the intertwiner space of the partner
@@ -392,8 +430,8 @@ class TestThetaCorollary:
         partner = np.block([
             [t1.matrix, coupling],
             [np.zeros((12, 12)), t0.matrix]])
-        assert frobenius(unitary.matrix @ model.t
-                         - partner @ unitary.matrix) <= 1e-10
+        u = _dense(unitary.blocks)
+        assert frobenius(u @ model.t - partner @ u) <= 1e-10
 
     def test_identity_coupling_gives_zero_phase(self):
         t0, t1 = _shift_pair(6)

@@ -5,14 +5,16 @@ import pytest
 
 from cdlab import operators
 from cdlab.equivalence import BlockUnitary
-from cdlab.errors import InvalidArgumentError, NumericError
+from cdlab.errors import (InvalidArgumentError, NumericError,
+                          SingularResolventError)
 from cdlab.homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                                homogeneity_condition_check,
                                mobius_block_identity_check, mobius_sample_set,
                                thm45_condition_check)
 from cdlab.kernels import bergman_kernel
 from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
-                             frobenius, random_operator, shift_from_kernel)
+                             block_matrix, frobenius, random_operator,
+                             shift_from_kernel)
 
 from oracles import product_gap_bound
 
@@ -308,12 +310,16 @@ class TestThm45:
 
     @pytest.mark.parametrize("theta", [0.0, math.pi / 4])
     def test_end_to_end_agrees_with_dense(self, theta):
-        # U T is taken block by block; phi(T) U stays dense
+        # both products are taken block by block, and phi(T) by block
+        # back-substitution, which agrees with the dense image to 1e-13
+        # relative (test_block_image_matches_the_dense_image); U is unitary,
+        # so that gap moves the residual by at most 1e-13 ||phi(T)||
         mob, model, unitary = self._engineered(theta=theta)
         report = thm45_condition_check(unitary, model, mob, tol=1e-10)
-        u = unitary.matrix
-        dense = frobenius(u @ model.t - mob.of(model.t) @ u)
-        bound = product_gap_bound(model.size, (u, model.t))
+        u, phi_t = block_matrix(*unitary.blocks), mob.of(model.t)
+        dense = frobenius(u @ model.t - phi_t @ u)
+        bound = (product_gap_bound(model.size, (u, model.t), (phi_t, u))
+                 + 1e-13 * frobenius(phi_t))
         assert abs(report.condition("end-to-end").residual - dense) <= bound
 
     def test_phase_mismatch_breaks_block_relations(self):
@@ -366,3 +372,38 @@ class TestThm45:
         mob, model, unitary = self._engineered()
         report = thm45_condition_check(unitary, model, mob, tol=1e-10)
         assert report.info["u10_condition_1norm"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("size", [6, 40])
+    @pytest.mark.parametrize("radius", [0.2, 0.7])
+    @pytest.mark.parametrize("phase", [0.0, 1.3])
+    def test_block_image_matches_the_dense_image(self, size, radius, phase):
+        mob = MobiusMap(a=radius * np.exp(0.9j), phase=phase)
+        model = _random_model(size, seed=size)
+        dense = mob.of(model.t)
+        blocks = mob.of_model(model)
+        assert blocks[2] is None
+        got = block_matrix(*blocks)
+        assert frobenius(got - dense) <= 1e-13 * frobenius(dense)
+
+    def test_solves_and_inverts_no_2n_system(self, monkeypatch):
+        size = 60
+        mob, model, unitary = self._engineered(size=size)
+        shapes = []
+        for name in ("solve", "inv"):
+            def record(mat, *args, _call=getattr(np.linalg, name), **kwargs):
+                shapes.append(np.shape(mat))
+                return _call(mat, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, record)
+        report = thm45_condition_check(unitary, model, mob, tol=1e-10)
+        assert report.overall
+        assert shapes and all(shape[-2:] == (size, size) for shape in shapes)
+
+    def test_singular_diagonal_resolvent_is_refused(self):
+        # D0 = I - conj(a) T0 vanishes at T0 = 2 I and a = 0.5
+        size = 4
+        eye = np.eye(size, dtype=complex)
+        model = assemble_model(ModelOperator(2.0 * eye),
+                               ModelOperator(0.3 * eye), eye)
+        with pytest.raises(SingularResolventError, match="a = 0.5"):
+            thm45_condition_check(_corollary_unitary(size), model,
+                                  MobiusMap(a=0.5), tol=1e-10)

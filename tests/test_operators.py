@@ -11,7 +11,8 @@ from cdlab.kernels import bergman_kernel, section_vector
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              UNITARITY_TOL, ModelOperator, apply_mobius,
                              assemble_model, block_matrix, block_norm,
-                             block_product, block_residual, fb2_membership,
+                             block_product, block_residual,
+                             block_unitarity_residual, fb2_membership,
                              frobenius, guarded_inverse, random_operator,
                              random_unitary, require_unitary, shift_from_kernel,
                              similarity_split, sylvester_kernel,
@@ -118,10 +119,20 @@ class TestBlockProduct:
             assert "t" not in vars(model)
             assert abs(got - frobenius(model.t)) <= 1e-15 * frobenius(model.t)
 
-    def test_residual_writes_the_dense_difference(self):
+    def test_residual_matches_the_dense_difference(self):
+        # the norm is reduced from the four block differences, and agrees
+        # with the norm of the dense 2N x 2N difference to rounding
         a, b, c = _rand(4, 1), _rand(4, 2), _rand(4, 3)
-        got = block_residual((a, None, None, b), (c, a, None, None))
-        assert got == frobenius(block_matrix(a - c, -a, None, b))
+        eps = np.finfo(float).eps
+        for lhs, rhs, dense in (
+                ((a, None, None, b), (c, a, None, None),
+                 block_matrix(a - c, -a, None, b)),
+                ((None, None, b, None), (None, None, None, None),
+                 block_matrix(None, None, b, None)),
+                ((None, None, None, None), (None, c, None, None),
+                 block_matrix(None, -c, None, None))):
+            want = frobenius(dense)
+            assert abs(block_residual(lhs, rhs) - want) <= 4 * eps * want
 
 
 class TestUnitarity:
@@ -143,6 +154,16 @@ class TestUnitarity:
         u = random_unitary(12, np.random.default_rng(4))
         assert unitarity_residual(u) <= UNITARITY_TOL
         require_unitary(u, "probe")
+
+    @pytest.mark.parametrize("size", [4, 60])
+    def test_block_residual_matches_the_assembled_residual(self, size):
+        rng = np.random.default_rng(size)
+        for u in (random_unitary(2 * size, rng),
+                  random_unitary(2 * size, rng) * np.linspace(0.9, 1.1, 2 * size)):
+            blocks = (u[:size, :size], u[:size, size:], u[size:, :size],
+                      u[size:, size:])
+            assert abs(block_unitarity_residual(blocks)
+                       - unitarity_residual(block_matrix(*blocks))) <= 1e-14
 
 
 class TestAssemble:
@@ -479,12 +500,18 @@ class TestSylvesterChainRoute:
         assert svd_calls == []
 
 
+def _split_w(model):
+    """W = [[I, -X], [0, I]] of `similarity_split`, assembled."""
+    eye = np.eye(model.size, dtype=complex)
+    return block_matrix(eye, -model.x, None, eye)
+
+
 class TestSimilaritySplit:
     def test_zero_coupling_identity_transform(self):
         t0 = shift_from_kernel(bergman_kernel(1, 4))
         t1 = shift_from_kernel(bergman_kernel(2, 4))
         split = similarity_split(assemble_model(t0, t1, np.zeros((4, 4))))
-        np.testing.assert_array_equal(split.w, np.eye(8))
+        np.testing.assert_array_equal(_split_w(split.model), np.eye(8))
         assert split.residual == 0.0
 
     def test_random_blocks_algebraic_identity(self):
@@ -499,7 +526,7 @@ class TestSimilaritySplit:
         split = similarity_split(model)
         eye = np.eye(5, dtype=complex)
         w_inv = block_matrix(eye, model.x, None, eye)
-        np.testing.assert_array_equal(split.w @ w_inv, np.eye(10))
+        np.testing.assert_array_equal(_split_w(split.model) @ w_inv, np.eye(10))
 
     @pytest.mark.parametrize("shifts", [False, True])
     def test_residual_agrees_with_dense_product(self, shifts):
@@ -512,20 +539,25 @@ class TestSimilaritySplit:
         model = assemble_model(t0, t1, _rand(size, 3))
         split = similarity_split(model)
         assert "t" not in vars(model)
-        w, diag = split.w, split.diagonal
+        w = _split_w(model)
+        diag = block_matrix(t0.matrix, None, None, t1.matrix)
         dense = frobenius(w @ model.t - diag @ w)
         bound = product_gap_bound(size, (w, model.t), (diag, w))
         assert abs(split.residual - dense) <= bound
 
     def test_matrices_equal_the_block_assembly(self):
+        # W T W^{-1}, with W assembled from the split's model, is the block
+        # assembly T0 (+) T1
         model = assemble_model(ModelOperator(_rand(5, 4)),
                                ModelOperator(_rand(5, 5)), _rand(5, 6))
         split = similarity_split(model)
+        assert split.model is model
         eye = np.eye(5, dtype=complex)
-        np.testing.assert_array_equal(split.w, block_matrix(eye, -model.x, None, eye))
-        np.testing.assert_array_equal(
-            split.diagonal,
-            block_matrix(model.t0.matrix, None, None, model.t1.matrix))
+        w, w_inv = _split_w(model), block_matrix(eye, model.x, None, eye)
+        wt = w @ model.t
+        diag = block_matrix(model.t0.matrix, None, None, model.t1.matrix)
+        bound = product_gap_bound(5, (w, model.t), (wt, w_inv))
+        assert frobenius(wt @ w_inv - diag) <= bound
 
 
 class TestMobius:

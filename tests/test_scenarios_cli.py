@@ -148,7 +148,7 @@ def test_corollary_theta_intertwine_agrees_with_dense():
     y = np.exp(1j * theta0) * np.eye(size)
     _, unitary = theta_intertwiner_check(*(
         shift_from_kernel(bergman_kernel(n, size)) for n in (1, 2)), y, 1e-10)
-    u = unitary.matrix
+    u = block_matrix(*unitary.blocks)
     t = block_matrix(t0, t1 - t0, None, t1)
     partner_t = block_matrix(t1, y @ t0 - t1 @ y, None, t0)
     dense = frobenius(u @ t - partner_t @ u)
