@@ -23,8 +23,8 @@ from .errors import (DegenerateInputError, InvalidArgumentError,
 from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, disk_points, section_table
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
-                        assemble_model, block_product, block_residual,
-                        frobenius, guarded_inverse, require_unitary,
+                        assemble_model, frobenius, gap_total,
+                        guarded_inverse, intertwining_gaps, require_unitary,
                         shift_from_kernel, sylvester_kernel)
 from .reporting import ConditionReport
 
@@ -56,7 +56,7 @@ class BlockUnitary:
 
     @property
     def blocks(self) -> tuple:
-        """(U00, U01, U10, U11), for `block_product`."""
+        """(U00, U01, U10, U11), for `intertwining_gaps`."""
         return self.u00, self.u01, self.u10, self.u11
 
 
@@ -120,8 +120,8 @@ def verify_mainlemma(unitary: BlockUnitary, model: UpperTriangularModel,
     plus U00 = U01 X* and U11 = -U10 X.  U10^{-1} and its guard come from
     one `guarded_inverse`; when n kappa_1(U10) exceeds U10_COND_CAP,
     condition (3) is reported indeterminate with the 1-norm figure.  The
-    end-to-end residual ||U T - Tt U|| is taken block by block; its (1,0)
-    block is the U10 corner condition.
+    end-to-end residual ||U T - Tt U|| is taken block by block
+    (`intertwining_gaps`); its (1,0) block is the U10 corner condition.
 
     The residuals depend only on the three objects, and `tol` only sets the
     verdicts.  They are taken once per unitary and kept on it
@@ -149,18 +149,12 @@ def _mainlemma_residuals(unitary: BlockUnitary, model: UpperTriangularModel,
     t0, t1, x = model.t0, model.t1, model.x
     tt0, tt1, y = partner.t0, partner.t1, partner.x
     u00, u01, u10, u11 = unitary.blocks
-    # U T and Tt U are eight N x N blocks: take the two residuals that need
-    # them and drop them before the Gram inverses
-    ut = block_product(unitary.blocks, model.blocks)
-    tu = block_product(partner.blocks, unitary.blocks)
-    corner_u10 = frobenius(ut[2] - tu[2])
-    end_to_end = block_residual(ut, tu)
-    del ut, tu
+    gaps = intertwining_gaps(unitary.blocks, model.blocks, partner.blocks)
     eye = np.eye(model.size)
     u01_xstar = u01 @ x.conj().T
 
     report = ConditionReport(name="mainlemma")
-    report.add("corner-intertwine-u10", corner_u10, tol)
+    report.add("corner-intertwine-u10", gaps[2], tol)
     report.add("corner-intertwine-u01",
                frobenius(t1.left(u01.conj().T) - tt0.right(u01.conj().T)), tol)
     report.add("gram-u10",
@@ -184,7 +178,7 @@ def _mainlemma_residuals(unitary: BlockUnitary, model: UpperTriangularModel,
                    frobenius(tt0.left(defect) - tt1.right(defect)), tol)
         report.info["defect_norm"] = frobenius(defect)
     report.info["u10_condition_1norm"] = kappa
-    report.add("end-to-end", end_to_end, tol)
+    report.add("end-to-end", gap_total(gaps), tol)
     return report
 
 
@@ -195,7 +189,7 @@ class Fb2Pair:
     F = [[Tt0, S0], [0, T0]] and Ft = [[T1, S1], [0, Tt1]] with
     S0 = Y U10 - U01 X*, S1 = U01* Y - X* U10*, and Z = U01* (+) U10
     satisfying Z F = Ft Z.  `f_blocks`, `ft_blocks` and `z_blocks` are the
-    row-major blocks (None for zero), as `block_product` takes them.
+    row-major blocks (None for zero), as `intertwining_gaps` takes them.
     """
 
     f_blocks: tuple = field(repr=False)
@@ -235,12 +229,12 @@ def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
     f, ft = (tt0, s0, None, t0), (t1, s1, None, tt1)
     z = (u01.conj().T, None, None, u10)
     # the (0,1) block of Z F - Ft Z is U01* S0 - S1 U10, the corner link
-    zf, ftz = block_product(z, f), block_product(ft, z)
+    gaps = intertwining_gaps(z, f, ft)
     residuals = {
         "f-membership": frobenius(tt0.left(s0) - t0.right(s0)),
         "ft-membership": frobenius(t1.left(s1) - tt1.right(s1)),
-        "corner-link": frobenius(zf[1] - ftz[1]),
-        "z-intertwine": block_residual(zf, ftz),
+        "corner-link": gaps[1],
+        "z-intertwine": gap_total(gaps),
     }
     return Fb2Pair(f_blocks=f, ft_blocks=ft, z_blocks=z, residuals=residuals)
 

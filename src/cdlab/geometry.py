@@ -47,6 +47,7 @@ MAX_COVARIANT_ORDER = 2
 # above the ~1e-15 rounding of computed curvature tuples, well below any
 # residual tolerance in use.
 NULL_SPACE_RTOL = 1e-12
+SERIES_BLOCK_BYTES = 2**20  # bytes of frame-jet rows per block of grid points
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +236,7 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
         jets = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
         jets[..., 0, :n] = t0
         jets[..., 1, n:] = t1
+        del t0  # copied; t1 is read again below
         # order 0: x @ t1 per point, so a batch rounds like single-point calls;
         # orders >= 1: one (points * order, n) @ x.T product
         jets[..., 0, 1, :n] = (x @ t1[..., 0, :, None])[..., 0]
@@ -319,17 +321,24 @@ def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
 
     With G_a the frame jets (frame vectors as columns), h(w + d) =
     sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
-    the stacked frame jets: one batched product, not an einsum, which is
-    several times slower here.
+    the stacked frame jets: a batched product, not an einsum, which is
+    several times slower here.  It is taken over blocks of grid points with
+    at most SERIES_BLOCK_BYTES of jet rows, so the frame jets are never
+    conjugated whole, and each point takes the product one batch would.
     """
     order = max(i, j) + 1
     jet = metric.series_jets.get(order)
     if jet is None:
         g = metric.frame_jet(metric.grid.points, order)
         count, r = g.shape[0], g.shape[-2]
-        stacked = g.reshape(count, (order + 1) * r, -1)
-        gram = (stacked.conj() @ stacked.swapaxes(-1, -2)).reshape(
-            count, order + 1, r, order + 1, r)
+        rows = (order + 1) * r
+        stacked = g.reshape(count, rows, -1)
+        gram = np.empty((count, rows, rows), dtype=complex)
+        step = max(1, SERIES_BLOCK_BYTES // stacked[0].nbytes)
+        for start in range(0, count, step):
+            part = stacked[start:start + step]
+            np.matmul(part.conj(), part.swapaxes(-1, -2), out=gram[start:start + step])
+        gram = gram.reshape(count, order + 1, r, order + 1, r)
         # gram[P, b, p, a, q] = G_b[p]^H G_a[q] -> jet[P, a, b][p, q]
         jet = metric.series_jets[order] = gram.transpose(0, 3, 1, 2, 4)
     h = MatrixJet(jet[:, :i + 2, :j + 2])

@@ -11,7 +11,8 @@ Every check works on N x N blocks.  phi(T) is mapped from the assembled
 2N x 2N T only in `mobius_block_identity_check` and
 `homogeneity_condition_check`, where comparing it with the block formula is
 the check; `thm45_condition_check` takes it by block back-substitution
-(`MobiusMap.of_model`).
+(`MobiusMap.of_model`).  Both intertwinings with phi(T) are reduced one
+N x N block of the difference at a time (`operators.intertwining_gaps`).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        block_product, block_residual, frobenius,
-                        guarded_inverse, require_unitary, triangular_matrix)
+                        frobenius, gap_total, guarded_inverse,
+                        intertwining_gaps, require_unitary, triangular_matrix)
 from .reporting import ConditionReport
 
 
@@ -146,8 +147,8 @@ def homogeneity_condition_check(model: UpperTriangularModel,
     """Per sampled map: diagonal conjugations, the commutation U0 X = X U1,
     and the assembled check ||(U0 (+) U1) T - phi(T) (U0 (+) U1)||.
 
-    Both products of the assembled check are formed block by block
-    (`block_product`); phi(T) is mapped from the assembled T, as in
+    The assembled check is reduced block by block (`intertwining_gaps`);
+    phi(T) is mapped from the assembled T, as in
     `mobius_block_identity_check`.  The verdict only quantifies over the
     sampled maps, never the full group; the report records the sample size.
     """
@@ -169,9 +170,8 @@ def homogeneity_condition_check(model: UpperTriangularModel,
         report.add(f"{tag}-commutation", frobenius(u0 @ x - x @ u1), tol)
         u_blocks = (u0, None, None, u1)
         phi_blocks = (phi_t[:n, :n], phi_t[:n, n:], phi_t[n:, :n], phi_t[n:, n:])
-        report.add(f"{tag}-assembled",
-                   block_residual(block_product(u_blocks, model.blocks),
-                                  block_product(phi_blocks, u_blocks)), tol)
+        report.add(f"{tag}-assembled", gap_total(
+            intertwining_gaps(u_blocks, model.blocks, phi_blocks)), tol)
     return report
 
 
@@ -188,27 +188,22 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     `guarded_inverse`).
 
     Everything is taken on N x N blocks: phi(T) by block back-substitution
-    (`MobiusMap.of_model`), U T and phi(T) U by `block_product`, whose (1,0)
-    blocks are the two sides of the U10 corner condition, and the
-    end-to-end residual by `block_residual`.  Back-substitution solves the
-    same system D phi(T) = e^{i phase} (a I - T) exactly, so the end-to-end
-    residual still certifies U T = phi(T) U.  The resolvent guard is the
-    N x N one of D0 = I - conj(a) T0 and D1 = I - conj(a) T1; the 2N x 2N
-    D = I - conj(a) T is invertible exactly when they are, but a D whose
-    own condition number is just above the cap can now pass.
+    (`MobiusMap.of_model`), U T - phi(T) U block by block by
+    `intertwining_gaps`, whose (1,0) gap is the U10 corner condition and
+    whose `gap_total` is the end-to-end residual.  Back-substitution solves
+    the same system D phi(T) = e^{i phase} (a I - T) exactly, so the
+    end-to-end residual still certifies U T = phi(T) U.  The resolvent
+    guard is the N x N one of D0 = I - conj(a) T0 and D1 = I - conj(a) T1;
+    the 2N x 2N D = I - conj(a) T is invertible exactly when they are, but
+    a D whose own condition number is just above the cap can now pass.
     """
     report = ConditionReport(name="thm45")
     x = model.x
     u00, u01, u10, u11 = unitary.blocks
     phi_blocks = mobius.of_model(model)
-    phi_t0, _, _, phi_t1 = phi_blocks
-    # U T and phi(T) U are eight N x N blocks: take the two residuals that
-    # need them and drop them before the Gram inverses
-    ut = block_product(unitary.blocks, model.blocks)
-    phi_t_u = block_product(phi_blocks, unitary.blocks)
-    corner_u10 = frobenius(ut[2] - phi_t_u[2])
-    end_to_end = block_residual(ut, phi_t_u)
-    del ut, phi_t_u, phi_blocks
+    phi_t0 = phi_blocks[0]
+    gaps = intertwining_gaps(unitary.blocks, model.blocks, phi_blocks)
+    del phi_blocks  # phi(T1) and the corner are not needed again
     eye = np.eye(model.size)
 
     u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
@@ -219,7 +214,7 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
             detail=f"U10 1-norm condition number {kappa:.3e}; "
                    f"n * kappa_1 above the cap {U10_COND_CAP:.1e}")
     else:
-        report.add("corner-intertwine-u10", corner_u10, tol)
+        report.add("corner-intertwine-u10", gaps[2], tol)
     report.add("corner-intertwine-u01",
                frobenius(model.t1.left(u01.conj().T) - u01.conj().T @ phi_t0),
                tol)
@@ -235,5 +230,5 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report.add("gram-u10", frobenius(inv_left - u10.conj().T @ u10), tol)
     report.add("gram-u01", frobenius(inv_right - u01.conj().T @ u01), tol)
 
-    report.add("end-to-end", end_to_end, tol)
+    report.add("end-to-end", gap_total(gaps), tol)
     return report

@@ -157,7 +157,9 @@ def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
 
 
 def required_truncation(radius: float) -> int:
-    """Smallest N with radius^(2N) < TAIL_EPS (geometric tail criterion)."""
+    """Smallest N with radius^(2N) < TAIL_EPS, a geometric rule that ignores
+    coefficient growth: at that N the relative tail of bergman(2)'s K(r, r)
+    is 7.1e-12 at r = 0.6 and 2.9e-11 at r = 0.999 (N = 13,809)."""
     if not 0.0 <= radius < 1.0:
         raise InvalidArgumentError("radius must lie in [0, 1)")
     if radius == 0.0:

@@ -34,11 +34,11 @@ phi(A) (see `apply_mobius`).
 Every certificate works on N x N blocks.  A shift from `shift_from_kernel`
 carries its superdiagonal weights, and `ModelOperator.left` / `right`
 multiply it as one scaled slice, which equals the dense product exactly
-(the dense sums only add exact zeros).  A 2 x 2 block product
-(`block_product`) skips its zero blocks, so a coupled model T is multiplied
-through T0, X T1 - T0 X and T1; `block_residual` and `block_norm` reduce
-norms from the blocks, and `block_unitarity_residual` certifies a block
-unitary from its Gram blocks.  The assembled 2N x 2N T
+(the dense sums only add exact zeros).  `intertwining_gaps` reduces
+U A - B U one N x N block at a time and skips zero blocks, so a coupled
+model T is multiplied through T0, X T1 - T0 X and T1; `gap_total` and
+`block_norm` reduce norms from the blocks, and `block_unitarity_residual`
+certifies a block unitary from its Gram blocks.  The assembled 2N x 2N T
 (`UpperTriangularModel.t`, built only when read) is formed only where a
 check compares it with the block formula: the two Mobius cross-checks of
 `homogeneity` (`mobius_block_identity_check`, `homogeneity_condition_check`)
@@ -242,7 +242,7 @@ class UpperTriangularModel:
 
     @property
     def blocks(self) -> tuple:
-        """(T0, X T1 - T0 X, None, T1) row-major, for `block_product`."""
+        """(T0, X T1 - T0 X, None, T1) row-major, for `intertwining_gaps`."""
         return self.t0, self.coupling_block, None, self.t1
 
     @cached_property
@@ -343,42 +343,41 @@ def _block_times(p, q):
     return p @ q
 
 
-def block_product(lhs, rhs) -> list:
-    """Blocks of [[A, B], [C, D]] [[E, F], [G, H]] from the row-major block
-    sequences (A, B, C, D) and (E, F, G, H).
+def _block_sum(p, q, r, s):
+    """p q + r s by `_block_times`; None when both products are zero."""
+    terms = [t for t in (_block_times(p, q), _block_times(r, s)) if t is not None]
+    return terms[0] + terms[1] if len(terms) == 2 else terms[0] if terms else None
 
-    A block is an array, a ModelOperator (a shift is multiplied as a slice)
-    or None for zero.  Products with a zero factor are skipped, and a result
-    block with no product left is None.
+
+def intertwining_gaps(u, a, b) -> list:
+    """Frobenius norms of the N x N blocks of U A - B U, row-major, from the
+    row-major block sequences of U, A and B: arrays, ModelOperators (a
+    shift is multiplied as a slice) or None for zero.  Products with a zero
+    factor are skipped, and a block zero on both sides gives None.  Each
+    block is one call of `gap`, whose two sides and difference are freed
+    before the next block is formed; `gap_total` gives the whole norm.
     """
-    out = []
-    for row in (0, 1):
-        for col in (0, 1):
-            terms = [t for t in (_block_times(lhs[2 * row], rhs[col]),
-                                 _block_times(lhs[2 * row + 1], rhs[2 + col]))
-                     if t is not None]
-            out.append(terms[0] + terms[1] if len(terms) == 2
-                       else terms[0] if terms else None)
-    return out
+    def gap(row, col):
+        lhs = _block_sum(u[2 * row], a[col], u[2 * row + 1], a[2 + col])
+        rhs = _block_sum(b[2 * row], u[col], b[2 * row + 1], u[2 + col])
+        if lhs is None and rhs is None:
+            return None
+        return frobenius(rhs if lhs is None else lhs if rhs is None else lhs - rhs)
+
+    return [gap(row, col) for row in (0, 1) for col in (0, 1)]
 
 
-def block_residual(lhs, rhs) -> float:
-    """||L - R|| for block sequences L and R as `block_product` returns them.
-
-    Each of the four N x N differences is formed on its own (a block that
-    is None on one side is the other side's block, and None on both sides
-    is skipped) and the norm is reduced from them by `block_norm`, so no
-    2N x 2N difference is formed.
-    """
-    return block_norm(c if b is None else b if c is None else b - c
-                      for b, c in zip(lhs, rhs))
+def gap_total(gaps) -> float:
+    """Frobenius norm of a 2 x 2 block matrix from its block norms, None for
+    a zero block: sqrt of the sum of their squares."""
+    return math.hypot(*(g for g in gaps if g is not None))
 
 
 def block_norm(blocks) -> float:
     """Frobenius norm of a 2 x 2 block matrix from its row-major blocks (as
-    `block_product` takes them), sqrt of the sum of the squared block norms."""
-    return math.hypot(*(frobenius(b.matrix if isinstance(b, ModelOperator) else b)
-                        for b in blocks if b is not None))
+    `intertwining_gaps` takes them)."""
+    return gap_total(frobenius(b.matrix if isinstance(b, ModelOperator) else b)
+                     for b in blocks if b is not None)
 
 
 def triangular_matrix(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

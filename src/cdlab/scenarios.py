@@ -46,8 +46,8 @@ from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                       separator_kernel)
 from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
-                        block_norm, block_product, block_residual, fb2_membership,
-                        frobenius, random_operator, random_unitary,
+                        block_norm, fb2_membership, frobenius, gap_total,
+                        intertwining_gaps, random_operator, random_unitary,
                         shift_from_kernel, similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
 from .serialize import load_matrix, matrix_from_json, write_curvature_csv
@@ -551,10 +551,8 @@ def _check_corollary_theta(tol: float, *, t0_kernel=Ref("shift"),
     report.add("theta-recovery", err, tol)
     model = assemble_model(t0, t1, np.eye(t0.size, dtype=complex))
     partner = assemble_model(t1, t0, y)
-    report.add("unitary-intertwine",
-               block_residual(block_product(unitary.blocks, model.blocks),
-                              block_product(partner.blocks, unitary.blocks)),
-               tol)
+    report.add("unitary-intertwine", gap_total(
+        intertwining_gaps(unitary.blocks, model.blocks, partner.blocks)), tol)
     report.info["theta"] = float(theta)
     return report
 
@@ -666,11 +664,15 @@ def _check_mainlemma(tol: float, *, t0_kernel=Ref("shift"),
     return verify_mainlemma(unitary, model, partner, tol)
 
 
-def _random_model(size: int, base: int, norm: float) -> UpperTriangularModel:
-    """Dense random T0, T1 and X from seeds base, base + 1 and base + 2."""
-    return assemble_model(ModelOperator(random_operator(size, base, norm=norm)),
-                          ModelOperator(random_operator(size, base + 1, norm=norm)),
-                          random_operator(size, base + 2, norm=norm))
+def _samples(model, trials: int, seed: int, size: int, norm: float):
+    """The models a sampled check runs on, and how to say so: the given
+    model once, else `trials` random models, trial k with dense T0, T1 and
+    X from seeds seed + 3 k, + 1 and + 2."""
+    if model:
+        return [model], "1 given model"
+    return ((assemble_model(*(random_operator(size, seed + 3 * trial + k, norm=norm)
+                              for k in range(3))) for trial in range(trials)),
+            f"{trials} trials")
 
 
 @_check("mobius-block", 1e-10,
@@ -683,8 +685,8 @@ def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
     report = ConditionReport(name="mobius-block")
     inverses = [mob.inverse() for mob in maps]
     worst_block = worst_involution = worst_power = 0.0
-    for trial in range(trials):
-        sample = model or _random_model(size, seed + 3 * trial, block_norm)
+    samples, ran = _samples(model, trials, seed, size, block_norm)
+    for sample in samples:
         t_norm = frobenius(sample.t)
         result = mobius_block_identity_check(sample, maps)
         worst_block = max(worst_block, result.residual / t_norm)
@@ -693,7 +695,7 @@ def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
         worst_involution = max(worst_involution, max(
             frobenius(m - sample.t) for m in back) / t_norm)
     report.add("block-identity", worst_block, tol,
-               detail=f"{trials} trials x {len(maps)} maps, relative to ||T||")
+               detail=f"{ran} x {len(maps)} maps, relative to ||T||")
     report.add("involution", worst_involution, involution_tol)
     report.add("power-identity", worst_power, tol)
     return report
@@ -709,9 +711,9 @@ def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
     ks = separator_kernel(k0, k1)
     for name, kern in (("k0", k0), ("k1", k1)):
         ratios = [s.ratio for s in diagonal_ratio(ks, kern, radii)]
-        monotone = max(b - a for a, b in zip(ratios, ratios[1:]))
-        report.add(f"monotone-{name}", monotone, tol,
-                   detail="consecutive ratio differences must be negative")
+        increase = max(0.0, *(b - a for a, b in zip(ratios, ratios[1:])))
+        report.add(f"monotone-{name}", increase, tol,
+                   detail="largest increase between consecutive ratios")
         report.add(f"final-ratio-{name}", ratios[-1], max_final_ratio)
         report.info[f"ratios_{name}"] = ratios
     report.info["truncation"] = ks.truncation
@@ -725,12 +727,11 @@ def _check_similarity_split(tol: float, *, trials=Ref("count", 1),
                             model=Ref(MODEL, None)) -> ConditionReport:
     report = ConditionReport(name="similarity-split")
     worst = 0.0
-    for trial in range(trials):
-        sample = model or _random_model(size, seed + 3 * trial, 1.0)
+    samples, ran = _samples(model, trials, seed, size, 1.0)
+    for sample in samples:
         split = similarity_split(sample)
         worst = max(worst, split.residual / block_norm(sample.blocks))
-    report.add("split-residual", worst, tol,
-               detail=f"{trials} trials, relative to ||T||")
+    report.add("split-residual", worst, tol, detail=f"{ran}, relative to ||T||")
     return report
 
 

@@ -6,6 +6,7 @@ differentiation of -log K(w, w), and intertwiner-space dimensions from exact
 rational Gaussian elimination over the Gaussian rationals.
 """
 
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -162,3 +163,14 @@ def product_gap_bound(n: int, *pairs) -> float:
     eps = np.finfo(float).eps
     return 2 * 2 * n * eps * sum(np.linalg.norm(a) * np.linalg.norm(b)
                                  for a, b in pairs)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs, counted
+    from zero at the call: the call's own arrays, not its inputs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

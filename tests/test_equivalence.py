@@ -21,7 +21,7 @@ from cdlab.operators import (ModelOperator, assemble_model, block_matrix,
                              frobenius, random_operator, random_unitary,
                              shift_from_kernel, sylvester_kernel)
 
-from oracles import product_gap_bound
+from oracles import product_gap_bound, traced_peak
 
 
 def _shift_pair(size=20):
@@ -37,7 +37,7 @@ def _quarters(mat):
 
 
 def _dense(blocks):
-    """The 2N x 2N matrix of row-major blocks, as `block_product` takes them."""
+    """The 2N x 2N matrix of row-major blocks, as `intertwining_gaps` takes them."""
     return block_matrix(*(b.matrix if isinstance(b, ModelOperator) else b
                           for b in blocks))
 
@@ -263,6 +263,28 @@ class TestBlockwiseResiduals:
             _dense(pair.z_blocks), block_matrix(u01.conj().T, None, None, u10))
 
 
+class TestCertificatePeaks:
+    """At N = 240 each certificate's own arrays peak under eight N x N
+    complex blocks: U T - Tt U and Z F - Ft Z are reduced one block at a
+    time, so the eight blocks of the two products are never alive at once."""
+
+    size = 240
+    limit = 8 * 16 * size ** 2
+
+    def test_verify_mainlemma(self):
+        unitary, model, partner = _normal_pipeline(self.size)
+        peak = traced_peak(lambda: verify_mainlemma(unitary, model, partner, 1e-9))
+        assert peak < self.limit
+
+    @pytest.mark.parametrize("verified", [False, True])
+    def test_construct_fb2_pair(self, verified):
+        unitary, model, partner = _normal_pipeline(self.size)
+        if verified:  # the gate re-grades the kept residuals
+            verify_mainlemma(unitary, model, partner, 1e-9)
+        peak = traced_peak(lambda: construct_fb2_pair(unitary, model, partner))
+        assert peak < self.limit
+
+
 class TestFb2Pair:
     def test_zero_coupling_case(self):
         t0, t1 = _shift_pair(8)
@@ -323,15 +345,16 @@ class TestFb2Pair:
 
 
 def _counting_block_products(monkeypatch):
-    """Record every `block_product` call the equivalence module makes."""
+    """Record every `intertwining_gaps` call the equivalence module makes:
+    each forms the block products of one intertwining."""
     calls = []
-    original = equivalence.block_product
+    original = equivalence.intertwining_gaps
 
-    def counting(lhs, rhs):
+    def counting(u, a, b):
         calls.append(1)
-        return original(lhs, rhs)
+        return original(u, a, b)
 
-    monkeypatch.setattr(equivalence, "block_product", counting)
+    monkeypatch.setattr(equivalence, "intertwining_gaps", counting)
     return calls
 
 
@@ -346,11 +369,11 @@ class TestKeptMainlemmaResiduals:
         unitary, model, partner = _normal_pipeline()
         calls = _counting_block_products(monkeypatch)
         report = verify_mainlemma(unitary, model, partner, 1e-9)
-        assert len(calls) == 2  # U T and Tt U
+        assert len(calls) == 1  # U T - Tt U
         construct_fb2_pair(unitary, model, partner)
-        assert len(calls) == 4  # Z F and Ft Z only; the gate took none
+        assert len(calls) == 2  # Z F - Ft Z only; the gate took none
         again = verify_mainlemma(unitary, model, partner, 1e-9)
-        assert len(calls) == 4
+        assert len(calls) == 2
         assert again.to_dict() == report.to_dict()
 
     def test_regrading_matches_a_fresh_verification(self):
@@ -383,7 +406,7 @@ class TestKeptMainlemmaResiduals:
                 (model, dataclasses.replace(partner))):
             again = verify_mainlemma(unitary, other_model, other_partner, 1e-9)
             assert again.to_dict() == report.to_dict()
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_another_partner_replaces_the_kept_residuals(self):
         unitary, model, partner = _normal_pipeline()

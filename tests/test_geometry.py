@@ -6,8 +6,9 @@ import sympy as sp
 
 from cdlab.errors import (DegenerateFrameError, DomainError,
                           InvalidArgumentError, PrecisionError)
-from cdlab.geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
-                            covariant_derivative, curvature,
+from cdlab.geometry import (SERIES_BLOCK_BYTES, CurvatureField, DiskGrid,
+                            FrameField, MetricField, covariant_derivative,
+                            curvature,
                             curvature_isometry_check, eigenframe, gram_metric,
                             kernel_frame, polar_grid)
 from cdlab.kernels import bergman_kernel, section_jet
@@ -16,7 +17,7 @@ from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              shift_from_kernel)
 
 from oracles import (bergman_curvature, bergman_curvature_derivative,
-                     bergman_frame_jets)
+                     bergman_frame_jets, traced_peak)
 
 
 def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
@@ -511,6 +512,41 @@ class TestBatching:
         for index, whole in enumerate(batched):
             parts = np.concatenate([single[index] for single in singles])
             assert np.max(np.abs(whole - parts)) <= 1e-13 * np.max(np.abs(whole))
+
+
+class TestSeriesPointBlocks:
+    """The series metric jet is taken over blocks of grid points."""
+
+    grid = polar_grid(radii=0.6 * np.arange(1, 9) / 8, n_angles=64)
+
+    def test_blocks_equal_one_whole_batch(self):
+        # 64 points at N = 240 are two blocks at order 1 and three at
+        # order 2: each point still takes the product one batch gives it
+        grid = polar_grid(radii=[0.2, 0.4, 0.5, 0.6], n_angles=16)
+        metric = gram_metric(eigenframe(_model(size=240), grid))
+        fld = curvature(metric, grid, "series")
+        covariant_derivative(fld, metric, 1, 1)
+        assert sorted(metric.series_jets) == [1, 2]
+        for order, jet in metric.series_jets.items():
+            stacked = metric.frame_jet(grid.points, order).reshape(
+                len(grid), 2 * (order + 1), -1)
+            assert stacked.nbytes > SERIES_BLOCK_BYTES
+            whole = (stacked.conj() @ stacked.swapaxes(-1, -2)).reshape(
+                len(grid), order + 1, 2, order + 1, 2).transpose(0, 3, 1, 2, 4)
+            np.testing.assert_array_equal(jet, whole)
+
+    def test_peak_under_twice_the_frame_jets(self):
+        # K then K_{w wbar} at P = 512, N = 240: the order-2 frame jets are
+        # a 23.6 MB table; conjugating it whole would add a second one
+        size = 240
+        metric = gram_metric(eigenframe(_model(size=size), self.grid))
+        table = len(self.grid) * 3 * 2 * (2 * size) * 16
+
+        def series():
+            fld = curvature(metric, self.grid, "series")
+            covariant_derivative(fld, metric, 1, 1)
+
+        assert traced_peak(series) < 1.9 * table
 
 
 class TestMetricCaches:

@@ -16,7 +16,7 @@ from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
                              block_matrix, frobenius, random_operator,
                              shift_from_kernel)
 
-from oracles import product_gap_bound
+from oracles import product_gap_bound, traced_peak
 
 
 def _random_model(size=6, seed=0, norm=0.5):
@@ -397,6 +397,15 @@ class TestThm45:
         report = thm45_condition_check(unitary, model, mob, tol=1e-10)
         assert report.overall
         assert shapes and all(shape[-2:] == (size, size) for shape in shapes)
+
+    def test_peak_under_eight_blocks(self):
+        # U T - phi(T) U is reduced one N x N block at a time beside the
+        # three blocks of phi(T), never as two whole block products
+        size = 240
+        mob, model, unitary = self._engineered(size=size)
+        peak = traced_peak(lambda: thm45_condition_check(unitary, model, mob,
+                                                         tol=1e-10))
+        assert peak < 8 * 16 * size ** 2
 
     def test_singular_diagonal_resolvent_is_refused(self):
         # D0 = I - conj(a) T0 vanishes at T0 = 2 I and a = 0.5

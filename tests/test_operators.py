@@ -10,10 +10,10 @@ from cdlab.errors import (InvalidArgumentError, NumericError,
 from cdlab.kernels import bergman_kernel, section_vector
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              UNITARITY_TOL, ModelOperator, apply_mobius,
-                             assemble_model, block_matrix, block_norm,
-                             block_product, block_residual,
-                             block_unitarity_residual, fb2_membership,
-                             frobenius, guarded_inverse, random_operator,
+                             _block_times, assemble_model, block_matrix,
+                             block_norm, block_unitarity_residual,
+                             fb2_membership, frobenius, gap_total,
+                             guarded_inverse, intertwining_gaps, random_operator,
                              random_unitary, require_unitary, shift_from_kernel,
                              similarity_split, sylvester_kernel,
                              triangular_matrix, unitarity_residual)
@@ -83,26 +83,58 @@ class TestShiftProducts:
             ModelOperator(np.eye(4), weights=np.ones(4))
 
 
+def block_product(lhs, rhs) -> list:
+    """Blocks of the 2 x 2 block product lhs rhs, each held whole: the
+    reference that `intertwining_gaps` must match bit for bit."""
+    out = []
+    for row in (0, 1):
+        for col in (0, 1):
+            terms = [t for t in (_block_times(lhs[2 * row], rhs[col]),
+                                 _block_times(lhs[2 * row + 1], rhs[2 + col]))
+                     if t is not None]
+            out.append(terms[0] + terms[1] if len(terms) == 2
+                       else terms[0] if terms else None)
+    return out
+
+
+def block_residual(lhs, rhs) -> float:
+    """||L - R|| reduced from the four block differences by `block_norm`."""
+    return block_norm(c if b is None else b if c is None else b - c
+                      for b, c in zip(lhs, rhs))
+
+
 class TestBlockProduct:
+    """`intertwining_gaps(U, A, B)`: the block norms of U A - B U."""
+
     def _model(self, size=6):
         return assemble_model(shift_from_kernel(bergman_kernel(1, size)),
                               shift_from_kernel(bergman_kernel(2, size)),
                               _rand(size, 1))
 
     def test_matches_the_dense_product(self):
+        # each gap is the norm of a block of the dense U T - B U
         model = self._model()
         u = [_rand(6, seed) for seed in (2, 3, 4, 5)]
-        got = block_matrix(*block_product(u, model.blocks))
-        want = block_matrix(*u) @ model.t
-        bound = product_gap_bound(6, (block_matrix(*u), model.t))
-        assert frobenius(got - want) <= bound
+        b = [_rand(6, seed) for seed in (6, 7, 8, 9)]
+        dense_u, dense_b = block_matrix(*u), block_matrix(*b)
+        want = dense_u @ model.t - dense_b @ dense_u
+        bound = product_gap_bound(6, (dense_u, model.t), (dense_b, dense_u))
+        gaps = intertwining_gaps(u, model.blocks, b)
+        for k, gap in enumerate(gaps):
+            row, col = divmod(k, 2)
+            block = want[row * 6:(row + 1) * 6, col * 6:(col + 1) * 6]
+            assert abs(gap - frobenius(block)) <= bound
+        assert abs(gap_total(gaps) - frobenius(want)) <= bound
 
     def test_zero_blocks_skipped(self):
+        # a block that is zero on both sides is None; a block zero on one
+        # side is the other side's norm
         model = self._model()
         diag = (model.t0, None, None, _rand(6, 7))
-        out = block_product(diag, diag)
-        assert out[1] is None and out[2] is None
-        np.testing.assert_array_equal(out[0], model.t0.matrix @ model.t0.matrix)
+        gaps = intertwining_gaps(diag, diag, (None,) * 4)
+        assert gaps[1] is None and gaps[2] is None
+        assert gaps[0] == frobenius(model.t0.matrix @ model.t0.matrix)
+        assert gaps[3] == frobenius(diag[3] @ diag[3])
 
     @pytest.mark.parametrize("size", [6, 8, 24])
     @pytest.mark.parametrize("shifts", [False, True])
@@ -123,6 +155,7 @@ class TestBlockProduct:
         # the norm is reduced from the four block differences, and agrees
         # with the norm of the dense 2N x 2N difference to rounding
         a, b, c = _rand(4, 1), _rand(4, 2), _rand(4, 3)
+        eye, zero = np.eye(4), np.zeros((4, 4))
         eps = np.finfo(float).eps
         for lhs, rhs, dense in (
                 ((a, None, None, b), (c, a, None, None),
@@ -132,7 +165,29 @@ class TestBlockProduct:
                 ((None, None, None, None), (None, c, None, None),
                  block_matrix(None, -c, None, None))):
             want = frobenius(dense)
-            assert abs(block_residual(lhs, rhs) - want) <= 4 * eps * want
+            # U = I: U A - B U = A - B
+            gaps = intertwining_gaps((eye, None, None, eye), lhs, rhs)
+            assert abs(gap_total(gaps) - want) <= 4 * eps * want
+        assert intertwining_gaps((eye, None, None, eye), (zero,) * 4,
+                                 (None,) * 4) == [0.0] * 4
+
+    @pytest.mark.parametrize("size", [6, 24])
+    def test_gaps_equal_the_whole_block_products(self, size):
+        # bit for bit the residuals of the products held whole, with shifts,
+        # dense blocks and zero blocks on either side
+        model = self._model(size)
+        dense = [_rand(size, seed) for seed in (2, 3, 4, 5)]
+        diag = (_rand(size, 6), None, None, model.t1)
+        for u, b in ((dense, [_rand(size, s) for s in (7, 8, 9, 10)]),
+                     (diag, (model.t1, None, _rand(size, 11), model.t0)),
+                     (diag, model.blocks)):
+            lhs, rhs = block_product(u, model.blocks), block_product(b, u)
+            gaps = intertwining_gaps(u, model.blocks, b)
+            assert gap_total(gaps) == block_residual(lhs, rhs)
+            for gap, left, right in zip(gaps, lhs, rhs):
+                assert (gap is None) == (left is None and right is None)
+                if left is not None and right is not None:
+                    assert gap == frobenius(left - right)
 
 
 class TestUnitarity:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdlab import scenarios
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
@@ -84,6 +85,27 @@ def test_sylvester_and_separator_compare_against_tol():
     assert [c.tolerance for c in sylvester] == [0.5]
     assert [c.tolerance for c in separator if c.name.startswith("monotone")] \
         == [1e-3, 1e-3]
+
+
+def test_separator_monotone_residual_is_the_largest_increase():
+    # s = min(a, b)/(n + 1) with a flat and b small only at n = 0: K_s/K_a
+    # grows with the radius, so monotone-k0 fails by its largest step,
+    # while the decreasing K_s/K_b reads exactly 0
+    flat, damped = [1.0] * 40, [1e-3] + [1.0] * 39
+    raw = {"name": "rising-ratio",
+           "kernels": {"a": {"coeffs": flat}, "b": {"coeffs": damped}},
+           "checks": [{"check": "separator", "params": {
+               "k0": "a", "k1": "b", "radii": [0.1, 0.2, 0.3]}}]}
+    report = run_scenario(Scenario.from_dict(raw)).outcomes[0].report
+    ratios = report.info["ratios_k0"]
+    steps = [b - a for a, b in zip(ratios, ratios[1:])]
+    assert min(steps) > 0
+    rising = report.condition("monotone-k0")
+    assert rising.status == "fail" and rising.residual == max(steps)
+    falling = report.condition("monotone-k1")
+    assert falling.status == "pass" and falling.residual == 0.0
+    assert max(b - a for a, b in zip(report.info["ratios_k1"],
+                                     report.info["ratios_k1"][1:])) < 0
 
 
 def test_separator_uses_the_declared_truncation(tmp_path):
@@ -489,6 +511,27 @@ class TestScenarioSchema:
         residuals = {c.name: c.residual
                      for c in result.outcomes[0].report.conditions}
         assert residuals["involution"] < 1e-14
+
+    @pytest.mark.parametrize("check,callee", [
+        ("mobius-block", "mobius_block_identity_check"),
+        ("similarity-split", "similarity_split")])
+    def test_a_given_model_is_one_sample(self, monkeypatch, check, callee):
+        # trials only count random models; a given one runs once
+        calls = []
+        original = getattr(scenarios, callee)
+        monkeypatch.setattr(scenarios, callee,
+                            lambda *args: calls.append(1) or original(*args))
+        raw = {"name": "given", "seed": 3,
+               "kernels": {"b1": {"preset": "bergman", "n": 1, "N": 6},
+                           "b2": {"preset": "bergman", "n": 2, "N": 6}},
+               "operators": {"X": {"random": {"size": 6, "seed": 4}}},
+               "checks": [{"check": check, "params": {
+                   "trials": 5,
+                   "model": {"t0_kernel": "b1", "t1_kernel": "b2", "x": "X"}}}]}
+        report = run_scenario(Scenario.from_dict(raw)).outcomes[0].report
+        assert report.overall, report.conditions
+        assert len(calls) == 1
+        assert report.conditions[0].detail.startswith("1 given model")
 
     def test_unknown_keys_rejected(self):
         raw = _tiny_scenario()
