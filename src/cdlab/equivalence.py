@@ -65,9 +65,44 @@ def _hermitian_powers(mat: np.ndarray, *powers: float) -> list[np.ndarray]:
     eigendecomposition."""
     sym = 0.5 * (mat + mat.conj().T)
     evals, vecs = np.linalg.eigh(sym)
+    del sym
     if evals[0] <= 0:
         raise NumericError(f"matrix not positive definite (min eig {evals[0]:.3e})")
-    return [(vecs * evals ** power) @ vecs.conj().T for power in powers]
+    vecs_h = vecs.conj().T
+    return [(vecs * evals ** power) @ vecs_h for power in powers]
+
+
+def _one_plus(mat: np.ndarray) -> np.ndarray:
+    """I + mat, written over mat: the same sums as np.eye(n) + mat, signed
+    zeros included."""
+    return np.add(np.eye(mat.shape[0]), mat, out=mat)
+
+
+def _normal_gram_roots(x: np.ndarray) -> list[np.ndarray]:
+    """[(1 + X*X)^{1/2}, (1 + X*X)^{-1/2}, (1 + XX*)^{-1/2}] for a normal X.
+
+    Raises PreconditionError when X is not normal, and NumericError when
+    the two inverse roots, equal for normal X, disagree.  Each Gram
+    matrix is formed over its product X X* or X* X and dropped once its
+    roots are taken.
+    """
+    x_star = x.conj().T
+    x_xstar, xstar_x = x @ x_star, x_star @ x
+    del x_star
+    normality = frobenius(x_xstar - xstar_x)
+    if normality > NORMALITY_TOL * max(frobenius(x) ** 2, 1e-300):
+        raise PreconditionError(
+            f"X is not normal: ||XX* - X*X|| = {normality:.3e}",
+            failed_condition="normal-coupling")
+    roots = _hermitian_powers(_one_plus(xstar_x), 0.5, -0.5)
+    del xstar_x
+    roots += _hermitian_powers(_one_plus(x_xstar), -0.5)
+    # For normal X the two Gram operators agree; treat a gap as a bug.
+    drift = frobenius(roots[1] - roots[2])
+    if drift > ROOT_CONSISTENCY_TOL:
+        raise NumericError(
+            f"(1+XX*)^(-1/2) and (1+X*X)^(-1/2) disagree by {drift:.3e}")
+    return roots
 
 
 def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
@@ -80,32 +115,19 @@ def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
         Tt0 = (1 + X* X)^{1/2} T1 (1 + X* X)^{-1/2}
         Tt1 = (1 + X X*)^{-1/2} T0 (1 + X* X)^{1/2}
 
-    and whose coupling operator is Y = X*.  Then U T U* = Tt.
+    and whose coupling operator is Y = X*.  Then U T U* = Tt.  The roots
+    other than R are dropped once Tt0 and Tt1 are formed, before U is.
     """
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     if x.shape != (n, n) or t0.size != n or t1.size != n:
         raise InvalidArgumentError("T0, T1, X must be square and equally sized")
-    x_scale = frobenius(x) ** 2
-    x_xstar, xstar_x = x @ x.conj().T, x.conj().T @ x
-    normality = frobenius(x_xstar - xstar_x)
-    if normality > NORMALITY_TOL * max(x_scale, 1e-300):
-        raise PreconditionError(
-            f"X is not normal: ||XX* - X*X|| = {normality:.3e}",
-            failed_condition="normal-coupling")
-    gram_right = np.eye(n) + xstar_x
-    gram_left = np.eye(n) + x_xstar
-    root, root_inv = _hermitian_powers(gram_right, 0.5, -0.5)
-    (root_left_inv,) = _hermitian_powers(gram_left, -0.5)
-    # For normal X the two Gram operators agree; treat a gap as a bug.
-    drift = frobenius(root_inv - root_left_inv)
-    if drift > ROOT_CONSISTENCY_TOL:
-        raise NumericError(
-            f"(1+XX*)^(-1/2) and (1+X*X)^(-1/2) disagree by {drift:.3e}")
-    unitary = BlockUnitary(u00=x.conj().T @ root_inv, u01=root_inv,
-                           u10=root_inv, u11=-root_inv @ x)
+    root, root_inv, root_left_inv = _normal_gram_roots(x)
     tt0 = t1.right(root) @ root_inv
     tt1 = t0.right(root_left_inv) @ root
+    del root, root_left_inv
+    unitary = BlockUnitary(u00=x.conj().T @ root_inv, u01=root_inv,
+                           u10=root_inv, u11=-root_inv @ x)
     partner = assemble_model(ModelOperator(tt0), ModelOperator(tt1), x.conj().T)
     return unitary, partner
 
@@ -188,13 +210,15 @@ class Fb2Pair:
 
     F = [[Tt0, S0], [0, T0]] and Ft = [[T1, S1], [0, Tt1]] with
     S0 = Y U10 - U01 X*, S1 = U01* Y - X* U10*, and Z = U01* (+) U10
-    satisfying Z F = Ft Z.  `f_blocks`, `ft_blocks` and `z_blocks` are the
-    row-major blocks (None for zero), as `intertwining_gaps` takes them.
+    satisfying Z F = Ft Z.  `f_blocks` and `ft_blocks` are the row-major
+    blocks (None for zero), as `intertwining_gaps` takes them;
+    `z_blocks` forms U01* on each read from the kept `u01`.
     """
 
     f_blocks: tuple = field(repr=False)
     ft_blocks: tuple = field(repr=False)
-    z_blocks: tuple = field(repr=False)
+    u01: np.ndarray = field(repr=False)
+    u10: np.ndarray = field(repr=False)
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -205,6 +229,10 @@ class Fb2Pair:
     def s1(self) -> np.ndarray:
         return self.ft_blocks[1]
 
+    @property
+    def z_blocks(self) -> tuple:
+        return self.u01.conj().T, None, None, self.u10
+
 
 def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
                        partner: UpperTriangularModel) -> Fb2Pair:
@@ -213,7 +241,8 @@ def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
     Refuses (PreconditionError) unless verify_mainlemma passes at 1e-8.
     That gate grades the residuals kept on the unitary, so it takes no
     dense product when the caller has just verified the same unitary,
-    model and partner objects.
+    model and partner objects.  S0 and S1 are each accumulated in one
+    array.
     """
     gate = verify_mainlemma(unitary, model, partner, MAINLEMMA_GATE_TOL)
     if not gate.overall:
@@ -224,19 +253,23 @@ def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
     t0, t1, x = model.t0, model.t1, model.x
     tt0, tt1, y = partner.t0, partner.t1, partner.x
     u01, u10 = unitary.u01, unitary.u10
-    s0 = y @ u10 - u01 @ x.conj().T
-    s1 = u01.conj().T @ y - x.conj().T @ u10.conj().T
-    f, ft = (tt0, s0, None, t0), (t1, s1, None, tt1)
-    z = (u01.conj().T, None, None, u10)
+    x_star = x.conj().T
+    s0 = y @ u10
+    s0 -= u01 @ x_star
+    s1 = u01.conj().T @ y
+    s1 -= x_star @ u10.conj().T
+    del x_star
+    pair = Fb2Pair(f_blocks=(tt0, s0, None, t0), ft_blocks=(t1, s1, None, tt1),
+                   u01=u01, u10=u10)
     # the (0,1) block of Z F - Ft Z is U01* S0 - S1 U10, the corner link
-    gaps = intertwining_gaps(z, f, ft)
-    residuals = {
+    gaps = intertwining_gaps(pair.z_blocks, pair.f_blocks, pair.ft_blocks)
+    pair.residuals.update({
         "f-membership": frobenius(tt0.left(s0) - t0.right(s0)),
         "ft-membership": frobenius(t1.left(s1) - tt1.right(s1)),
         "corner-link": gaps[1],
         "z-intertwine": gap_total(gaps),
-    }
-    return Fb2Pair(f_blocks=f, ft_blocks=ft, z_blocks=z, residuals=residuals)
+    })
+    return pair
 
 
 def theta_intertwiner_check(t0: ModelOperator, t1: ModelOperator,

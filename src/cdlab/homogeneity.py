@@ -206,9 +206,12 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     del phi_blocks  # phi(T1) and the corner are not needed again
     eye = np.eye(model.size)
 
+    # U10^{-1} is formed for its guard only: keep kappa_1 and the verdict
     u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
+    refused = u10_inv is None
+    del u10_inv
     report.info["u10_condition_1norm"] = kappa
-    if u10_inv is None:
+    if refused:
         report.add_indeterminate(
             "corner-intertwine-u10", tol,
             detail=f"U10 1-norm condition number {kappa:.3e}; "

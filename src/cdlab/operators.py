@@ -32,17 +32,22 @@ one LU solve, and kappa_1(D) is read off (1 - |a|^2) D^{-1} = I - conj(a)
 phi(A) (see `apply_mobius`).
 
 Every certificate works on N x N blocks.  A shift from `shift_from_kernel`
-carries its superdiagonal weights, and `ModelOperator.left` / `right`
+is held as its N - 1 superdiagonal weights: `ModelOperator.left` / `right`
 multiply it as one scaled slice, which equals the dense product exactly
-(the dense sums only add exact zeros).  `intertwining_gaps` reduces
+(the dense sums only add exact zeros), and its `matrix` is formed only on
+a read that needs it and never kept.  `intertwining_gaps` reduces
 U A - B U one N x N block at a time and skips zero blocks, so a coupled
 model T is multiplied through T0, X T1 - T0 X and T1; `gap_total` and
 `block_norm` reduce norms from the blocks, and `block_unitarity_residual`
-certifies a block unitary from its Gram blocks.  The assembled 2N x 2N T
-(`UpperTriangularModel.t`, built only when read) is formed only where a
-check compares it with the block formula: the two Mobius cross-checks of
-`homogeneity` (`mobius_block_identity_check`, `homogeneity_condition_check`)
-and `power_residuals`.
+certifies a block unitary from its Gram blocks, one at a time.  The
+assembled 2N x 2N T (`UpperTriangularModel.t`) is formed on each read and
+never kept on the model, with a shift block written as its weights; it is
+read only where a check compares it with the block formula: the two Mobius
+cross-checks of `homogeneity` (`mobius_block_identity_check`,
+`homogeneity_condition_check`) and `power_residuals`, which forms and drops
+one power of T at a time.  Certificates accumulate their sums in place, in
+the order the plain expressions take, so every residual is the same to the
+bit.
 
 Residuals are Frobenius norms throughout.
 """
@@ -78,11 +83,15 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def _powers_235(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m^2, m^3, m^5) in four products, each equal to np.linalg.matrix_power's
-    binary-decomposition product; `m` may be a stack."""
-    m2 = m @ m
-    return m2, m2 @ m, m @ (m2 @ m2)
+def _powers_235(m: np.ndarray):
+    """Yield m^2, m^3 and m^5, each equal to np.linalg.matrix_power's
+    binary-decomposition product (m^3 = m^2 m, m^5 = m (m^2 m^2)); `m` may
+    be a stack.  Between yields only m and its latest even power are held."""
+    square = m @ m
+    yield square
+    yield square @ m
+    square = square @ square
+    yield m @ square
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -101,8 +110,10 @@ def block_unitarity_residual(blocks) -> float:
 
     The Gram blocks of U* U - I are G00 = A* A + C* C - I,
     G11 = B* B + D* D - I and G01 = A* B + C* D, with G10 = G01*, so the
-    residual is sqrt(||G00||^2 + ||G11||^2 + 2 ||G01||^2).  Blocks that
-    are not square and of one size are refused (InvalidArgumentError).
+    residual is sqrt(||G00||^2 + ||G11||^2 + 2 ||G01||^2).  Each Gram
+    block is formed in one array, reduced and dropped before the next.
+    Blocks that are not square and of one size are refused
+    (InvalidArgumentError).
     """
     blocks = [np.asarray(m) for m in blocks]
     a, b, c, d = blocks
@@ -110,10 +121,15 @@ def block_unitarity_residual(blocks) -> float:
     if len(set(shapes)) != 1 or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(
             f"blocks must be square and of one size, got shapes {shapes}")
-    g00 = frobenius(_add_to_diagonal(a.conj().T @ a + c.conj().T @ c, -1.0))
-    g11 = frobenius(_add_to_diagonal(b.conj().T @ b + d.conj().T @ d, -1.0))
-    g01 = frobenius(a.conj().T @ b + c.conj().T @ d)
-    return math.hypot(g00, g11, g01, g01)
+
+    def gram(p, q, r, s, diagonal=True):
+        """||P* Q + R* S - I||, or ||P* Q + R* S|| off the diagonal."""
+        out = p.conj().T @ q
+        out += r.conj().T @ s
+        return frobenius(_add_to_diagonal(out, -1.0) if diagonal else out)
+
+    g01 = gram(a, b, c, d, diagonal=False)
+    return math.hypot(gram(a, a, c, c), gram(b, b, d, d), g01, g01)
 
 
 def require_unitary(u, what: str):
@@ -178,25 +194,53 @@ class ModelOperator:
 
     `kernel` is set when the operator was built from a diagonal kernel, which
     is what makes eigenframes and series metrics available downstream.
-    `weights` is the superdiagonal of a weighted backward shift (entry
-    (k, k+1) of `matrix`) and None for any other operator; `left` and
-    `right` use it.
+
+    A weighted backward shift is held as its N - 1 superdiagonal `weights`
+    alone: its `matrix` is formed on each read and never kept, and `left`
+    and `right` multiply it as a slice.  Any other operator is held as its
+    complex matrix `dense` (the first positional argument), which `matrix`
+    returns as stored, and has `weights` None.  A matrix given together
+    with weights only sets the size the weights are checked against.
     """
 
-    matrix: np.ndarray = field(repr=False)
+    dense: np.ndarray | None = field(default=None, repr=False)
     kernel: DiagonalKernel | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_square(self.matrix, "model operator"))
-        if self.weights is not None and np.shape(self.weights) != (self.size - 1,):
+        if self.weights is None:
+            object.__setattr__(self, "dense", _as_square(self.dense, "model operator"))
+            return
+        size = (np.size(self.weights) + 1 if self.dense is None
+                else _as_square(self.dense, "model operator").shape[0])
+        if np.shape(self.weights) != (size - 1,):
             raise InvalidArgumentError(
-                f"shift weights need shape ({self.size - 1},), "
+                f"shift weights need shape ({size - 1},), "
                 f"got {np.shape(self.weights)}")
+        object.__setattr__(self, "dense", None)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.dense.shape[0] if self.weights is None else self.weights.size + 1
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The complex N x N matrix: stored, or for a shift formed on this
+        read (entry (k, k+1) is w_k)."""
+        if self.weights is None:
+            return self.dense
+        mat = np.zeros((self.size, self.size), dtype=complex)
+        self.write_into(mat)
+        return mat
+
+    def write_into(self, out: np.ndarray) -> None:
+        """Write the matrix into `out`, a zero N x N array or view (or a
+        stack of them); a shift writes only its weights, onto the
+        superdiagonal."""
+        if self.weights is None:
+            out[...] = self.dense
+        else:
+            np.einsum("...ii->...i", out[..., :-1, 1:])[...] = self.weights
 
     def left(self, x: np.ndarray) -> np.ndarray:
         """T x for a matrix or an (m, N, k) stack x.
@@ -206,19 +250,19 @@ class ModelOperator:
         other operator takes `matrix @ x`.
         """
         if self.weights is None:
-            return self.matrix @ x
+            return self.dense @ x
         x = np.asarray(x)
-        out = np.zeros(x.shape, dtype=np.result_type(self.matrix, x))
-        out[..., :-1, :] = self.weights[:, None] * x[..., 1:, :]
+        out = np.zeros(x.shape, dtype=np.result_type(complex, x))
+        np.multiply(self.weights[:, None], x[..., 1:, :], out=out[..., :-1, :])
         return out
 
     def right(self, x: np.ndarray) -> np.ndarray:
         """x T for a matrix or an (m, k, N) stack x; see `left`."""
         if self.weights is None:
-            return x @ self.matrix
+            return x @ self.dense
         x = np.asarray(x)
-        out = np.zeros(x.shape, dtype=np.result_type(self.matrix, x))
-        out[..., 1:] = x[..., :-1] * self.weights
+        out = np.zeros(x.shape, dtype=np.result_type(complex, x))
+        np.multiply(x[..., :-1], self.weights, out=out[..., 1:])
         return out
 
 
@@ -227,8 +271,9 @@ class UpperTriangularModel:
     """Blocks T0, T1, X and the coupling block X T1 - T0 X of
     T = [[T0, X T1 - T0 X], [0, T1]].
 
-    The 2N x 2N matrix `t` and the `power_residuals` are computed on first
-    access and kept, so the blocks must not be mutated after assembly.
+    The 2N x 2N matrix `t` is assembled on each read and never kept; only
+    the three `power_residuals` are kept after their first read, so the
+    blocks must not be mutated after assembly.
     """
 
     t0: ModelOperator
@@ -245,10 +290,11 @@ class UpperTriangularModel:
         """(T0, X T1 - T0 X, None, T1) row-major, for `intertwining_gaps`."""
         return self.t0, self.coupling_block, None, self.t1
 
-    @cached_property
+    @property
     def t(self) -> np.ndarray:
-        return block_matrix(self.t0.matrix, self.coupling_block, None,
-                            self.t1.matrix)
+        """The assembled T, formed on this read (a shift block as its
+        weights, see `block_matrix`)."""
+        return block_matrix(self.t0, self.coupling_block, None, self.t1)
 
     @cached_property
     def power_residuals(self) -> dict:
@@ -256,12 +302,21 @@ class UpperTriangularModel:
 
         The block identity of phi(T) spot-checked for plain powers; T^n is
         taken on the assembled `t`, the block powers on the stacked (T0, T1).
+        The block powers are taken first; then each power of T is formed,
+        compared and dropped before the next (`_powers_235`), so at most
+        four 2N x 2N arrays are alive at once: T, two of its powers and one
+        block formula.
         """
-        # powers[k, i] is the k-th power of block i
-        powers = np.stack(_powers_235(np.stack([self.t0.matrix, self.t1.matrix])))
-        return {n: frobenius(d - a) for n, d, a in zip(
-            (2, 3, 5), _powers_235(self.t),
-            triangular_matrix(powers[:, 0], powers[:, 1], self.x))}
+        blocks = list(_powers_235(np.stack([self.t0.matrix, self.t1.matrix])))
+        powers = _powers_235(self.t)
+        residuals = {}
+        for n in (2, 3, 5):
+            # the block formula of T^n, overwritten by T^n minus it
+            assembled = triangular_matrix(*blocks.pop(0), self.x)
+            residuals[n] = frobenius(np.subtract(next(powers), assembled,
+                                                 out=assembled))
+            del assembled  # before the next formula is formed
+        return residuals
 
 
 def _scatter(shape: tuple[int, int], dimension: int, vectors: np.ndarray,
@@ -297,37 +352,42 @@ class IntertwinerSpace:
 
 
 def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
-    """Weighted backward shift: entry (k, k+1) = sqrt(a_k / a_{k+1})."""
-    n = kernel.truncation
-    if n < 2:
+    """Weighted backward shift: entry (k, k+1) = sqrt(a_k / a_{k+1}), held as
+    its weights."""
+    if kernel.truncation < 2:
         raise InvalidArgumentError("shift needs truncation >= 2")
     a = kernel.coefficients
-    weights = np.sqrt(a[:-1] / a[1:])
-    mat = np.zeros((n, n), dtype=complex)
-    mat[np.arange(n - 1), np.arange(1, n)] = weights
-    return ModelOperator(mat, kernel=kernel, weights=weights)
+    return ModelOperator(kernel=kernel, weights=np.sqrt(a[:-1] / a[1:]))
 
 
 def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     """[[A, B], [C, D]] from equal-size square blocks, or stacks of them.
 
-    None stands for a zero block.  Leading (stack) axes broadcast, and the
-    result has the common dtype of the given blocks.
+    None stands for a zero block, and a ModelOperator block is written by
+    `ModelOperator.write_into` (a shift as its weights, no N x N matrix
+    formed).  Leading (stack) axes broadcast, and the result has the common
+    dtype of the given blocks (complex for a ModelOperator).
     """
-    blocks = [np.asarray(b) if b is not None else None
+    blocks = [b if b is None or isinstance(b, ModelOperator) else np.asarray(b)
               for b in (top_left, top_right, bottom_left, bottom_right)]
     given = [b for b in blocks if b is not None]
-    n = given[0].shape[-1]
-    if any(b.ndim < 2 or b.shape[-2:] != (n, n) for b in given):
+    shapes = [(b.size, b.size) if isinstance(b, ModelOperator) else b.shape
+              for b in given]
+    n = shapes[0][-1]
+    if any(len(s) < 2 or s[-2:] != (n, n) for s in shapes):
         raise InvalidArgumentError(
-            f"blocks must be square and of one size, got shapes "
-            f"{[b.shape for b in given]}")
-    lead = np.broadcast_shapes(*(b.shape[:-2] for b in given))
-    out = np.zeros(lead + (2 * n, 2 * n), dtype=np.result_type(*given))
+            f"blocks must be square and of one size, got shapes {shapes}")
+    lead = np.broadcast_shapes(*(s[:-2] for s in shapes))
+    dtype = np.result_type(*(complex if isinstance(b, ModelOperator) else b
+                             for b in given))
+    out = np.zeros(lead + (2 * n, 2 * n), dtype=dtype)
     for k, b in enumerate(blocks):
-        if b is not None:
-            row, col = divmod(k, 2)
-            out[..., row * n:(row + 1) * n, col * n:(col + 1) * n] = b
+        row, col = divmod(k, 2)
+        view = out[..., row * n:(row + 1) * n, col * n:(col + 1) * n]
+        if isinstance(b, ModelOperator):
+            b.write_into(view)
+        elif b is not None:
+            view[...] = b
     return out
 
 
@@ -396,8 +456,9 @@ def assemble_model(t0: ModelOperator | np.ndarray, t1: ModelOperator | np.ndarra
     if not (t0.size == t1.size == x.shape[0]):
         raise InvalidArgumentError(
             f"block sizes differ: {t0.size}, {t1.size}, {x.shape[0]}")
-    return UpperTriangularModel(t0=t0, t1=t1, x=x,
-                                coupling_block=t1.right(x) - t0.left(x))
+    coupling = t1.right(x)
+    coupling -= t0.left(x)
+    return UpperTriangularModel(t0=t0, t1=t1, x=x, coupling_block=coupling)
 
 
 def fb2_membership(t0: ModelOperator, t1: ModelOperator, x: np.ndarray,
@@ -408,13 +469,19 @@ def fb2_membership(t0: ModelOperator, t1: ModelOperator, x: np.ndarray,
     tol * (1 + ||X|| ||T1||^2 + ||T0||^2 ||X||) so rescaling the triple does not
     flip it.
     """
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
-    a, b = t0.matrix, t1.matrix
-    expr = (t1.right(t1.right(x)) - 2.0 * t1.right(t0.left(x))
-            + t0.left(a) @ x)
+    if not tol > 0:  # NaN too
+        raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
+    scale = (1.0 + frobenius(x) * frobenius(t1.matrix) ** 2
+             + frobenius(t0.matrix) ** 2 * frobenius(x))
+    # the three terms are summed into one array in the order
+    # (X T1^2 - 2 T0 X T1) + T0^2 X, with T0^2 X taken as (T0 T0) X
+    expr = t1.right(t1.right(x))
+    middle = t1.right(t0.left(x))
+    middle *= 2.0
+    expr -= middle
+    del middle
+    expr += t0.left(t0.matrix) @ x
     residual = frobenius(expr)
-    scale = 1.0 + frobenius(x) * frobenius(b) ** 2 + frobenius(a) ** 2 * frobenius(x)
     return residual <= tol * scale, residual
 
 
@@ -681,7 +748,8 @@ def similarity_split(model: UpperTriangularModel) -> SimilaritySplit:
     coupling block, so the residual takes two N x N products.
     """
     t0, t1, x = model.t0, model.t1, model.x
-    corner = model.coupling_block - t1.right(x) + t0.left(x)
+    corner = model.coupling_block - t1.right(x)
+    corner += t0.left(x)
     return SimilaritySplit(model=model, residual=frobenius(corner))
 
 

@@ -687,13 +687,14 @@ def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
     worst_block = worst_involution = worst_power = 0.0
     samples, ran = _samples(model, trials, seed, size, block_norm)
     for sample in samples:
-        t_norm = frobenius(sample.t)
+        t = sample.t  # assembled on each read, so read once per sample
+        t_norm = frobenius(t)
         result = mobius_block_identity_check(sample, maps)
         worst_block = max(worst_block, result.residual / t_norm)
         worst_power = max(worst_power, max(result.power_residuals.values()))
         back = apply_maps(inverses, result.images)
         worst_involution = max(worst_involution, max(
-            frobenius(m - sample.t) for m in back) / t_norm)
+            frobenius(m - t) for m in back) / t_norm)
     report.add("block-identity", worst_block, tol,
                detail=f"{ran} x {len(maps)} maps, relative to ||T||")
     report.add("involution", worst_involution, involution_tol)

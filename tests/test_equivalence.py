@@ -18,8 +18,9 @@ from cdlab.errors import (DegenerateInputError, DomainError,
 from cdlab.geometry import DiskGrid, eigenframe, kernel_frame, polar_grid
 from cdlab.kernels import DiagonalKernel, bergman_kernel, separator_kernel
 from cdlab.operators import (ModelOperator, assemble_model, block_matrix,
-                             frobenius, random_operator, random_unitary,
-                             shift_from_kernel, sylvester_kernel)
+                             fb2_membership, frobenius, random_operator,
+                             random_unitary, shift_from_kernel,
+                             similarity_split, sylvester_kernel)
 
 from oracles import product_gap_bound, traced_peak
 
@@ -283,6 +284,34 @@ class TestCertificatePeaks:
             verify_mainlemma(unitary, model, partner, 1e-9)
         peak = traced_peak(lambda: construct_fb2_pair(unitary, model, partner))
         assert peak < self.limit
+
+    def test_build_unitary_from_x_under_nine_blocks(self):
+        # its results are seven blocks: U00, R (as U01 and U10), U11, Tt0,
+        # Tt1, Y and the partner's coupling; Gram matrices and roots are
+        # dropped once used
+        t0, t1 = _shift_pair(self.size)
+        x = random_operator(self.size, 100, norm=1.0, kind="normal")
+        peak = traced_peak(lambda: build_unitary_from_x(t0, t1, x))
+        assert peak < 9 * 16 * self.size ** 2
+
+    def test_mainlemma_step_under_sixteen_blocks(self):
+        # the benchmark's main-lemma step: the two shifts and X are inputs,
+        # and the step keeps ten result blocks while it reads ||T||
+        t0, t1 = _shift_pair(self.size)
+        x = random_operator(self.size, 100, norm=1.0, kind="normal")
+
+        def step():
+            unitary, partner = build_unitary_from_x(t0, t1, x)
+            model = assemble_model(t0, t1, x)
+            assert verify_mainlemma(unitary, model, partner, 1e-9).overall
+            pair = construct_fb2_pair(unitary, model, partner)
+            assert max(pair.residuals.values()) <= 1e-9
+            split = similarity_split(model)
+            assert split.residual / np.linalg.norm(model.t) <= 1e-12
+            member, _ = fb2_membership(t0, t1, x, 1e-10)
+            assert not member
+
+        assert traced_peak(step) < 16 * 16 * self.size ** 2
 
 
 class TestFb2Pair:

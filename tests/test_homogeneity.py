@@ -139,6 +139,17 @@ class TestBlockIdentity:
         assert len(calls) == 4
         assert again.power_residuals == results[0].power_residuals
 
+    def test_power_residuals_peak_under_twenty_blocks(self):
+        # each power of the 2N x 2N T (four N x N blocks) is compared and
+        # dropped before the next; holding them all took about 38 blocks
+        size = 240
+        t0 = shift_from_kernel(bergman_kernel(1, size))
+        t1 = shift_from_kernel(bergman_kernel(2, size))
+        model = assemble_model(t0, t1, random_operator(size, 3, norm=0.5))
+        peak = traced_peak(lambda: model.power_residuals)
+        assert peak < 20 * 16 * size ** 2
+        assert "t" not in vars(model)
+
     def test_per_map_calls_equal_one_call_for_all_maps(self):
         maps = mobius_sample_set()
         model = _random_model(size=7, seed=9)

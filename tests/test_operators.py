@@ -18,7 +18,7 @@ from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              similarity_split, sylvester_kernel,
                              triangular_matrix, unitarity_residual)
 
-from oracles import product_gap_bound, sylvester_nullity_exact
+from oracles import product_gap_bound, sylvester_nullity_exact, traced_peak
 
 
 def _rand(size, seed, norm=1.0):
@@ -81,6 +81,43 @@ class TestShiftProducts:
     def test_weight_shape_checked(self):
         with pytest.raises(InvalidArgumentError, match="shift weights"):
             ModelOperator(np.eye(4), weights=np.ones(4))
+
+
+class TestShiftHeldAsWeights:
+    size = 240
+
+    def test_no_array_of_n_squared_entries(self):
+        kernel = bergman_kernel(2, self.size)
+        peak = traced_peak(lambda: shift_from_kernel(kernel))
+        op = shift_from_kernel(kernel)
+        held = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        assert all(v.size < self.size ** 2 for v in held)
+        # not even formed on the way: one complex N x N array is 16 N^2 bytes
+        assert peak < 16 * self.size ** 2
+        assert op.size == self.size
+
+    def test_matrix_equals_the_superdiagonal_construction(self):
+        kernel = bergman_kernel(2, self.size)
+        op = shift_from_kernel(kernel)
+        a = kernel.coefficients
+        mat = np.zeros((self.size, self.size), dtype=complex)
+        mat[np.arange(self.size - 1), np.arange(1, self.size)] = np.sqrt(a[:-1] / a[1:])
+        assert op.matrix.dtype == complex
+        np.testing.assert_array_equal(op.matrix, mat)
+        assert op.matrix is not op.matrix  # formed on each read
+        # any other operator returns the matrix it stores
+        dense = ModelOperator(mat)
+        assert dense.matrix is dense.matrix and dense.size == self.size
+
+    def test_t_writes_the_weights_onto_the_superdiagonal(self):
+        t0 = shift_from_kernel(bergman_kernel(1, self.size))
+        t1 = shift_from_kernel(bergman_kernel(2, self.size))
+        model = assemble_model(t0, t1, _rand(self.size, 1))
+        reference = block_matrix(t0.matrix, model.coupling_block, None, t1.matrix)
+        t = model.t
+        assert t.dtype == reference.dtype
+        assert t.tobytes() == reference.tobytes()
+        assert "t" not in vars(model)
 
 
 def block_product(lhs, rhs) -> list:
@@ -241,7 +278,8 @@ class TestAssemble:
         assert "t" not in vars(model)
         np.testing.assert_array_equal(model.t,
                                       triangular_matrix(t0.matrix, t1.matrix, x))
-        assert model.t is model.t
+        # assembled afresh on every read and never kept on the model
+        assert model.t is not model.t and "t" not in vars(model)
 
     def test_coupling_block_formula(self):
         t0, t1, x = _rand(3, 1), _rand(3, 2), _rand(3, 3)
@@ -321,6 +359,12 @@ class TestFb2Membership:
         verdict_small, _ = fb2_membership(t0, t1, 1e-8 * x, 1e-10)
         verdict_big, _ = fb2_membership(t0, t1, 1e8 * x, 1e-10)
         assert verdict_small == verdict_big
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_must_be_positive(self, tol):
+        t0, t1 = ModelOperator(_rand(4, 8)), ModelOperator(_rand(4, 9))
+        with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+            fb2_membership(t0, t1, _rand(4, 10), tol)
 
 
 def _jordan(size, eig=0.0):
