@@ -211,7 +211,8 @@ class ModelOperator:
         if self.weights is None:
             object.__setattr__(self, "dense", _as_square(self.dense, "model operator"))
             return
-        size = (np.size(self.weights) + 1 if self.dense is None
+        object.__setattr__(self, "weights", np.asarray(self.weights))
+        size = (self.weights.size + 1 if self.dense is None
                 else _as_square(self.dense, "model operator").shape[0])
         if np.shape(self.weights) != (size - 1,):
             raise InvalidArgumentError(
