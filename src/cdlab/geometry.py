@@ -5,9 +5,13 @@ curvature is K(w) = -d/dwbar (h^{-1} dh/dw).  Covariant derivatives follow the
 two inductive rules: a wbar-step applies d/dwbar, a w-step applies d/dw plus a
 commutator with h^{-1} dh/dw.  All w-steps are applied before the wbar-steps.
 
-Every routine works on all grid points at once: frames are (points, rank, dim)
-arrays, and metrics, jets and curvatures carry a leading point axis.  Two
-evaluation routes are supported:
+Every routine takes all grid points in one call: frames are (points, rank,
+dim) arrays, and metrics, jets and curvatures carry a leading point axis.
+Inside a call, the per-point rows that grow with the frame's dimension (the
+frames, their jets, Gram products and eigen-residual buffers) are formed one
+block of grid points at a time, about SERIES_BLOCK_BYTES each, so only the
+results span the whole grid; every point takes the values one batch over all
+points would give it.  Two evaluation routes are supported:
 
 * "series": when the frame comes from diagonal kernels plus constant blocks,
   its Taylor jets G_a = (1/a!) d^a gamma/dw^a are known in closed form.
@@ -20,7 +24,8 @@ evaluation routes are supported:
   d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The metric evaluator takes
   an array of points; it is called once per offset h(a + ib) of the lattice
   patch that the stencils of K_{w^i wbar^j} reach, on all grid points at
-  once, and the stencils are then applied as array slices.
+  once (it forms their frames block by block), and the stencils are then
+  applied as array slices.
 
 A metric belongs to one grid, and both routes cache what they evaluate on
 it: the fd route each lattice offset's metric values, the series route each
@@ -31,6 +36,7 @@ offset, and build every jet order, once per metric.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,7 +53,22 @@ MAX_COVARIANT_ORDER = 2
 # above the ~1e-15 rounding of computed curvature tuples, well below any
 # residual tolerance in use.
 NULL_SPACE_RTOL = 1e-12
-SERIES_BLOCK_BYTES = 2**20  # bytes of frame-jet rows per block of grid points
+# bytes of per-point rows (frames, frame jets, eigen-residual buffers) in one
+# block of grid points, for every step that works block by block
+SERIES_BLOCK_BYTES = 2**20
+
+
+def _point_blocks(count: int, point_bytes: int) -> list[slice]:
+    """Slices cutting `count` grid points into blocks of equal size, up to one
+    point, with about SERIES_BLOCK_BYTES of `point_bytes` rows each.
+
+    A block keeps at least two points (when there are two), so a block's
+    stacked product never falls to a matrix-vector one, which rounds
+    differently from a matrix-matrix one.
+    """
+    parts = max(1, min(count // 2, -(-count * point_bytes // SERIES_BLOCK_BYTES)))
+    edges = [count * k // parts for k in range(parts + 1)]
+    return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +107,13 @@ class DiskGrid:
 
 def polar_grid(radii=None, n_angles: int = 16,
                fd_step: float = DEFAULT_FD_STEP) -> DiskGrid:
-    """Default verification grid: radii 0.1..0.6 times `n_angles` angles."""
-    if radii is None:
-        radii = np.arange(1, 7) * 0.1
-    radii = np.asarray(radii, dtype=float)
+    """Default verification grid: 1-d `radii` (0.1..0.6 by default) times
+    `n_angles` angles."""
+    if not isinstance(n_angles, numbers.Integral) or n_angles < 1:
+        raise InvalidArgumentError(f"n_angles must be an integer >= 1, got {n_angles!r}")
+    radii = np.asarray(np.arange(1, 7) * 0.1 if radii is None else radii, dtype=float)
+    if radii.ndim != 1:
+        raise InvalidArgumentError(f"radii must be 1-d, got shape {radii.shape}")
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return DiskGrid(points=pts, fd_step=fd_step)
@@ -220,7 +244,9 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     sections t_i(w) and their jets are available.  The per-point
     eigen-residual ||(T - w) gamma_i(w)|| is recorded; T gamma is taken
     block by block, (T0 top + C bottom, T1 bottom) with C = X T1 - T0 X,
-    so T itself is never assembled.
+    so T itself is never assembled.  The frames are written into `vectors`
+    one block of grid points at a time, and each block's residual is taken
+    in one buffer of the block's size.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -245,25 +271,37 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
             jets[..., 1:, 1, :n] = (t1_jets.reshape(-1, n) @ x.T).reshape(t1_jets.shape)
         return jets
 
-    vectors = jet_at(grid.points, 0)[:, 0]
-    top, bottom = vectors[..., :n], vectors[..., n:]
-    # one (points * rank, n) product: a stacked one re-reads C per point
-    coupled = (bottom.reshape(-1, n) @ model.coupling_block.T).reshape(top.shape)
-    tv = np.concatenate([_times_rows(model.t0, top) + coupled,
-                         _times_rows(model.t1, bottom)], axis=-1)
-    residuals = np.linalg.norm(tv - grid.points[:, None, None] * vectors, axis=-1)
+    points, c = grid.points, model.coupling_block
+    vectors = np.empty((len(points), 2, 2 * n), dtype=complex)
+    residuals = np.empty((len(points), 2))
+    for block in _point_blocks(len(points), vectors[0].nbytes):
+        v = vectors[block]
+        v[...] = jet_at(points[block], 0)[:, 0]
+        top, bottom = v[..., :n], v[..., n:]
+        tv = np.empty_like(v)
+        tv[..., :n] = _times_rows(model.t0, top)
+        # one (points * rank, n) product per block: a stacked one re-reads C
+        # per point
+        tv[..., :n] += (bottom.reshape(-1, n) @ c.T).reshape(top.shape)
+        tv[..., n:] = _times_rows(model.t1, bottom)
+        tv -= points[block, None, None] * v
+        residuals[block] = np.linalg.norm(tv, axis=-1)
     return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,
                       eigen_residuals=residuals)
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
-    """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator."""
+    """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator; its
+    frames are written into `vectors` one block of grid points at a time."""
 
     def jet_at(points, order) -> np.ndarray:
         return section_jet(kernel, points, order)[..., None, :]
 
-    return FrameField(grid=grid, rank=1, vectors=jet_at(grid.points, 0)[:, 0],
-                      jet=jet_at)
+    points = grid.points
+    vectors = np.empty((len(points), 1, kernel.truncation), dtype=complex)
+    for block in _point_blocks(len(points), vectors[0].nbytes):
+        vectors[block] = jet_at(points[block], 0)[:, 0]
+    return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +312,9 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
 class MetricField:
     """Gram metric h(w) sampled on the grid.  `evaluate` maps points of any
     shape to points.shape + (rank, rank) (the fd route); `frame_jet` is the
-    jet of the frame the metric comes from (the series route).
+    jet of the frame the metric comes from, and `dim` that frame's dimension
+    (the series route, which calls `frame_jet` once per block of grid points
+    and sizes the blocks from `dim`).
 
     Curvature requests fill two caches on `grid`: `fd_values` maps a lattice
     offset (a, b) to h(w + fd_step (a + ib)) at every grid point, and
@@ -288,27 +328,48 @@ class MetricField:
     values: np.ndarray = field(repr=False)
     evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     frame_jet: FrameJet | None = field(default=None, repr=False)
+    dim: int | None = None
     fd_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     series_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _gram(vectors: np.ndarray) -> np.ndarray:
-    h = vectors.conj() @ vectors.swapaxes(-1, -2)
-    return 0.5 * (h + h.conj().swapaxes(-1, -2))
+def _gram(frames: Callable[[slice], np.ndarray], count: int, rank: int,
+          point_bytes: int) -> np.ndarray:
+    """The (count, rank, rank) Gram metrics of `count` points, whose frames
+    `frames(block)` gives one block of points at a time."""
+    values = np.empty((count, rank, rank), dtype=complex)
+    for block in _point_blocks(count, point_bytes):
+        v = frames(block)
+        h = v.conj() @ v.swapaxes(-1, -2)
+        values[block] = 0.5 * (h + h.conj().swapaxes(-1, -2))
+    return values
 
 
 def gram_metric(frame: FrameField) -> MetricField:
-    """h_{ij}(w) = <gamma_j(w), gamma_i(w)>; rejects degenerate frames."""
-    values = _gram(frame.vectors)
+    """h_{ij}(w) = <gamma_j(w), gamma_i(w)>; rejects degenerate frames.
+
+    The values and every `evaluate` call take the Gram products one block
+    of points at a time, and `evaluate` forms the frames of one block of
+    its (flattened) points at a time as well.
+    """
+    rank, vectors = frame.rank, frame.vectors
+    point_bytes = vectors[0].nbytes
+    values = _gram(lambda block: vectors[block], len(vectors), rank, point_bytes)
     min_eigs = np.linalg.eigvalsh(values)[:, 0]
     bad = np.flatnonzero(min_eigs <= 0.0)
     if bad.size:
         raise DegenerateFrameError(
             f"Gram matrix not positive definite at {frame.grid.points[bad[0]]} "
             f"(min eig {min_eigs[bad[0]]:.3e})")
-    evaluate = None if frame.jet is None else (lambda w: _gram(frame.evaluate(w)))
-    return MetricField(grid=frame.grid, rank=frame.rank, values=values,
-                       evaluate=evaluate, frame_jet=frame.jet)
+
+    def evaluate(w):
+        flat = np.ravel(w)
+        return _gram(lambda block: frame.evaluate(flat[block]), flat.size, rank,
+                     point_bytes).reshape(np.shape(w) + (rank, rank))
+
+    return MetricField(grid=frame.grid, rank=rank, values=values,
+                       evaluate=None if frame.jet is None else evaluate,
+                       frame_jet=frame.jet, dim=vectors.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +383,23 @@ def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
     With G_a the frame jets (frame vectors as columns), h(w + d) =
     sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
     the stacked frame jets: a batched product, not an einsum, which is
-    several times slower here.  It is taken over blocks of grid points with
-    at most SERIES_BLOCK_BYTES of jet rows, so the frame jets are never
-    conjugated whole, and each point takes the product one batch would.
+    several times slower here.  `frame_jet` is called once per block of grid
+    points with about SERIES_BLOCK_BYTES of jet rows (sized from the frame's
+    dimension), and the block's Gram products are taken before the next
+    block's jets are built, so the frame-jet table is never formed whole,
+    and each point takes the jets and products one batch would.
     """
     order = max(i, j) + 1
     jet = metric.series_jets.get(order)
     if jet is None:
-        g = metric.frame_jet(metric.grid.points, order)
-        count, r = g.shape[0], g.shape[-2]
+        points, r = metric.grid.points, metric.rank
         rows = (order + 1) * r
-        stacked = g.reshape(count, rows, -1)
-        gram = np.empty((count, rows, rows), dtype=complex)
-        step = max(1, SERIES_BLOCK_BYTES // stacked[0].nbytes)
-        for start in range(0, count, step):
-            part = stacked[start:start + step]
-            np.matmul(part.conj(), part.swapaxes(-1, -2), out=gram[start:start + step])
-        gram = gram.reshape(count, order + 1, r, order + 1, r)
+        row_bytes = np.dtype(complex).itemsize * metric.dim
+        gram = np.empty((len(points), rows, rows), dtype=complex)
+        for block in _point_blocks(len(points), rows * row_bytes):
+            part = metric.frame_jet(points[block], order).reshape(-1, rows, metric.dim)
+            np.matmul(part.conj(), part.swapaxes(-1, -2), out=gram[block])
+        gram = gram.reshape(len(points), order + 1, r, order + 1, r)
         # gram[P, b, p, a, q] = G_b[p]^H G_a[q] -> jet[P, a, b][p, q]
         jet = metric.series_jets[order] = gram.transpose(0, 3, 1, 2, 4)
     h = MatrixJet(jet[:, :i + 2, :j + 2])
@@ -461,8 +522,9 @@ def _require_metric_grid(metric: MetricField, grid: DiskGrid):
 
 def _covariant(metric: MetricField, method: str, i: int, j: int) -> np.ndarray:
     if method == "series":
-        if metric.frame_jet is None:
-            raise InvalidArgumentError("series curvature needs a frame jet")
+        if metric.frame_jet is None or metric.dim is None:
+            raise InvalidArgumentError(
+                "series curvature needs a frame jet and the frame's dimension")
         return _series_covariant(metric, i, j)
     if method == "fd":
         if metric.evaluate is None:

@@ -90,6 +90,20 @@ class TestGrids:
         with pytest.raises(InvalidArgumentError):
             DiskGrid(points=np.array([]))
 
+    @pytest.mark.parametrize("n_angles", [2.5, float("nan"), 0, -3, 16.0, "16"])
+    def test_polar_n_angles_must_be_a_positive_integer(self, n_angles):
+        with pytest.raises(InvalidArgumentError, match="n_angles must be an integer"):
+            polar_grid(n_angles=n_angles)
+
+    @pytest.mark.parametrize("radii", [0.3, [[0.2, 0.4], [0.3, 0.5]]])
+    def test_polar_radii_must_be_1d(self, radii):
+        with pytest.raises(InvalidArgumentError, match="radii must be 1-d"):
+            polar_grid(radii=radii, n_angles=4)
+
+    def test_polar_numpy_integer_angles(self):
+        grid = polar_grid(radii=[0.3], n_angles=np.int64(5))
+        np.testing.assert_array_equal(grid.points, polar_grid(radii=[0.3], n_angles=5).points)
+
 
 class TestEigenframe:
     def test_zero_coupling_origin_frame(self):
@@ -384,6 +398,19 @@ class TestCurvature:
         with pytest.raises(InvalidArgumentError):
             curvature(metric, grid, method="series")
 
+    def test_series_needs_the_frame_dimension(self):
+        # the series route sizes its blocks of grid points from `dim`
+        grid = polar_grid(radii=[0.3], n_angles=2)
+        frame = kernel_frame(bergman_kernel(2, 30), grid)
+        metric = gram_metric(frame)
+        assert metric.dim == 30
+        bare = MetricField(grid=grid, rank=1, values=metric.values, frame_jet=frame.jet)
+        with pytest.raises(InvalidArgumentError, match="frame's dimension"):
+            curvature(bare, grid, method="series")
+        bare.dim = 30
+        np.testing.assert_array_equal(curvature(bare, grid, "series").values,
+                                      curvature(metric, grid, "series").values)
+
 
 class TestCovariantDerivatives:
     def test_order_zero_returns_curvature(self):
@@ -535,18 +562,105 @@ class TestSeriesPointBlocks:
                 len(grid), order + 1, 2, order + 1, 2).transpose(0, 3, 1, 2, 4)
             np.testing.assert_array_equal(jet, whole)
 
-    def test_peak_under_twice_the_frame_jets(self):
+    def test_series_peak_under_four_mib(self):
         # K then K_{w wbar} at P = 512, N = 240: the order-2 frame jets are
-        # a 23.6 MB table; conjugating it whole would add a second one
-        size = 240
-        metric = gram_metric(eigenframe(_model(size=size), self.grid))
-        table = len(self.grid) * 3 * 2 * (2 * size) * 16
+        # a 22.5 MiB table, built and conjugated one block at a time
+        metric = gram_metric(eigenframe(_model(size=240), self.grid))
 
         def series():
             fld = curvature(metric, self.grid, "series")
             covariant_derivative(fld, metric, 1, 1)
 
-        assert traced_peak(series) < 1.9 * table
+        assert traced_peak(series) < 4 * 2**20
+
+    def test_frame_jet_built_once_per_block_and_order(self):
+        metric = gram_metric(eigenframe(_model(size=240), self.grid))
+        base, calls = metric.frame_jet, []
+
+        def counting(points, order):
+            calls.append((order, points))
+            return base(points, order)
+
+        metric.frame_jet = counting
+        fld = curvature(metric, self.grid, "series")
+        for key in ((1, 0), (0, 1), (1, 1)):
+            covariant_derivative(fld, metric, *key)
+        assert [order for order, _ in calls] == sorted(order for order, _ in calls)
+        for order in (1, 2):
+            blocks = [points for o, points in calls if o == order]
+            # each grid point once per order, over several blocks of about
+            # SERIES_BLOCK_BYTES of jet rows
+            assert len(blocks) > 1
+            np.testing.assert_array_equal(np.concatenate(blocks), self.grid.points)
+            row_bytes = (order + 1) * 2 * 480 * 16
+            assert max(map(len, blocks)) * row_bytes <= SERIES_BLOCK_BYTES + row_bytes
+        count = len(calls)
+        curvature(metric, self.grid, "series")
+        assert len(calls) == count
+
+    def test_blocks_keep_two_points(self):
+        # one point's order-1 jet rows (1.28 MB at N = 40000) exceed
+        # SERIES_BLOCK_BYTES; five points still split only into 2 + 3
+        grid = polar_grid(radii=[0.3], n_angles=5)
+        metric = gram_metric(kernel_frame(bergman_kernel(2, 40000), grid))
+        base, sizes = metric.frame_jet, []
+
+        def counting(points, order):
+            sizes.append(len(points))
+            return base(points, order)
+
+        metric.frame_jet = counting
+        curvature(metric, grid, "series")
+        assert sizes == [2, 3]
+
+
+class TestPointBlocks:
+    """Eigenframes, Gram metrics and fd evaluations at P = 512, N = 240 take
+    their per-point rows one block of grid points at a time."""
+
+    grid = TestSeriesPointBlocks.grid
+    model = _model(size=240)
+
+    def test_eigenframe_equals_one_whole_batch(self):
+        model, points, n = self.model, self.grid.points, 240
+        frame = eigenframe(model, self.grid)
+        vectors = frame.jet(points, 0)[:, 0]
+        assert vectors.nbytes > 2 * SERIES_BLOCK_BYTES
+        np.testing.assert_array_equal(frame.vectors, vectors)
+        top, bottom = vectors[..., :n], vectors[..., n:]
+        coupled = (bottom.reshape(-1, n) @ model.coupling_block.T).reshape(top.shape)
+        tv = np.concatenate(
+            [model.t0.left(top.swapaxes(-1, -2)).swapaxes(-1, -2) + coupled,
+             model.t1.left(bottom.swapaxes(-1, -2)).swapaxes(-1, -2)], axis=-1)
+        residuals = np.linalg.norm(tv - points[:, None, None] * vectors, axis=-1)
+        np.testing.assert_array_equal(frame.eigen_residuals, residuals)
+
+    def test_metric_and_evaluator_equal_one_whole_batch(self):
+        frame = eigenframe(self.model, self.grid)
+        metric = gram_metric(frame)
+
+        def whole_gram(v):
+            h = v.conj() @ v.swapaxes(-1, -2)
+            return 0.5 * (h + h.conj().swapaxes(-1, -2))
+
+        np.testing.assert_array_equal(metric.values, whole_gram(frame.vectors))
+        moved = self.grid.points + 1e-3 * (2 - 1j)
+        np.testing.assert_array_equal(metric.evaluate(moved),
+                                      whole_gram(frame.evaluate(moved)))
+
+    def test_eigenframe_peak_under_result_plus_four_mib(self):
+        frame = eigenframe(self.model, self.grid)
+        result = frame.vectors.nbytes + frame.eigen_residuals.nbytes
+        assert traced_peak(lambda: eigenframe(self.model, self.grid)) < result + 4 * 2**20
+
+    def test_gram_metric_peak_under_two_mib(self):
+        frame = eigenframe(self.model, self.grid)
+        assert traced_peak(lambda: gram_metric(frame)) < 2 * 2**20
+
+    def test_fd_curvature_peak_under_ten_mib(self):
+        # 33 lattice offsets, each one evaluator call over all 512 points
+        metric = gram_metric(eigenframe(self.model, self.grid))
+        assert traced_peak(lambda: curvature(metric, self.grid, "fd")) < 10 * 2**20
 
 
 class TestMetricCaches:
