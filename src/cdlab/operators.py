@@ -161,31 +161,21 @@ def _one_norms(mat: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(mat), axis=-2).max(axis=-1)
 
 
-def guarded_inverse(mat: np.ndarray, cap: float
-                    ) -> tuple[np.ndarray | None, float | np.ndarray]:
+def guarded_inverse(mat: np.ndarray, cap: float) -> tuple[np.ndarray | None, float]:
     """(M^{-1}, kappa_1) from one LU, with kappa_1 = ||M||_1 ||M^{-1}||_1.
 
-    For one matrix the inverse is None when M is singular (LinAlgError or a
-    non-finite value; kappa_1 is then inf) or when n kappa_1 > cap.  As
+    The inverse is None when M is singular (LinAlgError or a non-finite
+    value; kappa_1 is then inf) or when n kappa_1 > cap.  As
     kappa_2 <= n kappa_1, no M with kappa_2 > cap gets through.
-
-    An (m, n, n) stack is inverted by one batched call and gets an (m,)
-    array of kappa_1; its inverse is None when any matrix is refused, and
-    the refused ones are those with n kappa_1 > cap or kappa_1 = inf.
     """
     try:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
-        if mat.ndim == 2:
-            return None, math.inf
-        # the batched call does not say which matrix is singular
-        return None, np.array([guarded_inverse(m, math.inf)[1] for m in mat])
-    kappa = _one_norms(mat) * _one_norms(inv)
-    kappa = np.where(np.isfinite(kappa), kappa, math.inf)
-    refused = mat.shape[-1] * kappa > cap
-    if mat.ndim == 2:
-        return (None if refused else inv), float(kappa)
-    return (None if refused.any() else inv), kappa
+        return None, math.inf
+    kappa = float(_one_norms(mat) * _one_norms(inv))
+    if not math.isfinite(kappa):
+        kappa = math.inf
+    return (None if mat.shape[-1] * kappa > cap else inv), kappa
 
 
 @dataclass(frozen=True)
@@ -199,8 +189,8 @@ class ModelOperator:
     alone: its `matrix` is formed on each read and never kept, and `left`
     and `right` multiply it as a slice.  Any other operator is held as its
     complex matrix `dense` (the first positional argument), which `matrix`
-    returns as stored, and has `weights` None.  A matrix given together
-    with weights only sets the size the weights are checked against.
+    returns as stored, and has `weights` None.  Exactly one of the two is
+    given.
     """
 
     dense: np.ndarray | None = field(default=None, repr=False)
@@ -208,17 +198,17 @@ class ModelOperator:
     weights: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        if (self.dense is None) == (self.weights is None):
+            raise InvalidArgumentError(
+                "a model operator takes exactly one of a matrix and shift weights")
         if self.weights is None:
             object.__setattr__(self, "dense", _as_square(self.dense, "model operator"))
             return
-        object.__setattr__(self, "weights", np.asarray(self.weights))
-        size = (self.weights.size + 1 if self.dense is None
-                else _as_square(self.dense, "model operator").shape[0])
-        if np.shape(self.weights) != (size - 1,):
+        weights = np.asarray(self.weights)
+        if weights.ndim != 1:
             raise InvalidArgumentError(
-                f"shift weights need shape ({size - 1},), "
-                f"got {np.shape(self.weights)}")
-        object.__setattr__(self, "dense", None)
+                f"shift weights must be a 1-d array, got shape {weights.shape}")
+        object.__setattr__(self, "weights", weights)
 
     @property
     def size(self) -> int:
@@ -813,7 +803,8 @@ def apply_mobius(a_mat: np.ndarray, a, phase=0.0) -> np.ndarray:
         image = np.linalg.solve(denom, numer)
     except np.linalg.LinAlgError:
         # the batched solve does not say which resolvent is singular
-        kappa = np.asarray(guarded_inverse(denom, math.inf)[1])
+        kappa = np.array([guarded_inverse(d, math.inf)[1]
+                          for d in denom.reshape(-1, n, n)])
     else:
         del denom, numer
         scaled_inverse = _add_to_diagonal(image * minus_conj_a, 1.0)

@@ -164,14 +164,10 @@ def _operator_model(*, t0_op=Ref("operator"), t1_op=Ref("operator"),
                          t1_kernel=ModelOperator(t1_op), x=x)
 
 
-def _mobius(*, a=Ref(complex), phase=0.0) -> MobiusMap:
-    return MobiusMap(a=a, phase=phase)
-
-
 def _witness(*, a=Ref(complex), phase=0.0, u0=Ref("operator"),
              u1=Ref("operator")) -> WitnessEntry:
     """A sampled Mobius map with its diagonal witness unitaries U0, U1."""
-    return WitnessEntry(mobius=_mobius(a=a, phase=phase), u0=u0, u1=u1)
+    return WitnessEntry(mobius=MobiusMap(a=a, phase=phase), u0=u0, u1=u1)
 
 
 def _sylvester_case(*, a=Ref("operator"), b=Ref("operator"),
@@ -185,8 +181,8 @@ def _bergman(*, preset=Ref({"bergman"}), n=Ref("count"),
     return bergman_kernel(n, N)
 
 
-def _coeffs(*, coeffs=Ref([float]), label="custom") -> DiagonalKernel:
-    return DiagonalKernel(np.asarray(coeffs, dtype=float), label=label)
+def _coeffs(*, coeffs=Ref([float])) -> DiagonalKernel:
+    return DiagonalKernel(np.asarray(coeffs, dtype=float), label="custom")
 
 
 # the forms of a kernel spec and of a model, in the order they are tried
@@ -225,7 +221,7 @@ SOURCES = {
     "poly_of": _poly_of, "swap_pairs": _swap_pairs,
     # diag(z, phi(z)) over the seeds z, phi the Mobius map of a and phase
     "mobius_pair_diagonal": lambda *, a=Ref(complex), phase=0.0, seeds=Ref([complex]):
-        np.diag([w for z in seeds for w in (z, _mobius(a=a, phase=phase).scalar(z))]),
+        np.diag([w for z in seeds for w in (z, MobiusMap(a=a, phase=phase).scalar(z))]),
 }
 
 
@@ -425,10 +421,6 @@ class ScenarioContext:
             raise SchemaError(f"{where} must be even, got {value!r}")
         return count
 
-    def maps(self, spec, where: str) -> list[MobiusMap]:
-        return mobius_sample_set() if spec == "default12" else \
-            self.read([_mobius], spec, where)
-
 
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
@@ -469,7 +461,7 @@ def _bergman_weight(kern: DiagonalKernel) -> int | None:
 @_check("curvature", 1e-6, "K(w) = -d/dwbar (h^{-1} dh/dw)",
         "series curvature against the closed form and the finite-difference "
         "route for diagonal kernels")
-def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
+def _check_curvature(tol: float, *, kernels=Ref("kernels"),
                      grid=Ref("grid", None), csv_out="") -> ConditionReport:
     report = ConditionReport(name="curvature")
     fields = {}
@@ -486,7 +478,7 @@ def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
             rel = float(np.max(np.abs(k_series - closed) / np.abs(k_series)))
             report.add(f"{name}-series-vs-closed", rel, tol)
         rel_fd = float(np.max(np.abs(k_series - k_fd) / np.abs(k_series)))
-        report.add(f"{name}-series-vs-fd", rel_fd, fd_tol)
+        report.add(f"{name}-series-vs-fd", rel_fd, 1e-4)
     if csv_out:
         write_curvature_csv(csv_out, fields)
         report.info["csv_out"] = csv_out
@@ -499,8 +491,8 @@ def _check_curvature(tol: float, *, kernels=Ref("kernels"), fd_tol=1e-4,
         "fields")
 def _check_curvature_isometry(
         tol: float, *, model=Ref(MODEL), model_b=Ref(MODEL, None),
-        change_seed=Ref("seed", None), min_notfound_fraction=0.9,
-        grid=Ref("grid", None)) -> ConditionReport:
+        change_seed=Ref("seed", None), grid=Ref("grid", None)
+        ) -> ConditionReport:
     """Model A against a constant unitary change of its own frame, or against
     `model_b`'s independently built frame when that is given."""
     report = ConditionReport(name="curvature-isometry")
@@ -526,7 +518,9 @@ def _check_curvature_isometry(
     else:
         certified = sum(1 for r in results if r.certified_mismatch)
         frac_found = found / len(results)
-        report.add("found-fraction", frac_found, 1.0 - min_notfound_fraction,
+        # at least 90% of the points are not matched; the tolerance is
+        # kept as 1.0 - 0.9, which reports record as 0.09999999999999998
+        report.add("found-fraction", frac_found, 1.0 - 0.9,
                    detail=f"{certified}/{len(results)} certified mismatches")
         report.info["certified_mismatches"] = certified
     return report
@@ -576,7 +570,7 @@ def _check_fb2_membership(tol: float, *, model=Ref(MODEL),
         "eigenframe residuals of the coupled model against their closed-form "
         "truncation tail")
 def _check_frame(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
-                 trials=Ref("count", 1), seed=Ref("seed", None), x_norm=0.5,
+                 trials=Ref("count", 1), seed=Ref("seed", None),
                  grid=Ref("grid", None)) -> ConditionReport:
     report = ConditionReport(name="frame")
     t0, t1 = t0_kernel, t1_kernel
@@ -588,7 +582,7 @@ def _check_frame(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
     a0_last, a1_last = t0.kernel.coefficients[-1], t1.kernel.coefficients[-1]
     worst = deviation = 0.0
     for trial in range(trials):
-        x = random_operator(n, seed + trial, norm=x_norm)
+        x = random_operator(n, seed + trial, norm=0.5)
         frame = eigenframe(assemble_model(t0, t1, x), grid)
         x_last_sq = float(np.vdot(x[:, -1], x[:, -1]).real)
         closed = tail * np.sqrt([a0_last, a1_last * (1.0 + x_last_sq)])
@@ -664,29 +658,23 @@ def _check_mainlemma(tol: float, *, t0_kernel=Ref("shift"),
     return verify_mainlemma(unitary, model, partner, tol)
 
 
-def _samples(model, trials: int, seed: int, size: int, norm: float):
-    """The models a sampled check runs on, and how to say so: the given
-    model once, else `trials` random models, trial k with dense T0, T1 and
-    X from seeds seed + 3 k, + 1 and + 2."""
-    if model:
-        return [model], "1 given model"
-    return ((assemble_model(*(random_operator(size, seed + 3 * trial + k, norm=norm)
-                              for k in range(3))) for trial in range(trials)),
-            f"{trials} trials")
+def _samples(trials: int, seed: int, size: int, norm: float):
+    """`trials` random models, trial k with dense T0, T1 and X from seeds
+    seed + 3 k, + 1 and + 2."""
+    return (assemble_model(*(random_operator(size, seed + 3 * trial + k, norm=norm)
+                             for k in range(3))) for trial in range(trials))
 
 
 @_check("mobius-block", 1e-10,
         "phi(T) = [[phi(T0), X phi(T1) - phi(T0) X],[0, phi(T1)]]",
         "Mobius functional calculus preserves the coupled block structure")
-def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
-                        involution_tol=1e-9, trials=Ref("count", 1),
-                        seed=Ref("seed", None), size=6, block_norm=0.5,
-                        model=Ref(MODEL, None)) -> ConditionReport:
+def _check_mobius_block(tol: float, *, trials=Ref("count", 1),
+                        seed=Ref("seed", None)) -> ConditionReport:
     report = ConditionReport(name="mobius-block")
+    maps = mobius_sample_set()
     inverses = [mob.inverse() for mob in maps]
     worst_block = worst_involution = worst_power = 0.0
-    samples, ran = _samples(model, trials, seed, size, block_norm)
-    for sample in samples:
+    for sample in _samples(trials, seed, 6, 0.5):
         t = sample.t  # assembled on each read, so read once per sample
         t_norm = frobenius(t)
         result = mobius_block_identity_check(sample, maps)
@@ -696,8 +684,8 @@ def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
         worst_involution = max(worst_involution, max(
             frobenius(m - t) for m in back) / t_norm)
     report.add("block-identity", worst_block, tol,
-               detail=f"{ran} x {len(maps)} maps, relative to ||T||")
-    report.add("involution", worst_involution, involution_tol)
+               detail=f"{trials} trials x {len(maps)} maps, relative to ||T||")
+    report.add("involution", worst_involution, 1e-9)
     report.add("power-identity", worst_power, tol)
     return report
 
@@ -705,17 +693,16 @@ def _check_mobius_block(tol: float, *, maps=Ref("maps", "default12"),
 @_check("separator", 0.0, "s_n = min(a_n, b_n)/(n+1); K_s/K_i -> 0",
         "harmonically damped minimum kernel separates both inputs at the "
         "boundary")
-def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
-                     radii=Ref([float], [0.9, 0.99, 0.999]),
-                     max_final_ratio=0.05) -> ConditionReport:
+def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel")
+                     ) -> ConditionReport:
     report = ConditionReport(name="separator")
     ks = separator_kernel(k0, k1)
     for name, kern in (("k0", k0), ("k1", k1)):
-        ratios = [s.ratio for s in diagonal_ratio(ks, kern, radii)]
+        ratios = [s.ratio for s in diagonal_ratio(ks, kern, [0.9, 0.99, 0.999])]
         increase = max(0.0, *(b - a for a, b in zip(ratios, ratios[1:])))
         report.add(f"monotone-{name}", increase, tol,
                    detail="largest increase between consecutive ratios")
-        report.add(f"final-ratio-{name}", ratios[-1], max_final_ratio)
+        report.add(f"final-ratio-{name}", ratios[-1], 0.05)
         report.info[f"ratios_{name}"] = ratios
     report.info["truncation"] = ks.truncation
     return report
@@ -724,15 +711,15 @@ def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel"),
 @_check("similarity-split", 1e-12, "W T W^{-1} = T0 (+) T1, W = [[I, -X],[0, I]]",
         "unipotent similarity between the coupled model and its diagonal")
 def _check_similarity_split(tol: float, *, trials=Ref("count", 1),
-                            seed=Ref("seed", None), size=6,
-                            model=Ref(MODEL, None)) -> ConditionReport:
+                            seed=Ref("seed", None), size=Ref("count", 6)
+                            ) -> ConditionReport:
     report = ConditionReport(name="similarity-split")
     worst = 0.0
-    samples, ran = _samples(model, trials, seed, size, 1.0)
-    for sample in samples:
+    for sample in _samples(trials, seed, size, 1.0):
         split = similarity_split(sample)
         worst = max(worst, split.residual / block_norm(sample.blocks))
-    report.add("split-residual", worst, tol, detail=f"{ran}, relative to ||T||")
+    report.add("split-residual", worst, tol,
+               detail=f"{trials} trials, relative to ||T||")
     return report
 
 

@@ -273,8 +273,8 @@ class TestSpecParsing:
                                    bergman_kernel(2, 6).coefficients)
 
     def test_explicit_coefficients(self):
-        k = _kernel_from_scenario({"coeffs": [1.0, 2.5], "label": "custom2"})
-        assert k.label == "custom2" and k.truncation == 2
+        k = _kernel_from_scenario({"coeffs": [1.0, 2.5]})
+        assert k.label == "custom" and k.truncation == 2
 
 
 def test_required_truncation_tail_criterion():

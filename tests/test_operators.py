@@ -78,9 +78,15 @@ class TestShiftProducts:
         np.testing.assert_array_equal(a.left(x), a.matrix @ x)
         np.testing.assert_array_equal(a.right(x), x @ a.matrix)
 
+    @pytest.mark.parametrize("given", [{}, {"dense": np.eye(4),
+                                            "weights": np.ones(3)}])
+    def test_matrix_or_weights_exactly_one(self, given):
+        with pytest.raises(InvalidArgumentError, match="exactly one"):
+            ModelOperator(**given)
+
     def test_weight_shape_checked(self):
         with pytest.raises(InvalidArgumentError, match="shift weights"):
-            ModelOperator(np.eye(4), weights=np.ones(4))
+            ModelOperator(weights=np.ones((2, 2)))
 
 
 class TestShiftHeldAsWeights:
@@ -858,27 +864,6 @@ class TestGuardedInverse:
                                      np.array([[1.0, np.nan], [0.0, 1.0]])])
     def test_singular_or_nonfinite(self, mat):
         assert guarded_inverse(mat, 1e12) == (None, np.inf)
-
-
-class TestStackedGuardedInverse:
-    def test_stack_equals_one_matrix_at_a_time(self):
-        stack = np.stack([_rand(6, seed) + 3.0 * np.eye(6) for seed in range(4)])
-        inv, kappa = guarded_inverse(stack, 1e12)
-        assert kappa.shape == (4,)
-        for k, mat in enumerate(stack):
-            one_inv, one_kappa = guarded_inverse(mat, 1e12)
-            np.testing.assert_array_equal(inv[k], one_inv)
-            assert kappa[k] == one_kappa
-
-    def test_one_refused_matrix_refuses_the_stack(self):
-        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-3]), np.zeros((3, 3))])
-        inv, kappa = guarded_inverse(stack, 1e12)
-        assert inv is None
-        assert kappa[0] == 1.0 and kappa[1] == pytest.approx(1e3)
-        assert kappa[2] == np.inf
-        inv, kappa = guarded_inverse(stack[:2], 2.9e3)
-        assert inv is None and kappa[1] == pytest.approx(1e3)
-        assert guarded_inverse(stack[:2], 3.1e3)[0] is not None
 
 
 class TestRandomOperators:

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdlab import scenarios
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
@@ -88,14 +87,15 @@ def test_sylvester_and_separator_compare_against_tol():
 
 
 def test_separator_monotone_residual_is_the_largest_increase():
-    # s = min(a, b)/(n + 1) with a flat and b small only at n = 0: K_s/K_a
-    # grows with the radius, so monotone-k0 fails by its largest step,
-    # while the decreasing K_s/K_b reads exactly 0
-    flat, damped = [1.0] * 40, [1e-3] + [1.0] * 39
+    # s = min(a, b)/(n + 1) with a flat and b tiny below n = 500: K_s/K_a
+    # grows with the radius as r^{2n} reaches n >= 500, so monotone-k0 fails
+    # by its largest step, while the decreasing K_s/K_b reads exactly 0;
+    # 13,809 terms are what the radius 0.999 needs
+    size = 13809
+    flat, damped = [1.0] * size, [1e-12] * 500 + [1.0] * (size - 500)
     raw = {"name": "rising-ratio",
            "kernels": {"a": {"coeffs": flat}, "b": {"coeffs": damped}},
-           "checks": [{"check": "separator", "params": {
-               "k0": "a", "k1": "b", "radii": [0.1, 0.2, 0.3]}}]}
+           "checks": [{"check": "separator", "params": {"k0": "a", "k1": "b"}}]}
     report = run_scenario(Scenario.from_dict(raw)).outcomes[0].report
     ratios = report.info["ratios_k0"]
     steps = [b - a for a, b in zip(ratios, ratios[1:])]
@@ -187,7 +187,7 @@ def test_frame_check_against_closed_form_tail():
                        "f3": {"preset": "bergman", "n": 3, "N": 120}},
            "checks": [{"check": "frame",
                        "params": {"t0_kernel": "f1", "t1_kernel": "f3",
-                                  "trials": 20, "seed": 41, "x_norm": 0.5,
+                                  "trials": 20, "seed": 41,
                                   "grid": {"rmax": 0.8, "n_radii": 4,
                                            "n_angles": 8}}}]}
     result = run_scenario(Scenario.from_dict(raw))
@@ -353,6 +353,27 @@ MALFORMED = [
      r"'source': operators form a cycle A -> B -> A"),
 ]
 
+# (check, or "kernel" for a kernel spec, its params holding a key that is
+# gone, that key); each value is now a constant of the check, and a coeffs
+# label would grade custom coefficients against the Bergman closed form
+REMOVED_KEYS = [
+    ("curvature", {"kernels": ["b1"], "fd_tol": 1e-4}, "fd_tol"),
+    ("curvature-isometry", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"},
+                            "min_notfound_fraction": 0.9}, "min_notfound_fraction"),
+    ("frame", {"t0_kernel": "b1", "t1_kernel": "b2", "x_norm": 0.5}, "x_norm"),
+    ("mobius-block", {"involution_tol": 1e-9}, "involution_tol"),
+    ("mobius-block", {"size": 6}, "size"),
+    ("mobius-block", {"block_norm": 0.5}, "block_norm"),
+    ("mobius-block", {"maps": "default12"}, "maps"),
+    ("mobius-block", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"}}, "model"),
+    ("separator", {"k0": "b1", "k1": "b2", "radii": [0.9, 0.99, 0.999]}, "radii"),
+    ("separator", {"k0": "b1", "k1": "b2", "max_final_ratio": 0.05},
+     "max_final_ratio"),
+    ("similarity-split", {"model": {"t0_kernel": "b1", "t1_kernel": "b2"}},
+     "model"),
+    ("kernel", {"coeffs": [1.0] * 12, "label": "bergman(2)"}, "label"),
+]
+
 
 class TestScenarioSchema:
     def test_unknown_check_rejected(self):
@@ -410,12 +431,12 @@ class TestScenarioSchema:
         ("frame", {"t0_kernel": "b1", "t1_kernel": "b2", "trials": 0}, "trials"),
         ("mobius-block", {"trials": 0}, "trials"),
         ("mobius-block", {"trials": -2}, "trials"),
-        ("mobius-block", {"maps": []}, "maps"),
         ("similarity-split", {"trials": 0, "size": 4}, "trials"),
+        ("similarity-split", {"size": 0}, "size"),
         ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Xn", "x": "Xn"},
                          "witness": []}, "witness"),
     ], ids=["frame-trials", "mobius-trials", "mobius-negative-trials",
-            "mobius-maps", "split-trials", "homogeneity-maps"])
+            "split-trials", "split-size", "homogeneity-maps"])
     def test_empty_counts_rejected(self, check, params, key):
         # these would otherwise pass with residual 0 without testing anything
         raw = _tiny_scenario(seed=3)
@@ -430,12 +451,12 @@ class TestScenarioSchema:
             "x": {"identity": {"size": 3}}})
         model = {"t0_op": "two", "t1_op": "x", "x": "x"}
         raw["checks"] = [
-            {"check": "similarity-split", "tol": 1e-12,
-             "params": {"model": model}},
+            {"check": "similarity-split", "tol": 1e-12, "params": {"size": 3}},
             # 1 - conj(a) 2 vanishes at a = 0.5: the third map is singular
-            {"check": "mobius-block", "id": "singular",
-             "params": {"model": model,
-                        "maps": [{"a": 0.1}, {"a": [0.0, 0.3]}, {"a": 0.5}]}},
+            {"check": "homogeneity", "id": "singular",
+             "params": {"model": model, "witness": [
+                 {"a": a, "u0": "x", "u1": "x"}
+                 for a in (0.1, [0.0, 0.3], 0.5)]}},
             {"check": "fb2-membership",
              "params": {"model": model, "expect": "nonmember"}},
         ]
@@ -457,8 +478,9 @@ class TestScenarioSchema:
         ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b2"},
          "missing or null parameter 'x'"),
         ("mobius-block", {"trials": None}, "missing or null parameter 'trials'"),
-        ("separator", {"k0": "b1", "k1": "b2", "radii": [0.9, None]},
-         r"'radii'\[1\] must be a number, got None"),
+        ("sylvester", {"cases": [{"a": "Xn", "b": "Xn", "expected_dim": 12},
+                                 None]},
+         r"'cases'\[1\] must be an object, got None"),
         ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b3", "x": "Xn"},
          "'t1_kernel': kernel 'b3' is not defined"),
         ("mainlemma", {"t0_kernel": "b1", "t1_kernel": "b2", "x": "X"},
@@ -500,38 +522,21 @@ class TestScenarioSchema:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2
 
-    def test_mobius_block_involution_with_phase(self):
-        # phi is its own inverse only for phase 0; the check maps back
-        # through the inverse map
-        raw = {"name": "phase", "seed": 21,
-               "checks": [{"check": "mobius-block", "params": {
-                   "maps": [{"a": [0.3, -0.2], "phase": 1.3}]}}]}
-        result = run_scenario(Scenario.from_dict(raw))
-        assert result.overall, result.summary()
-        residuals = {c.name: c.residual
-                     for c in result.outcomes[0].report.conditions}
-        assert residuals["involution"] < 1e-14
-
-    @pytest.mark.parametrize("check,callee", [
-        ("mobius-block", "mobius_block_identity_check"),
-        ("similarity-split", "similarity_split")])
-    def test_a_given_model_is_one_sample(self, monkeypatch, check, callee):
-        # trials only count random models; a given one runs once
-        calls = []
-        original = getattr(scenarios, callee)
-        monkeypatch.setattr(scenarios, callee,
-                            lambda *args: calls.append(1) or original(*args))
-        raw = {"name": "given", "seed": 3,
-               "kernels": {"b1": {"preset": "bergman", "n": 1, "N": 6},
-                           "b2": {"preset": "bergman", "n": 2, "N": 6}},
-               "operators": {"X": {"random": {"size": 6, "seed": 4}}},
-               "checks": [{"check": check, "params": {
-                   "trials": 5,
-                   "model": {"t0_kernel": "b1", "t1_kernel": "b2", "x": "X"}}}]}
-        report = run_scenario(Scenario.from_dict(raw)).outcomes[0].report
-        assert report.overall, report.conditions
-        assert len(calls) == 1
-        assert report.conditions[0].detail.startswith("1 given model")
+    @pytest.mark.parametrize("section,spec,key", REMOVED_KEYS,
+                             ids=[f"{case[0]}-{case[2]}" for case in REMOVED_KEYS])
+    def test_removed_keys_are_unknown(self, section, spec, key, tmp_path):
+        raw = _tiny_scenario()
+        if section == "kernel":
+            raw["kernels"]["c"] = spec
+            where = r"kernels\[c\]"
+        else:
+            raw["checks"].append({"check": section, "params": spec})
+            where = rf"checks\[1\] \({section}\)"
+        with pytest.raises(SchemaError, match=rf"{where}: unknown key '{key}'"):
+            Scenario.from_dict(raw)
+        path = tmp_path / "removed-key.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
 
     def test_unknown_keys_rejected(self):
         raw = _tiny_scenario()
@@ -561,7 +566,7 @@ class TestScenarioSchema:
         save_matrix(tmp_path / "x.json", x)
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         mob = MobiusMap(a=0.4 + 0.1j, phase=0.3)
-        custom = DiagonalKernel(np.array([1.0, 2.5]), label="custom2")
+        custom = DiagonalKernel(np.array([1.0, 2.5]), label="custom")
         cases = {
             "file": ({"file": "x.json"}, x),
             "matrix": ({"matrix": matrix_to_json(x)}, x),
@@ -590,7 +595,7 @@ class TestScenarioSchema:
         }
         raw = {"name": "every-source", "seed": 11,
                "kernels": {"b2": {"preset": "bergman", "n": 2, "N": 6},
-                           "c": {"coeffs": [1.0, 2.5], "label": "custom2"},
+                           "c": {"coeffs": [1.0, 2.5]},
                            "d": {"coeffs": [1.0, 0.5, 0.25]}},
                "operators": {name: spec for name, (spec, _) in cases.items()},
                "checks": [{"check": "similarity-split"}]}
