@@ -21,8 +21,8 @@ from .equivalence import (SWAP, BlockUnitary, Fb2Pair, build_unitary_from_x,
                           verify_mainlemma)
 from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                           homogeneity_condition_check,
-                          mobius_block_identity_check, mobius_sample_set,
-                          thm45_condition_check)
+                          mobius_block_identity_check, mobius_images,
+                          mobius_sample_set, thm45_condition_check)
 from .reporting import Condition, ConditionReport
 from .scenarios import (CampaignResult, Scenario, list_checks, run_scenario)
 

@@ -7,12 +7,16 @@ commutation U0 X = X U1, and the full block-unitary conditions for
 U T = phi(T) U.  Full-group statements can only be sampled; every sweep uses
 the fixed deterministic sample set below and says so in its report.
 
-Every check works on N x N blocks.  phi(T) is mapped from the assembled
-2N x 2N T only in `mobius_block_identity_check` and
-`homogeneity_condition_check`, where comparing it with the block formula is
-the check; `thm45_condition_check` takes it by block back-substitution
-(`MobiusMap.of_model`).  Both intertwinings with phi(T) are reduced one
-N x N block of the difference at a time (`operators.intertwining_gaps`).
+Every check works on N x N blocks.  phi(T) has one route, `mobius_images`:
+phi(T0) and phi(T1) by `apply_maps`, and the corner E from the coupling
+block C by one batched N x N solve, never from X.  Its resolvent guard is
+the N x N one on D0 = I - conj(a) T0 and D1 = I - conj(a) T1.  All three
+checks take it: `mobius_block_identity_check` compares E with
+X phi(T1) - phi(T0) X, which is the identity, and assembles its images from
+the blocks; `homogeneity_condition_check` and `thm45_condition_check`
+reduce the intertwinings with phi(T) one N x N block of the difference at
+a time (`operators.intertwining_gaps`).  Only the mobius-block scenario's
+involution maps back over the assembled 2N x 2N images.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        frobenius, gap_total, guarded_inverse,
-                        intertwining_gaps, require_unitary, triangular_matrix)
+                        block_matrix, frobenius, gap_total, guarded_inverse,
+                        intertwining_gaps, require_unitary)
 from .reporting import ConditionReport
 
 
@@ -47,26 +51,6 @@ class MobiusMap:
 
     def of(self, mat: np.ndarray) -> np.ndarray:
         return apply_mobius(mat, self.a, self.phase)
-
-    def of_model(self, model: UpperTriangularModel) -> tuple:
-        """Row-major blocks (phi(T0), E, None, phi(T1)) of phi(T) for the
-        coupled model T = [[T0, C], [0, T1]], by block back-substitution.
-
-        phi(T) solves D phi(T) = e^{i phase} (a I - T) with the block upper
-        triangular D = [[D0, -conj(a) C], [0, D1]], Di = I - conj(a) Ti.  Its
-        diagonal blocks are phi(T0) and phi(T1) (`of`, which guards D0 and
-        D1), and its corner is E = D0^{-1} C (conj(a) phi(T1) - e^{i phase} I),
-        one N x N solve.  D is invertible exactly when D0 and D1 are, but
-        its condition number can exceed both of theirs through C, so the
-        guard is that of D0 and D1, not that of the 2N x 2N D.
-        """
-        t0, coupling = model.t0.matrix, model.coupling_block
-        phi_t0, phi_t1 = self.of(t0), self.of(model.t1.matrix)
-        conj_a = np.conj(self.a)
-        corner = np.linalg.solve(
-            np.eye(model.size) - conj_a * t0,
-            conj_a * (coupling @ phi_t1) - np.exp(1j * self.phase) * coupling)
-        return phi_t0, corner, None, phi_t1
 
     def inverse(self) -> "MobiusMap":
         """phi^{-1}: parameter a e^{i phase} and phase -phase."""
@@ -93,6 +77,33 @@ def apply_maps(maps, mat: np.ndarray) -> np.ndarray:
     return apply_mobius(mat, [m.a for m in maps], [m.phase for m in maps])
 
 
+def mobius_images(model: UpperTriangularModel, maps) -> tuple:
+    """Stacks (phi(T0), E, phi(T1)) of the nonzero blocks of phi(T), one
+    matrix per map, for the coupled model T = [[T0, C], [0, T1]], by block
+    back-substitution; the (1, 0) block of phi(T) is zero.
+
+    phi(T) solves D phi(T) = e^{i phase} (a I - T) with the block upper
+    triangular D = [[D0, -conj(a) C], [0, D1]], Di = I - conj(a) Ti.  Its
+    diagonal blocks are phi(T0) and phi(T1) (`apply_maps`), and its corner
+    is E = D0^{-1} C (conj(a) phi(T1) - e^{i phase} I), one batched N x N
+    solve for all maps.  E is formed from C alone, never from X, so
+    comparing it with X phi(T1) - phi(T0) X checks the block identity.
+
+    D is invertible exactly when D0 and D1 are, so the resolvent guard is
+    the N x N one of `apply_maps` on D0 and D1: a map it refuses raises
+    SingularResolventError naming the map's index, before any corner is
+    solved.  D's own condition number can exceed both of theirs through
+    C, so a 2N x 2N D just above the cap can pass.
+    """
+    t0, coupling = model.t0.matrix, model.coupling_block
+    phi_t0s, phi_t1s = apply_maps(maps, t0), apply_maps(maps, model.t1.matrix)
+    conj_a = np.conj([m.a for m in maps])[:, None, None]
+    phases = np.exp(1j * np.array([m.phase for m in maps]))[:, None, None]
+    corners = np.linalg.solve(np.eye(model.size) - conj_a * t0,
+                              conj_a * (coupling @ phi_t1s) - phases * coupling)
+    return phi_t0s, corners, phi_t1s
+
+
 @dataclass(frozen=True)
 class MobiusBlockResult:
     """Worst block residual over the maps, the per-map residuals, the power
@@ -109,20 +120,26 @@ def mobius_block_identity_check(model: UpperTriangularModel,
                                 maps) -> MobiusBlockResult:
     """Residual of phi(T) against the blockwise assembly, plus power spot checks.
 
-    `maps` is one MobiusMap or a sequence of them; phi(T), phi(T0) and
-    phi(T1) are formed for all of them in three stacked calls.  phi(T) is
-    computed directly on the assembled 2N x 2N matrix so the block identity
-    is a genuine cross-check, not a tautology.  The same structural identity
+    `maps` is one MobiusMap or a sequence of them; the blocks of phi(T) are
+    formed for all of them at once by `mobius_images`.  Its corner E comes
+    from the coupling block C alone, so its residual against the block
+    formula X phi(T1) - phi(T0) X is a genuine cross-check, not a
+    tautology.  The diagonal blocks of phi(T) are phi(T0) and phi(T1) for
+    any block-triangular T, so the corner residual is the whole residual.
+    The images are assembled from the blocks.  The same structural identity
     for plain powers T^n at n = 2, 3, 5 is the model's `power_residuals`,
     formed on the first call for a model and reused by every later one.
     """
     maps = [maps] if isinstance(maps, MobiusMap) else list(maps)
     if not maps:
         raise InvalidArgumentError("mobius block check needs at least one map")
-    images = apply_maps(maps, model.t)
-    assembled = triangular_matrix(apply_maps(maps, model.t0.matrix),
-                                  apply_maps(maps, model.t1.matrix), model.x)
-    residuals = [frobenius(d) for d in images - assembled]
+    phi_t0s, corners, phi_t1s = mobius_images(model, maps)
+    x = model.x
+    # the block formula's corner, overwritten by E minus it
+    formula = x @ phi_t1s - phi_t0s @ x
+    residuals = [frobenius(d)
+                 for d in np.subtract(corners, formula, out=formula)]
+    images = block_matrix(phi_t0s, corners, None, phi_t1s)
     return MobiusBlockResult(residual=max(residuals),
                              power_residuals=dict(model.power_residuals),
                              residuals=residuals, images=images)
@@ -147,20 +164,18 @@ def homogeneity_condition_check(model: UpperTriangularModel,
     """Per sampled map: diagonal conjugations, the commutation U0 X = X U1,
     and the assembled check ||(U0 (+) U1) T - phi(T) (U0 (+) U1)||.
 
-    The assembled check is reduced block by block (`intertwining_gaps`);
-    phi(T) is mapped from the assembled T, as in
-    `mobius_block_identity_check`.  The verdict only quantifies over the
-    sampled maps, never the full group; the report records the sample size.
+    The assembled check is reduced block by block (`intertwining_gaps`)
+    against the blocks of phi(T) from `mobius_images`.  The verdict only
+    quantifies over the sampled maps, never the full group; the report
+    records the sample size.
     """
     if not witness:
         raise InvalidArgumentError("homogeneity check needs at least one witness map")
     report = ConditionReport(name="homogeneity")
     report.info["sampled_maps"] = len(witness)
-    t0, t1, x, n = model.t0.matrix, model.t1.matrix, model.x, model.size
-    maps = [entry.mobius for entry in witness]
-    phi_t0s, phi_t1s, phi_ts = (apply_maps(maps, m) for m in (t0, t1, model.t))
-    for idx, (entry, phi_t0, phi_t1, phi_t) in enumerate(
-            zip(witness, phi_t0s, phi_t1s, phi_ts)):
+    t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
+    images = mobius_images(model, [entry.mobius for entry in witness])
+    for idx, (entry, phi_t0, corner, phi_t1) in enumerate(zip(witness, *images)):
         u0, u1 = entry.u0, entry.u1
         tag = f"map{idx}"
         report.add(f"{tag}-conjugate-t0",
@@ -168,10 +183,9 @@ def homogeneity_condition_check(model: UpperTriangularModel,
         report.add(f"{tag}-conjugate-t1",
                    frobenius(u1 @ t1 @ u1.conj().T - phi_t1), tol)
         report.add(f"{tag}-commutation", frobenius(u0 @ x - x @ u1), tol)
-        u_blocks = (u0, None, None, u1)
-        phi_blocks = (phi_t[:n, :n], phi_t[:n, n:], phi_t[n:, :n], phi_t[n:, n:])
-        report.add(f"{tag}-assembled", gap_total(
-            intertwining_gaps(u_blocks, model.blocks, phi_blocks)), tol)
+        report.add(f"{tag}-assembled", gap_total(intertwining_gaps(
+            (u0, None, None, u1), model.blocks, (phi_t0, corner, None, phi_t1))),
+            tol)
     return report
 
 
@@ -188,22 +202,22 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     `guarded_inverse`).
 
     Everything is taken on N x N blocks: phi(T) by block back-substitution
-    (`MobiusMap.of_model`), U T - phi(T) U block by block by
+    (`mobius_images` with the one map), U T - phi(T) U block by block by
     `intertwining_gaps`, whose (1,0) gap is the U10 corner condition and
     whose `gap_total` is the end-to-end residual.  Back-substitution solves
     the same system D phi(T) = e^{i phase} (a I - T) exactly, so the
     end-to-end residual still certifies U T = phi(T) U.  The resolvent
-    guard is the N x N one of D0 = I - conj(a) T0 and D1 = I - conj(a) T1;
-    the 2N x 2N D = I - conj(a) T is invertible exactly when they are, but
-    a D whose own condition number is just above the cap can now pass.
+    guard is the N x N one of D0 = I - conj(a) T0 and D1 = I - conj(a) T1
+    (see `mobius_images`).
     """
     report = ConditionReport(name="thm45")
     x = model.x
     u00, u01, u10, u11 = unitary.blocks
-    phi_blocks = mobius.of_model(model)
-    phi_t0 = phi_blocks[0]
-    gaps = intertwining_gaps(unitary.blocks, model.blocks, phi_blocks)
-    del phi_blocks  # phi(T1) and the corner are not needed again
+    phi_t0s, corners, phi_t1s = mobius_images(model, [mobius])
+    phi_t0 = phi_t0s[0]
+    gaps = intertwining_gaps(unitary.blocks, model.blocks,
+                             (phi_t0, corners[0], None, phi_t1s[0]))
+    del corners, phi_t1s  # not needed again
     eye = np.eye(model.size)
 
     # U10^{-1} is formed for its guard only: keep kappa_1 and the verdict

@@ -42,12 +42,13 @@ model T is multiplied through T0, X T1 - T0 X and T1; `gap_total` and
 certifies a block unitary from its Gram blocks, one at a time.  The
 assembled 2N x 2N T (`UpperTriangularModel.t`) is formed on each read and
 never kept on the model, with a shift block written as its weights; it is
-read only where a check compares it with the block formula: the two Mobius
-cross-checks of `homogeneity` (`mobius_block_identity_check`,
-`homogeneity_condition_check`) and `power_residuals`, which forms and drops
-one power of T at a time.  Certificates accumulate their sums in place, in
-the order the plain expressions take, so every residual is the same to the
-bit.
+read only where a check compares it with the block formula:
+`power_residuals`, which forms and drops one power of T at a time, and the
+mobius-block scenario's norm and involution.  phi(T) of a coupled model is
+never mapped from it: `homogeneity.mobius_images` takes its blocks by block
+back-substitution, guarded on the N x N resolvents.  Certificates
+accumulate their sums in place, in the order the plain expressions take, so
+every residual is the same to the bit.
 
 Residuals are Frobenius norms throughout.
 """

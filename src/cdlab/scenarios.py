@@ -330,6 +330,10 @@ class ScenarioContext:
         if isinstance(kind, list):
             if not isinstance(value, list) or not value:
                 raise SchemaError(f"{where} must be a nonempty list, got {value!r}")
+            if isinstance(kind[0], str) and None in value:
+                # a name read alone takes None as "not given"; an item is given
+                raise SchemaError(f"{where}[{value.index(None)}] must be a "
+                                  f"{kind[0]} name, got None")
             return [self.read(kind[0], item, f"{where}[{i}]")
                     for i, item in enumerate(value)]
         if isinstance(kind, set):

@@ -9,14 +9,19 @@ from cdlab.errors import (InvalidArgumentError, NumericError,
                           SingularResolventError)
 from cdlab.homogeneity import (MobiusMap, WitnessEntry, apply_maps,
                                homogeneity_condition_check,
-                               mobius_block_identity_check, mobius_sample_set,
-                               thm45_condition_check)
+                               mobius_block_identity_check, mobius_images,
+                               mobius_sample_set, thm45_condition_check)
 from cdlab.kernels import bergman_kernel
-from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
-                             block_matrix, frobenius, random_operator,
-                             shift_from_kernel)
+from cdlab.operators import (ModelOperator, UpperTriangularModel,
+                             apply_mobius, assemble_model, block_matrix,
+                             frobenius, random_operator, shift_from_kernel)
 
 from oracles import product_gap_bound, traced_peak
+
+# phi(T) from its blocks (`mobius_images`) against the dense image of the
+# assembled T, the oracle: a relative Frobenius bound.  Both solve the same
+# system, and they agree to about 2e-16 relative on the models below.
+IMAGE_RTOL = 1e-13
 
 
 def _random_model(size=6, seed=0, norm=0.5):
@@ -176,9 +181,11 @@ class TestBlockIdentity:
         result = mobius_block_identity_check(model, mob)
         assert result.residuals == [result.residual]
         assert result.images.shape == (1, 12, 12)
-        np.testing.assert_array_equal(result.images[0], mob.of(model.t))
+        dense = mob.of(model.t)
+        assert frobenius(result.images[0] - dense) <= IMAGE_RTOL * frobenius(dense)
         listed = mobius_block_identity_check(model, [mob])
         assert listed.residuals == result.residuals
+        np.testing.assert_array_equal(listed.images, result.images)
         assert listed.power_residuals == result.power_residuals
 
     def test_no_maps_rejected(self):
@@ -195,7 +202,8 @@ class TestBlockIdentity:
 
 class TestStackedSweep:
     """The sweep over many maps against a per-map reference built from
-    np.linalg.matrix_power and single apply_mobius calls."""
+    np.linalg.matrix_power and single apply_mobius calls on the assembled T,
+    and against one call per map."""
 
     MAPS = mobius_sample_set() + [MobiusMap(a=0.3 - 0.2j, phase=1.3),
                                   MobiusMap(a=-0.6j, phase=5.9)]
@@ -216,21 +224,93 @@ class TestStackedSweep:
                          - assemble_model(power(t0, n), power(t1, n), x).t)
             for n in (2, 3, 5)}
 
-        np.testing.assert_array_equal(result.images, np.stack(images))
-        assert result.residuals == residuals
-        assert result.residual == max(residuals)
+        # the residuals measure the same corner formula against images that
+        # differ by at most IMAGE_RTOL ||phi(T)||, so (triangle inequality)
+        # they differ by at most that much too
+        for got, image, residual, want in zip(result.images, images,
+                                              result.residuals, residuals):
+            assert frobenius(got - image) <= IMAGE_RTOL * frobenius(image)
+            assert abs(residual - want) <= IMAGE_RTOL * frobenius(image)
+        assert result.residual == max(result.residuals)
         assert result.power_residuals == power_residuals
+        apart = [mobius_block_identity_check(model, mob) for mob in self.MAPS]
+        assert [r.residual for r in apart] == result.residuals
+        np.testing.assert_array_equal(np.concatenate([r.images for r in apart]),
+                                      result.images)
 
     def test_involution_of_the_image_stack(self):
         model = _random_model(seed=21)
         result = mobius_block_identity_check(model, self.MAPS)
         twice = apply_maps(self.MAPS, result.images)
-        for back, mob in zip(twice, self.MAPS):
-            np.testing.assert_array_equal(
-                back, apply_mobius(apply_mobius(model.t, mob.a, mob.phase),
-                                   mob.a, mob.phase))
+        t_norm = frobenius(model.t)
+        for back, image, mob in zip(twice, result.images, self.MAPS):
+            np.testing.assert_array_equal(back,
+                                          apply_mobius(image, mob.a, mob.phase))
+            # the images are within IMAGE_RTOL of the dense ones, and phi
+            # moves that gap by a factor of order one at |a| <= 0.7
+            dense = apply_mobius(apply_mobius(model.t, mob.a, mob.phase),
+                                 mob.a, mob.phase)
+            assert frobenius(back - dense) <= 10 * IMAGE_RTOL * t_norm
             if mob.phase == 0.0:  # only then is phi its own inverse
                 assert frobenius(back - model.t) <= 1e-9
+
+
+# the size of a coupling perturbation, far above rounding and far below 1
+DELTA = 1e-6
+
+
+def _perturbed(model, delta, seed=99):
+    """`model` with its coupling block moved by delta P, ||P|| = 1, off
+    X T1 - T0 X."""
+    p = random_operator(model.size, seed)
+    p /= frobenius(p)
+    return UpperTriangularModel(t0=model.t0, t1=model.t1, x=model.x,
+                                coupling_block=model.coupling_block + delta * p), p
+
+
+def _corner_shift(mob, model, p):
+    """E(C + P) - E(C) = E(P) for the corner E(C) = D0^{-1} C (conj(a)
+    phi(T1) - e^{i phase} I), which is -e^{i phase} (1 - |a|^2) D0^{-1} C
+    D1^{-1} and so linear in C; taken from dense inverses."""
+    eye = np.eye(model.size)
+    d0_inv, d1_inv = (np.linalg.inv(eye - np.conj(mob.a) * t.matrix)
+                      for t in (model.t0, model.t1))
+    return (-np.exp(1j * mob.phase) * (1.0 - abs(mob.a) ** 2)
+            * (d0_inv @ p @ d1_inv))
+
+
+class TestMobiusImages:
+    """The one phi(T) route: the corner comes from the coupling block, so a
+    coupling that is not X T1 - T0 X fails the block identity."""
+
+    def test_perturbed_coupling_fails_the_block_identity(self):
+        model = _random_model(size=8, seed=12)
+        maps = mobius_sample_set() + [MobiusMap(a=0.3 - 0.2j, phase=1.3)]
+        assert mobius_block_identity_check(model, maps).residual <= 1e-14
+        bad, p = _perturbed(model, DELTA)
+        result = mobius_block_identity_check(bad, maps)
+        for mob, residual in zip(maps, result.residuals):
+            # the corner moves by delta times the closed-form shift, and
+            # 1/4 <= ||shift|| <= 4 for blocks of 2-norm 0.5 and |a| <= 0.7
+            want = DELTA * frobenius(_corner_shift(mob, model, p))
+            assert abs(residual - want) <= 1e-8 * want
+            assert DELTA / 4 <= residual <= 4 * DELTA
+        assert result.residual > 1e-10 * frobenius(bad.t)
+
+    @pytest.mark.parametrize("block", ["t0", "t1"])
+    def test_singular_resolvent_names_the_map(self, block):
+        # Di = I - conj(a) Ti vanishes at Ti = 2 I and a = 0.5, map 2
+        eye = np.eye(4, dtype=complex)
+        blocks = {"t0": 0.3 * eye, "t1": 0.3 * eye, block: 2.0 * eye}
+        model = assemble_model(ModelOperator(blocks["t0"]),
+                               ModelOperator(blocks["t1"]), eye)
+        maps = [MobiusMap(a=0.1), MobiusMap(a=0.3j), MobiusMap(a=0.5),
+                MobiusMap(a=0.2)]
+        with pytest.raises(SingularResolventError,
+                           match=r"of map 2 \(a = 0\.5\+0j\)"):
+            mobius_images(model, maps)
+        with pytest.raises(SingularResolventError, match="of map 2"):
+            mobius_block_identity_check(model, maps)
 
 
 class TestHomogeneityWitness:
@@ -266,6 +346,21 @@ class TestHomogeneityWitness:
         witness = [WitnessEntry(mobius=other, u0=perm, u1=perm)]
         report = homogeneity_condition_check(model, witness, tol=1e-10)
         assert not report.condition("map0-conjugate-t0").passed
+
+    def test_perturbed_coupling_fails_homogeneity_assembled(self):
+        mob, model, perm = self._setup()
+        witness = [WitnessEntry(mobius=mob, u0=perm, u1=perm)]
+        bad, p = _perturbed(model, DELTA)
+        report = homogeneity_condition_check(bad, witness, tol=1e-10)
+        for name in ("conjugate-t0", "conjugate-t1", "commutation"):
+            assert report.condition(f"map0-{name}").passed
+        assembled = report.condition("map0-assembled")
+        assert not assembled.passed
+        # U T - phi(T) U moves only in its corner, by delta (U0 P - shift U1)
+        want = DELTA * frobenius(perm @ p
+                                      - _corner_shift(mob, model, p) @ perm)
+        assert abs(assembled.residual - want) <= 1e-8 * want
+        assert DELTA / 4 <= assembled.residual <= 4 * DELTA
 
     def test_many_witness_maps_match_a_per_map_reference(self):
         mob, model, perm = self._setup()
@@ -391,10 +486,24 @@ class TestThm45:
         mob = MobiusMap(a=radius * np.exp(0.9j), phase=phase)
         model = _random_model(size, seed=size)
         dense = mob.of(model.t)
-        blocks = mob.of_model(model)
-        assert blocks[2] is None
-        got = block_matrix(*blocks)
-        assert frobenius(got - dense) <= 1e-13 * frobenius(dense)
+        phi_t0s, corners, phi_t1s = mobius_images(model, [mob])
+        got = block_matrix(phi_t0s[0], corners[0], None, phi_t1s[0])
+        assert frobenius(got - dense) <= IMAGE_RTOL * frobenius(dense)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.8])
+    def test_blocks_equal_the_single_map_formula(self, phase):
+        mob, model, _ = self._engineered(size=40)
+        mob = MobiusMap(a=mob.a, phase=phase)
+        t0, coupling = model.t0.matrix, model.coupling_block
+        phi_t0, phi_t1 = mob.of(t0), mob.of(model.t1.matrix)
+        conj_a = np.conj(mob.a)
+        corner = np.linalg.solve(
+            np.eye(model.size) - conj_a * t0,
+            conj_a * (coupling @ phi_t1) - np.exp(1j * mob.phase) * coupling)
+        for stack, want in zip(mobius_images(model, [mob]),
+                               (phi_t0, corner, phi_t1)):
+            assert stack.shape == (1, 40, 40)
+            np.testing.assert_array_equal(stack[0], want)
 
     def test_solves_and_inverts_no_2n_system(self, monkeypatch):
         size = 60

@@ -507,11 +507,14 @@ class TestScenarioSchema:
         ("homogeneity", {"model": {"t0_op": "Xn", "t1_op": "Xn"},
                          "witness": [{"a": 0.4, "u0": "Xn"}]},
          r"'witness'\[0\]: missing or null parameter 'u1'"),
+        ("curvature", {"kernels": ["b1", None]},
+         r"'kernels'\[1\] must be a kernel name, got None"),
     ], ids=["unknown-key", "expect", "mode", "missing", "null", "null-item",
             "undefined-kernel", "undefined-operator",
             "undefined-nested-operator", "seed", "kernel-alias",
             "transform-mode", "x_scalar", "theta-without-theta0", "main3-k0",
-            "one-block-model", "mixed-model", "witness-without-u1"])
+            "one-block-model", "mixed-model", "witness-without-u1",
+            "null-kernel-item"])
     def test_params_checked_at_load(self, check, params, match, tmp_path):
         raw = _tiny_scenario()
         raw["checks"].append({"check": check, "params": params})
