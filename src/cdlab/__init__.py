@@ -10,7 +10,7 @@ from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         UpperTriangularModel, apply_mobius, assemble_model,
                         block_matrix, fb2_membership, random_operator,
                         random_unitary, shift_from_kernel, similarity_split,
-                        sylvester_kernel, triangular_matrix)
+                        sylvester_kernel)
 from .geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                        covariant_derivative, curvature, curvature_isometry_check,
                        eigenframe, gram_metric, kernel_frame, polar_grid)
@@ -19,7 +19,7 @@ from .equivalence import (SWAP, BlockUnitary, Fb2Pair, build_unitary_from_x,
                           kernel_transform_check, main3_verifier,
                           sample_points, theta_intertwiner_check,
                           verify_mainlemma)
-from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
+from .homogeneity import (MobiusMap, WitnessEntry,
                           homogeneity_condition_check,
                           mobius_block_identity_check, mobius_images,
                           mobius_sample_set, thm45_condition_check)

@@ -78,6 +78,8 @@ def _derivative(text: str) -> tuple[int, int]:
 def _cmd_curvature(args) -> int:
     # read as a scenario's kernel and grid are, so bad values are SchemaErrors
     preset, _, weight = args.kernel.partition(":")
+    if weight.isdecimal():  # the schema reads no number from a string
+        weight = int(weight)
     ctx = ScenarioContext(scenario=None)
     kernel = ctx.read(KERNEL, {"preset": preset, "n": weight, "N": args.truncation},
                       "kernel")

@@ -7,16 +7,16 @@ commutation U0 X = X U1, and the full block-unitary conditions for
 U T = phi(T) U.  Full-group statements can only be sampled; every sweep uses
 the fixed deterministic sample set below and says so in its report.
 
-Every check works on N x N blocks.  phi(T) has one route, `mobius_images`:
-phi(T0) and phi(T1) by `apply_maps`, and the corner E from the coupling
-block C by one batched N x N solve, never from X.  Its resolvent guard is
-the N x N one on D0 = I - conj(a) T0 and D1 = I - conj(a) T1.  All three
-checks take it: `mobius_block_identity_check` compares E with
-X phi(T1) - phi(T0) X, which is the identity, and assembles its images from
-the blocks; `homogeneity_condition_check` and `thm45_condition_check`
-reduce the intertwinings with phi(T) one N x N block of the difference at
-a time (`operators.intertwining_gaps`).  Only the mobius-block scenario's
-involution maps back over the assembled 2N x 2N images.
+Every check works on N x N blocks; none assembles the 2N x 2N T.  phi(T)
+has one route, `mobius_images`, on blocks or stacks of them: phi(T0) and
+phi(T1) by stacked `apply_mobius` calls, and the corner E from the coupling
+block C by one batched N x N solve, never from X, guarded on the N x N
+resolvents.  `mobius_block_identity_check` compares E with
+X phi(T1) - phi(T0) X, which is the identity, and returns the image blocks,
+which the mobius-block scenario maps back the same way;
+`homogeneity_condition_check` and `thm45_condition_check` reduce the
+intertwinings with phi(T) one N x N block of the difference at a time
+(`operators.intertwining_gaps`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        block_matrix, frobenius, gap_total, guarded_inverse,
+                        frobenius, gap_total, guarded_inverse,
                         intertwining_gaps, require_unitary)
 from .reporting import ConditionReport
 
@@ -67,53 +67,46 @@ def mobius_sample_set() -> list[MobiusMap]:
     return maps
 
 
-def apply_maps(maps, mat: np.ndarray) -> np.ndarray:
-    """phi(mat) for every map in one stacked apply_mobius call.
-
-    `mat` is one matrix, mapped by every map, or a stack with one matrix per
-    map.  The result is the (len(maps), n, n) stack of images, each equal to
-    `phi.of` of its matrix.
-    """
-    return apply_mobius(mat, [m.a for m in maps], [m.phase for m in maps])
-
-
-def mobius_images(model: UpperTriangularModel, maps) -> tuple:
+def mobius_images(blocks, maps) -> tuple:
     """Stacks (phi(T0), E, phi(T1)) of the nonzero blocks of phi(T), one
-    matrix per map, for the coupled model T = [[T0, C], [0, T1]], by block
-    back-substitution; the (1, 0) block of phi(T) is zero.
+    matrix per map, for T = [[T0, C], [0, T1]] by block back-substitution.
+    Each of `blocks` = (T0, C, T1) is one matrix, mapped by every map, or a
+    stack with one matrix per map, such as the images of an earlier call.
 
     phi(T) solves D phi(T) = e^{i phase} (a I - T) with the block upper
     triangular D = [[D0, -conj(a) C], [0, D1]], Di = I - conj(a) Ti.  Its
-    diagonal blocks are phi(T0) and phi(T1) (`apply_maps`), and its corner
-    is E = D0^{-1} C (conj(a) phi(T1) - e^{i phase} I), one batched N x N
-    solve for all maps.  E is formed from C alone, never from X, so
-    comparing it with X phi(T1) - phi(T0) X checks the block identity.
+    diagonal blocks are phi(T0) and phi(T1) (`apply_mobius`), and its
+    corner is E = D0^{-1} C (conj(a) phi(T1) - e^{i phase} I) for any C,
+    one batched N x N solve for all maps.  E is formed from C alone, never
+    from X, so comparing it with X phi(T1) - phi(T0) X checks the identity.
 
     D is invertible exactly when D0 and D1 are, so the resolvent guard is
-    the N x N one of `apply_maps` on D0 and D1: a map it refuses raises
+    the N x N one of `apply_mobius` on D0 and D1: a map it refuses raises
     SingularResolventError naming the map's index, before any corner is
     solved.  D's own condition number can exceed both of theirs through
     C, so a 2N x 2N D just above the cap can pass.
     """
-    t0, coupling = model.t0.matrix, model.coupling_block
-    phi_t0s, phi_t1s = apply_maps(maps, t0), apply_maps(maps, model.t1.matrix)
-    conj_a = np.conj([m.a for m in maps])[:, None, None]
-    phases = np.exp(1j * np.array([m.phase for m in maps]))[:, None, None]
-    corners = np.linalg.solve(np.eye(model.size) - conj_a * t0,
-                              conj_a * (coupling @ phi_t1s) - phases * coupling)
+    t0, coupling, t1 = blocks
+    a = np.array([m.a for m in maps])
+    phases = np.array([m.phase for m in maps])
+    phi_t0s, phi_t1s = apply_mobius(t0, a, phases), apply_mobius(t1, a, phases)
+    conj_a = np.conj(a)[:, None, None]
+    rotations = np.exp(1j * phases)[:, None, None]
+    corners = np.linalg.solve(np.eye(t0.shape[-1]) - conj_a * t0,
+                              conj_a * (coupling @ phi_t1s) - rotations * coupling)
     return phi_t0s, corners, phi_t1s
 
 
 @dataclass(frozen=True)
 class MobiusBlockResult:
     """Worst block residual over the maps, the per-map residuals, the power
-    residuals of the model (they do not depend on the map) and the stack of
-    images phi(T), one per map."""
+    residuals of the model (they do not depend on the map) and the images
+    phi(T) as the stacks (phi(T0), E, phi(T1)) of `mobius_images`."""
 
     residual: float
     power_residuals: dict
     residuals: list
-    images: np.ndarray = field(repr=False)
+    images: tuple = field(repr=False)
 
 
 def mobius_block_identity_check(model: UpperTriangularModel,
@@ -126,20 +119,20 @@ def mobius_block_identity_check(model: UpperTriangularModel,
     formula X phi(T1) - phi(T0) X is a genuine cross-check, not a
     tautology.  The diagonal blocks of phi(T) are phi(T0) and phi(T1) for
     any block-triangular T, so the corner residual is the whole residual.
-    The images are assembled from the blocks.  The same structural identity
+    The images are returned as their blocks.  The same structural identity
     for plain powers T^n at n = 2, 3, 5 is the model's `power_residuals`,
     formed on the first call for a model and reused by every later one.
     """
     maps = [maps] if isinstance(maps, MobiusMap) else list(maps)
     if not maps:
         raise InvalidArgumentError("mobius block check needs at least one map")
-    phi_t0s, corners, phi_t1s = mobius_images(model, maps)
+    phi_t0s, corners, phi_t1s = images = mobius_images(
+        (model.t0.matrix, model.coupling_block, model.t1.matrix), maps)
     x = model.x
     # the block formula's corner, overwritten by E minus it
     formula = x @ phi_t1s - phi_t0s @ x
     residuals = [frobenius(d)
                  for d in np.subtract(corners, formula, out=formula)]
-    images = block_matrix(phi_t0s, corners, None, phi_t1s)
     return MobiusBlockResult(residual=max(residuals),
                              power_residuals=dict(model.power_residuals),
                              residuals=residuals, images=images)
@@ -174,7 +167,8 @@ def homogeneity_condition_check(model: UpperTriangularModel,
     report = ConditionReport(name="homogeneity")
     report.info["sampled_maps"] = len(witness)
     t0, t1, x = model.t0.matrix, model.t1.matrix, model.x
-    images = mobius_images(model, [entry.mobius for entry in witness])
+    images = mobius_images((t0, model.coupling_block, t1),
+                           [entry.mobius for entry in witness])
     for idx, (entry, phi_t0, corner, phi_t1) in enumerate(zip(witness, *images)):
         u0, u1 = entry.u0, entry.u1
         tag = f"map{idx}"
@@ -213,7 +207,8 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     report = ConditionReport(name="thm45")
     x = model.x
     u00, u01, u10, u11 = unitary.blocks
-    phi_t0s, corners, phi_t1s = mobius_images(model, [mobius])
+    phi_t0s, corners, phi_t1s = mobius_images(
+        (model.t0.matrix, model.coupling_block, model.t1.matrix), [mobius])
     phi_t0 = phi_t0s[0]
     gaps = intertwining_gaps(unitary.blocks, model.blocks,
                              (phi_t0, corners[0], None, phi_t1s[0]))

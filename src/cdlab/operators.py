@@ -39,16 +39,14 @@ a read that needs it and never kept.  `intertwining_gaps` reduces
 U A - B U one N x N block at a time and skips zero blocks, so a coupled
 model T is multiplied through T0, X T1 - T0 X and T1; `gap_total` and
 `block_norm` reduce norms from the blocks, and `block_unitarity_residual`
-certifies a block unitary from its Gram blocks, one at a time.  The
-assembled 2N x 2N T (`UpperTriangularModel.t`) is formed on each read and
-never kept on the model, with a shift block written as its weights; it is
-read only where a check compares it with the block formula:
-`power_residuals`, which forms and drops one power of T at a time, and the
-mobius-block scenario's norm and involution.  phi(T) of a coupled model is
-never mapped from it: `homogeneity.mobius_images` takes its blocks by block
-back-substitution, guarded on the N x N resolvents.  Certificates
-accumulate their sums in place, in the order the plain expressions take, so
-every residual is the same to the bit.
+certifies a block unitary from its Gram blocks, one at a time.  No check
+assembles the 2N x 2N T: `power_residuals` takes the corner of T^n by a
+recurrence on the blocks, and `homogeneity.mobius_images` takes the blocks
+of phi(T) by block back-substitution, guarded on the N x N resolvents.
+`UpperTriangularModel.t` assembles T on each read for callers outside the
+package and never keeps it.  Certificates accumulate their sums in place,
+in the order the plain expressions take, so every residual is the same to
+the bit.
 
 Residuals are Frobenius norms throughout.
 """
@@ -82,17 +80,6 @@ U10_COND_CAP = 1e12
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def _powers_235(m: np.ndarray):
-    """Yield m^2, m^3 and m^5, each equal to np.linalg.matrix_power's
-    binary-decomposition product (m^3 = m^2 m, m^5 = m (m^2 m^2)); `m` may
-    be a stack.  Between yields only m and its latest even power are held."""
-    square = m @ m
-    yield square
-    yield square @ m
-    square = square @ square
-    yield m @ square
 
 
 def unitarity_residual(u: np.ndarray) -> float:
@@ -226,13 +213,12 @@ class ModelOperator:
         return mat
 
     def write_into(self, out: np.ndarray) -> None:
-        """Write the matrix into `out`, a zero N x N array or view (or a
-        stack of them); a shift writes only its weights, onto the
-        superdiagonal."""
+        """Write the matrix into `out`, a zero N x N array or view; a shift
+        writes only its weights, onto the superdiagonal."""
         if self.weights is None:
             out[...] = self.dense
         else:
-            np.einsum("...ii->...i", out[..., :-1, 1:])[...] = self.weights
+            np.einsum("ii->i", out[:-1, 1:])[...] = self.weights
 
     def left(self, x: np.ndarray) -> np.ndarray:
         """T x for a matrix or an (m, N, k) stack x.
@@ -263,9 +249,10 @@ class UpperTriangularModel:
     """Blocks T0, T1, X and the coupling block X T1 - T0 X of
     T = [[T0, X T1 - T0 X], [0, T1]].
 
-    The 2N x 2N matrix `t` is assembled on each read and never kept; only
-    the three `power_residuals` are kept after their first read, so the
-    blocks must not be mutated after assembly.
+    Every check reads the blocks only.  The 2N x 2N matrix `t` exists for
+    callers outside the package; it is assembled on each read and never
+    kept.  The three `power_residuals` are kept after their first read, so
+    the blocks must not be mutated after assembly.
     """
 
     t0: ModelOperator
@@ -290,24 +277,27 @@ class UpperTriangularModel:
 
     @cached_property
     def power_residuals(self) -> dict:
-        """{n: ||T^n - [[T0^n, X T1^n - T0^n X], [0, T1^n]]||} for n = 2, 3, 5.
-
-        The block identity of phi(T) spot-checked for plain powers; T^n is
-        taken on the assembled `t`, the block powers on the stacked (T0, T1).
-        The block powers are taken first; then each power of T is formed,
-        compared and dropped before the next (`_powers_235`), so at most
-        four 2N x 2N arrays are alive at once: T, two of its powers and one
-        block formula.
+        """{n: ||C_n - (X T1^n - T0^n X)||} for n = 2, 3, 5, C_n the corner
+        of T^n: the block identity of phi(T) spot-checked for plain powers,
+        whose diagonal blocks are T0^n and T1^n for any block-triangular T.
+        C_n comes from the coupling block C alone, never from X, by
+        C_{n+1} = T0^n C + C_n T1 (T^{n+1} = T^n T) from C_1 = C.  At most
+        five N x N arrays are alive at once: T0^n, T1^n, C_n, one difference
+        and one product.
         """
-        blocks = list(_powers_235(np.stack([self.t0.matrix, self.t1.matrix])))
-        powers = _powers_235(self.t)
+        coupling, x = self.coupling_block, self.x
+        t0_power, t1_power, corner = self.t0.matrix, self.t1.matrix, coupling
         residuals = {}
-        for n in (2, 3, 5):
-            # the block formula of T^n, overwritten by T^n minus it
-            assembled = triangular_matrix(*blocks.pop(0), self.x)
-            residuals[n] = frobenius(np.subtract(next(powers), assembled,
-                                                 out=assembled))
-            del assembled  # before the next formula is formed
+        for n in range(2, 6):
+            corner = self.t1.right(corner)
+            corner += t0_power @ coupling
+            t0_power, t1_power = self.t0.left(t0_power), self.t1.right(t1_power)
+            if n in (2, 3, 5):
+                # C_n + T0^n X - X T1^n, formed in place
+                gap = t0_power @ x
+                gap += corner
+                gap -= x @ t1_power
+                residuals[n] = frobenius(gap)
         return residuals
 
 
@@ -353,12 +343,12 @@ def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
 
 
 def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
-    """[[A, B], [C, D]] from equal-size square blocks, or stacks of them.
+    """[[A, B], [C, D]] from equal-size square blocks.
 
     None stands for a zero block, and a ModelOperator block is written by
     `ModelOperator.write_into` (a shift as its weights, no N x N matrix
-    formed).  Leading (stack) axes broadcast, and the result has the common
-    dtype of the given blocks (complex for a ModelOperator).
+    formed).  The result has the common dtype of the given blocks (complex
+    for a ModelOperator).
     """
     blocks = [b if b is None or isinstance(b, ModelOperator) else np.asarray(b)
               for b in (top_left, top_right, bottom_left, bottom_right)]
@@ -366,16 +356,15 @@ def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
     shapes = [(b.size, b.size) if isinstance(b, ModelOperator) else b.shape
               for b in given]
     n = shapes[0][-1]
-    if any(len(s) < 2 or s[-2:] != (n, n) for s in shapes):
+    if any(s != (n, n) for s in shapes):
         raise InvalidArgumentError(
             f"blocks must be square and of one size, got shapes {shapes}")
-    lead = np.broadcast_shapes(*(s[:-2] for s in shapes))
     dtype = np.result_type(*(complex if isinstance(b, ModelOperator) else b
                              for b in given))
-    out = np.zeros(lead + (2 * n, 2 * n), dtype=dtype)
+    out = np.zeros((2 * n, 2 * n), dtype=dtype)
     for k, b in enumerate(blocks):
         row, col = divmod(k, 2)
-        view = out[..., row * n:(row + 1) * n, col * n:(col + 1) * n]
+        view = out[row * n:(row + 1) * n, col * n:(col + 1) * n]
         if isinstance(b, ModelOperator):
             b.write_into(view)
         elif b is not None:
@@ -430,11 +419,6 @@ def block_norm(blocks) -> float:
     `intertwining_gaps` takes them)."""
     return gap_total(frobenius(b.matrix if isinstance(b, ModelOperator) else b)
                      for b in blocks if b is not None)
-
-
-def triangular_matrix(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T = [[A, X B - A X], [0, B]], for matrices or stacks of them."""
-    return block_matrix(a, x @ b - a @ x, None, b)
 
 
 def assemble_model(t0: ModelOperator | np.ndarray, t1: ModelOperator | np.ndarray,

@@ -20,6 +20,7 @@ import functools
 import inspect
 import json
 import math
+import numbers
 import os
 import platform
 import re
@@ -39,14 +40,14 @@ from .errors import InvalidArgumentError, SchemaError
 from .geometry import (DiskGrid, covariant_derivative, curvature,
                        curvature_isometry_check, eigenframe, gram_metric,
                        kernel_frame, polar_grid)
-from .homogeneity import (MobiusMap, WitnessEntry, apply_maps,
+from .homogeneity import (MobiusMap, WitnessEntry,
                           homogeneity_condition_check,
-                          mobius_block_identity_check, mobius_sample_set,
-                          thm45_condition_check)
+                          mobius_block_identity_check, mobius_images,
+                          mobius_sample_set, thm45_condition_check)
 from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                       separator_kernel)
 from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
-                        block_norm, fb2_membership, frobenius, gap_total,
+                        block_norm, fb2_membership, gap_total,
                         intertwining_gaps, random_operator, random_unitary,
                         shift_from_kernel, similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
@@ -60,8 +61,10 @@ SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
                            "checks"})
 CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
 REQUIRED = inspect.Parameter.empty
-KIND_NAMES = {int: "an integer", float: "a number", complex: "a complex number",
-              str: "a string"}
+# Each cast kind: the type its value must already have, and its name.  A bool
+# or a string is never a number, and a fraction never an integer.
+CAST_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+              complex: (numbers.Complex, "a complex number"), str: (str, "a string")}
 
 
 class Ref(NamedTuple):
@@ -93,15 +96,28 @@ def _reject_unknown_keys(raw: dict, allowed, where: str):
 
 
 def _cast(kind: type, value, where: str):
+    """`value`, of `kind`'s CAST_KINDS type, as `kind`; a complex number may
+    also be the pair [re, im] of two real numbers."""
+    pair = kind is complex and isinstance(value, (list, tuple)) and len(value) == 2
+    parts = value if pair else [value]
+    needed, name = CAST_KINDS[kind]
     try:
-        if kind is str and not isinstance(value, str):
-            raise TypeError  # str() takes anything
-        out = _as_complex(value) if kind is complex else kind(value)
-    except (TypeError, ValueError, OverflowError, IndexError):
-        raise SchemaError(f"{where} must be {KIND_NAMES.get(kind, kind.__name__)}, "
-                          f"got {value!r}") from None
+        if not all(isinstance(v, numbers.Real if pair else needed)
+                   and not isinstance(v, bool) for v in parts):
+            raise TypeError
+        out = kind(*parts)
+    except (TypeError, OverflowError):
+        raise SchemaError(f"{where} must be {name}, got {value!r}") from None
     if kind in (float, complex) and not cmath.isfinite(out):  # json reads NaN, Infinity
         raise SchemaError(f"{where} must be finite, got {value!r}")
+    return out
+
+
+def _at_least(least: int, value, where: str) -> int:
+    """`value` as an integer of at least `least`."""
+    out = _cast(int, value, where)
+    if out < least:
+        raise SchemaError(f"{where} must be at least {least}, got {value!r}")
     return out
 
 
@@ -272,7 +288,7 @@ class Scenario:
         seed = raw.get("seed")
         scenario = cls(
             name=name,
-            seed=None if seed is None else _cast(int, seed, f"{origin}: 'seed'"),
+            seed=None if seed is None else _at_least(0, seed, f"{origin}: 'seed'"),
             kernel_specs=raw.get("kernels", {}),
             operator_specs=raw.get("operators", {}),
             grid_spec=raw.get("grid", {}),
@@ -405,7 +421,7 @@ class ScenarioContext:
             raise SchemaError(f"{where}: {type(exc).__name__}: {exc}") from None
 
     def seed(self, value, where: str) -> int:
-        return self.scenario.seed or 0 if value is None else _cast(int, value, where)
+        return self.scenario.seed or 0 if value is None else _at_least(0, value, where)
 
     def random_seed(self, value, where: str) -> int:
         if value is None and self.scenario.seed is None:
@@ -414,22 +430,13 @@ class ScenarioContext:
         return self.seed(value, where)
 
     def count(self, value, where: str) -> int:
-        count = _cast(int, value, where)
-        if count < 1:
-            raise SchemaError(f"{where} must be at least 1, got {value!r}")
-        return count
+        return _at_least(1, value, where)
 
     def even_count(self, value, where: str) -> int:
         count = self.count(value, where)
         if count % 2:
             raise SchemaError(f"{where} must be even, got {value!r}")
         return count
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +686,18 @@ def _check_mobius_block(tol: float, *, trials=Ref("count", 1),
     inverses = [mob.inverse() for mob in maps]
     worst_block = worst_involution = worst_power = 0.0
     for sample in _samples(trials, seed, 6, 0.5):
-        t = sample.t  # assembled on each read, so read once per sample
-        t_norm = frobenius(t)
+        t_norm = block_norm(sample.blocks)
         result = mobius_block_identity_check(sample, maps)
         worst_block = max(worst_block, result.residual / t_norm)
         worst_power = max(worst_power, max(result.power_residuals.values()))
-        back = apply_maps(inverses, result.images)
-        worst_involution = max(worst_involution, max(
-            frobenius(m - t) for m in back) / t_norm)
+        # phi^{-1}(phi(T)) block by block, against T0, C and T1
+        gaps = np.concatenate([
+            back - block for back, block in zip(
+                mobius_images(result.images, inverses),
+                (sample.t0.matrix, sample.coupling_block, sample.t1.matrix))],
+            axis=1)
+        worst_involution = max(worst_involution, float(
+            np.linalg.norm(gaps, axis=(1, 2)).max()) / t_norm)
     report.add("block-identity", worst_block, tol,
                detail=f"{trials} trials x {len(maps)} maps, relative to ||T||")
     report.add("involution", worst_involution, 1e-9)

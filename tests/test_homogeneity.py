@@ -1,13 +1,14 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cdlab import operators
 from cdlab.equivalence import BlockUnitary
 from cdlab.errors import (InvalidArgumentError, NumericError,
                           SingularResolventError)
-from cdlab.homogeneity import (MobiusMap, WitnessEntry, apply_maps,
+from cdlab.homogeneity import (MobiusMap, WitnessEntry,
                                homogeneity_condition_check,
                                mobius_block_identity_check, mobius_images,
                                mobius_sample_set, thm45_condition_check)
@@ -22,6 +23,44 @@ from oracles import product_gap_bound, traced_peak
 # assembled T, the oracle: a relative Frobenius bound.  Both solve the same
 # system, and they agree to about 2e-16 relative on the models below.
 IMAGE_RTOL = 1e-13
+EPS = np.finfo(float).eps
+
+
+def _blocks(model):
+    """(T0, C, T1) of a model as matrices, as `mobius_images` takes them."""
+    return model.t0.matrix, model.coupling_block, model.t1.matrix
+
+
+def _assembled(images, k):
+    """The 2N x 2N image of map k from the stacks of `mobius_images`."""
+    phi_t0s, corners, phi_t1s = images
+    return block_matrix(phi_t0s[k], corners[k], None, phi_t1s[k])
+
+
+def _assert_stacks_equal(got, want):
+    for got_stack, want_stack in zip(got, want, strict=True):
+        np.testing.assert_array_equal(got_stack, want_stack)
+
+
+def _matrix_power_residuals(model):
+    """The oracle: ||T^n - [[T0^n, X T1^n - T0^n X], [0, T1^n]]|| for
+    n = 2, 3, 5 from np.linalg.matrix_power on the assembled T."""
+    power = np.linalg.matrix_power
+    return {n: frobenius(power(model.t, n)
+                         - assemble_model(power(model.t0.matrix, n),
+                                          power(model.t1.matrix, n),
+                                          model.x).t)
+            for n in (2, 3, 5)}
+
+
+def _power_bound(model, n):
+    """A bound on the gap between two routes to the power residual n.  It
+    is zero in exact arithmetic, and a chain of n - 1 products of 2N x 2N
+    factors of T errs by at most about (n - 1) 2N eps ||T||_2^(n-1) ||T||
+    in Frobenius norm; the factor 4 covers both routes with room."""
+    t = model.t
+    return (4 * n * t.shape[0] * EPS * np.linalg.norm(t, 2) ** (n - 1)
+            * frobenius(t))
 
 
 def _random_model(size=6, seed=0, norm=0.5):
@@ -111,48 +150,48 @@ class TestBlockIdentity:
 
     @pytest.mark.parametrize("seed", [0, 30])
     def test_power_residuals_equal_matrix_power_reference(self, seed):
+        # both are rounding noise around an exact 0, so they agree within
+        # the rounding bound of either route (`_power_bound`)
         model = _random_model(size=7, seed=seed)
         result = mobius_block_identity_check(model, MobiusMap(a=0.5j))
-        power = np.linalg.matrix_power
-        reference = {
-            n: frobenius(power(model.t, n)
-                         - assemble_model(power(model.t0.matrix, n),
-                                          power(model.t1.matrix, n),
-                                          model.x).t)
-            for n in (2, 3, 5)}
-        assert result.power_residuals == reference
+        reference = _matrix_power_residuals(model)
+        assert result.power_residuals.keys() == reference.keys()
+        for n, residual in result.power_residuals.items():
+            assert abs(residual - reference[n]) <= _power_bound(model, n)
 
     def test_powers_formed_once_per_model(self, monkeypatch):
         calls = []
+        real = UpperTriangularModel.power_residuals.func
 
-        def counted(m):
-            calls.append(m.shape)
-            return real(m)
+        def counted(model):
+            calls.append(model.size)
+            return real(model)
 
-        real = operators._powers_235
-        monkeypatch.setattr(operators, "_powers_235", counted)
+        counted_property = functools.cached_property(counted)
+        counted_property.__set_name__(UpperTriangularModel, "power_residuals")
+        monkeypatch.setattr(UpperTriangularModel, "power_residuals",
+                            counted_property)
         model = _random_model(size=8, seed=4)
         results = [mobius_block_identity_check(model, mob)
                    for mob in mobius_sample_set()]
-        # one call on the stacked blocks and one on the assembled T
-        assert calls == [(2, 8, 8), (16, 16)]
+        assert calls == [8]
         assert all(r.power_residuals == results[0].power_residuals
                    for r in results)
 
         fresh = assemble_model(model.t0, model.t1, model.x)
         again = mobius_block_identity_check(fresh, mobius_sample_set()[0])
-        assert len(calls) == 4
+        assert calls == [8, 8]
         assert again.power_residuals == results[0].power_residuals
 
-    def test_power_residuals_peak_under_twenty_blocks(self):
-        # each power of the 2N x 2N T (four N x N blocks) is compared and
-        # dropped before the next; holding them all took about 38 blocks
+    def test_power_residuals_peak_under_eight_blocks(self):
+        # the corner recurrence holds T0^n, T1^n, C_n and two temporaries,
+        # all N x N; the assembled route held about 18 blocks
         size = 240
         t0 = shift_from_kernel(bergman_kernel(1, size))
         t1 = shift_from_kernel(bergman_kernel(2, size))
         model = assemble_model(t0, t1, random_operator(size, 3, norm=0.5))
         peak = traced_peak(lambda: model.power_residuals)
-        assert peak < 20 * 16 * size ** 2
+        assert peak < 8 * 16 * size ** 2
         assert "t" not in vars(model)
 
     def test_per_map_calls_equal_one_call_for_all_maps(self):
@@ -163,29 +202,23 @@ class TestBlockIdentity:
             _random_model(size=7, seed=9), maps)
         apart = [mobius_block_identity_check(model, mob) for mob in maps]
         assert [r.residual for r in apart] == together.residuals
-        np.testing.assert_array_equal(np.concatenate([r.images for r in apart]),
-                                      together.images)
-        power = np.linalg.matrix_power
-        reference = {
-            n: frobenius(power(model.t, n)
-                         - assemble_model(power(model.t0.matrix, n),
-                                          power(model.t1.matrix, n),
-                                          model.x).t)
-            for n in (2, 3, 5)}
-        assert together.power_residuals == reference
-        assert all(r.power_residuals == reference for r in apart)
+        _assert_stacks_equal(
+            [np.concatenate(stacks) for stacks in zip(*(r.images for r in apart))],
+            together.images)
+        assert all(r.power_residuals == together.power_residuals for r in apart)
 
     def test_single_map_result_is_a_stack_of_one(self):
         model = _random_model(seed=5)
         mob = MobiusMap(a=0.3 + 0.2j, phase=0.4)
         result = mobius_block_identity_check(model, mob)
         assert result.residuals == [result.residual]
-        assert result.images.shape == (1, 12, 12)
+        assert [stack.shape for stack in result.images] == [(1, 6, 6)] * 3
         dense = mob.of(model.t)
-        assert frobenius(result.images[0] - dense) <= IMAGE_RTOL * frobenius(dense)
+        assert frobenius(_assembled(result.images, 0) - dense) \
+            <= IMAGE_RTOL * frobenius(dense)
         listed = mobius_block_identity_check(model, [mob])
         assert listed.residuals == result.residuals
-        np.testing.assert_array_equal(listed.images, result.images)
+        _assert_stacks_equal(listed.images, result.images)
         assert listed.power_residuals == result.power_residuals
 
     def test_no_maps_rejected(self):
@@ -203,7 +236,7 @@ class TestBlockIdentity:
 class TestStackedSweep:
     """The sweep over many maps against a per-map reference built from
     np.linalg.matrix_power and single apply_mobius calls on the assembled T,
-    and against one call per map."""
+    each within a stated bound, and against one call per map, exactly."""
 
     MAPS = mobius_sample_set() + [MobiusMap(a=0.3 - 0.2j, phase=1.3),
                                   MobiusMap(a=-0.6j, phase=5.9)]
@@ -218,41 +251,106 @@ class TestStackedSweep:
         residuals = [frobenius(image - assemble_model(
             apply_mobius(t0, m.a, m.phase), apply_mobius(t1, m.a, m.phase), x).t)
             for image, m in zip(images, self.MAPS)]
-        power = np.linalg.matrix_power
-        power_residuals = {
-            n: frobenius(power(model.t, n)
-                         - assemble_model(power(t0, n), power(t1, n), x).t)
-            for n in (2, 3, 5)}
 
         # the residuals measure the same corner formula against images that
         # differ by at most IMAGE_RTOL ||phi(T)||, so (triangle inequality)
         # they differ by at most that much too
-        for got, image, residual, want in zip(result.images, images,
-                                              result.residuals, residuals):
+        for k, (image, residual, want) in enumerate(zip(images, result.residuals,
+                                                        residuals)):
+            got = _assembled(result.images, k)
             assert frobenius(got - image) <= IMAGE_RTOL * frobenius(image)
             assert abs(residual - want) <= IMAGE_RTOL * frobenius(image)
         assert result.residual == max(result.residuals)
-        assert result.power_residuals == power_residuals
+        reference = _matrix_power_residuals(model)
+        for n, residual in result.power_residuals.items():
+            assert abs(residual - reference[n]) <= _power_bound(model, n)
         apart = [mobius_block_identity_check(model, mob) for mob in self.MAPS]
         assert [r.residual for r in apart] == result.residuals
-        np.testing.assert_array_equal(np.concatenate([r.images for r in apart]),
-                                      result.images)
+        _assert_stacks_equal(
+            [np.concatenate(stacks) for stacks in zip(*(r.images for r in apart))],
+            result.images)
 
     def test_involution_of_the_image_stack(self):
         model = _random_model(seed=21)
         result = mobius_block_identity_check(model, self.MAPS)
-        twice = apply_maps(self.MAPS, result.images)
+        twice = mobius_images(result.images, self.MAPS)
         t_norm = frobenius(model.t)
-        for back, image, mob in zip(twice, result.images, self.MAPS):
-            np.testing.assert_array_equal(back,
-                                          apply_mobius(image, mob.a, mob.phase))
+        for k, mob in enumerate(self.MAPS):
+            # the stacked map-back equals the map-back of each image alone
+            _assert_stacks_equal(
+                (stack[k:k + 1] for stack in twice),
+                mobius_images([stack[k] for stack in result.images], [mob]))
             # the images are within IMAGE_RTOL of the dense ones, and phi
             # moves that gap by a factor of order one at |a| <= 0.7
             dense = apply_mobius(apply_mobius(model.t, mob.a, mob.phase),
                                  mob.a, mob.phase)
+            back = _assembled(twice, k)
             assert frobenius(back - dense) <= 10 * IMAGE_RTOL * t_norm
             if mob.phase == 0.0:  # only then is phi its own inverse
                 assert frobenius(back - model.t) <= 1e-9
+
+    def test_inverse_maps_give_back_the_blocks(self):
+        # what the mobius-block scenario's involution checks, phase or not
+        model = _random_model(seed=21)
+        result = mobius_block_identity_check(model, self.MAPS)
+        back = mobius_images(result.images, [m.inverse() for m in self.MAPS])
+        t_norm = frobenius(model.t)
+        for stack, block in zip(back, _blocks(model), strict=True):
+            gaps = np.linalg.norm(stack - block, axis=(1, 2))
+            assert gaps.max() <= 1e-12 * t_norm
+
+
+def _exact(mat):
+    return [[Fraction(int(v)) for v in row] for row in np.asarray(mat).real]
+
+
+def _exact_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _exact_power(a, n):
+    out = [[Fraction(int(i == j)) for j in range(len(a))] for i in range(len(a))]
+    for _ in range(n):
+        out = _exact_product(out, a)
+    return out
+
+
+class TestPowerResidualsExact:
+    """Integer blocks with entries in -3..3 at N = 4 keep every product and
+    sum exact in float64, so the corner recurrence is checked exactly
+    against Fraction arithmetic."""
+
+    SIZE = 4
+
+    def _model(self, seed):
+        rng = np.random.default_rng(seed)
+        t0, t1, x, delta = (rng.integers(-3, 4, (self.SIZE, self.SIZE))
+                            for _ in range(4))
+        return assemble_model(t0, t1, x), delta
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_model_reads_zero(self, seed):
+        model, _ = self._model(seed)
+        assert model.power_residuals == {2: 0.0, 3: 0.0, 5: 0.0}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_moved_coupling_reads_the_exact_corner_shift(self, seed):
+        # with C + D in place of C the corner of T^n moves by
+        # sum_k T0^k D T1^(n-1-k), and X T1^n - T0^n X does not move
+        model, delta = self._model(seed)
+        moved = UpperTriangularModel(t0=model.t0, t1=model.t1, x=model.x,
+                                     coupling_block=model.coupling_block + delta)
+        t0, t1, d = _exact(model.t0.matrix), _exact(model.t1.matrix), _exact(delta)
+        for n, residual in moved.power_residuals.items():
+            shift = [[Fraction(0)] * self.SIZE for _ in range(self.SIZE)]
+            for k in range(n):
+                term = _exact_product(_exact_product(_exact_power(t0, k), d),
+                                      _exact_power(t1, n - 1 - k))
+                shift = [[p + q for p, q in zip(r, s)] for r, s in zip(shift, term)]
+            squares = sum(v * v for row in shift for v in row)
+            assert squares > 0
+            assert residual == math.sqrt(squares)
 
 
 # the size of a coupling perturbation, far above rounding and far below 1
@@ -308,7 +406,7 @@ class TestMobiusImages:
                 MobiusMap(a=0.2)]
         with pytest.raises(SingularResolventError,
                            match=r"of map 2 \(a = 0\.5\+0j\)"):
-            mobius_images(model, maps)
+            mobius_images(_blocks(model), maps)
         with pytest.raises(SingularResolventError, match="of map 2"):
             mobius_block_identity_check(model, maps)
 
@@ -486,8 +584,7 @@ class TestThm45:
         mob = MobiusMap(a=radius * np.exp(0.9j), phase=phase)
         model = _random_model(size, seed=size)
         dense = mob.of(model.t)
-        phi_t0s, corners, phi_t1s = mobius_images(model, [mob])
-        got = block_matrix(phi_t0s[0], corners[0], None, phi_t1s[0])
+        got = _assembled(mobius_images(_blocks(model), [mob]), 0)
         assert frobenius(got - dense) <= IMAGE_RTOL * frobenius(dense)
 
     @pytest.mark.parametrize("phase", [0.0, 0.8])
@@ -500,7 +597,7 @@ class TestThm45:
         corner = np.linalg.solve(
             np.eye(model.size) - conj_a * t0,
             conj_a * (coupling @ phi_t1) - np.exp(1j * mob.phase) * coupling)
-        for stack, want in zip(mobius_images(model, [mob]),
+        for stack, want in zip(mobius_images(_blocks(model), [mob]),
                                (phi_t0, corner, phi_t1)):
             assert stack.shape == (1, 40, 40)
             np.testing.assert_array_equal(stack[0], want)

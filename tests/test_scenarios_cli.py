@@ -12,6 +12,7 @@ import pytest
 
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
+from cdlab.operators import UpperTriangularModel
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
                              _grid, list_checks, parameter_docs,
                              run_scenario)
@@ -67,6 +68,22 @@ def test_bundled_scenarios_pass(path, tmp_path, monkeypatch):
         assert lines[0] == "re_w,im_w,K_00_re,K_00_im,kernel"
         assert [line.rsplit(",", 1)[1] for line in lines[1:]] \
             == ["b1"] * 96 + ["b2"] * 96 + ["b3"] * 96
+
+
+def test_no_check_assembles_the_coupled_model(tmp_path, monkeypatch):
+    # every check works on the N x N blocks: with the assembled 2N x 2N T
+    # unreadable, all six bundled scenarios give the same bodies
+    monkeypatch.chdir(tmp_path)
+    plain = [_body(run_scenario(path).to_dict()) for path in BUNDLED]
+
+    def refuse(model):
+        raise AssertionError("the assembled T was read")
+
+    monkeypatch.setattr(UpperTriangularModel, "t", property(refuse))
+    blocks_only = [_body(run_scenario(path).to_dict()) for path in BUNDLED]
+    assert len(BUNDLED) == 6 and all(body["overall"] for body in plain)
+    assert json.dumps(blocks_only, sort_keys=True) == json.dumps(plain,
+                                                                 sort_keys=True)
 
 
 def test_sylvester_and_separator_compare_against_tol():
@@ -351,6 +368,32 @@ MALFORMED = [
         B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
      r"operators\[A\]: 'adjoint_of': 'source': operators\[B\]: 'poly_of': "
      r"'source': operators form a cycle A -> B -> A"),
+    # a number is read only from a JSON number of its kind: a fraction is
+    # not a count, and neither a string nor a bool is a number
+    ("fractional-N", lambda raw: raw["kernels"]["b1"].update(N=8.9),
+     r"kernels\[b1\]: 'N' must be an integer, got 8.9"),
+    ("fractional-n_radii", lambda raw: raw.update(grid={"n_radii": 2.7}),
+     r"grid: 'n_radii' must be an integer, got 2.7"),
+    ("string-n_angles", lambda raw: raw.update(grid={"n_angles": "4"}),
+     r"grid: 'n_angles' must be an integer, got '4'"),
+    ("boolean-size", lambda raw: _random_spec(raw).update(size=True),
+     r"operators\[Xn\]: 'random': 'size' must be an integer, got True"),
+    ("string-norm", lambda raw: _random_spec(raw).update(norm="0.8"),
+     r"operators\[Xn\]: 'random': 'norm' must be a number, got '0.8'"),
+    ("boolean-rmax", lambda raw: raw.update(grid={"rmax": False}),
+     r"grid: 'rmax' must be a number, got False"),
+    ("string-tol", lambda raw: raw["checks"][0].update(tol="1e-9"),
+     r"checks\[0\]: tol must be a number, got '1e-9'"),
+    ("string-a", lambda raw: raw.update(checks=[{
+        "check": "thm45", "params": {"t1_kernel": "b1", "a": "0.3"}}]),
+     r"checks\[0\] \(thm45\): 'a' must be a complex number, got '0.3'"),
+    ("boolean-a-pair", lambda raw: raw.update(checks=[{
+        "check": "thm45", "params": {"t1_kernel": "b1", "a": [0.3, True]}}]),
+     r"checks\[0\] \(thm45\): 'a' must be a complex number, got \[0.3, True\]"),
+    ("negative-seed", lambda raw: raw.update(seed=-4),
+     r"'seed' must be at least 0, got -4"),
+    ("negative-operator-seed", lambda raw: _random_spec(raw).update(seed=-1),
+     r"operators\[Xn\]: 'random': 'seed' must be at least 0, got -1"),
 ]
 
 # (check, or "kernel" for a kernel spec, its params holding a key that is
@@ -509,12 +552,19 @@ class TestScenarioSchema:
          r"'witness'\[0\]: missing or null parameter 'u1'"),
         ("curvature", {"kernels": ["b1", None]},
          r"'kernels'\[1\] must be a kernel name, got None"),
+        ("mobius-block", {"trials": 2.5}, "'trials' must be an integer, got 2.5"),
+        ("frame", {"t0_kernel": "b1", "t1_kernel": "b2",
+                   "grid": {"n_angles": "4"}},
+         "'grid': 'n_angles' must be an integer, got '4'"),
+        ("similarity-split", {"size": True}, "'size' must be an integer, got True"),
+        ("mobius-block", {"seed": -4}, "'seed' must be at least 0, got -4"),
     ], ids=["unknown-key", "expect", "mode", "missing", "null", "null-item",
             "undefined-kernel", "undefined-operator",
             "undefined-nested-operator", "seed", "kernel-alias",
             "transform-mode", "x_scalar", "theta-without-theta0", "main3-k0",
             "one-block-model", "mixed-model", "witness-without-u1",
-            "null-kernel-item"])
+            "null-kernel-item", "fractional-count", "string-count",
+            "boolean-size", "negative-seed"])
     def test_params_checked_at_load(self, check, params, match, tmp_path):
         raw = _tiny_scenario()
         raw["checks"].append({"check": check, "params": params})
@@ -725,6 +775,8 @@ class TestCli:
         ["--kernel", "szego-2"],
         ["--kernel", "bergman:x"],
         ["--kernel", "bergman:0"],
+        ["--kernel", "bergman:2.5"],
+        ["--kernel", "bergman:-1"],
         ["--kernel", "bergman:2", "--truncation", "0"],
         ["--kernel", "bergman:2", "--derivative", "1"],
         ["--kernel", "bergman:2", "--derivative=-1,0"],
