@@ -6,16 +6,17 @@ inside one check marks it failed and the campaign continues.  Identical
 scenario + seed gives identical report bodies, timing and environment aside,
 at one BLAS thread setting.
 
-Each section is declared once, as a function's keyword-only arguments (see
-`Ref`): check params by the runner, kernels and models by their forms
-(KERNEL, MODEL), operators by SOURCES and the grid by `_grid`.
-`_read_params` reads them at load, where a bad key, value or name is a
-SchemaError, and again inside each check, where it builds what they name.
+Each part is declared once, as a function's keyword-only arguments (`Ref`):
+the document by `_document`, a check entry by `_entry`, its params by its
+runner, kernels and models by KERNEL and MODEL, operators by SOURCES, a
+matrix by `_matrix` and the grid by `_grid`.  `_read_params` reads them at
+load, where a bad key, value or name is a SchemaError, and in each check.
 """
 
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import inspect
 import json
@@ -25,6 +26,7 @@ import os
 import platform
 import re
 import time
+from collections.abc import Set
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -51,20 +53,18 @@ from .operators import (ModelOperator, UpperTriangularModel, assemble_model,
                         intertwining_gaps, random_operator, random_unitary,
                         shift_from_kernel, similarity_split, sylvester_kernel)
 from .reporting import ConditionReport
-from .serialize import load_matrix, matrix_from_json, write_curvature_csv
+from .serialize import write_curvature_csv
 
 
 # ---------------------------------------------------------------------------
 # parameter schemas
 
-SCENARIO_KEYS = frozenset({"name", "seed", "kernels", "operators", "grid",
-                           "checks"})
-CHECK_KEYS = frozenset({"check", "id", "tol", "params"})
 REQUIRED = inspect.Parameter.empty
 # Each cast kind: the type its value must already have, and its name.  A bool
 # or a string is never a number, and a fraction never an integer.
 CAST_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
-              complex: (numbers.Complex, "a complex number"), str: (str, "a string")}
+              complex: (numbers.Complex, "a complex number"), str: (str, "a string"),
+              dict: (dict, "an object")}
 
 
 class Ref(NamedTuple):
@@ -83,16 +83,9 @@ def _kind_name(kind) -> str:
         return f"[{_kind_name(kind[0])}]"
     if isinstance(kind, tuple):
         return " | ".join(map(_kind_name, kind))
-    if isinstance(kind, set):
+    if isinstance(kind, Set):
         return " | ".join(sorted(kind))
     return kind if isinstance(kind, str) else kind.__name__.strip("_")
-
-
-def _reject_unknown_keys(raw: dict, allowed, where: str):
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise SchemaError(f"{where}: unknown key {unknown[0]!r}; allowed keys are "
-                          f"{', '.join(sorted(allowed))}")
 
 
 def _cast(kind: type, value, where: str):
@@ -113,9 +106,9 @@ def _cast(kind: type, value, where: str):
     return out
 
 
-def _at_least(least: int, value, where: str) -> int:
-    """`value` as an integer of at least `least`."""
-    out = _cast(int, value, where)
+def _at_least(least: int, value, where: str, kind: type = int):
+    """`value` as a `kind` of at least `least`."""
+    out = _cast(kind, value, where)
     if out < least:
         raise SchemaError(f"{where} must be at least {least}, got {value!r}")
     return out
@@ -130,15 +123,18 @@ def _schema(runner) -> dict[str, Ref]:
             if p.kind is p.KEYWORD_ONLY}
 
 
-def _read_params(ctx: "ScenarioContext", runner, raw, where: str) -> dict:
-    """The keyword arguments `runner` declares, read from raw params."""
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where} must be an object, got {raw!r}")
+def _read_params(ctx: "ScenarioContext", runner, given, where: str) -> dict:
+    """The keyword arguments `runner` declares, read from the object given."""
+    if not isinstance(given, dict):
+        raise SchemaError(f"{where} must be an object, got {given!r}")
     schema = _schema(runner)
-    _reject_unknown_keys(raw, schema, where)
+    unknown = sorted(set(given) - set(schema))
+    if unknown:
+        raise SchemaError(f"{where}: unknown key {unknown[0]!r}; allowed keys are "
+                          f"{', '.join(sorted(schema))}")
     kwargs = {}
     for name, ref in schema.items():
-        value = raw.get(name, ref.default)
+        value = given.get(name, ref.default)
         if value is REQUIRED or (value is None and ref.default is not None):
             raise SchemaError(f"{where}: missing or null parameter '{name}'")
         kwargs[name] = None if value is None and not isinstance(ref.kind, str) \
@@ -206,8 +202,9 @@ KERNEL = (_bergman, _coeffs)
 MODEL = (_kernel_model, _operator_model)
 
 
-def _random(*, size=Ref("count"), seed=Ref("random_seed", None), norm=0.5,
-            kind=Ref({"dense", "normal"}, "dense")) -> np.ndarray:
+def _random(*, size=Ref("count"), seed=Ref("random_seed", None),
+            norm=Ref("positive", 0.5), kind=Ref({"dense", "normal"}, "dense")
+            ) -> np.ndarray:
     return random_operator(size, seed, norm=norm, kind=kind)
 
 
@@ -241,11 +238,22 @@ SOURCES = {
 }
 
 
-def _grid(*, rmax=0.6, n_radii=Ref("count", 6), n_angles=Ref("count", 16),
-          fd_step=1e-3) -> DiskGrid:
+def _matrix(*, rows=Ref("count"), cols=Ref("count"), re=Ref([float]),
+            im=Ref([float])) -> np.ndarray:
+    """The rows x cols matrix of the row-major real and imaginary parts."""
+    return (np.asarray(re) + 1j * np.asarray(im)).reshape(rows, cols)
+
+
+def _grid(*, rmax=Ref("positive", 0.6), n_radii=Ref("count", 6),
+          n_angles=Ref("count", 16), fd_step=1e-3) -> DiskGrid:
     """A polar grid on n_radii radii spaced evenly up to rmax."""
     return polar_grid(radii=rmax * np.arange(1, n_radii + 1) / n_radii,
                       n_angles=n_angles, fd_step=fd_step)
+
+
+def _document(*, name=Ref("label"), seed=Ref("seed", None), kernels=Ref(dict, {}),
+              operators=Ref(dict, {}), grid=Ref("grid", {}), checks=Ref([dict])):
+    """A scenario's top level; its kernels and operators are specs by name."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,75 +264,48 @@ def _grid(*, rmax=0.6, n_radii=Ref("count", 6), n_angles=Ref("count", 16),
 class Scenario:
     name: str
     seed: int | None
-    kernel_specs: dict
-    operator_specs: dict
-    grid_spec: dict
-    checks: list[dict]
+    kernels: dict
+    operators: dict
+    grid: DiskGrid = field(repr=False)
+    checks: list[CheckEntry]
     base_dir: Path
-    grid: DiskGrid | None = field(default=None, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        return cls.from_dict(raw, base_dir=path.parent, origin=str(path))
+        return cls.from_dict(_read_json(path), base_dir=path.parent, origin=str(path))
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path = Path("."),
                   origin: str = "<dict>") -> "Scenario":
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{origin}: scenario must be a JSON object")
-        _reject_unknown_keys(raw, SCENARIO_KEYS, origin)
-        name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            raise SchemaError(f"{origin}: 'name' must be a nonempty string")
-        checks = raw.get("checks")
-        if not isinstance(checks, list) or not checks:
-            raise SchemaError(f"{origin}: 'checks' must be a nonempty list")
-        seed = raw.get("seed")
-        scenario = cls(
-            name=name,
-            seed=None if seed is None else _at_least(0, seed, f"{origin}: 'seed'"),
-            kernel_specs=raw.get("kernels", {}),
-            operator_specs=raw.get("operators", {}),
-            grid_spec=raw.get("grid", {}),
-            checks=checks,
-            base_dir=base_dir,
-        )
-        scenario._validate(origin)
+        doc = _read_params(ScenarioContext(None), _document, raw, origin)
+        scenario = cls(**{**doc, "checks": []}, base_dir=base_dir)
+        names = ScenarioContext(scenario, build=False)
+        for name in scenario.kernels:
+            names.kernel(name, origin)
+        for name in scenario.operators:
+            names.operator(name, origin)
+        for idx, given in enumerate(doc["checks"]):
+            where = f"{origin}: checks[{idx}]"
+            entry = _entry(**_read_params(names, _entry, given, where))
+            _read_params(names, REGISTRY[entry.kind].runner, entry.params,
+                         f"{where} ({entry.kind})")
+            label = entry.label or f"{entry.kind}#{idx}"
+            labels = [other.label for other in scenario.checks]
+            if label in labels:
+                raise SchemaError(f"{where}: label {label!r} is also that of checks"
+                                  f"[{labels.index(label)}]; give each its own 'id'")
+            scenario.checks.append(entry._replace(label=label))
         return scenario
 
-    def _validate(self, origin: str):
-        for key, value in (("kernels", self.kernel_specs),
-                           ("operators", self.operator_specs),
-                           ("grid", self.grid_spec)):
-            if not isinstance(value, dict):
-                raise SchemaError(f"{origin}: '{key}' must be an object")
-        names = ScenarioContext(self, build=False)
-        self.grid = names.grid(self.grid_spec, f"{origin}: grid")
-        for name in self.kernel_specs:
-            names.kernel(name, origin)
-        for name in self.operator_specs:
-            names.operator(name, origin)
-        for idx, check in enumerate(self.checks):
-            where = f"{origin}: checks[{idx}]"
-            if not isinstance(check, dict):
-                raise SchemaError(f"{where} must be an object")
-            _reject_unknown_keys(check, CHECK_KEYS, where)
-            if not isinstance(check.get("params", {}), dict):
-                raise SchemaError(f"{where}: 'params' must be an object")
-            kind = check.get("check")
-            if kind not in REGISTRY:
-                raise SchemaError(
-                    f"{where}: unknown check {kind!r}; see `cdlab list`")
-            _read_params(names, REGISTRY[kind].runner, check.get("params", {}),
-                         f"{where} ({kind})")
-            if _cast(float, check.get("tol", 0.0), f"{where}: tol") < 0:
-                raise SchemaError(f"{where}: tol must be nonnegative")
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: byte {exc.start} is not UTF-8") from exc
 
 
 class ScenarioContext:
@@ -350,15 +331,21 @@ class ScenarioContext:
                 # a name read alone takes None as "not given"; an item is given
                 raise SchemaError(f"{where}[{value.index(None)}] must be a "
                                   f"{kind[0]} name, got None")
+            if kind == [float] and {*map(type, value)} <= {int, float}:
+                # in one pass; the item read below names a non-finite one
+                with contextlib.suppress(OverflowError):  # an int past float range
+                    out = np.array(value, dtype=float)
+                    if np.isfinite(out).all():
+                        return out
             return [self.read(kind[0], item, f"{where}[{i}]")
                     for i, item in enumerate(value)]
-        if isinstance(kind, set):
+        if isinstance(kind, type):
+            return _cast(kind, value, where)
+        if isinstance(kind, Set):
             if not isinstance(value, str) or value not in kind:
                 raise SchemaError(f"{where} must be one of "
                                   f"{', '.join(sorted(kind))}, got {value!r}")
             return value
-        if isinstance(kind, type):
-            return _cast(kind, value, where)
         if isinstance(kind, tuple):
             kind = _form(kind, value)
         params = _read_params(self, kind, value, where)
@@ -371,9 +358,9 @@ class ScenarioContext:
 
     def kernel(self, name, where: str) -> DiagonalKernel | None:
         """Kernel `name` read as the KERNEL form its spec's keys select."""
-        if not self._named(self.scenario.kernel_specs, "kernel", name, where):
+        if not self._named(self.scenario.kernels, "kernel", name, where):
             return None
-        return self.read(KERNEL, self.scenario.kernel_specs[name],
+        return self.read(KERNEL, self.scenario.kernels[name],
                          f"{where}: kernels[{name}]")
 
     def kernels(self, names, where: str) -> list:
@@ -390,12 +377,12 @@ class ScenarioContext:
     def operator(self, name, where: str) -> np.ndarray | None:
         """Operator `name` read from its spec; `chain` holds the operators
         whose specs led here."""
-        if not self._named(self.scenario.operator_specs, "operator", name, where):
+        if not self._named(self.scenario.operators, "operator", name, where):
             return None
         if name in self.chain:
             raise SchemaError(f"{where}: operators form a cycle "
                               f"{' -> '.join(self.chain + (name,))}")
-        spec, where = self.scenario.operator_specs[name], f"{where}: operators[{name}]"
+        spec, where = self.scenario.operators[name], f"{where}: operators[{name}]"
         if not isinstance(spec, dict) or len(spec) != 1 or set(spec) - set(SOURCES):
             raise SchemaError(f"{where} must be an object with one key of "
                               f"{', '.join(SOURCES)}, got {spec!r}")
@@ -405,10 +392,17 @@ class ScenarioContext:
 
     def file(self, path, where: str) -> np.ndarray:
         path = self.scenario.base_dir / _cast(str, path, where)
-        return load_matrix(path) if self.build else path
+        return self.matrix(_read_json(path), str(path)) if self.build else path
 
     def matrix(self, obj, where: str) -> np.ndarray:
-        return matrix_from_json(obj, where)
+        """Built at load too, so data that does not fit is a SchemaError."""
+        params = _read_params(self, _matrix, obj, where)
+        size = params["rows"] * params["cols"]
+        lengths = len(params["re"]), len(params["im"])
+        if lengths != (size, size):
+            raise SchemaError(f"{where}: 're' and 'im' must each hold rows x cols = "
+                              f"{size} numbers, got {lengths[0]} and {lengths[1]}")
+        return _matrix(**params)
 
     def grid(self, spec, where: str) -> DiskGrid:
         """Built at load too, so a grid that cannot be built is a SchemaError."""
@@ -420,8 +414,11 @@ class ScenarioContext:
         except InvalidArgumentError as exc:
             raise SchemaError(f"{where}: {type(exc).__name__}: {exc}") from None
 
-    def seed(self, value, where: str) -> int:
-        return self.scenario.seed or 0 if value is None else _at_least(0, value, where)
+    def seed(self, value, where: str) -> int | None:
+        """`value`, else the scenario's seed or 0 (None in the document)."""
+        if value is None:
+            return None if self.scenario is None else self.scenario.seed or 0
+        return _at_least(0, value, where)
 
     def random_seed(self, value, where: str) -> int:
         if value is None and self.scenario.seed is None:
@@ -437,6 +434,19 @@ class ScenarioContext:
         if count % 2:
             raise SchemaError(f"{where} must be even, got {value!r}")
         return count
+
+    def positive(self, value, where: str) -> float:
+        if _cast(float, value, where) <= 0:
+            raise SchemaError(f"{where} must be positive, got {value!r}")
+        return float(value)
+
+    def tol(self, value, where: str) -> float | None:
+        return None if value is None else _at_least(0, value, where, float)
+
+    def label(self, value, where: str) -> str | None:
+        if value is not None and (not isinstance(value, str) or not value):
+            raise SchemaError(f"{where} must be a nonempty string, got {value!r}")
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +471,20 @@ def _check(name: str, default_tol: float, anchor: str, description: str):
         REGISTRY[name] = CheckDef(name, description, anchor, runner, default_tol)
         return runner
     return register
+
+
+class CheckEntry(NamedTuple):
+    label: str | None  # None until load gives it check#index
+    kind: str
+    tol: float
+    params: dict
+
+
+def _entry(*, check=Ref(REGISTRY.keys()), id=Ref("label", None),
+           tol=Ref("tol", None), params=Ref(dict, {})) -> CheckEntry:
+    """A check entry; an absent tol is the check's default."""
+    return CheckEntry(id, check, REGISTRY[check].default_tol if tol is None
+                      else tol, params)
 
 
 def _bergman_weight(kern: DiagonalKernel) -> int | None:
@@ -865,21 +889,18 @@ def _environment_stamp() -> dict:
     }
 
 
-def _run_one(ctx: ScenarioContext, index: int, check: dict) -> CheckOutcome:
-    kind = check["check"]
-    label = check.get("id", f"{kind}#{index}")
-    definition = REGISTRY[kind]
+def _run_one(ctx: ScenarioContext, index: int, entry: CheckEntry) -> CheckOutcome:
+    definition = REGISTRY[entry.kind]
     start = time.perf_counter()
     try:
-        tol = float(check.get("tol", definition.default_tol))
-        kwargs = _read_params(ctx, definition.runner, check.get("params", {}),
-                              f"checks[{index}] ({kind})")
-        report = definition.runner(tol, **kwargs)
+        kwargs = _read_params(ctx, definition.runner, entry.params,
+                              f"checks[{index}] ({entry.kind})")
+        report = definition.runner(entry.tol, **kwargs)
         error = None
     except Exception as exc:  # one failing check never aborts the campaign
         report, error = None, f"{type(exc).__name__}: {exc}"
-    return CheckOutcome(label=label, check=kind, report=report, error=error,
-                        elapsed=time.perf_counter() - start)
+    return CheckOutcome(label=entry.label, check=entry.kind, report=report,
+                        error=error, elapsed=time.perf_counter() - start)
 
 
 def run_scenario(path_or_scenario, only_check: str | None = None) -> CampaignResult:
@@ -895,9 +916,8 @@ def run_scenario(path_or_scenario, only_check: str | None = None) -> CampaignRes
         scenario = Scenario.load(path_or_scenario)
     checks = list(enumerate(scenario.checks))
     if only_check is not None:
-        if only_check not in REGISTRY:
-            raise SchemaError(f"unknown check {only_check!r}")
-        checks = [(i, c) for i, c in checks if c["check"] == only_check]
+        ScenarioContext(None).read(REGISTRY.keys(), only_check, "only_check")
+        checks = [(i, entry) for i, entry in checks if entry.kind == only_check]
         if not checks:
             raise SchemaError(
                 f"scenario {scenario.name!r} has no {only_check!r} check")

@@ -1,8 +1,9 @@
 """JSON and CSV wire formats.
 
 Matrices travel as {"rows": N, "cols": N, "re": [...], "im": [...]} with
-row-major flat lists; field exports are plain CSV so they can be plotted
-without custom tooling.
+row-major flat lists; this module writes them, and scenarios read them (a
+`matrix` or `file` operator) through the scenario schema.  Field exports are
+plain CSV so they can be plotted without custom tooling.
 """
 
 from __future__ import annotations
@@ -26,29 +27,6 @@ def matrix_to_json(mat: np.ndarray) -> dict:
         "re": [float(v) for v in mat.real.ravel()],
         "im": [float(v) for v in mat.imag.ravel()],
     }
-
-
-def matrix_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: bad matrix object: {exc}") from exc
-    if re.size != rows * cols or im.size != rows * cols:
-        raise SchemaError(f"{where}: data length {re.size}/{im.size} does not "
-                          f"match {rows}x{cols}")
-    for part, values in (("re", re), ("im", im)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise SchemaError(f"{where}: {part}[{bad[0]}] must be finite, "
-                              f"got {float(values[bad[0]])!r}")
-    return (re + 1j * im).reshape(rows, cols)
-
-
-def load_matrix(path: str | Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh), str(path))
 
 
 def save_matrix(path: str | Path, mat: np.ndarray):

@@ -16,8 +16,7 @@ from cdlab.operators import UpperTriangularModel
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
                              _grid, list_checks, parameter_docs,
                              run_scenario)
-from cdlab.serialize import (load_matrix, matrix_from_json, matrix_to_json,
-                             save_matrix)
+from cdlab.serialize import matrix_to_json, save_matrix
 
 from oracles import product_gap_bound
 
@@ -294,7 +293,7 @@ def _use_x(raw: dict, name: str):
 # at load)
 MALFORMED = [
     ("null-n_radii", lambda raw: raw.update(grid={"n_radii": None}),
-     r"grid: missing or null parameter 'n_radii'"),
+     r"'grid': missing or null parameter 'n_radii'"),
     ("parms", lambda raw: raw["checks"][0].update(
         parms=raw["checks"][0].pop("params")),
      r"checks\[0\]: unknown key 'parms'"),
@@ -318,7 +317,7 @@ MALFORMED = [
     ("kernel-lable", lambda raw: raw["kernels"]["b1"].update(lable="flat"),
      r"kernels\[b1\]: unknown key 'lable'"),
     ("grid-n_radi", lambda raw: raw.update(grid={"n_radi": 2}),
-     r"grid: unknown key 'n_radi'"),
+     r"'grid': unknown key 'n_radi'"),
     ("number-report", lambda raw: raw.update(outputs={"report": 5}),
      r"unknown key 'outputs'"),
     ("separator-csv_out_k0", lambda raw: raw.update(checks=[{
@@ -336,7 +335,7 @@ MALFORMED = [
                                      "phase": float("inf")}}]),
      r"checks\[0\] \(thm45\): 'phase' must be finite, got inf"),
     ("nan-tol", lambda raw: raw["checks"][0].update(tol=float("nan")),
-     r"checks\[0\]: tol must be finite, got nan"),
+     r"checks\[0\]: 'tol' must be finite, got nan"),
     ("kernel-preset", lambda raw: raw["kernels"].update(
         b1={"preset": "szego", "n": 1, "N": 12}),
      r"kernels\[b1\]: 'preset' must be one of bergman, got 'szego'"),
@@ -354,7 +353,7 @@ MALFORMED = [
      r"operators\[P\]: 'swap_pairs': 'size' must be even, got 3"),
     ("radii-with-rmax", lambda raw: raw.update(
         grid={"radii": [0.3], "rmax": 0.5, "n_angles": 4}),
-     r"grid: unknown key 'radii'"),
+     r"'grid': unknown key 'radii'"),
     ("check-radii-with-n_radii", lambda raw: raw.update(checks=[{
         "check": "frame", "params": {"t0_kernel": "b1", "t1_kernel": "b2",
                                      "grid": {"radii": [0.3], "n_radii": 2}}}]),
@@ -362,7 +361,7 @@ MALFORMED = [
     ("matrix-nan", lambda raw: raw["operators"].update(M={"matrix": {
         "rows": 2, "cols": 2, "re": [1.0, float("nan"), 0.0, 2.0],
         "im": [0.0] * 4}}),
-     r"operators\[M\]: 'matrix': re\[1\] must be finite, got nan"),
+     r"operators\[M\]: 'matrix': 're'\[1\] must be finite, got nan"),
     ("two-operator-cycle", lambda raw: (raw["operators"].update(
         A={"adjoint_of": {"source": "B"}},
         B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
@@ -373,17 +372,17 @@ MALFORMED = [
     ("fractional-N", lambda raw: raw["kernels"]["b1"].update(N=8.9),
      r"kernels\[b1\]: 'N' must be an integer, got 8.9"),
     ("fractional-n_radii", lambda raw: raw.update(grid={"n_radii": 2.7}),
-     r"grid: 'n_radii' must be an integer, got 2.7"),
+     r"'grid': 'n_radii' must be an integer, got 2.7"),
     ("string-n_angles", lambda raw: raw.update(grid={"n_angles": "4"}),
-     r"grid: 'n_angles' must be an integer, got '4'"),
+     r"'grid': 'n_angles' must be an integer, got '4'"),
     ("boolean-size", lambda raw: _random_spec(raw).update(size=True),
      r"operators\[Xn\]: 'random': 'size' must be an integer, got True"),
     ("string-norm", lambda raw: _random_spec(raw).update(norm="0.8"),
      r"operators\[Xn\]: 'random': 'norm' must be a number, got '0.8'"),
     ("boolean-rmax", lambda raw: raw.update(grid={"rmax": False}),
-     r"grid: 'rmax' must be a number, got False"),
+     r"'grid': 'rmax' must be a number, got False"),
     ("string-tol", lambda raw: raw["checks"][0].update(tol="1e-9"),
-     r"checks\[0\]: tol must be a number, got '1e-9'"),
+     r"checks\[0\]: 'tol' must be a number, got '1e-9'"),
     ("string-a", lambda raw: raw.update(checks=[{
         "check": "thm45", "params": {"t1_kernel": "b1", "a": "0.3"}}]),
      r"checks\[0\] \(thm45\): 'a' must be a complex number, got '0.3'"),
@@ -394,6 +393,44 @@ MALFORMED = [
      r"'seed' must be at least 0, got -4"),
     ("negative-operator-seed", lambda raw: _random_spec(raw).update(seed=-1),
      r"operators\[Xn\]: 'random': 'seed' must be at least 0, got -1"),
+    ("negative-tol", lambda raw: raw["checks"][0].update(tol=-1e-9),
+     r"checks\[0\]: 'tol' must be at least 0, got -1e-09"),
+    # a check's label is its id, else check#index, and names it in the
+    # report and its timings
+    ("list-id", lambda raw: raw["checks"][0].update(id=["x"]),
+     r"checks\[0\]: 'id' must be a nonempty string, got \['x'\]"),
+    ("integer-id", lambda raw: raw["checks"][0].update(id=7),
+     r"checks\[0\]: 'id' must be a nonempty string, got 7"),
+    ("empty-id", lambda raw: raw["checks"][0].update(id=""),
+     r"checks\[0\]: 'id' must be a nonempty string, got ''"),
+    ("repeated-id", lambda raw: raw["checks"].extend(
+        [{"check": "similarity-split", "id": "x"}] * 2),
+     r"checks\[2\]: label 'x' is also that of checks\[1\]"),
+    ("id-as-default-label", lambda raw: raw["checks"].extend(
+        [{"check": "similarity-split"},
+         {"check": "similarity-split", "id": "similarity-split#1"}]),
+     r"checks\[2\]: label 'similarity-split#1' is also that of checks\[1\]"),
+    ("default-label-as-id", lambda raw: raw["checks"].extend(
+        [{"check": "similarity-split", "id": "similarity-split#2"},
+         {"check": "similarity-split"}]),
+     r"checks\[2\]: label 'similarity-split#2' is also that of checks\[1\]"),
+    ("null-check", lambda raw: raw["checks"][0].update(check=None),
+     r"checks\[0\]: missing or null parameter 'check'"),
+    ("list-check", lambda raw: raw["checks"][0].update(check=["mainlemma"]),
+     r"checks\[0\]: 'check' must be one of corollary-theta, .*, thm45, "
+     r"got \['mainlemma'\]"),
+    ("number-checks-item", lambda raw: raw["checks"].append(5),
+     r"'checks'\[1\] must be an object, got 5"),
+    ("empty-name", lambda raw: raw.update(name=""),
+     r"'name' must be a nonempty string, got ''"),
+    # a norm or an rmax of 0 or below builds an operator of flipped sign or a
+    # grid of the point 0 or of negative radii
+    ("negative-norm", lambda raw: _random_spec(raw).update(norm=-0.5),
+     r"operators\[Xn\]: 'random': 'norm' must be positive, got -0.5"),
+    ("zero-rmax", lambda raw: raw.update(grid={"rmax": 0}),
+     r"'grid': 'rmax' must be positive, got 0"),
+    ("negative-rmax", lambda raw: raw.update(grid={"rmax": -0.6}),
+     r"'grid': 'rmax' must be positive, got -0.6"),
 ]
 
 # (check, or "kernel" for a kernel spec, its params holding a key that is
@@ -447,10 +484,19 @@ class TestScenarioSchema:
         with pytest.raises(SchemaError, match="broken.json:2"):
             Scenario.load(path)
 
+    def test_non_utf8_file_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"name": "\xff", "checks": [{"check": "thm45"}]}')
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: byte 10 is not UTF-8")):
+            Scenario.load(path)
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: byte 10 is not UTF-8\n"
+
     def test_zero_tolerance_fails_with_nonzero_residual(self):
-        scenario = Scenario.from_dict(_tiny_scenario())
-        scenario.checks[0]["tol"] = 0.0
-        result = run_scenario(scenario)
+        raw = _tiny_scenario()
+        raw["checks"][0]["tol"] = 0.0
+        result = run_scenario(Scenario.from_dict(raw))
         assert not result.overall
         conditions = result.outcomes[0].report.conditions
         assert any(c.residual > 0 for c in conditions)
@@ -735,7 +781,7 @@ class TestCli:
     def test_non_numeric_tol_is_usage_error(self, tmp_path):
         raw = _tiny_scenario()
         raw["checks"][0]["tol"] = "abc"
-        with pytest.raises(SchemaError, match="tol must be a number"):
+        with pytest.raises(SchemaError, match=r"checks\[0\]: 'tol' must be a number"):
             Scenario.from_dict(raw)
         path = tmp_path / "bad-tol.json"
         path.write_text(json.dumps(raw))
@@ -822,29 +868,97 @@ class TestReadme:
                 assert default in section, (name, default)
 
 
+# (id, a matrix object the reader refuses, the message that follows its
+# location); a count is never a fraction or a bool, and an entry never a
+# string or a bool
+MATRIX_MALFORMED = [
+    ("fractional-rows", {"rows": 2.9, "cols": 1, "re": [1, 1], "im": [0, 0]},
+     r"'rows' must be an integer, got 2.9"),
+    ("boolean-cols", {"rows": 2, "cols": True, "re": [1, 1], "im": [0, 0]},
+     r"'cols' must be an integer, got True"),
+    ("string-entry", {"rows": 2, "cols": 1, "re": ["1", 1], "im": [0, 0]},
+     r"'re'\[0\] must be a number, got '1'"),
+    ("boolean-entry", {"rows": 2, "cols": 1, "re": [1, True], "im": [0, 0]},
+     r"'re'\[1\] must be a number, got True"),
+    ("coerced", {"rows": 2.9, "cols": True, "re": ["1", True], "im": [0, 0]},
+     r"'rows' must be an integer, got 2.9"),
+    ("zero-rows", {"rows": 0, "cols": 2, "re": [1], "im": [0]},
+     r"'rows' must be at least 1, got 0"),
+    ("long-im", {"rows": 1, "cols": 1, "re": [1.0], "im": [0.0, 1.0]},
+     r"'re' and 'im' must each hold rows x cols = 1 numbers, got 1 and 2"),
+    ("unknown-key", {"rows": 1, "cols": 1, "re": [1], "im": [0], "dtype": "c"},
+     r"unknown key 'dtype'"),
+    ("infinite-im", {"rows": 1, "cols": 3, "re": [1, 2, 3],
+                     "im": [0, float("-inf"), float("inf")]},
+     r"'im'\[1\] must be finite, got -inf"),
+    ("huge-int-entry", {"rows": 1, "cols": 1, "re": [10 ** 400], "im": [0]},
+     r"'re'\[0\] must be a number, got 1000"),
+]
+
+
+def _matrix_scenario(tmp_path, source: str, spec) -> Path:
+    """A scenario file whose operator M is {source: spec}; its sylvester
+    checks build M and then the identity D."""
+    raw = {"name": "matrix-source",
+           "operators": {"M": {source: spec}, "D": {"identity": {"size": 2}}},
+           "checks": [{"check": "sylvester", "params": {"cases": [
+               {"a": name, "b": name, "expected_dim": 4}]}} for name in "MD"]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
 class TestMatrixSerialization:
+    """The matrix wire format, read through the `matrix` and `file` sources."""
+
+    def _refused(self, tmp_path, obj, match):
+        """`obj` is a load-time schema error inline, and from a file a schema
+        error of the one check that builds it, naming the file."""
+        with pytest.raises(SchemaError,
+                           match=rf"operators\[M\]: 'matrix': {match}"):
+            Scenario.load(_matrix_scenario(tmp_path, "matrix", obj))
+        (tmp_path / "m.json").write_text(json.dumps(obj))
+        bad, good = run_scenario(_matrix_scenario(tmp_path, "file", "m.json")).outcomes
+        assert re.match(rf"SchemaError: {re.escape(str(tmp_path / 'm.json'))}: "
+                        rf"{match}", bad.error), bad.error
+        assert good.passed
+
     def test_round_trip(self, tmp_path):
+        from cdlab.scenarios import ScenarioContext
+
         mat = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
         save_matrix(tmp_path / "m.json", mat)
-        np.testing.assert_array_equal(load_matrix(tmp_path / "m.json"), mat)
+        # JSON integers are numbers too
+        ints = {"rows": 2, "cols": 2, "re": [1, 0.5, 0, 3.25], "im": [2, 0, -1, 0]}
+        for source, spec in (("file", "m.json"), ("matrix", matrix_to_json(mat)),
+                             ("matrix", ints)):
+            ctx = ScenarioContext(Scenario.load(_matrix_scenario(tmp_path, source,
+                                                                 spec)))
+            np.testing.assert_array_equal(ctx.operator("M", "M"), mat)
 
     def test_wire_shape(self):
         obj = matrix_to_json(np.array([[1 + 2j]]))
         assert obj == {"rows": 1, "cols": 1, "re": [1.0], "im": [2.0]}
 
-    def test_bad_payloads(self):
-        with pytest.raises(SchemaError):
-            matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
-        with pytest.raises(SchemaError):
-            matrix_from_json({"rows": 2})
+    def test_bad_payloads(self, tmp_path):
+        self._refused(tmp_path, {"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]},
+                      r"'re' and 'im' must each hold rows x cols = 4 numbers, "
+                      r"got 1 and 1")
+        self._refused(tmp_path, {"rows": 2},
+                      r"missing or null parameter 'cols'")
+
+    @pytest.mark.parametrize("obj,match", [case[1:] for case in MATRIX_MALFORMED],
+                             ids=[case[0] for case in MATRIX_MALFORMED])
+    def test_file_refuses_what_inline_refuses(self, tmp_path, obj, match):
+        self._refused(tmp_path, obj, match)
 
     def test_load_refuses_infinity(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"rows": 1, "cols": 3, "re": [1, 2, 3], '
                         '"im": [0, -Infinity, Infinity]}')
-        with pytest.raises(SchemaError, match=re.escape(
-                f"{path}: im[1] must be finite, got -inf")):
-            load_matrix(path)
+        bad, _ = run_scenario(_matrix_scenario(tmp_path, "file", "m.json")).outcomes
+        assert bad.error == (f"SchemaError: {path}: 'im'[1] must be finite, "
+                             "got -inf")
 
     def test_non_finite_file_fails_only_its_check(self, tmp_path):
         (tmp_path / "x.json").write_text(
@@ -857,7 +971,7 @@ class TestMatrixSerialization:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(raw))
         bad, good = run_scenario(path).outcomes
-        assert bad.error == (f"SchemaError: {tmp_path / 'x.json'}: re[1] must be "
+        assert bad.error == (f"SchemaError: {tmp_path / 'x.json'}: 're'[1] must be "
                              "finite, got nan")
         assert good.passed
 
