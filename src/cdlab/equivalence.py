@@ -29,7 +29,6 @@ from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
 from .reporting import ConditionReport
 
 NORMALITY_TOL = 1e-10
-ROOT_CONSISTENCY_TOL = 1e-10
 MAINLEMMA_GATE_TOL = 1e-8
 
 
@@ -72,37 +71,24 @@ def _hermitian_powers(mat: np.ndarray, *powers: float) -> list[np.ndarray]:
     return [(vecs * evals ** power) @ vecs_h for power in powers]
 
 
-def _one_plus(mat: np.ndarray) -> np.ndarray:
-    """I + mat, written over mat: the same sums as np.eye(n) + mat, signed
-    zeros included."""
-    return np.add(np.eye(mat.shape[0]), mat, out=mat)
-
-
 def _normal_gram_roots(x: np.ndarray) -> list[np.ndarray]:
-    """[(1 + X*X)^{1/2}, (1 + X*X)^{-1/2}, (1 + XX*)^{-1/2}] for a normal X.
+    """[(1 + X*X)^{1/2}, (1 + X*X)^{-1/2}] for a normal X, from one
+    eigendecomposition; 1 + X*X is formed over X*X.
 
-    Raises PreconditionError when X is not normal, and NumericError when
-    the two inverse roots, equal for normal X, disagree.  Each Gram
-    matrix is formed over its product X X* or X* X and dropped once its
-    roots are taken.
+    Raises PreconditionError when X is not normal.  For normal X the
+    inverse root R is also (1 + XX*)^{-1/2}; the unitarity check on U
+    bounds the gap through its G00 block R (1 + XX*) R - I.
     """
     x_star = x.conj().T
-    x_xstar, xstar_x = x @ x_star, x_star @ x
+    xstar_x = x_star @ x
+    normality = frobenius(x @ x_star - xstar_x)
     del x_star
-    normality = frobenius(x_xstar - xstar_x)
     if normality > NORMALITY_TOL * max(frobenius(x) ** 2, 1e-300):
         raise PreconditionError(
             f"X is not normal: ||XX* - X*X|| = {normality:.3e}",
             failed_condition="normal-coupling")
-    roots = _hermitian_powers(_one_plus(xstar_x), 0.5, -0.5)
-    del xstar_x
-    roots += _hermitian_powers(_one_plus(x_xstar), -0.5)
-    # For normal X the two Gram operators agree; treat a gap as a bug.
-    drift = frobenius(roots[1] - roots[2])
-    if drift > ROOT_CONSISTENCY_TOL:
-        raise NumericError(
-            f"(1+XX*)^(-1/2) and (1+X*X)^(-1/2) disagree by {drift:.3e}")
-    return roots
+    return _hermitian_powers(np.add(np.eye(len(x)), xstar_x, out=xstar_x),
+                             0.5, -0.5)
 
 
 def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
@@ -112,20 +98,20 @@ def build_unitary_from_x(t0: ModelOperator, t1: ModelOperator, x: np.ndarray
     Returns U = [[X* R, R], [R, -R X]] with R = (1 + X* X)^{-1/2}, together
     with the partner model whose diagonal is
 
-        Tt0 = (1 + X* X)^{1/2} T1 (1 + X* X)^{-1/2}
-        Tt1 = (1 + X X*)^{-1/2} T0 (1 + X* X)^{1/2}
+        Tt0 = S T1 R,   Tt1 = R T0 S,   S = (1 + X* X)^{1/2},
 
-    and whose coupling operator is Y = X*.  Then U T U* = Tt.  The roots
-    other than R are dropped once Tt0 and Tt1 are formed, before U is.
+    and whose coupling operator is Y = X*.  Then U T U* = Tt (R stands for
+    (1 + X X*)^{-1/2}, equal for normal X).  R and S come from one
+    eigendecomposition; S is dropped before U is formed.
     """
     x = np.asarray(x, dtype=complex)
     n = x.shape[0]
     if x.shape != (n, n) or t0.size != n or t1.size != n:
         raise InvalidArgumentError("T0, T1, X must be square and equally sized")
-    root, root_inv, root_left_inv = _normal_gram_roots(x)
+    root, root_inv = _normal_gram_roots(x)
     tt0 = t1.right(root) @ root_inv
-    tt1 = t0.right(root_left_inv) @ root
-    del root, root_left_inv
+    tt1 = t0.right(root_inv) @ root
+    del root
     unitary = BlockUnitary(u00=x.conj().T @ root_inv, u01=root_inv,
                            u10=root_inv, u11=-root_inv @ x)
     partner = assemble_model(ModelOperator(tt0), ModelOperator(tt1), x.conj().T)

@@ -9,11 +9,12 @@ the fixed deterministic sample set below and says so in its report.
 
 Every check works on N x N blocks; none assembles the 2N x 2N T.  phi(T)
 has one route, `mobius_images`, on blocks or stacks of them: phi(T0) and
-phi(T1) by stacked `apply_mobius` calls, and the corner E from the coupling
-block C by one batched N x N solve, never from X, guarded on the N x N
-resolvents.  `mobius_block_identity_check` compares E with
-X phi(T1) - phi(T0) X, which is the identity, and returns the image blocks,
-which the mobius-block scenario maps back the same way;
+phi(T1) by stacked `apply_mobius` calls, one LU per resolvent, and the
+corner E from the coupling block C and phi(T0) by one batched N x N
+product, never from X, guarded on the N x N resolvents.
+`mobius_block_identity_check` compares E with X phi(T1) - phi(T0) X, which
+is the identity, and returns the image blocks, which the mobius-block
+scenario maps back the same way;
 `homogeneity_condition_check` and `thm45_condition_check` reduce the
 intertwinings with phi(T) one N x N block of the difference at a time
 (`operators.intertwining_gaps`).
@@ -75,15 +76,18 @@ def mobius_images(blocks, maps) -> tuple:
 
     phi(T) solves D phi(T) = e^{i phase} (a I - T) with the block upper
     triangular D = [[D0, -conj(a) C], [0, D1]], Di = I - conj(a) Ti.  Its
-    diagonal blocks are phi(T0) and phi(T1) (`apply_mobius`), and its
-    corner is E = D0^{-1} C (conj(a) phi(T1) - e^{i phase} I) for any C,
-    one batched N x N solve for all maps.  E is formed from C alone, never
-    from X, so comparing it with X phi(T1) - phi(T0) X checks the identity.
+    diagonal blocks are phi(T0) and phi(T1) (`apply_mobius`, one LU per
+    resolvent), and its corner is E = D0^{-1} C (conj(a) phi(T1) -
+    e^{i phase} I) for any C.  With (1 - |a|^2) D0^{-1} = I - conj(a)
+    e^{-i phase} phi(T0), E is one batched N x N product for all maps,
+    within about eps / (1 - |a|^2) of a solve, relative.  E is formed from
+    C alone, never from X, so comparing it with X phi(T1) - phi(T0) X
+    checks the identity.
 
     D is invertible exactly when D0 and D1 are, so the resolvent guard is
     the N x N one of `apply_mobius` on D0 and D1: a map it refuses raises
     SingularResolventError naming the map's index, before any corner is
-    solved.  D's own condition number can exceed both of theirs through
+    formed.  D's own condition number can exceed both of theirs through
     C, so a 2N x 2N D just above the cap can pass.
     """
     t0, coupling, t1 = blocks
@@ -92,8 +96,9 @@ def mobius_images(blocks, maps) -> tuple:
     phi_t0s, phi_t1s = apply_mobius(t0, a, phases), apply_mobius(t1, a, phases)
     conj_a = np.conj(a)[:, None, None]
     rotations = np.exp(1j * phases)[:, None, None]
-    corners = np.linalg.solve(np.eye(t0.shape[-1]) - conj_a * t0,
-                              conj_a * (coupling @ phi_t1s) - rotations * coupling)
+    corners = ((np.eye(t0.shape[-1]) - conj_a * rotations.conj() * phi_t0s)
+               @ (conj_a * (coupling @ phi_t1s) - rotations * coupling))
+    corners /= (1.0 - np.abs(a) ** 2)[:, None, None]
     return phi_t0s, corners, phi_t1s
 
 

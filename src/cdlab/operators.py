@@ -28,8 +28,9 @@ Since kappa_2 <= n kappa_1, every matrix whose 2-norm condition number
 exceeds the cap is refused, without an SVD.  The corner block U10 goes
 through `guarded_inverse`, one LU that gives M^{-1} and kappa_1.  The Mobius
 resolvent D = I - conj(a) A is never inverted: phi(A) = D^{-1} (a I - A) is
-one LU solve, and kappa_1(D) is read off (1 - |a|^2) D^{-1} = I - conj(a)
-phi(A) (see `apply_mobius`).
+its one LU, and kappa_1(D) (`apply_mobius`) and the corner of phi(T)
+(`homogeneity.mobius_images`) read D^{-1} off (1 - |a|^2) D^{-1} =
+I - conj(a) e^{-i phase} phi(A).
 
 Every certificate works on N x N blocks.  A shift from `shift_from_kernel`
 is held as its N - 1 superdiagonal weights: `ModelOperator.left` / `right`
@@ -39,10 +40,12 @@ a read that needs it and never kept.  `intertwining_gaps` reduces
 U A - B U one N x N block at a time and skips zero blocks, so a coupled
 model T is multiplied through T0, X T1 - T0 X and T1; `gap_total` and
 `block_norm` reduce norms from the blocks, and `block_unitarity_residual`
-certifies a block unitary from its Gram blocks, one at a time.  No check
-assembles the 2N x 2N T: `power_residuals` takes the corner of T^n by a
-recurrence on the blocks, and `homogeneity.mobius_images` takes the blocks
-of phi(T) by block back-substitution, guarded on the N x N resolvents.
+certifies a block unitary from its Gram blocks, one at a time (the guard
+on the root R that `equivalence.build_unitary_from_x` takes from its one
+eigendecomposition).  No check assembles the 2N x 2N T: `power_residuals`
+takes the corner of T^n by a recurrence on the blocks, and
+`homogeneity.mobius_images` takes the blocks of phi(T) by block
+back-substitution, guarded on the N x N resolvents.
 `UpperTriangularModel.t` assembles T on each read for callers outside the
 package and never keeps it.  Certificates accumulate their sums in place,
 in the order the plain expressions take, so every residual is the same to

@@ -147,6 +147,35 @@ class TestBuildUnitary:
             build_unitary_from_x(t0, t1, x)
         assert err.value.failed_condition == "normal-coupling"
 
+    def test_one_eigendecomposition(self, monkeypatch):
+        calls = []
+
+        def record(mat, *args, _eigh=np.linalg.eigh, **kwargs):
+            calls.append(np.shape(mat))
+            return _eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", record)
+        t0, t1 = _shift_pair(20)
+        build_unitary_from_x(t0, t1, random_operator(20, 5, kind="normal"))
+        assert calls == [(20, 20)]
+
+    def test_perturbed_gram_root_is_not_unitary(self, monkeypatch):
+        # R = (1 + X*X)^{-1/2} also stands for (1 + XX*)^{-1/2}; a Hermitian
+        # error of 1e-8 in it must fail the unitarity check on U
+        herm = random_operator(20, 6)
+        herm = herm + herm.conj().T
+        herm *= 1e-8 / frobenius(herm)
+
+        def perturbed(mat, *powers, _powers=equivalence._hermitian_powers):
+            root, root_inv = _powers(mat, *powers)
+            return [root, root_inv + herm]
+
+        monkeypatch.setattr(equivalence, "_hermitian_powers", perturbed)
+        t0, t1 = _shift_pair(20)
+        x = random_operator(20, 7, kind="normal")
+        with pytest.raises(NumericError, match="block matrix is not unitary"):
+            build_unitary_from_x(t0, t1, x)
+
 
 class TestVerifyMainlemma:
     def test_identity_unitary_fails_for_distinct_models(self):

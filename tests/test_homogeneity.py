@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,10 @@ from cdlab.operators import (ModelOperator, UpperTriangularModel,
 from oracles import product_gap_bound, traced_peak
 
 # phi(T) from its blocks (`mobius_images`) against the dense image of the
-# assembled T, the oracle: a relative Frobenius bound.  Both solve the same
-# system, and they agree to about 2e-16 relative on the models below.
+# assembled T, and its corner against a solved corner, the oracles: a
+# relative Frobenius bound.  The images agree to about 2e-16 relative on the
+# models below; the corner, which reads D0^{-1} off phi(T0), agrees with the
+# solved one to about eps / (1 - |a|^2), 1.2e-14 at |a| = 0.99.
 IMAGE_RTOL = 1e-13
 EPS = np.finfo(float).eps
 
@@ -578,7 +581,7 @@ class TestThm45:
         assert report.info["u10_condition_1norm"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("size", [6, 40])
-    @pytest.mark.parametrize("radius", [0.2, 0.7])
+    @pytest.mark.parametrize("radius", [0.2, 0.7, 0.95])
     @pytest.mark.parametrize("phase", [0.0, 1.3])
     def test_block_image_matches_the_dense_image(self, size, radius, phase):
         mob = MobiusMap(a=radius * np.exp(0.9j), phase=phase)
@@ -587,20 +590,52 @@ class TestThm45:
         got = _assembled(mobius_images(_blocks(model), [mob]), 0)
         assert frobenius(got - dense) <= IMAGE_RTOL * frobenius(dense)
 
+    @pytest.mark.parametrize("size", [6, 40, 120])
+    @pytest.mark.parametrize("radius", [0.2, 0.7, 0.95, 0.99])
+    @pytest.mark.parametrize("phase", [0.0, 1.3])
+    def test_corner_matches_the_solved_corner(self, size, radius, phase):
+        # the oracle solves D0 E = C (conj(a) phi(T1) - e^{i phase} I);
+        # the corner takes D0^{-1} from phi(T0) instead
+        mob = MobiusMap(a=radius * np.exp(0.9j), phase=phase)
+        model = _random_model(size, seed=size)
+        t0, coupling, t1 = _blocks(model)
+        conj_a = np.conj(mob.a)
+        want = np.linalg.solve(
+            np.eye(size) - conj_a * t0,
+            conj_a * (coupling @ mob.of(t1)) - np.exp(1j * mob.phase) * coupling)
+        corner = mobius_images(_blocks(model), [mob])[1][0]
+        assert frobenius(corner - want) <= IMAGE_RTOL * frobenius(want)
+
     @pytest.mark.parametrize("phase", [0.0, 0.8])
     def test_blocks_equal_the_single_map_formula(self, phase):
+        # E = (I - conj(a) e^{-i phase} phi(T0))
+        #     (conj(a) C phi(T1) - e^{i phase} C) / (1 - |a|^2)
         mob, model, _ = self._engineered(size=40)
         mob = MobiusMap(a=mob.a, phase=phase)
         t0, coupling = model.t0.matrix, model.coupling_block
         phi_t0, phi_t1 = mob.of(t0), mob.of(model.t1.matrix)
-        conj_a = np.conj(mob.a)
-        corner = np.linalg.solve(
-            np.eye(model.size) - conj_a * t0,
-            conj_a * (coupling @ phi_t1) - np.exp(1j * mob.phase) * coupling)
+        conj_a, rotation = np.conj(mob.a), np.exp(1j * mob.phase)
+        corner = ((np.eye(model.size) - conj_a * np.conj(rotation) * phi_t0)
+                  @ (conj_a * (coupling @ phi_t1) - rotation * coupling)
+                  / (1.0 - np.abs(mob.a) ** 2))
         for stack, want in zip(mobius_images(_blocks(model), [mob]),
                                (phi_t0, corner, phi_t1)):
             assert stack.shape == (1, 40, 40)
             np.testing.assert_array_equal(stack[0], want)
+
+    @pytest.mark.parametrize("maps", [[MobiusMap(a=0.35 + 0.1j, phase=0.8)],
+                                      mobius_sample_set()],
+                             ids=["one-map", "sample-set"])
+    def test_two_solves_both_in_apply_mobius(self, monkeypatch, maps):
+        callers = []
+
+        def record(*args, _solve=np.linalg.solve, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", record)
+        mobius_images(_blocks(_random_model(20, seed=3)), maps)
+        assert callers == ["apply_mobius", "apply_mobius"]
 
     def test_solves_and_inverts_no_2n_system(self, monkeypatch):
         size = 60
