@@ -79,10 +79,11 @@ def mobius_images(blocks, maps) -> tuple:
     diagonal blocks are phi(T0) and phi(T1) (`apply_mobius`, one LU per
     resolvent), and its corner is E = D0^{-1} C (conj(a) phi(T1) -
     e^{i phase} I) for any C.  With (1 - |a|^2) D0^{-1} = I - conj(a)
-    e^{-i phase} phi(T0), E is one batched N x N product for all maps,
-    within about eps / (1 - |a|^2) of a solve, relative.  E is formed from
-    C alone, never from X, so comparing it with X phi(T1) - phi(T0) X
-    checks the identity.
+    e^{-i phase} phi(T0), E is one batched N x N product for all maps.  It
+    rounds apart from a solve by about eps / (1 - |a|^2) relative to E,
+    which shrinks with 1 - |a|^2, so by about eps relative to phi(T).  E is
+    formed from C alone, never from X, so comparing it with
+    X phi(T1) - phi(T0) X checks the identity.
 
     D is invertible exactly when D0 and D1 are, so the resolvent guard is
     the N x N one of `apply_mobius` on D0 and D1: a map it refuses raises
