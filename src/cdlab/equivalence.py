@@ -23,9 +23,9 @@ from .errors import (DegenerateInputError, InvalidArgumentError,
 from .geometry import DiskGrid, FrameField, eigenframe
 from .kernels import DiagonalKernel, disk_points, section_table
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
-                        assemble_model, frobenius, gap_total,
-                        guarded_inverse, intertwining_gaps, require_unitary,
-                        shift_from_kernel, sylvester_kernel)
+                        _inverse, _times, assemble_model, frobenius,
+                        gap_total, guarded_inverse, intertwining_gaps,
+                        require_unitary, shift_from_kernel, sylvester_kernel)
 from .reporting import ConditionReport
 
 NORMALITY_TOL = 1e-10
@@ -159,20 +159,20 @@ def _mainlemma_residuals(unitary: BlockUnitary, model: UpperTriangularModel,
     u00, u01, u10, u11 = unitary.blocks
     gaps = intertwining_gaps(unitary.blocks, model.blocks, partner.blocks)
     eye = np.eye(model.size)
-    u01_xstar = u01 @ x.conj().T
+    u01_xstar = _times(u01, x.conj().T)
 
     report = ConditionReport(name="mainlemma")
     report.add("corner-intertwine-u10", gaps[2], tol)
     report.add("corner-intertwine-u01",
                frobenius(t1.left(u01.conj().T) - tt0.right(u01.conj().T)), tol)
     report.add("gram-u10",
-               frobenius(np.linalg.inv(eye + x @ x.conj().T)
-                         - u10.conj().T @ u10), tol)
+               frobenius(_inverse(eye + _times(x, x.conj().T))
+                         - _times(u10.conj().T, u10)), tol)
     report.add("gram-u01",
-               frobenius(np.linalg.inv(eye + x.conj().T @ x)
-                         - u01.conj().T @ u01), tol)
+               frobenius(_inverse(eye + _times(x.conj().T, x))
+                         - _times(u01.conj().T, u01)), tol)
     report.add("block-u00", frobenius(u00 - u01_xstar), tol)
-    report.add("block-u11", frobenius(u11 + u10 @ x), tol)
+    report.add("block-u11", frobenius(u11 + _times(u10, x)), tol)
 
     u10_inv, kappa = guarded_inverse(u10, U10_COND_CAP)
     if u10_inv is None:
@@ -181,7 +181,7 @@ def _mainlemma_residuals(unitary: BlockUnitary, model: UpperTriangularModel,
             detail=f"U10 1-norm condition number {kappa:.3e}; n * kappa_1 "
                    f"above the cap {U10_COND_CAP:.1e}; defect skipped")
     else:
-        defect = y - u01_xstar @ u10_inv
+        defect = y - _times(u01_xstar, u10_inv)
         report.add("defect-intertwines-partner",
                    frobenius(tt0.left(defect) - tt1.right(defect)), tol)
         report.info["defect_norm"] = frobenius(defect)

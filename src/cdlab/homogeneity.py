@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .operators import (U10_COND_CAP, UpperTriangularModel, apply_mobius,
-                        frobenius, gap_total, guarded_inverse,
+from .operators import (U10_COND_CAP, UpperTriangularModel, _inverse, _times,
+                        apply_mobius, frobenius, gap_total, guarded_inverse,
                         intertwining_gaps, require_unitary)
 from .reporting import ConditionReport
 
@@ -209,6 +209,19 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     end-to-end residual still certifies U T = phi(T) U.  The resolvent
     guard is the N x N one of D0 = I - conj(a) T0 and D1 = I - conj(a) T1
     (see `mobius_images`).
+
+    At X = I with U = (sqrt(2)/2) [[I, I], [I, -I]], the setting
+    `scenarios._check_thm45` builds, every block of U, X and 1 + XX* is a
+    real diagonal, so every product and inverse outside `mobius_images` is
+    a scaling or 1 / d (`operators._times`, `operators._inverse`).  The
+    dense work left is that of `mobius_images`: the two LU solves for
+    phi(T0) and phi(T1) and the corner's batched products.  There six of
+    the ten conditions hold by construction: the four block relations
+    compare (sqrt(2)/2) I with I (sqrt(2)/2) I, `gram-left-right` subtracts
+    two inverses of one matrix 2I, and `corner-intertwine-u10` is
+    (sqrt(2)/2) (T0 - phi(T1)) with T0 built as phi(T1) by the same
+    `apply_mobius`.  `corner-intertwine-u01`, `gram-u10`, `gram-u01` and
+    `end-to-end` carry the check.
     """
     report = ConditionReport(name="thm45")
     x = model.x
@@ -234,19 +247,22 @@ def thm45_condition_check(unitary, model: UpperTriangularModel,
     else:
         report.add("corner-intertwine-u10", gaps[2], tol)
     report.add("corner-intertwine-u01",
-               frobenius(model.t1.left(u01.conj().T) - u01.conj().T @ phi_t0),
+               frobenius(model.t1.left(u01.conj().T)
+                         - _times(u01.conj().T, phi_t0)),
                tol)
 
-    report.add("block-u00-xu10", frobenius(u00 - x @ u10), tol)
-    report.add("block-u00-u01xstar", frobenius(u00 - u01 @ x.conj().T), tol)
-    report.add("block-u11-xstaru01", frobenius(u11 + x.conj().T @ u01), tol)
-    report.add("block-u11-u10x", frobenius(u11 + u10 @ x), tol)
+    report.add("block-u00-xu10", frobenius(u00 - _times(x, u10)), tol)
+    report.add("block-u00-u01xstar",
+               frobenius(u00 - _times(u01, x.conj().T)), tol)
+    report.add("block-u11-xstaru01",
+               frobenius(u11 + _times(x.conj().T, u01)), tol)
+    report.add("block-u11-u10x", frobenius(u11 + _times(u10, x)), tol)
 
-    inv_left = np.linalg.inv(eye + x @ x.conj().T)
-    inv_right = np.linalg.inv(eye + x.conj().T @ x)
+    inv_left = _inverse(eye + _times(x, x.conj().T))
+    inv_right = _inverse(eye + _times(x.conj().T, x))
     report.add("gram-left-right", frobenius(inv_left - inv_right), tol)
-    report.add("gram-u10", frobenius(inv_left - u10.conj().T @ u10), tol)
-    report.add("gram-u01", frobenius(inv_right - u01.conj().T @ u01), tol)
+    report.add("gram-u10", frobenius(inv_left - _times(u10.conj().T, u10)), tol)
+    report.add("gram-u01", frobenius(inv_right - _times(u01.conj().T, u01)), tol)
 
     report.add("end-to-end", gap_total(gaps), tol)
     return report

@@ -26,20 +26,26 @@ Inverses that must be trusted are guarded by the 1-norm condition number
 kappa_1 = ||M||_1 ||M^{-1}||_1: M is refused when n kappa_1 exceeds the cap.
 Since kappa_2 <= n kappa_1, every matrix whose 2-norm condition number
 exceeds the cap is refused, without an SVD.  The corner block U10 goes
-through `guarded_inverse`, one LU that gives M^{-1} and kappa_1.  The Mobius
-resolvent D = I - conj(a) A is never inverted: phi(A) = D^{-1} (a I - A) is
-its one LU, and kappa_1(D) (`apply_mobius`) and the corner of phi(T)
-(`homogeneity.mobius_images`) read D^{-1} off (1 - |a|^2) D^{-1} =
-I - conj(a) e^{-i phase} phi(A).
+through `guarded_inverse`, one LU that gives M^{-1} and kappa_1, or 1 / d
+for a real diagonal M.  The Mobius resolvent D = I - conj(a) A is never
+inverted: phi(A) = D^{-1} (a I - A) is its one LU, and kappa_1(D)
+(`apply_mobius`) and the corner of phi(T) (`homogeneity.mobius_images`)
+read D^{-1} off (1 - |a|^2) D^{-1} = I - conj(a) e^{-i phase} phi(A).
 
 Every certificate works on N x N blocks.  A shift from `shift_from_kernel`
 is held as its N - 1 superdiagonal weights: `ModelOperator.left` / `right`
 multiply it as one scaled slice, which equals the dense product exactly
 (the dense sums only add exact zeros), and its `matrix` is formed only on
-a read that needs it and never kept.  `intertwining_gaps` reduces
-U A - B U one N x N block at a time and skips zero blocks, so a coupled
-model T is multiplied through T0, X T1 - T0 X and T1; `gap_total` and
-`block_norm` reduce norms from the blocks, and `block_unitarity_residual`
+a read that needs it and never kept.  By the same argument every other
+block product and inverse of the certificates (`_times`, `_inverse`)
+takes a square block that is diagonal with real entries as a row or
+column scaling and inverts it as 1 / d, bit for bit as the dense product
+and the LU; a complex diagonal stays dense, as its scaling rounds apart
+from the BLAS product.  So U = (sqrt(2)/2) [[I, I], [I, -I]] is certified
+unitary, and multiplied through a model, in O(N^2).  `intertwining_gaps`
+reduces U A - B U one N x N block at a time and skips zero blocks, so a
+coupled model T is multiplied through T0, X T1 - T0 X and T1; `gap_total`
+and `block_norm` reduce norms from the blocks, and `block_unitarity_residual`
 certifies a block unitary from its Gram blocks, one at a time (the guard
 on the root R that `equivalence.build_unitary_from_x` takes from its one
 eigendecomposition).  No check assembles the 2N x 2N T: `power_residuals`
@@ -115,8 +121,8 @@ def block_unitarity_residual(blocks) -> float:
 
     def gram(p, q, r, s, diagonal=True):
         """||P* Q + R* S - I||, or ||P* Q + R* S|| off the diagonal."""
-        out = p.conj().T @ q
-        out += r.conj().T @ s
+        out = _times(p.conj().T, q)
+        out += _times(r.conj().T, s)
         return frobenius(_add_to_diagonal(out, -1.0) if diagonal else out)
 
     g01 = gram(a, b, c, d, diagonal=False)
@@ -125,11 +131,12 @@ def block_unitarity_residual(blocks) -> float:
 
 def require_unitary(u, what: str):
     """Raise a NumericError naming `what` when its unitarity residual
-    exceeds UNITARITY_TOL.  `u` is a square matrix (`unitarity_residual`)
-    or the row-major blocks of one (`block_unitarity_residual`)."""
+    exceeds UNITARITY_TOL or is NaN.  `u` is a square matrix
+    (`unitarity_residual`) or the row-major blocks of one
+    (`block_unitarity_residual`)."""
     err = (unitarity_residual(u) if isinstance(u, np.ndarray)
            else block_unitarity_residual(u))
-    if err > UNITARITY_TOL:
+    if not err <= UNITARITY_TOL:  # NaN too
         raise NumericError(f"{what} is not unitary: residual {err:.3e}")
 
 
@@ -152,15 +159,76 @@ def _one_norms(mat: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(mat), axis=-2).max(axis=-1)
 
 
+def _real_diagonal(mat) -> np.ndarray | None:
+    """The diagonal of `mat` when it is one square float or complex matrix
+    that is diagonal with real entries (complex ones with zero imaginary
+    parts), else None.  Any other matrix is refused on its (0, 1) and (1, 0)
+    entries alone when either is nonzero; only a candidate pays for a pass
+    over its off-diagonal entries."""
+    if not (isinstance(mat, np.ndarray) and mat.ndim == 2
+            and mat.shape[0] == mat.shape[1] and mat.dtype.kind in "fc"):
+        return None
+    n = mat.shape[0]
+    if n > 1 and (mat[0, 1] or mat[1, 0]):
+        return None
+    diagonal = np.diagonal(mat)
+    if mat.dtype.kind == "c" and np.any(diagonal.imag):
+        return None
+    # in row-major order the off-diagonal entries are the first n of each
+    # n + 1 after entry (0, 0); a transpose has the same ones
+    rows = mat.T if mat.flags.f_contiguous else np.ascontiguousarray(mat)
+    if np.any(rows.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]):
+        return None
+    return diagonal
+
+
+def _times(p, q) -> np.ndarray:
+    """p @ q as a new array; a square factor that is a real diagonal D
+    (`_real_diagonal`) scales the rows (D q) or columns (p D) of the other.
+
+    The scaling equals the dense product bit for bit, as the dense sums
+    only add exact zeros to each scaled entry.  A complex diagonal keeps
+    the dense product, which rounds its complex scaling differently.  As
+    BLAS does, the scaling overflows to inf and takes 0 inf as NaN without
+    a warning.
+    """
+    diagonal = _real_diagonal(p)
+    if diagonal is not None and np.ndim(q) >= 2 and np.shape(q)[-2] == diagonal.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return diagonal[:, None] * q
+    diagonal = _real_diagonal(q)
+    if diagonal is not None and np.ndim(p) >= 2 and np.shape(p)[-1] == diagonal.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return p * diagonal
+    return p @ q
+
+
+def _inverse(mat: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(mat); a real diagonal (`_real_diagonal`) is inverted
+    as 1 / d, which equals the LU inverse bit for bit while 1 / d is
+    finite.  A zero on that diagonal raises LinAlgError, as the LU does; a
+    d so small that 1 / d overflows gives inf without a warning."""
+    diagonal = _real_diagonal(mat)
+    if diagonal is None:
+        return np.linalg.inv(mat)
+    if not np.all(diagonal):
+        raise np.linalg.LinAlgError("Singular matrix")
+    inv = np.zeros_like(mat)
+    with np.errstate(over="ignore"):  # 1 / d of a subnormal d is inf
+        np.einsum("ii->i", inv)[...] = 1.0 / diagonal
+    return inv
+
+
 def guarded_inverse(mat: np.ndarray, cap: float) -> tuple[np.ndarray | None, float]:
     """(M^{-1}, kappa_1) from one LU, with kappa_1 = ||M||_1 ||M^{-1}||_1.
+    A real diagonal M is inverted as 1 / d, with no LU (`_inverse`).
 
     The inverse is None when M is singular (LinAlgError or a non-finite
     value; kappa_1 is then inf) or when n kappa_1 > cap.  As
     kappa_2 <= n kappa_1, no M with kappa_2 > cap gets through.
     """
     try:
-        inv = np.linalg.inv(mat)
+        inv = _inverse(mat)
     except np.linalg.LinAlgError:
         return None, math.inf
     kappa = float(_one_norms(mat) * _one_norms(inv))
@@ -228,10 +296,11 @@ class ModelOperator:
 
         A shift takes one scaled slice, (T x)[k] = w_k x[k + 1], equal to
         the dense product because the dense sums only add exact zeros; any
-        other operator takes `matrix @ x`.
+        other operator takes `matrix @ x` by `_times`, a scaling when the
+        matrix or x is a real diagonal.
         """
         if self.weights is None:
-            return self.dense @ x
+            return _times(self.dense, x)
         x = np.asarray(x)
         out = np.zeros(x.shape, dtype=np.result_type(complex, x))
         np.multiply(self.weights[:, None], x[..., 1:, :], out=out[..., :-1, :])
@@ -240,7 +309,7 @@ class ModelOperator:
     def right(self, x: np.ndarray) -> np.ndarray:
         """x T for a matrix or an (m, k, N) stack x; see `left`."""
         if self.weights is None:
-            return x @ self.dense
+            return _times(x, self.dense)
         x = np.asarray(x)
         out = np.zeros(x.shape, dtype=np.result_type(complex, x))
         np.multiply(x[..., :-1], self.weights, out=out[..., 1:])
@@ -377,14 +446,15 @@ def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
 
 def _block_times(p, q):
     """One block product p q; a ModelOperator factor goes through `left` or
-    `right`, and None (a zero block) gives None."""
+    `right`, two arrays through `_times`, and None (a zero block) gives
+    None."""
     if p is None or q is None:
         return None
     if isinstance(p, ModelOperator):
         return p.left(q.matrix if isinstance(q, ModelOperator) else q)
     if isinstance(q, ModelOperator):
         return q.right(p)
-    return p @ q
+    return _times(p, q)
 
 
 def _block_sum(p, q, r, s):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlab import equivalence
+from cdlab import equivalence, operators
 from cdlab.equivalence import (SWAP, BlockUnitary, build_unitary_from_x,
                                construct_fb2_pair, frame_kernel_matrix,
                                kernel_transform_check, main3_verifier,
@@ -95,6 +95,25 @@ class TestBlockUnitary:
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+    def test_real_diagonal_blocks_take_no_product_and_no_inverse(
+            self, monkeypatch):
+        # every Gram block of a unitary with real diagonal blocks is summed
+        # from row and column scalings, O(N^2)
+        eye = np.eye(240, dtype=complex)
+        half = math.sqrt(2.0) / 2.0
+        found = []
+
+        def record(mat, _detect=operators._real_diagonal):
+            found.append(_detect(mat))
+            return found[-1]
+
+        monkeypatch.setattr(operators, "_real_diagonal", record)
+        monkeypatch.setattr(np.linalg, "inv", None)
+        BlockUnitary(u00=half * eye, u01=half * eye, u10=half * eye,
+                     u11=-half * eye)
+        assert len(found) == 6 and all(d is not None for d in found)
 
 
 class TestBuildUnitary:

@@ -557,6 +557,25 @@ class TestThm45:
         assert report.condition("corner-intertwine-u10").status == "indeterminate"
         assert not report.overall
 
+    def test_zero_on_a_real_diagonal_u10_indeterminate(self, monkeypatch):
+        # U = [[C, -S], [S, C]] is unitary with U10 = S singular: 1 / 0 is
+        # never taken, and no LU either
+        size = 4
+        sines = np.array([0.0, 0.5, 0.7, 0.9])
+        s_mat = np.diag(sines).astype(complex)
+        c_mat = np.diag(np.sqrt(1.0 - sines ** 2)).astype(complex)
+        unitary = BlockUnitary(u00=c_mat, u01=-s_mat, u10=s_mat, u11=c_mat)
+        mob = MobiusMap(a=0.2)
+        t1 = shift_from_kernel(bergman_kernel(1, size))
+        model = assemble_model(ModelOperator(mob.of(t1.matrix)), t1,
+                               np.eye(size, dtype=complex))
+        monkeypatch.setattr(np.linalg, "inv", None)
+        report = thm45_condition_check(unitary, model, mob, tol=1e-10)
+        cond = report.condition("corner-intertwine-u10")
+        assert cond.status == "indeterminate"
+        assert report.info["u10_condition_1norm"] == math.inf
+        assert not report.overall
+
     def test_near_singular_u10_indeterminate(self):
         # U = [[C, -S], [S, C]] is unitary with U10 = S of condition 9e12:
         # invertible, but above the cap
@@ -650,6 +669,22 @@ class TestThm45:
         report = thm45_condition_check(unitary, model, mob, tol=1e-10)
         assert report.overall
         assert shapes and all(shape[-2:] == (size, size) for shape in shapes)
+
+    def test_identity_coupling_takes_no_inverse_and_two_solves(self,
+                                                               monkeypatch):
+        # at X = I every block of U is a real diagonal: U10's guard and the
+        # Gram inverses are 1 / d, and only phi(T0) and phi(T1) are solved
+        mob, model, unitary = self._engineered(size=24)
+        callers = {"solve": [], "inv": []}
+        for name in callers:
+            def record(*args, _call=getattr(np.linalg, name),
+                       _calls=callers[name], **kwargs):
+                _calls.append(sys._getframe(1).f_code.co_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, record)
+        report = thm45_condition_check(unitary, model, mob, tol=1e-10)
+        assert report.overall
+        assert callers == {"solve": ["apply_mobius", "apply_mobius"], "inv": []}
 
     def test_peak_under_eight_blocks(self):
         # U T - phi(T) U is reduced one N x N block at a time beside the

@@ -8,9 +8,11 @@ from cdlab import operators
 from cdlab.errors import (InvalidArgumentError, NumericError,
                           SingularResolventError)
 from cdlab.kernels import bergman_kernel, section_vector
+from cdlab.reporting import ConditionReport
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              UNITARITY_TOL, ModelOperator, apply_mobius,
-                             _block_times, assemble_model, block_matrix,
+                             _block_times, _inverse, _real_diagonal, _times,
+                             assemble_model, block_matrix,
                              block_norm, block_unitarity_residual,
                              fb2_membership, frobenius, gap_total,
                              guarded_inverse, intertwining_gaps, random_operator,
@@ -854,6 +856,148 @@ class TestGuardedInverse:
                                      np.array([[1.0, np.nan], [0.0, 1.0]])])
     def test_singular_or_nonfinite(self, mat):
         assert guarded_inverse(mat, 1e12) == (None, np.inf)
+
+
+# sizes of the bit-identity checks of the real-diagonal scaling
+DIAGONAL_SIZES = [1, 2, 6, 16, 240]
+
+
+class _NoProduct(np.ndarray):
+    """An array whose dense products raise, so a test can tell a scaling
+    from `@`."""
+
+    def __matmul__(self, other):
+        raise AssertionError("dense product taken")
+
+    __rmatmul__ = __matmul__
+
+
+def _real_diagonals(size):
+    """Real diagonal factors, each as float and as complex with zero
+    imaginary parts: +-sqrt(2)/2 I, I, 2 I and a random diagonal."""
+    half = math.sqrt(2.0) / 2.0
+    entries = [half * np.ones(size), -half * np.ones(size), np.ones(size),
+               2.0 * np.ones(size),
+               np.random.default_rng(size).standard_normal(size)]
+    return [np.diag(d).astype(dtype) for d in entries for dtype in (float, complex)]
+
+
+def _partners(size, shape):
+    rng = np.random.default_rng(size + 1)
+    real = rng.standard_normal(shape)
+    return [real, real + 1j * rng.standard_normal(shape)]
+
+
+class TestRealDiagonalScaling:
+    @pytest.mark.parametrize("size", DIAGONAL_SIZES)
+    def test_product_equals_the_dense_product(self, size):
+        for diag in _real_diagonals(size):
+            for partner in _partners(size, (size, size)):
+                left = _times(diag, partner.view(_NoProduct))
+                right = _times(partner.view(_NoProduct), diag)
+                np.testing.assert_array_equal(left, diag @ partner)
+                np.testing.assert_array_equal(right, partner @ diag)
+                assert left.dtype == right.dtype == (diag @ partner).dtype
+
+    @pytest.mark.parametrize("size", DIAGONAL_SIZES)
+    def test_stacks_and_model_operators(self, size):
+        for diag in _real_diagonals(size)[::3]:
+            op = ModelOperator(diag)
+            for partner in _partners(size, (3, size, 5)):
+                np.testing.assert_array_equal(op.left(partner), diag @ partner)
+                flipped = np.swapaxes(partner, -1, -2)
+                np.testing.assert_array_equal(op.right(flipped), flipped @ diag)
+
+    @pytest.mark.parametrize("size", DIAGONAL_SIZES)
+    def test_inverse_equals_the_lu_inverse(self, size):
+        for diag in _real_diagonals(size):
+            got = _inverse(diag)
+            np.testing.assert_array_equal(got, np.linalg.inv(diag))
+            assert got.dtype == np.linalg.inv(diag).dtype
+
+    @pytest.mark.parametrize("size", DIAGONAL_SIZES)
+    def test_detector_refuses_other_matrices(self, size):
+        eye = np.eye(size, dtype=complex)
+        refused = [math.sqrt(2.0) / 2.0 * np.exp(0.7j) * eye,  # complex diagonal
+                   np.broadcast_to(eye, (2, size, size)).copy(),
+                   np.eye(size, size + 1), eye[0]]
+        if size >= 2:
+            refused.append(shift_from_kernel(bergman_kernel(1, size)).matrix)
+        if size >= 3:
+            # (0, 1) and (1, 0) are zero, but not every off-diagonal entry
+            for row, col in ((2, 0), (0, 2), (size - 1, size - 2)):
+                mat = eye.copy()
+                mat[row, col] = 0.5
+                refused.append(mat)
+        for mat in refused:
+            assert _real_diagonal(mat) is None
+        complex_diag = refused[0]
+        partner = _partners(size, (size, size))[1]
+        np.testing.assert_array_equal(_times(complex_diag, partner),
+                                      complex_diag @ partner)
+
+    def test_identity_product_is_a_new_array(self):
+        eye = np.eye(6, dtype=complex)
+        partner = _partners(6, (6, 6))[1]
+        kept = partner.copy()
+        for out in (_times(eye, partner), _times(partner, eye)):
+            assert not np.shares_memory(out, partner)
+            out += partner
+            np.testing.assert_array_equal(partner, kept)
+            np.testing.assert_array_equal(out, 2.0 * kept)
+
+    def test_singular_diagonal_raises_as_the_lu_does(self):
+        diag = np.diag([1.0, 0.0, 2.0]).astype(complex)
+        for invert in (_inverse, np.linalg.inv):
+            with pytest.raises(np.linalg.LinAlgError):
+                invert(diag)
+        assert guarded_inverse(diag, 1e12) == (None, math.inf)
+
+    def test_subnormal_diagonal_gives_inf_without_a_warning(self):
+        # the LU's back-substitution also spreads 0 inf = NaN off the
+        # diagonal; either way the guard refuses it
+        diag = np.diag([1.0, 1e-310])
+        np.testing.assert_array_equal(_inverse(diag), np.diag([1.0, np.inf]))
+        assert not np.all(np.isfinite(np.linalg.inv(diag)))
+        assert guarded_inverse(diag, 1e12) == (None, math.inf)
+
+    def test_guarded_inverse_of_a_diagonal_takes_no_lu(self, monkeypatch):
+        diag = np.diag(np.linspace(0.5, 2.0, 40)).astype(complex)
+        want = np.linalg.inv(diag)
+        calls = []
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda *args, **kwargs: calls.append(args))
+        inv, kappa = guarded_inverse(diag, 1e12)
+        assert calls == []
+        np.testing.assert_array_equal(inv, want)
+        assert kappa == np.linalg.norm(diag, 1) * np.linalg.norm(want, 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_partner_fails_the_condition(self, bad):
+        # a scaling reads inf where the dense product reads nan, as the
+        # dense sums add 0 inf; either fails the condition
+        size = 6
+        half = math.sqrt(2.0) / 2.0 * np.eye(size)
+        t0, t1 = _rand(size, 1), _rand(size, 2)
+        bad_t0 = t0.copy()
+        bad_t0[2, 3] = bad
+        gaps = intertwining_gaps((half, half, half, -half),
+                                 (ModelOperator(bad_t0), None, None, t1),
+                                 (t0, None, None, t1))
+        report = ConditionReport(name="probe")
+        report.add("gap", gap_total(gaps), 1e-10)
+        assert not math.isfinite(gap_total(gaps))
+        assert not report.overall
+
+    @pytest.mark.parametrize("bad, entry", [(np.inf, (1, 1)), (np.nan, (1, 1)),
+                                            (np.nan, (1, 2))])
+    def test_non_finite_block_is_not_unitary(self, bad, entry):
+        # a NaN residual is refused too; a diagonal block stays a scaling
+        half = math.sqrt(2.0) / 2.0 * np.eye(4)
+        block = -half.copy()
+        block[entry] = bad
+        with pytest.raises(NumericError, match="not unitary"):
+            require_unitary((half, half, half, block), "probe")
 
 
 class TestRandomOperators:
