@@ -8,24 +8,34 @@ commutator with h^{-1} dh/dw.  All w-steps are applied before the wbar-steps.
 Every routine takes all grid points in one call: frames are (points, rank,
 dim) arrays, and metrics, jets and curvatures carry a leading point axis.
 Inside a call, the per-point rows that grow with the frame's dimension (the
-frames, their jets, Gram products and eigen-residual buffers) are formed one
-block of grid points at a time, about SERIES_BLOCK_BYTES each, so only the
-results span the whole grid; every point takes the values one batch over all
-points would give it.  Two evaluation routes are supported:
+frames, their section jets, Gram products and eigen-residual buffers) are
+formed one block of grid points at a time, about SERIES_BLOCK_BYTES each, so
+only the results span the whole grid; every point takes the values one batch
+over all points would give it.
+
+Each frame kind has one metric-jet primitive, `FrameField.gram_jet`, built
+from its N-wide section rows: <t, t> for a `kernel_frame`; for an
+`eigenframe` gamma_0 = (t0, 0), gamma_1 = (X t1, t1), the products
+<t0, t0>, <X t1, t0> and <X t1, X t1> + <t1, t1> of section jets, never the
+zero-padded 2N-wide frame rows; g^H h g for a constant change gamma g.
+The fd evaluator and the series route read it, and the metric values are
+its order-0 products at the grid points, which each frame kind forms along
+with its frames (`FrameField.gram`).  Two evaluation routes are supported:
 
 * "series": when the frame comes from diagonal kernels plus constant blocks,
   its Taylor jets G_a = (1/a!) d^a gamma/dw^a are known in closed form.
   Since gamma is holomorphic, h(w + d) = sum_{a,b} G_b^H G_a d^a dbar^b
   (frame vectors as columns): the metric jet is the Gram matrix of the
-  frame jets.  Curvature and its covariant derivatives are combined from
-  that jet through truncated bivariate Taylor arithmetic, so everything is
-  exact up to the kernel truncation and roundoff.
+  frame jets, which `gram_jet` gives at any order.  Curvature and its
+  covariant derivatives are combined from that jet through truncated
+  bivariate Taylor arithmetic, so everything is exact up to the kernel
+  truncation and roundoff.
 * "fd": Wirtinger finite differences (4-point central stencils per axis,
   d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The metric evaluator takes
   an array of points; it is called once per offset h(a + ib) of the lattice
   patch that the stencils of K_{w^i wbar^j} reach, on all grid points at
-  once (it forms their frames block by block), and the stencils are then
-  applied as array slices.
+  once (it takes the order-0 `gram_jet` block by block), and the stencils
+  are then applied as array slices.
 
 A metric belongs to one grid, and both routes cache what they evaluate on
 it: the fd route each lattice offset's metric values, the series route each
@@ -53,8 +63,8 @@ MAX_COVARIANT_ORDER = 2
 # above the ~1e-15 rounding of computed curvature tuples, well below any
 # residual tolerance in use.
 NULL_SPACE_RTOL = 1e-12
-# bytes of per-point rows (frames, frame jets, eigen-residual buffers) in one
-# block of grid points, for every step that works block by block
+# bytes of per-point frame rows (frames, frame jets, eigen-residual buffers)
+# in one block of grid points, for every step that works block by block
 SERIES_BLOCK_BYTES = 2**20
 
 
@@ -193,6 +203,28 @@ class MatrixJet:
 # frame fields
 
 FrameJet = Callable[[np.ndarray, int], np.ndarray]
+GramJet = Callable[[np.ndarray, int], np.ndarray]
+
+
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u_a, v_b> = v_b^H u_a over the rows of two (..., k, dim) stacks, as a
+    (..., k, k) array indexed [..., a, b]: one product per point.
+
+    One row each is a dot, np.vecdot(v, u), which equals the 1 x 1 product
+    bit for bit and needs no conjugated copy.
+    """
+    if u.shape[-2] == 1:
+        return np.vecdot(v, u)[..., None]
+    return (v.conj() @ u.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _row_gram(rows: np.ndarray) -> np.ndarray:
+    """The (P, o + 1, o + 1, r, r) metric jet h[P, a, b][p, q] =
+    <G_a[q], G_b[p]> of frame jet rows (P, o + 1, r, dim): the Gram matrix
+    of all (o + 1) r rows of a point in one product."""
+    count, terms, rank, dim = rows.shape
+    flat = rows.reshape(count, terms * rank, dim)
+    return _inner(flat, flat).reshape(count, terms, rank, terms, rank).transpose(0, 1, 3, 4, 2)
 
 
 @dataclass
@@ -204,8 +236,17 @@ class FrameField:
     Taylor jets at disk points of any shape (0-d included): `jet(points, o)`
     is the points.shape + (o + 1, rank, dim) array of (1/i!) d^i gamma/dw^i,
     i = 0..o.  Its order-0 slice is `evaluate`, and `vectors` is that on the
-    grid.  `eigen_residuals` holds ||(T - w) gamma_i(w)|| per point and frame
-    vector for an `eigenframe`, and is None otherwise.
+    grid.  `gram_jet(points, o)` gives, at a 1-d array of points, the
+    (points, o + 1, o + 1, rank, rank) metric jet h[a, b][p, q] =
+    <G_a[q], G_b[p]> of those frame jets G_a; each frame kind builds it from
+    its own section rows, and a frame given by a bare `jet` gets the Gram
+    matrix of the jet rows.  `gram` holds the (points, rank, rank) order-0
+    products `gram_jet(grid.points, 0)[:, 0, 0]`, which the frame kinds form
+    with their frames (so the metric does not take the grid's sections
+    again), and is None for a frame given by its vectors and a bare `jet`.
+    `eigen_residuals`
+    holds ||(T - w) gamma_i(w)|| per point and frame vector for an
+    `eigenframe`, and is None otherwise.
     """
 
     grid: DiskGrid
@@ -213,23 +254,32 @@ class FrameField:
     vectors: np.ndarray = field(repr=False)
     jet: FrameJet | None = field(default=None, repr=False)
     eigen_residuals: np.ndarray | None = field(default=None, repr=False)
+    gram_jet: GramJet | None = field(default=None, repr=False)
+    gram: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=complex)
+        jet = self.jet
+        if self.gram_jet is None and jet is not None:
+            self.gram_jet = lambda points, order: _row_gram(jet(points, order))
 
     def evaluate(self, points) -> np.ndarray:
         """The points.shape + (rank, dim) frames at disk points of any shape."""
         return self.jet(points, 0)[..., 0, :, :]
 
     def with_constant_change(self, g: np.ndarray) -> "FrameField":
-        """Replace gamma by gamma g for a constant invertible g."""
+        """Replace gamma by gamma g for a constant invertible g; the metric
+        jet becomes g^H h g."""
         g = np.asarray(g, dtype=complex)
         if g.shape != (self.rank, self.rank):
             raise InvalidArgumentError("frame change must be rank x rank")
-        base_jet = self.jet
+        base_jet, base_gram = self.jet, self.gram_jet
         jet = None if base_jet is None else (lambda w, order: g.T @ base_jet(w, order))
+        gram_jet = None if base_gram is None else (
+            lambda w, order: g.conj().T @ base_gram(w, order) @ g)
+        gram = None if self.gram is None else g.conj().T @ self.gram @ g
         return FrameField(grid=self.grid, rank=self.rank, vectors=g.T @ self.vectors,
-                          jet=jet)
+                          jet=jet, gram_jet=gram_jet, gram=gram)
 
 
 def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
@@ -237,16 +287,30 @@ def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
     return op.left(np.swapaxes(rows, -1, -2)).swapaxes(-1, -2)
 
 
+def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat.T for a (points, n) stack, as one product (a stacked one
+    re-reads `mat` per point).  A lone row is multiplied as two equal rows:
+    a matrix-vector product rounds unlike the rows of a matrix-matrix one,
+    whose rows round alike for any row count."""
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ mat.T)[:1]
+    return rows @ mat.T
+
+
 def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     """Rank-2 eigenframe gamma_0 = (t0, 0), gamma_1 = (X t1, t1) of the model.
 
     Both diagonal blocks must have been built from diagonal kernels, so the
-    sections t_i(w) and their jets are available.  The per-point
-    eigen-residual ||(T - w) gamma_i(w)|| is recorded; T gamma is taken
-    block by block, (T0 top + C bottom, T1 bottom) with C = X T1 - T0 X,
-    so T itself is never assembled.  The frames are written into `vectors`
-    one block of grid points at a time, and each block's residual is taken
-    in one buffer of the block's size.
+    sections t_i(w) and their jets are available.  Everything per point is
+    taken from the N-wide section rows t0, X t1 and t1, never from the
+    zero-padded 2N-wide frame rows: the metric jet from four products of
+    section jets, h_00 = <t0, t0>, h_01 = <X t1, t0> and h_11 = <X t1, X t1>
+    + <t1, t1> (h_10 is the conjugate transpose of h_01), and the
+    per-point eigen-residual ||(T - w) gamma_i(w)|| as ||(T0 - w) t0|| and
+    ||((T0 - w) X t1 + C t1, (T1 - w) t1)||, C = X T1 - T0 X, so T itself
+    is never assembled.  The frames and their order-0 metric products
+    (`gram`) are written one block of grid points at a time, and each
+    block's gamma_1 residual is taken in one buffer of the block's size.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -257,51 +321,82 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
         raise InvalidArgumentError("kernel truncations must match the model size")
     x = model.x
 
-    def jet_at(points, order) -> np.ndarray:
+    def sections(points, order):
+        """The jets of t0, X t1 and t1, points.shape + (order + 1, n) each."""
         t0, t1 = section_jet(k0, points, order), section_jet(k1, points, order)
-        jets = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
-        jets[..., 0, :n] = t0
-        jets[..., 1, n:] = t1
-        del t0  # copied; t1 is read again below
+        coupled = np.empty_like(t1)
         # order 0: x @ t1 per point, so a batch rounds like single-point calls;
         # orders >= 1: one (points * order, n) @ x.T product
-        jets[..., 0, 1, :n] = (x @ t1[..., 0, :, None])[..., 0]
+        coupled[..., 0, :] = (x @ t1[..., 0, :, None])[..., 0]
         if order:
             t1_jets = t1[..., 1:, :]
-            jets[..., 1:, 1, :n] = (t1_jets.reshape(-1, n) @ x.T).reshape(t1_jets.shape)
+            coupled[..., 1:, :] = (t1_jets.reshape(-1, n) @ x.T).reshape(t1_jets.shape)
+        return t0, coupled, t1
+
+    def jet_at(points, order) -> np.ndarray:
+        t0, coupled, t1 = sections(points, order)
+        jets = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
+        jets[..., 0, :n] = t0
+        jets[..., 1, :n] = coupled
+        jets[..., 1, n:] = t1
         return jets
 
+    def gram_of(t0, coupled, t1) -> np.ndarray:
+        """The metric jet of the frame with these section jets."""
+        terms = t0.shape[-2]
+        h = np.empty(t0.shape[:-1] + (terms, 2, 2), dtype=complex)
+        h[..., 0, 0] = _inner(t0, t0)
+        h[..., 0, 1] = _inner(coupled, t0)
+        h[..., 1, 0] = h[..., 0, 1].swapaxes(-1, -2).conj()
+        h[..., 1, 1] = _inner(coupled, coupled) + _inner(t1, t1)
+        return h
+
     points, c = grid.points, model.coupling_block
-    vectors = np.empty((len(points), 2, 2 * n), dtype=complex)
+    vectors = np.zeros((len(points), 2, 2 * n), dtype=complex)
+    gram = np.empty((len(points), 2, 2), dtype=complex)
     residuals = np.empty((len(points), 2))
     for block in _point_blocks(len(points), vectors[0].nbytes):
-        v = vectors[block]
-        v[...] = jet_at(points[block], 0)[:, 0]
-        top, bottom = v[..., :n], v[..., n:]
-        tv = np.empty_like(v)
-        tv[..., :n] = _times_rows(model.t0, top)
-        # one (points * rank, n) product per block: a stacked one re-reads C
-        # per point
-        tv[..., :n] += (bottom.reshape(-1, n) @ c.T).reshape(top.shape)
-        tv[..., n:] = _times_rows(model.t1, bottom)
-        tv -= points[block, None, None] * v
-        residuals[block] = np.linalg.norm(tv, axis=-1)
+        rows = sections(points[block], 0)
+        gram[block] = gram_of(*rows)[:, 0, 0]
+        t0, coupled, t1 = (part[:, 0] for part in rows)
+        v, w = vectors[block], points[block, None]
+        v[:, 0, :n], v[:, 1, :n], v[:, 1, n:] = t0, coupled, t1
+        residuals[block, 0] = np.linalg.norm(_times_rows(model.t0, t0) - w * t0, axis=-1)
+        tv = np.empty((len(t1), 2 * n), dtype=complex)
+        top = tv[:, :n]
+        top[...] = _times_rows(model.t0, coupled)
+        top += _rows_times(t1, c)
+        top -= w * coupled
+        tv[:, n:] = _times_rows(model.t1, t1)
+        tv[:, n:] -= w * t1
+        residuals[block, 1] = np.linalg.norm(tv, axis=-1)
     return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,
-                      eigen_residuals=residuals)
+                      eigen_residuals=residuals,
+                      gram_jet=lambda points, order: gram_of(*sections(points, order)),
+                      gram=gram)
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator; its
-    frames are written into `vectors` one block of grid points at a time."""
+    metric jet is <t_a, t_b> over the section jets, and its frames and
+    their order-0 products <t, t> are written one block of grid points at a
+    time."""
 
     def jet_at(points, order) -> np.ndarray:
         return section_jet(kernel, points, order)[..., None, :]
 
+    def gram_at(points, order) -> np.ndarray:
+        t = section_jet(kernel, points, order)
+        return _inner(t, t)[..., None, None]
+
     points = grid.points
     vectors = np.empty((len(points), 1, kernel.truncation), dtype=complex)
+    gram = np.empty((len(points), 1, 1), dtype=complex)
     for block in _point_blocks(len(points), vectors[0].nbytes):
-        vectors[block] = jet_at(points[block], 0)[:, 0]
-    return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at)
+        vectors[block] = t = section_jet(kernel, points[block], 0)
+        gram[block] = _inner(t, t)
+    return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at, gram_jet=gram_at,
+                      gram=gram)
 
 
 # ---------------------------------------------------------------------------
@@ -311,36 +406,36 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
 @dataclass
 class MetricField:
     """Gram metric h(w) sampled on the grid.  `evaluate` maps points of any
-    shape to points.shape + (rank, rank) (the fd route); `frame_jet` is the
-    jet of the frame the metric comes from, and `dim` that frame's dimension
-    (the series route, which calls `frame_jet` once per block of grid points
-    and sizes the blocks from `dim`).
+    shape to points.shape + (rank, rank) (the fd route); `gram_jet` is the
+    metric-jet primitive of the frame the metric comes from (see
+    `FrameField`), and `dim` that frame's dimension (the series route, which
+    calls `gram_jet` once per block of grid points and sizes the blocks from
+    `dim`).
 
     Curvature requests fill two caches on `grid`: `fd_values` maps a lattice
     offset (a, b) to h(w + fd_step (a + ib)) at every grid point, and
     `series_jets` maps an order o to the (points, o + 1, o + 1, rank, rank)
     metric jet.  A cached entry is what a new evaluation would return, so
-    `evaluate` and `frame_jet` must not be replaced after the first request.
+    `evaluate` and `gram_jet` must not be replaced after the first request.
     """
 
     grid: DiskGrid
     rank: int
     values: np.ndarray = field(repr=False)
     evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    frame_jet: FrameJet | None = field(default=None, repr=False)
+    gram_jet: GramJet | None = field(default=None, repr=False)
     dim: int | None = None
     fd_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     series_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _gram(frames: Callable[[slice], np.ndarray], count: int, rank: int,
+def _gram(grams: Callable[[slice], np.ndarray], count: int, rank: int,
           point_bytes: int) -> np.ndarray:
-    """The (count, rank, rank) Gram metrics of `count` points, whose frames
-    `frames(block)` gives one block of points at a time."""
+    """The (count, rank, rank) Hermitian parts of the Gram matrices of `count`
+    points, which `grams(block)` gives one block of points at a time."""
     values = np.empty((count, rank, rank), dtype=complex)
     for block in _point_blocks(count, point_bytes):
-        v = frames(block)
-        h = v.conj() @ v.swapaxes(-1, -2)
+        h = grams(block)
         values[block] = 0.5 * (h + h.conj().swapaxes(-1, -2))
     return values
 
@@ -348,28 +443,35 @@ def _gram(frames: Callable[[slice], np.ndarray], count: int, rank: int,
 def gram_metric(frame: FrameField) -> MetricField:
     """h_{ij}(w) = <gamma_j(w), gamma_i(w)>; rejects degenerate frames.
 
-    The values and every `evaluate` call take the Gram products one block
-    of points at a time, and `evaluate` forms the frames of one block of
-    its (flattened) points at a time as well.
+    Every `evaluate` call takes the order-0 slice of the frame's `gram_jet`
+    one block of points at a time, so it never forms the frames of a whole
+    grid, and a structured frame never forms its zero-padded rows at all.
+    The values are those order-0 products at the grid points, as the frame
+    kinds form them with their frames (`FrameField.gram`); a frame given by
+    its vectors takes the Gram products of its rows, block by block.
     """
-    rank, vectors = frame.rank, frame.vectors
+    rank, vectors, gram_jet = frame.rank, frame.vectors, frame.gram_jet
     point_bytes = vectors[0].nbytes
-    values = _gram(lambda block: vectors[block], len(vectors), rank, point_bytes)
+
+    def evaluate(w):
+        flat = np.ravel(w)
+        return _gram(lambda block: gram_jet(flat[block], 0)[:, 0, 0], flat.size, rank,
+                     point_bytes).reshape(np.shape(w) + (rank, rank))
+
+    if frame.gram is None:
+        values = _gram(lambda block: _row_gram(vectors[block, None])[:, 0, 0],
+                       len(vectors), rank, point_bytes)
+    else:
+        values = _gram(lambda block: frame.gram[block], len(vectors), rank, point_bytes)
     min_eigs = np.linalg.eigvalsh(values)[:, 0]
     bad = np.flatnonzero(min_eigs <= 0.0)
     if bad.size:
         raise DegenerateFrameError(
             f"Gram matrix not positive definite at {frame.grid.points[bad[0]]} "
             f"(min eig {min_eigs[bad[0]]:.3e})")
-
-    def evaluate(w):
-        flat = np.ravel(w)
-        return _gram(lambda block: frame.evaluate(flat[block]), flat.size, rank,
-                     point_bytes).reshape(np.shape(w) + (rank, rank))
-
     return MetricField(grid=frame.grid, rank=rank, values=values,
-                       evaluate=None if frame.jet is None else evaluate,
-                       frame_jet=frame.jet, dim=vectors.shape[-1])
+                       evaluate=None if gram_jet is None else evaluate,
+                       gram_jet=gram_jet, dim=vectors.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,26 +484,21 @@ def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
 
     With G_a the frame jets (frame vectors as columns), h(w + d) =
     sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
-    the stacked frame jets: a batched product, not an einsum, which is
-    several times slower here.  `frame_jet` is called once per block of grid
-    points with about SERIES_BLOCK_BYTES of jet rows (sized from the frame's
-    dimension), and the block's Gram products are taken before the next
-    block's jets are built, so the frame-jet table is never formed whole,
-    and each point takes the jets and products one batch would.
+    the frame jets, which the frame's `gram_jet` forms from its section
+    rows.  `gram_jet` is called once per block of grid points with about
+    SERIES_BLOCK_BYTES of frame-jet rows (sized from the frame's
+    dimension), so no jet table is ever formed whole, and each point takes
+    the products one batch would.
     """
     order = max(i, j) + 1
     jet = metric.series_jets.get(order)
     if jet is None:
         points, r = metric.grid.points, metric.rank
-        rows = (order + 1) * r
-        row_bytes = np.dtype(complex).itemsize * metric.dim
-        gram = np.empty((len(points), rows, rows), dtype=complex)
-        for block in _point_blocks(len(points), rows * row_bytes):
-            part = metric.frame_jet(points[block], order).reshape(-1, rows, metric.dim)
-            np.matmul(part.conj(), part.swapaxes(-1, -2), out=gram[block])
-        gram = gram.reshape(len(points), order + 1, r, order + 1, r)
-        # gram[P, b, p, a, q] = G_b[p]^H G_a[q] -> jet[P, a, b][p, q]
-        jet = metric.series_jets[order] = gram.transpose(0, 3, 1, 2, 4)
+        point_bytes = (order + 1) * r * metric.dim * np.dtype(complex).itemsize
+        jet = np.empty((len(points), order + 1, order + 1, r, r), dtype=complex)
+        for block in _point_blocks(len(points), point_bytes):
+            jet[block] = metric.gram_jet(points[block], order)
+        metric.series_jets[order] = jet
     h = MatrixJet(jet[:, :i + 2, :j + 2])
     theta = h.inverse() @ h.d_w()
     f = -(theta.d_wbar())
@@ -522,9 +619,9 @@ def _require_metric_grid(metric: MetricField, grid: DiskGrid):
 
 def _covariant(metric: MetricField, method: str, i: int, j: int) -> np.ndarray:
     if method == "series":
-        if metric.frame_jet is None or metric.dim is None:
+        if metric.gram_jet is None or metric.dim is None:
             raise InvalidArgumentError(
-                "series curvature needs a frame jet and the frame's dimension")
+                "series curvature needs a metric jet and the frame's dimension")
         return _series_covariant(metric, i, j)
     if method == "fd":
         if metric.evaluate is None:

@@ -152,6 +152,30 @@ def bergman_frame_jets(weights, size: int, x, at: complex, order: int,
                      for i in range(order + 1)])
 
 
+def row_gram_jet(jets: np.ndarray) -> np.ndarray:
+    """The metric jet h[P, a, b][p, q] = G_b[p]^H G_a[q] of frame jet rows
+    (points, o + 1, r, dim): per point, the Gram matrix of all (o + 1) r
+    full-width rows in one product, zero entries included."""
+    count, terms, rank, dim = jets.shape
+    rows = jets.reshape(count, terms * rank, dim)
+    gram = rows.conj() @ rows.swapaxes(-1, -2)
+    return gram.reshape(count, terms, rank, terms, rank).transpose(0, 3, 1, 2, 4)
+
+
+def row_eigen_residuals(model, vectors: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """||(T - w) gamma|| point by point from the full-width frame rows and the
+    dense blocks: T gamma is (T0 top + C bottom, T1 bottom) with C = X T1 -
+    T0 X."""
+    n = model.size
+    t0, c, t1 = model.t0.matrix, model.coupling_block, model.t1.matrix
+    out = []
+    for w, v in zip(points, vectors):
+        top, bottom = v[:, :n], v[:, n:]
+        tv = np.concatenate([top @ t0.T + bottom @ c.T, bottom @ t1.T], axis=-1)
+        out.append(np.linalg.norm(tv - w * v, axis=-1))
+    return np.array(out)
+
+
 def product_gap_bound(n: int, *pairs) -> float:
     """2 gamma_2N sum ||A|| ||B|| (Frobenius) over the (A, B) pairs, with
     gamma_2N = 2N eps.

@@ -17,7 +17,8 @@ from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              shift_from_kernel)
 
 from oracles import (bergman_curvature, bergman_curvature_derivative,
-                     bergman_frame_jets, traced_peak)
+                     bergman_frame_jets, row_eigen_residuals, row_gram_jet,
+                     traced_peak)
 
 
 def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
@@ -25,19 +26,6 @@ def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
     t1 = shift_from_kernel(bergman_kernel(n1, size))
     x = random_operator(size, x_seed, norm=x_norm)
     return assemble_model(t0, t1, x)
-
-
-def _block_form_residuals(model, vectors, points):
-    """||(T - w) gamma|| point by point from the dense blocks: T gamma is
-    (T0 top + C bottom, T1 bottom) with C = X T1 - T0 X."""
-    n = model.size
-    t0, c, t1 = model.t0.matrix, model.coupling_block, model.t1.matrix
-    out = []
-    for w, v in zip(points, vectors):
-        top, bottom = v[:, :n], v[:, n:]
-        tv = np.concatenate([top @ t0.T + bottom @ c.T, bottom @ t1.T], axis=-1)
-        out.append(np.linalg.norm(tv - w * v, axis=-1))
-    return np.array(out)
 
 
 def _curvature_with_derivatives(frame, grid):
@@ -167,7 +155,7 @@ class TestEigenframe:
         grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
         model = _model(size=size)
         frame = eigenframe(model, grid)
-        want = _block_form_residuals(model, frame.vectors, grid.points)
+        want = row_eigen_residuals(model, frame.vectors, grid.points)
         np.testing.assert_allclose(frame.eigen_residuals, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("size", [24, 120])
@@ -307,6 +295,80 @@ class TestFrameJets:
         assert np.all(jets[:, 3:] == 0) and np.all(jets[:, 2, 0, 2] == 1)
 
 
+def _changed_row_norms(jets, g):
+    """sum_t |g_tq| ||G_a[t]||: the row norms of the jets of gamma g, before
+    any cancellation, as (points, o + 1, r)."""
+    return np.linalg.norm(jets, axis=-1) @ np.abs(g)
+
+
+class TestGramJets:
+    """Each frame kind's metric jet against the Gram matrix of its full-width
+    frame jet rows (`oracles.row_gram_jet`).
+
+    Entry h[a, b][p, q] is a sum of dim products, so both lie within about
+    dim eps ||G_a[q]|| ||G_b[p]|| of the exact value (Cauchy-Schwarz scale,
+    and for gamma g the row norms of gamma weighted by |g|): the bound is
+    4 dim eps times that scale, dim = N for a kernel frame and 2N for an
+    eigenframe.
+    """
+
+    points = np.array([0.3 + 0.4j, -0.5 + 0.125j, 0.0, 0.7j, -0.2 - 0.6j])
+    changes = {1: np.array([[2.0 - 1.0j]]), 2: random_operator(2, 11) + 2.0 * np.eye(2)}
+
+    @pytest.mark.parametrize("size", [2, 24, 240])
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe"])
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_gram_jet_matches_row_gram(self, size, kind, changed):
+        grid = DiskGrid(points=self.points)
+        base = (kernel_frame(bergman_kernel(2, size), grid) if kind == "kernel_frame"
+                else eigenframe(_model(size=size), grid))
+        g = self.changes[base.rank] if changed else np.eye(base.rank)
+        frame = base.with_constant_change(g) if changed else base
+        eps = np.finfo(float).eps
+        for order in range(4):
+            got = frame.gram_jet(self.points, order)
+            want = row_gram_jet(frame.jet(self.points, order))
+            assert got.shape == want.shape == (len(self.points), order + 1, order + 1,
+                                               base.rank, base.rank)
+            norms = _changed_row_norms(base.jet(self.points, order), g)
+            scale = norms[:, :, None, None, :] * norms[:, None, :, :, None]
+            dim = frame.vectors.shape[-1]
+            assert np.all(np.abs(got - want) <= 4 * dim * eps * scale), order
+
+    @pytest.mark.parametrize("size", [2, 24, 240])
+    def test_eigenframe_rows_and_residuals(self, size):
+        # vectors are the order-0 jets bit for bit; the residuals, taken from
+        # N-wide rows, lie within 2N eps ||T|| ||gamma|| of the full-width ones
+        model = _model(size=size)
+        grid = DiskGrid(points=self.points)
+        frame = eigenframe(model, grid)
+        np.testing.assert_array_equal(frame.vectors, frame.jet(self.points, 0)[:, 0])
+        want = row_eigen_residuals(model, frame.vectors, self.points)
+        bound = (2 * 2 * size * np.finfo(float).eps * np.linalg.norm(model.t, 2)
+                 * np.linalg.norm(frame.vectors, axis=-1))
+        assert np.all(np.abs(frame.eigen_residuals - want) <= bound)
+
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
+                                      "kernel_frame*g", "eigenframe*g"])
+    def test_grid_products_are_the_order_zero_jet(self, kind):
+        # formed with the frames, bit for bit what gram_jet gives on the grid
+        grid = polar_grid(radii=[0.2, 0.5], n_angles=3)
+        frame = _frames(grid)[kind]
+        np.testing.assert_array_equal(frame.gram, frame.gram_jet(grid.points, 0)[:, 0, 0])
+
+    def test_bare_jet_frame_takes_the_row_gram(self):
+        # a frame given by a bare jet has the Gram of its jet rows as primitive
+        grid = DiskGrid(points=self.points)
+        structured = eigenframe(_model(size=24), grid)
+        bare = FrameField(grid=grid, rank=2, vectors=structured.vectors,
+                          jet=structured.jet)
+        for order in range(3):
+            np.testing.assert_array_equal(
+                bare.gram_jet(self.points, order),
+                row_gram_jet(structured.jet(self.points, order)))
+        assert FrameField(grid=grid, rank=2, vectors=structured.vectors).gram_jet is None
+
+
 class TestCurvature:
     def test_flat_kernel_origin_value(self):
         grid = DiskGrid(points=np.array([0.0 + 0j]))
@@ -404,7 +466,7 @@ class TestCurvature:
         frame = kernel_frame(bergman_kernel(2, 30), grid)
         metric = gram_metric(frame)
         assert metric.dim == 30
-        bare = MetricField(grid=grid, rank=1, values=metric.values, frame_jet=frame.jet)
+        bare = MetricField(grid=grid, rank=1, values=metric.values, gram_jet=frame.gram_jet)
         with pytest.raises(InvalidArgumentError, match="frame's dimension"):
             curvature(bare, grid, method="series")
         bare.dim = 30
@@ -548,19 +610,16 @@ class TestSeriesPointBlocks:
 
     def test_blocks_equal_one_whole_batch(self):
         # 64 points at N = 240 are two blocks at order 1 and three at
-        # order 2: each point still takes the product one batch gives it
+        # order 2: each point still takes the products one batch gives it
         grid = polar_grid(radii=[0.2, 0.4, 0.5, 0.6], n_angles=16)
-        metric = gram_metric(eigenframe(_model(size=240), grid))
+        frame = eigenframe(_model(size=240), grid)
+        metric = gram_metric(frame)
         fld = curvature(metric, grid, "series")
         covariant_derivative(fld, metric, 1, 1)
         assert sorted(metric.series_jets) == [1, 2]
         for order, jet in metric.series_jets.items():
-            stacked = metric.frame_jet(grid.points, order).reshape(
-                len(grid), 2 * (order + 1), -1)
-            assert stacked.nbytes > SERIES_BLOCK_BYTES
-            whole = (stacked.conj() @ stacked.swapaxes(-1, -2)).reshape(
-                len(grid), order + 1, 2, order + 1, 2).transpose(0, 3, 1, 2, 4)
-            np.testing.assert_array_equal(jet, whole)
+            assert frame.jet(grid.points, order).nbytes > SERIES_BLOCK_BYTES
+            np.testing.assert_array_equal(jet, frame.gram_jet(grid.points, order))
 
     def test_series_peak_under_four_mib(self):
         # K then K_{w wbar} at P = 512, N = 240: the order-2 frame jets are
@@ -574,14 +633,15 @@ class TestSeriesPointBlocks:
         assert traced_peak(series) < 4 * 2**20
 
     def test_frame_jet_built_once_per_block_and_order(self):
+        # the metric jet primitive, which builds the frame's section jets
         metric = gram_metric(eigenframe(_model(size=240), self.grid))
-        base, calls = metric.frame_jet, []
+        base, calls = metric.gram_jet, []
 
         def counting(points, order):
             calls.append((order, points))
             return base(points, order)
 
-        metric.frame_jet = counting
+        metric.gram_jet = counting
         fld = curvature(metric, self.grid, "series")
         for key in ((1, 0), (0, 1), (1, 1)):
             covariant_derivative(fld, metric, *key)
@@ -603,13 +663,13 @@ class TestSeriesPointBlocks:
         # SERIES_BLOCK_BYTES; five points still split only into 2 + 3
         grid = polar_grid(radii=[0.3], n_angles=5)
         metric = gram_metric(kernel_frame(bergman_kernel(2, 40000), grid))
-        base, sizes = metric.frame_jet, []
+        base, sizes = metric.gram_jet, []
 
         def counting(points, order):
             sizes.append(len(points))
             return base(points, order)
 
-        metric.frame_jet = counting
+        metric.gram_jet = counting
         curvature(metric, grid, "series")
         assert sizes == [2, 3]
 
@@ -639,14 +699,13 @@ class TestPointBlocks:
         frame = eigenframe(self.model, self.grid)
         metric = gram_metric(frame)
 
-        def whole_gram(v):
-            h = v.conj() @ v.swapaxes(-1, -2)
+        def whole_gram(points):
+            h = frame.gram_jet(points, 0)[:, 0, 0]
             return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
-        np.testing.assert_array_equal(metric.values, whole_gram(frame.vectors))
+        np.testing.assert_array_equal(metric.values, whole_gram(self.grid.points))
         moved = self.grid.points + 1e-3 * (2 - 1j)
-        np.testing.assert_array_equal(metric.evaluate(moved),
-                                      whole_gram(frame.evaluate(moved)))
+        np.testing.assert_array_equal(metric.evaluate(moved), whole_gram(moved))
 
     def test_eigenframe_peak_under_result_plus_four_mib(self):
         frame = eigenframe(self.model, self.grid)
@@ -691,14 +750,15 @@ class TestMetricCaches:
 
     @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe"])
     def test_frame_jet_built_once_per_order(self, kind):
+        # the metric jet primitive, which builds the frame's section jets
         metric = gram_metric(self.kinds[kind](self.grid))
-        base, orders = metric.frame_jet, []
+        base, orders = metric.gram_jet, []
 
         def counting(points, order):
             orders.append(order)
             return base(points, order)
 
-        metric.frame_jet = counting
+        metric.gram_jet = counting
         fld = curvature(metric, self.grid, "series")
         for key in ((1, 0), (0, 1), (1, 1)):
             covariant_derivative(fld, metric, *key)

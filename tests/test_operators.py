@@ -1017,6 +1017,27 @@ class TestRandomOperators:
         with pytest.raises(InvalidArgumentError):
             random_operator(4, 0, kind="sparse")
 
+    @pytest.mark.parametrize("size", [1, 6, 120])
+    @pytest.mark.parametrize("kind", ["dense", "normal"])
+    def test_draws_equal_the_sum_of_real_and_imaginary_draws(self, size, kind):
+        # the complex draws are written straight into one array, as
+        # A + 1j * B with A drawn before B
+        def draw(rng, shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        for seed in (0, 7, 41):
+            rng = np.random.default_rng(seed)
+            if kind == "dense":
+                want = draw(rng, (size, size))
+            else:
+                diag = draw(rng, size)
+                q, r = np.linalg.qr(draw(rng, (size, size)))
+                d = np.diagonal(r)
+                q = q * (d / np.abs(d))
+                want = q @ np.diag(diag) @ q.conj().T
+            want *= 0.5 / np.linalg.norm(want, 2)
+            np.testing.assert_array_equal(random_operator(size, seed, kind=kind), want)
+
     def test_random_unitary_is_unitary(self):
         q = random_unitary(7, np.random.default_rng(0))
         np.testing.assert_allclose(q @ q.conj().T, np.eye(7), atol=1e-13)
