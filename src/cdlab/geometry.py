@@ -240,13 +240,13 @@ class FrameField:
     (points, o + 1, o + 1, rank, rank) metric jet h[a, b][p, q] =
     <G_a[q], G_b[p]> of those frame jets G_a; each frame kind builds it from
     its own section rows, and a frame given by a bare `jet` gets the Gram
-    matrix of the jet rows.  `gram` holds the (points, rank, rank) order-0
-    products `gram_jet(grid.points, 0)[:, 0, 0]`, which the frame kinds form
-    with their frames (so the metric does not take the grid's sections
-    again), and is None for a frame given by its vectors and a bare `jet`.
-    `eigen_residuals`
-    holds ||(T - w) gamma_i(w)|| per point and frame vector for an
-    `eigenframe`, and is None otherwise.
+    matrix of the jet rows.  `gram` holds the (points, rank, rank) Gram
+    products <gamma_q, gamma_p> at the grid points: the frame kinds form
+    them with their frames, bit for bit `gram_jet(grid.points, 0)[:, 0, 0]`
+    (so a metric does not take the grid's sections again), and a frame
+    given without them takes the products of its vector rows, one block of
+    points at a time.  `eigen_residuals` holds ||(T - w) gamma_i(w)|| per
+    point and frame vector for an `eigenframe`, and is None otherwise.
     """
 
     grid: DiskGrid
@@ -262,6 +262,11 @@ class FrameField:
         jet = self.jet
         if self.gram_jet is None and jet is not None:
             self.gram_jet = lambda points, order: _row_gram(jet(points, order))
+        if self.gram is None:
+            vectors = self.vectors
+            self.gram = np.empty((len(vectors), self.rank, self.rank), dtype=complex)
+            for block in _point_blocks(len(vectors), vectors[0].nbytes):
+                self.gram[block] = _row_gram(vectors[block, None])[:, 0, 0]
 
     def evaluate(self, points) -> np.ndarray:
         """The points.shape + (rank, dim) frames at disk points of any shape."""
@@ -277,9 +282,8 @@ class FrameField:
         jet = None if base_jet is None else (lambda w, order: g.T @ base_jet(w, order))
         gram_jet = None if base_gram is None else (
             lambda w, order: g.conj().T @ base_gram(w, order) @ g)
-        gram = None if self.gram is None else g.conj().T @ self.gram @ g
         return FrameField(grid=self.grid, rank=self.rank, vectors=g.T @ self.vectors,
-                          jet=jet, gram_jet=gram_jet, gram=gram)
+                          jet=jet, gram_jet=gram_jet, gram=g.conj().T @ self.gram @ g)
 
 
 def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
@@ -429,40 +433,30 @@ class MetricField:
     series_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _gram(grams: Callable[[slice], np.ndarray], count: int, rank: int,
-          point_bytes: int) -> np.ndarray:
-    """The (count, rank, rank) Hermitian parts of the Gram matrices of `count`
-    points, which `grams(block)` gives one block of points at a time."""
-    values = np.empty((count, rank, rank), dtype=complex)
-    for block in _point_blocks(count, point_bytes):
-        h = grams(block)
-        values[block] = 0.5 * (h + h.conj().swapaxes(-1, -2))
-    return values
+def _hermitian_part(h: np.ndarray) -> np.ndarray:
+    return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
 
 def gram_metric(frame: FrameField) -> MetricField:
     """h_{ij}(w) = <gamma_j(w), gamma_i(w)>; rejects degenerate frames.
 
-    Every `evaluate` call takes the order-0 slice of the frame's `gram_jet`
-    one block of points at a time, so it never forms the frames of a whole
-    grid, and a structured frame never forms its zero-padded rows at all.
-    The values are those order-0 products at the grid points, as the frame
-    kinds form them with their frames (`FrameField.gram`); a frame given by
-    its vectors takes the Gram products of its rows, block by block.
+    The values are the Hermitian parts of the frame's Gram products at the
+    grid points (`FrameField.gram`).  Every `evaluate` call takes the order-0
+    slice of the frame's `gram_jet` one block of points at a time, so it
+    never forms the frames of a whole grid, and a structured frame never
+    forms its zero-padded rows at all.
     """
-    rank, vectors, gram_jet = frame.rank, frame.vectors, frame.gram_jet
-    point_bytes = vectors[0].nbytes
+    rank, gram_jet = frame.rank, frame.gram_jet
+    point_bytes = frame.vectors[0].nbytes
 
     def evaluate(w):
         flat = np.ravel(w)
-        return _gram(lambda block: gram_jet(flat[block], 0)[:, 0, 0], flat.size, rank,
-                     point_bytes).reshape(np.shape(w) + (rank, rank))
+        values = np.empty((flat.size, rank, rank), dtype=complex)
+        for block in _point_blocks(flat.size, point_bytes):
+            values[block] = _hermitian_part(gram_jet(flat[block], 0)[:, 0, 0])
+        return values.reshape(np.shape(w) + (rank, rank))
 
-    if frame.gram is None:
-        values = _gram(lambda block: _row_gram(vectors[block, None])[:, 0, 0],
-                       len(vectors), rank, point_bytes)
-    else:
-        values = _gram(lambda block: frame.gram[block], len(vectors), rank, point_bytes)
+    values = _hermitian_part(frame.gram)
     min_eigs = np.linalg.eigvalsh(values)[:, 0]
     bad = np.flatnonzero(min_eigs <= 0.0)
     if bad.size:
@@ -471,7 +465,7 @@ def gram_metric(frame: FrameField) -> MetricField:
             f"(min eig {min_eigs[bad[0]]:.3e})")
     return MetricField(grid=frame.grid, rank=rank, values=values,
                        evaluate=None if gram_jet is None else evaluate,
-                       gram_jet=gram_jet, dim=vectors.shape[-1])
+                       gram_jet=gram_jet, dim=frame.vectors.shape[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,8 @@ class TestSectionJet:
             want[:, i, i:] = binom * np.sqrt(a[i:] / a[:n - i]) * table[:, :n - i]
         for _ in range(2):  # the second call reads the cached weights
             assert np.array_equal(section_jet(k, points, 3), want)
+        # order 0 is the section table itself
+        assert np.array_equal(section_jet(k, points, 0), want[:, :1])
 
 
 class TestDiagonalRatio:
