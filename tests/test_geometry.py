@@ -338,7 +338,7 @@ class TestGramJets:
     @pytest.mark.parametrize("size", [2, 24, 240])
     def test_eigenframe_rows_and_residuals(self, size):
         # vectors are the order-0 jets bit for bit; the residuals, taken from
-        # N-wide rows, lie within 2N eps ||T|| ||gamma|| of the full-width ones
+        # N-wide rows, lie within 2 (2N) eps ||T|| ||gamma|| of the full-width ones
         model = _model(size=size)
         grid = DiskGrid(points=self.points)
         frame = eigenframe(model, grid)
