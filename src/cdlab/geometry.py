@@ -208,13 +208,7 @@ GramJet = Callable[[np.ndarray, int], np.ndarray]
 
 def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """<u_a, v_b> = v_b^H u_a over the rows of two (..., k, dim) stacks, as a
-    (..., k, k) array indexed [..., a, b]: one product per point.
-
-    One row each is a dot, np.vecdot(v, u), which equals the 1 x 1 product
-    bit for bit and needs no conjugated copy.
-    """
-    if u.shape[-2] == 1:
-        return np.vecdot(v, u)[..., None]
+    (..., k, k) array indexed [..., a, b]: one product per point."""
     return (v.conj() @ u.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 

@@ -145,15 +145,12 @@ def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
 
     Coordinate k of jet i is sqrt(a_k) C(k, i) w^(k-i) = C(k, i) sqrt(a_k /
     a_{k-i}) t_{k-i}(w), a shift of one section table; the weight of jet 0 is
-    exactly 1, so jet 0 is the `section_table` itself.
+    exactly 1, so jet 0 equals `section_table` bit for bit.
     """
     table = section_table(kernel, points)
-    if order == 0:
-        return table[..., None, :]
     a, n = kernel.coefficients, kernel.truncation
     jets = np.zeros(table.shape[:-1] + (order + 1, n), dtype=complex)
-    jets[..., 0, :] = table
-    for i in range(1, min(order, n - 1) + 1):
+    for i in range(min(order, n - 1) + 1):
         jets[..., i, i:] = (_binomial_weights(n, i) * np.sqrt(a[i:] / a[:n - i])
                             * table[..., :n - i])
     return jets

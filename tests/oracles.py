@@ -162,6 +162,27 @@ def row_gram_jet(jets: np.ndarray) -> np.ndarray:
     return gram.reshape(count, terms, rank, terms, rank).transpose(0, 3, 1, 2, 4)
 
 
+def section_gram_jet(jets: np.ndarray, n: int) -> np.ndarray:
+    """The metric jet of an eigenframe from its frame jet rows (points, o + 1,
+    2, 2N) over all points at once, as N-wide section products: with t0, X t1
+    and t1 the blocks G[:, :, 0, :N], G[:, :, 1, :N] and G[:, :, 1, N:],
+    h_00 = <t0, t0>, h_01 = <X t1, t0>, h_10 its conjugate transpose over
+    the jet indices, and h_11 = <X t1, X t1> + <t1, t1>.  Each <u, v> is one
+    (o + 1) x (o + 1) product v^H u per point."""
+    t0, coupled, t1 = jets[:, :, 0, :n], jets[:, :, 1, :n], jets[:, :, 1, n:]
+
+    def inner(u, v):
+        return (v.conj() @ u.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+    count, terms = jets.shape[:2]
+    h = np.empty((count, terms, terms, 2, 2), dtype=complex)
+    h[..., 0, 0] = inner(t0, t0)
+    h[..., 0, 1] = inner(coupled, t0)
+    h[..., 1, 0] = h[..., 0, 1].swapaxes(1, 2).conj()
+    h[..., 1, 1] = inner(coupled, coupled) + inner(t1, t1)
+    return h
+
+
 def row_eigen_residuals(model, vectors: np.ndarray, points: np.ndarray) -> np.ndarray:
     """||(T - w) gamma|| point by point from the full-width frame rows and the
     dense blocks: T gamma is (T0 top + C bottom, T1 bottom) with C = X T1 -

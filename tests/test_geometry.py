@@ -18,7 +18,7 @@ from cdlab.operators import (ModelOperator, assemble_model, frobenius,
 
 from oracles import (bergman_curvature, bergman_curvature_derivative,
                      bergman_frame_jets, row_eigen_residuals, row_gram_jet,
-                     traced_peak)
+                     section_gram_jet, traced_peak)
 
 
 def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
@@ -618,8 +618,14 @@ class TestSeriesPointBlocks:
         covariant_derivative(fld, metric, 1, 1)
         assert sorted(metric.series_jets) == [1, 2]
         for order, jet in metric.series_jets.items():
-            assert frame.jet(grid.points, order).nbytes > SERIES_BLOCK_BYTES
-            np.testing.assert_array_equal(jet, frame.gram_jet(grid.points, order))
+            rows = frame.jet(grid.points, order)
+            assert rows.nbytes > SERIES_BLOCK_BYTES
+            np.testing.assert_array_equal(jet, section_gram_jet(rows, 240))
+            # and within the bound of TestGramJets of the full-width rows' Gram
+            norms = _changed_row_norms(rows, np.eye(2))
+            scale = norms[:, :, None, None, :] * norms[:, None, :, :, None]
+            gap = np.abs(jet - row_gram_jet(rows))
+            assert np.all(gap <= 4 * 480 * np.finfo(float).eps * scale)
 
     def test_series_peak_under_four_mib(self):
         # K then K_{w wbar} at P = 512, N = 240: the order-2 frame jets are
@@ -699,13 +705,14 @@ class TestPointBlocks:
         frame = eigenframe(self.model, self.grid)
         metric = gram_metric(frame)
 
-        def whole_gram(points):
-            h = frame.gram_jet(points, 0)[:, 0, 0]
+        def whole_gram(v):
+            h = section_gram_jet(v[:, None], 240)[:, 0, 0]
             return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
-        np.testing.assert_array_equal(metric.values, whole_gram(self.grid.points))
+        np.testing.assert_array_equal(metric.values, whole_gram(frame.vectors))
         moved = self.grid.points + 1e-3 * (2 - 1j)
-        np.testing.assert_array_equal(metric.evaluate(moved), whole_gram(moved))
+        np.testing.assert_array_equal(metric.evaluate(moved),
+                                      whole_gram(frame.evaluate(moved)))
 
     def test_eigenframe_peak_under_result_plus_four_mib(self):
         frame = eigenframe(self.model, self.grid)

@@ -193,7 +193,7 @@ class TestSectionJet:
             want[:, i, i:] = binom * np.sqrt(a[i:] / a[:n - i]) * table[:, :n - i]
         for _ in range(2):  # the second call reads the cached weights
             assert np.array_equal(section_jet(k, points, 3), want)
-        # order 0 is the section table itself
+        # order 0 equals the section table bit for bit
         assert np.array_equal(section_jet(k, points, 0), want[:, :1])
 
 
