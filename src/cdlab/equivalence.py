@@ -306,8 +306,6 @@ def frame_kernel_matrix(frame: FrameField, points) -> np.ndarray:
     which the model acts as the adjoint multiplication operator; a point with
     |z| >= 1 raises a DomainError that names it as given.
     """
-    if frame.jet is None:
-        raise InvalidArgumentError("frame has no jet to evaluate")
     vecs = frame.evaluate(np.conj(disk_points(points)))
     return vecs.conj()[:, None] @ np.swapaxes(vecs, -1, -2)[None, :]
 

@@ -5,22 +5,23 @@ curvature is K(w) = -d/dwbar (h^{-1} dh/dw).  Covariant derivatives follow the
 two inductive rules: a wbar-step applies d/dwbar, a w-step applies d/dw plus a
 commutator with h^{-1} dh/dw.  All w-steps are applied before the wbar-steps.
 
-Every routine takes all grid points in one call: frames are (points, rank,
-dim) arrays, and metrics, jets and curvatures carry a leading point axis.
-Inside a call, the per-point rows that grow with the frame's dimension (the
-frames, their section jets, Gram products and eigen-residual buffers) are
+Every routine takes all grid points in one call: a frame evaluates to
+(points, rank, dim) arrays, and metrics, jets and curvatures carry a leading
+point axis.  Inside a call, the per-point rows that grow with the frame's
+dimension (section jets, Gram products and eigen-residual buffers) are
 formed one block of grid points at a time, about SERIES_BLOCK_BYTES each, so
 only the results span the whole grid; every point takes the values one batch
 over all points would give it.
 
-Each frame kind has one metric-jet primitive, `FrameField.gram_jet`, built
-from its N-wide section rows: <t, t> for a `kernel_frame`; for an
-`eigenframe` gamma_0 = (t0, 0), gamma_1 = (X t1, t1), the products
-<t0, t0>, <X t1, t0> and <X t1, X t1> + <t1, t1> of section jets, never the
-zero-padded 2N-wide frame rows; g^H h g for a constant change gamma g.
-The fd evaluator and the series route read it, and the metric values are
-its order-0 products at the grid points, which each frame kind forms along
-with its frames (`FrameField.gram`).  Two evaluation routes are supported:
+A frame stores no frame rows.  Each frame kind has one metric-jet
+primitive, `FrameField.gram_jet`, built from its N-wide section rows:
+<t, t> for a `kernel_frame`; for an `eigenframe` gamma_0 = (t0, 0),
+gamma_1 = (X t1, t1), the products <t0, t0>, <X t1, t0> and
+<X t1, X t1> + <t1, t1> of section jets, never the zero-padded 2N-wide
+frame rows; g^H h g for a constant change gamma g.  The fd evaluator and
+the series route read it, and the metric values are its order-0 products
+at the grid points, which each frame kind forms when it is built
+(`FrameField.gram`).  Two evaluation routes are supported:
 
 * "series": when the frame comes from diagonal kernels plus constant blocks,
   its Taylor jets G_a = (1/a!) d^a gamma/dw^a are known in closed form.
@@ -79,6 +80,12 @@ def _point_blocks(count: int, point_bytes: int) -> list[slice]:
     parts = max(1, min(count // 2, -(-count * point_bytes // SERIES_BLOCK_BYTES)))
     edges = [count * k // parts for k in range(parts + 1)]
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
+
+
+def _frame_bytes(rank: int, dim: int) -> int:
+    """Bytes of one point's `rank` frame rows of length `dim`: the per-point
+    size every frame step cuts its blocks of grid points by."""
+    return rank * dim * np.dtype(complex).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -212,55 +219,32 @@ def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v.conj() @ u.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _row_gram(rows: np.ndarray) -> np.ndarray:
-    """The (P, o + 1, o + 1, r, r) metric jet h[P, a, b][p, q] =
-    <G_a[q], G_b[p]> of frame jet rows (P, o + 1, r, dim): the Gram matrix
-    of all (o + 1) r rows of a point in one product."""
-    count, terms, rank, dim = rows.shape
-    flat = rows.reshape(count, terms * rank, dim)
-    return _inner(flat, flat).reshape(count, terms, rank, terms, rank).transpose(0, 1, 3, 4, 2)
-
-
 @dataclass
 class FrameField:
-    """Holomorphic frame sampled on a grid.
+    """Holomorphic frame of `rank` vectors in C^dim, sampled on a grid.
 
-    `vectors` is a (points, rank, dim) array: the rows of `vectors[p]` are
-    the frame vectors at grid point p.  `jet`, when known, gives the frame's
-    Taylor jets at disk points of any shape (0-d included): `jet(points, o)`
-    is the points.shape + (o + 1, rank, dim) array of (1/i!) d^i gamma/dw^i,
-    i = 0..o.  Its order-0 slice is `evaluate`, and `vectors` is that on the
-    grid.  `gram_jet(points, o)` gives, at a 1-d array of points, the
+    A frame stores no frame rows, only what the system reads of it.  `jet`
+    gives the frame's Taylor jets at disk points of any shape (0-d
+    included): `jet(points, o)` is the points.shape + (o + 1, rank, dim)
+    array of (1/i!) d^i gamma/dw^i, i = 0..o, and its order-0 slice is
+    `evaluate`.  `gram_jet(points, o)` gives, at a 1-d array of points, the
     (points, o + 1, o + 1, rank, rank) metric jet h[a, b][p, q] =
     <G_a[q], G_b[p]> of those frame jets G_a; each frame kind builds it from
-    its own section rows, and a frame given by a bare `jet` gets the Gram
-    matrix of the jet rows.  `gram` holds the (points, rank, rank) Gram
-    products <gamma_q, gamma_p> at the grid points: the frame kinds form
-    them with their frames, bit for bit `gram_jet(grid.points, 0)[:, 0, 0]`
-    (so a metric does not take the grid's sections again), and a frame
-    given without them takes the products of its vector rows, one block of
-    points at a time.  `eigen_residuals` holds ||(T - w) gamma_i(w)|| per
-    point and frame vector for an `eigenframe`, and is None otherwise.
+    its own section rows.  `gram` holds the (points, rank, rank) Gram
+    products <gamma_q, gamma_p> at the grid points, formed with the frame,
+    bit for bit `gram_jet(grid.points, 0)[:, 0, 0]` (so a metric does not
+    take the grid's sections again).  `eigen_residuals` holds
+    ||(T - w) gamma_i(w)|| per point and frame vector for an `eigenframe`,
+    and is None otherwise.
     """
 
     grid: DiskGrid
     rank: int
-    vectors: np.ndarray = field(repr=False)
-    jet: FrameJet | None = field(default=None, repr=False)
+    dim: int
+    jet: FrameJet = field(repr=False)
+    gram_jet: GramJet = field(repr=False)
+    gram: np.ndarray = field(repr=False)
     eigen_residuals: np.ndarray | None = field(default=None, repr=False)
-    gram_jet: GramJet | None = field(default=None, repr=False)
-    gram: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=complex)
-        jet = self.jet
-        if self.gram_jet is None and jet is not None:
-            self.gram_jet = lambda points, order: _row_gram(jet(points, order))
-        if self.gram is None:
-            vectors = self.vectors
-            self.gram = np.empty((len(vectors), self.rank, self.rank), dtype=complex)
-            for block in _point_blocks(len(vectors), vectors[0].nbytes):
-                self.gram[block] = _row_gram(vectors[block, None])[:, 0, 0]
 
     def evaluate(self, points) -> np.ndarray:
         """The points.shape + (rank, dim) frames at disk points of any shape."""
@@ -273,11 +257,10 @@ class FrameField:
         if g.shape != (self.rank, self.rank):
             raise InvalidArgumentError("frame change must be rank x rank")
         base_jet, base_gram = self.jet, self.gram_jet
-        jet = None if base_jet is None else (lambda w, order: g.T @ base_jet(w, order))
-        gram_jet = None if base_gram is None else (
-            lambda w, order: g.conj().T @ base_gram(w, order) @ g)
-        return FrameField(grid=self.grid, rank=self.rank, vectors=g.T @ self.vectors,
-                          jet=jet, gram_jet=gram_jet, gram=g.conj().T @ self.gram @ g)
+        return FrameField(grid=self.grid, rank=self.rank, dim=self.dim,
+                          jet=lambda w, order: g.T @ base_jet(w, order),
+                          gram_jet=lambda w, order: g.conj().T @ base_gram(w, order) @ g,
+                          gram=g.conj().T @ self.gram @ g)
 
 
 def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
@@ -306,9 +289,9 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     + <t1, t1> (h_10 is the conjugate transpose of h_01), and the
     per-point eigen-residual ||(T - w) gamma_i(w)|| as ||(T0 - w) t0|| and
     ||((T0 - w) X t1 + C t1, (T1 - w) t1)||, C = X T1 - T0 X, so T itself
-    is never assembled.  The frames and their order-0 metric products
-    (`gram`) are written one block of grid points at a time, and each
-    block's gamma_1 residual is taken in one buffer of the block's size.
+    is never assembled.  The order-0 metric products (`gram`) and the
+    residuals are taken one block of grid points at a time, and each
+    block's gamma_1 residual in one buffer of the block's size.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -350,15 +333,13 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
         return h
 
     points, c = grid.points, model.coupling_block
-    vectors = np.zeros((len(points), 2, 2 * n), dtype=complex)
     gram = np.empty((len(points), 2, 2), dtype=complex)
     residuals = np.empty((len(points), 2))
-    for block in _point_blocks(len(points), vectors[0].nbytes):
+    for block in _point_blocks(len(points), _frame_bytes(2, 2 * n)):
         rows = sections(points[block], 0)
         gram[block] = gram_of(*rows)[:, 0, 0]
         t0, coupled, t1 = (part[:, 0] for part in rows)
-        v, w = vectors[block], points[block, None]
-        v[:, 0, :n], v[:, 1, :n], v[:, 1, n:] = t0, coupled, t1
+        w = points[block, None]
         residuals[block, 0] = np.linalg.norm(_times_rows(model.t0, t0) - w * t0, axis=-1)
         tv = np.empty((len(t1), 2 * n), dtype=complex)
         top = tv[:, :n]
@@ -368,17 +349,15 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
         tv[:, n:] = _times_rows(model.t1, t1)
         tv[:, n:] -= w * t1
         residuals[block, 1] = np.linalg.norm(tv, axis=-1)
-    return FrameField(grid=grid, rank=2, vectors=vectors, jet=jet_at,
-                      eigen_residuals=residuals,
+    return FrameField(grid=grid, rank=2, dim=2 * n, jet=jet_at,
                       gram_jet=lambda points, order: gram_of(*sections(points, order)),
-                      gram=gram)
+                      gram=gram, eigen_residuals=residuals)
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
     """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator; its
-    metric jet is <t_a, t_b> over the section jets, and its frames and
-    their order-0 products <t, t> are written one block of grid points at a
-    time."""
+    metric jet is <t_a, t_b> over the section jets, and its order-0
+    products <t, t> are taken one block of grid points at a time."""
 
     def jet_at(points, order) -> np.ndarray:
         return section_jet(kernel, points, order)[..., None, :]
@@ -387,14 +366,12 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
         t = section_jet(kernel, points, order)
         return _inner(t, t)[..., None, None]
 
-    points = grid.points
-    vectors = np.empty((len(points), 1, kernel.truncation), dtype=complex)
+    points, n = grid.points, kernel.truncation
     gram = np.empty((len(points), 1, 1), dtype=complex)
-    for block in _point_blocks(len(points), vectors[0].nbytes):
-        vectors[block] = t = section_jet(kernel, points[block], 0)
+    for block in _point_blocks(len(points), _frame_bytes(1, n)):
+        t = section_jet(kernel, points[block], 0)
         gram[block] = _inner(t, t)
-    return FrameField(grid=grid, rank=1, vectors=vectors, jet=jet_at, gram_jet=gram_at,
-                      gram=gram)
+    return FrameField(grid=grid, rank=1, dim=n, jet=jet_at, gram_jet=gram_at, gram=gram)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +413,11 @@ def gram_metric(frame: FrameField) -> MetricField:
 
     The values are the Hermitian parts of the frame's Gram products at the
     grid points (`FrameField.gram`).  Every `evaluate` call takes the order-0
-    slice of the frame's `gram_jet` one block of points at a time, so it
-    never forms the frames of a whole grid, and a structured frame never
-    forms its zero-padded rows at all.
+    slice of the frame's `gram_jet` one block of points at a time, from the
+    frame's section rows, so it never forms frame rows at all.
     """
     rank, gram_jet = frame.rank, frame.gram_jet
-    point_bytes = frame.vectors[0].nbytes
+    point_bytes = _frame_bytes(rank, frame.dim)
 
     def evaluate(w):
         flat = np.ravel(w)
@@ -457,9 +433,8 @@ def gram_metric(frame: FrameField) -> MetricField:
         raise DegenerateFrameError(
             f"Gram matrix not positive definite at {frame.grid.points[bad[0]]} "
             f"(min eig {min_eigs[bad[0]]:.3e})")
-    return MetricField(grid=frame.grid, rank=rank, values=values,
-                       evaluate=None if gram_jet is None else evaluate,
-                       gram_jet=gram_jet, dim=frame.vectors.shape[-1])
+    return MetricField(grid=frame.grid, rank=rank, values=values, evaluate=evaluate,
+                       gram_jet=gram_jet, dim=frame.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -621,7 +621,7 @@ def _check_frame(tol: float, *, t0_kernel=Ref("shift"), t1_kernel=Ref("shift"),
         frame = eigenframe(assemble_model(t0, t1, x), grid)
         x_last_sq = float(np.vdot(x[:, -1], x[:, -1]).real)
         closed = tail * np.sqrt([a0_last, a1_last * (1.0 + x_last_sq)])
-        norms = np.linalg.norm(frame.vectors, axis=-1)
+        norms = np.sqrt(np.diagonal(frame.gram, axis1=-2, axis2=-1).real)
         deviation = max(deviation, float(np.max(
             np.abs(frame.eigen_residuals - closed) / norms)))
         worst = max(worst, float(np.max(frame.eigen_residuals)))

@@ -9,7 +9,6 @@ plain CSV so they can be plotted without custom tooling.
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +26,6 @@ def matrix_to_json(mat: np.ndarray) -> dict:
         "re": [float(v) for v in mat.real.ravel()],
         "im": [float(v) for v in mat.imag.ravel()],
     }
-
-
-def save_matrix(path: str | Path, mat: np.ndarray):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(mat), fh)
 
 
 def write_ratio_csv(path: str | Path, samples):

@@ -77,7 +77,7 @@ def _frame_residuals(size: int, trials: int, grid) -> tuple[float, float]:
         x_last_sq = float(np.vdot(x[:, -1], x[:, -1]).real)
         closed = tail * np.sqrt([k0.coefficients[-1],
                                  k1.coefficients[-1] * (1.0 + x_last_sq)])
-        norms = np.linalg.norm(frame.vectors, axis=-1)
+        norms = np.linalg.norm(frame.evaluate(grid.points), axis=-1)
         deviation = max(deviation, float(np.max(
             np.abs(frame.eigen_residuals - closed) / norms)))
         worst = max(worst, float(np.max(frame.eigen_residuals)))

@@ -104,8 +104,9 @@ class TestEigenframe:
         e0[0] = 1.0
         e6 = np.zeros(12)
         e6[6] = 1.0
-        np.testing.assert_array_equal(frame.vectors[0][0], e0)
-        np.testing.assert_array_equal(frame.vectors[0][1], e6)
+        vectors = frame.evaluate(grid.points)
+        np.testing.assert_array_equal(vectors[0][0], e0)
+        np.testing.assert_array_equal(vectors[0][1], e6)
 
     def test_residual_tail_bound(self):
         size = 40
@@ -155,7 +156,7 @@ class TestEigenframe:
         grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
         model = _model(size=size)
         frame = eigenframe(model, grid)
-        want = row_eigen_residuals(model, frame.vectors, grid.points)
+        want = row_eigen_residuals(model, frame.evaluate(grid.points), grid.points)
         np.testing.assert_allclose(frame.eigen_residuals, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("size", [24, 120])
@@ -165,7 +166,7 @@ class TestEigenframe:
         grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
         model = _model(size=size)
         frame = eigenframe(model, grid)
-        v, t = frame.vectors, model.t
+        v, t = frame.evaluate(grid.points), model.t
         dense = np.linalg.norm(v @ t.T - grid.points[:, None, None] * v, axis=-1)
         bound = 16 * np.finfo(float).eps * np.linalg.norm(t, 2)
         gap = np.abs(frame.eigen_residuals - dense) / np.linalg.norm(v, axis=-1)
@@ -202,9 +203,18 @@ class TestGramMetric:
                                    rtol=1e-13)
 
     def test_degenerate_frame_rejected(self):
+        # a constant frame of two equal vectors: its Gram matrix is singular
         grid = DiskGrid(points=np.array([0.1 + 0j]))
         vec = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
-        frame = FrameField(grid=grid, rank=2, vectors=[np.vstack([vec, vec])])
+
+        def jet(points, order):
+            jets = np.zeros(np.shape(points) + (order + 1, 2, 4), dtype=complex)
+            jets[..., 0, :, :] = vec
+            return jets
+
+        frame = FrameField(grid=grid, rank=2, dim=4, jet=jet,
+                           gram_jet=lambda points, order: row_gram_jet(jet(points, order)),
+                           gram=row_gram_jet(jet(grid.points, 0))[:, 0, 0])
         with pytest.raises(DegenerateFrameError):
             gram_metric(frame)
 
@@ -227,11 +237,12 @@ class TestArrayEvaluators:
     def test_frame_evaluate_contract(self, kind):
         grid = polar_grid(radii=[0.2, 0.5], n_angles=3)
         frame = _frames(grid)[kind]
-        dim = frame.vectors.shape[-1]
+        dim = frame.dim
         stacked = np.array([[frame.evaluate(w) for w in row] for row in self.points])
         assert frame.evaluate(self.points).shape == (2, 3, frame.rank, dim)
         assert np.array_equal(frame.evaluate(self.points), stacked)
-        assert np.array_equal(frame.evaluate(grid.points), frame.vectors)
+        assert np.array_equal(frame.evaluate(grid.points),
+                              np.array([frame.evaluate(w) for w in grid.points]))
         assert frame.evaluate(np.complex128(0.3j)).shape == (frame.rank, dim)
 
     @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
@@ -332,41 +343,31 @@ class TestGramJets:
                                                base.rank, base.rank)
             norms = _changed_row_norms(base.jet(self.points, order), g)
             scale = norms[:, :, None, None, :] * norms[:, None, :, :, None]
-            dim = frame.vectors.shape[-1]
-            assert np.all(np.abs(got - want) <= 4 * dim * eps * scale), order
+            assert np.all(np.abs(got - want) <= 4 * frame.dim * eps * scale), order
 
     @pytest.mark.parametrize("size", [2, 24, 240])
     def test_eigenframe_rows_and_residuals(self, size):
-        # vectors are the order-0 jets bit for bit; the residuals, taken from
-        # N-wide rows, lie within 2 (2N) eps ||T|| ||gamma|| of the full-width ones
+        # the frame rows are the order-0 jets bit for bit; the residuals, taken
+        # from N-wide rows, lie within 2 (2N) eps ||T|| ||gamma|| of the
+        # full-width ones
         model = _model(size=size)
         grid = DiskGrid(points=self.points)
         frame = eigenframe(model, grid)
-        np.testing.assert_array_equal(frame.vectors, frame.jet(self.points, 0)[:, 0])
-        want = row_eigen_residuals(model, frame.vectors, self.points)
+        vectors = frame.evaluate(self.points)
+        np.testing.assert_array_equal(vectors, frame.jet(self.points, 0)[:, 0])
+        want = row_eigen_residuals(model, vectors, self.points)
         bound = (2 * 2 * size * np.finfo(float).eps * np.linalg.norm(model.t, 2)
-                 * np.linalg.norm(frame.vectors, axis=-1))
+                 * np.linalg.norm(vectors, axis=-1))
         assert np.all(np.abs(frame.eigen_residuals - want) <= bound)
 
     @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
                                       "kernel_frame*g", "eigenframe*g"])
     def test_grid_products_are_the_order_zero_jet(self, kind):
-        # formed with the frames, bit for bit what gram_jet gives on the grid
+        # formed when the frame is built, bit for bit what gram_jet gives on
+        # the grid
         grid = polar_grid(radii=[0.2, 0.5], n_angles=3)
         frame = _frames(grid)[kind]
         np.testing.assert_array_equal(frame.gram, frame.gram_jet(grid.points, 0)[:, 0, 0])
-
-    def test_bare_jet_frame_takes_the_row_gram(self):
-        # a frame given by a bare jet has the Gram of its jet rows as primitive
-        grid = DiskGrid(points=self.points)
-        structured = eigenframe(_model(size=24), grid)
-        bare = FrameField(grid=grid, rank=2, vectors=structured.vectors,
-                          jet=structured.jet)
-        for order in range(3):
-            np.testing.assert_array_equal(
-                bare.gram_jet(self.points, order),
-                row_gram_jet(structured.jet(self.points, order)))
-        assert FrameField(grid=grid, rank=2, vectors=structured.vectors).gram_jet is None
 
 
 class TestCurvature:
@@ -690,9 +691,9 @@ class TestPointBlocks:
     def test_eigenframe_equals_one_whole_batch(self):
         model, points, n = self.model, self.grid.points, 240
         frame = eigenframe(model, self.grid)
-        vectors = frame.jet(points, 0)[:, 0]
+        vectors = frame.evaluate(points)
         assert vectors.nbytes > 2 * SERIES_BLOCK_BYTES
-        np.testing.assert_array_equal(frame.vectors, vectors)
+        np.testing.assert_array_equal(vectors, frame.jet(points, 0)[:, 0])
         top, bottom = vectors[..., :n], vectors[..., n:]
         coupled = (bottom.reshape(-1, n) @ model.coupling_block.T).reshape(top.shape)
         tv = np.concatenate(
@@ -709,15 +710,16 @@ class TestPointBlocks:
             h = section_gram_jet(v[:, None], 240)[:, 0, 0]
             return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
-        np.testing.assert_array_equal(metric.values, whole_gram(frame.vectors))
+        np.testing.assert_array_equal(metric.values,
+                                      whole_gram(frame.evaluate(self.grid.points)))
         moved = self.grid.points + 1e-3 * (2 - 1j)
         np.testing.assert_array_equal(metric.evaluate(moved),
                                       whole_gram(frame.evaluate(moved)))
 
-    def test_eigenframe_peak_under_result_plus_four_mib(self):
-        frame = eigenframe(self.model, self.grid)
-        result = frame.vectors.nbytes + frame.eigen_residuals.nbytes
-        assert traced_peak(lambda: eigenframe(self.model, self.grid)) < result + 4 * 2**20
+    def test_eigenframe_peak_under_three_mib(self):
+        # the frame keeps 16 KiB of Gram products and 8 KiB of residuals;
+        # its (P, 2, 2N) frame rows alone would take 7.5 MiB
+        assert traced_peak(lambda: eigenframe(self.model, self.grid)) < 3 * 2**20
 
     def test_gram_metric_peak_under_two_mib(self):
         frame = eigenframe(self.model, self.grid)

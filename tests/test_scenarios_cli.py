@@ -16,7 +16,7 @@ from cdlab.operators import UpperTriangularModel
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
                              _grid, list_checks, parameter_docs,
                              run_scenario)
-from cdlab.serialize import matrix_to_json, save_matrix
+from cdlab.serialize import matrix_to_json
 
 from oracles import product_gap_bound
 
@@ -662,7 +662,7 @@ class TestScenarioSchema:
         from cdlab.scenarios import ScenarioContext
 
         x = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
-        save_matrix(tmp_path / "x.json", x)
+        (tmp_path / "x.json").write_text(json.dumps(matrix_to_json(x)))
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
         mob = MobiusMap(a=0.4 + 0.1j, phase=0.3)
         custom = DiagonalKernel(np.array([1.0, 2.5]), label="custom")
@@ -715,7 +715,7 @@ class TestScenarioSchema:
 
     def test_matrix_file_operator_source(self, tmp_path):
         mat = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        save_matrix(tmp_path / "x.json", mat)
+        (tmp_path / "x.json").write_text(json.dumps(matrix_to_json(mat)))
         raw = {
             "name": "file-op",
             "operators": {"A": {"file": "x.json"},
@@ -927,7 +927,7 @@ class TestMatrixSerialization:
         from cdlab.scenarios import ScenarioContext
 
         mat = np.array([[1 + 2j, 0.5], [-1j, 3.25]])
-        save_matrix(tmp_path / "m.json", mat)
+        (tmp_path / "m.json").write_text(json.dumps(matrix_to_json(mat)))
         # JSON integers are numbers too
         ints = {"rows": 2, "cols": 2, "re": [1, 0.5, 0, 3.25], "im": [2, 0, -1, 0]}
         for source, spec in (("file", "m.json"), ("matrix", matrix_to_json(mat)),
