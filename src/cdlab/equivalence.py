@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DegenerateInputError, InvalidArgumentError,
                      NumericError, PreconditionError)
 from .geometry import DiskGrid, FrameField, eigenframe
-from .kernels import DiagonalKernel, disk_points, section_table
+from .kernels import DiagonalKernel, disk_points, section_tables
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
                         _inverse, _times, assemble_model, frobenius,
                         gap_total, guarded_inverse, intertwining_gaps,
@@ -346,8 +346,7 @@ def main3_verifier(k0: DiagonalKernel, k1: DiagonalKernel, ks: DiagonalKernel,
     eye = np.eye(n)
     report.add("x-isometry", frobenius(x.conj().T @ x - eye), 1e-10)
 
-    t0 = section_table(k0, grid.points)
-    t1 = section_table(k1, grid.points)
+    t0, t1 = section_tables((k0, k1), grid.points)
     yt1 = t1 @ y.T
     # Row-wise vdot(v, v) as one stacked matmul, which rounds as vdot does.
     t0_sq, yt1_sq, t1_sq = ((v.conj()[:, None, :] @ v[:, :, None]).real.ravel()

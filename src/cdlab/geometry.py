@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
-from .kernels import DiagonalKernel, section_jet
+from .kernels import DiagonalKernel, section_jet, section_jets
 from .operators import ModelOperator, UpperTriangularModel
 
 DEFAULT_FD_STEP = 1e-3
@@ -282,16 +282,18 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     """Rank-2 eigenframe gamma_0 = (t0, 0), gamma_1 = (X t1, t1) of the model.
 
     Both diagonal blocks must have been built from diagonal kernels, so the
-    sections t_i(w) and their jets are available.  Everything per point is
-    taken from the N-wide section rows t0, X t1 and t1, never from the
-    zero-padded 2N-wide frame rows: the metric jet from four products of
-    section jets, h_00 = <t0, t0>, h_01 = <X t1, t0> and h_11 = <X t1, X t1>
-    + <t1, t1> (h_10 is the conjugate transpose of h_01), and the
-    per-point eigen-residual ||(T - w) gamma_i(w)|| as ||(T0 - w) t0|| and
-    ||((T0 - w) X t1 + C t1, (T1 - w) t1)||, C = X T1 - T0 X, so T itself
-    is never assembled.  The order-0 metric products (`gram`) and the
-    residuals are taken one block of grid points at a time, and each
-    block's gamma_1 residual in one buffer of the block's size.
+    sections t_i(w) and their jets are available.  Each evaluation takes the
+    jets of t0 and t1 from one power table of its points (`section_jets`)
+    and those of X t1 as one product over all its points and jet orders.
+    Everything per point is taken from the N-wide section rows t0, X t1 and
+    t1, never from the zero-padded 2N-wide frame rows: the metric jet from
+    four products of section jets, h_00 = <t0, t0>, h_01 = <X t1, t0> and
+    h_11 = <X t1, X t1> + <t1, t1> (h_10 is the conjugate transpose of
+    h_01), and the per-point eigen-residual ||(T - w) gamma_i(w)|| as
+    ||(T0 - w) t0|| and ||((T0 - w) X t1 + C t1, (T1 - w) t1)||, C = X T1 -
+    T0 X, so T itself is never assembled.  The order-0 metric products
+    (`gram`) and the residuals are taken one block of grid points at a time,
+    and each block's gamma_1 residual in one buffer of the block's size.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -303,15 +305,11 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     x = model.x
 
     def sections(points, order):
-        """The jets of t0, X t1 and t1, points.shape + (order + 1, n) each."""
-        t0, t1 = section_jet(k0, points, order), section_jet(k1, points, order)
-        coupled = np.empty_like(t1)
-        # order 0: x @ t1 per point, so a batch rounds like single-point calls;
-        # orders >= 1: one (points * order, n) @ x.T product
-        coupled[..., 0, :] = (x @ t1[..., 0, :, None])[..., 0]
-        if order:
-            t1_jets = t1[..., 1:, :]
-            coupled[..., 1:, :] = (t1_jets.reshape(-1, n) @ x.T).reshape(t1_jets.shape)
+        """The jets of t0, X t1 and t1, points.shape + (order + 1, n) each:
+        t0 and t1 from one power table, X t1 as one (points * (order + 1), n)
+        @ x.T product, whose rows round alike for any point count."""
+        t0, t1 = section_jets((k0, k1), points, order)
+        coupled = _rows_times(t1.reshape(-1, n), x).reshape(t1.shape)
         return t0, coupled, t1
 
     def jet_at(points, order) -> np.ndarray:

@@ -116,18 +116,32 @@ def disk_points(points: np.ndarray | complex) -> np.ndarray:
     return points
 
 
-def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
-    """Sections t(w) = (sqrt(a_k) w^k)_k at points of any shape (0-d included),
-    as a points.shape + (N,) array; a point with |w| >= 1 raises a DomainError.
+def section_tables(kernels: tuple[DiagonalKernel, ...],
+                   points: np.ndarray | complex) -> list[np.ndarray]:
+    """Sections t(w) = (sqrt(a_k) w^k)_k of several kernels of one truncation
+    at points of any shape (0-d included), each a points.shape + (N,) array;
+    a point with |w| >= 1 raises a DomainError.
 
     The powers w^k are one cumulative product along the coefficient axis, the
     rule of `evaluate_kernel`: rounding errors add up linearly in k instead of
-    going through the exp/log of a complex power.
+    going through the exp/log of a complex power.  That table is taken once
+    and scaled by each kernel's sqrt(a_k), so a kernel's sections do not
+    depend on which other kernels share the call.
     """
+    sizes = {kernel.truncation for kernel in kernels}
+    if len(sizes) != 1:
+        raise InvalidArgumentError(f"kernels need one truncation, got {sorted(sizes)}")
     points = disk_points(points)
-    powers = np.repeat(points[..., None], kernel.truncation, axis=-1)
+    powers = np.repeat(points[..., None], sizes.pop(), axis=-1)
     powers[..., 0] = 1.0
-    return np.sqrt(kernel.coefficients) * np.cumprod(powers, axis=-1)
+    powers = np.cumprod(powers, axis=-1)
+    return [np.sqrt(kernel.coefficients) * powers for kernel in kernels]
+
+
+def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
+    """`section_tables` of one kernel: its sections at points of any shape."""
+    (table,) = section_tables((kernel,), points)
+    return table
 
 
 @cache
@@ -138,21 +152,31 @@ def _binomial_weights(n: int, i: int) -> np.ndarray:
     return weights
 
 
-def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
-                order: int) -> np.ndarray:
-    """Taylor jets (1/i!) d^i t/dw^i, i = 0..order, of the section at points of
-    any shape, as a points.shape + (order + 1, N) array.
+def section_jets(kernels: tuple[DiagonalKernel, ...],
+                 points: np.ndarray | complex, order: int) -> list[np.ndarray]:
+    """Taylor jets (1/i!) d^i t/dw^i, i = 0..order, of the sections of several
+    kernels of one truncation at points of any shape, each a points.shape +
+    (order + 1, N) array, all from one power table (`section_tables`).
 
     Coordinate k of jet i is sqrt(a_k) C(k, i) w^(k-i) = C(k, i) sqrt(a_k /
-    a_{k-i}) t_{k-i}(w), a shift of one section table; the weight of jet 0 is
-    exactly 1, so jet 0 equals `section_table` bit for bit.
+    a_{k-i}) t_{k-i}(w), a shift of the kernel's section table; the weight of
+    jet 0 is exactly 1, so jet 0 equals `section_table` bit for bit.
     """
-    table = section_table(kernel, points)
-    a, n = kernel.coefficients, kernel.truncation
-    jets = np.zeros(table.shape[:-1] + (order + 1, n), dtype=complex)
-    for i in range(min(order, n - 1) + 1):
-        jets[..., i, i:] = (_binomial_weights(n, i) * np.sqrt(a[i:] / a[:n - i])
-                            * table[..., :n - i])
+    out = []
+    for kernel, table in zip(kernels, section_tables(kernels, points)):
+        a, n = kernel.coefficients, kernel.truncation
+        jets = np.zeros(table.shape[:-1] + (order + 1, n), dtype=complex)
+        for i in range(min(order, n - 1) + 1):
+            jets[..., i, i:] = (_binomial_weights(n, i) * np.sqrt(a[i:] / a[:n - i])
+                                * table[..., :n - i])
+        out.append(jets)
+    return out
+
+
+def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
+                order: int) -> np.ndarray:
+    """`section_jets` of one kernel: its section jets at points of any shape."""
+    (jets,) = section_jets((kernel,), points, order)
     return jets
 
 

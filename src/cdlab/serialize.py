@@ -1,9 +1,9 @@
-"""JSON and CSV wire formats.
+"""Field exports: diagonal-ratio samples and curvature fields as plain CSV,
+and a curvature field as JSON, so they can be plotted without custom tooling.
 
-Matrices travel as {"rows": N, "cols": N, "re": [...], "im": [...]} with
-row-major flat lists; this module writes them, and scenarios read them (a
-`matrix` or `file` operator) through the scenario schema.  Field exports are
-plain CSV so they can be plotted without custom tooling.
+cdlab writes no matrices.  Their wire format, {"rows": N, "cols": N, "re":
+[...], "im": [...]} with row-major flat lists, is read by the `matrix` and
+`file` operator sources of the scenario schema (`scenarios.py`).
 """
 
 from __future__ import annotations
@@ -14,18 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-
-
-def matrix_to_json(mat: np.ndarray) -> dict:
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2:
-        raise SchemaError("only 2-d matrices serialize")
-    return {
-        "rows": int(mat.shape[0]),
-        "cols": int(mat.shape[1]),
-        "re": [float(v) for v in mat.real.ravel()],
-        "im": [float(v) for v in mat.imag.ravel()],
-    }
 
 
 def write_ratio_csv(path: str | Path, samples):

@@ -172,6 +172,19 @@ class TestEigenframe:
         gap = np.abs(frame.eigen_residuals - dense) / np.linalg.norm(v, axis=-1)
         assert gap.max() <= bound
 
+    @pytest.mark.parametrize("size", [24, 240])
+    def test_single_point_jets_equal_the_batch(self, size):
+        # X t1 is one product over every point and order; a lone row is
+        # multiplied as two, so one point rounds like a row of the batch
+        points = polar_grid(radii=[0.2, 0.5], n_angles=5).points
+        frame = eigenframe(_model(size=size), DiskGrid(points=points))
+        for order in range(4):
+            whole = frame.jet(points, order)
+            for p, w in enumerate(points):
+                np.testing.assert_array_equal(frame.jet(w, order), whole[p])
+                np.testing.assert_array_equal(frame.gram_jet(points[p:p + 1], order),
+                                              frame.gram_jet(points, order)[p:p + 1])
+
     def test_residuals_leave_t_unassembled(self):
         model = _model()
         eigenframe(model, polar_grid(radii=[0.3], n_angles=4))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from cdlab.errors import DomainError, InvalidArgumentError, PrecisionError
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                            evaluate_kernel, required_truncation, section_jet,
-                           section_table, section_vector, separator_kernel)
+                           section_jets, section_table, section_tables,
+                           section_vector, separator_kernel)
 
 from oracles import binomial_series_coefficients
 
@@ -195,6 +196,35 @@ class TestSectionJet:
             assert np.array_equal(section_jet(k, points, 3), want)
         # order 0 equals the section table bit for bit
         assert np.array_equal(section_jet(k, points, 0), want[:, :1])
+
+
+class TestSharedPowerTable:
+    """Several kernels' sections from one power table equal each kernel's own."""
+
+    kernels = tuple(bergman_kernel(n, 30) for n in (1, 2, 3))
+
+    @pytest.mark.parametrize("points", [
+        np.complex128(0.4 - 0.3j),
+        np.array([0.1 + 0.2j, -0.55j, 0.0, 0.7 - 0.1j]),
+        np.array([[0.1 + 0.2j, -0.4j, 0.5], [0.0, -0.3 + 0.3j, 0.6 - 0.1j]]),
+    ], ids=["0-d", "1-d", "2-d"])
+    def test_jets_equal_each_kernels_own(self, points):
+        for order in range(4):
+            shared = section_jets(self.kernels, points, order)
+            assert len(shared) == 3
+            for kernel, jets in zip(self.kernels, shared):
+                assert jets.shape == points.shape + (order + 1, 30)
+                np.testing.assert_array_equal(jets, section_jet(kernel, points, order))
+        for kernel, table in zip(self.kernels, section_tables(self.kernels, points)):
+            np.testing.assert_array_equal(table, section_table(kernel, points))
+
+    def test_mixed_truncations_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="one truncation"):
+            section_jets((bergman_kernel(1, 8), bergman_kernel(2, 9)), 0.1, 1)
+
+    def test_domain_error_names_point(self):
+        with pytest.raises(DomainError, match=re.escape("w=(-1+0j)")):
+            section_tables(self.kernels, np.array([0.2, -1.0]))
 
 
 class TestDiagonalRatio:

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import platform
 import re
@@ -12,16 +13,25 @@ import pytest
 
 from cdlab.cli import bundled_scenario_dir, main
 from cdlab.errors import SchemaError
-from cdlab.operators import UpperTriangularModel
+from cdlab.kernels import bergman_kernel
+from cdlab.operators import UpperTriangularModel, random_operator
 from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
                              _grid, list_checks, parameter_docs,
                              run_scenario)
-from cdlab.serialize import matrix_to_json
 
 from oracles import product_gap_bound
 
 BUNDLED = sorted(bundled_scenario_dir().glob("*.json"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def matrix_to_json(mat) -> dict:
+    """A 2-d matrix in the wire format that the `matrix` and `file` operator
+    sources read: row-major flat lists of its real and imaginary parts."""
+    mat = np.asarray(mat, dtype=complex)
+    return {"rows": int(mat.shape[0]), "cols": int(mat.shape[1]),
+            "re": [float(v) for v in mat.real.ravel()],
+            "im": [float(v) for v in mat.imag.ravel()]}
 
 
 def _body(report: dict) -> dict:
@@ -212,6 +222,25 @@ def test_frame_check_against_closed_form_tail():
     (condition,) = report.conditions
     assert condition.tolerance == 1e-12 and condition.residual <= 1e-14
     assert report.info["worst_residual"] > 1e-10
+
+
+def test_frame_isometry_moved_fields_bounded():
+    # the bundled frame-isometry body holds the fields that move with the
+    # rounding of the eigenframe's X t1 product; each keeps a wide margin
+    # below its tolerance, and worst_residual stays at its closed-form tail
+    result = run_scenario(bundled_scenario_dir() / "frame-isometry.json")
+    assert result.overall, result.summary()
+    frame, isometry = (outcome.report for outcome in result.outcomes[:2])
+    closed_form = frame.condition("eigen-residual-closed-form")
+    assert closed_form.tolerance == 1e-12 and closed_form.residual <= 1e-14
+    a1_last = bergman_kernel(2, 120).coefficients[-1]
+    tail = max(0.8 ** 120 * math.sqrt(a1_last * (1.0 + np.vdot(x[:, -1], x[:, -1]).real))
+               for x in (random_operator(120, 41 + trial, norm=0.5)
+                         for trial in range(20)))
+    assert abs(frame.info["worst_residual"] - tail) <= 1e-14
+    found = isometry.condition("all-points-found")
+    assert found.tolerance == 1e-8 and found.residual <= 1e-12
+    assert isometry.info["found_points"] == 24
 
 
 class TestDeterminism:
