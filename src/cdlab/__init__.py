@@ -8,9 +8,8 @@ from .kernels import (DiagonalKernel, SectionVector, bergman_kernel,
                       section_vector, separator_kernel)
 from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         UpperTriangularModel, apply_mobius, assemble_model,
-                        block_matrix, fb2_membership, random_operator,
-                        random_unitary, shift_from_kernel, similarity_split,
-                        sylvester_kernel)
+                        fb2_membership, random_operator, random_unitary,
+                        shift_from_kernel, similarity_split, sylvester_kernel)
 from .geometry import (CurvatureField, DiskGrid, FrameField, MetricField,
                        covariant_derivative, curvature, curvature_isometry_check,
                        eigenframe, gram_metric, kernel_frame, polar_grid)

@@ -304,10 +304,11 @@ def frame_kernel_matrix(frame: FrameField, points) -> np.ndarray:
 
     Frames are evaluated at the conjugated points, matching the convention in
     which the model acts as the adjoint multiplication operator; a point with
-    |z| >= 1 raises a DomainError that names it as given.
+    |z| >= 1 raises a DomainError that names it as given.  The table is the
+    pairing of the order-0 sections over the point axis, h[b, a] = K(z_a, z_b).
     """
-    vecs = frame.evaluate(np.conj(disk_points(points)))
-    return vecs.conj()[:, None] @ np.swapaxes(vecs, -1, -2)[None, :]
+    rows = frame.sections(np.conj(disk_points(points)), 0)
+    return frame.pairing(tuple(part[:, 0] for part in rows)).swapaxes(0, 1)
 
 
 def kernel_transform_check(frame_a: FrameField, frame_b: FrameField,

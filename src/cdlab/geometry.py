@@ -5,23 +5,19 @@ curvature is K(w) = -d/dwbar (h^{-1} dh/dw).  Covariant derivatives follow the
 two inductive rules: a wbar-step applies d/dwbar, a w-step applies d/dw plus a
 commutator with h^{-1} dh/dw.  All w-steps are applied before the wbar-steps.
 
-Every routine takes all grid points in one call: a frame evaluates to
-(points, rank, dim) arrays, and metrics, jets and curvatures carry a leading
-point axis.  Inside a call, the per-point rows that grow with the frame's
-dimension (section jets, Gram products and eigen-residual buffers) are
-formed one block of grid points at a time, about SERIES_BLOCK_BYTES each, so
-only the results span the whole grid; every point takes the values one batch
-over all points would give it.
+Every routine takes all grid points in one call: metrics, jets and
+curvatures carry a leading point axis.  Inside a call, the per-point rows
+that grow with the frame's dimension (section jets, Gram products and
+eigen-residual buffers) are formed one block of grid points at a time,
+about SERIES_BLOCK_BYTES each, so only the results span the whole grid;
+every point takes the values one batch over all points would give it.
 
-A frame stores no frame rows.  Each frame kind has one metric-jet
-primitive, `FrameField.gram_jet`, built from its N-wide section rows:
-<t, t> for a `kernel_frame`; for an `eigenframe` gamma_0 = (t0, 0),
-gamma_1 = (X t1, t1), the products <t0, t0>, <X t1, t0> and
-<X t1, X t1> + <t1, t1> of section jets, never the zero-padded 2N-wide
-frame rows; g^H h g for a constant change gamma g.  The fd evaluator and
-the series route read it, and the metric values are its order-0 products
-at the grid points, which each frame kind forms when it is built
-(`FrameField.gram`).  Two evaluation routes are supported:
+A frame is its N-wide section jets plus the one pairing that turns them
+into Gram products (`FrameField`); it never forms its zero-padded frame
+rows.  Every Gram product of this layer is that pairing: the metric jet
+`FrameField.gram_jet` (the one blocking rule), which both routes read,
+its order-0 products at the grid points (`FrameField.gram`), and
+`equivalence.frame_kernel_matrix`.  Two evaluation routes are supported:
 
 * "series": when the frame comes from diagonal kernels plus constant blocks,
   its Taylor jets G_a = (1/a!) d^a gamma/dw^a are known in closed form.
@@ -35,8 +31,8 @@ at the grid points, which each frame kind forms when it is built
   d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The metric evaluator takes
   an array of points; it is called once per offset h(a + ib) of the lattice
   patch that the stencils of K_{w^i wbar^j} reach, on all grid points at
-  once (it takes the order-0 `gram_jet` block by block), and the stencils
-  are then applied as array slices.
+  once (it takes the order-0 `gram_jet`), and the stencils are then
+  applied as array slices.
 
 A metric belongs to one grid, and both routes cache what they evaluate on
 it: the fd route each lattice offset's metric values, the series route each
@@ -69,23 +65,19 @@ NULL_SPACE_RTOL = 1e-12
 SERIES_BLOCK_BYTES = 2**20
 
 
-def _point_blocks(count: int, point_bytes: int) -> list[slice]:
+def _point_blocks(count: int, point_entries: int) -> list[slice]:
     """Slices cutting `count` grid points into blocks of equal size, up to one
-    point, with about SERIES_BLOCK_BYTES of `point_bytes` rows each.
+    point, each with about SERIES_BLOCK_BYTES of complex rows when a point
+    holds `point_entries` entries.
 
     A block keeps at least two points (when there are two), so a block's
     stacked product never falls to a matrix-vector one, which rounds
     differently from a matrix-matrix one.
     """
+    point_bytes = point_entries * np.dtype(complex).itemsize
     parts = max(1, min(count // 2, -(-count * point_bytes // SERIES_BLOCK_BYTES)))
     edges = [count * k // parts for k in range(parts + 1)]
     return [slice(start, stop) for start, stop in zip(edges, edges[1:])]
-
-
-def _frame_bytes(rank: int, dim: int) -> int:
-    """Bytes of one point's `rank` frame rows of length `dim`: the per-point
-    size every frame step cuts its blocks of grid points by."""
-    return rank * dim * np.dtype(complex).itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +201,6 @@ class MatrixJet:
 # ---------------------------------------------------------------------------
 # frame fields
 
-FrameJet = Callable[[np.ndarray, int], np.ndarray]
-GramJet = Callable[[np.ndarray, int], np.ndarray]
-
 
 def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """<u_a, v_b> = v_b^H u_a over the rows of two (..., k, dim) stacks, as a
@@ -223,44 +212,57 @@ def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class FrameField:
     """Holomorphic frame of `rank` vectors in C^dim, sampled on a grid.
 
-    A frame stores no frame rows, only what the system reads of it.  `jet`
-    gives the frame's Taylor jets at disk points of any shape (0-d
-    included): `jet(points, o)` is the points.shape + (o + 1, rank, dim)
-    array of (1/i!) d^i gamma/dw^i, i = 0..o, and its order-0 slice is
-    `evaluate`.  `gram_jet(points, o)` gives, at a 1-d array of points, the
-    (points, o + 1, o + 1, rank, rank) metric jet h[a, b][p, q] =
-    <G_a[q], G_b[p]> of those frame jets G_a; each frame kind builds it from
-    its own section rows.  `gram` holds the (points, rank, rank) Gram
-    products <gamma_q, gamma_p> at the grid points, formed with the frame,
-    bit for bit `gram_jet(grid.points, 0)[:, 0, 0]` (so a metric does not
-    take the grid's sections again).  `eigen_residuals` holds
-    ||(T - w) gamma_i(w)|| per point and frame vector for an `eigenframe`,
-    and is None otherwise.
+    A frame is its N-wide section jets plus the one pairing that turns them
+    into Gram products; it never forms its dim-wide frame rows.
+    `sections(points, o)` gives, at disk points of any shape (0-d
+    included), the tuple of points.shape + (o + 1, N) jets (1/i!) d^i s/dw^i
+    of its sections s: (t0, X t1, t1) for an `eigenframe`, (t,) for a
+    `kernel_frame`.  `pairing(rows)` maps such a tuple to the Gram table
+    over the rows' second-to-last axis, (..., k, k, rank, rank) with
+    h[a, b][p, q] = <G_a[q], G_b[p]> for the frame vectors G_a of row a.
+    `gram_jet` is the pairing of the sections, the metric jet; `gram` holds
+    the (points, rank, rank) Gram products at the grid points, bit for bit
+    `gram_jet(grid.points, 0)[:, 0, 0]` (formed with the frame when not
+    given, so a metric does not take the grid's sections again).
+    `eigen_residuals` holds ||(T - w) gamma_i(w)|| per point and frame
+    vector for an `eigenframe`, and is None otherwise.
     """
 
     grid: DiskGrid
     rank: int
     dim: int
-    jet: FrameJet = field(repr=False)
-    gram_jet: GramJet = field(repr=False)
-    gram: np.ndarray = field(repr=False)
+    sections: Callable[[np.ndarray, int], tuple] = field(repr=False)
+    pairing: Callable[[tuple], np.ndarray] = field(repr=False)
+    gram: np.ndarray | None = field(default=None, repr=False)
     eigen_residuals: np.ndarray | None = field(default=None, repr=False)
 
-    def evaluate(self, points) -> np.ndarray:
-        """The points.shape + (rank, dim) frames at disk points of any shape."""
-        return self.jet(points, 0)[..., 0, :, :]
+    def __post_init__(self):
+        if self.gram is None:
+            self.gram = self.gram_jet(self.grid.points, 0)[:, 0, 0]
+
+    def gram_jet(self, points, order: int) -> np.ndarray:
+        """The points.shape + (o + 1, o + 1, rank, rank) metric jet at disk
+        points of any shape: the pairing of the section jets, taken one
+        block of points at a time with about SERIES_BLOCK_BYTES of frame-jet
+        rows, so each point takes the products one batch would."""
+        points = np.asarray(points, dtype=complex)
+        flat, r = points.ravel(), self.rank
+        jet = np.empty((flat.size, order + 1, order + 1, r, r), dtype=complex)
+        for block in _point_blocks(flat.size, (order + 1) * r * self.dim):
+            jet[block] = self.pairing(self.sections(flat[block], order))
+        return jet.reshape(points.shape + jet.shape[1:])
 
     def with_constant_change(self, g: np.ndarray) -> "FrameField":
-        """Replace gamma by gamma g for a constant invertible g; the metric
-        jet becomes g^H h g."""
+        """Replace gamma by gamma g for a constant invertible g: the pairing,
+        and so the metric jet, becomes g^H h g."""
         g = np.asarray(g, dtype=complex)
         if g.shape != (self.rank, self.rank):
             raise InvalidArgumentError("frame change must be rank x rank")
-        base_jet, base_gram = self.jet, self.gram_jet
+        g_h, base = g.conj().T, self.pairing
         return FrameField(grid=self.grid, rank=self.rank, dim=self.dim,
-                          jet=lambda w, order: g.T @ base_jet(w, order),
-                          gram_jet=lambda w, order: g.conj().T @ base_gram(w, order) @ g,
-                          gram=g.conj().T @ self.gram @ g)
+                          sections=self.sections,
+                          pairing=lambda rows: g_h @ base(rows) @ g,
+                          gram=g_h @ self.gram @ g)
 
 
 def _times_rows(op: ModelOperator, rows: np.ndarray) -> np.ndarray:
@@ -278,6 +280,27 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return rows @ mat.T
 
 
+def _eigen_pairing(rows: tuple) -> np.ndarray:
+    """The Gram table of gamma_0 = (t0, 0), gamma_1 = (X t1, t1) from the
+    rows of t0, X t1 and t1: h_00 = <t0, t0>, h_01 = <X t1, t0>, h_10 the
+    conjugate transpose of h_01 over the row axes, and h_11 = <X t1, X t1> +
+    <t1, t1>."""
+    t0, coupled, t1 = rows
+    terms = t0.shape[-2]
+    h = np.empty(t0.shape[:-1] + (terms, 2, 2), dtype=complex)
+    h[..., 0, 0] = _inner(t0, t0)
+    h[..., 0, 1] = _inner(coupled, t0)
+    h[..., 1, 0] = h[..., 0, 1].swapaxes(-1, -2).conj()
+    h[..., 1, 1] = _inner(coupled, coupled) + _inner(t1, t1)
+    return h
+
+
+def _kernel_pairing(rows: tuple) -> np.ndarray:
+    """The Gram table <t_a, t_b> of the rank-1 frame gamma_0 = t."""
+    (t,) = rows
+    return _inner(t, t)[..., None, None]
+
+
 def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     """Rank-2 eigenframe gamma_0 = (t0, 0), gamma_1 = (X t1, t1) of the model.
 
@@ -286,14 +309,13 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     jets of t0 and t1 from one power table of its points (`section_jets`)
     and those of X t1 as one product over all its points and jet orders.
     Everything per point is taken from the N-wide section rows t0, X t1 and
-    t1, never from the zero-padded 2N-wide frame rows: the metric jet from
-    four products of section jets, h_00 = <t0, t0>, h_01 = <X t1, t0> and
-    h_11 = <X t1, X t1> + <t1, t1> (h_10 is the conjugate transpose of
-    h_01), and the per-point eigen-residual ||(T - w) gamma_i(w)|| as
-    ||(T0 - w) t0|| and ||((T0 - w) X t1 + C t1, (T1 - w) t1)||, C = X T1 -
-    T0 X, so T itself is never assembled.  The order-0 metric products
-    (`gram`) and the residuals are taken one block of grid points at a time,
-    and each block's gamma_1 residual in one buffer of the block's size.
+    t1, never from the zero-padded 2N-wide frame rows: the metric jet by
+    `_eigen_pairing`, and the per-point eigen-residual
+    ||(T - w) gamma_i(w)|| as ||(T0 - w) t0|| and
+    ||((T0 - w) X t1 + C t1, (T1 - w) t1)||, C = X T1 - T0 X, so T itself
+    is never assembled.  The order-0 metric products (`gram`) and the
+    residuals are taken one block of grid points at a time, and each
+    block's gamma_1 residual in one buffer of the block's size.
     """
     k0, k1 = model.t0.kernel, model.t1.kernel
     if k0 is None or k1 is None:
@@ -305,37 +327,19 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
     x = model.x
 
     def sections(points, order):
-        """The jets of t0, X t1 and t1, points.shape + (order + 1, n) each:
-        t0 and t1 from one power table, X t1 as one (points * (order + 1), n)
-        @ x.T product, whose rows round alike for any point count."""
+        """The jets of t0, X t1 and t1: t0 and t1 from one power table, X t1
+        as one (points * (order + 1), n) @ x.T product, whose rows round
+        alike for any point count."""
         t0, t1 = section_jets((k0, k1), points, order)
         coupled = _rows_times(t1.reshape(-1, n), x).reshape(t1.shape)
         return t0, coupled, t1
 
-    def jet_at(points, order) -> np.ndarray:
-        t0, coupled, t1 = sections(points, order)
-        jets = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
-        jets[..., 0, :n] = t0
-        jets[..., 1, :n] = coupled
-        jets[..., 1, n:] = t1
-        return jets
-
-    def gram_of(t0, coupled, t1) -> np.ndarray:
-        """The metric jet of the frame with these section jets."""
-        terms = t0.shape[-2]
-        h = np.empty(t0.shape[:-1] + (terms, 2, 2), dtype=complex)
-        h[..., 0, 0] = _inner(t0, t0)
-        h[..., 0, 1] = _inner(coupled, t0)
-        h[..., 1, 0] = h[..., 0, 1].swapaxes(-1, -2).conj()
-        h[..., 1, 1] = _inner(coupled, coupled) + _inner(t1, t1)
-        return h
-
     points, c = grid.points, model.coupling_block
     gram = np.empty((len(points), 2, 2), dtype=complex)
     residuals = np.empty((len(points), 2))
-    for block in _point_blocks(len(points), _frame_bytes(2, 2 * n)):
+    for block in _point_blocks(len(points), 4 * n):
         rows = sections(points[block], 0)
-        gram[block] = gram_of(*rows)[:, 0, 0]
+        gram[block] = _eigen_pairing(rows)[:, 0, 0]
         t0, coupled, t1 = (part[:, 0] for part in rows)
         w = points[block, None]
         residuals[block, 0] = np.linalg.norm(_times_rows(model.t0, t0) - w * t0, axis=-1)
@@ -347,29 +351,16 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
         tv[:, n:] = _times_rows(model.t1, t1)
         tv[:, n:] -= w * t1
         residuals[block, 1] = np.linalg.norm(tv, axis=-1)
-    return FrameField(grid=grid, rank=2, dim=2 * n, jet=jet_at,
-                      gram_jet=lambda points, order: gram_of(*sections(points, order)),
-                      gram=gram, eigen_residuals=residuals)
+    return FrameField(grid=grid, rank=2, dim=2 * n, sections=sections,
+                      pairing=_eigen_pairing, gram=gram, eigen_residuals=residuals)
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
-    """Rank-1 frame gamma_0 = t0 of a single diagonal-kernel operator; its
-    metric jet is <t_a, t_b> over the section jets, and its order-0
-    products <t, t> are taken one block of grid points at a time."""
-
-    def jet_at(points, order) -> np.ndarray:
-        return section_jet(kernel, points, order)[..., None, :]
-
-    def gram_at(points, order) -> np.ndarray:
-        t = section_jet(kernel, points, order)
-        return _inner(t, t)[..., None, None]
-
-    points, n = grid.points, kernel.truncation
-    gram = np.empty((len(points), 1, 1), dtype=complex)
-    for block in _point_blocks(len(points), _frame_bytes(1, n)):
-        t = section_jet(kernel, points[block], 0)
-        gram[block] = _inner(t, t)
-    return FrameField(grid=grid, rank=1, dim=n, jet=jet_at, gram_jet=gram_at, gram=gram)
+    """Rank-1 frame gamma_0 = t of a single diagonal-kernel operator; its
+    metric jet is <t_a, t_b> over the section jets."""
+    return FrameField(grid=grid, rank=1, dim=kernel.truncation,
+                      sections=lambda points, order: (section_jet(kernel, points, order),),
+                      pairing=_kernel_pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +371,8 @@ def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
 class MetricField:
     """Gram metric h(w) sampled on the grid.  `evaluate` maps points of any
     shape to points.shape + (rank, rank) (the fd route); `gram_jet` is the
-    metric-jet primitive of the frame the metric comes from (see
-    `FrameField`), and `dim` that frame's dimension (the series route, which
-    calls `gram_jet` once per block of grid points and sizes the blocks from
-    `dim`).
+    metric jet of the frame the metric comes from (`FrameField.gram_jet`,
+    the series route).
 
     Curvature requests fill two caches on `grid`: `fd_values` maps a lattice
     offset (a, b) to h(w + fd_step (a + ib)) at every grid point, and
@@ -396,8 +385,8 @@ class MetricField:
     rank: int
     values: np.ndarray = field(repr=False)
     evaluate: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
-    gram_jet: GramJet | None = field(default=None, repr=False)
-    dim: int | None = None
+    gram_jet: Callable[[np.ndarray, int], np.ndarray] | None = field(
+        default=None, repr=False)
     fd_values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     series_jets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -410,19 +399,13 @@ def gram_metric(frame: FrameField) -> MetricField:
     """h_{ij}(w) = <gamma_j(w), gamma_i(w)>; rejects degenerate frames.
 
     The values are the Hermitian parts of the frame's Gram products at the
-    grid points (`FrameField.gram`).  Every `evaluate` call takes the order-0
-    slice of the frame's `gram_jet` one block of points at a time, from the
-    frame's section rows, so it never forms frame rows at all.
+    grid points (`FrameField.gram`), and every `evaluate` call takes the
+    Hermitian part of the order-0 `gram_jet`, so it never forms frame rows.
     """
-    rank, gram_jet = frame.rank, frame.gram_jet
-    point_bytes = _frame_bytes(rank, frame.dim)
+    gram_jet = frame.gram_jet
 
     def evaluate(w):
-        flat = np.ravel(w)
-        values = np.empty((flat.size, rank, rank), dtype=complex)
-        for block in _point_blocks(flat.size, point_bytes):
-            values[block] = _hermitian_part(gram_jet(flat[block], 0)[:, 0, 0])
-        return values.reshape(np.shape(w) + (rank, rank))
+        return _hermitian_part(gram_jet(w, 0)[..., 0, 0, :, :])
 
     values = _hermitian_part(frame.gram)
     min_eigs = np.linalg.eigvalsh(values)[:, 0]
@@ -431,8 +414,8 @@ def gram_metric(frame: FrameField) -> MetricField:
         raise DegenerateFrameError(
             f"Gram matrix not positive definite at {frame.grid.points[bad[0]]} "
             f"(min eig {min_eigs[bad[0]]:.3e})")
-    return MetricField(grid=frame.grid, rank=rank, values=values, evaluate=evaluate,
-                       gram_jet=gram_jet, dim=frame.dim)
+    return MetricField(grid=frame.grid, rank=frame.rank, values=values,
+                       evaluate=evaluate, gram_jet=gram_jet)
 
 
 # ---------------------------------------------------------------------------
@@ -446,20 +429,12 @@ def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
     With G_a the frame jets (frame vectors as columns), h(w + d) =
     sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
     the frame jets, which the frame's `gram_jet` forms from its section
-    rows.  `gram_jet` is called once per block of grid points with about
-    SERIES_BLOCK_BYTES of frame-jet rows (sized from the frame's
-    dimension), so no jet table is ever formed whole, and each point takes
-    the products one batch would.
+    rows one block of grid points at a time.
     """
     order = max(i, j) + 1
     jet = metric.series_jets.get(order)
     if jet is None:
-        points, r = metric.grid.points, metric.rank
-        point_bytes = (order + 1) * r * metric.dim * np.dtype(complex).itemsize
-        jet = np.empty((len(points), order + 1, order + 1, r, r), dtype=complex)
-        for block in _point_blocks(len(points), point_bytes):
-            jet[block] = metric.gram_jet(points[block], order)
-        metric.series_jets[order] = jet
+        jet = metric.series_jets[order] = metric.gram_jet(metric.grid.points, order)
     h = MatrixJet(jet[:, :i + 2, :j + 2])
     theta = h.inverse() @ h.d_w()
     f = -(theta.d_wbar())
@@ -580,9 +555,8 @@ def _require_metric_grid(metric: MetricField, grid: DiskGrid):
 
 def _covariant(metric: MetricField, method: str, i: int, j: int) -> np.ndarray:
     if method == "series":
-        if metric.gram_jet is None or metric.dim is None:
-            raise InvalidArgumentError(
-                "series curvature needs a metric jet and the frame's dimension")
+        if metric.gram_jet is None:
+            raise InvalidArgumentError("series curvature needs a metric jet")
         return _series_covariant(metric, i, j)
     if method == "fd":
         if metric.evaluate is None:

@@ -87,18 +87,23 @@ def _check_disk(point: complex, name: str) -> complex:
     return point
 
 
+def _power_table(x: np.ndarray, n: int) -> np.ndarray:
+    """x.shape + (n,) powers x^k as one cumulative product of [1, x, x, ...]:
+    rounding errors add up as in Horner's rule instead of compounding as
+    they would through a rounded x^m or a rounded angle k arg(x)."""
+    powers = np.repeat(x[..., None], n, axis=-1)
+    powers[..., 0] = 1.0
+    return np.cumprod(powers, axis=-1)
+
+
 def evaluate_kernel(kernel: DiagonalKernel, z: complex, w: complex) -> complex:
     """Truncated series value sum_k a_k z^k conj(w)^k, |z| < 1 and |w| < 1."""
     z = _check_disk(z, "z")
     w = _check_disk(w, "w")
-    # Power table x^k, x = z conj(w), by repeated multiplication with x itself:
-    # rounding errors add up as in Horner's rule instead of compounding as
-    # they would through a rounded x^m or a rounded angle k arg(x).
-    powers = np.full(kernel.truncation, z * np.conj(w))
-    powers[0] = 1.0
+    powers = _power_table(np.asarray(z * np.conj(w)), kernel.truncation)
     # A pairwise sum rather than a BLAS dot: the same rounding at any BLAS
     # thread count, and no threaded-dot stalls at this length.
-    return complex(np.sum(kernel.coefficients * np.cumprod(powers)))
+    return complex(np.sum(kernel.coefficients * powers))
 
 
 def section_vector(kernel: DiagonalKernel, w: complex) -> SectionVector:
@@ -122,19 +127,16 @@ def section_tables(kernels: tuple[DiagonalKernel, ...],
     at points of any shape (0-d included), each a points.shape + (N,) array;
     a point with |w| >= 1 raises a DomainError.
 
-    The powers w^k are one cumulative product along the coefficient axis, the
-    rule of `evaluate_kernel`: rounding errors add up linearly in k instead of
-    going through the exp/log of a complex power.  That table is taken once
-    and scaled by each kernel's sqrt(a_k), so a kernel's sections do not
-    depend on which other kernels share the call.
+    The powers w^k are one `_power_table`, the rule of `evaluate_kernel`:
+    rounding errors add up linearly in k instead of going through the
+    exp/log of a complex power.  That table is taken once and scaled by each
+    kernel's sqrt(a_k), so a kernel's sections do not depend on which other
+    kernels share the call.
     """
     sizes = {kernel.truncation for kernel in kernels}
     if len(sizes) != 1:
         raise InvalidArgumentError(f"kernels need one truncation, got {sorted(sizes)}")
-    points = disk_points(points)
-    powers = np.repeat(points[..., None], sizes.pop(), axis=-1)
-    powers[..., 0] = 1.0
-    powers = np.cumprod(powers, axis=-1)
+    powers = _power_table(disk_points(points), sizes.pop())
     return [np.sqrt(kernel.coefficients) * powers for kernel in kernels]
 
 

@@ -52,10 +52,11 @@ eigendecomposition).  No check assembles the 2N x 2N T: `power_residuals`
 takes the corner of T^n by a recurrence on the blocks, and
 `homogeneity.mobius_images` takes the blocks of phi(T) by block
 back-substitution, guarded on the N x N resolvents.
-`UpperTriangularModel.t` assembles T on each read for callers outside the
-package and never keeps it.  Certificates accumulate their sums in place,
-in the order the plain expressions take, so every residual is the same to
-the bit.
+`UpperTriangularModel.t`, for callers outside the package, writes T0, the
+coupling block and T1 into one zeroed 2N x 2N array on each read and never
+keeps it; the package has no other 2N x 2N assembler.  Certificates
+accumulate their sums in place, in the order the plain expressions take,
+so every residual is the same to the bit.
 
 Residuals are Frobenius norms throughout.
 """
@@ -343,9 +344,15 @@ class UpperTriangularModel:
 
     @property
     def t(self) -> np.ndarray:
-        """The assembled T, formed on this read (a shift block as its
-        weights, see `block_matrix`)."""
-        return block_matrix(self.t0, self.coupling_block, None, self.t1)
+        """The assembled T, formed on this read: T0 and T1 written by
+        `ModelOperator.write_into` (a shift as its weights) and the coupling
+        block by slice, into one zeroed complex 2N x 2N array."""
+        n = self.size
+        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        self.t0.write_into(out[:n, :n])
+        out[:n, n:] = self.coupling_block
+        self.t1.write_into(out[n:, n:])
+        return out
 
     @cached_property
     def power_residuals(self) -> dict:
@@ -412,36 +419,6 @@ def shift_from_kernel(kernel: DiagonalKernel) -> ModelOperator:
         raise InvalidArgumentError("shift needs truncation >= 2")
     a = kernel.coefficients
     return ModelOperator(kernel=kernel, weights=np.sqrt(a[:-1] / a[1:]))
-
-
-def block_matrix(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
-    """[[A, B], [C, D]] from equal-size square blocks.
-
-    None stands for a zero block, and a ModelOperator block is written by
-    `ModelOperator.write_into` (a shift as its weights, no N x N matrix
-    formed).  The result has the common dtype of the given blocks (complex
-    for a ModelOperator).
-    """
-    blocks = [b if b is None or isinstance(b, ModelOperator) else np.asarray(b)
-              for b in (top_left, top_right, bottom_left, bottom_right)]
-    given = [b for b in blocks if b is not None]
-    shapes = [(b.size, b.size) if isinstance(b, ModelOperator) else b.shape
-              for b in given]
-    n = shapes[0][-1]
-    if any(s != (n, n) for s in shapes):
-        raise InvalidArgumentError(
-            f"blocks must be square and of one size, got shapes {shapes}")
-    dtype = np.result_type(*(complex if isinstance(b, ModelOperator) else b
-                             for b in given))
-    out = np.zeros((2 * n, 2 * n), dtype=dtype)
-    for k, b in enumerate(blocks):
-        row, col = divmod(k, 2)
-        view = out[row * n:(row + 1) * n, col * n:(col + 1) * n]
-        if isinstance(b, ModelOperator):
-            b.write_into(view)
-        elif b is not None:
-            view[...] = b
-    return out
 
 
 def _block_times(p, q):

@@ -25,8 +25,9 @@ class Condition:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        # NaN marks an unmeasured residual; strict JSON wants null there
-        residual = None if math.isnan(self.residual) else float(self.residual)
+        # NaN marks an unmeasured residual and inf an unbounded one; strict
+        # JSON wants null for both (the status tells fail from indeterminate)
+        residual = float(self.residual) if math.isfinite(self.residual) else None
         out = {
             "name": self.name,
             "residual": residual,
@@ -81,7 +82,8 @@ class ConditionReport:
 
 
 def _plain(value):
-    """Recursively convert numpy scalars/arrays so json can serialize the dict."""
+    """Recursively convert numpy scalars/arrays so strict JSON can serialize
+    the dict: a non-finite float becomes None."""
     import numpy as np
 
     if isinstance(value, dict):
@@ -91,7 +93,9 @@ def _plain(value):
     if isinstance(value, np.ndarray):
         return [_plain(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_plain(value.real), _plain(value.imag)]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value

@@ -851,7 +851,8 @@ class CampaignResult:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        # strict JSON: a non-finite float raises rather than being written
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     def summary(self) -> str:
         lines = [f"scenario {self.scenario}: "

@@ -2,10 +2,12 @@
 
 Nothing in here touches the library's own numerics: series coefficients come
 from sympy expansions, curvature values from symbolic Wirtinger
-differentiation of -log K(w, w), and intertwiner-space dimensions from exact
-rational Gaussian elimination over the Gaussian rationals.
+differentiation of -log K(w, w), intertwiner-space dimensions from exact
+rational Gaussian elimination over the Gaussian rationals, 2N x 2N block
+matrices from `np.block`, and frame jet rows from numpy powers.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -150,6 +152,55 @@ def bergman_frame_jets(weights, size: int, x, at: complex, order: int,
                                     / sp.factorial(i), 30))
                        for entry in vec] for vec in frame]
                      for i in range(order + 1)])
+
+
+def dense_block(top_left, top_right, bottom_left, bottom_right) -> np.ndarray:
+    """[[A, B], [C, D]] by `np.block` from equal-size square blocks: arrays,
+    or objects read through their `.matrix` (a model operator), with None
+    for a zero block of the given blocks' common dtype."""
+    mats = [b if b is None else np.asarray(getattr(b, "matrix", b))
+            for b in (top_left, top_right, bottom_left, bottom_right)]
+    given = [m for m in mats if m is not None]
+    zero = np.zeros(given[0].shape, dtype=np.result_type(*given))
+    a, b, c, d = (zero if m is None else m for m in mats)
+    return np.block([[a, b], [c, d]])
+
+
+def padded_frame_jets(coefficients, points, order: int, x=None,
+                      change=None) -> np.ndarray:
+    """Frame jet rows (1/i!) d^i gamma/dw^i, i = 0..order, zero padding
+    included, as a points.shape + (order + 1, rank, dim) array.
+
+    Coordinate k of jet i of a section is sqrt(a_k) C(k, i) w^(k - i), from
+    `np.power` and `math.comb`.  One coefficient array gives the frame
+    gamma_0 = t; two give gamma_0 = (t0, 0), gamma_1 = (X t1, t1).
+    `change` g replaces gamma by gamma g.
+    """
+    points = np.asarray(points, dtype=complex)
+
+    def jets(a):
+        a = np.asarray(a, dtype=float)
+        n = a.size
+        out = np.zeros(points.shape + (order + 1, n), dtype=complex)
+        for i in range(min(order, n - 1) + 1):
+            weights = np.sqrt(a[i:]) * np.array([math.comb(k, i) for k in range(i, n)],
+                                                dtype=float)
+            out[..., i, i:] = weights * np.power(points[..., None], np.arange(n - i))
+        return out
+
+    sections = [jets(a) for a in coefficients]
+    if len(sections) == 1:
+        rows = sections[0][..., None, :]
+    else:
+        t0, t1 = sections
+        n = t0.shape[-1]
+        rows = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
+        rows[..., 0, :n] = t0
+        rows[..., 1, :n] = t1 @ np.asarray(x).T
+        rows[..., 1, n:] = t1
+    if change is not None:
+        rows = np.asarray(change).T @ rows
+    return rows
 
 
 def row_gram_jet(jets: np.ndarray) -> np.ndarray:

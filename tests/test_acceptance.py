@@ -21,13 +21,13 @@ from cdlab.geometry import (covariant_derivative, curvature,
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
                            required_truncation, separator_kernel)
 from cdlab.operators import (ModelOperator, apply_mobius, assemble_model,
-                             block_matrix, frobenius, random_operator,
-                             random_unitary, shift_from_kernel,
-                             similarity_split, sylvester_kernel)
+                             frobenius, random_operator, random_unitary,
+                             shift_from_kernel, similarity_split,
+                             sylvester_kernel)
 from cdlab.homogeneity import mobius_block_identity_check, mobius_sample_set
 
-from oracles import (bergman_curvature, log_ratio_boundary_value,
-                     sylvester_nullity_exact)
+from oracles import (bergman_curvature, dense_block, log_ratio_boundary_value,
+                     padded_frame_jets, sylvester_nullity_exact)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str):
@@ -77,7 +77,9 @@ def _frame_residuals(size: int, trials: int, grid) -> tuple[float, float]:
         x_last_sq = float(np.vdot(x[:, -1], x[:, -1]).real)
         closed = tail * np.sqrt([k0.coefficients[-1],
                                  k1.coefficients[-1] * (1.0 + x_last_sq)])
-        norms = np.linalg.norm(frame.evaluate(grid.points), axis=-1)
+        rows = padded_frame_jets((k0.coefficients, k1.coefficients), grid.points,
+                                 0, x)[:, 0]
+        norms = np.linalg.norm(rows, axis=-1)
         deviation = max(deviation, float(np.max(
             np.abs(frame.eigen_residuals - closed) / norms)))
         worst = max(worst, float(np.max(frame.eigen_residuals)))
@@ -113,7 +115,7 @@ def test_criterion_03_normal_coupling_construction():
     worst_condition = 0.0
     eye = np.eye(40)
     for unitary, model, partner in _example_trials():
-        u = block_matrix(*unitary.blocks)
+        u = dense_block(*unitary.blocks)
         worst_unitarity = max(worst_unitarity,
                               frobenius(u @ u.conj().T - eye),
                               frobenius(u.conj().T @ u - eye))
@@ -156,7 +158,7 @@ def test_criterion_05_phase_recovery():
         outcome = theta_intertwiner_check(t0, t1, y, 1e-10)
         assert outcome is not None
         theta, unitary = outcome
-        u = block_matrix(*unitary.blocks)
+        u = dense_block(*unitary.blocks)
         err = abs((theta - theta0 + math.pi) % (2 * math.pi) - math.pi)
         worst_theta = max(worst_theta, err)
         coupling = y @ t0.matrix - t1.matrix @ y

@@ -17,12 +17,13 @@ from cdlab.errors import (DegenerateInputError, DomainError,
                           InvalidArgumentError, NumericError, PreconditionError)
 from cdlab.geometry import DiskGrid, eigenframe, kernel_frame, polar_grid
 from cdlab.kernels import DiagonalKernel, bergman_kernel, separator_kernel
-from cdlab.operators import (ModelOperator, assemble_model, block_matrix,
-                             fb2_membership, frobenius, random_operator,
-                             random_unitary, shift_from_kernel,
-                             similarity_split, sylvester_kernel)
+from cdlab.operators import (assemble_model, fb2_membership, frobenius,
+                             random_operator, random_unitary,
+                             shift_from_kernel, similarity_split,
+                             sylvester_kernel)
 
-from oracles import product_gap_bound, traced_peak
+from oracles import (dense_block, padded_frame_jets, product_gap_bound,
+                     traced_peak)
 
 
 def _shift_pair(size=20):
@@ -39,8 +40,7 @@ def _quarters(mat):
 
 def _dense(blocks):
     """The 2N x 2N matrix of row-major blocks, as `intertwining_gaps` takes them."""
-    return block_matrix(*(b.matrix if isinstance(b, ModelOperator) else b
-                          for b in blocks))
+    return dense_block(*blocks)
 
 
 def _normal_pipeline(size=16, seed=100):
@@ -304,12 +304,12 @@ class TestBlockwiseResiduals:
         np.testing.assert_array_equal(pair.s1, s1)
         np.testing.assert_array_equal(
             _dense(pair.f_blocks),
-            block_matrix(partner.t0.matrix, s0, None, model.t0.matrix))
+            dense_block(partner.t0.matrix, s0, None, model.t0.matrix))
         np.testing.assert_array_equal(
             _dense(pair.ft_blocks),
-            block_matrix(model.t1.matrix, s1, None, partner.t1.matrix))
+            dense_block(model.t1.matrix, s1, None, partner.t1.matrix))
         np.testing.assert_array_equal(
-            _dense(pair.z_blocks), block_matrix(u01.conj().T, None, None, u10))
+            _dense(pair.z_blocks), dense_block(u01.conj().T, None, None, u10))
 
 
 class TestCertificatePeaks:
@@ -596,6 +596,15 @@ class TestKernelTransform:
         with pytest.raises(DomainError, match=re.escape("w=(0.3+1.5j)")):
             kernel_transform_check(frame, frame, SWAP, [0.2, 0.3 + 1.5j])
 
+    def test_kernel_matrix_names_point_outside_disk(self):
+        grid = polar_grid(radii=[0.3], n_angles=4)
+        rank_one = kernel_frame(bergman_kernel(2, 8), grid)
+        rank_two = eigenframe(assemble_model(*_shift_pair(8), random_operator(8, 4)), grid)
+        for frame in (rank_one, rank_two, rank_one.with_constant_change(np.array([[2.0]])),
+                      rank_two.with_constant_change(SWAP)):
+            with pytest.raises(DomainError, match=re.escape("w=(0.3+1.5j)")):
+                frame_kernel_matrix(frame, np.array([0.2, 0.3 + 1.5j]))
+
     def test_residual_invariant_under_sample_relabeling(self):
         model = assemble_model(*_shift_pair(12), random_operator(12, 8))
         grid = polar_grid(radii=[0.3, 0.5], n_angles=4)
@@ -616,24 +625,37 @@ class TestKernelTransform:
         np.testing.assert_allclose(k, k.conj().T, atol=1e-13)
 
     def test_kernel_matrix_matches_pairwise_definition(self):
+        # K(z, w)[i, j] = <gamma_j(conj w), gamma_i(conj z)> over the padded
+        # frame rows of the oracle; each entry is a sum of dim products, so
+        # both lie within dim eps ||gamma_i|| ||gamma_j|| of the exact value
+        # (for gamma g the row norms of gamma weighted by |g|)
         grid = polar_grid(radii=[0.3, 0.5], n_angles=3)
-        frames = (kernel_frame(bergman_kernel(2, 16), grid),
-                  eigenframe(assemble_model(*_shift_pair(16),
-                                            random_operator(16, 4)), grid))
+        x = random_operator(16, 4)
+        b2, b1 = bergman_kernel(2, 16), bergman_kernel(1, 16)
+        rank_one = kernel_frame(b2, grid)
+        rank_two = eigenframe(assemble_model(*_shift_pair(16), x), grid)
+        g1, g2 = np.array([[2.0 - 1.0j]]), random_operator(2, 11) + 2.0 * np.eye(2)
+        cases = [(rank_one, (b2.coefficients,), None, np.eye(1)),
+                 (rank_two, (b1.coefficients, b2.coefficients), x, np.eye(2)),
+                 (rank_one.with_constant_change(g1), (b2.coefficients,), None, g1),
+                 (rank_two.with_constant_change(g2), (b1.coefficients, b2.coefficients),
+                  x, g2)]
         points = np.array([0.2 - 0.1j, -0.45j, 0.3 + 0.35j])
-        for frame in frames:
+        eps = np.finfo(float).eps
+        for frame, coefficients, coupling, g in cases:
             table = frame_kernel_matrix(frame, points)
             rank = frame.rank
             assert table.shape == (3, 3, rank, rank)
-            for a, z in enumerate(points):
-                for b, w in enumerate(points):
-                    # K(z, w)[i, j] = <gamma_j(conj w), gamma_i(conj z)>
-                    gz = frame.evaluate(np.conj(z))
-                    gw = frame.evaluate(np.conj(w))
-                    pairwise = [[np.vdot(gz[i], gw[j]) for j in range(rank)]
-                                for i in range(rank)]
-                    np.testing.assert_allclose(table[a, b], pairwise,
-                                               rtol=1e-14)
+            rows = padded_frame_jets(coefficients, np.conj(points), 0, coupling, g)[:, 0]
+            base = padded_frame_jets(coefficients, np.conj(points), 0, coupling)[:, 0]
+            norms = np.linalg.norm(base, axis=-1) @ np.abs(g)
+            for a in range(len(points)):
+                for b in range(len(points)):
+                    pairwise = np.array([[np.vdot(rows[a, i], rows[b, j])
+                                          for j in range(rank)] for i in range(rank)])
+                    scale = norms[a][:, None] * norms[b][None, :]
+                    assert np.all(np.abs(table[a, b] - pairwise)
+                                  <= 4 * frame.dim * eps * scale), (a, b)
 
 
 def _engineered_main3(size=24, seed=17):

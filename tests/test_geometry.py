@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -17,8 +18,8 @@ from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              shift_from_kernel)
 
 from oracles import (bergman_curvature, bergman_curvature_derivative,
-                     bergman_frame_jets, row_eigen_residuals, row_gram_jet,
-                     section_gram_jet, traced_peak)
+                     bergman_frame_jets, padded_frame_jets, row_eigen_residuals,
+                     row_gram_jet, section_gram_jet, traced_peak)
 
 
 def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
@@ -26,6 +27,18 @@ def _model(n0=1, n1=2, size=24, x_seed=5, x_norm=0.5):
     t1 = shift_from_kernel(bergman_kernel(n1, size))
     x = random_operator(size, x_seed, norm=x_norm)
     return assemble_model(t0, t1, x)
+
+
+def _eigen_rows(frame, points, order):
+    """An eigenframe's jet rows (t0, 0) and (X t1, t1), zero padding
+    included, from its own section jets: points.shape + (order + 1, 2, 2N)."""
+    t0, coupled, t1 = frame.sections(points, order)
+    n = t0.shape[-1]
+    rows = np.zeros(t0.shape[:-1] + (2, 2 * n), dtype=complex)
+    rows[..., 0, :n] = t0
+    rows[..., 1, :n] = coupled
+    rows[..., 1, n:] = t1
+    return rows
 
 
 def _curvature_with_derivatives(frame, grid):
@@ -100,13 +113,13 @@ class TestEigenframe:
         model = assemble_model(t0, t1, np.zeros((6, 6)))
         grid = DiskGrid(points=np.array([0.0 + 0j]))
         frame = eigenframe(model, grid)
-        e0 = np.zeros(12)
+        e0 = np.zeros(6)
         e0[0] = 1.0
-        e6 = np.zeros(12)
-        e6[6] = 1.0
-        vectors = frame.evaluate(grid.points)
-        np.testing.assert_array_equal(vectors[0][0], e0)
-        np.testing.assert_array_equal(vectors[0][1], e6)
+        # gamma_0 = (e_0, 0) and gamma_1 = (0, e_0)
+        t0, coupled, t1 = (part[0, 0] for part in frame.sections(grid.points, 0))
+        np.testing.assert_array_equal(t0, e0)
+        np.testing.assert_array_equal(coupled, np.zeros(6))
+        np.testing.assert_array_equal(t1, e0)
 
     def test_residual_tail_bound(self):
         size = 40
@@ -138,17 +151,14 @@ class TestEigenframe:
     def test_coupling_jets_match_per_point_products(self, size):
         model = _model(size=size)
         points = polar_grid(radii=[0.2, 0.5], n_angles=5).points
-        jets = eigenframe(model, DiskGrid(points=points)).jet(points, 3)
+        t0, coupled, t1 = eigenframe(model, DiskGrid(points=points)).sections(points, 3)
         t1_jets = section_jet(model.t1.kernel, points, 3)
         for p in range(len(points)):
             for order in (1, 2, 3):
                 want = model.x @ t1_jets[p, order]
-                np.testing.assert_allclose(jets[p, order, 1, :size], want,
-                                           rtol=1e-13, atol=0)
-        np.testing.assert_array_equal(jets[..., 1, size:], t1_jets)
-        np.testing.assert_array_equal(jets[..., 0, :size],
-                                      section_jet(model.t0.kernel, points, 3))
-        assert not np.any(jets[..., 0, size:])
+                np.testing.assert_allclose(coupled[p, order], want, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(t1, t1_jets)
+        np.testing.assert_array_equal(t0, section_jet(model.t0.kernel, points, 3))
 
     @pytest.mark.parametrize("kind,size", [("eigenframe", 24), ("eigenframe", 120)])
     def test_residuals_match_stacked_per_point_products(self, kind, size):
@@ -156,7 +166,8 @@ class TestEigenframe:
         grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
         model = _model(size=size)
         frame = eigenframe(model, grid)
-        want = row_eigen_residuals(model, frame.evaluate(grid.points), grid.points)
+        want = row_eigen_residuals(model, _eigen_rows(frame, grid.points, 0)[:, 0],
+                                   grid.points)
         np.testing.assert_allclose(frame.eigen_residuals, want, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("size", [24, 120])
@@ -166,7 +177,7 @@ class TestEigenframe:
         grid = polar_grid(radii=[0.8, 0.9] if size > 24 else [0.3, 0.6], n_angles=8)
         model = _model(size=size)
         frame = eigenframe(model, grid)
-        v, t = frame.evaluate(grid.points), model.t
+        v, t = _eigen_rows(frame, grid.points, 0)[:, 0], model.t
         dense = np.linalg.norm(v @ t.T - grid.points[:, None, None] * v, axis=-1)
         bound = 16 * np.finfo(float).eps * np.linalg.norm(t, 2)
         gap = np.abs(frame.eigen_residuals - dense) / np.linalg.norm(v, axis=-1)
@@ -179,9 +190,10 @@ class TestEigenframe:
         points = polar_grid(radii=[0.2, 0.5], n_angles=5).points
         frame = eigenframe(_model(size=size), DiskGrid(points=points))
         for order in range(4):
-            whole = frame.jet(points, order)
+            whole = frame.sections(points, order)
             for p, w in enumerate(points):
-                np.testing.assert_array_equal(frame.jet(w, order), whole[p])
+                for part, batch in zip(frame.sections(w, order), whole, strict=True):
+                    np.testing.assert_array_equal(part, batch[p])
                 np.testing.assert_array_equal(frame.gram_jet(points[p:p + 1], order),
                                               frame.gram_jet(points, order)[p:p + 1])
 
@@ -220,14 +232,15 @@ class TestGramMetric:
         grid = DiskGrid(points=np.array([0.1 + 0j]))
         vec = np.array([1.0, 0.5, 0.0, 0.0], dtype=complex)
 
-        def jet(points, order):
+        def rows(points, order):
             jets = np.zeros(np.shape(points) + (order + 1, 2, 4), dtype=complex)
             jets[..., 0, :, :] = vec
-            return jets
+            return (jets,)
 
-        frame = FrameField(grid=grid, rank=2, dim=4, jet=jet,
-                           gram_jet=lambda points, order: row_gram_jet(jet(points, order)),
-                           gram=row_gram_jet(jet(grid.points, 0))[:, 0, 0])
+        # the Gram products at the grid points are formed with the frame
+        frame = FrameField(grid=grid, rank=2, dim=4, sections=rows,
+                           pairing=lambda parts: row_gram_jet(parts[0]))
+        np.testing.assert_array_equal(frame.gram, np.full((1, 2, 2), 1.25))
         with pytest.raises(DegenerateFrameError):
             gram_metric(frame)
 
@@ -248,15 +261,29 @@ class TestArrayEvaluators:
     @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
                                       "kernel_frame*g", "eigenframe*g"])
     def test_frame_evaluate_contract(self, kind):
+        # the section jets and the metric jet at points of any shape, each
+        # point as if it were evaluated alone
         grid = polar_grid(radii=[0.2, 0.5], n_angles=3)
         frame = _frames(grid)[kind]
-        dim = frame.dim
-        stacked = np.array([[frame.evaluate(w) for w in row] for row in self.points])
-        assert frame.evaluate(self.points).shape == (2, 3, frame.rank, dim)
-        assert np.array_equal(frame.evaluate(self.points), stacked)
-        assert np.array_equal(frame.evaluate(grid.points),
-                              np.array([frame.evaluate(w) for w in grid.points]))
-        assert frame.evaluate(np.complex128(0.3j)).shape == (frame.rank, dim)
+        r, n = frame.rank, frame.dim // frame.rank
+        for order in (0, 2):
+            parts = frame.sections(self.points, order)
+            assert [part.shape for part in parts] == [(2, 3, order + 1, n)] * (2 * r - 1)
+            for p, q in np.ndindex(2, 3):
+                for part, alone in zip(parts, frame.sections(self.points[p, q], order),
+                                       strict=True):
+                    assert np.array_equal(part[p, q], alone)
+            jet = frame.gram_jet(self.points, order)
+            assert jet.shape == (2, 3, order + 1, order + 1, r, r)
+            stacked = np.array([[frame.gram_jet(w, order) for w in row]
+                                for row in self.points])
+            assert np.array_equal(jet, stacked)
+            assert np.array_equal(frame.gram_jet(grid.points, order),
+                                  np.array([frame.gram_jet(w, order) for w in grid.points]))
+            assert frame.gram_jet(np.complex128(0.3j), order).shape == (
+                order + 1, order + 1, r, r)
+            assert [part.shape for part in frame.sections(0.3j, order)] == \
+                [(order + 1, n)] * (2 * r - 1)
 
     @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe",
                                       "kernel_frame*g", "eigenframe*g"])
@@ -273,8 +300,10 @@ class TestArrayEvaluators:
     @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe"])
     def test_frame_evaluate_names_point_outside_disk(self, kind):
         frame = _frames(polar_grid(radii=[0.2], n_angles=2))[kind]
-        with pytest.raises(DomainError, match=re.escape("w=(0.6+0.8j)")):
-            frame.evaluate(np.array([0.1, 0.6 + 0.8j, 0.2j]))
+        points = np.array([0.1, 0.6 + 0.8j, 0.2j, 1.5])
+        for evaluate in (frame.sections, frame.gram_jet):
+            with pytest.raises(DomainError, match=re.escape("w=(0.6+0.8j)")):
+                evaluate(points, 1)
 
 
 # exact dyadic entries, so the float matrices equal the sympy ones
@@ -288,35 +317,46 @@ def _as_array(rows):
 
 
 class TestFrameJets:
+    """Frame jets against sympy derivatives: the frame's section jets, and
+    the padded rows of `oracles.padded_frame_jets`, on which the metric-jet
+    oracles rest; a changed frame changes its metric jet only."""
+
     points = np.array([0.3 + 0.4j, -0.5 + 0.125j, 0.0])
 
     @pytest.mark.parametrize("weights", [(2,), (1, 3)])
     @pytest.mark.parametrize("changed", [False, True])
     def test_jets_match_symbolic_derivatives(self, weights, changed):
         grid = DiskGrid(points=self.points)
+        kernels = [bergman_kernel(n, 6) for n in weights]
         if len(weights) == 1:
-            frame = kernel_frame(bergman_kernel(weights[0], 6), grid)
+            frame = kernel_frame(kernels[0], grid)
         else:
-            frame = eigenframe(assemble_model(
-                shift_from_kernel(bergman_kernel(weights[0], 6)),
-                shift_from_kernel(bergman_kernel(weights[1], 6)),
-                _as_array(_X6)), grid)
+            frame = eigenframe(assemble_model(*map(shift_from_kernel, kernels),
+                                              _as_array(_X6)), grid)
         change = _CHANGES[len(weights)] if changed else None
+        g = None if change is None else _as_array(change)
         if changed:
-            frame = frame.with_constant_change(_as_array(change))
-        jets = frame.jet(self.points, 3)
-        assert jets.shape == (3, 4, len(weights), 6 * len(weights))
-        for w, got in zip(self.points, jets):
-            want = bergman_frame_jets(weights, 6, _X6, w, 3, change)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-        assert np.array_equal(frame.evaluate(self.points), jets[:, 0])
-        assert np.array_equal(frame.evaluate(self.points[1]),
-                              frame.jet(self.points[1], 0)[0])
+            frame = frame.with_constant_change(g)
+        want = np.array([bergman_frame_jets(weights, 6, _X6, w, 3, change)
+                         for w in self.points])
+        assert want.shape == (3, 4, len(weights), 6 * len(weights))
+        rows = padded_frame_jets([k.coefficients for k in kernels], self.points, 3,
+                                 _as_array(_X6), g)
+        assert np.max(np.abs(rows - want)) <= 1e-14 * np.max(np.abs(want))
+        if not changed:
+            # (t,) or (t0, X t1, t1): the nonzero blocks of the frame rows
+            blocks = ([want[:, :, 0]] if len(weights) == 1 else
+                      [want[:, :, 0, :6], want[:, :, 1, :6], want[:, :, 1, 6:]])
+            for part, block in zip(frame.sections(self.points, 3), blocks, strict=True):
+                assert np.max(np.abs(part - block)) <= 1e-14 * np.max(np.abs(want))
+        gram = row_gram_jet(want)
+        assert np.max(np.abs(frame.gram_jet(self.points, 3) - gram)) \
+            <= 1e-14 * np.max(np.abs(gram))
 
     def test_jets_beyond_the_truncation_vanish(self):
         frame = kernel_frame(bergman_kernel(1, 3), DiskGrid(points=self.points))
-        jets = frame.jet(self.points, 4)
-        assert np.all(jets[:, 3:] == 0) and np.all(jets[:, 2, 0, 2] == 1)
+        (jets,) = frame.sections(self.points, 4)
+        assert np.all(jets[:, 3:] == 0) and np.all(jets[:, 2, 2] == 1)
 
 
 def _changed_row_norms(jets, g):
@@ -327,7 +367,7 @@ def _changed_row_norms(jets, g):
 
 class TestGramJets:
     """Each frame kind's metric jet against the Gram matrix of its full-width
-    frame jet rows (`oracles.row_gram_jet`).
+    frame jet rows (`oracles.row_gram_jet` of `oracles.padded_frame_jets`).
 
     Entry h[a, b][p, q] is a sum of dim products, so both lie within about
     dim eps ||G_a[q]|| ||G_b[p]|| of the exact value (Cauchy-Schwarz scale,
@@ -344,30 +384,39 @@ class TestGramJets:
     @pytest.mark.parametrize("changed", [False, True])
     def test_gram_jet_matches_row_gram(self, size, kind, changed):
         grid = DiskGrid(points=self.points)
-        base = (kernel_frame(bergman_kernel(2, size), grid) if kind == "kernel_frame"
-                else eigenframe(_model(size=size), grid))
+        if kind == "kernel_frame":
+            coefficients, x = (bergman_kernel(2, size).coefficients,), None
+            base = kernel_frame(bergman_kernel(2, size), grid)
+        else:
+            model = _model(size=size)
+            coefficients = (model.t0.kernel.coefficients, model.t1.kernel.coefficients)
+            x = model.x
+            base = eigenframe(model, grid)
         g = self.changes[base.rank] if changed else np.eye(base.rank)
         frame = base.with_constant_change(g) if changed else base
         eps = np.finfo(float).eps
         for order in range(4):
             got = frame.gram_jet(self.points, order)
-            want = row_gram_jet(frame.jet(self.points, order))
+            want = row_gram_jet(padded_frame_jets(coefficients, self.points, order, x, g))
             assert got.shape == want.shape == (len(self.points), order + 1, order + 1,
                                                base.rank, base.rank)
-            norms = _changed_row_norms(base.jet(self.points, order), g)
+            norms = _changed_row_norms(
+                padded_frame_jets(coefficients, self.points, order, x), g)
             scale = norms[:, :, None, None, :] * norms[:, None, :, :, None]
             assert np.all(np.abs(got - want) <= 4 * frame.dim * eps * scale), order
 
     @pytest.mark.parametrize("size", [2, 24, 240])
     def test_eigenframe_rows_and_residuals(self, size):
-        # the frame rows are the order-0 jets bit for bit; the residuals, taken
-        # from N-wide rows, lie within 2 (2N) eps ||T|| ||gamma|| of the
-        # full-width ones
+        # the order-0 sections are the order-0 slice of any higher order bit
+        # for bit; the residuals, taken from N-wide rows, lie within
+        # 2 (2N) eps ||T|| ||gamma|| of the full-width ones
         model = _model(size=size)
         grid = DiskGrid(points=self.points)
         frame = eigenframe(model, grid)
-        vectors = frame.evaluate(self.points)
-        np.testing.assert_array_equal(vectors, frame.jet(self.points, 0)[:, 0])
+        for part, jets in zip(frame.sections(self.points, 0),
+                              frame.sections(self.points, 3), strict=True):
+            np.testing.assert_array_equal(part[:, 0], jets[:, 0])
+        vectors = _eigen_rows(frame, self.points, 0)[:, 0]
         want = row_eigen_residuals(model, vectors, self.points)
         bound = (2 * 2 * size * np.finfo(float).eps * np.linalg.norm(model.t, 2)
                  * np.linalg.norm(vectors, axis=-1))
@@ -475,17 +524,25 @@ class TestCurvature:
             curvature(metric, grid, method="series")
 
     def test_series_needs_the_frame_dimension(self):
-        # the series route sizes its blocks of grid points from `dim`
-        grid = polar_grid(radii=[0.3], n_angles=2)
+        # the series route takes the frame's gram_jet, which sizes its blocks
+        # of grid points from the frame's dimension; the metric holds none
+        grid = polar_grid(radii=[0.3], n_angles=4)
         frame = kernel_frame(bergman_kernel(2, 30), grid)
         metric = gram_metric(frame)
-        assert metric.dim == 30
-        bare = MetricField(grid=grid, rank=1, values=metric.values, gram_jet=frame.gram_jet)
-        with pytest.raises(InvalidArgumentError, match="frame's dimension"):
-            curvature(bare, grid, method="series")
-        bare.dim = 30
+        assert not hasattr(metric, "dim")
+        wide, sizes = dataclasses.replace(frame, dim=2**20), []
+
+        def counting(points, order):
+            sizes.append(len(points))
+            return frame.sections(points, order)
+
+        wide.sections = counting
+        bare = MetricField(grid=grid, rank=1, values=metric.values, gram_jet=wide.gram_jet)
         np.testing.assert_array_equal(curvature(bare, grid, "series").values,
                                       curvature(metric, grid, "series").values)
+        assert sizes == [2, 2]
+        with pytest.raises(InvalidArgumentError, match="needs a metric jet"):
+            curvature(MetricField(grid=grid, rank=1, values=metric.values), grid, "series")
 
 
 class TestCovariantDerivatives:
@@ -631,14 +688,17 @@ class TestSeriesPointBlocks:
         fld = curvature(metric, grid, "series")
         covariant_derivative(fld, metric, 1, 1)
         assert sorted(metric.series_jets) == [1, 2]
+        model = _model(size=240)
+        coefficients = (model.t0.kernel.coefficients, model.t1.kernel.coefficients)
         for order, jet in metric.series_jets.items():
-            rows = frame.jet(grid.points, order)
+            rows = _eigen_rows(frame, grid.points, order)
             assert rows.nbytes > SERIES_BLOCK_BYTES
             np.testing.assert_array_equal(jet, section_gram_jet(rows, 240))
-            # and within the bound of TestGramJets of the full-width rows' Gram
-            norms = _changed_row_norms(rows, np.eye(2))
+            # and within the bound of TestGramJets of the oracle rows' Gram
+            oracle = padded_frame_jets(coefficients, grid.points, order, model.x)
+            norms = _changed_row_norms(oracle, np.eye(2))
             scale = norms[:, :, None, None, :] * norms[:, None, :, :, None]
-            gap = np.abs(jet - row_gram_jet(rows))
+            gap = np.abs(jet - row_gram_jet(oracle))
             assert np.all(gap <= 4 * 480 * np.finfo(float).eps * scale)
 
     def test_series_peak_under_four_mib(self):
@@ -653,15 +713,16 @@ class TestSeriesPointBlocks:
         assert traced_peak(series) < 4 * 2**20
 
     def test_frame_jet_built_once_per_block_and_order(self):
-        # the metric jet primitive, which builds the frame's section jets
-        metric = gram_metric(eigenframe(_model(size=240), self.grid))
-        base, calls = metric.gram_jet, []
+        # the frame's section jets, which its gram_jet pairs block by block
+        frame = eigenframe(_model(size=240), self.grid)
+        metric = gram_metric(frame)
+        base, calls = frame.sections, []
 
         def counting(points, order):
             calls.append((order, points))
             return base(points, order)
 
-        metric.gram_jet = counting
+        frame.sections = counting
         fld = curvature(metric, self.grid, "series")
         for key in ((1, 0), (0, 1), (1, 1)):
             covariant_derivative(fld, metric, *key)
@@ -682,14 +743,15 @@ class TestSeriesPointBlocks:
         # one point's order-1 jet rows (1.28 MB at N = 40000) exceed
         # SERIES_BLOCK_BYTES; five points still split only into 2 + 3
         grid = polar_grid(radii=[0.3], n_angles=5)
-        metric = gram_metric(kernel_frame(bergman_kernel(2, 40000), grid))
-        base, sizes = metric.gram_jet, []
+        frame = kernel_frame(bergman_kernel(2, 40000), grid)
+        metric = gram_metric(frame)
+        base, sizes = frame.sections, []
 
         def counting(points, order):
             sizes.append(len(points))
             return base(points, order)
 
-        metric.gram_jet = counting
+        frame.sections = counting
         curvature(metric, grid, "series")
         assert sizes == [2, 3]
 
@@ -704,9 +766,8 @@ class TestPointBlocks:
     def test_eigenframe_equals_one_whole_batch(self):
         model, points, n = self.model, self.grid.points, 240
         frame = eigenframe(model, self.grid)
-        vectors = frame.evaluate(points)
+        vectors = _eigen_rows(frame, points, 0)[:, 0]
         assert vectors.nbytes > 2 * SERIES_BLOCK_BYTES
-        np.testing.assert_array_equal(vectors, frame.jet(points, 0)[:, 0])
         top, bottom = vectors[..., :n], vectors[..., n:]
         coupled = (bottom.reshape(-1, n) @ model.coupling_block.T).reshape(top.shape)
         tv = np.concatenate(
@@ -723,11 +784,26 @@ class TestPointBlocks:
             h = section_gram_jet(v[:, None], 240)[:, 0, 0]
             return 0.5 * (h + h.conj().swapaxes(-1, -2))
 
-        np.testing.assert_array_equal(metric.values,
-                                      whole_gram(frame.evaluate(self.grid.points)))
+        np.testing.assert_array_equal(
+            metric.values, whole_gram(_eigen_rows(frame, self.grid.points, 0)[:, 0]))
         moved = self.grid.points + 1e-3 * (2 - 1j)
         np.testing.assert_array_equal(metric.evaluate(moved),
-                                      whole_gram(frame.evaluate(moved)))
+                                      whole_gram(_eigen_rows(frame, moved, 0)[:, 0]))
+
+    @pytest.mark.parametrize("kind", ["kernel_frame", "eigenframe*g"])
+    def test_gram_jet_equals_one_whole_batch(self, kind):
+        # several blocks of grid points at order 1, each point paired as in
+        # one pairing of the whole grid's sections
+        if kind == "kernel_frame":
+            frame = kernel_frame(bergman_kernel(2, 240), self.grid)
+        else:
+            frame = eigenframe(self.model, self.grid).with_constant_change(
+                random_operator(2, 11) + 2.0 * np.eye(2))
+        points = self.grid.points
+        whole = frame.pairing(frame.sections(points, 1))
+        assert 2 * frame.rank * frame.dim * 16 * len(points) > 2 * SERIES_BLOCK_BYTES
+        np.testing.assert_array_equal(frame.gram_jet(points, 1), whole)
+        np.testing.assert_array_equal(frame.gram, frame.gram_jet(points, 0)[:, 0, 0])
 
     def test_eigenframe_peak_under_three_mib(self):
         # the frame keeps 16 KiB of Gram products and 8 KiB of residuals;

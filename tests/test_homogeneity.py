@@ -15,10 +15,10 @@ from cdlab.homogeneity import (MobiusMap, WitnessEntry,
                                mobius_sample_set, thm45_condition_check)
 from cdlab.kernels import bergman_kernel
 from cdlab.operators import (ModelOperator, UpperTriangularModel,
-                             apply_mobius, assemble_model, block_matrix,
-                             frobenius, random_operator, shift_from_kernel)
+                             apply_mobius, assemble_model, frobenius,
+                             random_operator, shift_from_kernel)
 
-from oracles import product_gap_bound, traced_peak
+from oracles import dense_block, product_gap_bound, traced_peak
 
 # phi(T) from its blocks (`mobius_images`) against the dense image of the
 # assembled T, and its corner against a solved corner, the oracles: a
@@ -38,7 +38,7 @@ def _blocks(model):
 def _assembled(images, k):
     """The 2N x 2N image of map k from the stacks of `mobius_images`."""
     phi_t0s, corners, phi_t1s = images
-    return block_matrix(phi_t0s[k], corners[k], None, phi_t1s[k])
+    return dense_block(phi_t0s[k], corners[k], None, phi_t1s[k])
 
 
 def _assert_stacks_equal(got, want):
@@ -524,7 +524,7 @@ class TestThm45:
         # so that gap moves the residual by at most 1e-13 ||phi(T)||
         mob, model, unitary = self._engineered(theta=theta)
         report = thm45_condition_check(unitary, model, mob, tol=1e-10)
-        u, phi_t = block_matrix(*unitary.blocks), mob.of(model.t)
+        u, phi_t = dense_block(*unitary.blocks), mob.of(model.t)
         dense = frobenius(u @ model.t - phi_t @ u)
         bound = (product_gap_bound(model.size, (u, model.t), (phi_t, u))
                  + 1e-13 * frobenius(phi_t))

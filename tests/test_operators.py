@@ -12,15 +12,15 @@ from cdlab.reporting import ConditionReport
 from cdlab.operators import (RESOLVENT_COND_CAP, SYLVESTER_MAX_BLOCK_BYTES,
                              UNITARITY_TOL, ModelOperator, apply_mobius,
                              _block_times, _inverse, _real_diagonal, _times,
-                             assemble_model, block_matrix,
-                             block_norm, block_unitarity_residual,
+                             assemble_model, block_norm, block_unitarity_residual,
                              fb2_membership, frobenius, gap_total,
                              guarded_inverse, intertwining_gaps, random_operator,
                              random_unitary, require_unitary, shift_from_kernel,
                              similarity_split, sylvester_kernel,
                              unitarity_residual)
 
-from oracles import product_gap_bound, sylvester_nullity_exact, traced_peak
+from oracles import (dense_block, product_gap_bound, sylvester_nullity_exact,
+                     traced_peak)
 
 
 def _rand(size, seed, norm=1.0):
@@ -121,11 +121,20 @@ class TestShiftHeldAsWeights:
         t0 = shift_from_kernel(bergman_kernel(1, self.size))
         t1 = shift_from_kernel(bergman_kernel(2, self.size))
         model = assemble_model(t0, t1, _rand(self.size, 1))
-        reference = block_matrix(t0.matrix, model.coupling_block, None, t1.matrix)
+        reference = dense_block(t0.matrix, model.coupling_block, None, t1.matrix)
         t = model.t
         assert t.dtype == reference.dtype
         assert t.tobytes() == reference.tobytes()
         assert "t" not in vars(model)
+
+    def test_t_of_dense_blocks_equals_the_block_oracle(self):
+        # dense T0 and T1 are copied in as stored, bit for bit the np.block
+        # assembly of the blocks' matrices
+        t0, t1 = ModelOperator(_rand(self.size, 2)), ModelOperator(_rand(self.size, 3))
+        model = assemble_model(t0, t1, _rand(self.size, 4))
+        t, reference = model.t, dense_block(*model.blocks)
+        assert t.dtype == reference.dtype == complex
+        assert t.tobytes() == reference.tobytes()
 
 
 def block_product(lhs, rhs) -> list:
@@ -161,7 +170,7 @@ class TestBlockProduct:
         model = self._model()
         u = [_rand(6, seed) for seed in (2, 3, 4, 5)]
         b = [_rand(6, seed) for seed in (6, 7, 8, 9)]
-        dense_u, dense_b = block_matrix(*u), block_matrix(*b)
+        dense_u, dense_b = dense_block(*u), dense_block(*b)
         want = dense_u @ model.t - dense_b @ dense_u
         bound = product_gap_bound(6, (dense_u, model.t), (dense_b, dense_u))
         gaps = intertwining_gaps(u, model.blocks, b)
@@ -204,11 +213,11 @@ class TestBlockProduct:
         eps = np.finfo(float).eps
         for lhs, rhs, dense in (
                 ((a, None, None, b), (c, a, None, None),
-                 block_matrix(a - c, -a, None, b)),
+                 dense_block(a - c, -a, None, b)),
                 ((None, None, b, None), (None, None, None, None),
-                 block_matrix(None, None, b, None)),
+                 dense_block(None, None, b, None)),
                 ((None, None, None, None), (None, c, None, None),
-                 block_matrix(None, -c, None, None))):
+                 dense_block(None, -c, None, None))):
             want = frobenius(dense)
             # U = I: U A - B U = A - B
             gaps = intertwining_gaps((eye, None, None, eye), lhs, rhs)
@@ -263,7 +272,7 @@ class TestUnitarity:
             blocks = (u[:size, :size], u[:size, size:], u[size:, :size],
                       u[size:, size:])
             assert abs(block_unitarity_residual(blocks)
-                       - unitarity_residual(block_matrix(*blocks))) <= 1e-14
+                       - unitarity_residual(dense_block(*blocks))) <= 1e-14
 
 
 class TestAssemble:
@@ -303,30 +312,6 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble_model(ModelOperator(np.eye(3)), ModelOperator(np.eye(4)),
                            np.eye(3))
-
-
-class TestBlockMatrix:
-    def test_equals_np_block(self):
-        a, b, c, d = (_rand(3, seed) for seed in range(4))
-        np.testing.assert_array_equal(block_matrix(a, b, c, d),
-                                      np.block([[a, b], [c, d]]))
-
-    def test_none_is_a_zero_block_of_the_common_dtype(self):
-        a, d = np.eye(2), 2.0 * np.eye(2)
-        out = block_matrix(a, None, None, d)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, np.diag([1.0, 1.0, 2.0, 2.0]))
-        assert block_matrix(a, None, None, 1j * d).dtype == complex
-
-    def test_unequal_blocks_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            block_matrix(np.eye(2), np.ones((2, 3)), None, np.eye(2))
-
-    def test_stack_rejected(self):
-        # every caller assembles one matrix; a stack of blocks is refused
-        stack = np.stack([_rand(3, seed) for seed in range(4)])
-        with pytest.raises(InvalidArgumentError, match="of one size"):
-            block_matrix(stack, None, None, stack)
 
 
 class TestFb2Membership:
@@ -600,7 +585,7 @@ class TestSylvesterChainRoute:
 def _split_w(model):
     """W = [[I, -X], [0, I]] of `similarity_split`, assembled."""
     eye = np.eye(model.size, dtype=complex)
-    return block_matrix(eye, -model.x, None, eye)
+    return dense_block(eye, -model.x, None, eye)
 
 
 class TestSimilaritySplit:
@@ -622,7 +607,7 @@ class TestSimilaritySplit:
                                ModelOperator(_rand(5, 5)), _rand(5, 6))
         split = similarity_split(model)
         eye = np.eye(5, dtype=complex)
-        w_inv = block_matrix(eye, model.x, None, eye)
+        w_inv = dense_block(eye, model.x, None, eye)
         np.testing.assert_array_equal(_split_w(split.model) @ w_inv, np.eye(10))
 
     @pytest.mark.parametrize("shifts", [False, True])
@@ -637,7 +622,7 @@ class TestSimilaritySplit:
         split = similarity_split(model)
         assert "t" not in vars(model)
         w = _split_w(model)
-        diag = block_matrix(t0.matrix, None, None, t1.matrix)
+        diag = dense_block(t0.matrix, None, None, t1.matrix)
         dense = frobenius(w @ model.t - diag @ w)
         bound = product_gap_bound(size, (w, model.t), (diag, w))
         assert abs(split.residual - dense) <= bound
@@ -650,9 +635,9 @@ class TestSimilaritySplit:
         split = similarity_split(model)
         assert split.model is model
         eye = np.eye(5, dtype=complex)
-        w, w_inv = _split_w(model), block_matrix(eye, model.x, None, eye)
+        w, w_inv = _split_w(model), dense_block(eye, model.x, None, eye)
         wt = w @ model.t
-        diag = block_matrix(model.t0.matrix, None, None, model.t1.matrix)
+        diag = dense_block(model.t0.matrix, None, None, model.t1.matrix)
         bound = product_gap_bound(5, (w, model.t), (wt, w_inv))
         assert frobenius(wt @ w_inv - diag) <= bound
 

@@ -19,7 +19,7 @@ from cdlab.scenarios import (KERNEL, MODEL, REGISTRY, SOURCES, Scenario,
                              _grid, list_checks, parameter_docs,
                              run_scenario)
 
-from oracles import product_gap_bound
+from oracles import dense_block, product_gap_bound
 
 BUNDLED = sorted(bundled_scenario_dir().glob("*.json"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -183,7 +183,7 @@ def test_corollary_theta_intertwine_agrees_with_dense():
     # U T and Tt U are taken block by block
     from cdlab.equivalence import theta_intertwiner_check
     from cdlab.kernels import bergman_kernel
-    from cdlab.operators import block_matrix, frobenius, shift_from_kernel
+    from cdlab.operators import frobenius, shift_from_kernel
 
     size, theta0 = 16, 2.25
     raw = {"name": "theta",
@@ -196,9 +196,9 @@ def test_corollary_theta_intertwine_agrees_with_dense():
     y = np.exp(1j * theta0) * np.eye(size)
     _, unitary = theta_intertwiner_check(*(
         shift_from_kernel(bergman_kernel(n, size)) for n in (1, 2)), y, 1e-10)
-    u = block_matrix(*unitary.blocks)
-    t = block_matrix(t0, t1 - t0, None, t1)
-    partner_t = block_matrix(t1, y @ t0 - t1 @ y, None, t0)
+    u = dense_block(*unitary.blocks)
+    t = dense_block(t0, t1 - t0, None, t1)
+    partner_t = dense_block(t1, y @ t0 - t1 @ y, None, t0)
     dense = frobenius(u @ t - partner_t @ u)
     bound = product_gap_bound(size, (u, t), (partner_t, u))
     residual = report.condition("unitary-intertwine").residual
@@ -241,6 +241,16 @@ def test_frame_isometry_moved_fields_bounded():
     found = isometry.condition("all-points-found")
     assert found.tolerance == 1e-8 and found.residual <= 1e-12
     assert isometry.info["found_points"] == 24
+
+
+def test_main3_kernel_transform_fields_bounded():
+    # the frame kernel is the frames' pairing of their N-wide sections, so
+    # it rounds as the metric does: main3's SWAP-related pair stays at
+    # rounding level, and a frame against its own SWAP change is exact
+    result = run_scenario(bundled_scenario_dir() / "main3-engineered.json")
+    reports = {outcome.label: outcome.report for outcome in result.outcomes}
+    assert reports["main3#0"].condition("kernel-transform").residual <= 1e-13
+    assert reports["kernel-transform#1"].condition("transform-residual").residual == 0.0
 
 
 class TestDeterminism:
@@ -391,6 +401,15 @@ MALFORMED = [
         "rows": 2, "cols": 2, "re": [1.0, float("nan"), 0.0, 2.0],
         "im": [0.0] * 4}}),
      r"operators\[M\]: 'matrix': 're'\[1\] must be finite, got nan"),
+    ("matrix-fractional-rows", lambda raw: raw["operators"].update(M={"matrix": {
+        "rows": 2.9, "cols": 1, "re": [1, 1], "im": [0, 0]}}),
+     r"operators\[M\]: 'matrix': 'rows' must be an integer, got 2.9"),
+    ("matrix-string-entry", lambda raw: raw["operators"].update(M={"matrix": {
+        "rows": 2, "cols": 1, "re": ["1", 1], "im": [0, 0]}}),
+     r"operators\[M\]: 'matrix': 're'\[0\] must be a number, got '1'"),
+    ("split-size-zero", lambda raw: raw.update(checks=[{
+        "check": "similarity-split", "params": {"size": 0}}]),
+     r"checks\[0\] \(similarity-split\): 'size' must be at least 1, got 0"),
     ("two-operator-cycle", lambda raw: (raw["operators"].update(
         A={"adjoint_of": {"source": "B"}},
         B={"poly_of": {"source": "A", "coeffs": [1.0]}}), _use_x(raw, "A")),
@@ -1013,6 +1032,51 @@ def test_indeterminate_condition_serializes_as_null():
     body = json.dumps(report.to_dict(), allow_nan=False)
     assert '"residual": null' in body
     assert not report.overall
+
+
+def _strict_json(text: str):
+    """`json.loads` that refuses NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_unbounded_residual_is_written_as_null(tmp_path):
+    # a phase relation that fails at tol 0 has no finite residual: the
+    # report writes null, and the status tells it failed
+    raw = json.loads((bundled_scenario_dir() / "corollary-theta.json").read_text())
+    raw["checks"] = [dict(raw["checks"][0], tol=0)]
+    scenario, report = tmp_path / "theta-tol0.json", tmp_path / "report.json"
+    scenario.write_text(json.dumps(raw))
+    assert main(["run", str(scenario), "--report", str(report)]) == 1
+    body = _strict_json(report.read_text())
+    (condition,) = body["checks"][0]["conditions"]
+    assert condition["name"] == "relation-accepted"
+    assert condition["residual"] is None and condition["status"] == "fail"
+
+
+def test_non_finite_info_floats_are_null():
+    import math
+
+    from cdlab.reporting import ConditionReport
+    from cdlab.scenarios import CampaignResult, CheckOutcome
+
+    report = ConditionReport(name="demo")
+    report.add("unbounded", math.inf, 1e-9)
+    report.info.update(kappa=math.inf, pair=complex(1.0, math.nan),
+                       values=np.array([-np.inf, 2.0]), count=np.int64(3))
+    result = CampaignResult(scenario="demo", outcomes=[
+        CheckOutcome(label="demo#0", check="demo", report=report, error=None,
+                     elapsed=0.0)])
+    (check,) = _strict_json(result.to_json())["checks"]
+    assert check["conditions"][0]["residual"] is None
+    assert check["info"] == {"kappa": None, "pair": [1.0, None],
+                             "values": [None, 2.0], "count": 3}
+    # a non-finite float that reaches the dump raises instead of being written
+    result.environment["leak"] = math.nan
+    with pytest.raises(ValueError):
+        result.to_json()
 
 
 class TestFieldExports:
