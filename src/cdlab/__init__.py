@@ -3,9 +3,11 @@ on the unit disk, and a batch verifier for their structural identities."""
 
 __version__ = "0.1.0"
 
-from .kernels import (DiagonalKernel, SectionVector, bergman_kernel,
-                      diagonal_ratio, evaluate_kernel, required_truncation,
-                      section_vector, separator_kernel)
+from types import ModuleType as _ModuleType
+
+from .kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
+                      evaluate_kernel, required_truncation, section_vector,
+                      separator_kernel)
 from .operators import (IntertwinerSpace, ModelOperator, SimilaritySplit,
                         UpperTriangularModel, apply_mobius, assemble_model,
                         fb2_membership, random_operator, random_unitary,
@@ -25,4 +27,5 @@ from .homogeneity import (MobiusMap, WitnessEntry,
 from .reporting import Condition, ConditionReport
 from .scenarios import (CampaignResult, Scenario, list_checks, run_scenario)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

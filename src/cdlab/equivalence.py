@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (DegenerateInputError, InvalidArgumentError,
                      NumericError, PreconditionError)
 from .geometry import DiskGrid, FrameField, eigenframe
-from .kernels import DiagonalKernel, disk_points, section_tables
+from .kernels import DiagonalKernel, disk_points
 from .operators import (U10_COND_CAP, ModelOperator, UpperTriangularModel,
                         _inverse, _times, assemble_model, frobenius,
                         gap_total, guarded_inverse, intertwining_gaps,
@@ -258,6 +258,19 @@ def construct_fb2_pair(unitary: BlockUnitary, model: UpperTriangularModel,
     return pair
 
 
+def _phase_fit(t0: ModelOperator, t1: ModelOperator, y: np.ndarray
+              ) -> tuple[float, float]:
+    """(theta, ||Y T0 - T1 Y - e^{i theta} (T0 - T1)||) for the Frobenius
+    least-squares phase theta of the relation."""
+    diff = t0.matrix - t1.matrix
+    if frobenius(diff) == 0.0:
+        raise DegenerateInputError("T0 == T1: the phase is undefined")
+    lhs = t0.right(y) - t1.left(y)
+    pairing = np.vdot(diff, lhs)  # tr((T0-T1)^H (Y T0 - T1 Y))
+    theta = float(np.angle(pairing)) if pairing != 0 else 0.0
+    return theta, frobenius(lhs - np.exp(1j * theta) * diff)
+
+
 def theta_intertwiner_check(t0: ModelOperator, t1: ModelOperator,
                             y: np.ndarray, tol: float
                             ) -> tuple[float, BlockUnitary] | None:
@@ -269,14 +282,7 @@ def theta_intertwiner_check(t0: ModelOperator, t1: ModelOperator,
     theta_2 = theta), which intertwines [[T0, T1-T0],[0,T1]] with
     [[T1, Y T0 - T1 Y],[0,T0]].  Returns None when the relation fails.
     """
-    diff = t0.matrix - t1.matrix
-    scale = frobenius(diff)
-    if scale == 0.0:
-        raise DegenerateInputError("T0 == T1: the phase is undefined")
-    lhs = t0.right(y) - t1.left(y)
-    pairing = np.vdot(diff, lhs)  # tr((T0-T1)^H (Y T0 - T1 Y))
-    theta = float(np.angle(pairing)) if pairing != 0 else 0.0
-    residual = frobenius(lhs - np.exp(1j * theta) * diff)
+    theta, residual = _phase_fit(t0, t1, y)
     if residual > tol:
         return None
     eye = np.eye(t0.size, dtype=complex)
@@ -328,48 +334,42 @@ def main3_verifier(k0: DiagonalKernel, k1: DiagonalKernel, ks: DiagonalKernel,
                    x: np.ndarray, y: np.ndarray, grid: DiskGrid, tol: float):
     """Check the two section identities and the induced kernel transform.
 
-    Hypotheses verified pointwise on the grid, for sections t_i of the kernels:
+    The coupled models through the slow kernel Ks, T = [[T0, X Ts - T0 X],
+    [0, Ts]] and Tt = [[Ts, Y T1 - Ts Y], [0, T1]] with X an isometry, are
+    assembled first, and the hypotheses, for sections t_i of the kernels,
 
         (1)  X* t0(w) = 2 Y t1(w)
         (2)  ||t0(w)||^2 = 2 (||Y t1(w)||^2 + ||t1(w)||^2)
 
-    with X an isometry.  On success the two coupled models through the slow
-    kernel Ks are assembled, T = [[T0, X Ts - T0 X], [0, Ts]] and
-    Tt = [[Ts, Y T1 - Ts Y], [0, T1]], their frames are compared through the
-    constant SWAP over all ordered pairs of 8 grid points (partner frame
-    scaled by sqrt(2)), and the intertwiner-space dimensions between each
-    diagonal operator and Ts are reported in both orders.
+    are read pointwise on the grid off their eigenframes: (1) off the
+    order-0 sections t0 of T and Y t1 of Tt, (2) off their Gram products,
+    h_00 of T and h_11 of Tt.  The frames are compared through the constant
+    SWAP over all ordered pairs of 8 grid points (partner frame scaled by
+    sqrt(2)), and the intertwiner-space dimensions between each diagonal
+    operator and Ts are reported in both orders.
     """
     report = ConditionReport(name="main3")
     n = ks.truncation
     if k0.truncation != n or k1.truncation != n:
         raise InvalidArgumentError("all three kernels need one truncation")
-    eye = np.eye(n)
-    report.add("x-isometry", frobenius(x.conj().T @ x - eye), 1e-10)
+    report.add("x-isometry", frobenius(x.conj().T @ x - np.eye(n)), 1e-10)
 
-    t0, t1 = section_tables((k0, k1), grid.points)
-    yt1 = t1 @ y.T
-    # Row-wise vdot(v, v) as one stacked matmul, which rounds as vdot does.
-    t0_sq, yt1_sq, t1_sq = ((v.conj()[:, None, :] @ v[:, :, None]).real.ravel()
-                            for v in (t0, yt1, t1))
+    t0_op, t1_op, ts_op = (shift_from_kernel(k) for k in (k0, k1, ks))
+    frame_a = eigenframe(assemble_model(t0_op, ts_op, x), grid)
+    frame_b = eigenframe(assemble_model(ts_op, t1_op, y), grid)
+    t0 = frame_a.sections(grid.points, 0)[0][:, 0]
+    yt1 = frame_b.sections(grid.points, 0)[1][:, 0]
     section_res = np.linalg.norm(t0 @ x.conj() - 2.0 * yt1, axis=1)
-    norm_res = np.abs(t0_sq - 2.0 * (yt1_sq + t1_sq))
+    norm_res = np.abs(frame_a.gram[:, 0, 0].real - 2.0 * frame_b.gram[:, 1, 1].real)
     for name, res in (("section-identity", section_res), ("norm-identity", norm_res)):
         worst = int(np.argmax(res))  # the first grid point wins ties
         report.add(name, float(res[worst]), tol,
                    detail=f"worst point {complex(grid.points[worst])}")
 
-    t0_op = shift_from_kernel(k0)
-    t1_op = shift_from_kernel(k1)
-    ts_op = shift_from_kernel(ks)
-    model = assemble_model(t0_op, ts_op, x)
-    partner = assemble_model(ts_op, t1_op, y)
-    frame_a = eigenframe(model, grid)
-    frame_b = eigenframe(partner, grid).with_constant_change(
-        math.sqrt(2.0) * np.eye(2))
     report.add("kernel-transform",
-               kernel_transform_check(frame_a, frame_b, SWAP,
-                                      sample_points(grid, 8)), tol)
+               kernel_transform_check(
+                   frame_a, frame_b.with_constant_change(math.sqrt(2.0) * np.eye(2)),
+                   SWAP, sample_points(grid, 8)), tol)
 
     for name, diag in (("t0", t0_op), ("t1", t1_op)):
         fwd = sylvester_kernel(diag.matrix, ts_op.matrix)

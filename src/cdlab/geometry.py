@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import (DegenerateFrameError, DomainError, InvalidArgumentError,
                      PrecisionError)
-from .kernels import DiagonalKernel, section_jet, section_jets
+from .kernels import DiagonalKernel, section_jets
 from .operators import ModelOperator, UpperTriangularModel
 
 DEFAULT_FD_STEP = 1e-3
@@ -306,8 +306,8 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
 
     Both diagonal blocks must have been built from diagonal kernels, so the
     sections t_i(w) and their jets are available.  Each evaluation takes the
-    jets of t0 and t1 from one power table of its points (`section_jets`)
-    and those of X t1 as one product over all its points and jet orders.
+    jets of t0 and t1 from one `section_jets` call over its points and
+    those of X t1 as one product over all its points and jet orders.
     Everything per point is taken from the N-wide section rows t0, X t1 and
     t1, never from the zero-padded 2N-wide frame rows: the metric jet by
     `_eigen_pairing`, and the per-point eigen-residual
@@ -356,10 +356,11 @@ def eigenframe(model: UpperTriangularModel, grid: DiskGrid) -> FrameField:
 
 
 def kernel_frame(kernel: DiagonalKernel, grid: DiskGrid) -> FrameField:
-    """Rank-1 frame gamma_0 = t of a single diagonal-kernel operator; its
-    metric jet is <t_a, t_b> over the section jets."""
+    """Rank-1 frame gamma_0 = t of a single diagonal-kernel operator: its
+    sections are the kernel's `section_jets`, and its metric jet is
+    <t_a, t_b> over them."""
     return FrameField(grid=grid, rank=1, dim=kernel.truncation,
-                      sections=lambda points, order: (section_jet(kernel, points, order),),
+                      sections=lambda points, order: section_jets((kernel,), points, order),
                       pairing=_kernel_pairing)
 
 

@@ -2,7 +2,8 @@
 
 A diagonal kernel is K(z, w) = sum_k a_k z^k conj(w)^k with a_k > 0, truncated
 at order N.  In the orthonormal basis e_k(z) = sqrt(a_k) z^k the point
-evaluation section is t(w) = (sqrt(a_k) w^k)_k, so ||t(w)||^2 = K(w, w).
+evaluation section is t(w) = (sqrt(a_k) w^k)_k, so ||t(w)||^2 = K(w, w); all
+sections and their Taylor jets come from one routine, `section_jets`.
 
 Besides plain evaluation this module provides the boundary diagnostics used
 to decide when two kernels admit no nonzero intertwiner (the diagonal ratio
@@ -13,7 +14,7 @@ diagonal grows strictly slower than two given kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -41,18 +42,6 @@ class DiagonalKernel:
     @property
     def truncation(self) -> int:
         return self.coefficients.size
-
-
-@dataclass(frozen=True)
-class SectionVector:
-    """Point-evaluation section t(w): coordinate k is sqrt(a_k) w^k."""
-
-    point: complex
-    coordinates: np.ndarray = field(repr=False)
-
-    @property
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.coordinates, self.coordinates).real)
 
 
 def bergman_kernel(n: int, truncation: int) -> DiagonalKernel:
@@ -106,11 +95,6 @@ def evaluate_kernel(kernel: DiagonalKernel, z: complex, w: complex) -> complex:
     return complex(np.sum(kernel.coefficients * powers))
 
 
-def section_vector(kernel: DiagonalKernel, w: complex) -> SectionVector:
-    """Section t(w) in the orthonormal basis; ||t(w)||^2 = K(w, w)."""
-    return SectionVector(point=complex(w), coordinates=section_table(kernel, w))
-
-
 def disk_points(points: np.ndarray | complex) -> np.ndarray:
     """`points` as a complex array; the first one with |w| >= 1 raises a
     DomainError that names it."""
@@ -119,31 +103,6 @@ def disk_points(points: np.ndarray | complex) -> np.ndarray:
     if outside.size:
         _check_disk(outside[0], "w")
     return points
-
-
-def section_tables(kernels: tuple[DiagonalKernel, ...],
-                   points: np.ndarray | complex) -> list[np.ndarray]:
-    """Sections t(w) = (sqrt(a_k) w^k)_k of several kernels of one truncation
-    at points of any shape (0-d included), each a points.shape + (N,) array;
-    a point with |w| >= 1 raises a DomainError.
-
-    The powers w^k are one `_power_table`, the rule of `evaluate_kernel`:
-    rounding errors add up linearly in k instead of going through the
-    exp/log of a complex power.  That table is taken once and scaled by each
-    kernel's sqrt(a_k), so a kernel's sections do not depend on which other
-    kernels share the call.
-    """
-    sizes = {kernel.truncation for kernel in kernels}
-    if len(sizes) != 1:
-        raise InvalidArgumentError(f"kernels need one truncation, got {sorted(sizes)}")
-    powers = _power_table(disk_points(points), sizes.pop())
-    return [np.sqrt(kernel.coefficients) * powers for kernel in kernels]
-
-
-def section_table(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
-    """`section_tables` of one kernel: its sections at points of any shape."""
-    (table,) = section_tables((kernel,), points)
-    return table
 
 
 @cache
@@ -156,17 +115,26 @@ def _binomial_weights(n: int, i: int) -> np.ndarray:
 
 def section_jets(kernels: tuple[DiagonalKernel, ...],
                  points: np.ndarray | complex, order: int) -> list[np.ndarray]:
-    """Taylor jets (1/i!) d^i t/dw^i, i = 0..order, of the sections of several
-    kernels of one truncation at points of any shape, each a points.shape +
-    (order + 1, N) array, all from one power table (`section_tables`).
+    """Taylor jets (1/i!) d^i t/dw^i, i = 0..order, of the sections t(w) of
+    several kernels of one truncation at points of any shape (0-d included),
+    each a points.shape + (order + 1, N) array; a point with |w| >= 1 raises
+    a DomainError that names it.
 
-    Coordinate k of jet i is sqrt(a_k) C(k, i) w^(k-i) = C(k, i) sqrt(a_k /
-    a_{k-i}) t_{k-i}(w), a shift of the kernel's section table; the weight of
-    jet 0 is exactly 1, so jet 0 equals `section_table` bit for bit.
+    The powers w^k are one `_power_table`, the rule of `evaluate_kernel`,
+    taken once and scaled by each kernel's sqrt(a_k) into its sections t, so
+    a kernel's jets do not depend on which other kernels share the call.
+    Coordinate k of jet i is C(k, i) sqrt(a_k / a_{k-i}) t_{k-i}(w); the
+    weight of jet 0 is exactly 1, so jet 0 is t bit for bit.
     """
+    sizes = {kernel.truncation for kernel in kernels}
+    if len(sizes) != 1:
+        raise InvalidArgumentError(f"kernels need one truncation, got {sorted(sizes)}")
+    n = sizes.pop()
+    powers = _power_table(disk_points(points), n)
     out = []
-    for kernel, table in zip(kernels, section_tables(kernels, points)):
-        a, n = kernel.coefficients, kernel.truncation
+    for kernel in kernels:
+        a = kernel.coefficients
+        table = np.sqrt(a) * powers
         jets = np.zeros(table.shape[:-1] + (order + 1, n), dtype=complex)
         for i in range(min(order, n - 1) + 1):
             jets[..., i, i:] = (_binomial_weights(n, i) * np.sqrt(a[i:] / a[:n - i])
@@ -175,11 +143,10 @@ def section_jets(kernels: tuple[DiagonalKernel, ...],
     return out
 
 
-def section_jet(kernel: DiagonalKernel, points: np.ndarray | complex,
-                order: int) -> np.ndarray:
-    """`section_jets` of one kernel: its section jets at points of any shape."""
-    (jets,) = section_jets((kernel,), points, order)
-    return jets
+def section_vector(kernel: DiagonalKernel, points: np.ndarray | complex) -> np.ndarray:
+    """Sections t(w) of one kernel at points of any shape, a points.shape +
+    (N,) array with ||t(w)||^2 = K(w, w): the order-0 row of `section_jets`."""
+    return section_jets((kernel,), points, 0)[0][..., 0, :]
 
 
 def required_truncation(radius: float) -> int:

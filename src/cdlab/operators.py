@@ -250,7 +250,7 @@ class ModelOperator:
     and `right` multiply it as a slice.  Any other operator is held as its
     complex matrix `dense` (the first positional argument), which `matrix`
     returns as stored, and has `weights` None.  Exactly one of the two is
-    given.
+    given, and one holding NaN or Inf raises a NumericError.
     """
 
     dense: np.ndarray | None = field(default=None, repr=False)
@@ -262,13 +262,14 @@ class ModelOperator:
             raise InvalidArgumentError(
                 "a model operator takes exactly one of a matrix and shift weights")
         if self.weights is None:
-            object.__setattr__(self, "dense", _as_square(self.dense, "model operator"))
+            object.__setattr__(self, "dense", ensure_finite(
+                _as_square(self.dense, "model operator"), "model operator"))
             return
         weights = np.asarray(self.weights)
         if weights.ndim != 1:
             raise InvalidArgumentError(
                 f"shift weights must be a 1-d array, got shape {weights.shape}")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", ensure_finite(weights, "shift weights"))
 
     @property
     def size(self) -> int:
@@ -473,12 +474,13 @@ def block_norm(blocks) -> float:
 
 def assemble_model(t0: ModelOperator | np.ndarray, t1: ModelOperator | np.ndarray,
                    x: np.ndarray) -> UpperTriangularModel:
-    """Assemble T = [[T0, X T1 - T0 X], [0, T1]] from equal-size square blocks."""
+    """Assemble T = [[T0, X T1 - T0 X], [0, T1]] from equal-size square
+    blocks; a block holding NaN or Inf raises a NumericError that names it."""
     if not isinstance(t0, ModelOperator):
         t0 = ModelOperator(t0)
     if not isinstance(t1, ModelOperator):
         t1 = ModelOperator(t1)
-    x = _as_square(x, "X")
+    x = ensure_finite(_as_square(x, "X"), "coupling X")
     if not (t0.size == t1.size == x.shape[0]):
         raise InvalidArgumentError(
             f"block sizes differ: {t0.size}, {t1.size}, {x.shape[0]}")

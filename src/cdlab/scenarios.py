@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .equivalence import (SWAP, BlockUnitary, build_unitary_from_x,
+from .equivalence import (SWAP, BlockUnitary, _phase_fit, build_unitary_from_x,
                           construct_fb2_pair, kernel_transform_check,
                           main3_verifier, sample_points,
                           theta_intertwiner_check, verify_mainlemma)
@@ -572,7 +572,7 @@ def _check_corollary_theta(tol: float, *, t0_kernel=Ref("shift"),
     y = np.exp(1j * theta0) * np.eye(t0.size, dtype=complex)
     outcome = theta_intertwiner_check(t0, t1, y, tol)
     if outcome is None:
-        report.add("relation-accepted", math.inf, tol,
+        report.add("relation-accepted", _phase_fit(t0, t1, y)[1], tol,
                    detail="least-squares phase does not satisfy the relation")
         return report
     theta, unitary = outcome

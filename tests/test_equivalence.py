@@ -543,6 +543,17 @@ class TestThetaCorollary:
         assert theta_intertwiner_check(t0, t1, random_operator(6, 3),
                                        1e-10) is None
 
+    def test_fit_residual_decides_acceptance(self):
+        # the phase fit's residual is the one acceptance is graded on
+        t0, t1 = _shift_pair(6)
+        y = random_operator(6, 3)
+        theta, residual = equivalence._phase_fit(t0, t1, y)
+        assert theta_intertwiner_check(t0, t1, y, residual) is not None
+        assert theta_intertwiner_check(t0, t1, y, residual / 2) is None
+        lhs = y @ t0.matrix - t1.matrix @ y
+        assert residual == pytest.approx(
+            frobenius(lhs - np.exp(1j * theta) * (t0.matrix - t1.matrix)), abs=1e-15)
+
     def test_equal_blocks_degenerate(self):
         t0, _ = _shift_pair(6)
         with pytest.raises(DegenerateInputError):
@@ -681,6 +692,17 @@ class TestMain3:
         assert "intertwiner_dim_t0_ts" in report.info
         assert "intertwiner_dim_ts_t0" in report.info
 
+    def test_scaled_y_fails_both_identities(self):
+        # Y -> (1 + 1e-6) Y moves X* t0 - 2 Y t1 by 2e-6 ||t1|| and the norm
+        # identity by about 4e-6 ||t1||^2, both far above tol 1e-8
+        k0, k1, ks, x, y = _engineered_main3()
+        grid = polar_grid(radii=[0.2, 0.4, 0.6], n_angles=8)
+        report = main3_verifier(k0, k1, ks, x, (1.0 + 1e-6) * y, grid, tol=1e-8)
+        assert report.condition("x-isometry").passed
+        for name in ("section-identity", "norm-identity"):
+            assert not report.condition(name).passed
+            assert report.condition(name).residual > 1e-6
+
     def test_double_kernel_with_zero_y(self):
         # norm identity holds coefficientwise, but a square isometry can
         # never annihilate the sections, so the section identity must fail
@@ -744,7 +766,7 @@ def test_log_norm_ratio_uniformly_bounded_near_boundary():
     x_norm = float(np.max(np.abs(diag)))
     cap = math.log(1.0 + x_norm ** 2)
     for r in (0.5, 0.9, 0.99):
-        t = section_vector(k, r).coordinates
+        t = section_vector(k, r)
         t_sq = float(np.vdot(t, t).real)
         xt_sq = float(np.vdot(diag * t, diag * t).real)
         value = math.log((xt_sq + t_sq) / t_sq)

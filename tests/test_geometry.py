@@ -12,7 +12,7 @@ from cdlab.geometry import (SERIES_BLOCK_BYTES, CurvatureField, DiskGrid,
                             curvature,
                             curvature_isometry_check, eigenframe, gram_metric,
                             kernel_frame, polar_grid)
-from cdlab.kernels import bergman_kernel, section_jet
+from cdlab.kernels import bergman_kernel, section_jets
 from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              random_operator, random_unitary,
                              shift_from_kernel)
@@ -152,13 +152,13 @@ class TestEigenframe:
         model = _model(size=size)
         points = polar_grid(radii=[0.2, 0.5], n_angles=5).points
         t0, coupled, t1 = eigenframe(model, DiskGrid(points=points)).sections(points, 3)
-        t1_jets = section_jet(model.t1.kernel, points, 3)
+        (t1_jets,) = section_jets((model.t1.kernel,), points, 3)
         for p in range(len(points)):
             for order in (1, 2, 3):
                 want = model.x @ t1_jets[p, order]
                 np.testing.assert_allclose(coupled[p, order], want, rtol=1e-13, atol=0)
         np.testing.assert_array_equal(t1, t1_jets)
-        np.testing.assert_array_equal(t0, section_jet(model.t0.kernel, points, 3))
+        np.testing.assert_array_equal(t0, section_jets((model.t0.kernel,), points, 3)[0])
 
     @pytest.mark.parametrize("kind,size", [("eigenframe", 24), ("eigenframe", 120)])
     def test_residuals_match_stacked_per_point_products(self, kind, size):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from cdlab.errors import DomainError, InvalidArgumentError, PrecisionError
 from cdlab.kernels import (DiagonalKernel, bergman_kernel, diagonal_ratio,
-                           evaluate_kernel, required_truncation, section_jet,
-                           section_jets, section_table, section_tables,
+                           evaluate_kernel, required_truncation, section_jets,
                            section_vector, separator_kernel)
 
 from oracles import binomial_series_coefficients
@@ -118,49 +117,67 @@ class TestEvaluate:
 
 class TestSectionVector:
     def test_origin_is_first_basis_vector(self):
-        sec = section_vector(bergman_kernel(1, 5), 0.0)
-        np.testing.assert_array_equal(sec.coordinates, [1, 0, 0, 0, 0])
+        t = section_vector(bergman_kernel(1, 5), 0.0)
+        np.testing.assert_array_equal(t, [1, 0, 0, 0, 0])
 
     def test_coordinates_formula(self):
-        sec = section_vector(bergman_kernel(2, 4), 0.5)
+        t = section_vector(bergman_kernel(2, 4), 0.5)
         expected = [1.0, np.sqrt(2) * 0.5, np.sqrt(3) * 0.25, np.sqrt(4) * 0.125]
-        np.testing.assert_allclose(sec.coordinates, expected)
+        np.testing.assert_allclose(t, expected)
 
     def test_norm_matches_geometric_series(self):
-        sec = section_vector(bergman_kernel(1, 200), 0.5)
-        assert abs(sec.norm_squared - 4.0 / 3.0) < 1e-12
+        t = section_vector(bergman_kernel(1, 200), 0.5)
+        assert abs(np.vdot(t, t).real - 4.0 / 3.0) < 1e-12
 
     @given(w=disk_points)
     @settings(max_examples=60, deadline=None)
     def test_norm_squared_equals_diagonal_value(self, w):
         k = bergman_kernel(2, 25)
-        sec = section_vector(k, w)
+        t = section_vector(k, w)
         diag = evaluate_kernel(k, w, w).real
-        assert sec.norm_squared == pytest.approx(diag, rel=1e-13, abs=1e-300)
+        assert np.vdot(t, t).real == pytest.approx(diag, rel=1e-13, abs=1e-300)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             section_vector(bergman_kernel(1, 4), 1.0 + 0j)
 
+    @pytest.mark.parametrize("points", [
+        np.complex128(0.5j),
+        np.array([[0.1 + 0.2j, -0.4j], [0.0, 0.7 - 0.1j]]),
+    ], ids=["0-d", "2-d"])
+    def test_order_zero_row_of_section_jets(self, points):
+        k = bergman_kernel(2, 12)
+        t = section_vector(k, points)
+        assert t.shape == points.shape + (12,)
+        np.testing.assert_array_equal(t, section_jets((k,), points, 0)[0][..., 0, :])
+
 
 class TestSectionTable:
+    """`section_vector` and `section_jets` over arrays of points equal their
+    single-point calls, and the sections round as exact powers would."""
+
     def test_array_of_points_matches_section_vectors(self):
         k = bergman_kernel(2, 12)
         points = np.array([[0.1 + 0.2j, -0.4j], [0.0, 0.7 - 0.1j]])
-        stacked = np.array([[section_vector(k, w).coordinates for w in row]
-                            for row in points])
-        assert section_table(k, points).shape == (2, 2, 12)
-        assert np.array_equal(section_table(k, points), stacked)
+        stacked = np.array([[section_vector(k, w) for w in row] for row in points])
+        assert section_vector(k, points).shape == (2, 2, 12)
+        np.testing.assert_array_equal(section_vector(k, points), stacked)
+        (jets,) = section_jets((k,), points, 2)
+        assert jets.shape == (2, 2, 3, 12)
+        np.testing.assert_array_equal(jets, np.array(
+            [[section_jets((k,), w, 2)[0] for w in row] for row in points]))
 
     def test_zero_dimensional_point(self):
         k = bergman_kernel(1, 5)
-        assert section_table(k, 0.5j).shape == (5,)
-        np.testing.assert_array_equal(section_table(k, np.complex128(0.0)),
+        assert section_vector(k, 0.5j).shape == (5,)
+        np.testing.assert_array_equal(section_vector(k, np.complex128(0.0)),
                                       [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(section_jets((k,), np.complex128(0.0), 1)[0],
+                                      [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
 
     def test_domain_error_names_point(self):
         with pytest.raises(DomainError, match=re.escape("w=(-1+0j)")):
-            section_table(bergman_kernel(1, 4), np.array([0.2, -1.0, 0.3j]))
+            section_vector(bergman_kernel(1, 4), np.array([0.2, -1.0, 0.3j]))
 
     @pytest.mark.parametrize("w", [0.5 + 0.25j, -0.375 + 0.5625j, 0.6875 - 0.125j,
                                    -0.4375 - 0.40625j, 0.09375j])
@@ -168,7 +185,7 @@ class TestSectionTable:
         """Coordinate k against exact rational w^k times the float sqrt(a_k):
         |t_k - sqrt(a_k) w^k| <= k eps |sqrt(a_k) w^k|, compared in rationals."""
         k = bergman_kernel(3, 240)
-        table = section_table(k, w)
+        table = section_vector(k, w)
         re_w, im_w = Fraction(w.real), Fraction(w.imag)
         eps = Fraction(np.finfo(float).eps)
         power = (Fraction(1), Fraction(0))
@@ -186,20 +203,20 @@ class TestSectionJet:
     def test_cached_weights_match_comb_reference(self):
         k = bergman_kernel(2, 80)
         points = np.array([0.3 - 0.2j, -0.55j, 0.0, 0.6 + 0.1j])
-        table = section_table(k, points)
+        table = section_vector(k, points)
         a, n = k.coefficients, k.truncation
         want = np.zeros(points.shape + (4, n), dtype=complex)
         for i in range(4):
             binom = np.array([math.comb(j, i) for j in range(i, n)], dtype=float)
             want[:, i, i:] = binom * np.sqrt(a[i:] / a[:n - i]) * table[:, :n - i]
         for _ in range(2):  # the second call reads the cached weights
-            assert np.array_equal(section_jet(k, points, 3), want)
-        # order 0 equals the section table bit for bit
-        assert np.array_equal(section_jet(k, points, 0), want[:, :1])
+            np.testing.assert_array_equal(section_jets((k,), points, 3)[0], want)
+        # jet 0 is the sections bit for bit
+        np.testing.assert_array_equal(section_jets((k,), points, 0)[0], want[:, :1])
 
 
 class TestSharedPowerTable:
-    """Several kernels' sections from one power table equal each kernel's own."""
+    """Several kernels' jets from one power table equal each kernel's own."""
 
     kernels = tuple(bergman_kernel(n, 30) for n in (1, 2, 3))
 
@@ -214,9 +231,8 @@ class TestSharedPowerTable:
             assert len(shared) == 3
             for kernel, jets in zip(self.kernels, shared):
                 assert jets.shape == points.shape + (order + 1, 30)
-                np.testing.assert_array_equal(jets, section_jet(kernel, points, order))
-        for kernel, table in zip(self.kernels, section_tables(self.kernels, points)):
-            np.testing.assert_array_equal(table, section_table(kernel, points))
+                (own,) = section_jets((kernel,), points, order)
+                np.testing.assert_array_equal(jets, own)
 
     def test_mixed_truncations_rejected(self):
         with pytest.raises(InvalidArgumentError, match="one truncation"):
@@ -224,7 +240,7 @@ class TestSharedPowerTable:
 
     def test_domain_error_names_point(self):
         with pytest.raises(DomainError, match=re.escape("w=(-1+0j)")):
-            section_tables(self.kernels, np.array([0.2, -1.0]))
+            section_jets(self.kernels, np.array([0.2, -1.0]), 1)
 
 
 class TestDiagonalRatio:

@@ -44,7 +44,7 @@ class TestShift:
         k = bergman_kernel(2, 30)
         op = shift_from_kernel(k)
         w = 0.4 + 0.3j
-        t = section_vector(k, w).coordinates
+        t = section_vector(k, w)
         resid = op.matrix @ t - w * t
         # all coordinates cancel except the last, which carries the tail term
         np.testing.assert_allclose(resid[:-1], 0, atol=1e-14)
@@ -312,6 +312,21 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble_model(ModelOperator(np.eye(3)), ModelOperator(np.eye(4)),
                            np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_blocks_refused_where_they_enter(self, bad):
+        mat = np.eye(4, dtype=complex)
+        mat[1, 2] = bad
+        weights = np.ones(3)
+        weights[1] = bad
+        with pytest.raises(NumericError, match="model operator"):
+            ModelOperator(mat)
+        with pytest.raises(NumericError, match="model operator"):
+            assemble_model(mat, np.eye(4), np.eye(4))
+        with pytest.raises(NumericError, match="shift weights"):
+            ModelOperator(weights=weights)
+        with pytest.raises(NumericError, match="coupling X"):
+            assemble_model(ModelOperator(np.eye(4)), ModelOperator(np.eye(4)), mat)
 
 
 class TestFb2Membership:
@@ -967,7 +982,7 @@ class TestRealDiagonalScaling:
         bad_t0 = t0.copy()
         bad_t0[2, 3] = bad
         gaps = intertwining_gaps((half, half, half, -half),
-                                 (ModelOperator(bad_t0), None, None, t1),
+                                 (bad_t0, None, None, t1),
                                  (t0, None, None, t1))
         report = ConditionReport(name="probe")
         report.add("gap", gap_total(gaps), 1e-10)
