@@ -83,8 +83,9 @@ def _cmd_curvature(args) -> int:
     ctx = ScenarioContext(scenario=None)
     kernel = ctx.read(KERNEL, {"preset": preset, "n": weight, "N": args.truncation},
                       "kernel")
-    grid = ctx.grid({"rmax": args.rmax, "n_radii": args.n_radii,
-                     "n_angles": args.n_angles, "fd_step": args.fd_step}, "grid")
+    # the grid options left out take the scenario grid's defaults
+    grid = ctx.grid({key: value for key in ("rmax", "n_radii", "n_angles", "fd_step")
+                     if (value := getattr(args, key)) is not None}, "grid")
     metric = gram_metric(kernel_frame(kernel, grid))
     field = curvature(metric, grid, method=args.method)
     for i, j in args.derivative or []:
@@ -120,12 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curv = sub.add_parser("curvature", help="export a curvature field")
     p_curv.add_argument("--kernel", required=True, help="e.g. bergman:2")
-    p_curv.add_argument("--rmax", type=float, default=0.6)
-    p_curv.add_argument("--n-radii", type=int, default=6)
-    p_curv.add_argument("--n-angles", type=int, default=16)
+    p_curv.add_argument("--rmax", type=float)
+    p_curv.add_argument("--n-radii", type=int)
+    p_curv.add_argument("--n-angles", type=int)
     p_curv.add_argument("--truncation", type=int, default=80,
                         help="kernel truncation N")
-    p_curv.add_argument("--fd-step", type=float, default=1e-3)
+    p_curv.add_argument("--fd-step", type=float)
     p_curv.add_argument("--method", choices=("series", "fd"), default="series")
     p_curv.add_argument("--derivative", action="append", type=_derivative,
                         metavar="I,J",

@@ -208,14 +208,6 @@ class Fb2Pair:
     residuals: dict = field(default_factory=dict)
 
     @property
-    def s0(self) -> np.ndarray:
-        return self.f_blocks[1]
-
-    @property
-    def s1(self) -> np.ndarray:
-        return self.ft_blocks[1]
-
-    @property
     def z_blocks(self) -> tuple:
         return self.u01.conj().T, None, None, self.u10
 

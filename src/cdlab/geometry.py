@@ -606,7 +606,6 @@ def covariant_derivative(curv: CurvatureField, metric: MetricField,
 
 @dataclass(frozen=True)
 class IsometryPointResult:
-    point: complex
     found: bool
     unitary: np.ndarray | None
     residual: float
@@ -671,8 +670,8 @@ def curvature_isometry_check(field_a: CurvatureField, field_b: CurvatureField,
     residuals = np.linalg.norm(v @ a - b @ v, axis=(-2, -1)).max(axis=1)
     certified = gaps > tol
     found = (residuals <= tol) & ~certified
-    return [IsometryPointResult(point=complex(w), found=bool(ok), unitary=u if ok else None,
+    return [IsometryPointResult(found=bool(ok), unitary=u if ok else None,
                                 residual=float(res), eig_gap=float(gap),
                                 certified_mismatch=bool(cert))
-            for w, u, res, gap, ok, cert in zip(field_a.grid.points, unitaries,
-                                                residuals, gaps, found, certified)]
+            for u, res, gap, ok, cert in zip(unitaries, residuals, gaps, found,
+                                             certified)]

@@ -160,17 +160,10 @@ def required_truncation(radius: float) -> int:
     return max(1, math.ceil(math.log(TAIL_EPS) / (2.0 * math.log(radius))))
 
 
-@dataclass(frozen=True)
-class RatioSample:
-    radius: float
-    k0: float
-    k1: float
-    ratio: float
-
-
 def diagonal_ratio(k0: DiagonalKernel, k1: DiagonalKernel,
-                   radii: list[float]) -> list[RatioSample]:
-    """Boundary diagnostic K0(r,r)/K1(r,r) along strictly increasing radii.
+                   radii: list[float]) -> list[float]:
+    """Boundary diagnostic: the ratios K0(r,r)/K1(r,r) along strictly
+    increasing radii, one per radius.
 
     Truncation sufficiency is checked against the largest radius: the tail
     criterion r^(2N) < 1e-12 must hold for both kernels, otherwise a
@@ -191,12 +184,8 @@ def diagonal_ratio(k0: DiagonalKernel, k1: DiagonalKernel,
             f"truncation {short} insufficient for radius {r_max}; need N >= {needed}",
             required_truncation=needed,
         )
-    out = []
-    for r in radii:
-        v0 = evaluate_kernel(k0, r, r).real
-        v1 = evaluate_kernel(k1, r, r).real
-        out.append(RatioSample(radius=r, k0=v0, k1=v1, ratio=v0 / v1))
-    return out
+    return [evaluate_kernel(k0, r, r).real / evaluate_kernel(k1, r, r).real
+            for r in radii]
 
 
 def separator_kernel(k0: DiagonalKernel, k1: DiagonalKernel) -> DiagonalKernel:

@@ -494,12 +494,13 @@ def fb2_membership(t0: ModelOperator, t1: ModelOperator, x: np.ndarray,
     """Decide whether X T1^2 - 2 T0 X T1 + T0^2 X vanishes, scale-invariantly.
 
     Returns (verdict, residual).  The verdict compares the raw residual against
-    tol * (1 + ||X|| ||T1||^2 + ||T0||^2 ||X||) so rescaling the triple does not
-    flip it.
+    tol * (||X|| ||T1||^2 + ||T0||^2 ||X||).  Both sides are homogeneous of
+    degree 1 in X and of degree 2 in (T0, T1), so rescaling X, or T0 and T1
+    together, does not flip it; X = 0 is a member (0 <= 0).
     """
     if not tol > 0:  # NaN too
         raise InvalidArgumentError(f"tol must be positive, got {tol!r}")
-    scale = (1.0 + frobenius(x) * frobenius(t1.matrix) ** 2
+    scale = (frobenius(x) * frobenius(t1.matrix) ** 2
              + frobenius(t0.matrix) ** 2 * frobenius(x))
     # the three terms are summed into one array in the order
     # (X T1^2 - 2 T0 X T1) + T0^2 X, with T0^2 X taken as (T0 T0) X

@@ -39,7 +39,7 @@ from .equivalence import (SWAP, BlockUnitary, _phase_fit, build_unitary_from_x,
                           main3_verifier, sample_points,
                           theta_intertwiner_check, verify_mainlemma)
 from .errors import InvalidArgumentError, SchemaError
-from .geometry import (DiskGrid, covariant_derivative, curvature,
+from .geometry import (DEFAULT_FD_STEP, DiskGrid, covariant_derivative, curvature,
                        curvature_isometry_check, eigenframe, gram_metric,
                        kernel_frame, polar_grid)
 from .homogeneity import (MobiusMap, WitnessEntry,
@@ -245,7 +245,7 @@ def _matrix(*, rows=Ref("count"), cols=Ref("count"), re=Ref([float]),
 
 
 def _grid(*, rmax=Ref("positive", 0.6), n_radii=Ref("count", 6),
-          n_angles=Ref("count", 16), fd_step=1e-3) -> DiskGrid:
+          n_angles=Ref("count", 16), fd_step=DEFAULT_FD_STEP) -> DiskGrid:
     """A polar grid on n_radii radii spaced evenly up to rmax."""
     return polar_grid(radii=rmax * np.arange(1, n_radii + 1) / n_radii,
                       n_angles=n_angles, fd_step=fd_step)
@@ -737,7 +737,7 @@ def _check_separator(tol: float, *, k0=Ref("kernel"), k1=Ref("kernel")
     report = ConditionReport(name="separator")
     ks = separator_kernel(k0, k1)
     for name, kern in (("k0", k0), ("k1", k1)):
-        ratios = [s.ratio for s in diagonal_ratio(ks, kern, [0.9, 0.99, 0.999])]
+        ratios = diagonal_ratio(ks, kern, [0.9, 0.99, 0.999])
         increase = max(0.0, *(b - a for a, b in zip(ratios, ratios[1:])))
         report.add(f"monotone-{name}", increase, tol,
                    detail="largest increase between consecutive ratios")

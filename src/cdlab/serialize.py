@@ -1,5 +1,5 @@
-"""Field exports: diagonal-ratio samples and curvature fields as plain CSV,
-and a curvature field as JSON, so they can be plotted without custom tooling.
+"""Field exports: curvature fields as plain CSV, and a curvature field as
+JSON, so they can be plotted without custom tooling.
 
 cdlab writes no matrices.  Their wire format, {"rows": N, "cols": N, "re":
 [...], "im": [...]} with row-major flat lists, is read by the `matrix` and
@@ -14,15 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-
-
-def write_ratio_csv(path: str | Path, samples):
-    """diagonal_ratio rows -> CSV with columns radius, k0, k1, ratio."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["radius", "k0", "k1", "ratio"])
-        for s in samples:
-            writer.writerow([repr(s.radius), repr(s.k0), repr(s.k1), repr(s.ratio)])
 
 
 def _field_labels(field) -> dict:

@@ -212,7 +212,7 @@ def test_criterion_07_separator_boundary_ratios():
     ks = separator_kernel(k0, k1)
     ratios = {}
     for name, kern in (("flat", k0), ("weight2", k1)):
-        ratios[name] = [s.ratio for s in diagonal_ratio(ks, kern, radii)]
+        ratios[name] = diagonal_ratio(ks, kern, radii)
     decreasing = all(seq[0] > seq[1] > seq[2] for seq in ratios.values())
     final_ok = all(seq[-1] <= 0.05 for seq in ratios.values())
     oracle_err = max(abs(r - log_ratio_boundary_value(rad))

@@ -300,8 +300,8 @@ class TestBlockwiseResiduals:
         u01, u10, x, y = unitary.u01, unitary.u10, model.x, partner.x
         s0 = y @ u10 - u01 @ x.conj().T
         s1 = u01.conj().T @ y - x.conj().T @ u10.conj().T
-        np.testing.assert_array_equal(pair.s0, s0)
-        np.testing.assert_array_equal(pair.s1, s1)
+        np.testing.assert_array_equal(pair.f_blocks[1], s0)
+        np.testing.assert_array_equal(pair.ft_blocks[1], s1)
         np.testing.assert_array_equal(
             _dense(pair.f_blocks),
             dense_block(partner.t0.matrix, s0, None, model.t0.matrix))
@@ -370,7 +370,7 @@ class TestFb2Pair:
         model = assemble_model(t0, t1, x)
         pair = construct_fb2_pair(unitary, model, partner)
         assert max(pair.residuals.values()) <= 1e-12
-        np.testing.assert_allclose(pair.s0, 0, atol=1e-14)
+        np.testing.assert_allclose(pair.f_blocks[1], 0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_normal_pipeline(self, seed):
@@ -409,7 +409,7 @@ class TestFb2Pair:
         assert report.overall
         pair = construct_fb2_pair(unitary, model, shifted)
         assert max(pair.residuals.values()) <= 1e-8
-        assert frobenius(pair.s0) > 1e-3
+        assert frobenius(pair.f_blocks[1]) > 1e-3
 
     def test_gate_refuses_mismatched_partner(self):
         t0, t1 = _shift_pair(8)

@@ -246,20 +246,20 @@ class TestSharedPowerTable:
 class TestDiagonalRatio:
     def test_identical_kernels_ratio_one(self):
         k = bergman_kernel(2, 400)
-        for sample in diagonal_ratio(k, k, [0.1, 0.5, 0.8]):
-            assert sample.ratio == pytest.approx(1.0)
+        for ratio in diagonal_ratio(k, k, [0.1, 0.5, 0.8]):
+            assert ratio == pytest.approx(1.0)
 
     def test_flat_vs_weight_two_closed_form(self):
         k0 = bergman_kernel(1, 400)
         k1 = bergman_kernel(2, 400)
-        (sample,) = diagonal_ratio(k0, k1, [0.9])
-        assert abs(sample.ratio - (1.0 - 0.81)) < 1e-10
+        (ratio,) = diagonal_ratio(k0, k1, [0.9])
+        assert abs(ratio - (1.0 - 0.81)) < 1e-10
 
     def test_strictly_decreasing_toward_boundary(self):
         needed = required_truncation(0.999)
         k0 = bergman_kernel(1, needed)
         k1 = bergman_kernel(2, needed)
-        ratios = [s.ratio for s in diagonal_ratio(k0, k1, [0.9, 0.99, 0.999])]
+        ratios = diagonal_ratio(k0, k1, [0.9, 0.99, 0.999])
         assert ratios[0] > ratios[1] > ratios[2]
 
     def test_insufficient_truncation_names_requirement(self):

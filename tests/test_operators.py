@@ -352,11 +352,33 @@ class TestFb2Membership:
         assert residual == pytest.approx(direct)
 
     def test_scale_invariance_of_verdict(self):
-        t0, t1, x = (ModelOperator(_rand(4, 8)), ModelOperator(_rand(4, 9)),
-                     _rand(4, 10))
-        verdict_small, _ = fb2_membership(t0, t1, 1e-8 * x, 1e-10)
-        verdict_big, _ = fb2_membership(t0, t1, 1e8 * x, 1e-10)
-        assert verdict_small == verdict_big
+        # homogeneous of degree 1 in X and 2 in (T0, T1): no c = 10^k flips it
+        a = _rand(4, 8)
+        member = (ModelOperator(a), ModelOperator(a), 1.7 * np.eye(4) + 0.3 * a)
+        outside = (ModelOperator(a), ModelOperator(_rand(4, 9)), _rand(4, 10))
+        for expected, (t0, t1, x) in ((True, member), (False, outside)):
+            for k in range(-100, 101):
+                c = 10.0 ** k
+                verdict, _ = fb2_membership(t0, t1, c * x, 1e-10)
+                assert verdict is expected, f"c X, c = {c}"
+            # (T0, T1) enter squared, and their norms square entries once
+            # more: at |k| > 50 those squares leave the float range (ROADMAP
+            # item 24b)
+            for k in range(-50, 51):
+                c = 10.0 ** k
+                scaled = ModelOperator(c * t0.matrix), ModelOperator(c * t1.matrix)
+                verdict, _ = fb2_membership(*scaled, x, 1e-10)
+                assert verdict is expected, f"c (T0, T1), c = {c}"
+
+    def test_bundled_triple_stays_outside_when_x_is_small(self):
+        # mainlemma-normal-x's triple: residual / c is 4.713 at every c, so
+        # c = 1e-11 is no member; an absolute term in the threshold said it was
+        t0 = shift_from_kernel(bergman_kernel(1, 20))
+        t1 = shift_from_kernel(bergman_kernel(2, 20))
+        x = random_operator(20, 7, norm=1.0, kind="normal")
+        member, residual = fb2_membership(t0, t1, 1e-11 * x, 1e-10)
+        assert not member
+        assert residual == pytest.approx(4.713322316767412e-11, rel=1e-12)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
     def test_tol_must_be_positive(self, tol):

@@ -879,6 +879,16 @@ class TestCli:
         assert "K_00_re" in header and "K_w1wb0_00_re" in header
         assert len(lines) == 1 + 2 * 4
 
+    def test_curvature_grid_defaults_are_the_scenario_grid(self, tmp_path):
+        # the grid options left out are the ones a scenario's grid leaves out
+        base = ["curvature", "--kernel", "bergman:2", "--json-out"]
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        assert main(base + [str(implicit)]) == 0
+        assert main(base + [str(explicit), "--rmax", "0.6", "--n-radii", "6",
+                            "--n-angles", "16", "--fd-step", "1e-3"]) == 0
+        assert implicit.read_bytes() == explicit.read_bytes()
+        assert len(json.loads(implicit.read_text())["points"]) == 6 * 16
+
     @pytest.mark.parametrize("args", [
         ["--kernel", "szego-2"],
         ["--kernel", "bergman:x"],
@@ -1134,16 +1144,3 @@ class TestFieldExports:
         with pytest.raises(SchemaError, match="one rank and one set"):
             write_curvature_csv(tmp_path / "f.csv",
                                 {"a": self._field(), "b": bare})
-
-    def test_ratio_csv_columns(self, tmp_path):
-        from cdlab.kernels import bergman_kernel, diagonal_ratio
-        from cdlab.serialize import write_ratio_csv
-
-        k = bergman_kernel(1, 200)
-        samples = diagonal_ratio(k, k, [0.1, 0.5])
-        out = tmp_path / "r.csv"
-        write_ratio_csv(out, samples)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "radius,k0,k1,ratio"
-        assert len(lines) == 3
-        assert lines[1].startswith("0.1,")
