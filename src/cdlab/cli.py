@@ -19,8 +19,9 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .errors import CdlabError, SchemaError
+from .errors import CdlabError, PrecisionError, SchemaError
 from .geometry import covariant_derivative, curvature, gram_metric, kernel_frame
+from .kernels import required_truncation
 from .scenarios import (KERNEL, ScenarioContext, list_checks, parameter_docs,
                         run_scenario)
 from .serialize import curvature_field_to_json, write_curvature_csv
@@ -86,6 +87,13 @@ def _cmd_curvature(args) -> int:
     # the grid options left out take the scenario grid's defaults
     grid = ctx.grid({key: value for key in ("rmax", "n_radii", "n_angles", "fd_step")
                      if (value := getattr(args, key)) is not None}, "grid")
+    # the tail rule that diagonal_ratio applies, at the grid's largest radius
+    radius = float(abs(grid.points).max())
+    needed = required_truncation(radius)
+    if kernel.truncation < needed:
+        raise PrecisionError(f"truncation {kernel.truncation} insufficient for "
+                             f"radius {radius:.6g}; need N >= {needed}",
+                             required_truncation=needed)
     metric = gram_metric(kernel_frame(kernel, grid))
     field = curvature(metric, grid, method=args.method)
     for i, j in args.derivative or []:

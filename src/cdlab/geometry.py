@@ -26,7 +26,10 @@ its order-0 products at the grid points (`FrameField.gram`), and
   frame jets, which `gram_jet` gives at any order.  Curvature and its
   covariant derivatives are combined from that jet through truncated
   bivariate Taylor arithmetic, so everything is exact up to the kernel
-  truncation and roundoff.
+  truncation and roundoff.  Jets are plain (points, ow + 1, ob + 1, r, r)
+  arrays; a derivative is an order slice times its integer weights, and a
+  truncated Cauchy product and a jet inverse each form only the orders a
+  request reads.
 * "fd": Wirtinger finite differences (4-point central stencils per axis,
   d = (dx - i dy)/2 and dbar = (dx + i dy)/2).  The metric evaluator takes
   an array of points; it is called once per offset h(a + ib) of the lattice
@@ -126,76 +129,6 @@ def polar_grid(radii=None, n_angles: int = 16,
     angles = 2.0 * np.pi * np.arange(n_angles) / n_angles
     pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     return DiskGrid(points=pts, fd_step=fd_step)
-
-
-# ---------------------------------------------------------------------------
-# jets
-
-
-class MatrixJet:
-    """Truncated bivariate Taylor jets of a matrix field at many points,
-    F = sum F[:, i, j] d^i dbar^j, stored as (points, ow + 1, ob + 1, r, r)."""
-
-    def __init__(self, coeffs: np.ndarray):
-        self.c = np.asarray(coeffs, dtype=complex)
-
-    @property
-    def order(self) -> tuple[int, int]:
-        return self.c.shape[1] - 1, self.c.shape[2] - 1
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.c[:, 0, 0]
-
-    def _aligned(self, other: "MatrixJet") -> tuple[np.ndarray, np.ndarray]:
-        ow = min(self.order[0], other.order[0])
-        ob = min(self.order[1], other.order[1])
-        return self.c[:, :ow + 1, :ob + 1], other.c[:, :ow + 1, :ob + 1]
-
-    def __add__(self, other: "MatrixJet") -> "MatrixJet":
-        a, b = self._aligned(other)
-        return MatrixJet(a + b)
-
-    def __sub__(self, other: "MatrixJet") -> "MatrixJet":
-        a, b = self._aligned(other)
-        return MatrixJet(a - b)
-
-    def __neg__(self) -> "MatrixJet":
-        return MatrixJet(-self.c)
-
-    def __matmul__(self, other: "MatrixJet") -> "MatrixJet":
-        a, b = self._aligned(other)
-        out = np.zeros_like(a)
-        for i in range(a.shape[1]):
-            for j in range(a.shape[2]):
-                for p in range(i + 1):
-                    for q in range(j + 1):
-                        out[:, i, j] += a[:, p, q] @ b[:, i - p, j - q]
-        return MatrixJet(out)
-
-    def d_w(self) -> "MatrixJet":
-        if self.order[0] < 1:
-            raise PrecisionError("jet order too low for a w-derivative")
-        return MatrixJet(self.c[:, 1:] * np.arange(1, self.c.shape[1])[:, None, None, None])
-
-    def d_wbar(self) -> "MatrixJet":
-        if self.order[1] < 1:
-            raise PrecisionError("jet order too low for a wbar-derivative")
-        return MatrixJet(self.c[:, :, 1:] * np.arange(1, self.c.shape[2])[:, None, None])
-
-    def inverse(self) -> "MatrixJet":
-        ow, ob = self.order
-        head_inv = np.linalg.inv(self.c[:, 0, 0])
-        out = np.zeros_like(self.c)
-        out[:, 0, 0] = head_inv
-        # lexicographic order: every out[:, i - p, j - q] used is already set
-        for i in range(ow + 1):
-            for j in range(ob + 1):
-                if i or j:
-                    acc = sum(self.c[:, p, q] @ out[:, i - p, j - q]
-                              for p in range(i + 1) for q in range(j + 1) if p or q)
-                    out[:, i, j] = -head_inv @ acc
-        return MatrixJet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +356,37 @@ def gram_metric(frame: FrameField) -> MetricField:
 # curvature: series route
 
 
+def _jet_product(x: np.ndarray, y: np.ndarray, ow: int, ob: int) -> np.ndarray:
+    """The Cauchy product x y of two (points, ., ., r, r) jets at w-orders
+    up to `ow` and wbar-orders up to `ob` only, each entry summed over p,
+    then q."""
+    out = np.zeros(x.shape[:1] + (ow + 1, ob + 1) + x.shape[3:], dtype=complex)
+    for i in range(ow + 1):
+        for j in range(ob + 1):
+            for p in range(i + 1):
+                for q in range(j + 1):
+                    out[:, i, j] += x[:, p, q] @ y[:, i - p, j - q]
+    return out
+
+
+def _jet_inverse(h: np.ndarray) -> np.ndarray:
+    """The jet of h^{-1} at the orders of `h`: each order solves h h^{-1} = 1
+    with the orders before it."""
+    head_inv = np.linalg.inv(h[:, 0, 0])
+    out = np.zeros_like(h)
+    out[:, 0, 0] = head_inv
+    # lexicographic order: every out[:, i - p, j - q] used is already set;
+    # sum's int start turns a first term's -0.0 into +0.0, unlike a sum
+    # that starts from the first term
+    for i in range(h.shape[1]):
+        for j in range(h.shape[2]):
+            if i or j:
+                acc = sum(h[:, p, q] @ out[:, i - p, j - q]
+                          for p in range(i + 1) for q in range(j + 1) if p or q)
+                out[:, i, j] = -head_inv @ acc
+    return out
+
+
 def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
     """K_{w^i wbar^j} at every grid point from metric jets of order
     (i + 1, j + 1), cut from the metric's jet of order max(i, j) + 1.
@@ -430,20 +394,24 @@ def _series_covariant(metric: MetricField, i: int, j: int) -> np.ndarray:
     With G_a the frame jets (frame vectors as columns), h(w + d) =
     sum_{a,b} G_b^H G_a d^a dbar^b, so the metric jet is the Gram matrix of
     the frame jets, which the frame's `gram_jet` forms from its section
-    rows one block of grid points at a time.
+    rows one block of grid points at a time.  Only the orders the value
+    reads are formed: theta = h^{-1} dh/dw to order (i, j + 1), and the
+    k-th w-step's commutator to order (i - k, j).
     """
     order = max(i, j) + 1
     jet = metric.series_jets.get(order)
     if jet is None:
         jet = metric.series_jets[order] = metric.gram_jet(metric.grid.points, order)
-    h = MatrixJet(jet[:, :i + 2, :j + 2])
-    theta = h.inverse() @ h.d_w()
-    f = -(theta.d_wbar())
-    for _ in range(i):
-        f = f.d_w() + (theta @ f - f @ theta)
-    for _ in range(j):
-        f = f.d_wbar()
-    return f.value
+    h = jet[:, :i + 2, :j + 2]
+    h_w = h[:, 1:] * np.arange(1, i + 2)[:, None, None, None]
+    theta = _jet_product(_jet_inverse(h[:, :i + 1]), h_w, i, j + 1)
+    f = -(theta[:, :, 1:] * np.arange(1, j + 2)[:, None, None])
+    for ow in range(i - 1, -1, -1):
+        f = f[:, 1:] * np.arange(1, ow + 2)[:, None, None, None] + (
+            _jet_product(theta, f, ow, j) - _jet_product(f, theta, ow, j))
+    for ob in range(j - 1, -1, -1):
+        f = f[:, :, 1:] * np.arange(1, ob + 2)[:, None, None]
+    return f[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,21 @@ U10_COND_CAP = 1e12
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """||a||_F.  The plain norm squares the entries, so it reads 0.0 when
+    their squares underflow and inf when one overflows; outside
+    (1e-140, inf), where that can happen, it is taken again as
+    max|a| || |a| / max|a| ||, the scaling of LAPACK's nrm2, so a verdict on
+    residuals does not flip when its operands are rescaled."""
+    with np.errstate(over="ignore", under="ignore"):
+        norm = float(np.linalg.norm(a))
+        if 1e-140 < norm < math.inf:
+            return norm
+        # |a| is real: a complex division by a subnormal peak would overflow
+        magnitudes = np.abs(a)
+        peak = float(np.max(magnitudes, initial=0.0))
+        if not 0.0 < peak < math.inf:  # a zero array, or inf / NaN entries
+            return peak
+        return peak * float(np.linalg.norm(magnitudes / peak))
 
 
 def unitarity_residual(u: np.ndarray) -> float:

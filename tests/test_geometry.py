@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -8,8 +9,8 @@ import sympy as sp
 from cdlab.errors import (DegenerateFrameError, DomainError,
                           InvalidArgumentError, PrecisionError)
 from cdlab.geometry import (SERIES_BLOCK_BYTES, CurvatureField, DiskGrid,
-                            FrameField, MetricField, covariant_derivative,
-                            curvature,
+                            FrameField, MetricField, _jet_inverse,
+                            _jet_product, covariant_derivative, curvature,
                             curvature_isometry_check, eigenframe, gram_metric,
                             kernel_frame, polar_grid)
 from cdlab.kernels import bergman_kernel, section_jets
@@ -17,7 +18,7 @@ from cdlab.operators import (ModelOperator, assemble_model, frobenius,
                              random_operator, random_unitary,
                              shift_from_kernel)
 
-from oracles import (bergman_curvature, bergman_curvature_derivative,
+from oracles import (_QC, bergman_curvature, bergman_curvature_derivative,
                      bergman_frame_jets, padded_frame_jets, row_eigen_residuals,
                      row_gram_jet, section_gram_jet, traced_peak)
 
@@ -545,6 +546,53 @@ class TestCurvature:
             curvature(MetricField(grid=grid, rank=1, values=metric.values), grid, "series")
 
 
+class TestJetArithmetic:
+    """The series route's truncated jet product and jet inverse against the
+    Cauchy product in exact Gaussian rationals."""
+
+    @staticmethod
+    def _exact_product(x, y):
+        """The Cauchy product of two (points, o + 1, o + 1, r, r) jets, exact
+        in the floats they hold, as a nested list [point][i][j][a][b]."""
+        xq, yq = ([[[[[_QC.from_complex(v) for v in row] for row in mat]
+                     for mat in line] for line in point] for point in jet]
+                  for jet in (x, y))
+        points, ow, ob, r = x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+        out = [[[[[_QC() for _ in range(r)] for _ in range(r)] for _ in range(ob)]
+                for _ in range(ow)] for _ in range(points)]
+        for n, i, j, p, q, a, k, b in itertools.product(
+                range(points), range(ow), range(ob), range(ow), range(ob),
+                range(r), range(r), range(r)):
+            if p <= i and q <= j:
+                out[n][i][j][a][b] += xq[n][p][q][a][k] * yq[n][i - p][j - q][k][b]
+        return out
+
+    def test_product_and_inverse_against_exact_arithmetic(self):
+        # integer entries up to 4 + 4i around the head 12 I, orders 3 x 3
+        rng = np.random.default_rng(7)
+        shape = (3, 4, 4, 2, 2)
+        h = (rng.integers(-4, 5, shape) + 1j * rng.integers(-4, 5, shape)).astype(complex)
+        h[:, 0, 0] += 12.0 * np.eye(2)
+        inverse = _jet_inverse(h)
+        product = _jet_product(h, inverse, 3, 3)
+        exact = self._exact_product(h, inverse)
+        # each entry sums at most 16 orders times 2 products of two entries
+        scale = 32 * np.abs(h).max() * np.abs(inverse).max()
+        eps = np.finfo(float).eps
+        identity = np.zeros(shape, dtype=complex)
+        identity[:, 0, 0] = np.eye(2)
+        for index in np.ndindex(shape):
+            n, i, j, a, b = index
+            value = exact[n][i][j][a][b]
+            for reference, c in ((product[index], 8), (identity[index], 64)):
+                gap = value - _QC.from_complex(reference)
+                assert abs(complex(float(gap.re), float(gap.im))) <= c * eps * scale, index
+        # fewer orders are the leading orders of the full product, bit for bit
+        np.testing.assert_array_equal(_jet_product(h, inverse, 2, 1),
+                                      product[:, :3, :2])
+        np.testing.assert_array_equal(_jet_inverse(h[:, :2, :3]), inverse[:, :2, :3])
+
+
 class TestCovariantDerivatives:
     def test_order_zero_returns_curvature(self):
         grid = DiskGrid(points=np.array([0.2 + 0j]))
@@ -558,7 +606,7 @@ class TestCovariantDerivatives:
         grid = DiskGrid(points=np.array([0.3 + 0.2j]))
         metric = gram_metric(kernel_frame(bergman_kernel(2, 60), grid))
         fld = curvature(metric, grid, "series")
-        for (i, j) in ((1, 0), (0, 1), (1, 1)):
+        for (i, j) in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
             value = covariant_derivative(fld, metric, i, j)[0][0, 0]
             oracle = bergman_curvature_derivative(2, i, j, 0.3 + 0.2j)
             assert abs(value - oracle) <= 1e-9 * max(1.0, abs(oracle))
@@ -579,7 +627,7 @@ class TestCovariantDerivatives:
         metric = gram_metric(eigenframe(model, grid))
         f_series = curvature(metric, grid, "series")
         f_fd = curvature(metric, grid, "fd")
-        for key in ((1, 0), (0, 1), (1, 1)):
+        for key in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
             a = covariant_derivative(f_series, metric, *key)[0]
             b = covariant_derivative(f_fd, metric, *key)[0]
             assert frobenius(a - b) / frobenius(a) < 1e-3

@@ -329,6 +329,14 @@ class TestAssemble:
             assemble_model(ModelOperator(np.eye(4)), ModelOperator(np.eye(4)), mat)
 
 
+@pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-160, 1e160, 1e300])
+def test_frobenius_holds_where_the_squares_leave_the_float_range(scale):
+    # the squares of entries below about 1e-154 underflow, above 1e154 they
+    # overflow; 5e-324 is the smallest subnormal, so 3 and 4i times it are exact
+    a = scale * np.array([[3.0, 4.0j], [0.0, 0.0]])
+    assert frobenius(a) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
+
+
 class TestFb2Membership:
     def test_commuting_coupling_reduces_to_zero(self):
         a = _rand(4, 5)
@@ -361,10 +369,9 @@ class TestFb2Membership:
                 c = 10.0 ** k
                 verdict, _ = fb2_membership(t0, t1, c * x, 1e-10)
                 assert verdict is expected, f"c X, c = {c}"
-            # (T0, T1) enter squared, and their norms square entries once
-            # more: at |k| > 50 those squares leave the float range (ROADMAP
-            # item 24b)
-            for k in range(-50, 51):
+            # (T0, T1) enter squared, and their plain norms square entries
+            # once more: past |k| = 80 those squares leave the float range
+            for k in range(-100, 101):
                 c = 10.0 ** k
                 scaled = ModelOperator(c * t0.matrix), ModelOperator(c * t1.matrix)
                 verdict, _ = fb2_membership(*scaled, x, 1e-10)

@@ -916,6 +916,23 @@ class TestCli:
         assert "error: " in err.splitlines()[-1]
         assert not (tmp_path / "f.csv").exists()
 
+    def test_curvature_refuses_a_truncation_below_the_tail_rule(self, tmp_path,
+                                                                capsys):
+        # r^(2N) < 1e-12 at r = 0.9 needs N >= 132; at N = 24 the truncated
+        # kernel's K is -36.38 where the closed form -2 / (1 - r^2)^2 is -55.40
+        out = tmp_path / "field.json"
+        args = ["curvature", "--kernel", "bergman:2", "--rmax", "0.9",
+                "--n-radii", "3", "--n-angles", "4", "--json-out", str(out)]
+        assert main(args + ["--truncation", "24"]) == 1
+        assert "need N >= 132" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--truncation", "132"]) == 0
+        for point in json.loads(out.read_text())["points"]:
+            w = complex(point["re_w"], point["im_w"])
+            k = complex(point["K"]["re"][0], point["K"]["im"][0])
+            closed = -2.0 / (1.0 - abs(w) ** 2) ** 2
+            assert abs(k - closed) <= 1e-8 * abs(closed)
+
 
 class TestReadme:
     def _section(self) -> str:
